@@ -168,6 +168,16 @@ echo "== service smoke: serve/submit, golden-verified cache, drain =="
 # crashes.
 python scripts/service_smoke.py
 
+echo "== repo benchmark: its own tests + a quick run of all four workloads =="
+# bench/ (see BENCHMARK.json, bench/README.md) checks every op's golden
+# fingerprint and the service's /stats counters (nothing recomputed on
+# the warm path, nothing hit on the cold one, no retry/failure/shed),
+# so those gate every PR and not only the ones that claim a gain.
+# run.py exits 1 on any failed op (pipefail carries it through grep,
+# which only trims the ~250 metric lines to the ones worth reading).
+python3 -m pytest bench/tests -q
+python3 bench/run.py --quick | grep -E " (cell_ms|setup_s) |ops_attempted"
+
 echo "== docs: README / ARCHITECTURE code blocks =="
 python scripts/check_docs.py
 

@@ -36,6 +36,30 @@ class TopologyError(ValueError):
     """Raised for malformed communication graphs."""
 
 
+def _strongly_connects(
+    members: FrozenSet[int], edges: Iterable[Tuple[int, int]]
+) -> bool:
+    """Whether ``edges`` strongly connect ``members``: every member is
+    reachable from one of them, forwards and backwards."""
+    forward: Dict[int, List[int]] = {}
+    backward: Dict[int, List[int]] = {}
+    for src, dst in edges:
+        forward.setdefault(src, []).append(dst)
+        backward.setdefault(dst, []).append(src)
+    root = min(members)
+    for adjacency in (forward, backward):
+        seen = {root}
+        stack = [root]
+        while stack:
+            for v in adjacency.get(stack.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if not members <= seen:
+            return False
+    return True
+
+
 class Topology:
     """A directed communication graph with self-loops and edge weights.
 
@@ -238,6 +262,13 @@ class Topology:
         the current active set).  Repair edges caused *solely* by this
         node's earlier departure are retired, so a remove/re-add pair
         round-trips the edge support exactly.
+
+        Retirement is *deferred* when it would disconnect the members:
+        the joiner's bridges may be the only path over a second node
+        that departed while it was away (its own bridges over that
+        node died with it and are not among the neighbors it rejoins
+        with).  The bridges then stay, with an empty cause set, and
+        every later join retries retiring them.
         """
         if node in self.active:
             raise TopologyError(f"node {node} is already an active member")
@@ -255,25 +286,29 @@ class Topology:
             raise TopologyError(
                 f"joiner {node} needs at least one member neighbor"
             )
+        active = self.active | {node}
         edges: Set[Tuple[int, int]] = set(self._edges)
-        repair: Dict[Tuple[int, int], FrozenSet[int]] = {}
-        for edge, causes in self.repair_sources.items():
-            causes = causes - {node}
-            if causes:
-                repair[edge] = causes
-            else:
-                edges.discard(edge)
         for u in in_neighbors:
             if u != node:
                 edges.add((int(u), node))
         for v in out_neighbors:
             if v != node:
                 edges.add((node, int(v)))
+        repair = {
+            edge: causes - {node}
+            for edge, causes in self.repair_sources.items()
+        }
+        # Bridges no departure needs any more: this joiner's, plus any
+        # an earlier join had to defer (they carry an empty cause set).
+        retirable = {edge for edge, causes in repair.items() if not causes}
+        if retirable and _strongly_connects(active, edges - retirable):
+            edges -= retirable
+            repair = {e: causes for e, causes in repair.items() if causes}
         return Topology(
             self.n,
             edges,
             name=name or self.name,
-            active=self.active | {node},
+            active=active,
             epoch=self.epoch + 1,
             repair_sources=repair,
         )

@@ -25,6 +25,13 @@ from typing import List, Optional
 from repro.harness.retry import retry
 
 
+#: ``wait_for_sweep`` polls at 5 ms first and stretches the interval
+#: by half each time, so a wait overshoots the sweep by at most ~50%
+#: of its duration (or one ``poll``, whichever is shorter).
+_FIRST_POLL_SECONDS = 0.005
+_POLL_GROWTH = 1.5
+
+
 class ServiceError(RuntimeError):
     """An HTTP error status from the service, with the parsed body."""
 
@@ -137,8 +144,14 @@ class ServiceClient:
     def wait_for_sweep(
         self, sweep_id: str, timeout: float = 300.0, poll: float = 0.2
     ) -> dict:
-        """Poll until the sweep completes; returns the final snapshot."""
+        """Poll until the sweep completes; returns the final snapshot.
+
+        ``poll`` is the *longest* interval between polls: the wait
+        backs off geometrically towards it from 5 ms, so a sweep of
+        cache hits returns in milliseconds instead of one full ``poll``.
+        """
         deadline = time.monotonic() + timeout
+        interval = min(_FIRST_POLL_SECONDS, poll)
         while True:
             snapshot = self.sweep(sweep_id)
             if snapshot.get("complete"):
@@ -148,7 +161,8 @@ class ServiceClient:
                     f"sweep {sweep_id} incomplete after {timeout:.0f}s: "
                     f"{snapshot.get('done')}/{snapshot.get('total')} cells"
                 )
-            time.sleep(poll)
+            time.sleep(interval)
+            interval = min(interval * _POLL_GROWTH, poll)
 
     def run_and_wait(
         self, specs: List[dict], timeout: float = 300.0

@@ -4,14 +4,17 @@ Before the scheduler runs anything it journals the sweep (id + every
 cell's hash and request payload); each completed cell appends a
 ``done`` record *after* its cache entry is safely on disk, and a
 finished sweep appends ``sweep-done``.  Records are JSONL lines
-written with flush + fsync, so the journal is durable up to the last
-fsync; a crash can at worst leave one torn *final* line, which replay
-detects and discards (the corresponding state is re-derived from the
-cache — cells whose cache write landed are hits, nothing is lost and
-nothing runs twice).  Before its first append after opening, the
-journal truncates any torn tail left by a previous crash, so a new
-record is never glued onto the fragment (the fragment's fsync never
-completed, so dropping it loses nothing durable).
+appended in *batches* (:meth:`RunJournal.append_batch`): N records,
+one write, one fsync, through one append handle the journal keeps
+open.  A batch is durable once its fsync returns; a crash before
+that leaves at worst a torn *tail* (a prefix of the batch's bytes:
+some whole lines, then one partial line), which replay detects and
+discards (the corresponding state is re-derived from the cache — cells
+whose cache write landed are hits, nothing is lost and nothing runs
+twice).  Whenever it (re)opens its handle, the journal first truncates
+any torn tail left by a previous crash, so a new record is never glued
+onto the fragment (the fragment's fsync never completed, so dropping
+it loses nothing durable).
 
 On restart the server replays the journal: every sweep without a
 ``sweep-done`` is re-submitted, completed cells short-circuit through
@@ -23,12 +26,13 @@ completed sweeps so the journal does not grow without bound.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 
 @dataclass
@@ -47,6 +51,24 @@ class SweepRecord:
         return [cell for cell in self.cells if cell["hash"] not in self.done]
 
 
+def done_record(sweep_id: str, spec_hash: str, cache_hit: bool,
+                attempts: int, status: str = "done") -> dict:
+    """The journal record of one settled cell."""
+    return {
+        "kind": "done",
+        "sweep_id": sweep_id,
+        "hash": spec_hash,
+        "cache_hit": cache_hit,
+        "attempts": attempts,
+        "status": status,
+    }
+
+
+def sweep_done_record(sweep_id: str) -> dict:
+    """The journal record that closes a fully successful sweep."""
+    return {"kind": "sweep-done", "sweep_id": sweep_id}
+
+
 class RunJournal:
     """Append-only JSONL journal with torn-tail-tolerant replay."""
 
@@ -54,13 +76,15 @@ class RunJournal:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._tail_checked = False
+        #: The open append handle; ``None`` until the first append and
+        #: after :meth:`checkpoint` / :meth:`close`.
+        self._handle: Optional[io.FileIO] = None
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
     def _repair_torn_tail_locked(self) -> None:
-        """Truncate a torn final line before the first append.
+        """Truncate a torn final line before appending to the file.
 
         A ``kill -9`` mid-append can leave the file ending without a
         newline.  :meth:`replay` tolerates reading that, but appending
@@ -70,9 +94,6 @@ class RunJournal:
         no durable state: truncating back to the last complete line
         loses nothing (completed cells are re-found in the cache).
         """
-        if self._tail_checked:
-            return
-        self._tail_checked = True
         try:
             with open(self.path, "rb+") as handle:
                 handle.seek(0, os.SEEK_END)
@@ -90,21 +111,59 @@ class RunJournal:
         except FileNotFoundError:
             return
 
-    def append(self, record: dict) -> None:
-        """Durably append one record (write + flush + fsync).
+    def _open_locked(self) -> io.FileIO:
+        """The append handle, opened (after tail repair) on first use."""
+        if self._handle is None:
+            self._repair_torn_tail_locked()
+            # Unbuffered: a batch is one write(2), and a failed append
+            # leaves nothing behind in a buffer to surface later.
+            self._handle = open(self.path, "ab", buffering=0)
+        return self._handle
+
+    def _close_locked(self) -> None:
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
+
+    def close(self) -> None:
+        """Release the append handle (a later append reopens it)."""
+        with self._lock:
+            self._close_locked()
+
+    def append_batch(self, records: Sequence[dict]) -> None:
+        """Durably append ``records``: one write, one fsync.
 
         Appends are not atomic-rename on purpose: the journal is an
-        append-only log, and its crash contract is "at most one torn
-        final line", which :meth:`replay` tolerates and which the
-        first append repairs (see :meth:`_repair_torn_tail_locked`).
+        append-only log, and its crash contract is "a batch is durable
+        or a torn tail" — a prefix of the batch's lines ending in at
+        most one torn line, which :meth:`replay` tolerates and which
+        the next process's first append repairs (see
+        :meth:`_repair_torn_tail_locked`).  Callers order a batch so
+        that every prefix is a true statement (``sweep-done`` last).
         """
-        line = json.dumps(record, sort_keys=True) + "\n"
+        if not records:
+            return
+        data = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        ).encode()
         with self._lock:
-            self._repair_torn_tail_locked()
-            with open(self.path, "a") as handle:
-                handle.write(line)
-                handle.flush()
+            handle = self._open_locked()
+            try:
+                written = handle.write(data)
+                if written != len(data):
+                    raise OSError(
+                        f"short journal write: {written} of {len(data)} bytes"
+                    )
                 os.fsync(handle.fileno())
+            except BaseException:
+                # Whatever reached the file is a torn tail: reopen (and
+                # so repair) before anything is appended after it.
+                self._close_locked()
+                raise
+
+    def append(self, record: dict) -> None:
+        """Durably append one record (a batch of one)."""
+        self.append_batch([record])
 
     def sweep_submitted(self, sweep_id: str, cells: List[dict]) -> None:
         self.append({"kind": "sweep", "sweep_id": sweep_id, "cells": cells})
@@ -112,18 +171,11 @@ class RunJournal:
     def cell_done(self, sweep_id: str, spec_hash: str, cache_hit: bool,
                   attempts: int, status: str = "done") -> None:
         self.append(
-            {
-                "kind": "done",
-                "sweep_id": sweep_id,
-                "hash": spec_hash,
-                "cache_hit": cache_hit,
-                "attempts": attempts,
-                "status": status,
-            }
+            done_record(sweep_id, spec_hash, cache_hit, attempts, status)
         )
 
     def sweep_done(self, sweep_id: str) -> None:
-        self.append({"kind": "sweep-done", "sweep_id": sweep_id})
+        self.append(sweep_done_record(sweep_id))
 
     # ------------------------------------------------------------------
     # Replay
@@ -231,6 +283,9 @@ class RunJournal:
             for record in sweep.done.values():
                 lines.append(json.dumps(record, sort_keys=True))
         with self._lock:
+            # The rename leaves an open handle pointing at the unlinked
+            # old file; drop it so the next append opens the new one.
+            self._close_locked()
             atomic_write_text(
                 self.path, "".join(line + "\n" for line in lines)
             )

@@ -1,10 +1,14 @@
 """Run scheduling: the fault-tolerant bridge onto the process pool.
 
-One dispatcher thread per pool slot takes cells (spec payloads) through
-the full robustness pipeline:
+Each admitted sweep gets one *settle pass* on a dispatcher thread, and
+only the cells it cannot settle go on (one dispatcher thread per pool
+slot) through the rest of the robustness pipeline:
 
-1. **Cache first** — a verified entry short-circuits the run (the hit
-   is journaled so a resumed sweep knows the cell is settled).
+1. **Cache first, once per sweep** — the settle pass probes the cache
+   for every cell; verified entries settle as hits and are journaled
+   together in one durable batch (with ``sweep-done`` in the same
+   batch when nothing missed), so a resumed sweep knows they are
+   settled and an all-hit sweep costs two journal writes.
 2. **Bounded retries** — each compute attempt runs in the process pool
    under a per-run timeout; failures (worker crash, timeout, in-worker
    exception) sleep a deterministic seeded-backoff delay
@@ -41,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.harness.retry import backoff_schedule
 from repro.service.cache import ResultCache
-from repro.service.journal import RunJournal
+from repro.service.journal import RunJournal, done_record, sweep_done_record
 from repro.service.runner import execute_cell
 
 
@@ -203,8 +207,7 @@ class RunScheduler:
                 sweep_id,
                 [{"hash": h, "payload": p} for h, p in unique.items()],
             )
-        for spec_hash in unique:
-            self._dispatch.submit(self._run_cell, sweep, spec_hash)
+        self._dispatch.submit(self._settle_sweep, sweep)
         return sweep
 
     # ------------------------------------------------------------------
@@ -315,18 +318,57 @@ class RunScheduler:
                 self.counters["worker_crashes"] += 1
             raise
 
+    def _settle_sweep(self, sweep: SweepState) -> None:
+        """The sweep's one cache pass: settle the hits, dispatch the misses.
+
+        Every cell is probed exactly once (digest-verified, counted in
+        the cache's hit/miss/corruption counters).  All hits are
+        journaled in one batch — closed by ``sweep-done`` when nothing
+        missed — and only become visible as ``done`` once that batch
+        is durable.  A sweep that shares a missing cell with one still
+        computing recomputes it; runs are deterministic and cache puts
+        atomic, so that costs time, never correctness.
+        """
+        cells = list(sweep.cells.values())
+        hits: List[CellState] = []
+        misses: List[CellState] = []
+        try:
+            for cell in cells:
+                found = self.cache.get(cell.spec_hash) is not None
+                (hits if found else misses).append(cell)
+            records = [
+                done_record(sweep.sweep_id, cell.spec_hash, cache_hit=True,
+                            attempts=0)
+                for cell in hits
+            ]
+            if not misses:
+                records.append(sweep_done_record(sweep.sweep_id))
+            self.journal.append_batch(records)
+        except Exception as error:  # defensive: never wedge a sweep
+            for cell in cells:
+                cell.status = "failed"
+                cell.error = f"{type(error).__name__}: {error}"
+            with self._state_lock:
+                self.counters["run_failures"] += len(cells)
+                self._pending -= len(cells)
+            self._finish_sweep_if_done(sweep)
+            return
+        for cell in hits:
+            cell.cache_hit = True
+            cell.status = "done"
+        with self._state_lock:
+            self._pending -= len(hits)
+        if not misses:
+            # sweep-done is already durable (it closed the hit batch).
+            sweep.finished.set()
+        for cell in misses:
+            self._dispatch.submit(self._run_cell, sweep, cell.spec_hash)
+
     def _run_cell(self, sweep: SweepState, spec_hash: str) -> None:
+        """Compute one cell the settle pass found missing."""
         cell = sweep.cells[spec_hash]
         try:
             cell.status = "running"
-            entry = self.cache.get(spec_hash)
-            if entry is not None:
-                cell.status = "done"
-                cell.cache_hit = True
-                self.journal.cell_done(
-                    sweep.sweep_id, spec_hash, cache_hit=True, attempts=0
-                )
-                return
             delays = backoff_schedule(
                 self.attempts,
                 base=self.backoff_base,
@@ -353,15 +395,18 @@ class RunScheduler:
                 )
                 with self._state_lock:
                     self.counters["runs_computed"] += 1
-                cell.status = "done"
+                # A cell turns terminal only once its record is durable:
+                # were the status set first, another dispatcher could
+                # see the sweep all-terminal and journal sweep-done (and
+                # announce it finished) ahead of this record.
                 self.journal.cell_done(
                     sweep.sweep_id,
                     spec_hash,
                     cache_hit=False,
                     attempts=cell.attempts,
                 )
+                cell.status = "done"
                 return
-            cell.status = "failed"
             cell.error = f"{type(last_error).__name__}: {last_error}"
             with self._state_lock:
                 self.counters["run_failures"] += 1
@@ -372,6 +417,7 @@ class RunScheduler:
                 attempts=cell.attempts,
                 status="failed",
             )
+            cell.status = "failed"
         except Exception as error:  # defensive: never wedge a sweep
             cell.status = "failed"
             cell.error = f"{type(error).__name__}: {error}"

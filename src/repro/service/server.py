@@ -200,10 +200,12 @@ class ExperimentService:
     # Lifecycle
     # ------------------------------------------------------------------
     def shutdown(self, timeout: Optional[float] = 30.0) -> bool:
-        """Drain in-flight sweeps, stop the pool, compact the journal."""
+        """Drain in-flight sweeps, stop the pool, compact the journal
+        and release its append handle."""
         drained = self.scheduler.shutdown(timeout)
         if drained:
             self.journal.checkpoint()
+        self.journal.close()
         return drained
 
 

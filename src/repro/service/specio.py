@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.compression import CompressionSpec
@@ -75,6 +76,23 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+@lru_cache(maxsize=1024)
+def _graph_verdict(graph: str, workers: int) -> Optional[str]:
+    """``None`` if ``(graph, workers)`` builds a valid topology, else
+    the error text.
+
+    Memoised: building and validating a whole ``Topology`` costs more
+    than the rest of :func:`canonical_spec` and grows with the cluster,
+    and the answer depends on nothing but the pair — so it is built
+    once per distinct pair, not once per hash.
+    """
+    try:
+        graph_by_name(graph, workers)
+    except Exception as error:
+        return str(error)
+    return None
+
+
 def canonical_spec(payload: dict) -> dict:
     """Validate ``payload`` and return its canonical (hashable) form.
 
@@ -120,10 +138,8 @@ def canonical_spec(payload: dict) -> dict:
     graph = merged["graph"]
     _require(isinstance(graph, str), "graph must be a string")
     graph = _GRAPH_ALIASES.get(graph, graph)
-    try:
-        graph_by_name(graph, merged["workers"])
-    except Exception as error:
-        raise SpecError(str(error)) from error
+    verdict = _graph_verdict(graph, merged["workers"])
+    _require(verdict is None, verdict)
     merged["graph"] = graph
 
     try:

@@ -336,3 +336,25 @@ class TestCrashRestartUnification:
         run = run_spec(spec.with_(scenario=scenario))
         assert run.iterations_completed[:5] == [12] * 5
         assert math.isfinite(run.final_loss)
+
+
+class TestPoissonChurnRegressions:
+    def test_adpsgd_seed_189_rejoins_next_to_a_second_leaver(self):
+        # Used to die with TopologyError "'bipartite_ring(16)' is not
+        # strongly connected": worker 12 rejoined beside 13 alone
+        # (11 still away) and retiring its bridges cut both off.
+        spec = ExperimentSpec(
+            name="poisson-189",
+            workload=WORKLOAD,
+            topology=bipartite_ring(16),
+            protocol="adpsgd",
+            scenario=ScenarioSpec(
+                "churn-poisson",
+                {"rate": 0.2, "horizon": 20, "rejoin_after": 3},
+            ),
+            max_iter=30,
+            seed=189,
+        )
+        run = run_spec(spec)
+        assert math.isfinite(run.final_loss)
+        assert max(run.iterations_completed) == 30

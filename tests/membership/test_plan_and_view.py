@@ -163,6 +163,28 @@ class TestMembershipView:
         assert 0 in view.active
         assert view.topology.is_strongly_connected()
 
+    def test_rejoin_defers_retiring_the_only_bridge_over_a_second_leaver(
+        self,
+    ):
+        # 4 is left dangling on 3 (5 gone); 3 then bridges 4 to the
+        # rest over the departed 2.  When 3 rejoins next to 4 alone,
+        # retiring its bridges would cut {3, 4} off: they must stay
+        # until a later join makes them redundant.
+        base = ring(8)
+        policy = get_rewire_policy("uniform")
+        view = MembershipView(base)
+        for kind, worker in [("leave", 4), ("leave", 5), ("join", 4),
+                             ("leave", 2), ("leave", 3)]:
+            view, _ = getattr(view, kind)(worker, policy)
+        view, report = view.join(3, policy)
+        assert view.topology.is_strongly_connected()
+        assert report.edges_removed == ()  # retirement deferred
+        view, report = view.join(2, policy)
+        assert report.edges_removed  # ...and caught up here
+        view, _ = view.join(5, policy)
+        assert view.topology.edges == base.edges
+        assert view.topology.repair_sources == {}
+
     def test_founding_quorum(self):
         view = MembershipView.founding(ring(6), absent=(1, 4))
         assert view.active == frozenset({0, 2, 3, 5})

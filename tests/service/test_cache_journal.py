@@ -1,11 +1,17 @@
 """Durability tests: the result cache verifies, the journal replays."""
 
 import json
+import os
+import threading
 
 import pytest
 
 from repro.service.cache import ResultCache, entry_digest
-from repro.service.journal import RunJournal
+from repro.service.journal import (
+    RunJournal,
+    done_record,
+    sweep_done_record,
+)
 
 HASH = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -179,3 +185,145 @@ class TestRunJournal:
         assert journal.next_sweep_seq() == 6  # but its id stays burned
         journal.checkpoint()  # the high-water-mark survives recompaction
         assert journal.next_sweep_seq() == 6
+
+
+class TestBatchedAppend:
+    """One write + one fsync per batch; a torn batch is a torn tail."""
+
+    CELLS = [{"hash": HASH, "payload": SPEC}, {"hash": OTHER, "payload": {}}]
+    BATCH = [
+        done_record("s000001", HASH, cache_hit=True, attempts=0),
+        done_record("s000001", OTHER, cache_hit=True, attempts=0),
+        sweep_done_record("s000001"),
+    ]
+
+    def make(self, tmp_path):
+        return RunJournal(tmp_path / "journal.jsonl")
+
+    def test_batch_is_one_fsync_and_append_is_a_batch_of_one(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
+        )
+        journal = self.make(tmp_path)
+        journal.sweep_submitted("s000001", self.CELLS)
+        assert len(synced) == 1
+        journal.append_batch(self.BATCH)
+        assert len(synced) == 2
+        journal.append_batch([])  # nothing to say: nothing written
+        assert len(synced) == 2
+        assert len(set(synced)) == 1  # one handle, kept open
+        assert journal.replay()["s000001"].complete
+        journal.close()
+
+    def test_batch_torn_at_every_offset_replays_a_prefix_and_is_truncated(
+        self, tmp_path
+    ):
+        journal = self.make(tmp_path)
+        journal.sweep_submitted("s000001", self.CELLS)
+        durable = journal.path.read_bytes()
+        journal.append_batch(self.BATCH)
+        journal.close()
+        batch = journal.path.read_bytes()[len(durable):]
+        assert batch.count(b"\n") == len(self.BATCH)
+        order = [HASH, OTHER]
+        for cut in range(len(batch) + 1):
+            journal.path.write_bytes(durable + batch[:cut])  # kill -9
+            whole = batch[:cut].count(b"\n")
+            sweep = RunJournal(journal.path).replay()["s000001"]
+            # A prefix of the batch's records, in order.  (The final
+            # record minus its newline still parses, so it may count.)
+            assert list(sweep.done) == order[: len(sweep.done)]
+            assert len(sweep.done) >= min(whole, 2)
+            assert sweep.complete <= (cut >= len(batch) - 1)
+            restarted = RunJournal(journal.path)  # fresh process
+            restarted.sweep_submitted("s000002", [])
+            restarted.close()
+            lines = journal.path.read_bytes().split(b"\n")
+            assert lines.pop() == b""  # file ends on a newline
+            assert len(lines) == 1 + whole + 1  # fragment dropped
+            assert [json.loads(line)["kind"] for line in lines] == (
+                ["sweep"] + ["done", "done", "sweep-done"][:whole] + ["sweep"]
+            )
+
+    def test_append_after_checkpoint_lands_in_the_new_file(self, tmp_path):
+        # The stale-handle trap: checkpoint renames a new file over
+        # the path, so a handle opened before it writes to an unlinked
+        # inode and the record silently vanishes.
+        journal = self.make(tmp_path)
+        journal.sweep_submitted("s000001", self.CELLS)  # opens the handle
+        journal.checkpoint()
+        journal.append_batch(self.BATCH)
+        on_disk = RunJournal(journal.path).replay()
+        assert on_disk["s000001"].complete
+        assert list(on_disk["s000001"].done) == [HASH, OTHER]
+        journal.close()
+
+    def test_failed_append_raises_and_the_next_append_recovers(
+        self, tmp_path, monkeypatch
+    ):
+        journal = self.make(tmp_path)
+        journal.sweep_submitted("s000001", self.CELLS)
+        real_fsync = os.fsync
+
+        def failing(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing)
+        with pytest.raises(OSError):
+            journal.append_batch(self.BATCH)  # never reported durable
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        journal.append_batch(self.BATCH)  # a fresh handle, a whole file
+        journal.close()
+        sweep = RunJournal(journal.path).replay()["s000001"]
+        assert sweep.complete and list(sweep.done) == [HASH, OTHER]
+
+    def test_concurrent_batches_stay_whole_across_close_and_reopen(
+        self, tmp_path, hostile_switch_interval
+    ):
+        # More writers than cores, a hostile switch interval, and a
+        # thread that keeps closing the shared handle under them: no
+        # record may be lost and no batch interleaved with another.
+        journal = self.make(tmp_path)
+        writers, batches, size = 8, 40, 3
+        stop = threading.Event()
+
+        def write(writer):
+            for batch in range(batches):
+                journal.append_batch([
+                    {"kind": "seq", "value": 0, "writer": writer,
+                     "batch": batch, "index": index}
+                    for index in range(size)
+                ])
+
+        def close_repeatedly():
+            while not stop.is_set():
+                journal.close()
+
+        closer = threading.Thread(target=close_repeatedly)
+        threads = [
+            threading.Thread(target=write, args=(w,)) for w in range(writers)
+        ]
+        closer.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        stop.set()
+        closer.join(60)
+        assert not closer.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        journal.close()
+        records = [
+            json.loads(line)
+            for line in journal.path.read_text().splitlines()
+        ]
+        assert len(records) == writers * batches * size
+        for start in range(0, len(records), size):
+            batch = records[start:start + size]
+            assert [r["index"] for r in batch] == list(range(size))
+            assert len({(r["writer"], r["batch"]) for r in batch}) == 1
+        assert journal.replay() == {}  # and the file still replays

@@ -6,6 +6,8 @@ the pool, a hung worker tripping the run timeout — use a real
 ``ProcessPoolExecutor`` with the runner's chaos knobs.
 """
 
+import json
+import os
 import time
 
 import pytest
@@ -71,6 +73,142 @@ class TestHappyPathAndCache:
         state = scheduler.journal.replay()
         assert state["s1"].complete
         assert state["s1"].done[digest]["cache_hit"] is False
+        scheduler.shutdown(timeout=5)
+
+
+def sweep_cells(seeds):
+    payloads = [{**PAYLOAD, "seed": seed} for seed in seeds]
+    return [(spec_hash(payload), payload) for payload in payloads]
+
+
+@pytest.fixture
+def journal_fsyncs(monkeypatch):
+    """``arm(scheduler)`` -> a list growing by one entry per ``os.fsync``
+    of the scheduler's journal file: the sweeps already announced
+    finished when that fsync *started*.  (Runs under the journal's
+    lock, so it must not take the scheduler's.)"""
+    real_fsync = os.fsync
+
+    def arm(scheduler):
+        seen = []
+
+        def counting(fd):
+            if os.path.samestat(
+                os.fstat(fd), os.stat(scheduler.journal.path)
+            ):
+                seen.append([
+                    sweep.sweep_id
+                    for sweep in list(scheduler._sweeps.values())
+                    if sweep.finished.is_set() or sweep.snapshot()["complete"]
+                ])
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return seen
+
+    return arm
+
+
+class TestSettlePass:
+    """One cache probe per cell, one journal batch for all the hits."""
+
+    def test_all_hit_sweep_is_two_journal_fsyncs(
+        self, tmp_path, journal_fsyncs
+    ):
+        scheduler = make_scheduler(tmp_path)
+        cells = sweep_cells(range(9))
+        wait(scheduler.submit_sweep("cold", cells))
+        before = scheduler.cache.stats()
+        seen = journal_fsyncs(scheduler)
+        snapshot = wait(scheduler.submit_sweep("warm", cells))
+        # The sweep record; the hit batch carrying sweep-done.
+        assert len(seen) == 2
+        assert all(c["cache_hit"] for c in snapshot["cells"].values())
+        after = scheduler.cache.stats()
+        assert after["hits"] - before["hits"] == 9
+        assert after["misses"] == before["misses"]
+        record = scheduler.journal.replay()["warm"]
+        assert record.complete and len(record.done) == 9
+        assert scheduler.counters["runs_computed"] == 9
+        scheduler.shutdown(timeout=5)
+
+    def test_mixed_sweep_fsyncs_hits_once_and_each_computed_cell(
+        self, tmp_path, journal_fsyncs
+    ):
+        scheduler = make_scheduler(tmp_path)
+        wait(scheduler.submit_sweep("cold", sweep_cells(range(4))))
+        before = scheduler.cache.stats()
+        seen = journal_fsyncs(scheduler)
+        snapshot = wait(scheduler.submit_sweep("mixed", sweep_cells(range(9))))
+        # Sweep record + hit batch + 5 computed cells + sweep-done.
+        assert len(seen) == 1 + 1 + 5 + 1
+        hits = [c["cache_hit"] for c in snapshot["cells"].values()]
+        assert hits == [True] * 4 + [False] * 5
+        after = scheduler.cache.stats()
+        # One probe per cell: the computed cells are not probed again.
+        assert after["hits"] - before["hits"] == 4
+        assert after["misses"] - before["misses"] == 5
+        assert scheduler.journal.replay()["mixed"].complete
+        scheduler.shutdown(timeout=5)
+
+    def test_miss_sweep_probes_each_cell_once(self, tmp_path, journal_fsyncs):
+        scheduler = make_scheduler(tmp_path)
+        seen = journal_fsyncs(scheduler)
+        wait(scheduler.submit_sweep("cold", sweep_cells(range(3))))
+        assert len(seen) == 1 + 3 + 1  # no hits: no hit batch
+        assert scheduler.cache.stats() == {
+            "hits": 0, "misses": 3, "corruptions": 0,
+        }
+        scheduler.shutdown(timeout=5)
+
+    def test_finished_is_never_observable_before_its_fsync(
+        self, tmp_path, journal_fsyncs
+    ):
+        scheduler = make_scheduler(tmp_path, pool_workers=1)
+        seen = journal_fsyncs(scheduler)
+        wait(scheduler.submit_sweep("a", sweep_cells(range(3))))
+        wait(scheduler.submit_sweep("b", sweep_cells(range(3))))  # all hits
+        wait(scheduler.submit_sweep("c", sweep_cells(range(2, 5))))  # mixed
+        # At every journal fsync, only *earlier* sweeps were finished:
+        # no sweep completes ahead of the write that says so.
+        assert seen == (
+            [[]] * 5 + [["a"]] * 2 + [["a", "b"]] * 5
+        )
+        scheduler.shutdown(timeout=5)
+
+    def test_sweep_done_is_the_last_record_of_its_sweep(
+        self, tmp_path, hostile_switch_interval
+    ):
+        # More dispatchers than cores and a hostile switch interval: no
+        # dispatcher may close the sweep while another's done record
+        # is still on its way to the journal.
+        scheduler = make_scheduler(tmp_path, pool_workers=4)
+        for round_no in range(5):
+            seeds = range(40 + 8 * round_no, 48 + 8 * round_no)
+            wait(scheduler.submit_sweep(f"s{round_no}", sweep_cells(seeds)))
+        scheduler.shutdown(timeout=5)
+        records = [
+            json.loads(line)
+            for line in scheduler.journal.path.read_text().splitlines()
+        ]
+        for round_no in range(5):
+            kinds = [
+                r["kind"] for r in records if r["sweep_id"] == f"s{round_no}"
+            ]
+            assert kinds == ["sweep"] + ["done"] * 8 + ["sweep-done"]
+
+    def test_corrupt_entry_counts_once_and_recomputes(self, tmp_path):
+        scheduler = make_scheduler(tmp_path)
+        (digest, payload), = sweep_cells([0])
+        wait(scheduler.submit_sweep("s1", [(digest, payload)]))
+        path = scheduler.cache.path_for(digest)
+        path.write_text(path.read_text()[:40])
+        snapshot = wait(scheduler.submit_sweep("s2", [(digest, payload)]))
+        assert snapshot["cells"][digest]["cache_hit"] is False
+        assert scheduler.cache.stats() == {
+            "hits": 0, "misses": 2, "corruptions": 1,
+        }
+        assert scheduler.counters["runs_computed"] == 2
         scheduler.shutdown(timeout=5)
 
 

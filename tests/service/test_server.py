@@ -6,6 +6,7 @@ the same stack ``repro serve`` / ``repro submit`` use.
 """
 
 import json
+import os
 import socket
 import threading
 
@@ -203,6 +204,32 @@ class TestResume:
         assert second.journal.replay()["s000001"].complete
         second.scheduler.shutdown(timeout=10)
 
+    def test_resumed_sweep_probes_each_cell_once(self, tmp_path):
+        state = tmp_path / "state"
+        first = ExperimentService(state, inline=True)
+        cached = [{**PAYLOAD, "seed": seed} for seed in (20, 21)]
+        ticket = first.submit({"specs": cached})
+        assert first.scheduler.sweep(ticket["sweep_id"]).finished.wait(60)
+        first.shutdown(timeout=10)
+        # A sweep the dead server had journaled but never finished:
+        # two of its cells are in the cache, one is not.
+        specs = cached + [{**PAYLOAD, "seed": 22}]
+        cells = [{"hash": spec_hash(s), "payload": s} for s in specs]
+        with open(state / "journal.jsonl", "a") as handle:
+            handle.write(json.dumps(
+                {"kind": "sweep", "sweep_id": "s000002", "cells": cells}
+            ) + "\n")
+
+        second = ExperimentService(state, inline=True)
+        assert second.resume() == ["s000002"]
+        assert second.scheduler.sweep("s000002").finished.wait(60)
+        assert second.cache.stats() == {
+            "hits": 2, "misses": 1, "corruptions": 0,
+        }
+        assert second.scheduler.counters["runs_computed"] == 1
+        assert second.journal.replay()["s000002"].complete
+        second.shutdown(timeout=10)
+
     def test_completed_sweeps_are_not_resumed(self, tmp_path):
         state = tmp_path / "state"
         first = ExperimentService(state, inline=True)
@@ -218,3 +245,75 @@ class TestResume:
         assert ticket["sweep_id"] == "s000002"
         second.scheduler.sweep("s000002").finished.wait(60)
         second.scheduler.shutdown(timeout=10)
+
+
+class TestShutdown:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_shutdown_leaves_no_open_journal_descriptor(self, tmp_path):
+        def journal_fds():
+            found = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:  # the listing's own descriptor
+                    continue
+                if target.startswith(str(journal)):  # incl. "... (deleted)"
+                    found.append(target)
+            return found
+
+        journal = tmp_path / "state" / "journal.jsonl"
+        service = ExperimentService(tmp_path / "state", inline=True)
+        ticket = service.submit(dict(PAYLOAD))
+        assert service.scheduler.sweep(ticket["sweep_id"]).finished.wait(60)
+        assert len(journal_fds()) == 1  # the kept-open append handle
+        assert service.shutdown(timeout=10)
+        assert journal_fds() == []
+
+
+class TestClientPolling:
+    @pytest.fixture
+    def naps(self, monkeypatch):
+        """The intervals ``wait_for_sweep`` sleeps (and only those: the
+        client module gets its own ``time``)."""
+        import time
+        import types
+
+        from repro.service import client as client_module
+
+        naps = []
+        monkeypatch.setattr(
+            client_module,
+            "time",
+            types.SimpleNamespace(
+                monotonic=time.monotonic,
+                sleep=lambda s: (naps.append(s), time.sleep(s))[1],
+            ),
+        )
+        return naps
+
+    def test_wait_for_sweep_backs_off_from_5ms_up_to_poll(
+        self, service_stack, naps
+    ):
+        _, client = service_stack
+        slow = {**PAYLOAD, "seed": 31, "chaos": {"delay_seconds": 0.4}}
+        ticket = client.submit([slow])
+        snapshot = client.wait_for_sweep(
+            ticket["sweep_id"], timeout=60, poll=0.05
+        )
+        assert snapshot["complete"]
+        assert naps[0] == pytest.approx(0.005)
+        assert naps == sorted(naps) and max(naps) == pytest.approx(0.05)
+        assert all(b <= 1.5 * a + 1e-12 for a, b in zip(naps, naps[1:]))
+
+    def test_a_hit_sweep_does_not_wait_out_a_whole_poll(
+        self, service_stack, naps
+    ):
+        _, client = service_stack
+        client.wait_for_sweep(client.submit([PAYLOAD])["sweep_id"], timeout=60)
+        del naps[:]
+        ticket = client.submit([PAYLOAD])  # a hit: settles in milliseconds
+        snapshot = client.wait_for_sweep(ticket["sweep_id"], timeout=60)
+        assert snapshot["complete"]
+        assert sum(naps) < 0.2  # one fixed poll used to be the floor

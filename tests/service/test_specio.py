@@ -208,3 +208,49 @@ def test_spec_from_dict_builds_runnable_spec():
 def test_spec_from_dict_default_name_embeds_hash():
     spec, _, digest = spec_from_dict({"workers": 4})
     assert spec.name == f"service/{digest[:12]}"
+
+
+# ----------------------------------------------------------------------
+# Addressing a spec does not depend on the cluster size
+# ----------------------------------------------------------------------
+class TestGraphValidationIsMemoised:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count the topologies ``canonical_spec`` builds."""
+        from repro.service import specio
+
+        calls = []
+
+        def counting(name, workers):
+            calls.append((name, workers))
+            return real(name, workers)
+
+        real = specio.graph_by_name
+        monkeypatch.setattr(specio, "graph_by_name", counting)
+        specio._graph_verdict.cache_clear()
+        yield calls
+        specio._graph_verdict.cache_clear()
+
+    def test_hundred_hashes_build_the_topology_once(self, builds):
+        digests = {
+            spec_hash({"graph": "ring_based", "workers": 64, "seed": seed % 7})
+            for seed in range(100)
+        }
+        assert len(digests) == 7
+        assert builds == [("ring_based", 64)]
+        spec_hash({"graph": "ring-based", "workers": 64})  # alias, same pair
+        spec_hash({"graph": "ring_based", "workers": 32})  # a new pair
+        assert builds == [("ring_based", 64), ("ring_based", 32)]
+
+    def test_invalid_pair_raises_the_same_message_every_time(self, builds):
+        from repro.graphs import TopologyError, by_name
+
+        with pytest.raises(TopologyError) as direct:
+            by_name("double_ring", 6)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(SpecError) as caught:
+                spec_hash({"graph": "double_ring", "workers": 6})
+            messages.append(str(caught.value))
+        assert messages == [str(direct.value)] * 3
+        assert builds == [("double_ring", 6)]  # the verdict is memoised too
