@@ -5,8 +5,8 @@ parameter server, asserting the at-scale claims: hop's simulated
 iteration time is flat in cluster size while the PS hotspot degrades
 linearly, decentralized wins at the largest scale, and the real cost
 of simulating hop stays near-linear in workers (the engine-regression
-tripwire).  The 64-worker hop cell's elapsed time is the scaling
-number BENCH_BASELINE.json tracks across PRs.
+tripwire).  The repo benchmark's ``svm-scale`` workload (``bench/``)
+times the 64-, 256- and 1024-worker hop cells.
 """
 
 from repro.harness import fig24_scaling

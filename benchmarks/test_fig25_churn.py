@@ -4,8 +4,7 @@ Sweeps Poisson join/leave rates across the elastic protocols
 (hop/backup, adpsgd, partial-allreduce), asserting the membership
 plane's claims: every never-leaving worker finishes, repaired
 topologies keep a positive spectral gap, rate 0 stays bit-static, and
-rewire control cost grows with churn.  The full-figure elapsed time is
-the churn number BENCH_BASELINE.json tracks across PRs.
+rewire control cost grows with churn.
 """
 
 from repro.harness import fig25_churn

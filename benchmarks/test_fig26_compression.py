@@ -5,8 +5,7 @@ quantization) across hop, allreduce and ps-async on
 bandwidth-constrained links, asserting the payload-accurate pricing
 claims: compressed bytes track the schemes' arithmetic, message
 patterns are unchanged, and aggressive top-k measurably buys back the
-bandwidth-bound allreduce ring's wall-clock.  The full-figure elapsed
-time is the compression number BENCH_BASELINE.json tracks across PRs.
+bandwidth-bound allreduce ring's wall-clock.
 """
 
 from repro.harness import fig26_compression

@@ -116,6 +116,38 @@ assert rate > floor, (
 print(f"sim-core OK: {rate:,.0f} events/sec (floor {floor:,})")
 PY
 
+echo "== scale smoke: linear-time start-up, scipy on demand =="
+# Same philosophy as the sim-core floor.  ring_based(2048) builds and
+# validates in 0.04-0.2 s on the reference container (2.0-2.6 s while
+# the weight-support and connectivity checks were Python loops over
+# all n^2 pairs); the 1.0 s ceiling trips on a Python-level O(n^2) in
+# start-up, not on machine noise.  And importing the harness must not
+# load scipy: its two users import it at first use.
+python - <<'PY'
+import sys
+import time
+
+import repro.harness  # noqa: F401
+from repro.graphs import ring_based
+
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"import repro.harness loaded scipy: {loaded[:5]}"
+
+start = time.perf_counter()
+topology = ring_based(2048)
+topology.validate()
+elapsed = time.perf_counter() - start
+ceiling = 1.0
+assert elapsed < ceiling, (
+    f"start-up regressed: ring_based(2048) + validate() took "
+    f"{elapsed:.2f} s (ceiling {ceiling:.1f} s)"
+)
+print(
+    f"scale smoke OK: ring_based(2048) + validate() in {elapsed:.2f} s "
+    f"(ceiling {ceiling:.1f} s), scipy not imported by repro.harness"
+)
+PY
+
 echo "== sharded smoke: 2-shard golden cell bitwise + events/sec floor =="
 # The sharded engine's headline contract: a 2-shard run of the golden
 # hop/none conformance cell must be *bitwise* equal to the 1-shard run

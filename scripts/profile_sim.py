@@ -6,7 +6,7 @@ table plus real-time throughput, and finishes with the bare-engine
 events/sec microbenchmark.  The same functionality is available as
 ``python -m repro profile``; this script exists so perf work has a
 stable, greppable entry point next to the other perf tooling
-(``bench_baseline.py``).
+(``bench/run.py``, the repo benchmark).
 
 Usage::
 

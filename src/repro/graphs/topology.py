@@ -161,15 +161,20 @@ class Topology:
         return W
 
     def _validate_weight_support(self, W: np.ndarray) -> None:
-        for i in range(self.n):
-            for j in range(self.n):
-                on_edge = (i, j) in self._edges
-                if W[i, j] < 0:
-                    raise TopologyError(f"negative weight at ({i}, {j})")
-                if W[i, j] > 0 and not on_edge:
-                    raise TopologyError(
-                        f"weight {W[i, j]} on non-edge ({i}, {j})"
-                    )
+        """Weights are non-negative and positive only on edges.
+
+        Names the first offending pair in row-major order.
+        """
+        sources, targets = np.array(tuple(self._edges)).T
+        bad = W > 0
+        bad[sources, targets] = False  # positive is fine on an edge
+        bad |= W < 0
+        if not bad.any():
+            return
+        i, j = divmod(int(bad.argmax()), self.n)
+        if W[i, j] < 0:
+            raise TopologyError(f"negative weight at ({i}, {j})")
+        raise TopologyError(f"weight {W[i, j]} on non-edge ({i}, {j})")
 
     def with_weights(self, weights: np.ndarray) -> "Topology":
         """A copy of this topology with a different weight matrix."""
@@ -392,14 +397,10 @@ class Topology:
         """Every active member reaches every other active member.
 
         Inactive nodes (only their self-loop) are outside the
-        communication fabric and do not count; with every node active
-        this is the classic full-matrix check.
+        communication fabric and do not count.  Two traversals from one
+        member, not the all-pairs :meth:`shortest_path_matrix`.
         """
-        D = self.shortest_path_matrix()
-        if len(self.active) == self.n:
-            return bool(np.all(np.isfinite(D)))
-        members = sorted(self.active)
-        return bool(np.all(np.isfinite(D[np.ix_(members, members)])))
+        return _strongly_connects(self.active, self._edges)
 
     def is_bipartite(self) -> bool:
         """Two-colorability of the underlying undirected graph.

@@ -955,7 +955,8 @@ def fig24_scaling(
       (every worker serializes through one NIC),
     * the simulator itself stays usable at 128 workers — each cell
       also records the real wall-clock cost of simulating it (the
-      number BENCH_BASELINE.json tracks across PRs).
+      repo benchmark's ``svm-scale`` workload times hop at 64, 256
+      and 1024 workers).
 
     Cells run with :data:`~repro.protocols.base.LIGHT_TRACE` so tracer
     bookkeeping does not tax the scaling measurement.
@@ -1108,11 +1109,10 @@ def fig24_scaling(
         )
     result.notes = (
         "elapsed_seconds is real wall-clock (machine-dependent); "
-        "simulated quantities are deterministic.  The hop 64-worker "
-        "cell's elapsed time is the scaling number BENCH_BASELINE.json "
-        "tracks; the hop-sharded rows record the 1024+-worker scale "
-        "tier through the sharded engine (bit-identical to un-sharded "
-        "runs, wall-clock recorded per cell)."
+        "simulated quantities are deterministic.  The hop-sharded "
+        "rows record the 1024+-worker scale tier through the sharded "
+        "engine (bit-identical to un-sharded runs, wall-clock recorded "
+        "per cell)."
     )
     return result
 

@@ -235,7 +235,7 @@ def sharded_events_per_sec(
     single-shard run — the honest baseline for the speedup ratio.
     With more shards than cores the number reports the coordination
     tax rather than a speedup; callers asserting a floor should scale
-    it by the visible CPU count (see ``scripts/bench_baseline.py``).
+    it by the visible CPU count.
     """
     build = _sharded_ticker_build(
         n_processes, events_per_process, cross_period

@@ -145,11 +145,14 @@ class Batcher:
         self.y = y
         self.batch_size = int(batch_size)
         self._rng = rng
-        # Index rows prefetched in blocks: one integers() call per
-        # _PREFETCH batches instead of per batch.  A (k, batch) block
-        # draw consumes the Generator stream exactly like k sequential
-        # (batch,) draws (values and post-draw state are identical), so
-        # batches are unchanged — this only amortizes the call.
+        # Index rows prefetched in blocks of 1, 2, 4, ... up to
+        # _PREFETCH rows: one integers() call per _PREFETCH batches on
+        # a long run, and a short one never fetches twice what it has
+        # drawn (a 4-iteration run at 1024 workers neither draws nor
+        # holds 32 rows per worker).  A (k, batch) block draw consumes
+        # the Generator stream exactly like k sequential (batch,) draws
+        # (values and post-draw state are identical), so batches do not
+        # depend on the block sizes — this only amortizes the call.
         self._block: Optional[np.ndarray] = None
         self._cursor = 0
 
@@ -159,8 +162,9 @@ class Batcher:
         """Sample a batch uniformly with replacement (paper's SGD model)."""
         block = self._block
         if block is None or self._cursor >= len(block):
+            rows = 1 if block is None else min(self._PREFETCH, 2 * len(block))
             block = self._block = self._rng.integers(
-                0, len(self.x), size=(self._PREFETCH, self.batch_size)
+                0, len(self.x), size=(rows, self.batch_size)
             )
             self._cursor = 0
         idx = block[self._cursor]

@@ -9,6 +9,12 @@ Every layer implements::
 
     y = layer.forward(x, training=...)
     dx = layer.backward(dy)     # also accumulates parameter gradients
+
+What ``forward(training=True)`` caches for ``backward`` belongs to that
+one backward pass: ``backward`` releases it, so a model between steps
+holds parameters and gradients only (at 1024 workers the last minibatch
+per replica is most of a worker's footprint).  A second ``backward``
+without a new ``forward`` raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -20,11 +26,6 @@ import numpy as np
 
 from repro.ml.initializers import he, zeros
 from repro.ml.params import Parameter
-
-try:  # optional: sparse col2im operator (bincount fallback below)
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sparse = None
 
 
 class Layer:
@@ -74,9 +75,10 @@ class Dense(Layer):
         ``need_input_grad=False`` skips the input-gradient matmul —
         used for a network's first layer, whose ``dx`` has no consumer.
         """
-        if self._x is None:
+        x, self._x = self._x, None
+        if x is None:
             raise RuntimeError("backward() before forward(training=True)")
-        self.W.grad += dout.T @ self._x
+        self.W.grad += dout.T @ x
         self.b.grad += dout.sum(axis=0)
         if not need_input_grad:
             return None
@@ -98,9 +100,10 @@ class ReLU(Layer):
         return x * mask
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             raise RuntimeError("backward() before forward(training=True)")
-        return dout * self._mask
+        return dout * mask
 
 
 class Tanh(Layer):
@@ -115,9 +118,10 @@ class Tanh(Layer):
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._out is None:
+        out, self._out = self._out, None
+        if out is None:
             raise RuntimeError("backward() before forward(training=True)")
-        return dout * (1.0 - self._out**2)
+        return dout * (1.0 - out**2)
 
 
 class Sigmoid(Layer):
@@ -132,9 +136,10 @@ class Sigmoid(Layer):
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._out is None:
+        out, self._out = self._out, None
+        if out is None:
             raise RuntimeError("backward() before forward(training=True)")
-        return dout * self._out * (1.0 - self._out)
+        return dout * out * (1.0 - out)
 
 
 class Flatten(Layer):
@@ -144,13 +149,14 @@ class Flatten(Layer):
         self._shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._shape is None:
+        shape, self._shape = self._shape, None
+        if shape is None:
             raise RuntimeError("backward() before forward()")
-        return dout.reshape(self._shape)
+        return dout.reshape(shape)
 
 
 class Dropout(Layer):
@@ -177,9 +183,11 @@ class Dropout(Layer):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if not self._trained:
             raise RuntimeError("backward() before forward(training=True)")
-        if self._mask is None:  # rate == 0: identity
+        mask, self._mask = self._mask, None
+        self._trained = False
+        if mask is None:  # rate == 0: identity
             return dout
-        return dout * self._mask
+        return dout * mask
 
     def __repr__(self) -> str:
         return f"Dropout({self.rate})"
@@ -221,19 +229,20 @@ def _conv_plan(
 def _col2im_operator(
     x_shape: Tuple[int, int, int, int], kh: int, kw: int, stride: int, pad: int
 ):
-    """Cached sparse col2im scatter matrix, or ``None`` without scipy.
+    """Cached sparse col2im scatter matrix.
 
     ``op @ dcols.ravel()`` sums every column entry into its padded-input
-    pixel — the same accumulation as the bincount fallback, but in one
-    CSR matvec that preserves float32.
+    pixel in one CSR matvec that preserves float32.
     """
-    if _sparse is None:
-        return None
+    # Imported on a cache miss only, so a process that never
+    # backpropagates through a conv never loads scipy.sparse.
+    from scipy import sparse
+
     _, _, plan = _conv_plan(x_shape, kh, kw, stride, pad)
     n, c, h, w = x_shape
     m = n * c * (h + 2 * pad) * (w + 2 * pad)
     nnz = plan.size
-    return _sparse.csr_matrix(
+    return sparse.csr_matrix(
         (np.ones(nnz, dtype=np.float32), (plan, np.arange(nnz))),
         shape=(m, nnz),
     )
@@ -344,9 +353,10 @@ class Conv2D(Layer):
         pass — :class:`~repro.ml.models.Sequential` uses it for the
         first layer of a network, whose input gradient has no consumer.
         """
-        if self._cache is None:
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise RuntimeError("backward() before forward(training=True)")
-        x_shape, x_dtype, cols = self._cache
+        x_shape, x_dtype, cols = cache
         n, c, h, w = x_shape
         k, pad = self.kernel_size, self.pad
 
@@ -361,19 +371,10 @@ class Conv2D(Layer):
         dcols = W_row.T @ dout_mat  # (C*K*K, N*out_h*out_w)
 
         # col2im: scatter-add every column entry back to its input pixel
-        # through the cached index plan — a sparse matvec when scipy is
-        # available, otherwise one bincount (which accumulates in
-        # float64, then restores the input dtype).  Both replace the
-        # old elementwise np.add.at scatter.
+        # through the cached index plan, as one sparse matvec.
         hp, wp = h + 2 * pad, w + 2 * pad
         operator = _col2im_operator(x_shape, k, k, self.stride, pad)
-        if operator is not None:
-            dx_pad = operator @ dcols.ravel()
-        else:
-            _, _, scatter = _conv_plan(x_shape, k, k, self.stride, pad)
-            dx_pad = np.bincount(
-                scatter, weights=dcols.ravel(), minlength=n * c * hp * wp
-            )
+        dx_pad = operator @ dcols.ravel()
         dx_pad = dx_pad.reshape(n, c, hp, wp).astype(x_dtype, copy=False)
         if pad:
             return dx_pad[:, :, pad:-pad, pad:-pad]
@@ -404,9 +405,10 @@ class AvgPool2D(Layer):
         return x.reshape(n, c, h // s, s, w // s, s).mean(axis=(3, 5))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._shape is None:
+        shape, self._shape = self._shape, None
+        if shape is None:
             raise RuntimeError("backward() before forward(training=True)")
-        n, c, h, w = self._shape
+        n, c, h, w = shape
         s = self.size
         share = dout / (s * s)
         expanded = np.broadcast_to(
@@ -472,9 +474,10 @@ class MaxPool2D(Layer):
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise RuntimeError("backward() before forward(training=True)")
-        x_shape, first = self._cache
+        x_shape, first = cache
         n, c, h, w = x_shape
         s = self.size
         # One fancy scatter through the cached flat-index base: each

@@ -1,12 +1,11 @@
 """Reference (naive) conv/pool kernels: the pre-optimization seed code.
 
 The fast paths in :mod:`repro.ml.layers` cache their im2col index plan
-and replace the ``np.add.at`` col2im scatter with a vectorized
-``bincount`` formulation.  These functions keep the original, obviously
-correct implementations so the parity suite
-(``tests/ml/test_conv_fastpath.py``) can check the fast kernels against
-them across stride/pad/dtype combinations.  Nothing in the training
-path imports this module.
+and replace the ``np.add.at`` col2im scatter with one sparse matvec.
+These functions keep the original, obviously correct implementations
+so the parity suite (``tests/ml/test_conv_fastpath.py``) can check the
+fast kernels against them across stride/pad/dtype combinations.
+Nothing in the training path imports this module.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Parity suite: the conv/pool fast paths vs the reference kernels.
 
 The fast implementations in ``repro.ml.layers`` (cached im2col plan,
-bincount / sparse-matvec col2im, flat-gather pooling) must reproduce
+sparse-matvec col2im, flat-gather pooling) must reproduce
 the seed implementations preserved in ``repro.ml.reference`` across
 stride/pad/dtype combinations, and must agree with central-difference
 numerical gradients.
@@ -10,7 +10,6 @@ numerical gradients.
 import numpy as np
 import pytest
 
-import repro.ml.layers as layers_module
 from repro.ml.gradcheck import numerical_gradient, relative_error
 from repro.ml.layers import Conv2D, Dropout, MaxPool2D, _conv_plan
 from repro.ml.reference import (
@@ -88,29 +87,6 @@ class TestConvParity:
         assert np.allclose(dx, ref_dx, **tol)
         assert np.allclose(layer.W.grad, ref_dw, **tol)
         assert np.allclose(layer.b.grad, ref_db, **tol)
-
-    def test_backward_bincount_fallback_matches_reference(
-        self, config, dtype, monkeypatch
-    ):
-        """The scipy-free col2im path must agree with the reference too."""
-        n, c, h, f, k, stride, pad = config
-        monkeypatch.setattr(
-            layers_module, "_col2im_operator", lambda *args: None
-        )
-        layer = make_conv(c, f, k, stride, pad, dtype)
-        x = RNG(1).normal(size=(n, c, h, h)).astype(dtype)
-        out = layer.forward(x, training=True)
-        dout = RNG(2).normal(size=out.shape).astype(dtype)
-        dx = layer.backward(dout)
-        ref_dx, _, _ = conv2d_backward_reference(
-            x.astype(np.float64),
-            layer.W.data.astype(np.float64),
-            dout.astype(np.float64),
-            stride,
-            pad,
-        )
-        assert dx.dtype == dtype
-        assert np.allclose(dx, ref_dx, **tolerance(dtype))
 
 
 class TestConvFastPathDetails:
