@@ -40,7 +40,7 @@ echo "== bench smoke: fig21 (instant) + fig16 at smoke preset =="
 python -m pytest -x -q benchmarks/test_fig21_spectral_gaps.py
 python -m repro figures --preset smoke --only fig16
 
-echo "== scaling smoke: fig24 smallest cells (8/16 workers) =="
+echo "== scaling smoke: fig24 smallest cells (8/16 workers) + 256-worker scale tiers =="
 python -m repro figures --preset smoke --only fig24
 
 echo "== membership smoke: fig25 churn study + golden-stats drift check =="
@@ -116,7 +116,7 @@ assert rate > floor, (
 print(f"sim-core OK: {rate:,.0f} events/sec (floor {floor:,})")
 PY
 
-echo "== scale smoke: linear-time start-up, scipy on demand =="
+echo "== start-up smoke: linear-time start-up, scipy on demand =="
 # Same philosophy as the sim-core floor.  ring_based(2048) builds and
 # validates in 0.04-0.2 s on the reference container (2.0-2.6 s while
 # the weight-support and connectivity checks were Python loops over
@@ -143,8 +143,50 @@ assert elapsed < ceiling, (
     f"{elapsed:.2f} s (ceiling {ceiling:.1f} s)"
 )
 print(
-    f"scale smoke OK: ring_based(2048) + validate() in {elapsed:.2f} s "
+    f"start-up smoke OK: ring_based(2048) + validate() in {elapsed:.2f} s "
     f"(ceiling {ceiling:.1f} s), scipy not imported by repro.harness"
+)
+PY
+
+echo "== scale smoke: hop/4096 resident memory, no n x n array =="
+# Cluster state is O(n + m): per-edge topology weights, a running
+# minimum and a transition log in the gap tracker.  hop / svm / 4096
+# workers / 2 iterations peaks at ~135 MB in a fresh interpreter on the
+# reference container; one dense float64 4096 x 4096 array is 128 MB on
+# its own (the run took 390 MB while it held two).  The 200 MB ceiling
+# is the tripwire for a reintroduced n x n allocation.
+python - <<'PY'
+import resource
+
+from repro.graphs import ring_based
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import by_name
+from repro.protocols.base import LIGHT_TRACE
+
+n, iterations = 4096, 2
+run = run_spec(
+    ExperimentSpec(
+        name=f"scale-smoke/hop/{n}",
+        workload=by_name("svm", "smoke"),
+        topology=ring_based(n),
+        protocol="hop",
+        max_iter=iterations,
+        seed=0,
+        trace_channels=LIGHT_TRACE,
+    )
+)
+assert run.iterations_completed == [iterations] * n
+# Linux reports ru_maxrss in KiB.
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+ceiling_mb = 200.0
+assert peak_mb < ceiling_mb, (
+    f"hop/{n} x {iterations} iterations peaked at {peak_mb:.0f} MB "
+    f"(ceiling {ceiling_mb:.0f} MB): did an n x n array come back?"
+)
+print(
+    f"scale smoke OK: hop/{n} x {iterations} iterations, "
+    f"max_gap={run.gap.max_observed():g}, ru_maxrss {peak_mb:.0f} MB "
+    f"(ceiling {ceiling_mb:.0f} MB)"
 )
 PY
 

@@ -23,7 +23,8 @@ benchmarks can verify the theory (Table 1 reproduction).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from array import array
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -156,26 +157,69 @@ def token_queue_capacity_bound(
 class GapTracker:
     """Measures realized iteration gaps during a run.
 
-    Workers report every iteration transition; the tracker maintains
-    the current ``Iter`` vector and the maximum observed value of
-    ``Iter(i) - Iter(j)`` for every ordered pair.
+    Workers report every iteration transition.  The largest ordered-pair
+    gap at a transition into ``k`` is ``k - min Iter``, so a running
+    minimum over the current ``Iter`` values answers
+    :meth:`max_observed` exactly in O(1) per transition and O(n) memory.
+    The per-pair maxima (:meth:`observed_gap`, :meth:`violations`) are
+    not maintained on the hot path: transitions go to a compact log that
+    :meth:`_fold` replays into an n x n matrix the first time a pair is
+    asked for, or when the pending log outgrows ``n * n`` entries.
     """
 
     #: Sentinel ``Iter`` for non-member workers: so large that
     #: ``iteration - sentinel`` is always deeply negative, freezing
     #: every (live, departed) pair at its last both-live value without
-    #: any hot-path masking.  Far below the int64 edge so the record()
+    #: any hot-path masking, and never the running minimum while a live
+    #: worker remains.  Far below the int64 edge so the fold's
     #: subtraction can never overflow.
     INACTIVE_SENTINEL = np.iinfo(np.int64).max // 4
 
     def __init__(self, n_workers: int) -> None:
         self.n = n_workers
-        self.iterations = np.zeros(n_workers, dtype=np.int64)
-        self.max_gap = np.zeros((n_workers, n_workers), dtype=float)
+        self.iterations: List[int] = [0] * n_workers
         self.transitions = 0
-        # Scratch row reused by record(): one transition per worker
-        # per iteration makes this an allocation hot spot at scale.
-        self._gap_row = np.zeros(n_workers, dtype=np.int64)
+        # How many workers hold each Iter value, and the smallest key.
+        self._count: Dict[int, int] = {0: n_workers}
+        self._min = 0
+        self._max_observed = 0
+        # Pending transitions: a worker id reports a transition, its
+        # complement ``~worker`` only moves ``Iter`` (activate,
+        # deactivate, the first half of record_many).
+        self._log_worker = array("i")
+        self._log_iteration = array("q")
+        # Allocated by the first fold: pair maxima, and Iter as of it.
+        self._pairs: Optional[np.ndarray] = None
+        self._folded_iterations: Optional[np.ndarray] = None
+
+    def _move(self, worker: int, iteration: int) -> None:
+        """Set ``Iter(worker)``, keeping the counts and the minimum."""
+        old = self.iterations[worker]
+        if old == iteration:
+            return
+        self.iterations[worker] = iteration
+        count = self._count
+        count[iteration] = count.get(iteration, 0) + 1
+        left = count[old] - 1
+        if left:
+            count[old] = left
+        else:
+            del count[old]
+        if iteration < self._min:
+            self._min = iteration
+        elif not left and old == self._min:
+            self._min = min(count)
+
+    def _observe(self, iteration: int) -> None:
+        gap = iteration - self._min
+        if gap > self._max_observed:
+            self._max_observed = gap
+
+    def _append(self, code: int, iteration: int) -> None:
+        self._log_worker.append(code)
+        self._log_iteration.append(iteration)
+        if len(self._log_worker) > self.n * self.n:
+            self._fold()
 
     def deactivate(self, worker: int) -> None:
         """Membership leave: freeze every pair involving ``worker``.
@@ -185,21 +229,19 @@ class GapTracker:
         ``Iter(i) - Iter(worker)`` deeply negative, so observed gaps
         only ever cover intervals where both workers were members.
         """
-        self.iterations[worker] = self.INACTIVE_SENTINEL
+        self.activate(worker, self.INACTIVE_SENTINEL)
 
     def activate(self, worker: int, iteration: int = 0) -> None:
         """Membership join: resume gap tracking from ``iteration``."""
-        self.iterations[worker] = iteration
+        self._move(worker, iteration)
+        self._append(~worker, iteration)
 
     def record(self, worker: int, iteration: int) -> None:
         """Report that ``worker`` just entered ``iteration``."""
-        self.iterations[worker] = iteration
         self.transitions += 1
-        row = self._gap_row
-        np.subtract(iteration, self.iterations, out=row)
-        np.maximum(self.max_gap[worker, :], row, out=self.max_gap[worker, :])
-        # The pair (j, worker) gaps only shrink when `worker` advances,
-        # so no update needed for the other rows.
+        self._move(worker, iteration)
+        self._observe(iteration)
+        self._append(worker, iteration)
 
     def record_many(self, iteration: int, workers=None) -> None:
         """Atomically report that several workers entered ``iteration``.
@@ -208,33 +250,53 @@ class GapTracker:
         workers advance at the same instant; sequential ``record``
         calls would register a spurious transient gap of 1.
         """
-        if workers is None:
-            workers = range(self.n)
+        workers = range(self.n) if workers is None else list(workers)
+        if not workers:
+            return
+        self.transitions += len(workers)
         for worker in workers:
-            self.iterations[worker] = iteration
-        self.transitions += len(list(workers)) if workers is not None else 0
+            self._move(worker, iteration)
+            self._append(~worker, iteration)
+        self._observe(iteration)
         for worker in workers:
-            gaps_as_i = self.iterations[worker] - self.iterations
-            self.max_gap[worker, :] = np.maximum(
-                self.max_gap[worker, :], gaps_as_i
-            )
+            self._append(worker, iteration)
+
+    def _fold(self) -> np.ndarray:
+        """Replay the pending log into the pair matrix and return it."""
+        if self._pairs is None:
+            self._pairs = np.zeros((self.n, self.n))
+            self._folded_iterations = np.zeros(self.n, dtype=np.int64)
+        pairs, iterations = self._pairs, self._folded_iterations
+        row = np.empty(self.n, dtype=np.int64)
+        for code, iteration in zip(self._log_worker, self._log_iteration):
+            if code < 0:
+                iterations[~code] = iteration
+                continue
+            iterations[code] = iteration
+            # Only row `code` can grow: the (j, code) gaps shrink when
+            # `code` advances.
+            np.subtract(iteration, iterations, out=row)
+            np.maximum(pairs[code], row, out=pairs[code])
+        del self._log_worker[:], self._log_iteration[:]
+        return pairs
 
     def observed_gap(self, i: int, j: int) -> float:
         """Max observed ``Iter(i) - Iter(j)`` so far."""
-        return float(self.max_gap[i, j])
+        return float(self._fold()[i, j])
 
     def max_observed(self) -> float:
         """Largest gap observed between any ordered pair."""
-        return float(self.max_gap.max())
+        return float(self._max_observed)
 
     def violations(self, bounds: np.ndarray) -> Dict[Tuple[int, int], float]:
         """Pairs whose observed gap exceeded the theoretical bound."""
-        out: Dict[Tuple[int, int], float] = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and self.max_gap[i, j] > bounds[i, j] + 1e-9:
-                    out[(i, j)] = float(self.max_gap[i, j] - bounds[i, j])
-        return out
+        pairs, bounds = self._fold(), np.asarray(bounds)
+        over = pairs > bounds + 1e-9
+        np.fill_diagonal(over, False)
+        return {
+            (int(i), int(j)): float(pairs[i, j] - bounds[i, j])
+            for i, j in zip(*np.nonzero(over))
+        }
 
     def __repr__(self) -> str:
         return (

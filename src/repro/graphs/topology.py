@@ -1,8 +1,9 @@
 """Communication topologies for decentralized training.
 
 A :class:`Topology` is a strongly connected directed graph over worker
-ids ``0..n-1`` with a weighted adjacency matrix ``W``.  Following the
-paper's notation (Section 3.1):
+ids ``0..n-1`` with a weighted adjacency matrix ``W``, held as one
+weight per edge (O(n + m)) and densified only when :attr:`Topology.W`
+is read.  Following the paper's notation (Section 3.1):
 
 * an edge ``(i, j)`` means worker ``i`` sends updates to worker ``j``;
 * every node has a self-loop (``(i, i) in E`` for all ``i``), i.e. the
@@ -27,6 +28,7 @@ queues, gap trackers) never need to shrink or shift ids.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -67,9 +69,10 @@ class Topology:
         n: Number of workers.
         edges: Directed edges ``(src, dst)``, self-loops optional (they
             are always added).
-        weights: Optional explicit weight matrix ``W`` with
-            ``W[i, j] > 0`` exactly on edges.  If omitted, uniform
-            in-degree weights (the paper's Eq. 1) are used.
+        weights: Optional explicit dense weight matrix ``W`` with
+            ``W[i, j] > 0`` only on edges; its edge entries are kept,
+            the array is not.  If omitted, uniform in-degree weights
+            (the paper's Eq. 1) are used.
         name: Human-readable topology name for reports.
         active: Optional member subset of ``range(n)``.  Non-members
             may carry no edges besides their self-loop.  ``None`` means
@@ -136,36 +139,64 @@ class Topology:
         self._in = [tuple(sorted(lst)) for lst in in_lists]
         self._out = [tuple(sorted(lst)) for lst in out_lists]
 
+        #: ``W[i, j]`` for every edge, in ``_in`` order: the in-edges of
+        #: node 0 by ascending source, then node 1's, ...
         if weights is None:
-            weights = self._uniform_weights()
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n, n):
-            raise TopologyError(
-                f"weight matrix shape {weights.shape} != ({n}, {n})"
-            )
-        self._validate_weight_support(weights)
-        self.W = weights
+            # The paper's Eq. (1): each in-neighbor (incl. self) weighs
+            # 1/|Nin|.
+            in_degrees = np.array([len(srcs) for srcs in self._in])
+            self._weights = np.repeat(1.0 / in_degrees, in_degrees)
+        else:
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != (n, n):
+                raise TopologyError(
+                    f"weight matrix shape {weights.shape} != ({n}, {n})"
+                )
+            self._validate_weight_support(weights)
+            self._weights = weights[self._edge_arrays()]
 
         self._path_matrix: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Construction helpers
+    # Weights
     # ------------------------------------------------------------------
-    def _uniform_weights(self) -> np.ndarray:
-        """The paper's Eq. (1): each in-neighbor (incl. self) weighs 1/|Nin|."""
+    def _edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sources, targets)`` of every edge, in ``_in`` order."""
+        sources = np.fromiter(
+            chain.from_iterable(self._in), dtype=np.intp, count=len(self._edges)
+        )
+        targets = np.repeat(
+            np.arange(self.n), [len(srcs) for srcs in self._in]
+        )
+        return sources, targets
+
+    @property
+    def W(self) -> np.ndarray:
+        """The dense weight matrix ``W[i, j]``.
+
+        Built from the per-edge weights on every read (O(n^2) time and
+        memory, nothing cached): take it once, and only where a dense
+        matrix is the point (spectra, reports, tests).
+        """
         W = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            in_neighbors = self._in[j]
-            for i in in_neighbors:
-                W[i, j] = 1.0 / len(in_neighbors)
+        W[self._edge_arrays()] = self._weights
+        W.setflags(write=False)
         return W
+
+    def _weight_sums(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Column sums and row sums of ``W``, from the per-edge weights."""
+        sources, targets = self._edge_arrays()
+        return (
+            np.bincount(targets, weights=self._weights, minlength=self.n),
+            np.bincount(sources, weights=self._weights, minlength=self.n),
+        )
 
     def _validate_weight_support(self, W: np.ndarray) -> None:
         """Weights are non-negative and positive only on edges.
 
         Names the first offending pair in row-major order.
         """
-        sources, targets = np.array(tuple(self._edges)).T
+        sources, targets = self._edge_arrays()
         bad = W > 0
         bad[sources, targets] = False  # positive is fine on an edge
         bad |= W < 0
@@ -459,22 +490,26 @@ class Topology:
         """
         if not self.is_strongly_connected():
             raise TopologyError(f"{self.name!r} is not strongly connected")
-        col_sums = self.W.sum(axis=0)
-        if not np.allclose(col_sums, 1.0, atol=1e-9):
-            raise TopologyError(
-                f"{self.name!r}: weight columns do not sum to 1: {col_sums}"
-            )
+        col_sums, row_sums = self._weight_sums()
+        self._require_unit_sums("column", col_sums)
         if require_doubly_stochastic:
-            row_sums = self.W.sum(axis=1)
-            if not np.allclose(row_sums, 1.0, atol=1e-9):
-                raise TopologyError(
-                    f"{self.name!r}: weight rows do not sum to 1: {row_sums}"
-                )
+            self._require_unit_sums("row", row_sums)
+
+    def _require_unit_sums(self, axis: str, sums: np.ndarray) -> None:
+        """Raise naming the first ``axis`` whose weights do not sum to 1."""
+        off = ~np.isclose(sums, 1.0, atol=1e-9)
+        if off.any():
+            first = int(off.argmax())
+            raise TopologyError(
+                f"{self.name!r}: weight {axis} {first} sums to "
+                f"{sums[first]}, not 1"
+            )
 
     def is_doubly_stochastic(self, atol: float = 1e-9) -> bool:
+        col_sums, row_sums = self._weight_sums()
         return bool(
-            np.allclose(self.W.sum(axis=0), 1.0, atol=atol)
-            and np.allclose(self.W.sum(axis=1), 1.0, atol=atol)
+            np.allclose(col_sums, 1.0, atol=atol)
+            and np.allclose(row_sums, 1.0, atol=atol)
         )
 
     def is_regular(self) -> bool:

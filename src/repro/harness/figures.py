@@ -1059,27 +1059,40 @@ def fig24_scaling(
         f"({scale_factor:.0f}x workers)",
     )
     # ------------------------------------------------------------------
-    # Sharded scale tier: 1024+ workers through the sharded engine
+    # Scale tiers: hop alone, a few iterations, far past the grid
     # ------------------------------------------------------------------
     # The grid above tops out at 128 workers because every cell runs
-    # three protocols at full iteration count.  This tier pushes hop
-    # alone to the 1024+ sizes the sharded engine (PR 10) targets, at a
-    # few iterations, through ``run_spec_sharded`` — recording the real
-    # wall-clock cost per cell.  Results are bit-identical to an
-    # un-sharded run by the sharded-engine contract, so the rows are
-    # deterministic; elapsed_seconds is the machine-dependent part.
+    # three protocols at full iteration count.  The serial tier takes
+    # hop through plain ``run_spec`` to the sizes the O(n + m) cluster
+    # state makes fit in memory (16384 workers under 0.5 GB) and
+    # records the process's resident high-water mark after each cell;
+    # it runs first and ascending so that mark belongs to the cell.
+    # The sharded tier (PR 10) drives ``run_spec_sharded``, whose
+    # results are bit-identical to an un-sharded run by the
+    # sharded-engine contract.  Rows are deterministic except
+    # elapsed_seconds and ru_maxrss_mb.
+    import resource
+
     from repro.harness.sharded import run_spec_sharded
 
-    scale_sizes = {
+    serial_sizes = {
+        "smoke": (256,),
+        "bench": (1024,),
+        "paper": (4096, 16384),
+    }[preset]
+    sharded_sizes = {
         "smoke": (256,),
         "bench": (1024,),
         "paper": (1024, 2048, 4096),
     }[preset]
     scale_iters = min(max_iter, 3)
     scale_shards = 2
-    for n in scale_sizes:
+    tiers = [("hop-serial", n, 1) for n in serial_sizes] + [
+        ("hop-sharded", n, scale_shards) for n in sharded_sizes
+    ]
+    for label, n, shards in tiers:
         spec = ExperimentSpec(
-            name=f"scale/hop-sharded/{n}",
+            name=f"scale/{label}/{n}",
             workload=workload,
             topology=ring_based(n),
             protocol="hop",
@@ -1088,31 +1101,40 @@ def fig24_scaling(
             trace_channels=LIGHT_TRACE,
         )
         start = _time.perf_counter()
-        run = run_spec_sharded(spec, shards=scale_shards)
+        if shards == 1:
+            run = run_spec(spec)
+        else:
+            run = run_spec_sharded(spec, shards=shards)
         cost = _time.perf_counter() - start
         result.rows.append(
             {
-                "protocol": "hop-sharded",
+                "protocol": label,
                 "workers": n,
-                "shards": scale_shards,
+                "shards": shards,
                 "sim_wall_time": run.wall_time,
                 "iter_rate": run.iteration_rate(),
                 "messages": run.messages_sent,
                 "elapsed_seconds": cost,
+                # Linux reports ru_maxrss in KiB.
+                "ru_maxrss_mb": resource.getrusage(
+                    resource.RUSAGE_SELF
+                ).ru_maxrss
+                / 1024.0,
             }
         )
         result.check(
-            f"hop-sharded/{n}: every worker finishes "
-            f"({scale_shards} shards)",
+            f"{label}/{n}: every worker finishes"
+            + (f" ({shards} shards)" if shards > 1 else ""),
             all(c == scale_iters for c in run.iterations_completed),
             f"iterations={sorted(set(run.iterations_completed))}",
         )
     result.notes = (
         "elapsed_seconds is real wall-clock (machine-dependent); "
-        "simulated quantities are deterministic.  The hop-sharded "
-        "rows record the 1024+-worker scale tier through the sharded "
-        "engine (bit-identical to un-sharded runs, wall-clock recorded "
-        "per cell)."
+        "simulated quantities are deterministic.  The hop-serial rows "
+        "take plain run_spec to the scale tier (ru_maxrss_mb is the "
+        "process high-water mark after the cell); the hop-sharded rows "
+        "run the same kind of cell through the sharded engine "
+        "(bit-identical to un-sharded runs)."
     )
     return result
 

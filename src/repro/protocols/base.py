@@ -359,7 +359,10 @@ class ProtocolCluster:
             models.append(self.model_factory(self.streams.fresh("model-init")))
         p0 = models[0].get_params()
         for model in models[1:]:
-            if not np.allclose(model.get_params(), p0):
+            params = model.get_params()
+            # Bitwise equality is the expected case and the cheap test;
+            # allclose only decides replicas that differ.
+            if not np.array_equal(params, p0) and not np.allclose(params, p0):
                 raise ValueError(
                     "model_factory must be deterministic given its rng; "
                     "worker replicas started from different parameters"

@@ -358,3 +358,29 @@ class TestClusterValidation:
     def test_chain_topology_works(self, dataset):
         run = make_cluster(dataset, topology=chain(6), max_iter=20).run()
         assert run.iterations_completed == [20] * 6
+
+    @pytest.mark.parametrize(
+        "nudge, accepted",
+        [(0.0, True), (1e-12, True), (1e-3, False), (np.nan, False)],
+    )
+    def test_replicas_must_start_from_the_same_parameters(
+        self, dataset, nudge, accepted
+    ):
+        """Bitwise-equal replicas pass on the cheap test; unequal ones
+        get the ``allclose`` verdict they always got."""
+        cluster = make_cluster(dataset, n=4)
+        built = []
+
+        def factory(rng):
+            model = build_svm(rng, N_FEATURES)
+            if built:  # every replica after the first is nudged
+                model.set_params(model.get_params() + nudge)
+            built.append(model)
+            return model
+
+        cluster.model_factory = factory
+        if accepted:
+            assert len(cluster._build_models()) == 4
+        else:
+            with pytest.raises(ValueError, match="must be deterministic"):
+                cluster._build_models()
