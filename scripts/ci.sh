@@ -116,6 +116,45 @@ assert rate > floor, (
 print(f"sim-core OK: {rate:,.0f} events/sec (floor {floor:,})")
 PY
 
+echo "== event budget: hop/64 heap entries per worker-iteration =="
+# The noise-free half of the guard above: an exact count read off the
+# engine's insertion counter, so it needs no headroom.  A hop
+# worker-iteration is compute + one fan-out Delivery + dequeue + a
+# three-step token gate = 6 heap entries (9.93 with one entry per
+# delivery, per token acquisition and per AllOf); the final iteration
+# takes no tokens, so 40 iterations read 5.97.
+python - <<'PY'
+from repro.graphs import ring_based
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import by_name
+from repro.protocols.base import LIGHT_TRACE
+
+n, iterations = 64, 40
+run = run_spec(
+    ExperimentSpec(
+        name=f"event-budget/hop/{n}",
+        workload=by_name("svm", "smoke"),
+        topology=ring_based(n),
+        protocol="hop",
+        max_iter=iterations,
+        seed=0,
+        trace_channels=LIGHT_TRACE,
+    )
+)
+per_iteration = run.events_scheduled / sum(run.iterations_completed)
+budget = 6.0
+assert per_iteration <= budget, (
+    f"hop/{n} schedules {per_iteration:.2f} heap entries per "
+    f"worker-iteration (budget {budget:.1f}): did a per-message or "
+    "per-token event come back?"
+)
+print(
+    f"event budget OK: hop/{n} x {iterations} iterations, "
+    f"{run.events_scheduled} events, {per_iteration:.2f} per "
+    f"worker-iteration (budget {budget:.1f})"
+)
+PY
+
 echo "== start-up smoke: linear-time start-up, scipy on demand =="
 # Same philosophy as the sim-core floor.  ring_based(2048) builds and
 # validates in 0.04-0.2 s on the reference container (2.0-2.6 s while

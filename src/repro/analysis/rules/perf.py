@@ -29,7 +29,7 @@ _HOT_BASES = {
     "StorePut",
     "StoreGet",
     "DequeueRequest",
-    "TokenAcquire",
+    "TokenGate",
 }
 
 #: Packages containing per-message / per-event code.

@@ -231,8 +231,8 @@ class ADPSGDCluster(ProtocolCluster):
 
         # Apply the (pre-averaging) gradient to the averaged params.
         params[wid] = params[wid] + optimizer.step(params[wid], grad, k)
-        runtime.tracer.log(f"loss/{wid}", env.now, loss)
-        runtime.tracer.log(f"duration/{wid}", env.now, env.now - start)
+        runtime.log_loss[wid](env.now, loss)
+        runtime.log_duration[wid](env.now, env.now - start)
 
     def _worker(
         self,

@@ -163,7 +163,7 @@ class RingAllReduceCluster(ProtocolCluster):
                         # residual folds back into the next round.
                         _, grad = compressors[wid].compress(grad)
                     grads.append(grad)
-                    runtime.tracer.log(f"loss/{wid}", env.now, loss)
+                    runtime.log_loss[wid](env.now, loss)
                 # Lockstep: the slowest worker gates the ring.
                 slowest = max(
                     self.compute_model.duration(wid, k) for wid in range(n)
@@ -172,9 +172,7 @@ class RingAllReduceCluster(ProtocolCluster):
                 mean_grad = np.mean(grads, axis=0)
                 params[0] = params[0] + optimizer.step(params[0], mean_grad, k)
                 for wid in range(n):
-                    runtime.tracer.log(
-                        f"duration/{wid}", env.now, env.now - start
-                    )
+                    runtime.log_duration[wid](env.now, env.now - start)
             runtime.done[:] = True
 
         env.process(driver(env), name="allreduce-driver")
@@ -243,7 +241,7 @@ class RingAllReduceCluster(ProtocolCluster):
                     if compressors[wid] is not None:
                         _, grad = compressors[wid].compress(grad)
                     grads.append(grad)
-                    runtime.tracer.log(f"loss/{wid}", env.now, loss)
+                    runtime.log_loss[wid](env.now, loss)
                 # Lockstep: the slowest live member gates the ring.
                 slowest = max(
                     self.compute_model.duration(wid, k) for wid in members
@@ -257,9 +255,7 @@ class RingAllReduceCluster(ProtocolCluster):
                 params[0] = params[0] + optimizer.step(params[0], mean_grad, k)
                 for wid in members:
                     self._completed[wid] = k + 1
-                    runtime.tracer.log(
-                        f"duration/{wid}", env.now, env.now - start
-                    )
+                    runtime.log_duration[wid](env.now, env.now - start)
             runtime.done[:] = True
 
         env.process(driver(env), name="allreduce-driver")

@@ -365,8 +365,8 @@ class ParameterServerCluster(ProtocolCluster):
             # Wait for the PS to fold this iteration and move on.
             yield server.version_event(pulled_version)
 
-        runtime.tracer.log(f"loss/{wid}", env.now, loss)
-        runtime.tracer.log(f"duration/{wid}", env.now, env.now - start)
+        runtime.log_loss[wid](env.now, loss)
+        runtime.log_duration[wid](env.now, env.now - start)
 
     def _push_sharded(
         self,

@@ -50,6 +50,7 @@ from repro.core.gap import (
 from repro.core.notify_ack import NotifyAckWorker, build_ack_queues
 from repro.core.queues import (
     RotatingUpdateQueue,
+    TokenGate,
     TokenQueue,
     UpdateQueue,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "SkipPolicy",
     "StalenessRecv",
     "StandardRecv",
+    "TokenGate",
     "TokenQueue",
     "TrainingRun",
     "Update",

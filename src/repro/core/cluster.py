@@ -361,6 +361,8 @@ class HopCluster(ProtocolCluster):
                 )
                 workers.append(worker)
         self._workers = workers
+        #: Worker processes by wid (what a stuck worker is parked on).
+        self._processes: List[object] = []
         if self.compression is not None:
             # Per-worker error-feedback channels plus the shared wire
             # pricing; the dense path leaves workers untouched.
@@ -394,7 +396,9 @@ class HopCluster(ProtocolCluster):
                 worker.churn_event = self.churn.event_for(worker.wid)
                 if not membership.is_active(worker.wid):
                     worker.down = True  # dark until the join is enacted
-            env.process(worker.run(), name=f"worker-{worker.wid}")
+            self._processes.append(
+                env.process(worker.run(), name=f"worker-{worker.wid}")
+            )
         if membership is not None:
             membership.workers = peers
 
@@ -413,10 +417,17 @@ class HopCluster(ProtocolCluster):
                 event.permanent for event in self.crash_events.values()
             )
             if not has_permanent_crash:
+                # Each stuck process is parked on the event that never
+                # fired; its repr says which updates or whose tokens.
+                blocked = "; ".join(
+                    f"worker {wid} at iteration {iteration} on "
+                    f"{self._processes[wid].target!r}"
+                    for wid, iteration in stuck
+                )
                 raise DeadlockError(
                     f"{len(stuck)} workers never finished; (wid, iter) = "
                     f"{stuck}. This indicates a protocol deadlock or an "
-                    "unsatisfiable advance condition.",
+                    f"unsatisfiable advance condition. Blocked: {blocked}.",
                     stuck=stuck,
                 )
 

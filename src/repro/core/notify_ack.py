@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.gap import GapTracker
-from repro.core.queues import TokenQueue, UpdateQueue
+from repro.core.queues import TokenGate, TokenQueue, UpdateQueue
 from repro.core.reducers import mean_reduce
 from repro.core.update import Update
 from repro.hetero.compute import ComputeModel
@@ -259,59 +259,51 @@ class NotifyAckWorker:
             _, reconstruction = self.compressor.encode_state(params)
             update = Update(reconstruction, iteration, self.wid)
             self_update = Update(params.copy(), iteration, self.wid)
-        activation = (
-            self._out_activation if self.membership is not None else None
+        # Self-delivery first: it schedules nothing (this worker is not
+        # blocked on its own queue while it executes Send), so the
+        # remote copies keep their relative event order.
+        self.update_queue.enqueue(self_update)
+        # An edge created by a rewire starts carrying updates at its
+        # activation iteration, after the receiver's expectation for
+        # earlier ones was fixed.
+        dsts = self._activated(
+            self._ack_sources, self._out_activation, iteration
         )
-        for j in self.out_neighbors:
-            if j == self.wid:
-                self.update_queue.enqueue(self_update)
-                continue
-            if activation is not None and activation.get(j, 0) > iteration:
-                # The edge starts carrying updates at a later iteration
-                # (created by a rewire after the receiver's expectation
-                # for this one was fixed).
-                continue
-            self.network.push(
-                self.wid,
-                j,
-                self.wire_size,
-                update,
-                self.update_queues[j].enqueue,
-            )
+        self.network.fan_out(
+            self.wid,
+            dsts,
+            self.wire_size,
+            update,
+            [self.update_queues[j].enqueue for j in dsts],
+        )
 
     def _send_acks(self, iteration: int) -> None:
         """NOTIFY consumed -> ACK to every in-coming neighbor."""
-        activation = (
-            self._in_activation if self.membership is not None else None
+        dsts = self._activated(
+            self._ack_targets, self._in_activation, iteration
         )
-        for j in self._ack_targets:
-            if activation is not None and activation.get(j, 0) > iteration:
-                continue
-            self.network.push(
-                self.wid,
-                j,
-                CONTROL_SIZE,
-                1,
-                self.ack_queues[(self.wid, j)].put,
-                control=True,
-            )
+        self.network.fan_out(
+            self.wid,
+            dsts,
+            CONTROL_SIZE,
+            1,
+            [self.ack_queues[(self.wid, j)].put for j in dsts],
+            control=True,
+        )
 
-    def _ack_acquires(self, iteration: int):
-        """The ACK(k-1) acquisitions gating Send(k), activation-gated."""
+    def _activated(self, neighbors, activation, iteration: int):
+        """``neighbors`` whose edge carries traffic at ``iteration``."""
         if self.membership is None:
-            return [
-                self.ack_queues[(j, self.wid)].acquire(1)
-                for j in self._ack_sources
-            ]
-        activation = self._out_activation
-        return [
-            self.ack_queues[(j, self.wid)].acquire(1)
-            for j in self._ack_sources
-            if activation.get(j, 0) <= iteration
-        ]
+            return neighbors
+        return [j for j in neighbors if activation.get(j, 0) <= iteration]
 
     def run(self):
         env = self.env
+        wid = self.wid
+        # Per-iteration tracer channels, bound once (see HopWorker).
+        log_iter = self.tracer.channel(f"iter/{wid}")
+        log_loss = self.tracer.channel(f"loss/{wid}")
+        log_duration = self.tracer.channel(f"duration/{wid}")
         membership = self.membership
         elastic = membership is not None
         churn_event = self.churn_event if elastic else None
@@ -351,7 +343,7 @@ class NotifyAckWorker:
             start = env.now
             self.state.iterations[self.wid] = k
             self.gap_tracker.record(self.wid, k)
-            self.tracer.log(f"iter/{self.wid}", start, k)
+            log_iter(start, k)
 
             # Compute and Apply (serial graph, Figure 2a).
             self.model.set_params(x)
@@ -362,9 +354,13 @@ class NotifyAckWorker:
 
             # Wait for ACK(k-1) from all out-going neighbors before Send(k).
             ack_start = env.now
-            acquires = self._ack_acquires(k)
-            if acquires:
-                yield env.all_of(acquires)
+            ack_sources = self._activated(
+                self._ack_sources, self._out_activation, k
+            )
+            if ack_sources:
+                yield TokenGate(
+                    env, [self.ack_queues[(j, wid)] for j in ack_sources]
+                )
             self.ack_wait.add(env.now - ack_start)
 
             self._send_update(applied, k)
@@ -383,14 +379,14 @@ class NotifyAckWorker:
             )
             self._send_acks(k)
 
-            self.tracer.log(f"loss/{self.wid}", env.now, loss)
+            log_loss(env.now, loss)
             self.losses.add(loss)
             self.iterations_completed = k + 1
             # Joiners re-sync from a peer's end-of-iteration snapshot.
             self.current_params = x.copy() if self.snapshot_params else x
             duration = env.now - start
             self.iteration_durations.add(duration)
-            self.tracer.log(f"duration/{self.wid}", env.now, duration)
+            log_duration(env.now, duration)
             k += 1
 
         self.final_params = x

@@ -10,7 +10,7 @@ Three structures from the paper:
   ``iter mod n_queues`` (rotating registers), with stale entries from
   reused slots discarded at dequeue time.
 * :class:`TokenQueue` — Section 4.2's gap-control mechanism: a counted
-  token pool with blocking acquisition.
+  token pool; a :class:`TokenGate` blocks on several of them at once.
 
 All blocking is expressed through simulation events so protocol
 processes can ``yield`` on them.
@@ -18,7 +18,7 @@ processes can ``yield`` on them.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core.update import Update
 from repro.sim.engine import Environment
@@ -49,6 +49,16 @@ class DequeueRequest(Event):
             return True
         except ValueError:
             return False
+
+    def __repr__(self) -> str:
+        if self.triggered:
+            return f"<DequeueRequest served at {id(self):#x}>"
+        source = "" if self.sender is None else f" from worker {self.sender}"
+        return (
+            f"<DequeueRequest waiting for update(s) of iteration "
+            f"{self.iteration}{source}: have "
+            f"{self.queue.size(self.iteration, self.sender)} of {self.count}>"
+        )
 
 
 class UpdateQueue:
@@ -328,28 +338,51 @@ class RotatingUpdateQueue:
         self._slots[live_iteration % self.n_queues] = keep
 
     def _dispatch(self) -> None:
-        if not self._waiters:
-            return
-        progressed = True
+        """Satisfy waiters (FIFO), purging each visited slot as it goes.
+
+        One pass over a request's slot does both jobs: entries older
+        than the request's iteration are reused-slot leftovers and are
+        dropped (:meth:`_purge_stale`'s rule and counters), the first
+        ``count`` tag matches are set aside, the rest stay in order.
+        """
+        waiters = self._waiters
+        progressed = bool(waiters)
         while progressed:
             progressed = False
-            for request in list(self._waiters):
-                self._purge_stale(request.iteration)
-                slot = self._slot_of(request.iteration)
-                matching = [
-                    u
-                    for u in slot
-                    if u.matches(request.iteration, request.sender)
-                ]
-                if len(matching) >= request.count:
-                    taken = matching[: request.count]
-                    for update in taken:
-                        slot.remove(update)
-                    self._occupancy -= len(taken)
-                    self._waiters.remove(request)
+            for request in waiters:
+                iteration = request.iteration
+                sender = request.sender
+                count = request.count
+                index = iteration % self.n_queues
+                slot = self._slots[index]
+                taken: List[Update] = []
+                rest: List[Update] = []
+                for update in slot:
+                    if update.iteration < iteration:
+                        continue
+                    if (
+                        len(taken) < count
+                        and update.iteration == iteration
+                        and (sender is None or update.sender == sender)
+                    ):
+                        taken.append(update)
+                    else:
+                        rest.append(update)
+                stale = len(slot) - len(taken) - len(rest)
+                if stale:
+                    self.dropped_stale += stale
+                    self._occupancy -= stale
+                if len(taken) == count:
+                    self._slots[index] = rest
+                    self._occupancy -= count
+                    waiters.remove(request)
                     request.succeed(taken)
                     progressed = True
                     break
+                if stale:
+                    self._slots[index] = [
+                        u for u in slot if u.iteration >= iteration
+                    ]
 
     def __len__(self) -> int:
         return sum(len(slot) for slot in self._slots)
@@ -359,17 +392,6 @@ class RotatingUpdateQueue:
             f"<RotatingUpdateQueue owner={self.owner} "
             f"n_queues={self.n_queues} entries={len(self)}>"
         )
-
-
-class TokenAcquire(Event):
-    """A pending token acquisition; succeeds when tokens are granted."""
-
-    __slots__ = ("count", "queue")
-
-    def __init__(self, queue: "TokenQueue", count: int) -> None:
-        super().__init__(queue.env)
-        self.count = count
-        self.queue = queue
 
 
 class TokenQueue:
@@ -382,6 +404,10 @@ class TokenQueue:
     top of each iteration, maintaining the invariant
 
         size == Iter(owner) - Iter(consumer) + max_ig
+
+    Consumers take tokens through a :class:`TokenGate`.  Conservation,
+    ``size() == total_inserted - total_acquired``, holds after every
+    operation, :meth:`close` and :meth:`reopen` included.
     """
 
     def __init__(
@@ -397,7 +423,7 @@ class TokenQueue:
         self.owner = owner
         self.consumer = consumer
         self._tokens = initial
-        self._waiters: List[TokenAcquire] = []
+        self._waiters: List[TokenGate] = []
         self.total_inserted = initial
         self.total_acquired = 0
         self.peak = initial
@@ -418,16 +444,8 @@ class TokenQueue:
         self._tokens += count
         self.total_inserted += count
         self.peak = max(self.peak, self._tokens)
-        self._dispatch()
-
-    def acquire(self, count: int = 1) -> TokenAcquire:
-        """Consumer removes ``count`` tokens; blocks until available."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        request = TokenAcquire(self, count)
-        self._waiters.append(request)
-        self._dispatch()
-        return request
+        if self._waiters:
+            self._dispatch()
 
     def close(self) -> None:
         """Owner departed: grant every pending and future acquisition."""
@@ -435,28 +453,132 @@ class TokenQueue:
         self._dispatch()
 
     def reopen(self, initial: int = 0) -> None:
-        """Owner rejoined: resume gating with a fresh invariant count."""
+        """Owner rejoined: resume gating with a fresh invariant count.
+
+        The reset is booked as what it is: tokens the stale count
+        lacked are inserted, a stale surplus is retired as acquired.
+        """
         if initial < 0:
             raise ValueError("initial token count must be >= 0")
         self.closed = False
+        if initial >= self._tokens:
+            self.total_inserted += initial - self._tokens
+        else:
+            self.total_acquired += self._tokens - initial
         self._tokens = initial
+        self.peak = max(self.peak, initial)
         self._dispatch()
 
-    def _dispatch(self) -> None:
+    def _take(self, count: int) -> bool:
+        """Remove ``count`` tokens if the head of the line may have them.
+
+        A closed queue has no owner left to insert anything, so the
+        fabric stands in for it: the tokens are inserted and acquired
+        in one step and the pool is untouched.
+        """
         if self.closed:
-            while self._waiters:
-                request = self._waiters.pop(0)
-                self.total_acquired += request.count
-                request.succeed()
-            return
-        while self._waiters and self._tokens >= self._waiters[0].count:
-            request = self._waiters.pop(0)
-            self._tokens -= request.count
-            self.total_acquired += request.count
-            request.succeed()
+            self.total_inserted += count
+        elif self._tokens >= count:
+            self._tokens -= count
+        else:
+            return False
+        self.total_acquired += count
+        return True
+
+    def _request(self, gate: "TokenGate") -> bool:
+        """Serve ``gate`` now, or queue it (FIFO); True when served."""
+        if not self._waiters and self._take(gate.count):
+            return True
+        self._waiters.append(gate)
+        return False
+
+    def _dispatch(self) -> None:
+        waiters = self._waiters
+        while waiters and self._take(waiters[0].count):
+            waiters.pop(0)._granted()
 
     def __repr__(self) -> str:
         return (
             f"<TokenQueue {self.owner}->{self.consumer} "
             f"tokens={self._tokens}>"
         )
+
+
+class TokenGate(Event):
+    """One wait for ``count`` tokens from each of ``queues`` (Figure 7).
+
+    A consumer's whole token acquisition — the request round trip
+    (``delay``) and one grant per out-going neighbor — as a single
+    event to ``yield``.  It costs at most three heap entries however
+    many queues it spans, each standing exactly where the entry that
+    decides ordering stood when every queue had its own acquire event
+    under an ``AllOf`` behind a ``Timeout``:
+
+    1. a timeout of ``delay`` (the round trip; skipped when ``delay``
+       is zero) at which acquisition starts: tokens already present
+       are taken on the spot and schedule nothing, and the gate queues
+       itself on the rest;
+    2. a zero timeout pushed at the *last* grant — at the start when
+       nothing was missing, otherwise from the ``put`` / ``close`` /
+       ``reopen`` that completes the set.  Earlier grants only ever
+       counted toward the total, so they need no heap entry of their
+       own;
+    3. the gate itself, scheduled when entry 2 is processed; that is
+       what resumes the waiting process.
+    """
+
+    __slots__ = ("queues", "count", "_missing")
+
+    def __init__(
+        self,
+        env: Environment,
+        queues: Sequence[TokenQueue],
+        count: int = 1,
+        delay: float = 0.0,
+    ) -> None:
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        super().__init__(env)
+        self.queues = queues
+        self.count = count
+        #: Grants still owed; ``None`` until acquisition starts.
+        self._missing: Optional[int] = None
+        if delay:
+            env.timeout(delay).callbacks.append(self._start)
+        else:
+            self._start()
+
+    def _start(self, _round_trip: Optional[Event] = None) -> None:
+        missing = 0
+        for queue in self.queues:
+            if not queue._request(self):
+                missing += 1
+        self._missing = missing
+        if not missing:
+            self._last_grant()
+
+    def _last_grant(self) -> None:
+        # A zero timeout stands where the last grant's own event stood;
+        # the gate fires when it is processed, not before.
+        self.env.timeout(0).callbacks.append(self._fire)
+
+    def _granted(self) -> None:
+        """A queue this gate was waiting in has handed over its tokens."""
+        self._missing -= 1
+        if not self._missing:
+            self._last_grant()
+
+    def _fire(self, _last_grant: Event) -> None:
+        self.succeed()
+
+    def pending(self) -> List[TokenQueue]:
+        """The queues that still owe this gate its tokens."""
+        if self._missing is None:
+            return list(self.queues)
+        return [queue for queue in self.queues if self in queue._waiters]
+
+    def __repr__(self) -> str:
+        owners = [queue.owner for queue in self.pending()]
+        if owners:
+            return f"<TokenGate waiting for tokens from owners {owners}>"
+        return f"<TokenGate granted at {id(self):#x}>"

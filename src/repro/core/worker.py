@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.config import HopConfig
 from repro.core.gap import GapTracker
-from repro.core.queues import TokenQueue
+from repro.core.queues import TokenGate, TokenQueue
 from repro.core.recv import (
     RecvStrategy,
     StandardRecv,
@@ -139,8 +139,8 @@ class HopWorker:
         self.out_neighbors = topology.out_neighbors(wid, include_self=True)
         self.in_degree = len(self.in_neighbors)
         self._remote_in = tuple(j for j in self.in_neighbors if j != wid)
-        #: Per-edge activation iterations (membership plane; empty and
-        #: unread in static runs).
+        #: Per-edge activation iterations (membership plane; empty in
+        #: static runs).
         self._in_activation: Dict[int, int] = {}
         self._out_activation: Dict[int, int] = {}
         #: In-neighbors we owe tokens to (paper: TokenQ(self -> j)).
@@ -151,12 +151,13 @@ class HopWorker:
         #: Reusable reduce accumulator (managed by the recv strategies).
         self.reduce_scratch = None
         # Per-neighbor send plumbing, prebuilt once: remote update
-        # queues' bound enqueues double as the delivery callbacks for
-        # Network.push (no per-message closure, no Message wrapper).
+        # queues' bound enqueues (aligned with ``_remote_out``) double
+        # as the delivery callbacks for the network (no per-message
+        # closure, no Message wrapper).
         self._remote_out = [j for j in self.out_neighbors if j != wid]
-        self._deliver_to = {
-            j: update_queues[j].enqueue for j in self._remote_out
-        }
+        self._remote_enqueues = [
+            update_queues[j].enqueue for j in self._remote_out
+        ]
         #: When True, :attr:`current_params` is kept as an owned
         #: end-of-iteration snapshot (needed only when some peer may
         #: crash-restart and re-sync from us; set by the cluster).
@@ -230,9 +231,9 @@ class HopWorker:
         self._token_consumers = topology.in_neighbors(wid, include_self=False)
         self._token_providers = topology.out_neighbors(wid, include_self=False)
         self._remote_out = [j for j in self.out_neighbors if j != wid]
-        self._deliver_to = {
-            j: self.update_queues[j].enqueue for j in self._remote_out
-        }
+        self._remote_enqueues = [
+            self.update_queues[j].enqueue for j in self._remote_out
+        ]
         self._in_activation = {
             j: membership.edge_activation(j, wid) for j in self._remote_in
         }
@@ -293,48 +294,34 @@ class HopWorker:
         # it is the one executing Send), so remote sends keep their
         # exact relative event ordering.
         self.update_queue.enqueue(self_update)
-        check = self.cfg.check_receiver_iteration
-        iterations = self.state.iterations
-        push = self.network.push
-        size = self.wire_size
-        for j in self._remote_out:
-            if check and iterations[j] > iteration:
-                # Section 6.2(b): receiver already moved past this
-                # iteration; the update would be dropped as stale.
-                self.n_suppressed_sends += 1
-                continue
-            push(wid, j, size, update, self._deliver_to[j])
+        self._fan_out(update, iteration)
 
-    def _send_elastic(self, params: np.ndarray, iteration: int) -> None:
-        """Membership-aware Send: gate each edge by its activation.
-
-        Same semantics as :meth:`_send` plus the per-edge activation
-        check, kept separate so static runs pay nothing for it.
-        """
-        wid = self.wid
-        if self.compressor is None:
-            update = Update(params.copy(), iteration, wid)
-            self_update = update
-        else:
-            _, reconstruction = self.compressor.encode_state(params)
-            update = Update(reconstruction, iteration, wid)
-            self_update = Update(params.copy(), iteration, wid)
-        self.update_queue.enqueue(self_update)
+    def _fan_out(self, update: Update, iteration: int) -> None:
+        """Hand ``update`` to the network for every remote out-neighbor."""
+        dsts = self._remote_out
+        delivers = self._remote_enqueues
+        activation = self._out_activation  # empty in static runs
         check = self.cfg.check_receiver_iteration
-        iterations = self.state.iterations
-        push = self.network.push
-        size = self.wire_size
-        activation = self._out_activation
-        for j in self._remote_out:
-            if activation.get(j, 0) > iteration:
-                # The edge starts carrying updates at a later
-                # iteration (it was created by a rewire after the
-                # receiver's expectations for this one were fixed).
-                continue
-            if check and iterations[j] > iteration:
-                self.n_suppressed_sends += 1
-                continue
-            push(wid, j, size, update, self._deliver_to[j])
+        if activation or check:
+            iterations = self.state.iterations
+            live = []
+            for index, j in enumerate(dsts):
+                if activation.get(j, 0) > iteration:
+                    # The edge starts carrying updates at a later
+                    # iteration (it was created by a rewire after the
+                    # receiver's expectations for this one were fixed).
+                    continue
+                if check and iterations[j] > iteration:
+                    # Section 6.2(b): receiver already moved past this
+                    # iteration; the update would be dropped as stale.
+                    self.n_suppressed_sends += 1
+                    continue
+                live.append(index)
+            dsts = [dsts[index] for index in live]
+            delivers = [delivers[index] for index in live]
+        self.network.fan_out(
+            self.wid, dsts, self.wire_size, update, delivers
+        )
 
     def _compute(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
         """Real gradient math on this worker's model replica."""
@@ -504,7 +491,7 @@ class HopWorker:
         membership = self.membership
         elastic = membership is not None
         churn_event = self.churn_event if elastic else None
-        send = self._send_elastic if elastic else self._send
+        send = self._send
         parallel = self.cfg.computation_graph == "parallel"
         use_tokens = self.cfg.use_token_queues
         if use_tokens:
@@ -654,13 +641,12 @@ class HopWorker:
                     next_k = jump.target
                     advance = jump.advance
                 token_start = env.now
-                if self.token_rtt > 0:
+                if provider_queues:
+                    yield TokenGate(
+                        env, provider_queues, advance, self.token_rtt
+                    )
+                elif self.token_rtt > 0:
                     yield timeout(self.token_rtt)
-                acquires = [
-                    queue.acquire(advance) for queue in provider_queues
-                ]
-                if acquires:
-                    yield env.all_of(acquires)
                 self.token_wait.add(env.now - token_start)
 
             duration = env.now - start

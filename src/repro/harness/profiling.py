@@ -4,7 +4,8 @@ Two entry points back ``repro profile`` (and ``scripts/profile_sim.py``):
 
 * :func:`profile_spec` — run one :class:`~repro.harness.spec
   .ExperimentSpec` under :mod:`cProfile` and return the stats report
-  plus throughput counters (iterations/sec, messages/sec of real time).
+  plus throughput counters (iterations/sec, messages/sec of real time)
+  and the exact heap-entry count per worker-iteration.
 * :func:`sim_core_events_per_sec` — a pure discrete-event-engine
   microbenchmark (no ML, no protocols): many processes churning
   timeouts through one :class:`~repro.sim.engine.Environment`.  Its
@@ -47,6 +48,8 @@ class ProfileReport:
     elapsed_seconds: float
     iterations: int
     messages: int
+    #: Heap entries the run scheduled (exact, host-independent).
+    events: int
     sim_wall_time: float
     stats_text: str
     shards: int = 1
@@ -62,6 +65,12 @@ class ProfileReport:
     def messages_per_second(self) -> float:
         return self.messages / self.elapsed_seconds
 
+    @property
+    def events_per_iteration(self) -> float:
+        """Heap entries per worker-iteration: the engine's work count,
+        exact where iterations/sec is at the mercy of the host."""
+        return self.events / self.iterations
+
     def render(self) -> str:
         lines = [
             f"elapsed          : {self.elapsed_seconds:.3f}s (real)",
@@ -70,6 +79,8 @@ class ProfileReport:
             f"({self.iterations_per_second:,.0f}/s real)",
             f"messages         : {self.messages} "
             f"({self.messages_per_second:,.0f}/s real)",
+            f"events scheduled : {self.events} "
+            f"({self.events_per_iteration:.2f} per worker-iteration)",
         ]
         if self.shards > 1:
             lines.append(f"shards           : {self.shards}")
@@ -137,6 +148,7 @@ def profile_spec(
         elapsed_seconds=elapsed,
         iterations=sum(run.iterations_completed),
         messages=run.messages_sent,
+        events=run.events_scheduled,
         sim_wall_time=run.wall_time,
         stats_text=stream.getvalue(),
         shards=n_shards,

@@ -279,22 +279,14 @@ def _patch_stub(worker, plane: ShardPlane) -> None:
     def stub_compute(params: np.ndarray):
         return 0.0, zero_grad
 
-    # Mirrors HopWorker._send exactly (static runs only — the scenario
-    # gate keeps the membership/_send_elastic path un-sharded), with
-    # the payload swapped for a plane reference.  The golden bitwise
-    # tests pin this mirror against the real send.
+    # HopWorker._send with the payload swapped for a plane reference
+    # (static runs only — the scenario gate keeps membership runs
+    # un-sharded).  The golden bitwise tests pin it against the real
+    # send.
     def stub_send(params: np.ndarray, iteration: int) -> None:
         update = SharedUpdate(ring, wid, iteration, slots)
         worker.update_queue.enqueue(update)
-        check = worker.cfg.check_receiver_iteration
-        iterations = worker.state.iterations
-        push = worker.network.push
-        size = worker.wire_size
-        for j in worker._remote_out:
-            if check and iterations[j] > iteration:
-                worker.n_suppressed_sends += 1
-                continue
-            push(wid, j, size, update, worker._deliver_to[j])
+        worker._fan_out(update, iteration)
 
     worker._compute = stub_compute
     worker._send = stub_send

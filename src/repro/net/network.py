@@ -30,28 +30,34 @@ class Delivery(Event):
     """A scheduled message delivery (the closure-free send fast path).
 
     One pre-triggered event on the heap whose single callback hands the
-    message (or bare payload, for :meth:`Network.push`) to the receiver
-    — no generator, no :class:`~repro.sim.process.Process` bootstrap,
-    no per-message name formatting.  Replaces the former
-    ``deliver-<kind>`` delivery process for plain-link sends
-    (shared-NIC sends still need a process to queue through the
-    uplink).
+    message (or bare payload, for :meth:`Network.push`) to each
+    receiver in ``delivers`` order — no generator, no
+    :class:`~repro.sim.process.Process` bootstrap, no per-message name
+    formatting.  Replaces the former ``deliver-<kind>`` delivery
+    process for plain-link sends (shared-NIC sends still need a process
+    to queue through the uplink).
+
+    Several receivers share one heap entry only through
+    :meth:`Network.fan_out`, whose copies would otherwise hold
+    consecutive insertion ids at one ``(time, priority)``: nothing can
+    sort between them, so running them back to back is the same event
+    order with fewer heap round trips.
     """
 
-    __slots__ = ("_deliver", "_message")
+    __slots__ = ("_delivers", "_message")
 
     def __init__(
         self,
         env: Environment,
         delay: float,
-        deliver: Callable[[Any], None],
+        delivers: Sequence[Callable[[Any], None]],
         message: Any,
     ) -> None:
         self.env = env
         self.defused = False
         self._ok = True
         self._value = None
-        self._deliver = deliver
+        self._delivers = delivers
         self._message = message
         self.callbacks = [self._run]
         heapq.heappush(
@@ -59,7 +65,9 @@ class Delivery(Event):
         )
 
     def _run(self, event: Event) -> None:
-        self._deliver(self._message)
+        message = self._message
+        for deliver in self._delivers:
+            deliver(message)
 
     def __repr__(self) -> str:
         return f"<Delivery {self._message!r} at {id(self):#x}>"
@@ -281,7 +289,7 @@ class Network:
             delay = self._plain_transfer(
                 message.src, message.dst, message.size
             )
-            return Delivery(self.env, delay, deliver, message)
+            return Delivery(self.env, delay, (deliver,), message)
         else:
             # Serialization happens at the shared machine uplink; only
             # the propagation latency remains on the link itself.  A
@@ -353,7 +361,49 @@ class Network:
         elif self.membership is None:
             self.bytes_sent.add(size)
         delay = self._plain_transfer(src, dst, size)
-        return Delivery(self.env, delay, deliver, payload)
+        return Delivery(self.env, delay, (deliver,), payload)
+
+    def fan_out(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        size: float,
+        payload: Any,
+        delivers: Sequence[Callable[[Any], None]],
+        control: bool = False,
+    ) -> None:
+        """One payload to several remote destinations (Figure 4's Send).
+
+        Equivalent to ``push(src, dst, size, payload, deliver, control)``
+        for each ``(dst, deliver)`` pair in order.  When every copy is
+        certain to share one delay — the uniform fabric, no loss draws,
+        no egress NIC to queue through, no membership routing — the
+        per-copy counters are credited in that same order and the
+        copies ride a single :class:`Delivery`.  Anything else takes
+        the per-message path.
+        """
+        link = self._uniform_link
+        if (
+            link is None
+            or len(dsts) < 2
+            or self.message_loss is not None
+            or self.egress_nics
+            or self.membership is not None
+            or src in dsts
+        ):
+            push = self.push
+            for dst, deliver in zip(dsts, delivers):
+                push(src, dst, size, payload, deliver, control)
+            return
+        self.messages_sent += len(dsts)
+        attempted = self.bytes_attempted.add
+        credited = (self.control_bytes if control else self.bytes_sent).add
+        for _ in dsts:
+            attempted(size)
+            credited(size)
+        Delivery(
+            self.env, link.latency + size / link.bandwidth, delivers, payload
+        )
 
     def transfer(self, src: int, dst: int, size: float) -> Event:
         """An event that fires when a transfer completes (blocking send).

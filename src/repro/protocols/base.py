@@ -29,6 +29,7 @@ description hooks, and register a builder — see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -116,6 +117,10 @@ class TrainingRun:
     #: additionally carry ``edges_added`` / ``edges_removed`` /
     #: ``rewire_cost`` / ``spectral_gap`` / ``n_active``.
     membership_events: List[dict] = field(default_factory=list)
+    #: Exact number of entries the run put on the event heap
+    #: (:attr:`Environment.events_scheduled`): the simulator's own work
+    #: count, free of host noise.
+    events_scheduled: int = 0
 
     # ------------------------------------------------------------------
     # Convergence analysis
@@ -219,6 +224,24 @@ class ProtocolRuntime:
     #: ``[messages_sent, bytes_sent]`` — plain list so simulated
     #: processes can mutate it in place.
     traffic: List[float] = field(default_factory=lambda: [0, 0.0])
+
+    @cached_property
+    def log_loss(self) -> List[Callable[..., None]]:
+        """``loss/<wid>`` tracer channels by worker, bound at first use."""
+        return self._channels("loss")
+
+    @cached_property
+    def log_duration(self) -> List[Callable[..., None]]:
+        """``duration/<wid>`` tracer channels by worker."""
+        return self._channels("duration")
+
+    def _channels(self, prefix: str) -> List[Callable[..., None]]:
+        # One bound appender per worker: the key is formatted and
+        # looked up once per run, not once per iteration.
+        return [
+            self.tracer.channel(f"{prefix}/{wid}")
+            for wid in range(len(self.models))
+        ]
 
     def count_traffic(self, messages: int, bytes_sent: float) -> None:
         """Record protocol traffic (used when no Network object exists)."""
@@ -661,5 +684,6 @@ class ProtocolCluster:
             fault_events=self._collect_fault_events(runtime),
             messages_dropped=self._messages_dropped(runtime),
             membership_events=self._collect_membership_events(runtime),
+            events_scheduled=env.events_scheduled,
             **byte_stats,
         )

@@ -218,8 +218,8 @@ class MomentumTrackingCluster(ADPSGDCluster):
                 (x_round_start - params[wid]) / lr
             )
 
-        runtime.tracer.log(f"loss/{wid}", env.now, loss)
-        runtime.tracer.log(f"duration/{wid}", env.now, env.now - start)
+        runtime.log_loss[wid](env.now, loss)
+        runtime.log_duration[wid](env.now, env.now - start)
 
     # ------------------------------------------------------------------
     # ProtocolCluster hooks

@@ -323,8 +323,8 @@ class PartialAllReduceCluster(ProtocolCluster):
                 self.group_comm_time(group, self._wire_size(runtime))
             )
 
-        runtime.tracer.log(f"loss/{wid}", env.now, loss)
-        runtime.tracer.log(f"duration/{wid}", env.now, env.now - start)
+        runtime.log_loss[wid](env.now, loss)
+        runtime.log_duration[wid](env.now, env.now - start)
 
     def _worker_elastic(
         self,

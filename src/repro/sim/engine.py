@@ -76,6 +76,18 @@ class Environment:
         """The process currently being resumed, if any."""
         return self._active_process
 
+    @property
+    def events_scheduled(self) -> int:
+        """Exact count of heap entries scheduled so far.
+
+        Read off the insertion counter every scheduling path draws
+        from, so counting costs nothing per event; the read consumes
+        one id and rebuilds the counter at the same value.
+        """
+        scheduled = next(self._eid)
+        self._eid = count(scheduled)
+        return scheduled
+
     def schedule(
         self, event: Event, delay: float = 0.0, priority: int = NORMAL
     ) -> None:

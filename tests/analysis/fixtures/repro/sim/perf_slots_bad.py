@@ -1,10 +1,10 @@
 """Fixture: perf-slots must flag a dict-ful hot event subclass."""
 
 
-class Event:
+class TokenGate:
     pass
 
 
-class Ping(Event):
+class AuditedGate(TokenGate):
     def __init__(self, env):
         self.env = env

@@ -10,3 +10,11 @@ class Ping(Event):
 
     def __init__(self, env):
         self.env = env
+
+
+class TokenGate(Event):
+    __slots__ = ("queues",)
+
+
+class AuditedGate(TokenGate):
+    __slots__ = ("audit",)

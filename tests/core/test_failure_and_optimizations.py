@@ -24,7 +24,7 @@ from repro.core import (
     staleness_config,
 )
 from repro.core.cluster import DeadlockError
-from repro.graphs import ring, ring_based
+from repro.graphs import complete, ring, ring_based
 from repro.hetero import ComputeModel, DeterministicSlowdown
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
@@ -40,9 +40,11 @@ def dataset():
     )
 
 
-def make_cluster(dataset, config, n=6, max_iter=30, slowdown=None, **kwargs):
+def make_cluster(
+    dataset, config, n=6, max_iter=30, slowdown=None, topology=None, **kwargs
+):
     return HopCluster(
-        topology=ring_based(n),
+        topology=topology or ring_based(n),
         config=config,
         model_factory=lambda rng: build_svm(rng, N_FEATURES),
         dataset=dataset,
@@ -129,6 +131,42 @@ class TestCrashInjection:
         ).run()
         assert run.iterations_completed == [15] * 6
         assert run.gap.max_observed() <= 3 * ring_based(6).diameter()
+
+
+class TestDeadlockDiagnosis:
+    def test_error_names_what_each_stuck_worker_waits_for(self, dataset):
+        """Two workers, worker 1's tokens for worker 0 withheld: 0 runs
+        out of tokens, 1 then starves for 0's updates, and the error
+        says so for each instead of listing bare (wid, iter) pairs."""
+        max_ig = 2
+        cluster = make_cluster(
+            dataset,
+            HopConfig(max_ig=max_ig),
+            n=2,
+            max_iter=10,
+            topology=complete(2),
+        )
+
+        def withhold(runtime):
+            queue = cluster._workers[0].token_queues[(1, 0)]
+            queue.put = lambda count=1: None
+
+        cluster._post_start_hook = withhold
+        with pytest.raises(DeadlockError) as caught:
+            cluster.run()
+        # Worker 0 spends the max_ig - 1 initial tokens and stops before
+        # iteration max_ig; worker 1 finishes that iteration's compute
+        # and waits for the update 0 never sends.
+        assert caught.value.stuck == [(0, max_ig - 1), (1, max_ig)]
+        message = str(caught.value)
+        assert (
+            f"worker 0 at iteration {max_ig - 1} on "
+            "<TokenGate waiting for tokens from owners [1]>"
+        ) in message
+        assert (
+            f"worker 1 at iteration {max_ig} on <DequeueRequest waiting "
+            f"for update(s) of iteration {max_ig}: have 1 of 2>"
+        ) in message
 
 
 class TestReceiverIterationCheck:

@@ -4,7 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RotatingUpdateQueue, TokenQueue, Update, UpdateQueue
+from repro.core import (
+    RotatingUpdateQueue,
+    TokenGate,
+    TokenQueue,
+    Update,
+    UpdateQueue,
+)
 from repro.sim import Environment
 
 
@@ -73,28 +79,34 @@ def test_rotating_queue_equivalent_to_tagged(schedule):
     assert len(tagged) == n_iterations
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     operations=st.lists(
-        st.tuples(st.sampled_from(["put", "acquire"]),
+        st.tuples(st.sampled_from(["put", "gate", "close", "reopen"]),
                   st.integers(min_value=0, max_value=3)),
         max_size=40,
     ),
     initial=st.integers(min_value=0, max_value=5),
 )
 def test_token_queue_conservation(operations, initial):
-    """Tokens are conserved: inserted - acquired == size, always >= 0."""
+    """Tokens are conserved: inserted - acquired == size, always >= 0,
+    through owner departures (close) and rejoins (reopen) too."""
     env = Environment()
     queue = TokenQueue(env, owner=0, consumer=1, initial=initial)
-    pending = []
     for op, count in operations:
         if op == "put":
             queue.put(count)
+        elif op == "gate":
+            TokenGate(env, [queue], count)
+        elif op == "close":
+            queue.close()
         else:
-            pending.append(queue.acquire(count))
-        satisfied = queue.total_acquired
-        assert queue.size() == queue.total_inserted - satisfied
+            queue.reopen(count)
+        assert queue.size() == queue.total_inserted - queue.total_acquired
         assert queue.size() >= 0
+        assert queue.peak >= queue.size()
+        if queue.closed:
+            assert not queue._waiters
 
 
 @settings(max_examples=50, deadline=None)
@@ -137,3 +149,89 @@ def test_dequeue_available_partitions_by_tag(entries):
         (k, s) for k, s in entries if k == target
     ]
     assert queue.size() == len(entries) - len(taken)
+
+
+class TwoPassRotatingQueue(RotatingUpdateQueue):
+    """The removed ``_dispatch``: purge the slot, then match it again."""
+
+    def _dispatch(self):
+        if not self._waiters:
+            return
+        progressed = True
+        while progressed:
+            progressed = False
+            for request in list(self._waiters):
+                self._purge_stale(request.iteration)
+                slot = self._slot_of(request.iteration)
+                matching = [
+                    u
+                    for u in slot
+                    if u.matches(request.iteration, request.sender)
+                ]
+                if len(matching) >= request.count:
+                    taken = matching[: request.count]
+                    for update in taken:
+                        slot.remove(update)
+                    self._occupancy -= len(taken)
+                    self._waiters.remove(request)
+                    request.succeed(taken)
+                    progressed = True
+                    break
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    max_ig=st.integers(min_value=1, max_value=3),
+    operations=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("enqueue"),
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=0, max_value=2),
+            ),
+            st.tuples(
+                st.just("dequeue"),
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=0, max_value=3),
+                st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+            ),
+        ),
+        max_size=40,
+    ),
+)
+def test_one_pass_rotating_dispatch_matches_purge_then_match(
+    max_ig, operations
+):
+    """Same grants in the same order, same ``dropped_stale`` and
+    occupancy after every step — on any schedule, slot reuse (stale
+    leftovers, not-yet-live entries) and several waiters included."""
+
+    def drive(queue):
+        requests = []
+        trail = []
+        for op in operations:
+            if op[0] == "enqueue":
+                queue.enqueue(upd(op[1], op[2]))
+            else:
+                requests.append(
+                    queue.dequeue(op[2], iteration=op[1], sender=op[3])
+                )
+            trail.append(
+                (
+                    [
+                        [(u.iteration, u.sender) for u in r.value]
+                        if r.triggered
+                        else None
+                        for r in requests
+                    ],
+                    [[(u.iteration, u.sender) for u in s] for s in queue._slots],
+                    queue.dropped_stale,
+                    queue._occupancy,
+                    queue.peak_occupancy,
+                )
+            )
+        return trail
+
+    assert drive(RotatingUpdateQueue(Environment(), max_ig)) == drive(
+        TwoPassRotatingQueue(Environment(), max_ig)
+    )

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import RotatingUpdateQueue, TokenQueue, Update, UpdateQueue
+from repro.core import (
+    RotatingUpdateQueue,
+    TokenGate,
+    TokenQueue,
+    Update,
+    UpdateQueue,
+)
 from repro.sim import Environment
 
 
@@ -296,6 +302,11 @@ class TestRotatingUpdateQueue:
             RotatingUpdateQueue(env, max_ig=0)
 
 
+def granted(gate):
+    """Every queue has handed ``gate`` its tokens."""
+    return not gate.pending()
+
+
 class TestTokenQueue:
     def test_acquire_blocks_until_put(self):
         env = Environment()
@@ -303,7 +314,7 @@ class TestTokenQueue:
         got = []
 
         def consumer(env, queue):
-            yield queue.acquire(1)
+            yield TokenGate(env, [queue], 1)
             got.append(env.now)
 
         env.process(consumer(env, queue))
@@ -317,38 +328,38 @@ class TestTokenQueue:
         env = Environment()
         queue = TokenQueue(env, owner=0, consumer=1, initial=3)
         assert queue.size() == 3
-        request = queue.acquire(3)
-        assert request.triggered
+        gate = TokenGate(env, [queue], 3)
+        assert granted(gate)
         assert queue.size() == 0
 
     def test_bulk_acquire_atomic(self):
         env = Environment()
         queue = TokenQueue(env, owner=0, consumer=1, initial=1)
-        request = queue.acquire(3)
-        assert not request.triggered
+        gate = TokenGate(env, [queue], 3)
+        assert not granted(gate)
         queue.put(1)
-        assert not request.triggered  # 2 < 3
+        assert not granted(gate)  # 2 < 3
         queue.put(1)
-        assert request.triggered
+        assert granted(gate)
 
     def test_fifo_among_waiters(self):
         env = Environment()
         queue = TokenQueue(env, owner=0, consumer=1, initial=0)
-        first = queue.acquire(2)
-        second = queue.acquire(1)
+        first = TokenGate(env, [queue], 2)
+        second = TokenGate(env, [queue], 1)
         queue.put(1)
         # Head-of-line blocking: the single token waits for `first`.
-        assert not first.triggered and not second.triggered
+        assert not granted(first) and not granted(second)
         queue.put(1)
-        assert first.triggered and not second.triggered
+        assert granted(first) and not granted(second)
         queue.put(1)
-        assert second.triggered
+        assert granted(second)
 
     def test_statistics(self):
         env = Environment()
         queue = TokenQueue(env, owner=0, consumer=1, initial=2)
         queue.put(3)
-        queue.acquire(4)
+        TokenGate(env, [queue], 4)
         assert queue.total_inserted == 5
         assert queue.total_acquired == 4
         assert queue.peak == 5
@@ -361,4 +372,48 @@ class TestTokenQueue:
         with pytest.raises(ValueError):
             queue.put(-1)
         with pytest.raises(ValueError):
-            queue.acquire(-1)
+            TokenGate(env, [queue], -1)
+        with pytest.raises(ValueError):
+            TokenGate(env, [queue], 1, delay=-1.0)
+
+
+class TestTokenGate:
+    def test_spans_queues_and_resumes_once_all_granted(self):
+        env = Environment()
+        queues = [TokenQueue(env, owner=j, consumer=9) for j in (1, 2, 3)]
+        queues[0].put(1)
+        resumed = []
+
+        def consumer(env):
+            yield TokenGate(env, queues)
+            resumed.append(env.now)
+
+        def owner(env, queue, at):
+            yield env.timeout(at)
+            queue.put(1)
+
+        env.process(consumer(env))
+        env.process(owner(env, queues[1], 2.0))
+        env.process(owner(env, queues[2], 5.0))
+        env.run()
+        assert resumed == [5.0]
+        assert [q.size() for q in queues] == [0, 0, 0]
+
+    def test_round_trip_delays_the_first_take(self):
+        env = Environment()
+        queue = TokenQueue(env, owner=1, consumer=0, initial=1)
+        gate = TokenGate(env, [queue], 1, delay=0.5)
+        # Nothing is taken until the request has crossed the wire.
+        assert queue.size() == 1 and gate.pending() == [queue]
+        env.run(until=gate)
+        assert env.now == 0.5 and queue.size() == 0
+
+    def test_repr_names_the_owners_still_owing(self):
+        env = Environment()
+        queues = [TokenQueue(env, owner=j, consumer=0) for j in (4, 7)]
+        gate = TokenGate(env, queues)
+        assert "tokens from owners [4, 7]" in repr(gate)
+        queues[0].put(1)
+        assert "tokens from owners [7]" in repr(gate)
+        queues[1].put(1)
+        assert "owners" not in repr(gate)

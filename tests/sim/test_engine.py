@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment
+from repro.sim import EmptySchedule, Environment, Timeout
 
 
 def test_initial_time_defaults_to_zero():
@@ -141,3 +141,26 @@ def test_unhandled_process_failure_surfaces_in_run():
     env.process(bad(env))
     with pytest.raises(ValueError, match="boom"):
         env.run()
+
+
+def test_events_scheduled_counts_every_path_and_reading_is_free():
+    env = Environment()
+    assert env.events_scheduled == 0
+    fired = []
+
+    def proc(env):  # process start, one timeout, process finish
+        yield env.timeout(1.0)
+
+    env.process(proc(env))
+    assert env.events_scheduled == 1
+    env.event().succeed()  # schedule_triggered
+    Timeout(env, 1.0)  # generic schedule
+    assert env.events_scheduled == env.events_scheduled == 3
+    # A read between two same-time events leaves their tie-break
+    # alone: ids keep rising from where they were.
+    env.timeout(2.0).callbacks.append(lambda _e: fired.append("first"))
+    assert env.events_scheduled == 4
+    env.timeout(2.0).callbacks.append(lambda _e: fired.append("second"))
+    env.run()
+    assert fired == ["first", "second"]
+    assert env.events_scheduled == 7

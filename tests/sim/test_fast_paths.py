@@ -263,8 +263,13 @@ class TestProfileSpec:
         assert report.messages > 0
         assert report.elapsed_seconds > 0
         assert report.iterations_per_second > 0
+        # ring_based(4) x 3 iterations: 3 + 3 heap entries per
+        # iteration with a token gate between iterations, plus each
+        # worker's start and finish.
+        assert report.events == 4 * (2 + 3 * 3 + 3 * 2)
         rendered = report.render()
         assert "simulated time" in rendered and "tottime" in rendered
+        assert "events scheduled : 68 (5.67 per worker-iteration)" in rendered
 
     def test_cli_profile_engine_only(self, capsys):
         from repro.cli import main
