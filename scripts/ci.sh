@@ -155,6 +155,18 @@ print(
 )
 PY
 
+echo "== cnn pin: six paper-preset CNN fingerprints, bit for bit =="
+# The second noise-free guard.  The golden grid's nine CNN cells run the
+# smoke preset; these are the paper preset (batch 64, 8/16 filters), the
+# shapes the ml kernels are tuned on, under random 6x and straggler 4x
+# slowdowns.  run.py compares every cell with bench/expected.json and
+# exits 1 on a difference (it reads bench/ and edits nothing there); a
+# kernel change may move data, never a bit (docs/ARCHITECTURE.md, "The
+# CNN step").  The timings it prints from a 3-second run are not a
+# measurement.
+python3 bench/run.py --workload cnn-hetero --seed 0 --seconds 3 \
+    | grep -E " (cell_ms|setup_s) |ops_attempted"
+
 echo "== start-up smoke: linear-time start-up, scipy on demand =="
 # Same philosophy as the sim-core floor.  ring_based(2048) builds and
 # validates in 0.04-0.2 s on the reference container (2.0-2.6 s while

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Record pinned-seed golden TrainingRun stats for the determinism gate.
 
-Runs every registered protocol under every universal scenario family on
-a small cluster (see :mod:`repro.harness.golden`) and writes the
-exactly-comparable run stats (floats as IEEE-754 hex, parameter vectors
-as SHA-256 of their raw bytes) to ``tests/scenarios/golden_stats.json``.
+Runs every registered protocol under every universal scenario family
+(plus the churn, compressed and CNN cells) on a small cluster (see
+:mod:`repro.harness.golden`) and writes the exactly-comparable run
+stats (floats as IEEE-754 hex, parameter vectors as SHA-256 of their
+raw bytes) to ``tests/scenarios/golden_stats.json``.
 
 The recorded file is the bitwise-determinism contract for simulator
 refactors: ``tests/scenarios/test_conformance_matrix.py`` replays every
@@ -30,9 +31,11 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.harness.golden import (  # noqa: E402
     CHURN_CELLS,
+    CNN_FAMILY,
     COMPRESSION_CELLS,
     ELASTIC_PROTOCOLS,
     churn_conformance_spec,
+    cnn_conformance_spec,
     compression_conformance_spec,
     conformance_spec,
     golden_fingerprint,
@@ -43,31 +46,31 @@ from repro.protocols import registered_protocols  # noqa: E402
 from repro.scenarios import registered_scenarios  # noqa: E402
 
 
-def _replayed_keys() -> set:
-    keys = {
-        f"{protocol}/{family}"
-        for protocol in registered_protocols()
-        for family in registered_scenarios(universal_only=True)
-    }
-    keys.update(
-        f"{protocol}/{family}"
-        for protocol in ELASTIC_PROTOCOLS
-        for family in CHURN_CELLS
-    )
-    keys.update(
-        f"{protocol}/compressed-{scheme}"
-        for protocol in registered_protocols()
-        for scheme in COMPRESSION_CELLS
-    )
-    return keys
-
-
-def _check_cell(key, fingerprint, recorded, drifted) -> None:
-    if recorded.get(key) != fingerprint:
-        drifted.append(key)
-        print(f"replayed {key}: MISMATCH")
-    else:
-        print(f"replayed {key}: ok")
+def _cells():
+    """Every golden cell as ``(key, spec)``, in recording order."""
+    protocols = registered_protocols()
+    for protocol in protocols:
+        for family in registered_scenarios(universal_only=True):
+            yield f"{protocol}/{family}", conformance_spec(protocol, family)
+    # Churn cells: elastic protocols only (the membership-plane gate).
+    for protocol in ELASTIC_PROTOCOLS:
+        for family in sorted(CHURN_CELLS):
+            yield (
+                f"{protocol}/{family}",
+                churn_conformance_spec(protocol, family),
+            )
+    # Compressed cells: the compression-plane gate (every protocol x
+    # registered scheme, quiet scenario).
+    for protocol in protocols:
+        for scheme in sorted(COMPRESSION_CELLS):
+            yield (
+                f"{protocol}/compressed-{scheme}",
+                compression_conformance_spec(protocol, scheme),
+            )
+    # CNN cells: the ml-kernel gate (every protocol, quiet scenario,
+    # smoke CNN) -- the only cells that run a conv or pool kernel.
+    for protocol in protocols:
+        yield f"{protocol}/{CNN_FAMILY}", cnn_conformance_spec(protocol)
 
 
 def main(argv=None) -> int:
@@ -94,37 +97,17 @@ def main(argv=None) -> int:
     if args.check and args.only_missing:
         parser.error("--check and --only-missing are mutually exclusive")
 
-    existing = {}
-    if args.only_missing:
-        existing = json.loads(Path(args.output).read_text())["cells"]
-
     if args.check:
         recorded = json.loads(Path(args.output).read_text())["cells"]
-        drifted = []
-        for protocol in registered_protocols():
-            for family in registered_scenarios(universal_only=True):
-                key = f"{protocol}/{family}"
-                run = run_spec(conformance_spec(protocol, family))
-                _check_cell(key, golden_fingerprint(run), recorded, drifted)
-        for protocol in ELASTIC_PROTOCOLS:
-            for family in sorted(CHURN_CELLS):
-                key = f"{protocol}/{family}"
-                run = run_spec(churn_conformance_spec(protocol, family))
-                _check_cell(key, golden_fingerprint(run), recorded, drifted)
-        for protocol in registered_protocols():
-            for scheme in sorted(COMPRESSION_CELLS):
-                key = f"{protocol}/compressed-{scheme}"
-                run = run_spec(
-                    compression_conformance_spec(protocol, scheme)
-                )
-                _check_cell(key, golden_fingerprint(run), recorded, drifted)
-        replayed = (
-            len(registered_protocols())
-            * len(registered_scenarios(universal_only=True))
-            + len(ELASTIC_PROTOCOLS) * len(CHURN_CELLS)
-            + len(registered_protocols()) * len(COMPRESSION_CELLS)
-        )
-        missing = sorted(set(recorded) - _replayed_keys())
+        replayed, drifted = set(), []
+        for key, spec in _cells():
+            replayed.add(key)
+            if recorded.get(key) != golden_fingerprint(run_spec(spec)):
+                drifted.append(key)
+                print(f"replayed {key}: MISMATCH")
+            else:
+                print(f"replayed {key}: ok")
+        missing = sorted(set(recorded) - replayed)
         if drifted or missing:
             for key in drifted:
                 print(f"DRIFT: {key}")
@@ -132,42 +115,21 @@ def main(argv=None) -> int:
                 print(f"STALE RECORDING (no longer replayed): {key}")
             return 1
         print(
-            f"{replayed} cells replayed, all bitwise identical to "
+            f"{len(replayed)} cells replayed, all bitwise identical to "
             f"{args.output}"
         )
         return 0
 
+    existing = {}
+    if args.only_missing:
+        existing = json.loads(Path(args.output).read_text())["cells"]
     cells = {}
-    for protocol in registered_protocols():
-        for family in registered_scenarios(universal_only=True):
-            key = f"{protocol}/{family}"
-            if key in existing:
-                cells[key] = existing[key]
-                continue
-            run = run_spec(conformance_spec(protocol, family))
-            cells[key] = golden_fingerprint(run)
-            print(f"recorded {key}")
-    # Churn cells: elastic protocols only (the membership-plane gate).
-    for protocol in ELASTIC_PROTOCOLS:
-        for family in sorted(CHURN_CELLS):
-            key = f"{protocol}/{family}"
-            if key in existing:
-                cells[key] = existing[key]
-                continue
-            run = run_spec(churn_conformance_spec(protocol, family))
-            cells[key] = golden_fingerprint(run)
-            print(f"recorded {key}")
-    # Compressed cells: the compression-plane gate (every protocol x
-    # registered scheme, quiet scenario).
-    for protocol in registered_protocols():
-        for scheme in sorted(COMPRESSION_CELLS):
-            key = f"{protocol}/compressed-{scheme}"
-            if key in existing:
-                cells[key] = existing[key]
-                continue
-            run = run_spec(compression_conformance_spec(protocol, scheme))
-            cells[key] = golden_fingerprint(run)
-            print(f"recorded {key}")
+    for key, spec in _cells():
+        if key in existing:
+            cells[key] = existing[key]
+            continue
+        cells[key] = golden_fingerprint(run_spec(spec))
+        print(f"recorded {key}")
 
     payload = {
         "comment": (

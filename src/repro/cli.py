@@ -12,8 +12,9 @@ Commands:
   (``--json`` for machine-readable rows incl. the ``universal`` flag).
 * ``compressors`` — list every update-compression scheme in the
   registry (``--json`` for machine-readable rows).
-* ``profile``  — cProfile one training run (plus a bare-engine
-  events/sec microbenchmark) to find simulator hot spots.
+* ``profile``  — cProfile one training run (plus a per-layer table of
+  one model step and a bare-engine events/sec microbenchmark) to find
+  simulator hot spots.
 * ``lint``     — static analysis for simulator invariants
   (determinism, zero-copy aliasing, DES perf, registry contracts);
   see :mod:`repro.analysis`.  Exit 1 on findings.
@@ -412,7 +413,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.harness.profiling import (
+        model_step_budget,
         profile_spec,
         sharded_events_per_sec,
         sim_core_events_per_sec,
@@ -455,6 +459,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise SystemExit(f"error: {error}")
     print(report.render())
+    data, batch = workload.dataset, workload.batch_size
+    model = workload.model_factory(np.random.default_rng(args.seed))
+    budget = model_step_budget(
+        model, data.x_train[:batch], data.y_train[:batch]
+    )
+    print(f"one model step ({args.workload}/{args.preset}, batch {batch}):")
+    print(budget.render())
+    print()
     rate = sim_core_events_per_sec()
     print(f"sim-core microbenchmark: {rate:,.0f} events/sec")
     return 0

@@ -1,8 +1,9 @@
 """Golden-stats determinism contract for the simulator core.
 
 One :func:`conformance_spec` cell per registered protocol x universal
-scenario family, plus a bitwise-exact :func:`golden_fingerprint` of the
-resulting :class:`~repro.protocols.base.TrainingRun`.  The recorded
+scenario family (SVM), churn, compressed and CNN cells on top, plus a
+bitwise-exact :func:`golden_fingerprint` of the resulting
+:class:`~repro.protocols.base.TrainingRun`.  The recorded
 fingerprints (``tests/scenarios/golden_stats.json``, written by
 ``scripts/record_golden_stats.py``) pin the simulator's numerical and
 event-ordering behavior: any refactor of the engine, network, reducers
@@ -21,7 +22,7 @@ from typing import Optional
 
 from repro.graphs import bipartite_ring, ring_based
 from repro.harness.spec import ExperimentSpec
-from repro.harness.workloads import svm_workload
+from repro.harness.workloads import cnn_workload, svm_workload
 from repro.scenarios import ScenarioSpec
 
 #: Gossip protocols need a bipartite graph; everyone else runs the
@@ -76,6 +77,11 @@ COMPRESSION_CELLS = {
     "int8": {},
 }
 
+#: Key suffix of the CNN cells (``<protocol>/cnn-none``): every
+#: protocol replays the quiet family once more on the smoke CNN, the
+#: only cells that run a conv or pool kernel.
+CNN_FAMILY = "cnn-none"
+
 
 def conformance_spec(
     protocol: str, family: str, seed: int = 1, params: Optional[dict] = None
@@ -119,6 +125,19 @@ def compression_conformance_spec(
         compression=CompressionSpec(
             scheme, dict(COMPRESSION_CELLS[scheme])
         ),
+    )
+
+
+def cnn_conformance_spec(protocol: str, seed: int = 1) -> ExperimentSpec:
+    """The pinned CNN cell for one protocol (quiet scenario).
+
+    Every other cell trains the SVM, whose ``Dense`` / ``LogisticLoss``
+    path never enters a conv or pool kernel; these cells are what lets
+    the grid see a change to one.
+    """
+    return conformance_spec(protocol, "none", seed=seed).with_(
+        name=f"conformance/{protocol}/{CNN_FAMILY}",
+        workload=cnn_workload("smoke"),
     )
 
 

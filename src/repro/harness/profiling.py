@@ -13,7 +13,12 @@ Two entry points back ``repro profile`` (and ``scripts/profile_sim.py``):
   accidental O(n^2) or a de-inlined hot loop shows up immediately
   (scripts/ci.sh guards a generous floor).
 
-A third backs the sharded engine (PR 10):
+* :func:`model_step_budget` — one model step (``loss_and_grad``) split
+  by layer: forward, backward and loss microseconds, timed in place
+  inside the real call sequence.  ``repro profile`` prints it for every
+  training spec; a kernel change starts from this table.
+
+A fourth backs the sharded engine (PR 10):
 
 * :func:`sharded_events_per_sec` — the same ticker workload pushed
   through :class:`~repro.sim.sharded.ShardedEngine`, partitioned
@@ -153,6 +158,97 @@ def profile_spec(
         stats_text=stream.getvalue(),
         shards=n_shards,
         shard_rows=shard_rows,
+    )
+
+
+@dataclass
+class StepBudget:
+    """Where one ``loss_and_grad`` goes: median microseconds per call."""
+
+    #: One ``(repr(layer), forward_us, backward_us)`` row per layer.
+    layers: List[tuple]
+    loss_us: float
+    total_us: float
+
+    def render(self) -> str:
+        width = max(len(name) for name, _, _ in self.layers)
+        lines = [
+            f"{'layer':<{width}}  {'forward us':>10}  {'backward us':>11}"
+        ]
+        for name, forward, backward in self.layers:
+            lines.append(
+                f"{name:<{width}}  {forward:>10.1f}  {backward:>11.1f}"
+            )
+        timed = self.loss_us + sum(f + b for _, f, b in self.layers)
+        lines.append(f"{'loss':<{width}}  {self.loss_us:>10.1f}")
+        lines.append(
+            f"{'total':<{width}}  {self.total_us:>10.1f}  "
+            f"({self.total_us - timed:.1f} outside the layers)"
+        )
+        return "\n".join(lines)
+
+
+def model_step_budget(
+    model, x, y, repeats: int = 200, warmup: int = 20
+) -> StepBudget:
+    """Per-layer cost of one ``model.loss_and_grad(x, y)``.
+
+    Each layer's ``forward`` / ``backward`` and the loss's
+    ``value_and_grad`` are wrapped on the instance for the duration of
+    the call and the model's own ``loss_and_grad`` drives them, so every
+    kernel sees the operands (layout, cache state) it sees in training:
+    a layer timed alone on a fresh contiguous array can read half or
+    twice what it costs behind its real predecessor.  Medians over
+    ``repeats`` steps after ``warmup`` untimed ones; parameters are not
+    updated, and the wrappers are removed before returning.
+    """
+    clock = time.perf_counter
+    layers = model.network.layers
+    # spans[2 * i] is layer i's forward, spans[2 * i + 1] its backward,
+    # spans[-1] the loss; one list of per-step seconds each.
+    spans: List[List[float]] = [[] for _ in range(2 * len(layers) + 1)]
+    totals: List[float] = []
+
+    def timed(call, samples):
+        def wrapper(*args, **kwargs):
+            start = clock()
+            result = call(*args, **kwargs)
+            samples.append(clock() - start)
+            return result
+
+        return wrapper
+
+    loss = model.loss
+    for index, layer in enumerate(layers):
+        layer.forward = timed(layer.forward, spans[2 * index])
+        layer.backward = timed(layer.backward, spans[2 * index + 1])
+    loss.value_and_grad = timed(loss.value_and_grad, spans[-1])
+    try:
+        for _ in range(warmup + repeats):
+            start = clock()
+            model.loss_and_grad(x, y)
+            totals.append(clock() - start)
+    finally:
+        # Instance attributes only: the classes' methods show again.
+        for layer in layers:
+            del layer.forward, layer.backward
+        del loss.value_and_grad
+
+    def median_us(samples: List[float]) -> float:
+        kept = sorted(samples[warmup:])
+        return 1e6 * kept[len(kept) // 2]
+
+    return StepBudget(
+        layers=[
+            (
+                repr(layer),
+                median_us(spans[2 * index]),
+                median_us(spans[2 * index + 1]),
+            )
+            for index, layer in enumerate(layers)
+        ],
+        loss_us=median_us(spans[-1]),
+        total_us=median_us(totals),
     )
 
 

@@ -199,30 +199,39 @@ def _conv_plan(
 ) -> Tuple[int, int, np.ndarray]:
     """Cached im2col/col2im index plan for one (input shape, kernel) pair.
 
-    Returns ``(out_h, out_w, scatter)`` where ``scatter`` holds, for
-    every im2col column entry, its flat destination index in the padded
-    input — ordered ``(c*kh*kw, n, out_h*out_w)`` to line up with
-    ``W.T @ dout_mat`` in :meth:`Conv2D.backward` without a transpose.
-    The plan depends only on shapes, so each (layer, input-shape) pair
-    computes it once per process instead of on every forward pass.
+    Returns ``(out_h, out_w, plan)`` where ``plan`` holds, for every
+    im2col column entry, its flat source index in the *unpadded* input;
+    an entry that falls in the zero padding points one past the end
+    (``n * c * h * w``), the slot where :meth:`Conv2D.forward` puts a
+    single zero and which :func:`_col2im_operator` leaves out.  Ordered
+    ``(c*kh*kw, n, out_h*out_w)`` to line up with ``W.T @ dout_mat`` in
+    :meth:`Conv2D.backward` without a transpose.  The plan depends only
+    on shapes, so each (layer, input-shape) pair computes it once per
+    process instead of on every forward pass.
     """
     n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
 
-    i0 = np.tile(np.repeat(np.arange(kh), kw), c)
-    j0 = np.tile(np.arange(kw), kh * c)
+    i0 = np.tile(np.repeat(np.arange(kh), kw), c) - pad
+    j0 = np.tile(np.arange(kw), kh * c) - pad
     k0 = np.repeat(np.arange(c), kh * kw)
     i1 = stride * np.repeat(np.arange(out_h), out_w)
     j1 = stride * np.tile(np.arange(out_w), out_h)
-    # (c*kh*kw, out_h*out_w) flat offsets within one padded sample.
-    within = (k0[:, None] * hp + i0[:, None] + i1[None, :]) * wp
-    within += j0[:, None] + j1[None, :]
-    offsets = np.arange(n) * (c * hp * wp)
-    indices = (within[:, None, :] + offsets[None, :, None]).ravel()
-    indices.setflags(write=False)
-    return out_h, out_w, indices
+    # (c*kh*kw, out_h*out_w) row, column and flat offset within one
+    # unpadded sample.
+    i = i0[:, None] + i1[None, :]
+    j = j0[:, None] + j1[None, :]
+    within = (k0[:, None] * h + i) * w + j
+    offsets = np.arange(n) * (c * h * w)
+    plan = within[:, None, :] + offsets[None, :, None]
+    padding = (i < 0) | (i >= h) | (j < 0) | (j >= w)
+    np.copyto(plan, n * c * h * w, where=padding[:, None, :])
+    # Left writeable, unlike the other cached tables: ndarray.take asks
+    # for a writeable index array and copies one that is not, which
+    # costs more than take saves over fancy indexing.  Nothing outside
+    # this module sees the plan.
+    return out_h, out_w, plan.ravel()
 
 
 @lru_cache(maxsize=256)
@@ -231,20 +240,22 @@ def _col2im_operator(
 ):
     """Cached sparse col2im scatter matrix.
 
-    ``op @ dcols.ravel()`` sums every column entry into its padded-input
-    pixel in one CSR matvec that preserves float32.
+    ``op @ dcols.ravel()`` sums every column entry into its input pixel
+    in one CSR matvec that preserves float32.  One row per *unpadded*
+    pixel: an entry that fell in the padding has no row, so the product
+    is ``dx`` itself, contiguous.  Within a row the entries stay in
+    ascending column order, which is the order the sum runs in.
     """
     # Imported on a cache miss only, so a process that never
     # backpropagates through a conv never loads scipy.sparse.
     from scipy import sparse
 
     _, _, plan = _conv_plan(x_shape, kh, kw, stride, pad)
-    n, c, h, w = x_shape
-    m = n * c * (h + 2 * pad) * (w + 2 * pad)
-    nnz = plan.size
+    m = int(np.prod(x_shape))
+    columns = np.flatnonzero(plan != m)
     return sparse.csr_matrix(
-        (np.ones(nnz, dtype=np.float32), (plan, np.arange(nnz))),
-        shape=(m, nnz),
+        (np.ones(columns.size, dtype=np.float32), (plan[columns], columns)),
+        shape=(m, plan.size),
     )
 
 
@@ -262,7 +273,7 @@ def _pool_scatter_base(
 ) -> np.ndarray:
     """Flat index of each pooling window's top-left input pixel.
 
-    ``base + (first // s) * w + first % s`` is the flat input index of
+    ``base + _pool_offsets(s, w)[first]`` is the flat input index of
     the window element selected by ``first``, so pool backward becomes
     a single fancy scatter into a zeroed flat buffer — no expanded
     (windows, s*s) intermediate and no transposed reassembly copy.
@@ -273,6 +284,15 @@ def _pool_scatter_base(
     base = (rows * s * w + cols * s).reshape(n, c, h // s, w // s)
     base.setflags(write=False)
     return base
+
+
+@lru_cache(maxsize=64)
+def _pool_offsets(s: int, w: int) -> np.ndarray:
+    """Flat offset of each of a window's ``s*s`` positions from its
+    top-left pixel, in an input of width ``w`` (row-major positions)."""
+    offsets = np.add.outer(np.arange(s) * w, np.arange(s)).ravel()
+    offsets.setflags(write=False)
+    return offsets
 
 
 class Conv2D(Layer):
@@ -316,25 +336,26 @@ class Conv2D(Layer):
             raise ValueError(
                 f"Conv2D expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        n, c, h, w = x.shape
+        n, c = x.shape[:2]
         k, stride, pad = self.kernel_size, self.stride, self.pad
         out_h, out_w, plan = _conv_plan(x.shape, k, k, stride, pad)
         if pad:
-            x_pad = np.zeros(
-                (n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype
-            )
-            x_pad[:, :, pad : h + pad, pad : w + pad] = x
+            # The input once, flat, then the one zero every padding
+            # entry of the plan points at: no padded buffer.
+            flat = np.empty(x.size + 1, dtype=x.dtype)
+            np.copyto(flat[:-1].reshape(x.shape), x)
+            flat[-1] = 0
         else:
-            x_pad = np.ascontiguousarray(x)
-        # im2col as one flat gather through the cached index plan
-        # (fancy indexing: measurably faster than ndarray.take here).
+            flat = x.ravel()
+        # im2col as one flat gather through the cached index plan (every
+        # index is in range by construction; "clip" skips the check).
         # cols: (C*K*K, N*out_h*out_w), columns ordered (n, out_h, out_w).
-        cols = x_pad.ravel()[plan].reshape(
+        cols = flat.take(plan, mode="clip").reshape(
             c * k * k, n * out_h * out_w
         )
 
-        W_row = self.W.data.reshape(self.out_channels, -1)
-        out = W_row @ cols + self.b.data.reshape(-1, 1)
+        out = self.W.data.reshape(self.out_channels, -1) @ cols
+        out += self.b.data.reshape(-1, 1)
         out = out.reshape(self.out_channels, n, out_h, out_w)
         out = out.transpose(1, 0, 2, 3)
 
@@ -357,7 +378,6 @@ class Conv2D(Layer):
         if cache is None:
             raise RuntimeError("backward() before forward(training=True)")
         x_shape, x_dtype, cols = cache
-        n, c, h, w = x_shape
         k, pad = self.kernel_size, self.pad
 
         # dout columns ordered (n, out_h, out_w) to match `cols`.
@@ -372,13 +392,9 @@ class Conv2D(Layer):
 
         # col2im: scatter-add every column entry back to its input pixel
         # through the cached index plan, as one sparse matvec.
-        hp, wp = h + 2 * pad, w + 2 * pad
         operator = _col2im_operator(x_shape, k, k, self.stride, pad)
-        dx_pad = operator @ dcols.ravel()
-        dx_pad = dx_pad.reshape(n, c, hp, wp).astype(x_dtype, copy=False)
-        if pad:
-            return dx_pad[:, :, pad:-pad, pad:-pad]
-        return dx_pad
+        dx = operator @ dcols.ravel()
+        return dx.reshape(x_shape).astype(x_dtype, copy=False)
 
     def __repr__(self) -> str:
         return (
@@ -435,29 +451,34 @@ class MaxPool2D(Layer):
         if h % s or w % s:
             raise ValueError(f"input {h}x{w} not divisible by pool size {s}")
         if s == 2:
-            # 2x2 fast path: a three-comparison max tree over strided
-            # window views — no transposed window copy, no argmax
-            # inner loop.  Bit-identical to the generic path, including
-            # first-max tie-breaking (strict > keeps the earlier
-            # window position on ties).
-            r = x.reshape(n, c, h // 2, 2, w // 2, 2)
-            w00 = r[:, :, :, 0, :, 0]
-            w01 = r[:, :, :, 0, :, 1]
-            w10 = r[:, :, :, 1, :, 0]
-            w11 = r[:, :, :, 1, :, 1]
-            top_right = w01 > w00
-            top = np.where(top_right, w01, w00)
-            bottom_right = w11 > w10
-            bottom = np.where(bottom_right, w11, w10)
-            bottom_wins = bottom > top
-            out = np.where(bottom_wins, bottom, top)
+            # 2x2 fast path: the four window positions copied out once
+            # as contiguous planes, then a three-call max tree over
+            # flat arrays — no strided operand, no argmax inner loop.
+            # np.maximum hands back its second operand on a tie, so
+            # the earlier window position goes second: bit-identical
+            # to the generic path down to the sign of a zero, and a
+            # NaN anywhere in a window comes out as NaN.
+            shape = (n, c, h // 2, w // 2)
+            planes = np.empty((2, 2) + shape, dtype=x.dtype)
+            planes[...] = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(
+                3, 5, 0, 1, 2, 4
+            )
+            w00, w01, w10, w11 = planes.reshape(4, -1)
+            top = np.maximum(w01, w00)
+            bottom = np.maximum(w11, w10)
+            out = np.maximum(bottom, top).reshape(shape)
+            self._cache = None
             if training:
-                first = np.where(
-                    bottom_wins, bottom_right + 2, top_right + 0
-                )
-                self._cache = (x.shape, first)
-            else:
-                self._cache = None
+                # Row-major position of the first max (strict >: the
+                # earlier position keeps a tie), one byte per window.
+                top_right = (w01 > w00).view(np.uint8)
+                bottom_right = (w11 > w10).view(np.uint8)
+                bottom_wins = (bottom > top).view(np.uint8)
+                first = bottom_right + 2
+                first -= top_right
+                first *= bottom_wins
+                first += top_right
+                self._cache = (x.shape, first.reshape(shape))
             return out
         # windows: (N, C, H/s, W/s, s*s)
         windows = (
@@ -486,7 +507,7 @@ class MaxPool2D(Layer):
         # transposed reassembly copy.
         dx = np.zeros(n * c * h * w, dtype=dout.dtype)
         base = _pool_scatter_base(x_shape, s)
-        dx[base + (first // s) * w + first % s] = dout
+        dx[base + _pool_offsets(s, w)[first]] = dout
         return dx.reshape(n, c, h, w)
 
     def __repr__(self) -> str:

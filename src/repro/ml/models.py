@@ -187,7 +187,9 @@ class Model:
 
     def loss_value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Loss without touching gradients (evaluation)."""
-        scores = self.network.forward(x, training=False)
+        return self._loss_of(self.network.forward(x, training=False), y)
+
+    def _loss_of(self, scores: np.ndarray, y: np.ndarray) -> float:
         value = self.loss.value(scores, y)
         if self.l2 > 0.0:
             flat = self._flat
@@ -208,15 +210,20 @@ class Model:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class predictions: argmax for multi-class, sign for margins."""
-        scores = self.network.forward(x, training=False)
+        return self._classes_of(self.network.forward(x, training=False))
+
+    @staticmethod
+    def _classes_of(scores: np.ndarray) -> np.ndarray:
         if scores.ndim == 2 and scores.shape[1] > 1:
             return np.argmax(scores, axis=1)
         return (scores.ravel() > 0).astype(int)
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-        """Return ``(loss, accuracy)`` on a dataset."""
-        loss = self.loss_value(x, y)
-        predictions = self.predict(x)
+        """Return ``(loss, accuracy)`` on a dataset: one forward pass,
+        loss and predictions both read off its scores."""
+        scores = self.network.forward(x, training=False)
+        loss = self._loss_of(scores, y)
+        predictions = self._classes_of(scores)
         targets = np.asarray(y).ravel()
         if set(np.unique(targets)) <= {-1, 1}:
             targets = ((targets + 1) // 2).astype(int)

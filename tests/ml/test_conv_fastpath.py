@@ -1,10 +1,10 @@
 """Parity suite: the conv/pool fast paths vs the reference kernels.
 
 The fast implementations in ``repro.ml.layers`` (cached im2col plan,
-sparse-matvec col2im, flat-gather pooling) must reproduce
-the seed implementations preserved in ``repro.ml.reference`` across
-stride/pad/dtype combinations, and must agree with central-difference
-numerical gradients.
+sparse-matvec col2im, contiguous-plane 2x2 and flat-gather pooling)
+must reproduce the seed implementations preserved in
+``repro.ml.reference`` across stride/pad/dtype combinations, and must
+agree with central-difference numerical gradients.
 """
 
 import numpy as np
@@ -189,6 +189,24 @@ class TestMaxPoolParity:
         # exactly one gradient entry per window
         assert dx.sum() == out.size
         assert ((dx == 0) | (dx == 1)).all()
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("position", range(16))
+    def test_nan_propagates_from_every_window_position(
+        self, position, training
+    ):
+        """A NaN is the max of its window wherever it sits: a diverged
+        run reports NaN, not the largest finite neighbour.  (The 2x2
+        where-tree compared with ``>``, which is False against NaN, and
+        returned 3.0 for ``[[1, nan], [2, 3]]``.)"""
+        x = RNG(8).normal(size=(2, 1, 4, 4)).astype(np.float32)
+        x[1].flat[position] = np.nan
+        out = MaxPool2D(2).forward(x, training=training)
+        ref_out, _ = maxpool_forward_reference(x, 2)
+        assert np.isnan(ref_out).sum() == 1
+        assert np.array_equal(out, ref_out, equal_nan=True)
+        generic = MaxPool2D(4).forward(x, training=training)
+        assert np.isnan(generic[1]).all() and not np.isnan(generic[0]).any()
 
     def test_numerical_gradient(self):
         layer = MaxPool2D(2)

@@ -3,6 +3,9 @@
 * the ``Batcher`` grows its index prefetch 1, 2, 4, ... up to 32 rows,
   stream-identically to the fixed 32-row prefetch it replaced;
 * every layer releases its activation cache in ``backward``;
+* the conv / pool kernels' cached plans and operators hold no more than
+  they did before the unpadded plan and the interior-only operator, and
+  a 2x2 pool's training cache is a byte per window;
 * ``scipy.special`` / ``scipy.sparse`` load at first use, not at import.
 """
 
@@ -22,6 +25,8 @@ from repro.ml import (
     synthetic_images,
     synthetic_webspam,
 )
+from repro.harness.workloads import cnn_workload
+from repro.ml import layers
 from repro.ml.layers import (
     AvgPool2D,
     Conv2D,
@@ -166,6 +171,79 @@ class TestActivationCachesAreReleased:
         assert cached_state(layer) == {}
         with pytest.raises(RuntimeError, match="backward"):
             layer.backward(np.ones_like(out))
+
+
+def held_bytes(value):
+    """Bytes behind a cached plan, table or CSR operator."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(held_bytes(item) for item in value)
+    if hasattr(value, "indptr"):
+        return sum(
+            part.nbytes for part in (value.data, value.indices, value.indptr)
+        )
+    return 0
+
+
+class TestKernelCaches:
+    #: What the same step and evaluation left in the ``lru_cache``s at
+    #: 31a55f6: four padded-coordinate plans (13,271,040 B), one col2im
+    #: operator with a row per *padded* pixel (663,556 B), two pool
+    #: scatter bases (98,304 B).
+    PARENT_BYTES = 14_032_900
+
+    def test_plans_and_operators_hold_no_more_than_before(self):
+        cached = (
+            layers._conv_plan,
+            layers._col2im_operator,
+            layers._pool_scatter_base,
+            layers._pool_offsets,
+        )
+        for function in cached:
+            function.cache_clear()
+        workload = cnn_workload("paper")
+        data, batch = workload.dataset, workload.batch_size
+        model = workload.model_factory(np.random.default_rng(0))
+        model.loss_and_grad(data.x_train[:batch], data.y_train[:batch])
+        model.evaluate(data.x_test, data.y_test)
+        rows = len(data.x_test)
+        assert (batch, rows) == (64, 512)
+
+        # One plan per (conv, batch size), one operator (the first
+        # conv's input gradient has no consumer), one base and one
+        # offset table per pool: nothing cached twice under two keys.
+        assert [f.cache_info().currsize for f in cached] == [4, 1, 2, 2]
+        held = [
+            layers._conv_plan((n, c, size, size), 3, 3, 1, 1)
+            for n in (batch, rows)
+            for c, size in ((3, 8), (8, 4))
+        ]
+        operator = layers._col2im_operator((batch, 8, 4, 4), 3, 3, 1, 1)
+        assert operator.shape == (batch * 8 * 4 * 4, 72 * batch * 16)
+        assert operator.nnz == operator.shape[1] * 100 // 144
+        held.append(operator)
+        for c, size in ((8, 8), (16, 4)):
+            held.append(layers._pool_scatter_base((batch, c, size, size), 2))
+            held.append(layers._pool_offsets(2, size))
+        # Every lookup above was a hit: these are the cached objects.
+        assert [f.cache_info().currsize for f in cached] == [4, 1, 2, 2]
+        total = sum(held_bytes(value) for value in held)
+        assert total == 13_811_780
+        assert total <= self.PARENT_BYTES
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_training_cache_is_one_byte_per_window(self, dtype):
+        layer = MaxPool2D(2)
+        x = np.random.default_rng(0).normal(size=(4, 3, 8, 6)).astype(dtype)
+        out = layer.forward(x, training=True)
+        shape, first = layer._cache
+        assert shape == x.shape
+        assert first.dtype == np.uint8
+        assert first.nbytes == out.size == 4 * 3 * 4 * 3
+        # ... and not a view that keeps something larger alive.
+        owner = first if first.base is None else first.base
+        assert owner.nbytes == out.size
 
 
 def loaded_scipy_modules(body):

@@ -13,6 +13,7 @@ from repro.ml import (
     synthetic_images,
     synthetic_webspam,
 )
+from repro.ml.layers import Layer
 
 
 def test_flat_round_trip():
@@ -133,3 +134,43 @@ def test_evaluate_returns_loss_and_accuracy():
     loss, acc = model.evaluate(x, y)
     assert loss > 0
     assert 0.0 <= acc <= 1.0
+
+
+class CountingIdentity(Layer):
+    """Passes its input through; counts the forward passes it sees."""
+
+    def __init__(self):
+        self.forwards = 0
+
+    def forward(self, x, training=True):
+        self.forwards += 1
+        return x
+
+    def backward(self, dout):
+        return dout
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+@pytest.mark.parametrize("build", ["softmax", "logistic"])
+def test_evaluate_runs_the_network_once(build, l2):
+    """One forward per ``evaluate`` (it used to be two: ``loss_value``,
+    then ``predict``), and the pair it returns is exactly the pair the
+    two separate calls give."""
+    rng = np.random.default_rng(9)
+    if build == "softmax":
+        model = build_mlp(rng, 6, [5], 3)
+        y = rng.integers(0, 3, size=40)
+    else:
+        model = build_svm(rng, 6)
+        y = rng.choice([-1, 1], size=40)
+    model.l2 = l2
+    counter = CountingIdentity()
+    model.network.layers.insert(0, counter)
+    x = rng.normal(size=(40, 6))
+
+    loss, accuracy = model.evaluate(x, y)
+    assert counter.forwards == 1
+    assert loss == model.loss_value(x, y)
+    targets = (y + 1) // 2 if build == "logistic" else y
+    assert accuracy == float(np.mean(model.predict(x) == targets))
+    assert counter.forwards == 3

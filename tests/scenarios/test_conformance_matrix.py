@@ -43,11 +43,13 @@ from repro.graphs import ring_based
 from repro.harness import ExperimentSpec, run_spec, svm_workload
 from repro.harness.golden import (
     CHURN_CELLS,
+    CNN_FAMILY,
     COMPRESSION_CELLS,
     ELASTIC_PROTOCOLS,
     MAX_ITER,
     N_WORKERS,
     churn_conformance_spec,
+    cnn_conformance_spec,
     compression_conformance_spec,
     conformance_spec,
     golden_fingerprint,
@@ -231,6 +233,50 @@ def test_compressed_protocol_cell(protocol, scheme):
     )
 
 
+@pytest.mark.parametrize("protocol", registered_protocols())
+def test_cnn_protocol_cell(protocol):
+    """One CNN cell: every protocol trains the smoke CNN for the pinned
+    five iterations, deterministically and golden-pinned.  Every other
+    cell is SVM (``Dense`` + ``LogisticLoss``), so these nine are the
+    grid's only view of ``Conv2D`` / ``MaxPool2D`` / ``ReLU`` /
+    ``SoftmaxCrossEntropy``; they were recorded on the kernels of
+    ``31a55f6`` and a kernel change must reproduce them, not re-record
+    them."""
+    first = run_spec(cnn_conformance_spec(protocol))
+
+    assert all(c == MAX_ITER for c in first.iterations_completed), (
+        f"{protocol} on the CNN: iterations {first.iterations_completed}"
+    )
+    assert first.final_loss is not None and math.isfinite(first.final_loss)
+    assert np.isfinite(first.final_params).all()
+
+    second = run_spec(cnn_conformance_spec(protocol))
+    assert run_fingerprint(first) == run_fingerprint(second), (
+        f"{protocol} on the CNN is not deterministic"
+    )
+
+    key = f"{protocol}/{CNN_FAMILY}"
+    assert key in GOLDEN_CELLS, (
+        f"no golden recorded for {key}; run "
+        "scripts/record_golden_stats.py --only-missing on the kernels "
+        "the cell is meant to pin and review the diff"
+    )
+    assert golden_fingerprint(first) == GOLDEN_CELLS[key], (
+        f"{protocol} on the CNN no longer matches the recorded golden "
+        "stats: an ml kernel changed a bit"
+    )
+
+
+def _is_static_svm_cell(key: str) -> bool:
+    """A protocol x universal-family cell (the 90 oldest recordings)."""
+    family = key.split("/", 1)[1]
+    return (
+        family not in CHURN_CELLS
+        and family != CNN_FAMILY
+        and not family.startswith("compressed-")
+    )
+
+
 def test_compression_none_matches_dense_bitwise():
     """`compression=None` and `CompressionSpec("none")` are the same
     run, byte for byte — the dense path must be untouched by the
@@ -251,8 +297,7 @@ def test_pre_membership_golden_cells_untouched():
     original = {
         key: value
         for key, value in GOLDEN_CELLS.items()
-        if key.split("/", 1)[1] not in CHURN_CELLS
-        and not key.split("/", 1)[1].startswith("compressed-")
+        if _is_static_svm_cell(key)
     }
     assert len(original) == 90
     blob = json.dumps(
@@ -271,12 +316,7 @@ def test_pre_elasticity_golden_cells_untouched():
     """The 96 cells recorded before the full-grid elasticity pass (90
     static + the first-wave trio's 6 churn cells) are immutable: making
     the other six protocols elastic must not move a byte of them."""
-    keys = {
-        key
-        for key in GOLDEN_CELLS
-        if key.split("/", 1)[1] not in CHURN_CELLS
-        and not key.split("/", 1)[1].startswith("compressed-")
-    }
+    keys = {key for key in GOLDEN_CELLS if _is_static_svm_cell(key)}
     keys.update(
         f"{protocol}/{family}"
         for protocol in FIRST_WAVE_ELASTIC

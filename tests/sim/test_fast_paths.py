@@ -271,6 +271,54 @@ class TestProfileSpec:
         assert "simulated time" in rendered and "tottime" in rendered
         assert "events scheduled : 68 (5.67 per worker-iteration)" in rendered
 
+    def test_model_step_budget_times_every_layer_in_place(self):
+        import numpy as np
+
+        from repro.harness import cnn_workload
+        from repro.harness.profiling import model_step_budget
+
+        workload = cnn_workload("smoke")
+        model = workload.model_factory(np.random.default_rng(0))
+        reference = workload.model_factory(np.random.default_rng(0))
+        x = workload.dataset.x_train[: workload.batch_size]
+        y = workload.dataset.y_train[: workload.batch_size]
+        budget = model_step_budget(model, x, y, repeats=5, warmup=1)
+
+        layers = model.network.layers
+        assert [name for name, _, _ in budget.layers] == [
+            repr(layer) for layer in layers
+        ]
+        spans = [us for _, f, b in budget.layers for us in (f, b)]
+        assert all(us > 0 for us in spans) and budget.loss_us > 0
+        assert sum(spans) + budget.loss_us <= budget.total_us
+        rendered = budget.render().splitlines()
+        assert rendered[0].split() == [
+            "layer", "forward", "us", "backward", "us"
+        ]
+        assert len(rendered) == len(layers) + 3
+        assert rendered[-2].startswith("loss") and rendered[-1].startswith(
+            "total"
+        )
+        # The wrappers are gone and the model steps as an untouched one.
+        for layer in layers:
+            assert "forward" not in vars(layer)
+            assert "backward" not in vars(layer)
+        assert "value_and_grad" not in vars(model.loss)
+        value, grad = model.loss_and_grad(x, y)
+        ref_value, ref_grad = reference.loss_and_grad(x, y)
+        assert value == ref_value and np.array_equal(grad, ref_grad)
+
+    def test_cli_profile_prints_the_step_table(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "profile", "--workload", "cnn", "--preset", "smoke",
+            "--workers", "4", "--iterations", "2", "--limit", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "one model step (cnn/smoke, batch 16):" in out
+        assert "MaxPool2D(2)" in out and "events/sec" in out
+
     def test_cli_profile_engine_only(self, capsys):
         from repro.cli import main
 
