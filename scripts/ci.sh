@@ -155,6 +155,44 @@ print(
 )
 PY
 
+echo "== compute seam: hop/64 evaluates the whole cluster once per iteration =="
+# The fourth noise-free guard (beside the event budget above, the cnn
+# pin and the scale smoke below): exact counts off the run's compute
+# pool (docs/ARCHITECTURE.md, "The compute seam").  A static ring's 64
+# workers are all mid-compute when the first of them needs its gradient,
+# so 10 iterations are 10 evaluations of 64 tickets each, all through
+# the stacked SVM kernel.  More flushes means a call site resolves
+# before its timeout (or something writes a model mid-compute); a
+# fallback ticket means the SVM lost its kernel.
+python - <<'PY'
+from repro.graphs import ring_based
+from repro.harness.spec import ExperimentSpec
+from repro.harness.workloads import by_name
+from repro.protocols.base import LIGHT_TRACE
+from repro.protocols.registry import build_cluster
+
+n, iterations = 64, 10
+cluster = build_cluster(
+    ExperimentSpec(
+        name=f"compute-seam/hop/{n}",
+        workload=by_name("svm", "smoke"),
+        topology=ring_based(n),
+        protocol="hop",
+        max_iter=iterations,
+        seed=0,
+        trace_channels=LIGHT_TRACE,
+    )
+)
+cluster.run()
+pool = cluster.runtime.compute
+assert (pool.tickets, pool.flushes, pool.fallback) == (640, 10, 0), pool
+print(
+    f"compute seam OK: hop/{n} x {iterations} iterations, "
+    f"{pool.tickets} tickets in {pool.flushes} flushes "
+    f"(mean batch {pool.mean_batch:.0f}), {pool.fallback} fallback"
+)
+PY
+
 echo "== cnn pin: six paper-preset CNN fingerprints, bit for bit =="
 # The second noise-free guard.  The golden grid's nine CNN cells run the
 # smoke preset; these are the paper preset (batch 64, 8/16 filters), the

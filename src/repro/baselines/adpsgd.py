@@ -213,9 +213,9 @@ class ADPSGDCluster(ProtocolCluster):
         start = env.now
         runtime.gap.record(wid, k)
         model.set_params(params[wid])
-        xb, yb = batcher.next_batch()
-        loss, grad = model.loss_and_grad(xb, yb)
+        ticket = runtime.compute.submit(model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
+        loss, grad = ticket.result()
 
         if is_active and partners:
             # Atomic averaging with a random passive neighbor.  Under

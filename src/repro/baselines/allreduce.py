@@ -147,28 +147,36 @@ class RingAllReduceCluster(ProtocolCluster):
             for wid in range(n)
         ]
 
+        submit = runtime.compute.submit
+
         def driver(env):
             params = self._params
             for k in range(self.max_iter):
                 start = env.now
                 runtime.gap.record_many(k)
-                grads = []
+                tickets = []
                 for wid in range(n):
                     runtime.models[wid].set_params(params[0])
-                    xb, yb = batchers[wid].next_batch()
-                    loss, grad = runtime.models[wid].loss_and_grad(xb, yb)
+                    tickets.append(
+                        submit(runtime.models[wid], batchers[wid])
+                    )
+                # Lockstep: the slowest worker gates the ring.
+                slowest = max(
+                    self.compute_model.duration(wid, k) for wid in range(n)
+                )
+                yield env.timeout(slowest + comm_time)
+                grads = []
+                for wid, ticket in enumerate(tickets):
+                    loss, grad = ticket.result()
                     if compressors[wid] is not None:
                         # Error-feedback sparsification: the ring
                         # reduces each worker's reconstruction; the
                         # residual folds back into the next round.
                         _, grad = compressors[wid].compress(grad)
                     grads.append(grad)
-                    runtime.log_loss[wid](env.now, loss)
-                # Lockstep: the slowest worker gates the ring.
-                slowest = max(
-                    self.compute_model.duration(wid, k) for wid in range(n)
-                )
-                yield env.timeout(slowest + comm_time)
+                    # The loss belongs to the round's start, when the
+                    # gradient's inputs were fixed.
+                    runtime.log_loss[wid](start, loss)
                 mean_grad = np.mean(grads, axis=0)
                 params[0] = params[0] + optimizer.step(params[0], mean_grad, k)
                 for wid in range(n):
@@ -209,6 +217,7 @@ class RingAllReduceCluster(ProtocolCluster):
             self._stream_compressor(runtime, wid, stream="grad")
             for wid in range(n)
         ]
+        submit = runtime.compute.submit
 
         def driver(env):
             params = self._params
@@ -232,21 +241,25 @@ class RingAllReduceCluster(ProtocolCluster):
                 members = sorted(membership.view.active)
                 steps, chunk = chunk_schedule(members, wire_size)
                 comm_time = steps * self.link.transfer_time(chunk)
-                grads = []
+                tickets = []
                 for wid in members:
                     runtime.gap.record(wid, k)
                     runtime.models[wid].set_params(params[0])
-                    xb, yb = batchers[wid].next_batch()
-                    loss, grad = runtime.models[wid].loss_and_grad(xb, yb)
-                    if compressors[wid] is not None:
-                        _, grad = compressors[wid].compress(grad)
-                    grads.append(grad)
-                    runtime.log_loss[wid](env.now, loss)
+                    tickets.append(
+                        submit(runtime.models[wid], batchers[wid])
+                    )
                 # Lockstep: the slowest live member gates the ring.
                 slowest = max(
                     self.compute_model.duration(wid, k) for wid in members
                 )
                 yield env.timeout(slowest + comm_time)
+                grads = []
+                for wid, ticket in zip(members, tickets):
+                    loss, grad = ticket.result()
+                    if compressors[wid] is not None:
+                        _, grad = compressors[wid].compress(grad)
+                    grads.append(grad)
+                    runtime.log_loss[wid](start, loss)
                 # Each chunk step moves one chunk over every live ring
                 # edge; the edge count comes from the rebuilt ring.
                 edges = len(rebuild_ring(members))

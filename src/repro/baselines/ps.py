@@ -339,9 +339,9 @@ class ParameterServerCluster(ProtocolCluster):
 
         # Compute.
         model.set_params(x)
-        xb, yb = batcher.next_batch()
-        loss, grad = model.loss_and_grad(xb, yb)
+        ticket = runtime.compute.submit(model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
+        loss, grad = ticket.result()
 
         # Compression shrinks the *push* only: the pull stays a dense
         # parameter download (the PS cannot error-feed per worker).

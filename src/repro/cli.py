@@ -466,6 +466,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     print(f"one model step ({args.workload}/{args.preset}, batch {batch}):")
     print(budget.render())
+    if report.compute is not None:
+        print(report.render_compute())
     print()
     rate = sim_core_events_per_sec()
     print(f"sim-core microbenchmark: {rate:,.0f} events/sec")

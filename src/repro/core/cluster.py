@@ -309,6 +309,7 @@ class HopCluster(ProtocolCluster):
                     model=runtime.models[wid],
                     optimizer=self.optimizer_proto.clone(),
                     batcher=self._make_batcher(wid),
+                    compute=runtime.compute,
                     compute_model=self.compute_model,
                     network=self._network,
                     update_queues=update_queues,
@@ -349,6 +350,7 @@ class HopCluster(ProtocolCluster):
                     model=runtime.models[wid],
                     optimizer=self.optimizer_proto.clone(),
                     batcher=self._make_batcher(wid),
+                    compute=runtime.compute,
                     compute_model=self.compute_model,
                     network=self._network,
                     update_queues=update_queues,

@@ -47,6 +47,7 @@ class NotifyAckWorker:
         model,
         optimizer,
         batcher,
+        compute,
         compute_model: ComputeModel,
         network: Network,
         update_queues: Dict[int, UpdateQueue],
@@ -63,6 +64,8 @@ class NotifyAckWorker:
         self.model = model
         self.optimizer = optimizer
         self.batcher = batcher
+        #: The run's :class:`~repro.ml.compute.ComputePool`.
+        self.compute = compute
         self.compute_model = compute_model
         self.network = network
         self.update_queues = update_queues
@@ -347,9 +350,9 @@ class NotifyAckWorker:
 
             # Compute and Apply (serial graph, Figure 2a).
             self.model.set_params(x)
-            xb, yb = self.batcher.next_batch()
-            loss, grad = self.model.loss_and_grad(xb, yb)
+            ticket = self.compute.submit(self.model, self.batcher)
             yield env.timeout(self.compute_model.duration(self.wid, k))
+            loss, grad = ticket.result()
             applied = x + self.optimizer.step(x, grad, k)
 
             # Wait for ACK(k-1) from all out-going neighbors before Send(k).

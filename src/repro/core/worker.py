@@ -68,6 +68,7 @@ class HopWorker:
         model,
         optimizer,
         batcher,
+        compute,
         compute_model: ComputeModel,
         network: Network,
         update_queues: Dict[int, object],
@@ -89,6 +90,8 @@ class HopWorker:
         self.model = model
         self.optimizer = optimizer
         self.batcher = batcher
+        #: The run's :class:`~repro.ml.compute.ComputePool`.
+        self.compute = compute
         self.compute_model = compute_model
         self.network = network
         self.update_queues = update_queues
@@ -323,12 +326,6 @@ class HopWorker:
             self.wid, dsts, self.wire_size, update, delivers
         )
 
-    def _compute(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Real gradient math on this worker's model replica."""
-        self.model.set_params(params)
-        xb, yb = self.batcher.next_batch()
-        return self.model.loss_and_grad(xb, yb)
-
     def _plan_jump(self, iteration: int) -> Optional[JumpDecision]:
         if self.skip_policy is None or not self._token_providers:
             return None
@@ -506,6 +503,12 @@ class HopWorker:
         iterations = self.state.iterations
         gap_record = self.gap_tracker.record
         duration_of = self.compute_model.duration
+        # Real gradient math on this worker's model replica, through
+        # the compute seam: parameters and batch are fixed before the
+        # compute timeout, the value is read after it.
+        model, batcher = self.model, self.batcher
+        set_params = model.set_params
+        submit = self.compute.submit
         opt_step = self.optimizer.step
         recv_reduce = self.recv.recv_reduce
         # Standard mode inlines its one-dequeue receive below, skipping
@@ -588,8 +591,10 @@ class HopWorker:
             if parallel:
                 # Figure 2(b): Send, then Compute overlapping Recv.
                 send(x, k)
-                loss, grad = self._compute(x)
+                set_params(x)
+                ticket = submit(model, batcher)
                 yield timeout(duration_of(wid, k))
+                loss, grad = ticket.result()
                 delta = opt_step(x, grad, k)
                 recv_start = env.now
                 if standard:
@@ -610,8 +615,10 @@ class HopWorker:
                     x = reduced + delta
             else:
                 # Figure 2(a): Compute, Apply, then Send / Recv / Reduce.
-                loss, grad = self._compute(x)
+                set_params(x)
+                ticket = submit(model, batcher)
                 yield timeout(duration_of(wid, k))
+                loss, grad = ticket.result()
                 delta = opt_step(x, grad, k)
                 applied = x + delta
                 send(applied, k)

@@ -4,8 +4,9 @@ Two entry points back ``repro profile`` (and ``scripts/profile_sim.py``):
 
 * :func:`profile_spec` — run one :class:`~repro.harness.spec
   .ExperimentSpec` under :mod:`cProfile` and return the stats report
-  plus throughput counters (iterations/sec, messages/sec of real time)
-  and the exact heap-entry count per worker-iteration.
+  plus throughput counters (iterations/sec, messages/sec of real time),
+  the exact heap-entry count per worker-iteration and the compute
+  pool's four counters (tickets, flushes, stacked, fallback).
 * :func:`sim_core_events_per_sec` — a pure discrete-event-engine
   microbenchmark (no ML, no protocols): many processes churning
   timeouts through one :class:`~repro.sim.engine.Environment`.  Its
@@ -41,7 +42,8 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.spec import ExperimentSpec
+from repro.protocols.registry import build_cluster
 from repro.sim.engine import Environment
 from repro.sim.sharded import ShardContext, ShardedEngine
 
@@ -61,6 +63,9 @@ class ProfileReport:
     #: One dict per shard (sharded runs only): ``shard``,
     #: ``owned_workers``, ``events``, ``windows``, ``sync_wait_seconds``.
     shard_rows: List[dict] = field(default_factory=list)
+    #: The run's :class:`~repro.ml.compute.ComputePool` (exact counts;
+    #: ``None`` for a sharded run, whose pools live in the shards).
+    compute: Optional[object] = None
 
     @property
     def iterations_per_second(self) -> float:
@@ -99,6 +104,16 @@ class ProfileReport:
         lines.extend(["", self.stats_text])
         return "\n".join(lines)
 
+    def render_compute(self) -> str:
+        """The compute seam's counters: how many workers' gradients one
+        evaluation served, and through which kernel."""
+        pool = self.compute
+        return (
+            f"compute pool     : {pool.tickets} tickets in {pool.flushes} "
+            f"flushes (mean batch {pool.mean_batch:.1f}), "
+            f"{pool.stacked} stacked, {pool.fallback} fallback"
+        )
+
 
 def profile_spec(
     spec: ExperimentSpec,
@@ -132,17 +147,19 @@ def profile_spec(
 
     def execute():
         if n_shards > 1:
-            return run_spec_sharded_with_stats(
+            run, shard_rows = run_spec_sharded_with_stats(
                 spec, shards=n_shards, clock=time.perf_counter
             )
-        return run_spec(spec), []
+            return run, shard_rows, None
+        cluster = build_cluster(spec)
+        return cluster.run(), [], cluster.runtime.compute
 
     if warmup:
         execute()
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    run, shard_rows = execute()
+    run, shard_rows, compute = execute()
     profiler.disable()
     elapsed = time.perf_counter() - start
 
@@ -158,6 +175,7 @@ def profile_spec(
         stats_text=stream.getvalue(),
         shards=n_shards,
         shard_rows=shard_rows,
+        compute=compute,
     )
 
 

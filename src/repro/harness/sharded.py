@@ -15,9 +15,10 @@ design on top of the conservative window machinery in
 
 * **Partitioned math.**  Each worker is *owned* by exactly one shard
   (:func:`repro.graphs.topology.region_partition`).  Owned workers run
-  the real gradient computation; non-owned workers run a stub compute
-  (zero gradient) and send :class:`SharedUpdate` payloads whose
-  ``params`` are views into the shared-memory parameter plane, where
+  the real gradient computation; non-owned workers get stub tickets
+  from the compute seam (:meth:`repro.ml.compute.ComputePool.stub`:
+  zero gradient, no arithmetic) and send :class:`SharedUpdate` payloads
+  whose ``params`` are views into the shared-memory parameter plane, where
   the owner published the true values.  An owner therefore always
   reduces over bitwise-true neighbor parameters, and its trajectory is
   bitwise identical to the un-sharded run.
@@ -264,7 +265,7 @@ def _patch_owner(worker, plane: ShardPlane) -> None:
 
 
 def _patch_stub(worker, plane: ShardPlane) -> None:
-    """Replace compute with a zero stub and sends with plane references.
+    """Stub the worker's compute tickets and send plane references.
 
     The stub's own parameter trajectory is garbage by design — nothing
     owned ever consumes it: its outgoing updates carry plane views of
@@ -274,10 +275,7 @@ def _patch_stub(worker, plane: ShardPlane) -> None:
     ring = plane.ring
     slots = plane.slots
     wid = worker.wid
-    zero_grad = np.zeros(plane.dim, dtype=plane.dtype)
-
-    def stub_compute(params: np.ndarray):
-        return 0.0, zero_grad
+    worker.compute.stub(worker.model)
 
     # HopWorker._send with the payload swapped for a plane reference
     # (static runs only — the scenario gate keeps membership runs
@@ -288,7 +286,6 @@ def _patch_stub(worker, plane: ShardPlane) -> None:
         worker.update_queue.enqueue(update)
         worker._fan_out(update, iteration)
 
-    worker._compute = stub_compute
     worker._send = stub_send
 
 

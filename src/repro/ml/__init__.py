@@ -16,6 +16,7 @@ Public API::
     model.set_params(model.get_params() + optimizer.step(model.get_params(), grad))
 """
 
+from repro.ml.compute import ComputeError, ComputePool
 from repro.ml.data import (
     Batcher,
     Dataset,
@@ -61,6 +62,8 @@ from repro.ml.params import (
 __all__ = [
     "AvgPool2D",
     "Batcher",
+    "ComputeError",
+    "ComputePool",
     "ConstantLR",
     "Conv2D",
     "Dataset",

@@ -158,8 +158,12 @@ class Batcher:
 
     _PREFETCH = 32
 
-    def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample a batch uniformly with replacement (paper's SGD model)."""
+    def next_indices(self) -> np.ndarray:
+        """Row indices of the next batch, uniform with replacement (the
+        paper's SGD model): the one place this stream is drawn from.
+
+        The row is a view of the prefetched block; it is never written.
+        """
         block = self._block
         if block is None or self._cursor >= len(block):
             rows = 1 if block is None else min(self._PREFETCH, 2 * len(block))
@@ -169,6 +173,11 @@ class Batcher:
             self._cursor = 0
         idx = block[self._cursor]
         self._cursor += 1
+        return idx
+
+    def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The next batch's rows, gathered: ``(x[idx], y[idx])``."""
+        idx = self.next_indices()
         return self.x[idx], self.y[idx]
 
     def __repr__(self) -> str:

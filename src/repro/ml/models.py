@@ -21,6 +21,7 @@ from repro.ml.layers import (
     ReLU,
 )
 from repro.analysis.runtime import sanitize_enabled, writable_window
+from repro.ml.compute import stacked_kernel_for
 from repro.ml.losses import Loss, LogisticLoss, SoftmaxCrossEntropy
 from repro.ml.params import Parameter, pack_parameters, readonly_view
 
@@ -101,11 +102,19 @@ class Model:
         if not self._params:
             raise ValueError("model has no trainable parameters")
         self._sanitize = sanitize_enabled()
+        #: The open compute ticket (submitted, not yet evaluated) that
+        #: will read ``_flat`` and write ``_flat_grad``, if any; owned
+        #: by :class:`repro.ml.compute.ComputePool`.
+        self._ticket = None
         self._repack()
 
     def _repack(self) -> None:
         """(Re)alias all parameters into the contiguous flat buffers."""
+        self._settle()
         self._flat, self._flat_grad = pack_parameters(self._params)
+        self._kernel = stacked_kernel_for(
+            self.network, self.loss, self._flat.dtype
+        )
         self._flat_view = readonly_view(self._flat)
         self._grad_view = readonly_view(self._flat_grad)
         if self._sanitize:
@@ -117,6 +126,19 @@ class Model:
             self._flat.flags.writeable = False
             for p in self._params:
                 p.data.flags.writeable = False
+
+    def _settle(self) -> None:
+        """Evaluate this model's open compute ticket, if any, before its
+        inputs (``_flat``) or outputs (``_flat_grad``) are written: a
+        deferred gradient sees the parameters it was submitted with."""
+        if self._ticket is not None:
+            self._ticket.result()
+
+    @property
+    def stacked_kernel(self):
+        """The kernel :class:`repro.ml.compute.ComputePool` may batch
+        this model's gradient through, or ``None``."""
+        return self._kernel if self.l2 == 0.0 else None
 
     @property
     def dim(self) -> int:
@@ -141,6 +163,7 @@ class Model:
         in-place window: the flat buffer is unlocked for the copy and
         re-locked before returning.
         """
+        self._settle()
         if self._sanitize:
             with writable_window(self._flat):
                 self._copy_into_flat(flat)
@@ -175,6 +198,7 @@ class Model:
         buffer, valid until the next ``loss_and_grad`` / ``zero_grad``
         call; copy it to keep it across computes.
         """
+        self._settle()
         self.zero_grad()
         scores = self.network.forward(x, training=True)
         value, dscores = self.loss.value_and_grad(scores, y)

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.graphs.spectral import consensus_distance
 from repro.hetero.compute import ComputeModel
+from repro.ml.compute import ComputePool
 from repro.ml.data import Batcher, Dataset
 from repro.ml.metrics import smooth_series
 from repro.ml.optim import SGD
@@ -226,6 +227,13 @@ class ProtocolRuntime:
     traffic: List[float] = field(default_factory=lambda: [0, 0.0])
 
     @cached_property
+    def compute(self) -> ComputePool:
+        """The run's compute seam: every protocol submits a worker's
+        gradient here before its compute timeout and reads the ticket
+        after it (:mod:`repro.ml.compute`)."""
+        return ComputePool(self.models)
+
+    @cached_property
     def log_loss(self) -> List[Callable[..., None]]:
         """``loss/<wid>`` tracer channels by worker, bound at first use."""
         return self._channels("loss")
@@ -370,6 +378,9 @@ class ProtocolCluster:
         #: the model dim/dtype are known (see :meth:`_stream_compressor`).
         self._compressors: Dict[tuple, object] = {}
         self._wire_ratio_cached: Optional[float] = None
+        #: The latest :meth:`run`'s runtime (its compute-pool counters
+        #: are observability that never enters the ``TrainingRun``).
+        self.runtime: Optional[ProtocolRuntime] = None
 
     # ------------------------------------------------------------------
     # Construction helpers (shared by every protocol)
@@ -643,6 +654,7 @@ class ProtocolCluster:
             update_size=self._resolve_update_size(models),
             done=np.zeros(self.n_workers, dtype=bool),
         )
+        self.runtime = runtime
         self._start(runtime)
         if self._post_start_hook is not None:
             self._post_start_hook(runtime)

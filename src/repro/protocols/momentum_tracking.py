@@ -183,9 +183,9 @@ class MomentumTrackingCluster(ADPSGDCluster):
         x_round_start = params[wid].copy()
         runtime.gap.record(wid, k)
         model.set_params(params[wid])
-        xb, yb = batcher.next_batch()
-        loss, grad = model.loss_and_grad(xb, yb)
+        ticket = runtime.compute.submit(model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
+        loss, grad = ticket.result()
         grad = np.asarray(grad, dtype=np.float64)
         if self.weight_decay > 0.0:
             grad = grad + self.weight_decay * params[wid]

@@ -282,9 +282,9 @@ class PartialAllReduceCluster(ProtocolCluster):
         start = env.now
         runtime.gap.record(wid, k)
         model.set_params(params[wid])
-        xb, yb = batcher.next_batch()
-        loss, grad = model.loss_and_grad(xb, yb)
+        ticket = runtime.compute.submit(model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
+        loss, grad = ticket.result()
         params[wid] = params[wid] + optimizer.step(params[wid], grad, k)
 
         group = self.schedule.group_of(k, wid)

@@ -103,11 +103,11 @@ class TestExtensionPoint:
                     for k in range(self.max_iter):
                         runtime.gap.record(wid, k)
                         model.set_params(params)
-                        xb, yb = batcher.next_batch()
-                        loss, grad = model.loss_and_grad(xb, yb)
+                        ticket = runtime.compute.submit(model, batcher)
                         yield env.timeout(
                             self.compute_model.duration(wid, k)
                         )
+                        loss, grad = ticket.result()
                         params = params + optimizer.step(params, grad, k)
                         runtime.tracer.log(f"loss/{wid}", env.now, loss)
                         runtime.tracer.log(f"duration/{wid}", env.now, 0.0)
