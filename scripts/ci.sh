@@ -40,7 +40,7 @@ echo "== bench smoke: fig21 (instant) + fig16 at smoke preset =="
 python -m pytest -x -q benchmarks/test_fig21_spectral_gaps.py
 python -m repro figures --preset smoke --only fig16
 
-echo "== scaling smoke: fig24 smallest cells (8/16 workers) + 256-worker scale tiers =="
+echo "== scaling smoke: fig24 smallest cells (8/16 workers) + 256-worker scale tier =="
 python -m repro figures --preset smoke --only fig24
 
 echo "== membership smoke: fig25 churn study + golden-stats drift check =="
@@ -277,42 +277,6 @@ print(
     f"max_gap={run.gap.max_observed():g}, ru_maxrss {peak_mb:.0f} MB "
     f"(ceiling {ceiling_mb:.0f} MB)"
 )
-PY
-
-echo "== sharded smoke: 2-shard golden cell bitwise + events/sec floor =="
-# The sharded engine's headline contract: a 2-shard run of the golden
-# hop/none conformance cell must be *bitwise* equal to the 1-shard run
-# (same fingerprint dict, same final params), in the real
-# process-per-shard mode.  Then the bare sharded engine must clear a
-# generous events/sec floor — single-core containers pay a real
-# coordination tax (parent-mediated lockstep rounds), so the floor is
-# set ~5x under the measured single-core number and only trips on a
-# real fabric regression.
-python - <<'PY'
-import numpy as np
-
-from repro.harness.golden import conformance_spec, golden_fingerprint
-from repro.harness.profiling import sharded_events_per_sec
-from repro.harness.sharded import run_spec_sharded
-from repro.harness.spec import run_spec
-
-spec = conformance_spec("hop", "none")
-base = run_spec(spec)
-sharded = run_spec_sharded(spec, shards=2, processes=True)
-assert golden_fingerprint(sharded) == golden_fingerprint(base), (
-    "2-shard golden cell diverged from the 1-shard fingerprint"
-)
-assert np.array_equal(sharded.final_params, base.final_params), (
-    "2-shard final parameters are not bitwise-equal"
-)
-print("sharded golden cell OK: 2 shards == 1 shard, bit-for-bit")
-
-rate = sharded_events_per_sec(n_shards=2)
-floor = 15_000
-assert rate > floor, (
-    f"sharded engine regressed: {rate:,.0f} events/sec (floor {floor:,})"
-)
-print(f"sharded engine OK: {rate:,.0f} events/sec (floor {floor:,})")
 PY
 
 echo "== sanitizer smoke: REPRO_SANITIZE=1 conformance cell =="

@@ -388,62 +388,7 @@ class EnvReadRule(Rule):
             self._report(node, ctx, "os.environ[...]")
 
 
-#: Raw transport methods that bypass the deterministic merge when
-#: called on an inter-process channel.
-_RAW_CHANNEL_SENDS = {"put", "put_nowait", "send", "send_bytes"}
-
-#: Substrings identifying an inter-process channel in the receiver's
-#: dotted name (``up_queue.put``, ``conn.send``, ``pipe.send_bytes``).
-_CHANNEL_HINTS = ("queue", "pipe", "conn")
-
-
-class ShardMergeRule(Rule):
-    name = "det-shard-merge"
-    group = "determinism"
-    summary = "cross-shard events must go through the deterministic merge"
-    rationale = (
-        "the sharded engine is bit-reproducible only because every "
-        "cross-shard event is stamped with a (time, priority, seq, "
-        "shard) merge key by ShardContext.send and injected sorted by "
-        "ShardContext._inject; a raw queue/pipe put delivers in OS "
-        "arrival order, which varies run to run.  Sanctioned fabric "
-        "internals carry `# repro: ignore[det-shard-merge]` with the "
-        "merge argument stated at the call site"
-    )
-    scope = ("repro/sim", "repro/net")
-
-    @staticmethod
-    def _receiver_name(func: ast.Attribute):
-        dotted = dotted_name(func.value)
-        if dotted is None and isinstance(func.value, ast.Subscript):
-            dotted = dotted_name(func.value.value)
-        return dotted
-
-    def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> None:
-        func = node.func
-        if (
-            not isinstance(func, ast.Attribute)
-            or func.attr not in _RAW_CHANNEL_SENDS
-        ):
-            return
-        receiver = self._receiver_name(func)
-        if receiver is None:
-            return
-        lowered = receiver.lower()
-        if any(hint in lowered for hint in _CHANNEL_HINTS):
-            ctx.report(
-                self,
-                node,
-                f"raw channel send `{receiver}.{func.attr}(...)` "
-                "bypasses the deterministic cross-shard merge; emit "
-                "through ShardContext.send / inject through "
-                "ShardContext._inject (or justify with "
-                "`# repro: ignore[det-shard-merge]`)",
-            )
-
-
 register_rule(WallClockRule)
-register_rule(ShardMergeRule)
 register_rule(GlobalRngRule)
 register_rule(UnseededRngRule)
 register_rule(SetIterationRule)

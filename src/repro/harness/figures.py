@@ -1059,40 +1059,26 @@ def fig24_scaling(
         f"({scale_factor:.0f}x workers)",
     )
     # ------------------------------------------------------------------
-    # Scale tiers: hop alone, a few iterations, far past the grid
+    # Scale tier: hop alone, a few iterations, far past the grid
     # ------------------------------------------------------------------
     # The grid above tops out at 128 workers because every cell runs
-    # three protocols at full iteration count.  The serial tier takes
+    # three protocols at full iteration count.  The scale tier takes
     # hop through plain ``run_spec`` to the sizes the O(n + m) cluster
     # state makes fit in memory (16384 workers under 0.5 GB) and
     # records the process's resident high-water mark after each cell;
-    # it runs first and ascending so that mark belongs to the cell.
-    # The sharded tier (PR 10) drives ``run_spec_sharded``, whose
-    # results are bit-identical to an un-sharded run by the
-    # sharded-engine contract.  Rows are deterministic except
-    # elapsed_seconds and ru_maxrss_mb.
+    # it runs ascending so that mark belongs to the cell.  Rows are
+    # deterministic except elapsed_seconds and ru_maxrss_mb.
     import resource
 
-    from repro.harness.sharded import run_spec_sharded
-
-    serial_sizes = {
+    scale_sizes = {
         "smoke": (256,),
         "bench": (1024,),
         "paper": (4096, 16384),
     }[preset]
-    sharded_sizes = {
-        "smoke": (256,),
-        "bench": (1024,),
-        "paper": (1024, 2048, 4096),
-    }[preset]
     scale_iters = min(max_iter, 3)
-    scale_shards = 2
-    tiers = [("hop-serial", n, 1) for n in serial_sizes] + [
-        ("hop-sharded", n, scale_shards) for n in sharded_sizes
-    ]
-    for label, n, shards in tiers:
+    for n in scale_sizes:
         spec = ExperimentSpec(
-            name=f"scale/{label}/{n}",
+            name=f"scale/hop-serial/{n}",
             workload=workload,
             topology=ring_based(n),
             protocol="hop",
@@ -1101,16 +1087,12 @@ def fig24_scaling(
             trace_channels=LIGHT_TRACE,
         )
         start = _time.perf_counter()
-        if shards == 1:
-            run = run_spec(spec)
-        else:
-            run = run_spec_sharded(spec, shards=shards)
+        run = run_spec(spec)
         cost = _time.perf_counter() - start
         result.rows.append(
             {
-                "protocol": label,
+                "protocol": "hop-serial",
                 "workers": n,
-                "shards": shards,
                 "sim_wall_time": run.wall_time,
                 "iter_rate": run.iteration_rate(),
                 "messages": run.messages_sent,
@@ -1123,8 +1105,7 @@ def fig24_scaling(
             }
         )
         result.check(
-            f"{label}/{n}: every worker finishes"
-            + (f" ({shards} shards)" if shards > 1 else ""),
+            f"hop-serial/{n}: every worker finishes",
             all(c == scale_iters for c in run.iterations_completed),
             f"iterations={sorted(set(run.iterations_completed))}",
         )
@@ -1132,9 +1113,10 @@ def fig24_scaling(
         "elapsed_seconds is real wall-clock (machine-dependent); "
         "simulated quantities are deterministic.  The hop-serial rows "
         "take plain run_spec to the scale tier (ru_maxrss_mb is the "
-        "process high-water mark after the cell); the hop-sharded rows "
-        "run the same kind of cell through the sharded engine "
-        "(bit-identical to un-sharded runs)."
+        "process high-water mark after the cell).  No tier splits one "
+        "cell across processes: each process would replay the whole "
+        "control plane and split only the math, about 6% of a hop "
+        "cell's host time, so it cannot beat the serial run."
     )
     return result
 

@@ -139,7 +139,8 @@ class ComputePool:
         Control flow is value-independent — queue waits, token flow, gap
         tracking, suppression checks and message pricing never read a
         parameter — so a stubbed worker keeps every simulated time and
-        counter of the real one.
+        counter of the real one (``tests/core/test_value_independence.py``
+        holds that bit for bit).
         """
         params = model.get_params()
         zero = np.zeros(params.size, dtype=params.dtype)

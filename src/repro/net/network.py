@@ -486,64 +486,3 @@ class SharedNic:
     def __repr__(self) -> str:
         return f"<SharedNic bw={self.bandwidth} busy={self.busy_time:.3f}>"
 
-
-# ----------------------------------------------------------------------
-# Sharded-engine support: conservative lookahead from the link model
-# ----------------------------------------------------------------------
-def min_cross_shard_latency(
-    links: LinkModel,
-    regions: Sequence[Sequence[int]],
-    edges: Optional[Sequence] = None,
-) -> float:
-    """The conservative lookahead for a region partition.
-
-    A message crossing shards takes at least the latency of its link,
-    so shards that have exchanged everything scheduled before ``t`` can
-    safely simulate ``[t, t + lookahead)`` without hearing from each
-    other — the classic conservative-PDES window, computable at build
-    time because :class:`~repro.net.links.LinkModel` owns every
-    latency.
-
-    Args:
-        links: The deployment's link model.
-        regions: Worker-id regions (one per shard), e.g. from
-            :func:`repro.graphs.topology.region_partition`.
-        edges: Optional iterable of ``(src, dst)`` pairs restricting
-            the scan to the topology's real edges.  ``None`` scans
-            every cross-region pair (correct but O(n^2); fine for the
-            uniform fabric, which short-circuits below).
-
-    Returns:
-        The minimum latency over cross-shard links, or ``inf`` when no
-        link crosses shards (single shard, or empty regions).
-    """
-    populated = [region for region in regions if len(region)]
-    if len(populated) <= 1:
-        return float("inf")
-    if not links.overrides:
-        # Uniform fabric: every remote link shares the default latency.
-        return float(links.default.latency)
-    owners = {}
-    for shard, region in enumerate(regions):
-        for wid in region:
-            owners[wid] = shard
-    if edges is None:
-        edges = [
-            (src, dst)
-            for src in owners
-            for dst in owners
-            if src != dst
-        ]
-    lookahead = float("inf")
-    link = links.link
-    for src, dst in edges:
-        if src == dst:
-            continue
-        src_shard = owners.get(src)
-        dst_shard = owners.get(dst)
-        if src_shard is None or dst_shard is None or src_shard == dst_shard:
-            continue
-        latency = float(link(src, dst).latency)
-        if latency < lookahead:
-            lookahead = latency
-    return lookahead

@@ -194,39 +194,6 @@ class Environment:
                 ) from None
             return None
 
-    def run_window(self, until: float) -> int:
-        """Process every event scheduled strictly before ``until``.
-
-        The conservative-window primitive of the sharded engine
-        (:mod:`repro.sim.sharded`): a shard drains one lookahead window
-        at a time and synchronizes with its peers between windows.
-        Unlike :meth:`run`, no sentinel stop event is scheduled — the
-        loop simply stops popping at the window boundary — so a run
-        driven window-by-window consumes exactly the same insertion-id
-        sequence as one uninterrupted :meth:`run` and stays bitwise
-        deterministic against it.
-
-        Returns:
-            The number of events processed in this window.
-        """
-        # Inlined for the same reason run() is: this wraps the hottest
-        # loop in the simulator.  Semantics are identical to step() in
-        # a while-loop guarded by ``peek() < until``.
-        queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        while queue and queue[0][0] < until:
-            when, _, _, event = pop(queue)
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event.defused:
-                raise event._value
-            processed += 1
-        return processed
-
     # ------------------------------------------------------------------
     # Factories
     # ------------------------------------------------------------------

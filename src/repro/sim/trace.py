@@ -93,21 +93,6 @@ class Tracer:
         values = np.array([v for _, v in records], dtype=float)
         return times, values
 
-    def replace(
-        self, key: str, records: Sequence[Tuple[float, object]]
-    ) -> None:
-        """Overwrite the series ``key`` with ``records``.
-
-        Result-merge hook for the sharded runner: a worker's numeric
-        series (e.g. ``loss/<wid>``) is authoritative only on the
-        shard that owns the worker, and the merged run substitutes the
-        owner's samples for the local stub's.  Respects the channel
-        allowlist like :meth:`log`.
-        """
-        if not self.enabled(key):
-            return
-        self._records[key] = list(records)
-
     def merge(self, other: "Tracer") -> None:
         """Fold another tracer's records into this one (stable order)."""
         for key, records in other._records.items():

@@ -147,11 +147,14 @@ class TestDeadlockDiagnosis:
             topology=complete(2),
         )
 
-        def withhold(runtime):
+        start = cluster._start
+
+        def start_withholding(runtime):
+            start(runtime)
             queue = cluster._workers[0].token_queues[(1, 0)]
             queue.put = lambda count=1: None
 
-        cluster._post_start_hook = withhold
+        cluster._start = start_withholding
         with pytest.raises(DeadlockError) as caught:
             cluster.run()
         # Worker 0 spends the max_ig - 1 initial tokens and stops before

@@ -128,6 +128,41 @@ class TestCLI:
             )
 
 
+class TestParallelismKnobs:
+    """``--jobs`` (or ``REPRO_JOBS``) is the only parallelism knob: one
+    cell runs in one process."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--shards", "2"],
+            ["profile", "--engine-only", "--shards", "2"],
+        ],
+        ids=["train", "profile"],
+    )
+    def test_shards_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["figures", "ablations"])
+    def test_negative_jobs_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--jobs", "-1"])
+        assert exit_info.value.code == 2
+        assert "jobs must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_repro_shards_does_not_change_a_run(self, monkeypatch, capsys):
+        argv = ["train", "--workers", "6", "--iterations", "6"]
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
+
 class TestCLISlowdownKnobs:
     """--slowdown exposes every SlowdownSpec knob (factor, probability,
     multi-worker straggler maps), not just hardcoded recipes."""

@@ -13,13 +13,10 @@ import pytest
 from repro.graphs import ring
 from repro.harness.figures import fig16_iteration_speed
 from repro.harness.parallel import (
-    compose_jobs_shards,
     default_jobs,
-    default_shards,
     resolve_jobs,
     run_specs,
     set_default_jobs,
-    set_default_shards,
 )
 from repro.harness.spec import ExperimentSpec, RANDOM_6X
 from repro.harness.workloads import by_name
@@ -29,7 +26,6 @@ from repro.harness.workloads import by_name
 def reset_jobs():
     yield
     set_default_jobs(None)
-    set_default_shards(None)
 
 
 def small_specs(n_specs=2, max_iter=6):
@@ -92,60 +88,30 @@ class TestJobsResolution:
         assert default_jobs() >= 1
 
 
-class TestJobsShardsComposition:
-    """``jobs x shards`` must never oversubscribe the machine."""
+class TestResolveJobsTable:
+    """``resolve_jobs`` is ``max(1, min(jobs, n_tasks))``, with unset or
+    0 jobs falling back to ``default_jobs()``; an explicit request above
+    the core count is trusted as given."""
 
-    def test_cap_arithmetic(self):
-        # 8 jobs of 4-shard runs on 8 CPUs -> 2 concurrent jobs.
-        assert compose_jobs_shards(8, 4, cpus=8, n_tasks=100) == 2
-        # 6 jobs of 2-shard runs on 8 CPUs -> 4 concurrent jobs.
-        assert compose_jobs_shards(6, 2, cpus=8, n_tasks=100) == 4
+    #: (jobs, n_tasks) -> workers on a 2-CPU machine with REPRO_JOBS unset.
+    TABLE = {
+        (None, 1): 1, (None, 4): 2,
+        (0, 1): 1, (0, 4): 2,
+        (1, 1): 1, (1, 4): 1,
+        (3, 1): 1, (3, 4): 3,
+        (64, 1): 1, (64, 4): 4,
+    }
 
-    def test_no_cpu_cap_with_single_shard(self):
-        # Historical trust-the-user --jobs: no cap while shards == 1.
-        assert compose_jobs_shards(16, 1, cpus=2, n_tasks=100) == 16
+    @pytest.mark.parametrize("jobs, n_tasks", sorted(TABLE, key=str))
+    def test_values(self, monkeypatch, jobs, n_tasks):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr("repro.harness.parallel._usable_cpus", lambda: 2)
+        assert resolve_jobs(jobs, n_tasks) == self.TABLE[jobs, n_tasks]
 
-    def test_one_sharded_job_may_use_whole_machine(self):
-        # shards > cpus: still at least one job runs.
-        assert compose_jobs_shards(4, 8, cpus=2, n_tasks=100) == 1
-
-    def test_clamped_to_task_count(self):
-        assert compose_jobs_shards(8, 2, cpus=32, n_tasks=3) == 3
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            compose_jobs_shards(0, 2, cpus=8, n_tasks=4)
-        with pytest.raises(ValueError):
-            compose_jobs_shards(2, 0, cpus=8, n_tasks=4)
-
-    def test_resolve_jobs_respects_default_shards(self, monkeypatch):
+    def test_repro_shards_is_not_read(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "64")
-        set_default_shards(64)  # far above any CPU count
-        assert resolve_jobs(None, n_tasks=100) == 1
-
-    def test_default_shards_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "3")
-        assert default_shards() == 3
-        set_default_shards(2)
-        assert default_shards() == 2
-
-    def test_default_shards_unset_is_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert default_shards() == 1
-
-    def test_default_shards_env_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "lots")
-        with pytest.raises(ValueError):
-            default_shards()
-        monkeypatch.setenv("REPRO_SHARDS", "-1")
-        with pytest.raises(ValueError):
-            default_shards()
-        monkeypatch.setenv("REPRO_SHARDS", "0")
-        assert default_shards() == 1
-
-    def test_set_default_shards_rejects_negative(self):
-        with pytest.raises(ValueError):
-            set_default_shards(-2)
+        monkeypatch.setenv("REPRO_SHARDS", "64")
+        assert resolve_jobs(None, n_tasks=100) == 64
 
 
 class TestRunSpecsParity:

@@ -272,6 +272,18 @@ class TestShutdown:
         assert journal_fds() == []
 
 
+class TestPoolWorkers:
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_pool_workers_taken_as_given(self, tmp_path, monkeypatch, workers):
+        # One cell runs in one process, so no other knob scales the pool.
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        service = ExperimentService(
+            tmp_path / "state", pool_workers=workers, inline=True
+        )
+        assert service.scheduler.pool_workers == workers
+        assert service.shutdown(timeout=10)
+
+
 class TestClientPolling:
     @pytest.fixture
     def naps(self, monkeypatch):
