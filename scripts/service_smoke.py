@@ -8,7 +8,10 @@ golden-pinned conformance spec twice, and asserts the contract:
    ``hop/none`` golden-stats cell bit-for-bit,
 2. the second identical submit is served as a fingerprint-verified
    cache hit (zero recomputation),
-3. SIGTERM drains the server cleanly (exit code 0).
+3. after one digit of the stored entry changes on disk, the third
+   submit recomputes it (one corruption counted, the fingerprint still
+   the golden one) and the fourth is a hit again,
+4. SIGTERM drains the server cleanly (exit code 0).
 
 Usage::
 
@@ -39,6 +42,19 @@ GOLDEN_SPEC = {
     "max_iter": 5,
     "seed": 1,
 }
+
+
+def change_one_digit(path: Path) -> None:
+    """Bump the first digit of the stored result's ``messages_sent``.
+
+    The file stays valid JSON with an intact header and address, so
+    only the integrity digest can tell.
+    """
+    raw = bytearray(path.read_bytes())
+    key = b'"messages_sent":'
+    at = raw.index(key, raw.index(b'"result":')) + len(key)
+    raw[at] = ord("1") + (raw[at] - ord("0")) % 9  # 1-9 -> another 1-9
+    path.write_bytes(bytes(raw))
 
 
 def main() -> int:
@@ -96,6 +112,26 @@ def main() -> int:
             stats = client.stats()
             assert stats["runs_computed"] == 1, stats
             print("service smoke: second submit was a verified cache hit")
+
+            change_one_digit(
+                Path(state_dir) / "cache" / digest[:2] / f"{digest}.json"
+            )
+            third = client.submit([GOLDEN_SPEC])
+            snap = client.wait_for_sweep(third["sweep_id"], timeout=120)
+            cell = snap["cells"][digest]
+            assert cell["status"] == "done" and not cell["cache_hit"], cell
+            stats = client.stats()
+            assert stats["runs_computed"] == 2, stats
+            assert stats["cache"]["corruptions"] == 1, stats
+            entry = client.result(digest)
+            assert entry["fingerprint"] == golden_cell, entry["fingerprint"]
+            print("service smoke: a changed digit was caught and recomputed")
+
+            fourth = client.submit([GOLDEN_SPEC])
+            snap = client.wait_for_sweep(fourth["sweep_id"], timeout=60)
+            assert snap["cells"][digest]["cache_hit"] is True, snap
+            assert client.stats()["runs_computed"] == 2
+            print("service smoke: the recomputed entry is a verified hit")
 
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=60)

@@ -1,6 +1,6 @@
 """Profiling and simulator-core benchmarking utilities.
 
-Two entry points back ``repro profile`` (and ``scripts/profile_sim.py``):
+Three entry points back ``repro profile``:
 
 * :func:`profile_spec` — run one :class:`~repro.harness.spec
   .ExperimentSpec` under :mod:`cProfile` and return the stats report
@@ -13,7 +13,6 @@ Two entry points back ``repro profile`` (and ``scripts/profile_sim.py``):
   events/sec number tracks the engine fast path in isolation, so an
   accidental O(n^2) or a de-inlined hot loop shows up immediately
   (scripts/ci.sh guards a generous floor).
-
 * :func:`model_step_budget` — one model step (``loss_and_grad``) split
   by layer: forward, backward and loss microseconds, timed in place
   inside the real call sequence.  ``repro profile`` prints it for every

@@ -306,7 +306,8 @@ class RunScheduler:
     def _settle_sweep(self, sweep: SweepState) -> None:
         """The sweep's one cache pass: settle the hits, dispatch the misses.
 
-        Every cell is probed exactly once (digest-verified, counted in
+        Every cell is probed exactly once with ``ResultCache.contains``
+        (digest-verified over the stored bytes, never parsed, counted in
         the cache's hit/miss/corruption counters).  All hits are
         journaled in one batch — closed by ``sweep-done`` when nothing
         missed — and only become visible as ``done`` once that batch
@@ -319,7 +320,7 @@ class RunScheduler:
         misses: List[CellState] = []
         try:
             for cell in cells:
-                found = self.cache.get(cell.spec_hash) is not None
+                found = self.cache.contains(cell.spec_hash)
                 (hits if found else misses).append(cell)
             records = [
                 done_record(sweep.sweep_id, cell.spec_hash, cache_hit=True,

@@ -1,5 +1,6 @@
 """Durability tests: the result cache verifies, the journal replays."""
 
+import hashlib
 import json
 import os
 import threading
@@ -12,6 +13,7 @@ from repro.service.journal import (
     done_record,
     sweep_done_record,
 )
+from repro.service.runner import execute_cell
 
 HASH = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -19,6 +21,41 @@ OTHER = "cd" + "1" * 62
 FINGERPRINT = {"final_loss": "0x1.8p-1", "final_params_sha256": "f" * 64}
 RESULT = {"stats": {"messages_sent": 60}}
 SPEC = {"workers": 4, "max_iter": 5}
+
+#: A small churn cell: leave, rejoin and re-sync all reach its entry.
+CHURN = {
+    "workers": 8,
+    "max_iter": 10,
+    "seed": 5,
+    "scenario": {
+        "family": "churn",
+        "params": {"leaves": {"6": 3}, "cycles": {"5": [2, 5]}},
+    },
+}
+
+
+def edit_in_place(path, old, new):
+    """The file's bytes with one same-length edit (the file is kept)."""
+    raw = path.read_bytes()
+    assert raw.count(old) == 1 and len(old) == len(new)
+    return raw.replace(old, new)
+
+
+def assert_rejected_both_ways(cache, spec_hash, raw):
+    """``raw`` stored at ``spec_hash`` reads as a miss through both
+    readers, each read unlinking it and adding exactly one corruption."""
+    path = cache.path_for(spec_hash)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    for read in (cache.contains, cache.get):
+        before = cache.stats()
+        path.write_bytes(raw)
+        assert not read(spec_hash)
+        assert not path.exists()
+        assert cache.stats() == {
+            "hits": before["hits"],
+            "misses": before["misses"] + 1,
+            "corruptions": before["corruptions"] + 1,
+        }
 
 
 class TestResultCache:
@@ -52,38 +89,77 @@ class TestResultCache:
     def test_bit_flip_in_result_fails_integrity(self, tmp_path):
         cache = self.make(tmp_path)
         cache.put(HASH, SPEC, FINGERPRINT, RESULT)
-        path = cache.path_for(HASH)
-        entry = json.loads(path.read_text())
-        entry["result"]["stats"]["messages_sent"] += 1  # silent flip
-        path.write_text(json.dumps(entry))
-        assert cache.get(HASH) is None
-        assert cache.stats()["corruptions"] == 1
+        # A silent flip: still valid JSON, header and address intact.
+        assert_rejected_both_ways(
+            cache, HASH,
+            edit_in_place(cache.path_for(HASH), b'"messages_sent":60',
+                          b'"messages_sent":61'),
+        )
 
     def test_tampered_fingerprint_fails_integrity(self, tmp_path):
         cache = self.make(tmp_path)
         cache.put(HASH, SPEC, FINGERPRINT, RESULT)
-        path = cache.path_for(HASH)
-        entry = json.loads(path.read_text())
-        entry["fingerprint"]["final_loss"] = "0x1.0p+0"
-        path.write_text(json.dumps(entry))
-        assert cache.get(HASH) is None
+        assert_rejected_both_ways(
+            cache, HASH,
+            edit_in_place(cache.path_for(HASH), b'"final_loss":"0x1.8p-1"',
+                          b'"final_loss":"0x1.0p-1"'),
+        )
 
     def test_entry_under_wrong_address_is_rejected(self, tmp_path):
         cache = self.make(tmp_path)
-        entry = cache.put(HASH, SPEC, FINGERPRINT, RESULT)
+        cache.put(HASH, SPEC, FINGERPRINT, RESULT)
         # Copy a (self-consistent!) entry to a different address: the
         # spec-hash binding must catch it even though the integrity
         # digest checks out.
-        wrong = cache.path_for(OTHER)
-        wrong.parent.mkdir(parents=True, exist_ok=True)
-        wrong.write_text(json.dumps(entry))
-        assert cache.get(OTHER) is None
+        assert_rejected_both_ways(
+            cache, OTHER, cache.path_for(HASH).read_bytes()
+        )
+        assert cache.get(HASH) is not None  # the original still verifies
+
+    def test_address_that_is_not_a_spec_hash_is_never_read(self, tmp_path):
+        # "../victim" would resolve outside the cache root; a failed
+        # check there would unlink someone else's file.
+        cache = ResultCache(tmp_path / "state" / "cache")
+        victim = tmp_path / "victim.json"
+        victim.write_text("{}\n")
+        assert cache.path_for("../victim").resolve() == victim.resolve()
+        assert not cache.contains("../victim")
+        assert cache.get("../victim") is None
+        assert victim.read_text() == "{}\n"
+        assert cache.stats() == {"hits": 0, "misses": 2, "corruptions": 0}
+
+    def test_stored_bytes_are_the_digested_body_behind_a_header(
+        self, tmp_path
+    ):
+        cache = self.make(tmp_path)
+        entry = cache.put(HASH, SPEC, FINGERPRINT, RESULT)
+        raw = cache.path_for(HASH).read_bytes()
+        digest = entry_digest(HASH, SPEC, FINGERPRINT, RESULT)
+        assert raw[:80] == b'{"integrity":"' + digest.encode() + b'",'
+        assert raw.endswith(b'"spec_hash":"' + HASH.encode() + b'"}\n')
+        assert hashlib.sha256(b"{" + raw[80:-1]).hexdigest() == digest
+        assert json.loads(raw) == entry
+        assert entry["integrity"] == digest
+
+    def test_contains_counts_like_get_and_never_parses(
+        self, tmp_path, monkeypatch
+    ):
+        cache = self.make(tmp_path)
+        assert not cache.contains(HASH)
+        cache.put(HASH, SPEC, FINGERPRINT, RESULT)
+        monkeypatch.setattr(json, "loads", None)  # any parse would raise
+        assert cache.contains(HASH)
+        assert cache.stats() == {"hits": 1, "misses": 1, "corruptions": 0}
 
     def test_missing_keys_read_as_corruption(self, tmp_path):
+        # Bytes that verify but do not hold an entry: get's structural
+        # checks on the parsed dict still reject them.
         cache = self.make(tmp_path)
         path = cache.path_for(HASH)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"spec_hash": HASH}))
+        body = '{"spec_hash":"' + HASH + '"}'
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        path.write_text('{"integrity":"' + digest + '",' + body[1:] + "\n")
         assert cache.get(HASH) is None
         assert cache.stats()["corruptions"] == 1
 
@@ -91,6 +167,28 @@ class TestResultCache:
         a = entry_digest(HASH, {"a": 1, "b": 2}, FINGERPRINT, RESULT)
         b = entry_digest(HASH, {"b": 2, "a": 1}, FINGERPRINT, RESULT)
         assert a == b
+
+
+def test_every_torn_write_and_every_changed_byte_reads_as_a_miss(tmp_path):
+    """The cache's durability boundary, exhaustively, on a real entry."""
+    outcome = execute_cell(dict(CHURN))
+    digest = outcome["spec_hash"]
+    cache = ResultCache(tmp_path / "cache")
+    put = cache.put(
+        digest, outcome["spec"], outcome["fingerprint"], outcome["result"]
+    )
+    raw = cache.path_for(digest).read_bytes()
+    assert cache.contains(digest)
+    assert cache.get(digest) == put
+    for cut in range(len(raw)):
+        assert_rejected_both_ways(cache, digest, raw[:cut])
+    for offset in range(len(raw)):
+        changed = bytearray(raw)
+        changed[offset] ^= 0x01
+        assert_rejected_both_ways(cache, digest, bytes(changed))
+    assert cache.stats()["corruptions"] == 4 * len(raw)
+    cache.path_for(digest).write_bytes(raw)
+    assert cache.get(digest) == put
 
 
 class TestRunJournal:

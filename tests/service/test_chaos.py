@@ -150,11 +150,17 @@ def test_corrupted_cache_entry_is_recomputed_not_served(state_dir):
     finally:
         server.cleanup()
 
-    # Flip bits in the stored result while the server is down.
+    # Change one digit of the stored result while the server is down:
+    # still valid JSON with an intact header, so the digest catches it.
     entry_path = state_dir / "cache" / digest[:2] / f"{digest}.json"
-    entry = json.loads(entry_path.read_text())
-    entry["result"]["messages_sent"] = 10**9
-    entry_path.write_text(json.dumps(entry))
+    raw = bytearray(entry_path.read_bytes())
+    key = b'"messages_sent":'
+    at = raw.index(key, raw.index(b'"result":')) + len(key)
+    raw[at] = ord("1") + (raw[at] - ord("0")) % 9  # 1-9 -> another 1-9
+    entry_path.write_bytes(bytes(raw))
+    assert json.loads(raw)["result"]["messages_sent"] != (
+        pristine["result"]["messages_sent"]
+    )
 
     restarted = ServerProcess(state_dir)
     try:

@@ -8,11 +8,13 @@ the pool, a hung worker tripping the run timeout — use a real
 
 import json
 import os
+import threading
 import time
 
 import pytest
 
-from repro.service.cache import ResultCache
+from repro.harness.io import atomic_write_json
+from repro.service.cache import ResultCache, entry_digest
 from repro.service.journal import RunJournal
 from repro.service.runner import execute_cell
 from repro.service.scheduler import (
@@ -210,6 +212,80 @@ class TestSettlePass:
         }
         assert scheduler.counters["runs_computed"] == 2
         scheduler.shutdown(timeout=5)
+
+    def test_entry_in_the_indented_layout_is_recomputed_once(self, tmp_path):
+        # What an older version wrote: the same five keys, pretty-printed.
+        scheduler = make_scheduler(tmp_path)
+        (digest, payload), = sweep_cells([0])
+        outcome = execute_cell(dict(payload))
+        old = {
+            "spec_hash": digest,
+            "spec": outcome["spec"],
+            "fingerprint": outcome["fingerprint"],
+            "result": outcome["result"],
+            "integrity": entry_digest(
+                digest, outcome["spec"], outcome["fingerprint"],
+                outcome["result"],
+            ),
+        }
+        atomic_write_json(scheduler.cache.path_for(digest), old)
+        first = wait(scheduler.submit_sweep("s1", [(digest, payload)]))
+        assert first["cells"][digest]["cache_hit"] is False
+        assert scheduler.cache.stats() == {
+            "hits": 0, "misses": 1, "corruptions": 1,
+        }
+        assert scheduler.counters["runs_computed"] == 1
+        # Same digest definition: the recomputed entry reads back as the
+        # very dict the old file held.
+        assert scheduler.cache.get(digest) == old
+        second = wait(scheduler.submit_sweep("s2", [(digest, payload)]))
+        assert second["cells"][digest]["cache_hit"] is True
+        assert scheduler.cache.stats()["corruptions"] == 1
+        assert scheduler.counters["runs_computed"] == 1
+        scheduler.shutdown(timeout=5)
+
+    def test_two_sweeps_sharing_a_missing_cell_both_compute_it(
+        self, tmp_path, monkeypatch
+    ):
+        # The accepted trade: no single-flight.  Both settle passes see
+        # the miss before either computes, because each computation
+        # waits for the other at a barrier.
+        scheduler = make_scheduler(tmp_path, pool_workers=2)
+        (digest, payload), = sweep_cells([0])
+        both_settled = threading.Barrier(2, timeout=60)
+
+        def held(cell_payload, attempt=0):
+            both_settled.wait()
+            return execute_cell(cell_payload, attempt)
+
+        monkeypatch.setattr("repro.service.scheduler.execute_cell", held)
+        a = scheduler.submit_sweep("a", [(digest, payload)])
+        b = scheduler.submit_sweep("b", [(digest, payload)])
+        for sweep in (a, b):
+            snapshot = wait(sweep)
+            assert snapshot["failed"] == []
+            assert snapshot["cells"][digest]["status"] == "done"
+            assert snapshot["cells"][digest]["cache_hit"] is False
+        assert scheduler.counters["runs_computed"] == 2
+        assert scheduler.cache.stats() == {
+            "hits": 0, "misses": 2, "corruptions": 0,
+        }
+        entries = [
+            path.name for path in scheduler.cache.root.rglob("*")
+            if path.is_file()
+        ]
+        assert entries == [f"{digest}.json"]
+        assert scheduler.cache.get(digest)["fingerprint"] == (
+            execute_cell(dict(payload))["fingerprint"]
+        )
+        scheduler.shutdown(timeout=5)
+        records = [
+            json.loads(line)
+            for line in scheduler.journal.path.read_text().splitlines()
+        ]
+        for sweep_id in ("a", "b"):
+            kinds = [r["kind"] for r in records if r["sweep_id"] == sweep_id]
+            assert kinds == ["sweep", "done", "sweep-done"]
 
 
 class TestRetries:

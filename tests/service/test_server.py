@@ -12,7 +12,9 @@ import threading
 
 import pytest
 
+from repro.service.cache import entry_digest
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.runner import execute_cell
 from repro.service.server import ExperimentService, make_server
 from repro.service.specio import canonical_spec, spec_hash
 
@@ -50,6 +52,27 @@ class TestEndpoints:
         assert entry["spec_hash"] == digest
         assert entry["spec"] == canonical_spec(PAYLOAD)
         assert "final_params_sha256" in entry["fingerprint"]
+
+    def test_result_is_the_five_key_entry_integrity_included(
+        self, service_stack
+    ):
+        # The body older versions served for this spec: the stored
+        # layout changed, the entry and its digest did not.
+        _, client = service_stack
+        ticket = client.submit_one(dict(PAYLOAD))
+        client.wait_for_sweep(ticket["sweep_id"], timeout=60)
+        digest = ticket["cells"][0]
+        outcome = execute_cell(dict(PAYLOAD))
+        assert client.result(digest) == {
+            "spec_hash": digest,
+            "spec": outcome["spec"],
+            "fingerprint": outcome["fingerprint"],
+            "result": outcome["result"],
+            "integrity": entry_digest(
+                digest, outcome["spec"], outcome["fingerprint"],
+                outcome["result"],
+            ),
+        }
 
     def test_multi_spec_sweep_with_explicit_id(self, service_stack):
         _, client = service_stack
