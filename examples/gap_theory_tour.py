@@ -37,6 +37,7 @@ from repro.harness import (
 from repro.hetero import ComputeModel
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
+from repro.scenarios import CrashEvent
 
 
 def part1_table1_bounds() -> None:
@@ -115,7 +116,7 @@ def part2_observed_vs_theory() -> None:
 
 def part3_crash_blast_radius() -> None:
     print("== Part 3: crash blast radius == \n")
-    max_ig, crash_at = 3, 5
+    max_ig, crash_iteration = 3, 5
     n = 6
     dataset = synthetic_webspam(
         np.random.default_rng(0), n_train=256, n_test=64, n_features=16
@@ -129,13 +130,16 @@ def part3_crash_blast_radius() -> None:
         compute_model=ComputeModel(base_time=0.05, n_workers=n),
         max_iter=50,
         seed=0,
-        crash_at={0: crash_at},
+        crash_events={0: CrashEvent(worker=0, at_iteration=crash_iteration)},
     )
     run = cluster.run()
-    print(f"worker 0 crashed at iteration {crash_at}; max_ig = {max_ig}")
+    print(
+        f"worker 0 crashed at iteration {crash_iteration}; max_ig = {max_ig}"
+    )
     print(f"iterations completed per worker: {run.iterations_completed}")
     print(
-        f"neighbors stopped at exactly crash + max_ig = {crash_at + max_ig} "
+        "neighbors stopped at exactly crash + max_ig = "
+        f"{crash_iteration + max_ig} "
         "(Theorem 2's containment guarantee)"
     )
 

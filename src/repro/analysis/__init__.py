@@ -8,11 +8,8 @@ and the registry contracts — plus a runtime sanitizer
 dynamically.  Surfaced as ``repro lint`` in the CLI and a gate in
 ``scripts/ci.sh``.
 
-Mirrors the registry pattern of :mod:`repro.protocols` and
-:mod:`repro.scenarios`: rules self-register under stable ids; see
-docs/ARCHITECTURE.md's invariant-enforcement section for the
-add-a-rule walkthrough (mirrored by ``tests/analysis``'s
-``TestExtensionPoint``).
+Rules self-register in :data:`RULES` under stable ids; the
+ARCHITECTURE "Adding a rule" walkthrough is mirrored by a test.
 """
 
 from repro.analysis.baseline import Baseline
@@ -26,6 +23,7 @@ from repro.analysis.engine import (
     run_lint,
 )
 from repro.analysis.registry import (
+    RULES,
     RuleInfo,
     get_rule,
     register_rule,
@@ -42,6 +40,7 @@ __all__ = [
     "Finding",
     "LintConfig",
     "LintReport",
+    "RULES",
     "Rule",
     "RuleInfo",
     "UNUSED_SUPPRESSION",

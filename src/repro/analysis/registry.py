@@ -1,15 +1,11 @@
 """The lint-rule registry: name -> rule class.
 
-Mirrors :mod:`repro.protocols.registry` and
-:mod:`repro.scenarios.registry`: every simulator-invariant lint rule
-registers itself under a stable id (``"det-wall-clock"``,
-``"alias-reduce-out"``, ...), and the engine
-(:func:`repro.analysis.engine.run_lint`), the CLI (``repro lint
---rules``, ``--list-rules``) and the docs table resolve rules through
-this one mapping.  Adding a rule is: subclass
-:class:`~repro.analysis.engine.Rule`, implement ``visit_<NodeType>``
-methods, call :func:`register_rule` — see ``docs/ARCHITECTURE.md`` for
-the worked example (mirrored by a test, like the protocol registry's).
+Every simulator-invariant lint rule registers in :data:`RULES` (a
+:class:`~repro.registry.Registry`) under a stable id
+(``"det-wall-clock"``, ...); the engine, ``repro lint --rules`` /
+``--list-rules`` and the docs table resolve rules there.  Adding one is
+a :class:`~repro.analysis.engine.Rule` subclass with ``visit_<NodeType>``
+methods and a :func:`register_rule` call (the ARCHITECTURE walkthrough).
 
 Rules are grouped (``determinism`` / ``aliasing`` / ``perf`` /
 ``contracts`` / ``engine``) so ``repro lint --rules`` accepts either
@@ -18,16 +14,13 @@ individual ids or whole group names.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Type
+
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.analysis.engine import Rule
-
-
-#: Module that registers the built-in rules as an import side effect.
-_BUILTIN_MODULE = "repro.analysis.rules"
 
 
 @dataclass(frozen=True)
@@ -56,8 +49,10 @@ class RuleInfo:
     scope: Optional[Tuple[str, ...]] = None
 
 
-_REGISTRY: Dict[str, RuleInfo] = {}
-_builtins_loaded = False
+#: Every registered rule; the built-in rules load on first lookup.
+RULES: Registry[RuleInfo] = Registry(
+    "lint rule", RuleInfo, builtins=("repro.analysis.rules",)
+)
 
 
 def register_rule(rule: Type["Rule"]) -> RuleInfo:
@@ -67,59 +62,21 @@ def register_rule(rule: Type["Rule"]) -> RuleInfo:
     ``summary``, ``rationale``, ``scope``), so registration is just
     ``register_rule(MyRule)``.
     """
-    if not getattr(rule, "name", ""):
+    if not rule.name:
         raise ValueError(f"{rule!r} must define a non-empty `name`")
-    info = RuleInfo(
-        name=rule.name,
-        rule=rule,
-        group=getattr(rule, "group", "custom"),
-        summary=getattr(rule, "summary", ""),
-        rationale=getattr(rule, "rationale", ""),
-        scope=getattr(rule, "scope", None),
+    return RULES.register(
+        rule.name, rule, rule.group, rule.summary, rule.rationale, rule.scope
     )
-    _REGISTRY[info.name] = info
-    return info
 
 
-def unregister_rule(name: str) -> None:
-    """Remove a rule from the registry (extension-point cleanup)."""
-    _REGISTRY.pop(name, None)
-
-
-def _ensure_builtin_rules() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    importlib.import_module(_BUILTIN_MODULE)
-    _builtins_loaded = True
-
-
-def registered_rules() -> List[str]:
-    """Sorted ids of every registered rule."""
-    _ensure_builtin_rules()
-    return sorted(_REGISTRY)
+get_rule = RULES.get
+registered_rules = RULES.names
+unregister_rule = RULES.remove
 
 
 def rule_groups() -> List[str]:
     """Sorted names of every rule group."""
-    _ensure_builtin_rules()
-    return sorted({info.group for info in _REGISTRY.values()})
-
-
-def get_rule(name: str) -> RuleInfo:
-    """Resolve a rule id to its :class:`RuleInfo`.
-
-    Raises:
-        ValueError: naming every registered rule, so callers (and CLI
-            users) see what *is* available.
-    """
-    _ensure_builtin_rules()
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown lint rule {name!r}; registered rules: "
-            f"{', '.join(registered_rules())}"
-        )
-    return _REGISTRY[name]
+    return sorted({info.group for info in RULES})
 
 
 def resolve_rules(names: Optional[Iterable[str]] = None) -> List[RuleInfo]:
@@ -129,32 +86,18 @@ def resolve_rules(names: Optional[Iterable[str]] = None) -> List[RuleInfo]:
     rules in the group, so ``--rules determinism`` runs the whole
     family.
     """
-    _ensure_builtin_rules()
     if names is None:
-        return [_REGISTRY[name] for name in registered_rules()]
-    groups = {info.group for info in _REGISTRY.values()}
-    selected: Dict[str, RuleInfo] = {}
+        return list(RULES)
+    selected = set()
     for name in names:
-        if name in groups:
-            for info in _REGISTRY.values():
-                if info.group == name:
-                    selected[info.name] = info
-        else:
-            info = get_rule(name)
-            selected[info.name] = info
-    return [selected[name] for name in sorted(selected)]
+        group = RULES.names(where=lambda info: info.group == name)
+        selected.update(group or [RULES.get(name).name])
+    return [RULES.get(name) for name in sorted(selected)]
 
 
 def rule_table() -> List[dict]:
     """``[{name, group, summary, rationale, scope}, ...]`` rows."""
-    _ensure_builtin_rules()
-    return [
-        {
-            "name": info.name,
-            "group": info.group,
-            "summary": info.summary,
-            "rationale": info.rationale,
-            "scope": list(info.scope) if info.scope else [],
-        }
-        for _, info in sorted(_REGISTRY.items())
-    ]
+    return RULES.table(
+        ("name", "group", "summary", "rationale", "scope"),
+        scope=lambda scope: list(scope or ()),
+    )

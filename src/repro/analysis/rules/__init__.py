@@ -1,8 +1,8 @@
 """Built-in lint rules, grouped by the invariant family they protect.
 
-Importing this package registers every built-in rule (the registry's
-``_ensure_builtin_rules`` hook), mirroring how
-``repro.scenarios.builtin`` registers scenario families.
+Importing this package registers every built-in rule (``RULES`` imports
+it on first lookup), mirroring how ``repro.scenarios.builtin``
+registers scenario families.
 
 The ``lint-unused-suppression`` check is implemented inside the engine
 (it needs the suppression-usage ledger), but registers here like any

@@ -5,7 +5,9 @@ protocols reject churn at build time, non-universal families are
 excluded from the conformance matrix — so every registration must state
 its contract *explicitly* instead of inheriting a default a reviewer
 never saw.  The CLI's ``--json`` tables emit exactly these fields, so
-the rule, the registry and the CLI share one source of truth.
+the rule, the registry and the CLI share one source of truth.  And
+every name table is one :class:`~repro.registry.Registry`, so the
+alias rules, lazy builtins and removal cannot drift between planes.
 """
 
 from __future__ import annotations
@@ -135,6 +137,47 @@ class RegistryDocstringRule(Rule):
             )
 
 
+class OneRegistryRule(Rule):
+    name = "contract-one-registry"
+    group = "contracts"
+    summary = "name tables use repro.registry.Registry, not a module dict"
+    rationale = (
+        "five hand-rolled name -> builder dicts drifted apart (only one "
+        "could unregister, none checked alias collisions, removal left "
+        "dangling aliases); a module-level dict named as a registry or "
+        "an alias map starts a sixth copy"
+    )
+    scope = None
+
+    def visit_Assign(self, node: ast.Assign, ctx: ModuleContext) -> None:
+        for target in node.targets:
+            self._check(target, node.value, ctx)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign, ctx: ModuleContext) -> None:
+        self._check(node.target, node.value, ctx)
+
+    def _check(self, target: ast.AST, value, ctx: ModuleContext) -> None:
+        name = getattr(target, "id", "")
+        if (
+            ctx.function_stack
+            or ctx.class_stack
+            or ctx.relpath == "repro/registry.py"
+            or not name.rstrip("_").endswith(("REGISTRY", "ALIASES"))
+        ):
+            return
+        if isinstance(value, (ast.Dict, ast.DictComp)) or (
+            isinstance(value, ast.Call) and call_name(value) == "dict"
+        ):
+            ctx.report(
+                self,
+                value,
+                f"module-level name table {name!r}: register into a "
+                "repro.registry.Registry instead (one alias map, lazy "
+                "builtins and remove() for every plane)",
+            )
+
+
 register_rule(ProtocolElasticRule)
 register_rule(ScenarioUniversalRule)
 register_rule(RegistryDocstringRule)
+register_rule(OneRegistryRule)

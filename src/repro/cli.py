@@ -6,12 +6,9 @@ Commands:
 * ``ablations`` — run the ablation studies.
 * ``train``    — one training run with any registered protocol.
 * ``graphs``   — inspect a topology (spectral gap, diameter, degrees).
-* ``protocols`` — list every protocol in the registry with citations
-  (``--json`` for machine-readable rows incl. the ``elastic`` flag).
-* ``scenarios`` — list every scenario family in the registry
-  (``--json`` for machine-readable rows incl. the ``universal`` flag).
-* ``compressors`` — list every update-compression scheme in the
-  registry (``--json`` for machine-readable rows).
+* ``protocols`` / ``scenarios`` / ``compressors`` — list a registry
+  with citations (``--json`` for machine-readable rows, incl. the
+  ``elastic`` / ``universal`` flags).
 * ``profile``  — cProfile one training run (plus a per-layer table of
   one model step and a bare-engine events/sec microbenchmark) to find
   simulator hot spots.
@@ -25,21 +22,12 @@ Commands:
 * ``submit``   — client for ``serve``: post spec JSON file(s), wait
   for the sweep, and print per-cell results.
 
-``train --protocol`` accepts any name from the protocol registry
-(:mod:`repro.protocols.registry`): ``hop``, ``notify_ack``, ``ps``
-(= ``ps-bsp``), ``ps-async``, ``ps-ssp``, ``allreduce``, ``adpsgd``,
-``partial-allreduce`` (= ``prague``) and ``momentum-tracking``.
-
-``train --scenario`` accepts any scenario family
-(:mod:`repro.scenarios.registry`) with ``--scenario-param key=value``
-knobs; the legacy ``--slowdown`` flags cover the paper's two recipes
-with explicit ``--slowdown-factor`` / ``--slowdown-prob`` /
-``--stragglers`` controls.
-
-``train --compression`` accepts any scheme from the compression
-registry (:mod:`repro.compression`) with ``--compression-param
-key=value`` knobs, e.g. ``--compression topk --compression-param
-ratio=0.01``.
+Every name flag (``--protocol``, ``--scenario``, ``--graph``,
+``--workload``, ``--compression``, ``--preset``, ``--momentum-mode``)
+takes its choices from the registry or constant that owns the names
+(:mod:`repro.registry`), so the CLI never re-lists them.  The legacy
+``--slowdown`` flags cover the paper's two recipes with explicit
+``--slowdown-factor`` / ``--slowdown-prob`` / ``--stragglers`` controls.
 """
 
 from __future__ import annotations
@@ -55,15 +43,18 @@ from repro.core.config import (
     backup_config,
     staleness_config,
 )
+from repro.compression import COMPRESSORS, CompressionSpec, compression_table
+from repro.graphs import TOPOLOGIES, TopologyError, spectral_gap
 from repro.graphs import by_name as graph_by_name
-from repro.graphs import spectral_gap
 from repro.harness import ALL_FIGURES, ExperimentSpec, SlowdownSpec
 from repro.harness.ablations import ALL_ABLATIONS
 from repro.harness.parallel import set_default_jobs
 from repro.harness.spec import run_spec
+from repro.harness.workloads import PRESETS, WORKLOADS
 from repro.harness.workloads import by_name as workload_by_name
-from repro.protocols import protocol_table, registered_protocols
-from repro.scenarios import ScenarioSpec, registered_scenarios, scenario_table
+from repro.protocols import PROTOCOLS, protocol_table
+from repro.protocols.momentum_tracking import MOMENTUM_MODES
+from repro.scenarios import SCENARIOS, ScenarioSpec, scenario_table
 
 
 def _jobs_arg(value: str) -> int:
@@ -73,19 +64,21 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
+def _cmd_studies(args: argparse.Namespace) -> int:
+    """``figures`` / ``ablations``: run, render and shape-check each."""
+    studies, noun = args.studies, args.noun
     set_default_jobs(args.jobs)
-    names = args.only or sorted(ALL_FIGURES)
+    names = args.only or sorted(studies)
     failed = []
     for name in names:
-        if name not in ALL_FIGURES:
-            print(f"unknown figure {name!r}; choose from {sorted(ALL_FIGURES)}")
+        if name not in studies:
+            print(f"unknown {noun} {name!r}; choose from {sorted(studies)}")
             return 2
-        function = ALL_FIGURES[name]
-        result = function() if name == "fig21" else function(args.preset)
+        study = studies[name]
+        result = study() if name == "fig21" else study(args.preset)
         print(result.render())
         print()
-        if args.json_dir:
+        if getattr(args, "json_dir", None):
             from repro.harness.io import save_figure
 
             save_figure(result, f"{args.json_dir}/{name}.json")
@@ -94,29 +87,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if failed:
         print(f"shape checks FAILED for: {failed}")
         return 1
-    print(f"all shape checks passed ({len(names)} figure(s))")
-    return 0
-
-
-def _cmd_ablations(args: argparse.Namespace) -> int:
-    set_default_jobs(args.jobs)
-    names = args.only or sorted(ALL_ABLATIONS)
-    failed = []
-    for name in names:
-        if name not in ALL_ABLATIONS:
-            print(
-                f"unknown ablation {name!r}; choose from {sorted(ALL_ABLATIONS)}"
-            )
-            return 2
-        result = ALL_ABLATIONS[name](preset=args.preset)
-        print(result.render())
-        print()
-        if not result.passed():
-            failed.append(name)
-    if failed:
-        print(f"shape checks FAILED for: {failed}")
-        return 1
-    print(f"all shape checks passed ({len(names)} ablation(s))")
+    print(f"all shape checks passed ({len(names)} {noun}(s))")
     return 0
 
 
@@ -144,35 +115,17 @@ def _build_config(args: argparse.Namespace):
 _PYTHON_LITERALS = {"True": True, "False": False, "None": None}
 
 
-def _scenario_param(pair: str):
-    """Parse one ``key=value`` pair; values are JSON when they parse."""
+def _param(pair: str):
+    """Parse one ``key=value`` knob; values are JSON when they parse."""
     key, separator, raw = pair.partition("=")
     if not separator or not key:
-        raise argparse.ArgumentTypeError(
-            f"--scenario-param needs key=value, got {pair!r}"
-        )
+        raise argparse.ArgumentTypeError(f"needs key=value, got {pair!r}")
     if raw in _PYTHON_LITERALS:
         return key, _PYTHON_LITERALS[raw]
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings (e.g. a trace path) pass through
-    return key, value
-
-
-def _compression_param(pair: str):
-    """Parse one ``key=value`` compressor knob (JSON values)."""
-    key, separator, raw = pair.partition("=")
-    if not separator or not key:
-        raise argparse.ArgumentTypeError(
-            f"--compression-param needs key=value, got {pair!r}"
-        )
-    if raw in _PYTHON_LITERALS:
-        return key, _PYTHON_LITERALS[raw]
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
     return key, value
 
 
@@ -229,13 +182,19 @@ def _train_slowdown(args: argparse.Namespace) -> SlowdownSpec:
     return SlowdownSpec()
 
 
+def _topology(args: argparse.Namespace):
+    """``--graph`` on ``--workers``; a size it rejects is a one-line error."""
+    try:
+        return graph_by_name(args.graph, args.workers)
+    except TopologyError as error:
+        raise SystemExit(f"error: {error}")
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     workload = workload_by_name(args.workload, args.preset)
-    topology = graph_by_name(args.graph, args.workers)
+    topology = _topology(args)
     compression = None
     if args.compression and args.compression != "none":
-        from repro.compression import CompressionSpec
-
         compression = CompressionSpec(
             args.compression, dict(args.compression_param or [])
         )
@@ -286,55 +245,49 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_protocols(args: argparse.Namespace) -> int:
-    rows = protocol_table()
+#: The registry listings: command -> (table, heading, help, --json
+#: columns, the marker a row earns).
+_LISTINGS = {
+    "protocols": (
+        protocol_table,
+        "protocols",
+        "list the protocol registry",
+        "name, aliases, summary, paper, elastic flag",
+        lambda row: "  [elastic: survives membership churn]"
+        if row["elastic"]
+        else "",
+    ),
+    "scenarios": (
+        scenario_table,
+        "scenario families",
+        "list the scenario-family registry",
+        "name, aliases, summary, paper, universal flag",
+        lambda row: ""
+        if row["universal"]
+        else "  [not universal: excluded from the conformance matrix]",
+    ),
+    "compressors": (
+        compression_table,
+        "compression schemes",
+        "list the compression-scheme registry",
+        "name, aliases, summary, paper",
+        lambda row: "",
+    ),
+}
+
+
+def _cmd_listing(args: argparse.Namespace) -> int:
+    table, heading, _, _, marker = _LISTINGS[args.command]
+    rows = table()
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
-    print("registered protocols:")
+    print(f"registered {heading}:")
     for row in rows:
         name = row["name"]
         if row["aliases"]:
             name += f" (alias: {row['aliases']})"
-        if row["elastic"]:
-            name += "  [elastic: survives membership churn]"
-        print(f"* {name}")
-        print(f"    {row['summary']}")
-        print(f"    [{row['paper']}]")
-    return 0
-
-
-def _cmd_compressors(args: argparse.Namespace) -> int:
-    from repro.compression import compression_table
-
-    rows = compression_table()
-    if args.json:
-        print(json.dumps(rows, indent=2))
-        return 0
-    print("registered compression schemes:")
-    for row in rows:
-        name = row["name"]
-        if row["aliases"]:
-            name += f" (alias: {row['aliases']})"
-        print(f"* {name}")
-        print(f"    {row['summary']}")
-        print(f"    [{row['paper']}]")
-    return 0
-
-
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    rows = scenario_table()
-    if args.json:
-        print(json.dumps(rows, indent=2))
-        return 0
-    print("registered scenario families:")
-    for row in rows:
-        name = row["name"]
-        if row["aliases"]:
-            name += f" (alias: {row['aliases']})"
-        if not row["universal"]:
-            name += "  [not universal: excluded from the conformance matrix]"
-        print(f"* {name}")
+        print(f"* {name}{marker(row)}")
         print(f"    {row['summary']}")
         print(f"    [{row['paper']}]")
     return 0
@@ -404,7 +357,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 0
 
     workload = workload_by_name(args.workload, args.preset)
-    topology = graph_by_name(args.graph, args.workers)
+    topology = _topology(args)
     spec = ExperimentSpec(
         name="profile",
         workload=workload,
@@ -438,7 +391,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_graphs(args: argparse.Namespace) -> int:
-    topology = graph_by_name(args.graph, args.workers)
+    topology = _topology(args)
     topology.validate()
     print(f"{topology.name}: n={topology.n}")
     print(f"  spectral gap     : {spectral_gap(topology):.4f}")
@@ -549,6 +502,31 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 1 if snapshot["failed"] else 0
 
 
+def _add_cell_arguments(
+    parser: argparse.ArgumentParser,
+    preset: str,
+    workers: int,
+    iterations: int,
+    **protocol_help: str,
+) -> None:
+    """The flags naming one cell: workload, protocol, topology, size."""
+    parser.add_argument("--workload", default="svm", choices=WORKLOADS.names())
+    parser.add_argument("--preset", default=preset, choices=PRESETS)
+    parser.add_argument(
+        "--protocol",
+        default="hop",
+        choices=PROTOCOLS.names(include_aliases=True),
+        **protocol_help,
+    )
+    parser.add_argument(
+        "--graph",
+        default="ring_based",
+        choices=TOPOLOGIES.names(include_aliases=True),
+    )
+    parser.add_argument("--workers", type=int, default=workers)
+    parser.add_argument("--iterations", type=int, default=iterations)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -557,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     figures = sub.add_parser("figures", help="reproduce paper figures")
-    figures.add_argument("--preset", default="smoke",
-                         choices=("smoke", "bench", "paper"))
+    figures.add_argument("--preset", default="smoke", choices=PRESETS)
     figures.add_argument("--only", nargs="*", help="figure ids (e.g. fig16)")
     figures.add_argument("--json-dir", help="also dump JSON artifacts here")
     figures.add_argument(
@@ -566,32 +543,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for a figure's independent series "
              "(default: REPRO_JOBS env var, then CPU count; 1 = sequential)",
     )
-    figures.set_defaults(func=_cmd_figures)
+    figures.set_defaults(func=_cmd_studies, studies=ALL_FIGURES, noun="figure")
 
     ablations = sub.add_parser("ablations", help="run ablation studies")
-    ablations.add_argument("--preset", default="smoke",
-                           choices=("smoke", "bench", "paper"))
+    ablations.add_argument("--preset", default="smoke", choices=PRESETS)
     ablations.add_argument("--only", nargs="*")
     ablations.add_argument(
         "--jobs", type=_jobs_arg, default=None,
         help="worker processes for an ablation's independent series "
              "(default: REPRO_JOBS env var, then CPU count; 1 = sequential)",
     )
-    ablations.set_defaults(func=_cmd_ablations)
+    ablations.set_defaults(
+        func=_cmd_studies, studies=ALL_ABLATIONS, noun="ablation"
+    )
 
     train = sub.add_parser("train", help="run one training configuration")
-    train.add_argument("--workload", default="svm", choices=("cnn", "svm"))
-    train.add_argument("--preset", default="smoke",
-                       choices=("smoke", "bench", "paper"))
-    train.add_argument(
-        "--protocol",
-        default="hop",
-        choices=tuple(registered_protocols(include_aliases=True)),
+    _add_cell_arguments(
+        train, "smoke", workers=8, iterations=30,
         help="any protocol in the registry (see `python -m repro protocols`)",
     )
-    train.add_argument("--graph", default="ring_based")
-    train.add_argument("--workers", type=int, default=8)
-    train.add_argument("--iterations", type=int, default=30)
     train.add_argument("--mode", default="standard",
                        choices=("standard", "backup", "staleness"))
     train.add_argument("--n-backup", type=int, default=1)
@@ -618,12 +588,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--scenario", default=None,
-        choices=tuple(registered_scenarios(include_aliases=True)),
+        choices=SCENARIOS.names(include_aliases=True),
         help="scenario family (see `python -m repro scenarios`); "
              "mutually exclusive with --slowdown",
     )
     train.add_argument(
-        "--scenario-param", action="append", type=_scenario_param,
+        "--scenario-param", action="append", type=_param,
         metavar="KEY=VALUE",
         help="scenario knob (repeatable); values parse as JSON, e.g. "
              "--scenario-param worker=2 --scenario-param downtime_iters=6",
@@ -637,17 +607,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="partial-allreduce: freeze the round-0 partition (ablation)",
     )
     train.add_argument(
-        "--momentum-mode", default="tracking",
-        choices=("tracking", "quasi-global"),
+        "--momentum-mode", default="tracking", choices=MOMENTUM_MODES,
         help="momentum-tracking: buffer-gossip or quasi-global variant",
     )
     train.add_argument(
         "--compression", default=None,
+        choices=sorted(COMPRESSORS.names(include_aliases=True) + ["none"]),
         help="update compressor (see `python -m repro compressors`): "
              "topk, randomk, int8, or none (default)",
     )
     train.add_argument(
-        "--compression-param", action="append", type=_compression_param,
+        "--compression-param", action="append", type=_param,
         metavar="KEY=VALUE",
         help="compressor knob (repeatable); values parse as JSON, e.g. "
              "--compression topk --compression-param ratio=0.01",
@@ -660,17 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="cProfile one training run and report simulator hot spots",
     )
-    profile.add_argument("--workload", default="svm", choices=("cnn", "svm"))
-    profile.add_argument("--preset", default="bench",
-                         choices=("smoke", "bench", "paper"))
-    profile.add_argument(
-        "--protocol",
-        default="hop",
-        choices=tuple(registered_protocols(include_aliases=True)),
-    )
-    profile.add_argument("--graph", default="ring_based")
-    profile.add_argument("--workers", type=int, default=64)
-    profile.add_argument("--iterations", type=int, default=40)
+    _add_cell_arguments(profile, "bench", workers=64, iterations=40)
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument(
         "--sort", default="cumulative",
@@ -694,38 +654,21 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(func=_cmd_profile)
 
     graphs = sub.add_parser("graphs", help="inspect a topology")
-    graphs.add_argument("--graph", default="ring_based")
+    graphs.add_argument(
+        "--graph",
+        default="ring_based",
+        choices=TOPOLOGIES.names(include_aliases=True),
+    )
     graphs.add_argument("--workers", type=int, default=16)
     graphs.set_defaults(func=_cmd_graphs)
 
-    protocols = sub.add_parser(
-        "protocols", help="list the protocol registry"
-    )
-    protocols.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output (name, aliases, summary, paper, "
-             "elastic flag)",
-    )
-    protocols.set_defaults(func=_cmd_protocols)
-
-    scenarios = sub.add_parser(
-        "scenarios", help="list the scenario-family registry"
-    )
-    scenarios.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output (name, aliases, summary, paper, "
-             "universal flag)",
-    )
-    scenarios.set_defaults(func=_cmd_scenarios)
-
-    compressors = sub.add_parser(
-        "compressors", help="list the compression-scheme registry"
-    )
-    compressors.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output (name, aliases, summary, paper)",
-    )
-    compressors.set_defaults(func=_cmd_compressors)
+    for command, (_, _, help_text, columns, _) in _LISTINGS.items():
+        listing = sub.add_parser(command, help=help_text)
+        listing.add_argument(
+            "--json", action="store_true",
+            help=f"machine-readable output ({columns})",
+        )
+        listing.set_defaults(func=_cmd_listing)
 
     lint = sub.add_parser(
         "lint",

@@ -6,10 +6,8 @@ Public surface:
   :class:`~repro.harness.spec.ExperimentSpec`.
 * :class:`Compressor` / :class:`CompressedPayload` — the per-worker
   error-feedback channel and its wire form.
-* The registry — :func:`register_compressor`,
-  :func:`registered_compressors`, :func:`get_compressor`,
-  :func:`build_compressor`, :func:`compression_table` — mirroring the
-  protocol and scenario registries.
+* The registry — :data:`COMPRESSORS`, :func:`register_compressor`,
+  :func:`get_compressor`, :func:`build_compressor` and friends.
 """
 
 from repro.compression.base import (
@@ -18,6 +16,7 @@ from repro.compression.base import (
     Compressor,
 )
 from repro.compression.registry import (
+    COMPRESSORS,
     build_compressor,
     compression_table,
     get_compressor,
@@ -31,6 +30,7 @@ from repro.compression.schemes import (
 )
 
 __all__ = [
+    "COMPRESSORS",
     "CompressedPayload",
     "CompressionSpec",
     "Compressor",

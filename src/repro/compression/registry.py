@@ -1,12 +1,10 @@
 """The compressor registry: name -> compressor builder.
 
-Mirrors the protocol and scenario registries: every compression scheme
-registers under a stable name, the harness
-(:class:`~repro.harness.spec.ExperimentSpec.compression`) and the CLI
-(``repro train --compression``) resolve schemes here, and adding one
-is: subclass :class:`~repro.compression.base.Compressor`, write a
-builder, call :func:`register_compressor` (see the ARCHITECTURE
-walkthrough and ``TestExtensionPoint``).
+Every compression scheme registers in :data:`COMPRESSORS` (a
+:class:`~repro.registry.Registry`); ``ExperimentSpec.compression`` and
+``repro train --compression`` resolve schemes there.  Adding one is a
+:class:`~repro.compression.base.Compressor` subclass, a builder and a
+:func:`register_compressor` call (the ARCHITECTURE walkthrough).
 
 Builders receive ``(dim, dtype, seed, **params)`` where ``seed`` is a
 sequence identifying the (experiment, worker, stream) triple — seeded
@@ -17,7 +15,7 @@ stay bitwise deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.compression.base import CompressionSpec, Compressor
 from repro.compression.schemes import (
@@ -25,6 +23,7 @@ from repro.compression.schemes import (
     RandomKCompressor,
     TopKCompressor,
 )
+from repro.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -32,11 +31,9 @@ class CompressorInfo:
     """One registered compression scheme.
 
     Attributes:
-        name: Canonical registry name (the CLI / spec spelling).
         builder: ``f(dim, dtype, seed, **params) -> Compressor``.
         summary: One-line description for ``--help`` and docs tables.
         paper: Citation for the scheme's source.
-        aliases: Alternative names resolving to the same builder.
     """
 
     name: str
@@ -46,61 +43,21 @@ class CompressorInfo:
     aliases: tuple = ()
 
 
-_REGISTRY: Dict[str, CompressorInfo] = {}
-_ALIASES: Dict[str, str] = {}
+#: Every registered compression scheme.
+COMPRESSORS: Registry[CompressorInfo] = Registry(
+    "compressor", CompressorInfo
+)
 
-
-def register_compressor(
-    name: str,
-    builder: Callable[..., Compressor],
-    summary: str = "",
-    paper: str = "",
-    aliases: tuple = (),
-) -> CompressorInfo:
-    """Register (or re-register) a compressor builder under ``name``."""
-    info = CompressorInfo(
-        name=name,
-        builder=builder,
-        summary=summary,
-        paper=paper,
-        aliases=tuple(aliases),
-    )
-    _REGISTRY[name] = info
-    for alias in info.aliases:
-        _ALIASES[alias] = name
-    return info
-
-
-def registered_compressors(include_aliases: bool = False) -> List[str]:
-    """Sorted names of every registered compression scheme."""
-    names = set(_REGISTRY)
-    if include_aliases:
-        names.update(_ALIASES)
-    return sorted(names)
-
-
-def get_compressor(name: str) -> CompressorInfo:
-    """Resolve ``name`` (or an alias) to its :class:`CompressorInfo`."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _REGISTRY:
-        raise ValueError(
-            f"unknown compressor {name!r}; registered compressors: "
-            f"{', '.join(registered_compressors(include_aliases=True))}"
-        )
-    return _REGISTRY[canonical]
+#: ``register_compressor(name, builder, summary=, paper=, aliases=)`` —
+#: the :class:`CompressorInfo` fields.
+register_compressor = COMPRESSORS.register
+get_compressor = COMPRESSORS.get
+registered_compressors = COMPRESSORS.names
 
 
 def compression_table() -> List[dict]:
     """``[{name, aliases, summary, paper}, ...]`` rows for docs/CLI."""
-    return [
-        {
-            "name": info.name,
-            "aliases": "/".join(info.aliases),
-            "summary": info.summary,
-            "paper": info.paper,
-        }
-        for _, info in sorted(_REGISTRY.items())
-    ]
+    return COMPRESSORS.table(("name", "aliases", "summary", "paper"))
 
 
 def build_compressor(
@@ -116,8 +73,7 @@ def build_compressor(
     """
     if spec is None or spec.name == "none":
         return None
-    info = get_compressor(spec.name)
-    return info.builder(dim, dtype, seed, **dict(spec.params))
+    return get_compressor(spec.name).builder(dim, dtype, seed, **spec.params)
 
 
 def _build_topk(dim, dtype, seed, ratio: float = 0.01) -> Compressor:

@@ -28,7 +28,7 @@ Public API::
     print(run.summary())
 """
 
-from repro.core.cluster import DeadlockError, HopCluster, TrainingRun
+from repro.core.cluster import HopCluster
 from repro.core.config import (
     STANDARD,
     HopConfig,
@@ -73,7 +73,6 @@ from repro.core.worker import ClusterState, HopWorker
 __all__ = [
     "BackupRecv",
     "ClusterState",
-    "DeadlockError",
     "GapTracker",
     "HopCluster",
     "HopConfig",
@@ -89,7 +88,6 @@ __all__ = [
     "StandardRecv",
     "TokenGate",
     "TokenQueue",
-    "TrainingRun",
     "Update",
     "UpdateQueue",
     "backup_bound",

@@ -9,9 +9,7 @@ completion, and packages the results as a
 Protocols: ``"hop"`` (the paper's system, all modes of
 :class:`~repro.core.config.HopConfig`) and ``"notify_ack"``
 (the Section 3.3 baseline).  Both are registered with the protocol
-registry (:mod:`repro.protocols.registry`); ``TrainingRun`` and
-``DeadlockError`` are re-exported here for backward compatibility with
-their original home.
+registry (:mod:`repro.protocols.registry`).
 """
 
 from __future__ import annotations
@@ -30,17 +28,12 @@ from repro.graphs.topology import Topology
 from repro.net.links import Link, uniform_links
 from repro.net.message import CONTROL_SIZE
 from repro.net.network import Network, SharedNic
-from repro.protocols.base import (
-    DeadlockError,
-    ProtocolCluster,
-    ProtocolRuntime,
-    TrainingRun,
-)
+from repro.protocols.base import DeadlockError, ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
 from repro.scenarios.faults import CrashEvent
 from repro.sim.engine import Environment
 
-__all__ = ["DeadlockError", "HopCluster", "TrainingRun"]
+__all__ = ["HopCluster"]
 
 
 class HopCluster(ProtocolCluster):
@@ -72,8 +65,6 @@ class HopCluster(ProtocolCluster):
         machines: Optional worker -> machine placement; co-located
             workers then share their host's uplink NIC.
         machine_uplink: The shared per-machine uplink.
-        crash_at: ``{worker: iteration}`` fail-stop injection (hop
-            only); legacy spelling for permanent ``crash_events``.
         crash_events: ``{worker: CrashEvent}`` scenario fault injection
             (hop only): permanent fail-stop or crash-restart with
             neighbor re-sync.
@@ -109,7 +100,6 @@ class HopCluster(ProtocolCluster):
         trace_channels=None,
         machines: Optional[Sequence[int]] = None,
         machine_uplink: Optional[Link] = None,
-        crash_at: Optional[Dict[int, int]] = None,
         crash_events: Optional[Dict[int, CrashEvent]] = None,
         message_loss=None,
         churn=None,
@@ -156,16 +146,9 @@ class HopCluster(ProtocolCluster):
         self.machine_uplink = machine_uplink or Link(
             latency=2e-4, bandwidth=125.0
         )
-        if (crash_at or crash_events) and protocol != "hop":
+        if crash_events and protocol != "hop":
             raise ValueError("crash injection is only supported for hop")
-        if crash_at and crash_events:
-            raise ValueError("pass crash_at or crash_events, not both")
-        self.crash_at = dict(crash_at or {})
         self.crash_events: Dict[int, CrashEvent] = dict(crash_events or {})
-        for wid, iteration in self.crash_at.items():
-            self.crash_events[wid] = CrashEvent(
-                worker=wid, at_iteration=iteration
-            )
         self.message_loss = message_loss
         if churn is not None and churn.empty:
             churn = None

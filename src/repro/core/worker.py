@@ -80,7 +80,6 @@ class HopWorker:
         update_size: float,
         token_rtt: float = 0.0,
         skip_policy: Optional[SkipPolicy] = None,
-        crash_at: Optional[int] = None,
         crash_event: Optional[CrashEvent] = None,
     ) -> None:
         self.wid = wid
@@ -111,13 +110,6 @@ class HopWorker:
         self.compressor = None
         self.token_rtt = token_rtt
         self.skip_policy = skip_policy
-        if crash_at is not None and crash_at < 0:
-            raise ValueError("crash_at must be >= 0")
-        if crash_at is not None and crash_event is not None:
-            raise ValueError("pass crash_at or crash_event, not both")
-        if crash_at is not None:
-            # Legacy fail-stop spelling -> permanent crash event.
-            crash_event = CrashEvent(worker=wid, at_iteration=crash_at)
         self.crash_event = crash_event
         self.crashed = False
         #: True while this worker is dark (crash-restart downtime, a

@@ -11,6 +11,7 @@ Public API::
 
 from repro.graphs.builders import (
     FIG21_MACHINE_OF_WORKER,
+    TOPOLOGIES,
     bipartite_ring,
     by_name,
     chain,
@@ -47,6 +48,7 @@ from repro.graphs.weights import (
 
 __all__ = [
     "FIG21_MACHINE_OF_WORKER",
+    "TOPOLOGIES",
     "Topology",
     "TopologyError",
     "bipartite_ring",

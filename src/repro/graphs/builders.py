@@ -11,11 +11,13 @@ in-degree weights (Eq. 1).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graphs.topology import Topology, TopologyError
 from repro.graphs.weights import metropolis_hastings_weights
+from repro.registry import Registry
 
 
 def _log2_exact(n: int) -> int:
@@ -266,23 +268,31 @@ def fig21_setting3() -> Topology:
 FIG21_MACHINE_OF_WORKER: Tuple[int, ...] = (0, 0, 0, 1, 1, 1, 2, 2)
 
 
+@dataclass(frozen=True)
+class TopologyInfo:
+    """One registered topology family: ``builder(n) -> Topology``."""
+
+    name: str
+    builder: Callable[[int], Topology]
+    aliases: tuple = ()
+
+
+#: The topologies the paper's figures, the CLI and the service name.
+TOPOLOGIES: Registry[TopologyInfo] = Registry(
+    "topology", TopologyInfo, plural="topologies", error=TopologyError
+)
+TOPOLOGIES.register("ring", ring)
+TOPOLOGIES.register("ring_based", ring_based, aliases=("ring-based",))
+TOPOLOGIES.register("double_ring", double_ring, aliases=("double-ring",))
+TOPOLOGIES.register("complete", complete)
+TOPOLOGIES.register("chain", chain)
+TOPOLOGIES.register("star", star)
+TOPOLOGIES.register("directed_ring", directed_ring)
+TOPOLOGIES.register("bipartite_ring", bipartite_ring)
+TOPOLOGIES.register("hypercube", lambda n: hypercube(_log2_exact(n)))
+
+
 def by_name(name: str, n: int) -> Topology:
-    """Resolve a topology by the names used in the paper's figures."""
-    builders = {
-        "ring": ring,
-        "ring_based": ring_based,
-        "ring-based": ring_based,
-        "double_ring": double_ring,
-        "double-ring": double_ring,
-        "complete": complete,
-        "chain": chain,
-        "star": star,
-        "directed_ring": directed_ring,
-        "bipartite_ring": bipartite_ring,
-        "hypercube": lambda n: hypercube(_log2_exact(n)),
-    }
-    if name not in builders:
-        raise TopologyError(
-            f"unknown topology {name!r}; choose from {sorted(builders)}"
-        )
-    return builders[name](n)
+    """``name``'s topology on ``n`` workers (:class:`TopologyError` for
+    unknown names and sizes the builder rejects)."""
+    return TOPOLOGIES.get(name).builder(n)

@@ -77,6 +77,7 @@ from repro.harness.sweeps import (
 )
 from repro.harness.workloads import (
     PRESETS,
+    WORKLOADS,
     Workload,
     by_name,
     cnn_workload,
@@ -92,6 +93,7 @@ __all__ = [
     "RANDOM_6X",
     "ScenarioSpec",
     "SlowdownSpec",
+    "WORKLOADS",
     "Workload",
     "binned_loss_curve",
     "binned_loss_vs_steps",

@@ -825,7 +825,7 @@ def fig23_scenario_grid(
         "adpsgd": dict(protocol="adpsgd", topology=gossip_topology),
         "partial-allreduce": dict(protocol="partial-allreduce"),
     }
-    crash_at = max(1, max_iter // 4)
+    crash_iteration = max(1, max_iter // 4)
     scenarios = {
         "none": ScenarioSpec("none"),
         "random": ScenarioSpec("random"),
@@ -834,7 +834,7 @@ def fig23_scenario_grid(
         "diurnal": ScenarioSpec("diurnal"),
         "crash-restart": ScenarioSpec(
             "crash-restart",
-            {"worker": 1, "at": crash_at, "downtime_iters": 6.0},
+            {"worker": 1, "at": crash_iteration, "downtime_iters": 6.0},
         ),
     }
     specs = {}

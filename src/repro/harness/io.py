@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.cluster import TrainingRun
+from repro.protocols.base import TrainingRun
 from repro.harness.figures import FigureResult
 from repro.harness.results import binned_loss_curve
 

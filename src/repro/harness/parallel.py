@@ -5,7 +5,7 @@ Every figure in the harness runs several *independent* training series
 :class:`~repro.harness.spec.ExperimentSpec` carries its own master
 seed, and :func:`~repro.harness.spec.run_spec` derives every RNG stream
 from it, so a series computes the identical
-:class:`~repro.core.cluster.TrainingRun` whether it executes in this
+:class:`~repro.protocols.base.TrainingRun` whether it executes in this
 process or a worker process.  :func:`run_specs` exploits that: it fans
 the series of one figure across a ``ProcessPoolExecutor`` and returns
 results keyed and ordered exactly like the sequential path.
@@ -34,7 +34,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pickle import PicklingError
 from typing import Dict, Mapping, Optional
 
-from repro.core.cluster import TrainingRun
+from repro.protocols.base import TrainingRun
 from repro.harness.spec import ExperimentSpec, run_spec
 
 _configured_jobs: Optional[int] = None

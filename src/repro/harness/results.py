@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cluster import TrainingRun
+from repro.protocols.base import TrainingRun
 
 
 def binned_loss_curve(

@@ -94,13 +94,8 @@ class ExperimentSpec:
         workload: Model/data/optimizer bundle.
         topology: Communication graph (ignored by PS / all-reduce,
             which impose their own shape, except for worker count).
-        protocol: Any name in
-            :func:`repro.protocols.registered_protocols` — ``"hop"``,
-            ``"notify_ack"``, ``"ps-bsp"`` (alias ``"ps"``),
-            ``"ps-async"``, ``"ps-ssp"``, ``"allreduce"``,
-            ``"adpsgd"``, ``"partial-allreduce"``,
-            ``"momentum-tracking"``, plus anything registered by
-            downstream code.
+        protocol: Any name or alias in :data:`repro.protocols.PROTOCOLS`
+            (``python -m repro protocols`` lists them).
         config: Hop configuration (hop protocol only).
         slowdown: Legacy heterogeneity recipe (the paper's two
             Section 7.3 settings); ignored when ``scenario`` is set.
@@ -114,7 +109,7 @@ class ExperimentSpec:
         ps_backup / ps_staleness: PS-specific knobs.
         group_size / static_groups: Partial-all-reduce knobs (group
             width; static-partition ablation).
-        momentum_mode: ``"tracking"`` or ``"quasi-global"`` for the
+        momentum_mode: One of ``MOMENTUM_MODES`` for the
             momentum-tracking gossip protocol.
         trace_channels: Optional tracer-channel allowlist forwarded to
             the cluster's :class:`~repro.sim.trace.Tracer` (``None``

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.core.cluster import TrainingRun
+from repro.protocols.base import TrainingRun
 from repro.harness.parallel import run_specs
 from repro.harness.results import final_smoothed_loss
 from repro.harness.spec import ExperimentSpec

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict
+from typing import Callable
 
 import numpy as np
 
 from repro.ml.data import Dataset, synthetic_images, synthetic_webspam
 from repro.ml.models import Model, build_svm, build_vgg_lite
 from repro.ml.optim import SGD
+from repro.registry import Registry
 
 PRESETS = ("smoke", "bench", "paper")
 
@@ -159,12 +160,20 @@ def svm_workload(preset: str = "bench", seed: int = 2024) -> Workload:
     )
 
 
+@dataclass(frozen=True)
+class WorkloadInfo:
+    """One registered workload: ``factory(preset) -> Workload``."""
+
+    name: str
+    factory: Callable[[str], Workload]
+
+
+#: The two evaluation workloads, by the names the figures use.
+WORKLOADS: Registry[WorkloadInfo] = Registry("workload", WorkloadInfo)
+WORKLOADS.register("cnn", cnn_workload)
+WORKLOADS.register("svm", svm_workload)
+
+
 def by_name(name: str, preset: str = "bench") -> Workload:
     """Resolve a workload by the names used in the figures."""
-    factories: Dict[str, Callable[[str], Workload]] = {
-        "cnn": cnn_workload,
-        "svm": svm_workload,
-    }
-    if name not in factories:
-        raise ValueError(f"unknown workload {name!r}; choose from cnn, svm")
-    return factories[name](preset)
+    return WORKLOADS.get(name).factory(preset)

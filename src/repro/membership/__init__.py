@@ -27,6 +27,7 @@ This package makes membership a first-class, epoch-numbered object:
 
 from repro.membership.plan import ChurnEvent, ChurnPlan, poisson_plan
 from repro.membership.policies import (
+    REWIRE_POLICIES,
     MetropolisRewire,
     RewirePolicy,
     RewirePolicyInfo,
@@ -53,6 +54,7 @@ __all__ = [
     "MembershipView",
     "MetropolisRewire",
     "NotifyAckMembership",
+    "REWIRE_POLICIES",
     "RewirePolicy",
     "RewirePolicyInfo",
     "RewireReport",

@@ -5,12 +5,11 @@ repair (:meth:`~repro.graphs.topology.Topology.without_node` /
 :meth:`~repro.graphs.topology.Topology.with_node`) preserves strong
 connectivity but leaves the weight question open: decentralized SGD
 needs a (preferably doubly) stochastic ``W`` on whatever graph the
-cluster currently is.  A :class:`RewirePolicy` answers it, and the
-registry here mirrors the protocol and scenario registries: policies
-register under stable names, the churn scenario family selects one by
-name (``--scenario-param policy=metropolis``), and downstream code can
-add its own — see ``docs/ARCHITECTURE.md`` for the worked example
-(mirrored by a test, like the other registries).
+cluster currently is.  A :class:`RewirePolicy` answers it; policies
+register in :data:`REWIRE_POLICIES` (a :class:`~repro.registry.
+Registry`), the churn scenario families select one by name
+(``--scenario-param policy=metropolis``), and the ARCHITECTURE
+walkthrough adds one.
 
 Built-ins:
 
@@ -25,9 +24,10 @@ Built-ins:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, List
 
 from repro.graphs.weights import metropolis_hastings_weights, uniform_weights
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.graphs.topology import Topology
@@ -74,10 +74,8 @@ class RewirePolicyInfo:
     """One registered rewire policy.
 
     Attributes:
-        name: Canonical registry name (the scenario-param spelling).
         factory: ``f(params: dict) -> RewirePolicy``.
         summary: One-line description for docs tables.
-        aliases: Alternative names resolving to the same factory.
     """
 
     name: str
@@ -86,60 +84,25 @@ class RewirePolicyInfo:
     aliases: tuple = ()
 
 
-_REGISTRY: Dict[str, RewirePolicyInfo] = {}
-_ALIASES: Dict[str, str] = {}
+#: Every registered rewire policy.
+REWIRE_POLICIES: Registry[RewirePolicyInfo] = Registry(
+    "rewire policy", RewirePolicyInfo, plural="rewire policies"
+)
 
-
-def register_rewire_policy(
-    name: str,
-    factory: Callable[[dict], RewirePolicy],
-    summary: str = "",
-    aliases: tuple = (),
-) -> RewirePolicyInfo:
-    """Register (or re-register) a rewire policy factory under ``name``."""
-    info = RewirePolicyInfo(
-        name=name, factory=factory, summary=summary, aliases=tuple(aliases)
-    )
-    _REGISTRY[name] = info
-    for alias in info.aliases:
-        _ALIASES[alias] = name
-    return info
-
-
-def registered_rewire_policies(include_aliases: bool = False) -> List[str]:
-    """Sorted names of every registered rewire policy."""
-    names = set(_REGISTRY)
-    if include_aliases:
-        names.update(_ALIASES)
-    return sorted(names)
+#: ``register_rewire_policy(name, factory, summary=, aliases=)`` — the
+#: :class:`RewirePolicyInfo` fields.
+register_rewire_policy = REWIRE_POLICIES.register
+registered_rewire_policies = REWIRE_POLICIES.names
 
 
 def get_rewire_policy(name: str, params: dict = None) -> RewirePolicy:
-    """Build the policy registered under ``name`` (or an alias).
-
-    Raises:
-        ValueError: naming every registered policy, so callers (and CLI
-            users) see what *is* available.
-    """
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _REGISTRY:
-        raise ValueError(
-            f"unknown rewire policy {name!r}; registered policies: "
-            f"{', '.join(registered_rewire_policies(include_aliases=True))}"
-        )
-    return _REGISTRY[canonical].factory(dict(params or {}))
+    """Build the policy registered under ``name`` (or an alias)."""
+    return REWIRE_POLICIES.get(name).factory(dict(params or {}))
 
 
 def rewire_policy_table() -> List[dict]:
     """``[{name, aliases, summary}, ...]`` rows for docs."""
-    return [
-        {
-            "name": info.name,
-            "aliases": "/".join(info.aliases),
-            "summary": info.summary,
-        }
-        for _, info in sorted(_REGISTRY.items())
-    ]
+    return REWIRE_POLICIES.table(("name", "aliases", "summary"))
 
 
 register_rewire_policy(

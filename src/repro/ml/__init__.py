@@ -51,13 +51,7 @@ from repro.ml.models import (
     build_vgg_lite,
 )
 from repro.ml.optim import SGD, ConstantLR, LRSchedule, StepDecayLR
-from repro.ml.params import (
-    Parameter,
-    flatten_grads,
-    flatten_params,
-    total_size,
-    unflatten_into,
-)
+from repro.ml.params import Parameter, total_size
 
 __all__ = [
     "AvgPool2D",
@@ -90,8 +84,6 @@ __all__ = [
     "build_svm",
     "build_vgg_lite",
     "check_model_gradient",
-    "flatten_grads",
-    "flatten_params",
     "numerical_gradient",
     "relative_error",
     "shard_dataset",
@@ -99,5 +91,4 @@ __all__ = [
     "synthetic_images",
     "synthetic_webspam",
     "total_size",
-    "unflatten_into",
 ]

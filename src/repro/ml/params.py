@@ -3,21 +3,19 @@
 Decentralized training exchanges *whole parameter vectors* between
 workers (the paper sends parameters, not gradients).  The protocol
 layer therefore works with flat ``numpy`` vectors; this module provides
-the :class:`Parameter` container and pack/unpack helpers between a
-model's parameter list and its flat representation.
+the :class:`Parameter` container and the packing of a model's parameter
+list into its flat representation.
 
-Since the zero-copy refactor, a model's parameters normally *live* as
-views into one contiguous flat buffer (:func:`pack_parameters`): the
-flat vector and the per-layer tensors are two windows onto the same
-memory, so ``Model.get_params`` / ``set_params`` cost one aliased read
-/ one memcpy instead of a concatenate / per-tensor scatter.  The
-legacy :func:`flatten_params` / :func:`unflatten_into` helpers remain
-for parameter lists that are not packed.
+A model's parameters *live* as views into one contiguous flat buffer
+(:func:`pack_parameters`): the flat vector and the per-layer tensors
+are two windows onto the same memory, so ``Model.get_params`` /
+``set_params`` cost one aliased read / one memcpy instead of a
+concatenate / per-tensor scatter.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -58,9 +56,8 @@ def pack_parameters(
     flat buffer: writing the buffer updates the tensors and vice versa,
     with no copies on either path.  Existing values are preserved.
 
-    Mixed-dtype parameter lists are promoted to their common dtype,
-    matching what :func:`flatten_params` (``np.concatenate``) always
-    did.
+    Mixed-dtype parameter lists are promoted to their common dtype, as
+    ``np.concatenate`` would.
     """
     if not parameters:
         return np.zeros(0), np.zeros(0)
@@ -95,35 +92,6 @@ def readonly_view(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.setflags(write=False)
     return view
-
-
-def flatten_params(parameters: Sequence[Parameter]) -> np.ndarray:
-    """Concatenate all parameter data into one flat vector."""
-    if not parameters:
-        return np.zeros(0)
-    return np.concatenate([p.data.ravel() for p in parameters])
-
-
-def flatten_grads(parameters: Sequence[Parameter]) -> np.ndarray:
-    """Concatenate all parameter gradients into one flat vector."""
-    if not parameters:
-        return np.zeros(0)
-    return np.concatenate([p.grad.ravel() for p in parameters])
-
-
-def unflatten_into(parameters: Sequence[Parameter], flat: np.ndarray) -> None:
-    """Write a flat vector back into the parameter tensors (in place)."""
-    flat = np.asarray(flat, dtype=np.float64)
-    expected = sum(p.size for p in parameters)
-    if flat.size != expected:
-        raise ValueError(
-            f"flat vector has {flat.size} entries, parameters need {expected}"
-        )
-    offset = 0
-    for p in parameters:
-        chunk = flat[offset : offset + p.size]
-        p.data[...] = chunk.reshape(p.shape)
-        offset += p.size
 
 
 def total_size(parameters: Iterable[Parameter]) -> int:

@@ -11,8 +11,8 @@ Layers:
 * :mod:`repro.protocols.base` — :class:`ProtocolCluster` (the shared
   build/simulate/measure skeleton), :class:`TrainingRun` (the result
   record every protocol produces) and :class:`DeadlockError`.
-* :mod:`repro.protocols.registry` — name -> builder mapping used by the
-  harness, the CLI and the examples.
+* :mod:`repro.protocols.registry` — :data:`PROTOCOLS`, the name ->
+  builder table used by the harness, the CLI and the examples.
 * :mod:`repro.protocols.partial_allreduce` — Prague-style randomized
   partial all-reduce [Luo et al., arXiv:1909.08029].
 * :mod:`repro.protocols.momentum_tracking` — heterogeneity-robust
@@ -27,9 +27,7 @@ Public API::
 
     from repro.protocols import build_cluster, registered_protocols
 
-    print(registered_protocols())
-    # ['adpsgd', 'allreduce', 'hop', 'momentum-tracking', 'notify_ack',
-    #  'partial-allreduce', 'ps-async', 'ps-bsp', 'ps-ssp']
+    print(registered_protocols())  # sorted canonical names
     run = build_cluster(spec).run()   # spec: repro.harness.ExperimentSpec
 
 To add a protocol, subclass :class:`ProtocolCluster`, implement
@@ -45,6 +43,7 @@ from repro.protocols.base import (
     TrainingRun,
 )
 from repro.protocols.registry import (
+    PROTOCOLS,
     ProtocolInfo,
     build_cluster,
     get_protocol,
@@ -56,6 +55,7 @@ from repro.protocols.registry import (
 
 __all__ = [
     "DeadlockError",
+    "PROTOCOLS",
     "ProtocolCluster",
     "ProtocolInfo",
     "ProtocolRuntime",

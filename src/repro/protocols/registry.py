@@ -1,31 +1,28 @@
 """The protocol registry: name -> cluster builder.
 
-Every training protocol in the repository registers itself here under a
-stable name (``"hop"``, ``"adpsgd"``, ``"partial-allreduce"``, ...).
-The harness (:func:`repro.harness.spec.run_spec`), the CLI
-(``python -m repro train --protocol``) and the examples all resolve
-protocols through this registry instead of hard-coding cluster classes,
-so adding a protocol is: subclass
-:class:`~repro.protocols.base.ProtocolCluster`, write a builder, call
-:func:`register_protocol`.
+Every training protocol registers in :data:`PROTOCOLS` (a
+:class:`~repro.registry.Registry`) under a stable name; the harness,
+the CLI and the examples resolve protocols there instead of hard-coding
+cluster classes.  Adding one is a
+:class:`~repro.protocols.base.ProtocolCluster` subclass, a builder and
+a :func:`register_protocol` call.
 
 Builders receive the full :class:`~repro.harness.spec.ExperimentSpec`
 and return an un-run cluster; :func:`spec_common_kwargs` converts the
 spec's workload/heterogeneity fields into the constructor arguments
 every :class:`~repro.protocols.base.ProtocolCluster` accepts.
 
-Registration of the built-in protocols is lazy: the concrete protocol
-modules (``repro.core.cluster``, ``repro.baselines.*``,
-``repro.protocols.partial_allreduce``, ...) register themselves when
-imported, and :func:`_ensure_builtin_protocols` imports them on first
-lookup.  This keeps ``import repro.protocols`` free of import cycles.
+The built-in protocol modules register themselves when imported, and
+:data:`PROTOCOLS` imports them on the first lookup, which keeps
+``import repro.protocols`` free of import cycles.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, List
+
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.harness.spec import ExperimentSpec
@@ -48,11 +45,9 @@ class ProtocolInfo:
     """One registered protocol.
 
     Attributes:
-        name: Canonical registry name (the CLI / spec spelling).
         builder: ``f(spec) -> ProtocolCluster`` (un-run).
         summary: One-line description for ``--help`` and docs tables.
         paper: Citation for the protocol's source.
-        aliases: Alternative names resolving to the same builder.
         native_faults: The builder wires scenario crash events into the
             cluster itself (workers enact crash/restart natively), so
             :func:`spec_common_kwargs` must NOT also fold the downtime
@@ -76,87 +71,21 @@ class ProtocolInfo:
     elastic: bool = False
 
 
-_REGISTRY: Dict[str, ProtocolInfo] = {}
-_ALIASES: Dict[str, str] = {}
-_builtins_loaded = False
+#: Every registered protocol; the built-in modules load on first lookup.
+PROTOCOLS: Registry[ProtocolInfo] = Registry(
+    "protocol", ProtocolInfo, builtins=_BUILTIN_MODULES
+)
 
-
-def register_protocol(
-    name: str,
-    builder: Callable[["ExperimentSpec"], "ProtocolCluster"],
-    summary: str = "",
-    paper: str = "",
-    aliases: tuple = (),
-    native_faults: bool = False,
-    elastic: bool = False,
-) -> ProtocolInfo:
-    """Register (or re-register) a protocol builder under ``name``."""
-    info = ProtocolInfo(
-        name=name,
-        builder=builder,
-        summary=summary,
-        paper=paper,
-        aliases=tuple(aliases),
-        native_faults=native_faults,
-        elastic=elastic,
-    )
-    _REGISTRY[name] = info
-    for alias in info.aliases:
-        _ALIASES[alias] = name
-    return info
-
-
-def _ensure_builtin_protocols() -> None:
-    """Import every module that registers a built-in protocol."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
-    # Only after every import succeeded: a transient failure above must
-    # surface again on the next lookup, not leave a half-filled registry.
-    _builtins_loaded = True
-
-
-def registered_protocols(include_aliases: bool = False) -> List[str]:
-    """Sorted names of every registered protocol."""
-    _ensure_builtin_protocols()
-    names = set(_REGISTRY)
-    if include_aliases:
-        names.update(_ALIASES)
-    return sorted(names)
-
-
-def get_protocol(name: str) -> ProtocolInfo:
-    """Resolve ``name`` (or an alias) to its :class:`ProtocolInfo`.
-
-    Raises:
-        ValueError: naming every registered protocol, so callers (and
-            CLI users) see what *is* available.
-    """
-    _ensure_builtin_protocols()
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _REGISTRY:
-        raise ValueError(
-            f"unknown protocol {name!r}; registered protocols: "
-            f"{', '.join(registered_protocols(include_aliases=True))}"
-        )
-    return _REGISTRY[canonical]
+#: ``register_protocol(name, builder, summary=, paper=, aliases=,
+#: native_faults=, elastic=)`` — the :class:`ProtocolInfo` fields.
+register_protocol = PROTOCOLS.register
+get_protocol = PROTOCOLS.get
+registered_protocols = PROTOCOLS.names
 
 
 def protocol_table() -> List[dict]:
-    """``[{name, summary, paper, elastic}, ...]`` rows for docs/CLI."""
-    _ensure_builtin_protocols()
-    return [
-        {
-            "name": info.name,
-            "aliases": "/".join(info.aliases),
-            "summary": info.summary,
-            "paper": info.paper,
-            "elastic": info.elastic,
-        }
-        for _, info in sorted(_REGISTRY.items())
-    ]
+    """``[{name, aliases, summary, paper, elastic}, ...]`` rows for docs/CLI."""
+    return PROTOCOLS.table(("name", "aliases", "summary", "paper", "elastic"))
 
 
 def spec_common_kwargs(spec: "ExperimentSpec") -> dict:
@@ -210,6 +139,6 @@ def build_cluster(spec: "ExperimentSpec") -> "ProtocolCluster":
         raise ValueError(
             f"protocol {spec.protocol!r} is not elastic and cannot run "
             "membership churn scenarios; elastic protocols: "
-            f"{', '.join(n for n in registered_protocols() if _REGISTRY[n].elastic)}"
+            f"{', '.join(PROTOCOLS.names(where=lambda entry: entry.elastic))}"
         )
     return info.builder(spec)

@@ -3,8 +3,8 @@
 A *scenario* bundles everything hostile about the environment a
 training run faces: a compute slowdown model (who is slow, when) and a
 fault plan (who crashes, which links flap, which messages drop).
-Scenario *families* are registered by name — mirroring
-:mod:`repro.protocols.registry` — and resolved from
+Scenario *families* are registered by name in :data:`SCENARIOS` and
+resolved from
 :class:`ScenarioSpec`, the serializable description that travels on
 :class:`~repro.harness.spec.ExperimentSpec`.
 
@@ -12,9 +12,7 @@ Public API::
 
     from repro.scenarios import ScenarioSpec, registered_scenarios
 
-    print(registered_scenarios())
-    # ['bursty', 'crash', 'crash-restart', 'diurnal', 'flaky-net',
-    #  'lossy-net', 'none', 'random', 'straggler', 'tiered', 'trace']
+    print(registered_scenarios())  # sorted family names
 
     spec = ExperimentSpec(..., scenario=ScenarioSpec("bursty"))
     run = run_spec(spec)
@@ -42,6 +40,7 @@ from repro.scenarios.models import (
     TieredSlowdown,
 )
 from repro.scenarios.registry import (
+    SCENARIOS,
     ScenarioInfo,
     get_scenario,
     register_scenario,
@@ -71,6 +70,7 @@ __all__ = [
     "MarkovSlowdown",
     "MessageLoss",
     "RecordingSlowdown",
+    "SCENARIOS",
     "Scenario",
     "ScenarioInfo",
     "ScenarioSpec",

@@ -1,13 +1,11 @@
 """The scenario registry: name -> scenario builder.
 
-Mirrors :mod:`repro.protocols.registry`: every scenario *family* (a
-parameterized heterogeneity-plus-faults recipe) registers itself under
-a stable name, and the harness, the CLI (``repro train --scenario``,
-``repro scenarios``) and the conformance matrix resolve families
-through this one mapping.  Adding a scenario is: write a builder
-``f(params, n_workers, streams) -> Scenario``, call
-:func:`register_scenario` — see ``docs/ARCHITECTURE.md`` for the
-worked example (mirrored by a test, like the protocol registry's).
+Every scenario *family* (a parameterized heterogeneity-plus-faults
+recipe) registers in :data:`SCENARIOS` (a :class:`~repro.registry.
+Registry`); the harness, the CLI and the conformance matrix resolve
+families there.  Adding one is a builder ``f(params, n_workers, streams)
+-> Scenario`` and a :func:`register_scenario` call (the ARCHITECTURE
+walkthrough, mirrored by a test).
 
 Families flagged ``universal=False`` cannot run under every protocol —
 permanent crashes deadlock synchronous protocols by construction — and
@@ -17,17 +15,14 @@ everything else must pass it.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, List
+
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.scenarios.spec import Scenario
     from repro.sim.rng import RngStreams
-
-
-#: Module that registers the built-in scenario families on import.
-_BUILTIN_MODULE = "repro.scenarios.builtin"
 
 
 @dataclass(frozen=True)
@@ -35,11 +30,9 @@ class ScenarioInfo:
     """One registered scenario family.
 
     Attributes:
-        name: Canonical registry name (the CLI / spec spelling).
         builder: ``f(params, n_workers, streams) -> Scenario``.
         summary: One-line description for ``--help`` and docs tables.
         paper: Citation for the regime the family models.
-        aliases: Alternative names resolving to the same builder.
         universal: Whether every registered protocol can complete under
             this family (the conformance-matrix contract).  Only
             permanently-lethal families should clear this.
@@ -53,88 +46,29 @@ class ScenarioInfo:
     universal: bool = True
 
 
-_REGISTRY: Dict[str, ScenarioInfo] = {}
-_ALIASES: Dict[str, str] = {}
-_builtins_loaded = False
+#: Every registered family; the built-in module loads on first lookup.
+SCENARIOS: Registry[ScenarioInfo] = Registry(
+    "scenario", ScenarioInfo, builtins=("repro.scenarios.builtin",)
+)
 
-
-def register_scenario(
-    name: str,
-    builder: Callable[[dict, int, "RngStreams"], "Scenario"],
-    summary: str = "",
-    paper: str = "",
-    aliases: tuple = (),
-    universal: bool = True,
-) -> ScenarioInfo:
-    """Register (or re-register) a scenario builder under ``name``."""
-    info = ScenarioInfo(
-        name=name,
-        builder=builder,
-        summary=summary,
-        paper=paper,
-        aliases=tuple(aliases),
-        universal=universal,
-    )
-    _REGISTRY[name] = info
-    for alias in info.aliases:
-        _ALIASES[alias] = name
-    return info
-
-
-def _ensure_builtin_scenarios() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    importlib.import_module(_BUILTIN_MODULE)
-    _builtins_loaded = True
+#: ``register_scenario(name, builder, summary=, paper=, aliases=,
+#: universal=)`` — the :class:`ScenarioInfo` fields.
+register_scenario = SCENARIOS.register
+get_scenario = SCENARIOS.get
 
 
 def registered_scenarios(
     include_aliases: bool = False, universal_only: bool = False
 ) -> List[str]:
     """Sorted names of every registered scenario family."""
-    _ensure_builtin_scenarios()
-    names = {
-        name
-        for name, info in _REGISTRY.items()
-        if info.universal or not universal_only
-    }
-    if include_aliases:
-        names.update(
-            alias
-            for alias, canonical in _ALIASES.items()
-            if _REGISTRY[canonical].universal or not universal_only
-        )
-    return sorted(names)
-
-
-def get_scenario(name: str) -> ScenarioInfo:
-    """Resolve ``name`` (or an alias) to its :class:`ScenarioInfo`.
-
-    Raises:
-        ValueError: naming every registered family, so callers (and CLI
-            users) see what *is* available.
-    """
-    _ensure_builtin_scenarios()
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _REGISTRY:
-        raise ValueError(
-            f"unknown scenario {name!r}; registered scenarios: "
-            f"{', '.join(registered_scenarios(include_aliases=True))}"
-        )
-    return _REGISTRY[canonical]
+    return SCENARIOS.names(
+        include_aliases,
+        where=(lambda info: info.universal) if universal_only else None,
+    )
 
 
 def scenario_table() -> List[dict]:
     """``[{name, aliases, summary, paper, universal}, ...]`` rows."""
-    _ensure_builtin_scenarios()
-    return [
-        {
-            "name": info.name,
-            "aliases": "/".join(info.aliases),
-            "summary": info.summary,
-            "paper": info.paper,
-            "universal": info.universal,
-        }
-        for _, info in sorted(_REGISTRY.items())
-    ]
+    return SCENARIOS.table(
+        ("name", "aliases", "summary", "paper", "universal")
+    )

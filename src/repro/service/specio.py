@@ -4,9 +4,9 @@ The experiment service accepts :class:`~repro.harness.spec.
 ExperimentSpec` descriptions as plain JSON objects (the same knobs
 ``repro train`` exposes).  This module turns a request payload into
 
-* a validated, *canonical* dict — aliases resolved through the
-  protocol/scenario/compression registries, defaults elided, nested
-  params normalized — and
+* a validated, *canonical* dict — names and aliases resolved through
+  the workload/topology/protocol/scenario/compression registries,
+  defaults elided, nested params normalized — and
 * a content hash (:func:`spec_hash`): SHA-256 over the canonical JSON
   with sorted keys, so the hash is invariant under JSON key ordering
   and default-field elision.  The hash is the result cache's address:
@@ -28,14 +28,15 @@ import json
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from repro.compression import CompressionSpec
-from repro.compression.registry import get_compressor
-from repro.graphs import by_name as graph_by_name
+from repro.compression import COMPRESSORS, CompressionSpec
+from repro.graphs import TOPOLOGIES, by_name as graph_by_name
 from repro.harness.spec import ExperimentSpec
-from repro.harness.workloads import PRESETS, by_name as workload_by_name
-from repro.protocols.registry import get_protocol
-from repro.scenarios import ScenarioSpec
-from repro.scenarios.registry import get_scenario
+from repro.harness.workloads import PRESETS, WORKLOADS
+from repro.harness.workloads import by_name as workload_by_name
+from repro.protocols.momentum_tracking import MOMENTUM_MODES
+from repro.protocols.registry import PROTOCOLS
+from repro.registry import Registry
+from repro.scenarios import SCENARIOS, ScenarioSpec
 
 
 class SpecError(ValueError):
@@ -67,13 +68,20 @@ LABEL_FIELDS = ("name", "chaos")
 _INT_FIELDS = ("workers", "max_iter", "seed", "ps_backup", "ps_staleness",
                "group_size")
 
-#: Topology spellings normalized to one canonical name.
-_GRAPH_ALIASES = {"ring-based": "ring_based", "double-ring": "double_ring"}
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SpecError(message)
+
+
+def _canonical_name(registry: Registry, name: str) -> str:
+    """The canonical spelling of ``name`` (or an alias) in ``registry``."""
+    if not isinstance(name, str):
+        raise SpecError(f"{registry.kind} name must be a string, got {name!r}")
+    try:
+        return registry.get(name).name
+    except ValueError as error:
+        raise SpecError(str(error)) from error
 
 
 @lru_cache(maxsize=1024)
@@ -126,26 +134,15 @@ def canonical_spec(payload: dict) -> dict:
         merged["preset"] in PRESETS,
         f"unknown preset {merged['preset']!r}; choose from {PRESETS}",
     )
-    _require(
-        merged["workload"] in ("svm", "cnn"),
-        f"unknown workload {merged['workload']!r}; choose from svm, cnn",
-    )
-    _require(
-        merged["momentum_mode"] in ("tracking", "quasi-global"),
-        "momentum_mode must be 'tracking' or 'quasi-global'",
-    )
+    merged["workload"] = _canonical_name(WORKLOADS, merged["workload"])
+    if merged["momentum_mode"] not in MOMENTUM_MODES:
+        raise SpecError(f"momentum_mode must be one of {MOMENTUM_MODES}")
 
-    graph = merged["graph"]
-    _require(isinstance(graph, str), "graph must be a string")
-    graph = _GRAPH_ALIASES.get(graph, graph)
-    verdict = _graph_verdict(graph, merged["workers"])
+    merged["graph"] = _canonical_name(TOPOLOGIES, merged["graph"])
+    verdict = _graph_verdict(merged["graph"], merged["workers"])
     _require(verdict is None, verdict)
-    merged["graph"] = graph
 
-    try:
-        merged["protocol"] = get_protocol(merged["protocol"]).name
-    except ValueError as error:
-        raise SpecError(str(error)) from error
+    merged["protocol"] = _canonical_name(PROTOCOLS, merged["protocol"])
 
     merged["scenario"] = _canonical_scenario(merged["scenario"])
     merged["compression"] = _canonical_compression(merged["compression"])
@@ -166,10 +163,7 @@ def _canonical_scenario(scenario) -> Optional[dict]:
     )
     unknown = sorted(set(scenario) - {"family", "params"})
     _require(not unknown, f"unknown scenario field(s) {unknown}")
-    try:
-        family = get_scenario(scenario["family"]).name
-    except ValueError as error:
-        raise SpecError(str(error)) from error
+    family = _canonical_name(SCENARIOS, scenario["family"])
     params = scenario.get("params") or {}
     _require(isinstance(params, dict), "scenario params must be an object")
     normalized = ScenarioSpec(family, dict(params)).to_dict()
@@ -190,10 +184,7 @@ def _canonical_compression(compression) -> Optional[dict]:
     scheme = compression["scheme"]
     if scheme == "none":
         return None
-    try:
-        scheme = get_compressor(scheme).name
-    except ValueError as error:
-        raise SpecError(str(error)) from error
+    scheme = _canonical_name(COMPRESSORS, scheme)
     params = compression.get("params") or {}
     _require(isinstance(params, dict), "compression params must be an object")
     return {"scheme": scheme, "params": dict(params)}

@@ -34,6 +34,7 @@ CASES = [
     ("contract-elastic", "repro/protocols/contract_elastic"),
     ("contract-universal", "repro/protocols/contract_universal"),
     ("contract-docstring", "repro/protocols/contract_docstring"),
+    ("contract-one-registry", "repro/graphs/contract_one_registry"),
 ]
 
 

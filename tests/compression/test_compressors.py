@@ -203,7 +203,7 @@ class TestExtensionPoint:
 
     def test_register_and_run_a_custom_compressor(self):
         from repro.compression.registry import (
-            _REGISTRY,
+            COMPRESSORS,
             register_compressor,
         )
 
@@ -250,4 +250,4 @@ class TestExtensionPoint:
             assert run.bytes_sent == pytest.approx(dense.bytes_sent * ratio)
             assert np.all(np.isfinite(run.final_params))
         finally:
-            _REGISTRY.pop("half", None)
+            COMPRESSORS.remove("half")

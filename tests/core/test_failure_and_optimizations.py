@@ -23,11 +23,12 @@ from repro.core import (
     backup_config,
     staleness_config,
 )
-from repro.core.cluster import DeadlockError
 from repro.graphs import complete, ring, ring_based
 from repro.hetero import ComputeModel, DeterministicSlowdown
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
+from repro.protocols.base import DeadlockError
+from repro.scenarios import CrashEvent
 
 
 N_FEATURES = 16
@@ -67,7 +68,9 @@ class TestCrashInjection:
             dataset,
             backup_config(n_backup=1, max_ig=3),
             max_iter=20,
-            crash_at={0: crash_iteration},
+            crash_events={
+                0: CrashEvent(worker=0, at_iteration=crash_iteration)
+            },
         ).run()
         assert run.iterations_completed[0] == crash_iteration
 
@@ -79,7 +82,9 @@ class TestCrashInjection:
             dataset,
             backup_config(n_backup=1, max_ig=max_ig),
             max_iter=50,  # far beyond what the crash allows
-            crash_at={0: crash_iteration},
+            crash_events={
+                0: CrashEvent(worker=0, at_iteration=crash_iteration)
+            },
         ).run()
         topo = ring_based(6)
         for neighbor in topo.out_neighbors(0, include_self=False):
@@ -96,7 +101,7 @@ class TestCrashInjection:
             dataset,
             backup_config(n_backup=1, max_ig=4),
             max_iter=6,
-            crash_at={0: 3},
+            crash_events={0: CrashEvent(worker=0, at_iteration=3)},
         ).run()
         survivors = run.iterations_completed[1:]
         assert all(done == 6 for done in survivors)
@@ -114,12 +119,8 @@ class TestCrashInjection:
                 dataset,
                 STANDARD,
                 protocol="notify_ack",
-                crash_at={0: 2},
+                crash_events={0: CrashEvent(worker=0, at_iteration=2)},
             )
-
-    def test_negative_crash_iteration_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            make_cluster(dataset, STANDARD, crash_at={0: -1}).run()
 
     def test_backup_mode_survives_a_slow_but_alive_worker(self, dataset):
         """A 20x straggler (alive, not crashed) does not deadlock."""

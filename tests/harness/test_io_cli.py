@@ -163,6 +163,39 @@ class TestParallelismKnobs:
         assert capsys.readouterr().out == plain
 
 
+class TestRegistryChoices:
+    """Name flags take their choices from the registries: an unknown
+    name is an argparse error (exit 2) and a size the topology builder
+    rejects is a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["train", "profile", "graphs"])
+    def test_unknown_graph_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--graph", "nope"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "profile", "graphs"])
+    def test_graph_size_the_builder_rejects_is_an_error_line(self, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--graph", "hypercube", "--workers", "12"])
+        assert exit_info.value.code == (
+            "error: hypercube needs a power-of-two size, got 12"
+        )
+
+    def test_unknown_compression_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--compression", "nope"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["top-k", "none"])
+    def test_compression_aliases_and_none_are_choices(self, scheme, capsys):
+        argv = ["train", "--workers", "4", "--iterations", "3"]
+        assert main(argv + ["--compression", scheme]) == 0
+        assert "wall_time" in capsys.readouterr().out
+
+
 class TestCLISlowdownKnobs:
     """--slowdown exposes every SlowdownSpec knob (factor, probability,
     multi-worker straggler maps), not just hardcoded recipes."""

@@ -102,7 +102,7 @@ class TestTrainChurn:
     def test_non_elastic_protocol_rejects_churn(self, capsys):
         # Every built-in is elastic now, so the CLI-facing half of the
         # registry gate is exercised through a throwaway registration.
-        from repro.protocols.registry import _REGISTRY, register_protocol
+        from repro.protocols.registry import PROTOCOLS, register_protocol
 
         name = "test-static-cli"
         register_protocol(
@@ -126,7 +126,7 @@ class TestTrainChurn:
                     ]
                 )
         finally:
-            _REGISTRY.pop(name, None)
+            PROTOCOLS.remove(name)
 
     def test_run_summary_includes_membership_events(self, tmp_path, capsys):
         out_path = tmp_path / "run.json"

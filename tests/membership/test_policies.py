@@ -6,6 +6,7 @@ import pytest
 from repro.graphs import chain, ring, ring_based
 from repro.graphs.weights import is_column_stochastic, is_doubly_stochastic
 from repro.membership import (
+    REWIRE_POLICIES,
     RewirePolicy,
     get_rewire_policy,
     register_rewire_policy,
@@ -92,6 +93,4 @@ class TestExtensionPoint:
             assert repaired.W[2, 2] >= 0.5
         finally:
             # Keep the global registry pristine for other tests.
-            from repro.membership import policies
-
-            policies._REGISTRY.pop("lazy-uniform", None)
+            REWIRE_POLICIES.remove("lazy-uniform")

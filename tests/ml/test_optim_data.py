@@ -10,14 +10,11 @@ from repro.ml import (
     Parameter,
     StepDecayLR,
     accuracy,
-    flatten_grads,
-    flatten_params,
     shard_dataset,
     smooth_series,
     synthetic_images,
     synthetic_webspam,
     total_size,
-    unflatten_into,
 )
 
 
@@ -87,32 +84,9 @@ class TestSchedules:
 
 
 class TestParams:
-    def test_flatten_round_trip(self):
-        params = [
-            Parameter(np.arange(6, dtype=float).reshape(2, 3), "a"),
-            Parameter(np.arange(4, dtype=float), "b"),
-        ]
-        flat = flatten_params(params)
-        assert flat.shape == (10,)
-        unflatten_into(params, flat * 2)
-        assert np.array_equal(params[0].data, np.arange(6).reshape(2, 3) * 2)
-
-    def test_flatten_grads(self):
-        p = Parameter(np.zeros((2, 2)), "p")
-        p.grad[...] = 3.0
-        assert np.all(flatten_grads([p]) == 3.0)
-
-    def test_unflatten_size_mismatch(self):
-        p = Parameter(np.zeros(3), "p")
-        with pytest.raises(ValueError):
-            unflatten_into([p], np.zeros(4))
-
     def test_total_size(self):
         params = [Parameter(np.zeros((2, 3)), "a"), Parameter(np.zeros(5), "b")]
         assert total_size(params) == 11
-
-    def test_empty_flatten(self):
-        assert flatten_params([]).shape == (0,)
 
 
 class TestDatasets:

@@ -7,6 +7,7 @@ from repro.cli import main
 from repro.graphs import ring, ring_based
 from repro.harness import ExperimentSpec, run_spec, svm_workload
 from repro.protocols import (
+    PROTOCOLS,
     ProtocolCluster,
     ProtocolRuntime,
     build_cluster,
@@ -17,7 +18,6 @@ from repro.protocols import (
     spec_common_kwargs,
 )
 from repro.protocols.partial_allreduce import GroupSchedule
-from repro.protocols.registry import _REGISTRY
 
 #: Protocols the issue requires `train --protocol` to resolve, with a
 #: graph each can run on (gossip protocols need a bipartite graph).
@@ -156,7 +156,7 @@ class TestExtensionPoint:
             assert run.messages_sent == 0
             assert run.consensus > 0  # isolated replicas drift apart
         finally:
-            _REGISTRY.pop("local-only-test", None)
+            PROTOCOLS.remove("local-only-test")
 
 
 class TestCLIRoundTrip:

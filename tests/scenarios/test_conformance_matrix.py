@@ -341,7 +341,7 @@ def test_churn_rejected_for_non_elastic_protocols():
     build time, never silently run a static cluster.  Every built-in is
     elastic now, so the gate is exercised through a throwaway
     registration."""
-    from repro.protocols.registry import _REGISTRY, register_protocol
+    from repro.protocols.registry import PROTOCOLS, register_protocol
 
     name = "test-static-dummy"
     register_protocol(
@@ -355,7 +355,7 @@ def test_churn_rejected_for_non_elastic_protocols():
             with pytest.raises(ValueError, match="not elastic"):
                 run_spec(churn_conformance_spec(name, family))
     finally:
-        _REGISTRY.pop(name, None)
+        PROTOCOLS.remove(name)
 
 
 def test_full_grid_is_elastic():

@@ -9,6 +9,7 @@ from repro.graphs import ring_based
 from repro.harness import ExperimentSpec, SlowdownSpec, run_spec, svm_workload
 from repro.harness.spec import RANDOM_6X, deterministic_straggler
 from repro.scenarios import (
+    SCENARIOS,
     Scenario,
     ScenarioSpec,
     get_scenario,
@@ -16,7 +17,6 @@ from repro.scenarios import (
     registered_scenarios,
     scenario_table,
 )
-from repro.scenarios.registry import _REGISTRY
 from repro.sim import RngStreams
 
 #: Families the issue requires the registry to expose.
@@ -200,7 +200,7 @@ class TestExtensionPoint:
             ]
             assert durations[0] == max(durations)
         finally:
-            _REGISTRY.pop("gc-pause", None)
+            SCENARIOS.remove("gc-pause")
 
 
 class TestCLI:
@@ -242,13 +242,13 @@ class TestCLI:
         assert "wall_time" in capsys.readouterr().out
 
     def test_scenario_param_accepts_python_and_json_literals(self):
-        from repro.cli import _scenario_param
+        from repro.cli import _param
 
-        assert _scenario_param("resync=False") == ("resync", False)
-        assert _scenario_param("resync=false") == ("resync", False)
-        assert _scenario_param("resync=True") == ("resync", True)
-        assert _scenario_param("probability=0.2") == ("probability", 0.2)
-        assert _scenario_param("path=/tmp/t.json") == ("path", "/tmp/t.json")
+        assert _param("resync=False") == ("resync", False)
+        assert _param("resync=false") == ("resync", False)
+        assert _param("resync=True") == ("resync", True)
+        assert _param("probability=0.2") == ("probability", 0.2)
+        assert _param("path=/tmp/t.json") == ("path", "/tmp/t.json")
 
     def test_train_scenario_param_false_disables_resync(self, capsys):
         code = main(

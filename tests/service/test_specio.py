@@ -154,6 +154,116 @@ def test_none_scenario_and_compression_elide_to_defaults():
 
 
 # ----------------------------------------------------------------------
+# The cache address itself
+# ----------------------------------------------------------------------
+#: ``(label, payload, digest)``.  The digest is where ``repro serve
+#: --state-dir`` keeps the cell's result, so a change to the canonical
+#: form that moves any of them orphans every stored entry.  Do not
+#: re-record these to make a refactor pass.
+_DEFAULT = "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"
+PINNED_DIGESTS = [
+    ("empty", {}, _DEFAULT),
+    (
+        "defaults-spelled-out",
+        {**DEFAULTS},
+        _DEFAULT,
+    ),
+    (
+        "clean-and-no-compression",
+        {"scenario": {"family": "clean"}, "compression": {"scheme": "none"}},
+        _DEFAULT,
+    ),
+    (
+        "small",
+        {"workers": 4, "max_iter": 5, "seed": 1},
+        "d00ebb6b1a9b682759a0d2f34bad9ab0c69a7f2f2ee2d56b71c762e29d69e43f",
+    ),
+    (
+        "ps",
+        {"protocol": "ps"},
+        "062cac4b2db8369cbf66962f7079004d47621e7861e54b516d631f121f8ae245",
+    ),
+    (
+        "prague",
+        {"protocol": "prague", "group_size": 3, "static_groups": True},
+        "f8c94640fa18610875ef594bd6ee23bf04bdb5626ced4231aa4c47f63233a45f",
+    ),
+    (
+        "top-k",
+        {
+            "protocol": "allreduce",
+            "compression": {"scheme": "top-k", "params": {"ratio": 0.5}},
+        },
+        "d6dae7cd704f45c091d77ff30bc3da27733d6a1f08b1dea31aa1d80f761c7be3",
+    ),
+    (
+        "random-k",
+        {
+            "compression": {"scheme": "random-k", "params": {"ratio": 0.25}},
+            "seed": 3,
+        },
+        "65b9a889d5ee4784fa239eba178ba2bb321db08a9de4eedd37489167de9dd62b",
+    ),
+    (
+        "ring-based",
+        {"graph": "ring-based", "workers": 16},
+        "49caf57b22050e11d03123a68dedeba0b7cd39482e366a5059291a2952b9c50e",
+    ),
+    (
+        "double-ring",
+        {"graph": "double-ring", "workers": 8, "protocol": "notify_ack"},
+        "af8df0932c2105eb6eb7cb524bd7d57642d9363832e4838a581a2d0db160fce6",
+    ),
+    (
+        "poisson-churn",
+        {
+            "scenario": {
+                "family": "poisson-churn",
+                "params": {"rate": 0.3, "horizon": 10},
+            }
+        },
+        "b38d514d8b07eddc114c8cb97aeea9b649744d5addd5268fb711587c70fe2b78",
+    ),
+    (
+        "name-and-chaos-labels",
+        {"name": "labelled", "chaos": {"fail_attempts": 2}, "seed": 7},
+        "beced1fe696351bb996169a4f1987ca19b5f52f37c7ef3071f9c044cf3580bfc",
+    ),
+    (
+        "cnn-quasi-global",
+        {
+            "workload": "cnn",
+            "preset": "bench",
+            "protocol": "momentum-tracking",
+            "momentum_mode": "quasi-global",
+            "graph": "bipartite_ring",
+            "workers": 6,
+        },
+        "888cbd8d932081378f3f8b023b4da2669b961c178230144c56e7b07db9b1efcc",
+    ),
+    (
+        "ps-ssp-straggler",
+        {
+            "protocol": "ps-ssp",
+            "ps_staleness": 2,
+            "ps_backup": 1,
+            "scenario": {"family": "straggler", "params": {"worker": 1}},
+        },
+        "6d5d7020e309aedbdbc5f3a768be9b1cbb528f14c361871dc32a5fdde92e9b32",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "payload,digest",
+    [case[1:] for case in PINNED_DIGESTS],
+    ids=[case[0] for case in PINNED_DIGESTS],
+)
+def test_spec_hash_is_pinned(payload, digest):
+    assert spec_hash(payload) == digest
+
+
+# ----------------------------------------------------------------------
 # Validation errors
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
