@@ -13,6 +13,12 @@ golden-pinned conformance spec twice, and asserts the contract:
    the golden one) and the fourth is a hit again,
 4. SIGTERM drains the server cleanly (exit code 0).
 
+All of it runs over the client's one kept-alive connection, which
+adds two checks: 50 sequential ``/healthz`` round trips take under a
+second (no delayed-ACK stall), and the SIGTERM of step 4, sent while
+that connection idles, exits in under 5 s rather than waiting out the
+server's idle timeout.
+
 Usage::
 
     PYTHONPATH=src python scripts/service_smoke.py
@@ -27,6 +33,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -133,10 +140,24 @@ def main() -> int:
             assert client.stats()["runs_computed"] == 2
             print("service smoke: the recomputed entry is a verified hit")
 
-            proc.send_signal(signal.SIGTERM)
+            start = time.perf_counter()
+            for _ in range(50):
+                assert client.healthz() == {"ok": True}
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1.0, f"50 round trips took {elapsed:.2f} s"
+            print(f"service smoke: 50 round trips on one connection "
+                  f"in {elapsed:.2f} s")
+
+            start = time.perf_counter()
+            proc.send_signal(signal.SIGTERM)  # the connection is idle
             code = proc.wait(timeout=60)
+            elapsed = time.perf_counter() - start
             assert code == 0, f"drain exited {code}"
-            print("service smoke: SIGTERM drained cleanly (exit 0)")
+            assert elapsed < 5.0, f"drain took {elapsed:.1f} s"
+            print(
+                f"service smoke: SIGTERM drained cleanly (exit 0, "
+                f"{elapsed:.2f} s)"
+            )
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -16,7 +16,7 @@ Layering (each module documents its own crash contract):
 * :mod:`repro.service.runner`   — worker-side execution (+ chaos knobs)
 * :mod:`repro.service.scheduler`— retries, pool respawn, admission bound
 * :mod:`repro.service.server`   — HTTP facade + resume-on-restart
-* :mod:`repro.service.client`   — stdlib urllib client with retries
+* :mod:`repro.service.client`   — kept-alive stdlib client with retries
 """
 
 from repro.service.cache import ResultCache, entry_digest

@@ -1,10 +1,20 @@
 """Stdlib HTTP client for the experiment service.
 
-Wraps ``urllib`` with the same :mod:`repro.harness.retry` policy the
+Each thread of each process talks over one kept-alive HTTP/1.1
+connection (``http.client``), opened on first use.  Before it is
+reused, a zero-timeout poll checks that the server has not closed it
+(idle timeout, restart, or an answer that closed it): an idle
+connection with anything to read — EOF, a reset, stray bytes — is
+dropped and a fresh one opened, so a request is never written onto a
+connection already known to be dead.  A connection is never shared
+between threads, and a forked child opens its own.
+
+Requests go through the same :mod:`repro.harness.retry` policy the
 server uses internally: connection errors retry under deterministic
 seeded backoff (a just-started server that hasn't bound yet is the
 common case), while HTTP error *statuses* pass through untouched — a
-400 or 429 is an answer, not an outage.
+400 or 429 is an answer, not an outage.  Any transport failure drops
+the connection, so the next attempt starts on a fresh one.
 
 Only idempotent requests auto-retry: every GET, and submits that
 carry an explicit ``sweep_id`` (the server acknowledges an identical
@@ -16,10 +26,12 @@ one attempt; pass ``sweep_id`` to make submission retry-safe.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import List, Optional
 
 from repro.harness.retry import retry
@@ -56,39 +68,78 @@ class ServiceClient:
         self.timeout = timeout
         self.connect_attempts = connect_attempts
         self.jitter_seed = jitter_seed
+        scheme, _, rest = self.url.partition("://")
+        if scheme != "http" or not rest:
+            raise ValueError(f"not an http:// URL: {url!r}")
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, connected and safe to write on.
+
+        A connection inherited across a ``fork`` is replaced: the child
+        closes only its own copy of the descriptor, which sends nothing
+        while the parent still holds the connection.  Any failure to
+        connect is a ``ConnectionError``, which idempotent requests
+        retry.
+        """
+        local = self._local
+        if getattr(local, "pid", None) != os.getpid():
+            if getattr(local, "conn", None) is not None:
+                local.conn.close()
+            local.conn = http.client.HTTPConnection(
+                self._netloc, timeout=self.timeout
+            )
+            local.pid = os.getpid()
+        elif local.conn.sock is not None:
+            poller = select.poll()
+            poller.register(local.conn.sock, select.POLLIN)
+            if poller.poll(0):  # EOF, a reset or stray bytes: not idle
+                local.conn.close()
+        if local.conn.sock is None:
+            try:
+                local.conn.connect()
+            except ConnectionError:  # refused, reset
+                raise
+            except OSError as error:  # unreachable, unresolved, timed out
+                raise ConnectionError(
+                    f"cannot connect to {self.url}: {error}"
+                ) from error
+        return local.conn
+
     def _request(
         self,
         path: str,
         payload: Optional[dict] = None,
         idempotent: Optional[bool] = None,
     ) -> dict:
-        def attempt() -> dict:
-            data = None
-            headers = {}
-            if payload is not None:
-                data = json.dumps(payload).encode()
-                headers["Content-Type"] = "application/json"
-            request = urllib.request.Request(
-                self.url + path, data=data, headers=headers
-            )
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as response:
-                    return json.loads(response.read())
-            except urllib.error.HTTPError as error:
-                raw = error.read()
-                try:
-                    body = json.loads(raw)
-                except json.JSONDecodeError:
-                    body = {"error": raw.decode(errors="replace")}
-                raise ServiceError(error.code, body) from None
+        method, data, headers = "GET", None, {}
+        if payload is not None:
+            method, data = "POST", json.dumps(payload).encode()
+            headers["Content-Type"] = "application/json"
 
-        # Only transport failures (URLError: refused, reset, DNS) on
+        def attempt() -> dict:
+            conn = self._connection()
+            try:
+                conn.request(method, self._prefix + path, data, headers)
+                response = conn.getresponse()
+                raw = response.read()
+            except (OSError, http.client.HTTPException):
+                conn.close()  # the next attempt starts on a fresh one
+                raise
+            if 200 <= response.status < 300:
+                return json.loads(raw)
+            try:
+                body = json.loads(raw)
+            except json.JSONDecodeError:
+                body = {"error": raw.decode(errors="replace")}
+            raise ServiceError(response.status, body)
+
+        # Only connection failures (refused, unreachable, reset) on
         # *idempotent* requests are retried; ServiceError is an
         # application answer.  Non-idempotent requests (submit with a
         # server-assigned sweep id) get one attempt: a retry after a
@@ -100,7 +151,7 @@ class ServiceClient:
             attempts=self.connect_attempts if idempotent else 1,
             base=0.1,
             jitter_seed=self.jitter_seed,
-            retry_on=(urllib.error.URLError, ConnectionError),
+            retry_on=(ConnectionError,),
         )
 
     # ------------------------------------------------------------------

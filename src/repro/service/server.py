@@ -5,7 +5,12 @@ write-ahead journal under one ``state_dir``) and the
 :class:`~repro.service.scheduler.RunScheduler`.  The HTTP layer is a
 thin stdlib ``ThreadingHTTPServer`` on top — one daemon thread per
 connection, a per-request socket timeout so a slow or stalled client
-can never wedge the server, and JSON in/out everywhere.
+can never wedge the server, and JSON in/out everywhere.  Connections
+are HTTP/1.1 and kept alive until the client closes them, they idle
+past that timeout, or a request's body goes unread (an answer sent
+before the body was read in full closes the connection, so its bytes
+are never parsed as the next request).  Each response leaves in one
+write.
 
 Endpoints:
 
@@ -36,10 +41,11 @@ admissions, waits for in-flight sweeps, then checkpoints the journal.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from repro.service.cache import ResultCache
 from repro.service.journal import RunJournal
@@ -216,14 +222,52 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service: ExperimentService) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        self._open: Set[socket.socket] = set()
+        self._open_changed = threading.Condition()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+
+    def server_close(self) -> None:
+        """Close the listener and every kept-alive connection.
+
+        Connection threads are daemons and are not joined, so an open
+        connection would go on being answered by this closed server
+        until it idled out.  Ending each one's read side wakes an idle
+        connection with EOF at once; a response being written still
+        goes out whole, and this returns once every connection is
+        closed (or after one handler timeout).
+        """
+        with self._open_changed:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:  # the peer is already gone
+                    pass
+            self._open_changed.wait_for(
+                lambda: not self._open,
+                timeout=self.RequestHandlerClass.timeout,
+            )
+        super().server_close()
 
 
 class _Handler(BaseHTTPRequestHandler):
     server: _ServiceHTTPServer
     protocol_version = "HTTP/1.1"
-    #: Socket timeout per request: a slow client stalls only its own
+    #: Socket timeout per request, and so also how long a kept-alive
+    #: connection may idle: a slow client stalls only its own
     #: connection thread, never the accept loop or other requests.
     timeout = 10.0
+    #: TCP_NODELAY: a small segment never waits for the peer's ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -234,15 +278,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # Not end_headers(): it sends the head in a write of its own, and
+        # on a reused connection the body then waits behind it for the
+        # peer's delayed ACK.  Head, blank line and body go in one write.
+        head = getattr(self, "_headers_buffer", None)  # none for HTTP/0.9
+        self._headers_buffer = []
+        self.wfile.write(b"".join(head) + b"\r\n" + data if head else data)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = 0
+        if not 0 < length <= MAX_BODY_BYTES:
+            # Answered with the body unread: its bytes would be parsed
+            # as the next request, so the connection closes instead.
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise SpecError(
+                    f"request body exceeds {MAX_BODY_BYTES} bytes"
+                )
             raise SpecError("request body required")
-        if length > MAX_BODY_BYTES:
-            raise SpecError(f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
@@ -252,6 +310,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- endpoints -----------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         if self.path.rstrip("/") != "/submit":
+            self.close_connection = True  # the body is never read
             self._send_json(404, {"error": f"no such endpoint {self.path}"})
             return
         service = self.server.service
@@ -268,6 +327,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(409, {"error": str(error)})
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        if "Content-Length" in self.headers or (
+            "Transfer-Encoding" in self.headers
+        ):
+            self.close_connection = True  # a GET body is never read
         service = self.server.service
         path = self.path.rstrip("/") or "/"
         if path == "/healthz":

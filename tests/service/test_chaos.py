@@ -9,7 +9,10 @@ entry point operators use — and assert the crash-safety contract:
 * corrupting a cache entry on disk -> the restart detects the bad
   fingerprint/integrity and recomputes instead of serving it;
 * SIGTERM while a sweep is in flight -> the server drains (finishes
-  the work, then exits 0) instead of dropping it.
+  the work, then exits 0) instead of dropping it;
+* ``kill -9`` under a client's kept-alive connection, restart on the
+  same port -> the client notices and reconnects, and a request that
+  may be sent only once is still delivered.
 """
 
 import json
@@ -22,7 +25,7 @@ import time
 
 import pytest
 
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.specio import spec_hash
 
 #: One cell is a sub-second run; delay_seconds stretches the sweep so
@@ -203,6 +206,31 @@ def test_sigterm_drains_in_flight_sweep_then_exits_zero(state_dir):
         for spec in specs:
             entry = restarted.client.result(spec_hash(spec))
             assert entry["spec_hash"] == spec_hash(spec)
+    finally:
+        restarted.cleanup()
+
+
+def test_client_reconnects_after_kill9_and_restart_on_the_same_port(
+    state_dir,
+):
+    server = ServerProcess(state_dir)
+    client = server.client
+    try:
+        assert client.healthz() == {"ok": True}  # leaves a connection up
+        server.kill9()
+    finally:
+        server.cleanup()
+
+    port = client.url.rsplit(":", 1)[1]
+    restarted = ServerProcess(state_dir, extra=("--port", port))
+    try:
+        assert restarted.url == client.url
+        # A submit without a sweep id gets one attempt: it only lands
+        # if the dead connection was noticed before it was written.
+        with pytest.raises(ServiceError) as info:
+            client.submit_one({**BASE, "bogus": True})
+        assert info.value.status == 400
+        assert client.healthz() == {"ok": True}
     finally:
         restarted.cleanup()
 
