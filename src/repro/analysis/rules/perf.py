@@ -18,16 +18,11 @@ from repro.analysis.registry import register_rule
 _HOT_BASES = {
     "Event",
     "Timeout",
-    "Condition",
-    "AllOf",
-    "AnyOf",
     "Process",
     "Message",
     "Update",
     "Delivery",
     "Request",
-    "StorePut",
-    "StoreGet",
     "DequeueRequest",
     "TokenGate",
 }

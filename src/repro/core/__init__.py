@@ -47,7 +47,7 @@ from repro.core.gap import (
     token_queue_capacity_bound,
     update_queue_capacity_bound,
 )
-from repro.core.notify_ack import NotifyAckWorker, build_ack_queues
+from repro.core.notify_ack import NotifyAckWorker
 from repro.core.queues import (
     RotatingUpdateQueue,
     TokenGate,
@@ -92,7 +92,6 @@ __all__ = [
     "UpdateQueue",
     "backup_bound",
     "backup_config",
-    "build_ack_queues",
     "gap_bound_matrix",
     "make_recv_strategy",
     "mean_reduce",

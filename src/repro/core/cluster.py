@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import HopConfig
+from repro.core.config import STANDARD, HopConfig
 from repro.core.gap import update_queue_capacity_bound
-from repro.core.notify_ack import NotifyAckWorker, build_ack_queues
+from repro.core.notify_ack import NotifyAckWorker
 from repro.core.queues import RotatingUpdateQueue, TokenQueue, UpdateQueue
 from repro.core.skip import SkipPolicy
 from repro.core.worker import ClusterState, HopWorker
@@ -180,9 +180,19 @@ class HopCluster(ProtocolCluster):
     def _build_token_queues(
         self, env: Environment, topology=None
     ) -> Dict[Tuple[int, int], TokenQueue]:
+        """One token queue per directed edge (none without the fabric).
+
+        Hop primes each with ``max_ig - 1`` tokens (Section 4.2).
+        NOTIFY-ACK's ACK channels are the same queues primed with one
+        token, the implicit ACK(-1) that lets Send(0) through.
+        """
         topology = topology if topology is not None else self.topology
         queues: Dict[Tuple[int, int], TokenQueue] = {}
-        if not (self.protocol == "hop" and self.config.use_token_queues):
+        if self.protocol == "notify_ack":
+            initial = 1
+        elif self.config.use_token_queues:
+            initial = self.config.max_ig - 1
+        else:
             return queues
         for consumer, owner in topology.edges:
             if consumer == owner:
@@ -190,10 +200,7 @@ class HopCluster(ProtocolCluster):
             # Edge consumer->owner means owner in Nout(consumer):
             # TokenQ(owner -> consumer) gates consumer's progress.
             queues[(owner, consumer)] = TokenQueue(
-                env,
-                owner=owner,
-                consumer=consumer,
-                initial=self.config.max_ig - 1,
+                env, owner=owner, consumer=consumer, initial=initial
             )
         return queues
 
@@ -240,12 +247,16 @@ class HopCluster(ProtocolCluster):
         self._network = self._build_network(env)
         self._state = ClusterState(n)
 
-        # Membership plane (elastic hop runs): the founding view may
-        # exclude late joiners, and every queue/capacity derives from
-        # the *live* topology rather than the spec's static one.
+        # Membership plane (elastic runs): the founding view may exclude
+        # late joiners, and every queue/capacity derives from the *live*
+        # topology rather than the spec's static one.
         membership = None
         if self.churn is not None:
-            from repro.membership import HopMembership, MembershipView
+            from repro.membership import (
+                HopMembership,
+                MembershipView,
+                NotifyAckMembership,
+            )
 
             view = MembershipView.founding(
                 self.topology,
@@ -260,91 +271,59 @@ class HopCluster(ProtocolCluster):
             wid: self._build_update_queue(env, wid, live_topology)
             for wid in range(n)
         }
+        token_queues = self._build_token_queues(env, live_topology)
 
-        workers: List[object] = []
-        if self.protocol == "hop":
-            token_queues = self._build_token_queues(env, live_topology)
-            if self.churn is not None:
-                membership = HopMembership(
-                    env,
-                    view,
-                    self.churn,
-                    self.max_iter,
-                    state=self._state,
-                    config=self.config,
-                    update_queues=update_queues,
-                    token_queues=token_queues,
-                    gap=runtime.gap,
-                )
-                self._membership = membership
-                self._network.membership = membership
-            for wid in range(n):
-                skip_policy = (
-                    SkipPolicy(self.config.skip, self.config.max_ig)
-                    if self.config.skip is not None
-                    else None
-                )
-                worker = HopWorker(
-                    wid=wid,
-                    env=env,
-                    topology=live_topology,
-                    config=self.config,
-                    model=runtime.models[wid],
-                    optimizer=self.optimizer_proto.clone(),
-                    batcher=self._make_batcher(wid),
-                    compute=runtime.compute,
-                    compute_model=self.compute_model,
-                    network=self._network,
-                    update_queues=update_queues,
-                    token_queues=token_queues,
-                    state=self._state,
-                    gap_tracker=runtime.gap,
-                    tracer=runtime.tracer,
-                    max_iter=self.max_iter,
-                    update_size=runtime.update_size,
-                    token_rtt=self._token_rtt_for(wid)
-                    if self.config.use_token_queues
-                    else 0.0,
-                    skip_policy=skip_policy,
-                    crash_event=self.crash_events.get(wid),
-                )
-                workers.append(worker)
-        else:
-            ack_queues = build_ack_queues(env, live_topology)
-            if self.churn is not None:
-                from repro.membership import NotifyAckMembership
-
-                membership = NotifyAckMembership(
-                    env,
-                    view,
-                    self.churn,
-                    self.max_iter,
-                    update_queues=update_queues,
-                    ack_queues=ack_queues,
-                    gap=runtime.gap,
-                )
-                self._membership = membership
-                self._network.membership = membership
-            for wid in range(n):
-                worker = NotifyAckWorker(
-                    wid=wid,
-                    env=env,
-                    topology=live_topology,
-                    model=runtime.models[wid],
-                    optimizer=self.optimizer_proto.clone(),
-                    batcher=self._make_batcher(wid),
-                    compute=runtime.compute,
-                    compute_model=self.compute_model,
-                    network=self._network,
-                    update_queues=update_queues,
-                    ack_queues=ack_queues,
-                    state=self._state,
-                    gap_tracker=runtime.gap,
-                    tracer=runtime.tracer,
-                    max_iter=self.max_iter,
-                    update_size=runtime.update_size,
-                )
-                workers.append(worker)
+        hop = self.protocol == "hop"
+        # NOTIFY-ACK's workers ignore the Hop config (the config reaches
+        # it only through the update queues above).
+        config = self.config if hop else STANDARD
+        if self.churn is not None:
+            membership = (HopMembership if hop else NotifyAckMembership)(
+                env,
+                view,
+                self.churn,
+                self.max_iter,
+                state=self._state,
+                config=config,
+                update_queues=update_queues,
+                token_queues=token_queues,
+                gap=runtime.gap,
+            )
+            self._membership = membership
+            self._network.membership = membership
+        worker_type = HopWorker if hop else NotifyAckWorker
+        workers: List[HopWorker] = []
+        for wid in range(n):
+            skip_policy = (
+                SkipPolicy(config.skip, config.max_ig)
+                if config.skip is not None
+                else None
+            )
+            worker = worker_type(
+                wid=wid,
+                env=env,
+                topology=live_topology,
+                config=config,
+                model=runtime.models[wid],
+                optimizer=self.optimizer_proto.clone(),
+                batcher=self._make_batcher(wid),
+                compute=runtime.compute,
+                compute_model=self.compute_model,
+                network=self._network,
+                update_queues=update_queues,
+                token_queues=token_queues,
+                state=self._state,
+                gap_tracker=runtime.gap,
+                tracer=runtime.tracer,
+                max_iter=self.max_iter,
+                update_size=runtime.update_size,
+                token_rtt=self._token_rtt_for(wid)
+                if config.use_token_queues
+                else 0.0,
+                skip_policy=skip_policy,
+                crash_event=self.crash_events.get(wid),
+            )
+            workers.append(worker)
         self._workers = workers
         #: Worker processes by wid (what a stuck worker is parked on).
         self._processes: List[object] = []
@@ -372,10 +351,8 @@ class HopCluster(ProtocolCluster):
                 for event in self.churn.events
             )
         for worker in workers:
-            if hasattr(worker, "peers"):
-                worker.peers = peers  # restart re-sync needs live peers
-            if needs_snapshots and hasattr(worker, "snapshot_params"):
-                worker.snapshot_params = True
+            worker.peers = peers  # restart re-sync needs live peers
+            worker.snapshot_params = needs_snapshots
             if membership is not None:
                 worker.membership = membership
                 worker.churn_event = self.churn.event_for(worker.wid)
@@ -451,36 +428,10 @@ class HopCluster(ProtocolCluster):
         return [w.iterations_completed for w in self._workers]
 
     def _iterations_skipped(self, runtime: ProtocolRuntime) -> List[int]:
-        return [getattr(w, "iterations_skipped", 0) for w in self._workers]
+        return [w.iterations_skipped for w in self._workers]
 
     def _collect_worker_stats(self, runtime: ProtocolRuntime) -> List[dict]:
-        return [self._worker_stats(w) for w in self._workers]
-
-    @staticmethod
-    def _worker_stats(worker) -> dict:
-        stats = {
-            "wid": worker.wid,
-            "iterations_completed": worker.iterations_completed,
-            "iteration_duration_mean": worker.iteration_durations.mean,
-            "iteration_duration_max": worker.iteration_durations.max,
-            "recv_wait_mean": worker.recv_wait.mean,
-            "loss_mean": worker.losses.mean,
-        }
-        for attribute in (
-            "iterations_skipped",
-            "n_restarts",
-            "n_jumps",
-            "n_suppressed_sends",
-            "n_extra_updates",
-            "n_staleness_blocks",
-        ):
-            if hasattr(worker, attribute):
-                stats[attribute] = getattr(worker, attribute)
-        if hasattr(worker, "token_wait"):
-            stats["token_wait_mean"] = worker.token_wait.mean
-        if hasattr(worker, "ack_wait"):
-            stats["ack_wait_mean"] = worker.ack_wait.mean
-        return stats
+        return [w.stats() for w in self._workers]
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +447,7 @@ def _build_hop(spec) -> HopCluster:
         machines=spec.machines,
         crash_events=scenario.faults.crash_events(),
         message_loss=spec.scenario_message_loss(),
-        churn=getattr(scenario, "churn", None),
+        churn=scenario.churn,
         **spec_common_kwargs(spec),
     )
 
@@ -511,7 +462,7 @@ def _build_notify_ack(spec) -> HopCluster:
         links=spec.scenario_links(),
         machines=spec.machines,
         message_loss=spec.scenario_message_loss(),
-        churn=getattr(spec.built_scenario(), "churn", None),
+        churn=spec.built_scenario().churn,
         **spec_common_kwargs(spec),
     )
 

@@ -455,6 +455,61 @@ class HopWorker:
         self.iterations_skipped += max(0, started - k)
         return x, started
 
+    def _late_join(self, x: np.ndarray, event):
+        """Generator: a late joiner waits dark outside the cluster.
+
+        Blocks until the plan's join trigger fires and the membership
+        plane wires this worker in, then re-syncs.  Returns
+        ``(params, start_iteration)``, or ``None`` when the join falls
+        past the run horizon (the worker then counts as finished).
+        """
+        started = yield self.membership.rejoin_event(self.wid)
+        if started is None:
+            self.final_params = x
+            self.state.done[self.wid] = True
+            return None
+        self.down = False
+        x = yield from self._sync_from_neighbor(
+            x, started, resync=event.resync if event is not None else True
+        )
+        self.iterations_skipped += started  # pre-join iterations
+        return x, started
+
+    def _finish(self, x: np.ndarray) -> int:
+        """Record the final parameters and mark this worker done."""
+        self.final_params = x
+        self.state.done[self.wid] = True
+        self.tracer.log(f"finished/{self.wid}", self.env.now, self.max_iter)
+        return self.iterations_completed
+
+    # ------------------------------------------------------------------
+    # Statistics
+    # ------------------------------------------------------------------
+    def _common_stats(self) -> dict:
+        """The ``worker_stats`` entries both Hop and NOTIFY-ACK report."""
+        return {
+            "wid": self.wid,
+            "iterations_completed": self.iterations_completed,
+            "iteration_duration_mean": self.iteration_durations.mean,
+            "iteration_duration_max": self.iteration_durations.max,
+            "recv_wait_mean": self.recv_wait.mean,
+            "loss_mean": self.losses.mean,
+            "iterations_skipped": self.iterations_skipped,
+        }
+
+    def stats(self) -> dict:
+        """This worker's ``TrainingRun.worker_stats`` entry."""
+        stats = self._common_stats()
+        stats.update(
+            n_restarts=self.n_restarts,
+            n_jumps=self.n_jumps,
+            n_suppressed_sends=self.n_suppressed_sends,
+            n_extra_updates=self.n_extra_updates,
+            n_staleness_blocks=self.n_staleness_blocks,
+            token_wait_mean=self.token_wait.mean,
+        )
+        return stats
+
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -520,22 +575,11 @@ class HopWorker:
         k = 0
         local_epoch = membership.epoch if elastic else 0
         if elastic and not membership.is_active(wid):
-            # Late joiner: dark outside the cluster until the plan's
-            # join trigger fires and the membership plane wires us in.
-            started = yield membership.rejoin_event(wid)
-            if started is None:
-                self.final_params = x
-                self.state.done[wid] = True
+            joined = yield from self._late_join(x, churn_event)
+            if joined is None:
                 return 0
-            self.down = False
-            x = yield from self._sync_from_neighbor(
-                x,
-                started,
-                resync=churn_event.resync if churn_event is not None else True,
-            )
+            x, k = joined
             churn_event = None  # a late joiner has no leave scripted
-            self.iterations_skipped += started  # pre-join iterations
-            k = started
         while k < max_iter:
             if elastic:
                 if membership.epoch != local_epoch:
@@ -653,13 +697,10 @@ class HopWorker:
             log_duration(env.now, duration)
             k = next_k
 
-        self.final_params = x
-        self.state.done[self.wid] = True
-        self.tracer.log(f"finished/{self.wid}", self.env.now, self.max_iter)
-        return self.iterations_completed
+        return self._finish(x)
 
     def __repr__(self) -> str:
         return (
-            f"<HopWorker {self.wid} completed={self.iterations_completed} "
-            f"mode={self.cfg.mode}>"
+            f"<{type(self).__name__} {self.wid} "
+            f"completed={self.iterations_completed} mode={self.cfg.mode}>"
         )

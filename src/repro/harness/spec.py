@@ -16,12 +16,6 @@ from typing import Dict, Optional
 from repro.compression import CompressionSpec
 from repro.core.config import STANDARD, HopConfig
 from repro.graphs.topology import Topology
-from repro.hetero.slowdown import (
-    DeterministicSlowdown,
-    NoSlowdown,
-    RandomSlowdown,
-    SlowdownModel,
-)
 from repro.harness.workloads import Workload
 from repro.net.links import LinkModel, uniform_links
 from repro.protocols.base import TrainingRun
@@ -37,43 +31,18 @@ class SlowdownSpec:
     ``kind``: ``"none"``, ``"random"`` (paper: factor 6, p = 1/n), or
     ``"deterministic"`` (paper: one worker, factor 4).
 
-    This predates the scenario engine and covers only the paper's two
-    recipes; :class:`~repro.scenarios.ScenarioSpec` subsumes it
-    (``ScenarioSpec.from_slowdown``) and adds bursty/tiered/diurnal
-    models, trace replay and fault injection.  Kept for backward
-    compatibility — every ``ExperimentSpec(slowdown=...)`` call site
-    continues to work unchanged.
+    Data only: it predates the scenario engine and covers just the
+    paper's two recipes.  Runs build it through
+    :meth:`~repro.scenarios.ScenarioSpec.from_slowdown` (``random`` and
+    ``straggler`` families), which also rejects an unknown ``kind``.
+    Kept so every ``ExperimentSpec(slowdown=...)`` call site continues
+    to work unchanged.
     """
 
     kind: str = "none"
     factor: float = 6.0
     probability: Optional[float] = None  # default 1/n at build time
     workers: Dict[int, float] = field(default_factory=dict)
-
-    def build(self, n_workers: int, streams: RngStreams) -> SlowdownModel:
-        if self.kind == "none":
-            return NoSlowdown()
-        if self.kind == "random":
-            probability = (
-                self.probability
-                if self.probability is not None
-                else 1.0 / n_workers
-            )
-            return RandomSlowdown(
-                streams, factor=self.factor, probability=probability
-            )
-        if self.kind == "deterministic":
-            return DeterministicSlowdown(dict(self.workers))
-        raise ValueError(f"unknown slowdown kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "none":
-            return "none"
-        if self.kind == "random":
-            p = "1/n" if self.probability is None else f"{self.probability:g}"
-            return f"random {self.factor:g}x (p={p})"
-        inner = ",".join(f"{w}:{f:g}x" for w, f in sorted(self.workers.items()))
-        return f"deterministic [{inner}]"
 
 
 #: The paper's random-slowdown recipe (Section 7.3.1).

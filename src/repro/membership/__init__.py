@@ -19,9 +19,9 @@ This package makes membership a first-class, epoch-numbered object:
   :class:`~repro.membership.runtime.HopMembership` /
   :class:`~repro.membership.runtime.NotifyAckMembership` — the in-run
   managers that enact transitions: rewire the graph, repair queue
-  fabric (token queues for hop, ACK channels for NOTIFY-ACK) and
-  pending waits, and record every join/leave/rewire as a membership
-  event surfaced on
+  fabric (token queues for hop; NOTIFY-ACK's ACK channels are the same
+  queues, re-primed with one token) and pending waits, and record
+  every join/leave/rewire as a membership event surfaced on
   :attr:`~repro.protocols.base.TrainingRun.membership_events`.
 """
 

@@ -25,6 +25,10 @@ Hop needs the queue fabric repaired too and uses the
   in-neighbor are re-counted; per-sender staleness waits on a departed
   sender are released).
 
+NOTIFY-ACK's ACK channels are the same per-edge token queues;
+:class:`NotifyAckMembership` differs only in priming an added edge's
+channel with one token.
+
 All enactments happen inside simulated processes, so churn runs stay
 bit-deterministic like everything else in the engine.
 """
@@ -248,100 +252,6 @@ class MembershipRuntime:
         )
 
 
-class NotifyAckMembership(MembershipRuntime):
-    """Membership runtime that also repairs the NOTIFY-ACK fabric.
-
-    NOTIFY-ACK inherits hop's leave/join machinery, but its gating
-    state is the per-directed-edge ACK channel rather than token
-    queues:
-
-    * ACK channels *owned* by a departed worker are closed — senders
-      blocked on ACKs a gone worker will never produce are released,
-    * channels for edges retired between two live workers are closed
-      too (the gate is vacuous once the edge is gone),
-    * every added edge gets its ACK channel created or re-primed with
-      exactly one token — the implicit ACK(-1) that lets the first
-      gated Send through at the edge's activation iteration,
-    * repair/join edges are stamped with activation iterations exactly
-      like hop's, so sender, receiver and the ACK gate agree per edge
-      on the first iteration whose updates (and ACKs) flow across it.
-    """
-
-    def __init__(
-        self,
-        env: "Environment",
-        view: MembershipView,
-        plan: ChurnPlan,
-        max_iter: int,
-        *,
-        update_queues,
-        ack_queues,
-        gap: Optional["GapTracker"] = None,
-    ) -> None:
-        super().__init__(env, view, plan, max_iter, gap=gap)
-        self.update_queues = update_queues
-        self.ack_queues = ack_queues
-        #: ``wid -> NotifyAckWorker``; wired by the cluster.
-        self.workers: Dict[int, object] = {}
-        #: First iteration whose updates flow across a repair/join edge.
-        self.activation: Dict[Tuple[int, int], int] = {}
-
-    def edge_activation(self, src: int, dst: int) -> int:
-        return self.activation.get((src, dst), 0)
-
-    def _apply(
-        self,
-        report: RewireReport,
-        departed: frozenset = frozenset(),
-        start_iteration: Optional[int] = None,
-    ) -> None:
-        from repro.core.queues import TokenQueue
-
-        topology = self.view.topology
-        activation = (
-            start_iteration
-            if start_iteration is not None
-            else self.frontier() + 2
-        )
-        for edge in report.edges_added:
-            if edge[0] != edge[1]:
-                self.activation[edge] = activation
-        for edge in report.edges_removed:
-            self.activation.pop(edge, None)
-
-        for worker in departed:
-            for (owner, _consumer), queue in self.ack_queues.items():
-                if owner == worker:
-                    queue.close()
-        for src, dst in report.edges_removed:
-            if src == dst:
-                continue
-            retired = self.ack_queues.get((dst, src))
-            if retired is not None:
-                retired.close()
-        for src, dst in report.edges_added:
-            if src == dst:
-                continue
-            # Update flow src -> dst means ACKQ(dst -> src) gates
-            # src's Send; one token stands for the implicit ACK(-1)
-            # over the new edge.
-            key = (dst, src)
-            existing = self.ack_queues.get(key)
-            if existing is None:
-                self.ack_queues[key] = TokenQueue(
-                    self.env, owner=dst, consumer=src, initial=1
-                )
-            else:
-                existing.reopen(1)
-
-        for worker in self.workers.values():
-            worker.apply_membership(self)
-        for wid in topology.active:
-            worker = self.workers.get(wid)
-            if worker is not None:
-                worker.repair_pending_recv(departed)
-
-
 class HopMembership(MembershipRuntime):
     """Membership runtime that also repairs Hop's queue fabric.
 
@@ -383,6 +293,19 @@ class HopMembership(MembershipRuntime):
     def _iteration_of(self, worker: int) -> int:
         return self.iterations.get(worker, 0)
 
+    def _initial_tokens(self, src: int, dst: int, joiner: Optional[int]) -> int:
+        """Tokens TokenQ(dst -> src) holds when edge ``src -> dst`` is added.
+
+        The Section 4.2 invariant re-established from the endpoints'
+        current iterations.  A joiner's reported iteration is where it
+        *will* resume; it has not passed that top (and inserted tokens
+        for it) yet, so as an owner it counts one lower.
+        """
+        owner_iteration = self._iteration_of(dst) - (1 if dst == joiner else 0)
+        return max(
+            0, owner_iteration - self._iteration_of(src) + self.config.max_ig
+        )
+
     def _apply(
         self,
         report: RewireReport,
@@ -420,10 +343,6 @@ class HopMembership(MembershipRuntime):
                 retired = self.token_queues.get((dst, src))
                 if retired is not None:
                     retired.close()
-            max_ig = self.config.max_ig
-            # A joiner's reported iteration is where it *will* resume;
-            # it has not passed that top (and inserted tokens for it)
-            # yet, so as an owner it counts one lower.
             joiner = report.worker if start_iteration is not None else None
             for src, dst in report.edges_added:
                 if src == dst:
@@ -431,12 +350,7 @@ class HopMembership(MembershipRuntime):
                 # Edge src -> dst: dst is in Nout(src), so
                 # TokenQ(dst -> src) gates src's progress (Section 4.2).
                 key = (dst, src)
-                owner_iteration = self._iteration_of(dst) - (
-                    1 if dst == joiner else 0
-                )
-                initial = max(
-                    0, owner_iteration - self._iteration_of(src) + max_ig
-                )
+                initial = self._initial_tokens(src, dst, joiner)
                 existing = self.token_queues.get(key)
                 if existing is None:
                     self.token_queues[key] = TokenQueue(
@@ -465,3 +379,20 @@ class HopMembership(MembershipRuntime):
             worker = self.workers.get(wid)
             if worker is not None:
                 worker.repair_pending_recv(departed)
+
+
+class NotifyAckMembership(HopMembership):
+    """Hop's membership runtime over NOTIFY-ACK's ACK channels.
+
+    The ACK channels are Hop's per-edge token queues, so departures,
+    retired edges, activation iterations and worker rebinding are
+    repaired exactly as for Hop.  The one rule that differs: an added
+    edge's channel is created or re-primed with exactly one token, the
+    implicit ACK(-1) that lets the first gated Send through at the
+    edge's activation iteration.  Built with
+    :data:`~repro.core.config.STANDARD`, which never bounds (and so
+    never resizes) update-queue capacities.
+    """
+
+    def _initial_tokens(self, src: int, dst: int, joiner: Optional[int]) -> int:
+        return 1

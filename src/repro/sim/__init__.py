@@ -6,64 +6,42 @@ generator processes on this engine against a simulated clock.
 
 Public API::
 
-    from repro.sim import Environment, Store, FilterStore, RngStreams
+    from repro.sim import Environment, RngStreams
 
     env = Environment()
+    ready = env.event()
 
-    def worker(env, inbox):
-        item = yield inbox.get()
+    def producer(env):
+        yield env.timeout(1.0)
+        ready.succeed("hello")
+
+    def consumer(env):
+        item = yield ready
         yield env.timeout(1.0)
         return item
 
-    inbox = Store(env)
-    inbox.put("hello")
-    proc = env.process(worker(env, inbox))
+    env.process(producer(env))
+    proc = env.process(consumer(env))
     env.run()
+    assert env.now == 2.0 and proc.value == "hello"
 """
 
 from repro.sim.engine import EmptySchedule, Environment
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Timeout,
-)
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Request, Resource
 from repro.sim.rng import RngStreams, derive_seed
-from repro.sim.store import (
-    FilterStore,
-    PriorityItem,
-    PriorityStore,
-    Store,
-    StoreGet,
-    StorePut,
-)
 from repro.sim.trace import StatAccumulator, Tracer
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
     "EmptySchedule",
     "Environment",
     "Event",
-    "FilterStore",
-    "Interrupt",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
     "Request",
     "Resource",
     "RngStreams",
     "StatAccumulator",
-    "Store",
-    "StoreGet",
-    "StorePut",
     "Timeout",
     "Tracer",
     "derive_seed",

@@ -12,16 +12,9 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Generator, Optional, Union
 
-from repro.sim.events import (
-    NORMAL,
-    AllOf,
-    AnyOf,
-    Event,
-    StopSimulation,
-    Timeout,
-)
+from repro.sim.events import NORMAL, Event, StopSimulation, Timeout
 from repro.sim.process import Process
 
 
@@ -55,13 +48,12 @@ class Environment:
     slow paths produce identical orderings.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process")
+    __slots__ = ("_now", "_queue", "_eid")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list = []
         self._eid = count()
-        self._active_process: Optional[Process] = None
 
     # ------------------------------------------------------------------
     # Clock and schedule
@@ -70,11 +62,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def events_scheduled(self) -> int:
@@ -107,12 +94,6 @@ class Environment:
         heapq.heappush(
             self._queue, (self._now, priority, next(self._eid), event)
         )
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -228,14 +209,6 @@ class Environment:
     ) -> Process:
         """Start a new process from a generator."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` has succeeded."""
-        return AnyOf(self, events)
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now} pending={len(self._queue)}>"

@@ -12,7 +12,7 @@ triggers them (``succeed`` / ``fail``) and waits on them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.engine import Environment
@@ -20,22 +20,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 #: Sentinel for "this event has no value yet".
 PENDING = object()
 
-#: Scheduling priority for interrupts and other must-run-first events.
+#: Scheduling priority for must-run-first events (process start-up).
 URGENT = 0
 #: Scheduling priority for ordinary events.
 NORMAL = 1
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The ``cause`` passed to :meth:`repro.sim.process.Process.interrupt`
-    is available as :attr:`cause`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class StopSimulation(Exception):
@@ -126,17 +114,6 @@ class Event:
         self.env.schedule_triggered(self, priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of another (triggered) event onto this one.
-
-        Useful as a callback: ``other.callbacks.append(this.trigger)``.
-        """
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            event.defused = True
-            self.fail(event.value)
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -174,124 +151,3 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay} at {id(self):#x}>"
-
-
-class ConditionValue:
-    """Ordered mapping of the events a condition has collected values from."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list = []
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(repr(event))
-        return event.value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def todict(self) -> dict:
-        return {event: event.value for event in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """An event that triggers when ``evaluate(events, n_done)`` is satisfied.
-
-    Used through the :class:`AllOf` / :class:`AnyOf` helpers.  If any
-    constituent event fails, the condition fails with that exception.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count", "_done")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[tuple, int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = tuple(events)
-        self._count = 0
-        self._done: set = set()
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events must share one environment")
-
-        if self._evaluate(self._events, self._count) and not self.triggered:
-            # Immediately true (e.g. empty AllOf).
-            self.succeed(self._collect_value())
-            return
-
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect_value(self) -> ConditionValue:
-        value = ConditionValue()
-        for event in self._events:
-            if event in self._done:
-                value.events.append(event)
-        return value
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event.ok:
-                # Condition already decided; swallow late failures.
-                event.defused = True
-            return
-        self._count += 1
-        if not event.ok:
-            event.defused = True
-            self.fail(event.value)
-            return
-        self._done.add(event)
-        if self._evaluate(self._events, self._count):
-            self.succeed(self._collect_value())
-
-    @staticmethod
-    def all_events(events: tuple, count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: tuple, count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Triggers once *all* of ``events`` have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Triggers once *any* of ``events`` has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)

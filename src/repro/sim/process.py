@@ -9,9 +9,9 @@ generator returns (with the generator's return value) or raises.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.sim.events import NORMAL, URGENT, Event, Interrupt
+from repro.sim.events import URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -62,17 +62,11 @@ class Process(Event):
         """The event the process is waiting on (``None`` if not waiting)."""
         return self._target
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
     # ------------------------------------------------------------------
     # Resumption
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self.env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -84,17 +78,14 @@ class Process(Event):
                     target = self._throw(event._value)
             except StopIteration as stop:
                 self._target = None
-                self.env._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 self._target = None
-                self.env._active_process = None
                 self.fail(exc)
                 return
 
             if not isinstance(target, Event):
-                self.env._active_process = None
                 error = RuntimeError(
                     f"process {self.name!r} yielded a non-event: {target!r}"
                 )
@@ -113,38 +104,7 @@ class Process(Event):
 
             target.callbacks.append(self._resume)
             self._target = target
-            self.env._active_process = None
             return
-
-    # ------------------------------------------------------------------
-    # Interruption
-    # ------------------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        The process receives the interrupt at its current ``yield``
-        and may catch it to handle failure/slowdown injection.
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self.name!r} has already finished")
-        if self._target is None:
-            raise RuntimeError(
-                f"{self.name!r} has not started yet and cannot be interrupted"
-            )
-
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.defused = True  # prevent engine-level crash if unhandled here
-        event.callbacks.append(self._resume)
-        self.env.schedule(event, priority=URGENT)
 
     def __repr__(self) -> str:
         state = (

@@ -5,12 +5,16 @@ scope-filtered rules see them at their real package-relative paths
 (``package_relpath`` keys on the last ``repro`` path component).
 """
 
+import ast
+import functools
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import run_lint
 from repro.analysis.config import LintConfig
+from repro.analysis.rules.perf import _HOT_BASES, DES_SCOPE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -131,3 +135,25 @@ def test_contract_elastic_flags_unjustified_opt_out(tmp_path):
         "contract-elastic"
     ]
     assert "elastic=False" in report.findings[0].message
+
+
+
+@functools.lru_cache(maxsize=None)
+def classes_in_des_scope() -> frozenset:
+    """Every class name defined in the packages ``perf-slots`` scans."""
+    src = Path(repro.__file__).parent.parent
+    names = set()
+    for package in DES_SCOPE:
+        for path in sorted((src / package).rglob("*.py")):
+            names.update(
+                node.name
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+            )
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("base", sorted(_HOT_BASES))
+def test_every_perf_slots_hot_base_is_a_class_in_scope(base):
+    # An entry naming a class that no longer exists guards nothing.
+    assert base in classes_in_des_scope()

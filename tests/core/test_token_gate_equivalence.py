@@ -6,13 +6,71 @@ wait, kept here as the oracle.  The gate schedules fewer heap entries;
 what must not change is *order*: every waiter resumes at the same
 simulated time and in the same position relative to every other
 observable event, including unrelated events at the same timestamp.
+``AllOf`` itself left the engine with its last caller, so it lives
+here too, with its own tests.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.queues import TokenGate, TokenQueue
 from repro.sim import Environment, Event
+
+
+class ConditionValue:
+    """The events an :class:`AllOf` collected, mapped to their values."""
+
+    __slots__ = ("events",)
+
+    def __init__(self, events):
+        self.events = list(events)
+
+    def __getitem__(self, event):
+        if event not in self.events:
+            raise KeyError(repr(event))
+        return event.value
+
+    def __len__(self):
+        return len(self.events)
+
+    def todict(self):
+        return {event: event.value for event in self.events}
+
+
+class AllOf(Event):
+    """The removed ``env.all_of``: fires once every event has succeeded,
+    fails with the first failure among them."""
+
+    __slots__ = ("_events", "_pending")
+
+    def __init__(self, env, events):
+        super().__init__(env)
+        self._events = tuple(events)
+        if any(event.env is not env for event in self._events):
+            raise ValueError("all events must share one environment")
+        self._pending = len(self._events)
+        if not self._events:
+            self.succeed(ConditionValue(()))
+            return
+        for event in self._events:
+            if event.processed:
+                self._check(event)
+            else:
+                event.callbacks.append(self._check)
+
+    def _check(self, event):
+        if self.triggered:
+            if not event.ok:
+                event.defused = True  # already decided: swallow it
+            return
+        if not event.ok:
+            event.defused = True
+            self.fail(event.value)
+            return
+        self._pending -= 1
+        if not self._pending:
+            self.succeed(ConditionValue(self._events))
 
 
 class TokenAcquire(Event):
@@ -45,7 +103,7 @@ def reference_wait(env, queues, count, delay):
         yield env.timeout(delay)
     acquires = [queue.acquire(count) for queue in queues]
     if acquires:
-        yield env.all_of(acquires)
+        yield AllOf(env, acquires)
 
 
 def gate_wait(env, queues, count, delay):
@@ -181,3 +239,75 @@ def test_mixed_immediate_and_late_grants_against_same_time_probes():
     # 3 acquires + AllOf + Timeout and 1 acquire + AllOf, against 3 + 2.
     saved = reference.env.events_scheduled - gated.env.events_scheduled
     assert saved == 2
+
+
+class TestAllOf:
+    def test_waits_for_all(self):
+        env = Environment()
+        results = []
+
+        def proc(env):
+            t1 = env.timeout(1.0, value="a")
+            t2 = env.timeout(3.0, value="b")
+            cond = yield AllOf(env, [t1, t2])
+            results.append((env.now, [cond[t1], cond[t2]]))
+
+        env.process(proc(env))
+        env.run()
+        assert results == [(3.0, ["a", "b"])]
+
+    def test_empty_allof_fires_immediately(self):
+        env = Environment()
+        done = []
+
+        def proc(env):
+            value = yield AllOf(env, [])
+            done.append((env.now, len(value)))
+
+        env.process(proc(env))
+        env.run()
+        assert done == [(0.0, 0)]
+
+    def test_allof_fails_if_any_child_fails(self):
+        env = Environment()
+        failing = env.event()
+        caught = []
+
+        def proc(env):
+            try:
+                yield AllOf(env, [env.timeout(10.0), failing])
+            except ValueError as exc:
+                caught.append(str(exc))
+
+        env.process(proc(env))
+        failing.fail(ValueError("child failed"))
+        env.run()
+        assert caught == ["child failed"]
+
+
+def test_condition_with_foreign_environment_rejected():
+    env_a = Environment()
+    env_b = Environment()
+    ev = env_b.event()
+    with pytest.raises(ValueError):
+        AllOf(env_a, [ev])
+
+
+def test_condition_value_mapping_behaviour():
+    env = Environment()
+    holder = {}
+
+    def proc(env):
+        t1 = env.timeout(1, value=10)
+        t2 = env.timeout(2, value=20)
+        holder["cond"] = yield AllOf(env, [t1, t2])
+        holder["t1"], holder["t2"] = t1, t2
+
+    env.process(proc(env))
+    env.run()
+    cond = holder["cond"]
+    assert cond[holder["t1"]] == 10
+    assert cond.todict() == {holder["t1"]: 10, holder["t2"]: 20}
+    assert len(cond) == 2
+    with pytest.raises(KeyError):
+        _ = cond[Event(env)]

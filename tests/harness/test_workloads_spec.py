@@ -15,6 +15,7 @@ from repro.harness import (
     svm_workload,
 )
 from repro.hetero import DeterministicSlowdown, NoSlowdown, RandomSlowdown
+from repro.scenarios import ScenarioSpec
 from repro.sim import RngStreams
 
 
@@ -50,31 +51,36 @@ class TestWorkloads:
         assert cnn_workload("smoke").target_loss > cnn_workload("paper").target_loss
 
 
+def build_slowdown(spec, n_workers):
+    """A legacy recipe built the way runs build it (via the scenario)."""
+    return ScenarioSpec.from_slowdown(spec).build(n_workers, RngStreams(0))
+
+
 class TestSlowdownSpec:
     def test_none(self):
-        model = SlowdownSpec().build(4, RngStreams(0))
-        assert isinstance(model, NoSlowdown)
+        scenario = build_slowdown(SlowdownSpec(), 4)
+        assert isinstance(scenario.slowdown, NoSlowdown)
 
     def test_random_defaults_probability_to_1_over_n(self):
-        model = RANDOM_6X.build(16, RngStreams(0))
+        model = build_slowdown(RANDOM_6X, 16).slowdown
         assert isinstance(model, RandomSlowdown)
         assert model.probability == pytest.approx(1 / 16)
         assert model.slow_factor == 6.0
 
     def test_deterministic(self):
         spec = deterministic_straggler(worker=3, factor=4.0)
-        model = spec.build(8, RngStreams(0))
+        model = build_slowdown(spec, 8).slowdown
         assert isinstance(model, DeterministicSlowdown)
         assert model.factor(3, 0) == 4.0
 
     def test_describe(self):
-        assert SlowdownSpec().describe() == "none"
-        assert "6" in RANDOM_6X.describe()
-        assert "0:4" in deterministic_straggler().describe()
+        assert build_slowdown(SlowdownSpec(), 4).describe() == "none"
+        assert "6" in build_slowdown(RANDOM_6X, 4).describe()
+        assert "0:4" in build_slowdown(deterministic_straggler(), 4).describe()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            SlowdownSpec(kind="quantum").build(2, RngStreams(0))
+            build_slowdown(SlowdownSpec(kind="quantum"), 2)
 
 
 class TestRunSpec:

@@ -66,8 +66,7 @@ def test_every_queue_conserves_tokens_through_a_churn_run(protocol):
 
     cluster = build_cluster(churn_conformance_spec(protocol, "churn"))
     cluster.run()
-    worker = cluster._workers[0]
-    queues = worker.token_queues if protocol == "hop" else worker.ack_queues
+    queues = cluster._workers[0].token_queues
     assert any(queue.closed for queue in queues.values())
     for edge, queue in queues.items():
         conserved = queue.total_inserted - queue.total_acquired

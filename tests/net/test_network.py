@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Link, LinkModel, Message, Network, SharedNic
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 def test_send_delivers_after_transfer_time():

@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.graphs import ring_based
 from repro.harness import ExperimentSpec, SlowdownSpec, run_spec, svm_workload
 from repro.harness.spec import RANDOM_6X, deterministic_straggler
+from repro.hetero import DeterministicSlowdown, NoSlowdown, RandomSlowdown
 from repro.scenarios import (
     SCENARIOS,
     Scenario,
@@ -105,17 +106,23 @@ class TestScenarioSpec:
         assert restored == spec
 
     def test_from_slowdown_matches_legacy_factors(self):
-        """The converted scenario reproduces the legacy SlowdownSpec's
-        factors draw-for-draw (back compatibility)."""
-        for legacy in (
-            SlowdownSpec(),
-            RANDOM_6X,
-            SlowdownSpec(kind="random", factor=3.0, probability=0.25),
-            deterministic_straggler(worker=2, factor=5.0),
+        """The converted scenario reproduces the models the legacy
+        SlowdownSpec recipes name, draw-for-draw (back compatibility)."""
+        for legacy, model in (
+            (SlowdownSpec(), lambda streams: NoSlowdown()),
+            (RANDOM_6X, lambda streams: RandomSlowdown(streams, 6.0, 1 / 8)),
+            (
+                SlowdownSpec(kind="random", factor=3.0, probability=0.25),
+                lambda streams: RandomSlowdown(streams, 3.0, 0.25),
+            ),
+            (
+                deterministic_straggler(worker=2, factor=5.0),
+                lambda streams: DeterministicSlowdown({2: 5.0}),
+            ),
         ):
             streams_a = RngStreams(7).spawn("slowdown")
             streams_b = RngStreams(7).spawn("slowdown")
-            old = legacy.build(8, streams_a)
+            old = model(streams_a)
             new = ScenarioSpec.from_slowdown(legacy).build(8, streams_b)
             for worker in range(8):
                 for k in range(20):

@@ -1,5 +1,7 @@
 """Tests for the simulation engine: clock, scheduling, run modes."""
 
+import textwrap
+
 import pytest
 
 from repro.sim import EmptySchedule, Environment, Timeout
@@ -81,17 +83,6 @@ def test_events_at_same_time_fire_in_creation_order():
     assert order == ["a", "b", "c"]
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(7.0)
-    env.timeout(3.0)
-    assert env.peek() == 3.0
-
-
-def test_peek_on_empty_schedule_is_inf():
-    assert Environment().peek() == float("inf")
-
-
 def test_negative_delay_rejected():
     env = Environment()
     with pytest.raises(ValueError):
@@ -164,3 +155,10 @@ def test_events_scheduled_counts_every_path_and_reading_is_free():
     env.run()
     assert fired == ["first", "second"]
     assert env.events_scheduled == 7
+
+
+def test_package_docstring_example_runs():
+    import repro.sim
+
+    example = textwrap.dedent(repro.sim.__doc__.split("Public API::", 1)[1])
+    exec(compile(example, "<repro.sim docstring>", "exec"), {})

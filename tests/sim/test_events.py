@@ -1,8 +1,8 @@
-"""Tests for event primitives: trigger semantics, conditions."""
+"""Tests for event primitives: trigger semantics and callbacks."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event
+from repro.sim import Environment
 
 
 def test_event_starts_untriggered():
@@ -80,16 +80,6 @@ def test_process_can_catch_failed_event():
     assert caught == ["oops"]
 
 
-def test_trigger_copies_outcome():
-    env = Environment()
-    source = env.event()
-    sink = env.event()
-    source.succeed("payload")
-    sink.trigger(source)
-    assert sink.triggered and sink.ok
-    assert sink.value == "payload"
-
-
 def test_callbacks_receive_the_event():
     env = Environment()
     ev = env.event()
@@ -98,103 +88,3 @@ def test_callbacks_receive_the_event():
     ev.succeed()
     env.run()
     assert seen == [ev]
-
-
-class TestAllOf:
-    def test_waits_for_all(self):
-        env = Environment()
-        results = []
-
-        def proc(env):
-            t1 = env.timeout(1.0, value="a")
-            t2 = env.timeout(3.0, value="b")
-            cond = yield AllOf(env, [t1, t2])
-            results.append((env.now, [cond[t1], cond[t2]]))
-
-        env.process(proc(env))
-        env.run()
-        assert results == [(3.0, ["a", "b"])]
-
-    def test_empty_allof_fires_immediately(self):
-        env = Environment()
-        done = []
-
-        def proc(env):
-            value = yield AllOf(env, [])
-            done.append((env.now, len(value)))
-
-        env.process(proc(env))
-        env.run()
-        assert done == [(0.0, 0)]
-
-    def test_allof_fails_if_any_child_fails(self):
-        env = Environment()
-        failing = env.event()
-        caught = []
-
-        def proc(env):
-            try:
-                yield AllOf(env, [env.timeout(10.0), failing])
-            except ValueError as exc:
-                caught.append(str(exc))
-
-        env.process(proc(env))
-        failing.fail(ValueError("child failed"))
-        env.run()
-        assert caught == ["child failed"]
-
-
-class TestAnyOf:
-    def test_fires_on_first(self):
-        env = Environment()
-        results = []
-
-        def proc(env):
-            fast = env.timeout(1.0, value="fast")
-            slow = env.timeout(5.0, value="slow")
-            cond = yield AnyOf(env, [fast, slow])
-            results.append((env.now, fast in cond, slow in cond))
-
-        env.process(proc(env))
-        env.run()
-        assert results == [(1.0, True, False)]
-
-    def test_empty_anyof_fires_immediately(self):
-        env = Environment()
-        done = []
-
-        def proc(env):
-            yield AnyOf(env, [])
-            done.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert done == [0.0]
-
-
-def test_condition_with_foreign_environment_rejected():
-    env_a = Environment()
-    env_b = Environment()
-    ev = env_b.event()
-    with pytest.raises(ValueError):
-        AllOf(env_a, [ev])
-
-
-def test_condition_value_mapping_behaviour():
-    env = Environment()
-    holder = {}
-
-    def proc(env):
-        t1 = env.timeout(1, value=10)
-        t2 = env.timeout(2, value=20)
-        holder["cond"] = yield AllOf(env, [t1, t2])
-        holder["t1"], holder["t2"] = t1, t2
-
-    env.process(proc(env))
-    env.run()
-    cond = holder["cond"]
-    assert cond[holder["t1"]] == 10
-    assert cond.todict() == {holder["t1"]: 10, holder["t2"]: 20}
-    assert len(cond) == 2
-    with pytest.raises(KeyError):
-        _ = cond[Event(env)]

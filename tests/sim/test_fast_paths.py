@@ -26,7 +26,6 @@ class TestSlots:
             Event(env),
             env.timeout(1.0),
             env.event(),
-            env.all_of([]),
         ):
             assert not hasattr(obj, "__dict__"), type(obj)
 

@@ -1,8 +1,8 @@
-"""Tests for process semantics: chaining, return values, interrupts."""
+"""Tests for process semantics: chaining, return values, failures."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 def test_process_return_value_is_event_value():
@@ -17,7 +17,7 @@ def test_process_return_value_is_event_value():
     assert p.value == 99
 
 
-def test_process_is_alive_until_done():
+def test_process_triggers_only_when_done():
     env = Environment()
 
     def proc(env):
@@ -25,9 +25,9 @@ def test_process_is_alive_until_done():
 
     p = env.process(proc(env))
     env.run(until=2)
-    assert p.is_alive
+    assert not p.triggered
     env.run()
-    assert not p.is_alive
+    assert p.triggered
 
 
 def test_waiting_on_another_process_gets_its_return():
@@ -83,90 +83,6 @@ def test_rejects_non_generator():
         env.process(lambda: None)
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as interrupt:
-            log.append((env.now, interrupt.cause))
-
-    def attacker(env, target):
-        yield env.timeout(3)
-        target.interrupt(cause="preempted")
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    env.run()
-    assert log == [(3.0, "preempted")]
-
-
-def test_interrupted_process_can_rewait():
-    """A process can catch an interrupt and resume waiting."""
-    env = Environment()
-    log = []
-
-    def victim(env):
-        deadline = env.timeout(10)
-        try:
-            yield deadline
-        except Interrupt:
-            log.append(("interrupted", env.now))
-            yield env.timeout(1)
-            log.append(("recovered", env.now))
-
-    def attacker(env, target):
-        yield env.timeout(4)
-        target.interrupt()
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    env.run()
-    assert log == [("interrupted", 4.0), ("recovered", 5.0)]
-
-
-def test_interrupt_finished_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError, match="finished"):
-        p.interrupt()
-
-
-def test_interrupt_unstarted_process_raises():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1)
-
-    p = env.process(proc(env))
-    # The engine has not run yet, so the process never started.
-    with pytest.raises(RuntimeError, match="not started"):
-        p.interrupt()
-
-
-def test_uncaught_interrupt_fails_the_process():
-    env = Environment()
-
-    def victim(env):
-        yield env.timeout(100)
-
-    def attacker(env, target):
-        yield env.timeout(1)
-        target.interrupt(cause="fatal")
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    with pytest.raises(Interrupt):
-        env.run()
-
-
 def test_nested_process_chain():
     env = Environment()
 
@@ -205,17 +121,3 @@ def test_exception_propagates_through_waiters():
     env.process(parent(env))
     env.run()
     assert caught == ["'inner'"]
-
-
-def test_active_process_tracking():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        seen.append(env.active_process)
-        yield env.timeout(1)
-
-    p = env.process(proc(env))
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None

@@ -2,10 +2,10 @@
 
 import heapq
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import Environment, FilterStore, RngStreams, StatAccumulator, Store
+from repro.sim import Environment, RngStreams, StatAccumulator
 
 import numpy as np
 import pytest
@@ -25,74 +25,6 @@ def test_clock_never_goes_backwards(delays):
     env.run()
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
-
-
-@given(
-    items=st.lists(st.integers(), min_size=0, max_size=50),
-)
-def test_store_preserves_fifo_order(items):
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env, store, n):
-        for _ in range(n):
-            got.append((yield store.get()))
-
-    for item in items:
-        store.put(item)
-    env.process(consumer(env, store, len(items)))
-    env.run()
-    assert got == items
-
-
-@given(
-    items=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=40),
-    threshold=st.integers(min_value=0, max_value=100),
-)
-def test_filter_store_returns_first_match(items, threshold):
-    env = Environment()
-    store = FilterStore(env)
-    for item in items:
-        store.put(item)
-
-    matches = [item for item in items if item >= threshold]
-
-    def consumer(env, store):
-        return (yield store.get(lambda x: x >= threshold))
-
-    p = env.process(consumer(env, store))
-    env.run(until=1)
-    if matches:
-        assert p.triggered
-        assert p.value == matches[0]
-    else:
-        assert not p.triggered
-
-
-@given(
-    capacity=st.integers(min_value=1, max_value=5),
-    n_items=st.integers(min_value=0, max_value=20),
-)
-def test_store_capacity_never_exceeded(capacity, n_items):
-    env = Environment()
-    store = Store(env, capacity=capacity)
-    max_seen = [0]
-
-    def producer(env, store):
-        for i in range(n_items):
-            yield store.put(i)
-            max_seen[0] = max(max_seen[0], store.level)
-
-    def consumer(env, store):
-        for _ in range(n_items):
-            yield env.timeout(1)
-            yield store.get()
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert max_seen[0] <= capacity
 
 
 @given(
@@ -120,38 +52,3 @@ def test_stat_accumulator_matches_numpy(values):
     assert acc.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
     assert acc.min == min(values)
     assert acc.max == max(values)
-
-
-@settings(max_examples=25)
-@given(
-    schedule=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=100.0),  # producer delay
-            st.floats(min_value=0.0, max_value=100.0),  # consumer delay
-        ),
-        min_size=1,
-        max_size=15,
-    )
-)
-def test_every_put_item_is_eventually_consumed(schedule):
-    """Conservation: items in == items out when counts match."""
-    env = Environment()
-    store = Store(env)
-    produced, consumed = [], []
-
-    def producer(env, store, delay, token):
-        yield env.timeout(delay)
-        store.put(token)
-        produced.append(token)
-
-    def consumer(env, store, delay):
-        yield env.timeout(delay)
-        item = yield store.get()
-        consumed.append(item)
-
-    for index, (produce_delay, consume_delay) in enumerate(schedule):
-        env.process(producer(env, store, produce_delay, index))
-        env.process(consumer(env, store, consume_delay))
-    env.run()
-    assert sorted(produced) == sorted(consumed)
-    assert store.level == 0
