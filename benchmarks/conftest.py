@@ -2,8 +2,8 @@
 
 Every benchmark regenerates one of the paper's figures/tables at the
 ``bench`` preset, asserts its shape checks, and writes the rendered
-rows/series to ``benchmarks/results/<figure>.txt`` (the artifacts
-EXPERIMENTS.md records).
+rows/series to ``benchmarks/results/<figure>[_<workload>].txt`` (the
+artifacts EXPERIMENTS.md records).
 """
 
 from __future__ import annotations

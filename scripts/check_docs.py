@@ -10,6 +10,10 @@ Two kinds of fenced code blocks are verified:
   through the real CLI argument parser (without executing the command),
   so documented flags that no longer exist fail the check.
 
+It also fails on a ``NAME.md`` reference in ``src/``, ``benchmarks/``,
+README.md, docs/ARCHITECTURE.md or EXPERIMENTS.md that names no file
+in the repo.
+
 Usage::
 
     PYTHONPATH=src python scripts/check_docs.py
@@ -26,6 +30,11 @@ REPO = Path(__file__).resolve().parent.parent
 DOCS = [REPO / "README.md", REPO / "docs" / "ARCHITECTURE.md"]
 
 FENCE = re.compile(r"^```(\w*)\s*$")
+
+#: Files whose ``NAME.md`` references must resolve.
+REFERRERS = ("README.md", "docs/ARCHITECTURE.md", "EXPERIMENTS.md",
+             "src/**/*.py", "benchmarks/**/*.py")
+MD_REFERENCE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[A-Z][A-Z0-9_-]*\.md)\b")
 
 
 def extract_blocks(path: Path):
@@ -65,8 +74,28 @@ def parse_console_block(label: str, source: str) -> None:
         parser.parse_args(argv)  # SystemExit on unknown flags
 
 
+def missing_doc_references():
+    """Yield ``(location, reference)`` for each ``NAME.md`` reference
+    that matches no markdown file's repo path or path suffix."""
+    present = [
+        path.relative_to(REPO).as_posix()
+        for path in REPO.rglob("*.md")
+        if ".git" not in path.parts
+    ]
+    for pattern in REFERRERS:
+        for path in sorted(REPO.glob(pattern)):
+            lines = path.read_text().splitlines()
+            for lineno, line in enumerate(lines, 1):
+                for ref in MD_REFERENCE.findall(line):
+                    if not any(p == ref or p.endswith("/" + ref) for p in present):
+                        yield f"{path.relative_to(REPO)}:{lineno}", ref
+
+
 def main() -> int:
     failures = 0
+    for location, ref in missing_doc_references():
+        print(f"FAIL {location}: {ref} names no file in the repo")
+        failures += 1
     for doc in DOCS:
         print(f"== {doc.relative_to(REPO)} ==")
         for language, lineno, source in extract_blocks(doc):
@@ -84,7 +113,7 @@ def main() -> int:
                 print(f"FAIL {label}: {type(error).__name__}: {error}")
                 failures += 1
     if failures:
-        print(f"docs check FAILED ({failures} block(s))")
+        print(f"docs check FAILED ({failures} finding(s))")
         return 1
     print("docs check OK")
     return 0

@@ -37,7 +37,7 @@ else
 fi
 
 echo "== bench smoke: fig21 (instant) + fig16 at smoke preset =="
-python -m pytest -x -q benchmarks/test_fig21_spectral_gaps.py
+python -m pytest -x -q benchmarks/test_studies.py -k fig21
 python -m repro figures --preset smoke --only fig16
 
 echo "== scaling smoke: fig24 smallest cells (8/16 workers) + 256-worker scale tier =="

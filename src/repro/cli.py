@@ -74,8 +74,7 @@ def _cmd_studies(args: argparse.Namespace) -> int:
         if name not in studies:
             print(f"unknown {noun} {name!r}; choose from {sorted(studies)}")
             return 2
-        study = studies[name]
-        result = study() if name == "fig21" else study(args.preset)
+        result = studies[name](args.preset)
         print(result.render())
         print()
         if getattr(args, "json_dir", None):

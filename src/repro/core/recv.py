@@ -10,7 +10,7 @@ and returns the reduced parameter vector:
   updates of iteration ``k``, scoop up any extras already present,
   mean-reduce whatever arrived.
 * :class:`StalenessRecv` — Figure 9 (with the prose semantics of
-  Section 4.4, see DESIGN.md §5.4): keep a cache of the freshest update
+  the paper's Section 4.4): keep a cache of the freshest update
   per in-neighbor; block only while a neighbor's freshest known update
   is older than ``k - s``; reduce the *newly received* satisfactory
   updates with the iteration-weighted average of Equation (2).

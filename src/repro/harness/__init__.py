@@ -2,36 +2,17 @@
 
 Public API::
 
-    from repro.harness import fig16_iteration_speed
+    from repro.harness import ALL_FIGURES
 
-    result = fig16_iteration_speed(preset="smoke")
+    result = ALL_FIGURES["fig16"]("smoke")
     print(result.render())
     assert result.passed()
 """
 
-from repro.harness.figures import (
-    ALL_FIGURES,
-    FigureResult,
-    fig12_heterogeneity,
-    fig13_vs_ps,
-    fig14_backup_time,
-    fig15_backup_steps,
-    fig16_iteration_speed,
-    fig17_staleness,
-    fig18_skip_duration,
-    fig19_skip_convergence,
-    fig20_topology,
-    fig21_spectral_gaps,
-    fig22_protocols,
-    fig23_scenario_grid,
-    fig24_scaling,
-    fig25_churn,
-    fig26_compression,
-    table1_gap_bounds,
-)
+from repro.harness.figures import ALL_FIGURES
+from repro.harness.study import FigureResult
 from repro.harness.report import (
     render_check,
-    render_curve,
     render_series_table,
     render_table,
 )
@@ -42,7 +23,6 @@ from repro.harness.results import (
     final_smoothed_loss,
     iteration_rate_speedup,
     straggler_slowdown_ratio,
-    time_to_loss_speedup,
     wall_time_speedup,
 )
 from repro.harness.parallel import (
@@ -66,14 +46,6 @@ from repro.harness.io import (
     run_to_dict,
     save_figure,
     save_run,
-)
-from repro.harness.sweeps import (
-    summary_row,
-    sweep,
-    sweep_backup,
-    sweep_max_ig,
-    sweep_seeds,
-    sweep_staleness,
 )
 from repro.harness.workloads import (
     PRESETS,
@@ -102,27 +74,11 @@ __all__ = [
     "compare_runs",
     "default_jobs",
     "deterministic_straggler",
-    "fig12_heterogeneity",
-    "fig13_vs_ps",
-    "fig14_backup_time",
-    "fig15_backup_steps",
-    "fig16_iteration_speed",
-    "fig17_staleness",
-    "fig18_skip_duration",
-    "fig19_skip_convergence",
-    "fig20_topology",
-    "fig21_spectral_gaps",
-    "fig22_protocols",
-    "fig23_scenario_grid",
-    "fig24_scaling",
-    "fig25_churn",
-    "fig26_compression",
     "figure_to_dict",
     "final_smoothed_loss",
     "iteration_rate_speedup",
     "load_run_summary",
     "render_check",
-    "render_curve",
     "render_series_table",
     "render_table",
     "resolve_jobs",
@@ -133,14 +89,6 @@ __all__ = [
     "save_figure",
     "save_run",
     "straggler_slowdown_ratio",
-    "summary_row",
     "svm_workload",
-    "sweep",
-    "sweep_backup",
-    "sweep_max_ig",
-    "sweep_seeds",
-    "sweep_staleness",
-    "table1_gap_bounds",
-    "time_to_loss_speedup",
     "wall_time_speedup",
 ]

@@ -1,7 +1,8 @@
 """Ablations: design choices the paper discusses but does not plot.
 
-Five studies, each packaged as a :class:`~repro.harness.figures.FigureResult`
-so the benchmark harness can assert their expected shapes:
+Six studies, each a :class:`~repro.harness.study.Study` whose
+:class:`~repro.harness.study.FigureResult` the benchmark harness
+asserts:
 
 * **Eq. (2) vs simple averaging** of stale updates (Section 4.4's
   "found the latter performs slightly better").
@@ -26,58 +27,43 @@ from typing import Dict
 import numpy as np
 
 from repro.core.config import (
-    STANDARD,
     HopConfig,
     backup_config,
     staleness_config,
 )
-from repro.graphs import bipartite_ring, ring_based
-from repro.harness.figures import FigureResult, _scale
-from repro.harness.results import final_smoothed_loss, wall_time_speedup
-from repro.harness.parallel import run_specs
-from repro.harness.spec import (
-    RANDOM_6X,
-    ExperimentSpec,
-    deterministic_straggler,
-)
-from repro.harness.workloads import by_name
+from repro.graphs import bipartite_ring
+from repro.harness.results import final_smoothed_loss
+from repro.harness.spec import RANDOM_6X, deterministic_straggler
+from repro.harness.study import Study
+
+_STRAGGLER_4X = deterministic_straggler(worker=0, factor=4.0)
+_FLAVORS = (("eq2_weighted", "weighted"), ("uniform", "uniform"))
 
 
-def ablation_stale_reduce(
-    preset: str = "bench", workload_name: str = "cnn", seed: int = 0
-) -> FigureResult:
-    """Equation (2) weighting vs simple averaging of stale updates."""
-    n, max_iter = _scale(preset)
-    workload = by_name(workload_name, preset)
-    result = FigureResult(
-        "ablation_stale_reduce",
-        "Staleness aggregation: Eq. (2) weighting vs simple average "
-        f"({workload_name}, 6x random slowdown)",
+def _stale_reduce_cells(ctx):
+    replicates = 2 if ctx.preset == "smoke" else 3
+    return ctx.grid(
+        {
+            f"{label}@{ctx.seed + i}": dict(
+                config=staleness_config(
+                    staleness=5, max_ig=8, stale_reduce=flavor
+                ),
+                seed=ctx.seed + i,
+            )
+            for i in range(replicates)
+            for label, flavor in _FLAVORS
+        },
+        slowdown=RANDOM_6X,
     )
-    seeds = [seed, seed + 1] if preset == "smoke" else [seed, seed + 1, seed + 2]
-    flavors = (("eq2_weighted", "weighted"), ("uniform", "uniform"))
-    runs = run_specs({
-        f"{label}@{run_seed}": ExperimentSpec(
-            label,
-            workload,
-            ring_based(n),
-            config=staleness_config(
-                staleness=5, max_ig=8, stale_reduce=flavor
-            ),
-            slowdown=RANDOM_6X,
-            max_iter=max_iter,
-            seed=run_seed,
-        )
-        for run_seed in seeds
-        for label, flavor in flavors
-    })
+
+
+def _stale_reduce_report(ctx, result, runs):
     losses: Dict[str, list] = {"eq2_weighted": [], "uniform": []}
     wall_times: Dict[str, list] = {"eq2_weighted": [], "uniform": []}
-    for run_seed in seeds:
-        for label, _ in flavors:
-            run = runs[f"{label}@{run_seed}"]
-            losses[label].append(final_smoothed_loss(run))
-            wall_times[label].append(run.wall_time)
+    for key, run in runs.items():
+        label = key.split("@")[0]
+        losses[label].append(final_smoothed_loss(run))
+        wall_times[label].append(run.wall_time)
     for label in ("eq2_weighted", "uniform"):
         result.rows.append(
             {
@@ -100,30 +86,16 @@ def ablation_stale_reduce(
         weighted <= uniform * 1.10,
         f"weighted={weighted:.3f} uniform={uniform:.3f}",
     )
-    return result
 
 
-def ablation_computation_graph(
-    preset: str = "bench", workload_name: str = "svm", seed: int = 0
-) -> FigureResult:
-    """Parallel (Fig. 2b) vs serial (Fig. 2a) computation graphs."""
-    n, max_iter = _scale(preset)
-    workload = by_name(workload_name, preset)
-    result = FigureResult(
-        "ablation_computation_graph",
-        f"Parallel vs serial computation graph ({workload_name})",
-    )
-    runs = run_specs({
-        label: ExperimentSpec(
-            label,
-            workload,
-            ring_based(n),
-            config=HopConfig(computation_graph=label),
-            max_iter=max_iter,
-            seed=seed,
-        )
+def _computation_graph_cells(ctx):
+    return ctx.grid({
+        label: dict(config=HopConfig(computation_graph=label))
         for label in ("parallel", "serial")
     })
+
+
+def _computation_graph_report(ctx, result, runs):
     for label in ("parallel", "serial"):
         result.rows.append(
             {
@@ -145,32 +117,19 @@ def ablation_computation_graph(
         <= final_smoothed_loss(runs["parallel"]) * 1.15,
         "",
     )
-    return result
 
 
-def ablation_max_ig(
-    preset: str = "bench", workload_name: str = "svm", seed: int = 0
-) -> FigureResult:
-    """Theorem 2's knob: larger max_ig buys straggler tolerance."""
-    n, max_iter = _scale(preset)
-    workload = by_name(workload_name, preset)
-    result = FigureResult(
-        "ablation_max_ig",
-        f"max_ig sweep under a 4x straggler ({workload_name}, backup mode)",
+def _max_ig_cells(ctx):
+    return ctx.grid(
+        {
+            max_ig: dict(config=backup_config(n_backup=1, max_ig=max_ig))
+            for max_ig in (1, 2, 4, 8)
+        },
+        slowdown=_STRAGGLER_4X,
     )
-    straggler = deterministic_straggler(worker=0, factor=4.0)
-    runs = run_specs({
-        max_ig: ExperimentSpec(
-            f"max_ig={max_ig}",
-            workload,
-            ring_based(n),
-            config=backup_config(n_backup=1, max_ig=max_ig),
-            slowdown=straggler,
-            max_iter=max_iter,
-            seed=seed,
-        )
-        for max_ig in (1, 2, 4, 8)
-    })
+
+
+def _max_ig_report(ctx, result, runs):
     walls: Dict[int, float] = {}
     for max_ig, run in runs.items():
         walls[max_ig] = run.wall_time
@@ -184,7 +143,7 @@ def ablation_max_ig(
         )
         result.check(
             f"max_ig={max_ig}: observed gap within Theorem 2's adjacent bound",
-            run.gap.max_observed() <= max_ig * ring_based(n).diameter(),
+            run.gap.max_observed() <= max_ig * ctx.topology.diameter(),
             f"gap={run.gap.max_observed():g}",
         )
     result.check(
@@ -192,32 +151,19 @@ def ablation_max_ig(
         walls[8] <= walls[1] + 1e-9,
         f"wall(1)={walls[1]:.1f}s wall(8)={walls[8]:.1f}s",
     )
-    return result
 
 
-def ablation_queue_impl(
-    preset: str = "bench", workload_name: str = "svm", seed: int = 0
-) -> FigureResult:
-    """Section 6.1: rotating queues match the tagged single queue."""
-    n, max_iter = _scale(preset)
-    workload = by_name(workload_name, preset)
-    result = FigureResult(
-        "ablation_queue_impl",
-        "Rotating (Sec 6.1) vs tagged update-queue implementations "
-        f"({workload_name}, 6x random slowdown)",
+def _queue_impl_cells(ctx):
+    return ctx.grid(
+        {
+            impl: dict(config=HopConfig(queue_impl=impl, max_ig=4))
+            for impl in ("rotating", "tagged")
+        },
+        slowdown=RANDOM_6X,
     )
-    runs = run_specs({
-        impl: ExperimentSpec(
-            impl,
-            workload,
-            ring_based(n),
-            config=HopConfig(queue_impl=impl, max_ig=4),
-            slowdown=RANDOM_6X,
-            max_iter=max_iter,
-            seed=seed,
-        )
-        for impl in ("rotating", "tagged")
-    })
+
+
+def _queue_impl_report(ctx, result, runs):
     for impl in ("rotating", "tagged"):
         result.rows.append(
             {
@@ -241,39 +187,19 @@ def ablation_queue_impl(
         ),
         "",
     )
-    return result
 
 
-def ablation_vs_adpsgd(
-    preset: str = "bench", workload_name: str = "svm", seed: int = 0
-) -> FigureResult:
-    """Hop's bounded-gap design vs AD-PSGD's unconstrained gossip."""
-    n, max_iter = _scale(preset)
-    workload = by_name(workload_name, preset)
-    result = FigureResult(
-        "ablation_vs_adpsgd",
-        f"Hop (backup) vs AD-PSGD under 6x random slowdown ({workload_name})",
+def _vs_adpsgd_cells(ctx):
+    return ctx.grid(
+        {
+            "hop": dict(config=backup_config(n_backup=1, max_ig=4)),
+            "adpsgd": dict(protocol="adpsgd", topology=bipartite_ring(ctx.n)),
+        },
+        slowdown=RANDOM_6X,
     )
-    runs = run_specs({
-        "hop": ExperimentSpec(
-            "hop",
-            workload,
-            ring_based(n),
-            config=backup_config(n_backup=1, max_ig=4),
-            slowdown=RANDOM_6X,
-            max_iter=max_iter,
-            seed=seed,
-        ),
-        "adpsgd": ExperimentSpec(
-            "adpsgd",
-            workload,
-            bipartite_ring(n),
-            protocol="adpsgd",
-            slowdown=RANDOM_6X,
-            max_iter=max_iter,
-            seed=seed,
-        ),
-    })
+
+
+def _vs_adpsgd_report(ctx, result, runs):
     hop, adpsgd = runs["hop"], runs["adpsgd"]
     for label, run in (("hop/backup", hop), ("adpsgd", adpsgd)):
         result.rows.append(
@@ -296,41 +222,19 @@ def ablation_vs_adpsgd(
         final_smoothed_loss(hop) < 1.0 and final_smoothed_loss(adpsgd) < 1.0,
         "",
     )
-    result.notes = (
-        "AD-PSGD requires a bipartite graph (even ring here); Hop runs on "
-        "the denser ring-based graph. The point of this ablation is the "
-        "graph-freedom and gap-control trade-off discussed in Section 5."
+
+
+def _partial_groups_cells(ctx):
+    return ctx.grid(
+        {"randomized": dict(static_groups=False), "static": dict(static_groups=True)},
+        protocol="partial-allreduce",
+        slowdown=_STRAGGLER_4X,
     )
-    return result
 
 
-def ablation_partial_groups(
-    preset: str = "bench", workload_name: str = "svm", seed: int = 0
-) -> FigureResult:
-    """Randomized vs static group generation for partial all-reduce."""
+def _partial_groups_report(ctx, result, runs):
     from repro.protocols.partial_allreduce import GroupSchedule
 
-    n, max_iter = _scale(preset)
-    workload = by_name(workload_name, preset)
-    result = FigureResult(
-        "ablation_partial_groups",
-        "Partial all-reduce: randomized vs static groups "
-        f"({workload_name}, 4x straggler)",
-    )
-    straggler = deterministic_straggler(worker=0, factor=4.0)
-    runs = run_specs({
-        label: ExperimentSpec(
-            label,
-            workload,
-            ring_based(n),
-            protocol="partial-allreduce",
-            static_groups=static,
-            slowdown=straggler,
-            max_iter=max_iter,
-            seed=seed,
-        )
-        for label, static in (("randomized", False), ("static", True))
-    })
     for label, run in runs.items():
         result.rows.append(
             {
@@ -342,19 +246,19 @@ def ablation_partial_groups(
             }
         )
 
-    schedule = GroupSchedule(n, group_size=4, seed=seed)
+    schedule = GroupSchedule(ctx.n, group_size=4, seed=ctx.seed)
     conflict_free = True
     try:
-        for k in range(max_iter):
+        for k in range(ctx.max_iter):
             GroupSchedule.validate_partition(
-                schedule.groups_for_round(k), n
+                schedule.groups_for_round(k), ctx.n
             )
     except ValueError:
         conflict_free = False
     result.check(
         "group generation is conflict-free every round",
         conflict_free,
-        f"{max_iter} rounds validated",
+        f"{ctx.max_iter} rounds validated",
     )
     result.check(
         "randomized regrouping mixes globally (consensus distance "
@@ -376,14 +280,45 @@ def ablation_partial_groups(
         and final_smoothed_loss(runs["static"]) < 1.0,
         "",
     )
-    return result
 
 
-ALL_ABLATIONS = {
-    "stale_reduce": ablation_stale_reduce,
-    "computation_graph": ablation_computation_graph,
-    "max_ig": ablation_max_ig,
-    "queue_impl": ablation_queue_impl,
-    "vs_adpsgd": ablation_vs_adpsgd,
-    "partial_groups": ablation_partial_groups,
+ALL_ABLATIONS: Dict[str, Study] = {
+    "stale_reduce": Study(
+        "ablation_stale_reduce",
+        "Staleness aggregation: Eq. (2) weighting vs simple average "
+        "({workload}, 6x random slowdown)",
+        _stale_reduce_cells, _stale_reduce_report,
+    ),
+    "computation_graph": Study(
+        "ablation_computation_graph",
+        "Parallel vs serial computation graph ({workload})",
+        _computation_graph_cells, _computation_graph_report, workload="svm",
+    ),
+    "max_ig": Study(
+        "ablation_max_ig",
+        "max_ig sweep under a 4x straggler ({workload}, backup mode)",
+        _max_ig_cells, _max_ig_report, workload="svm",
+    ),
+    "queue_impl": Study(
+        "ablation_queue_impl",
+        "Rotating (Sec 6.1) vs tagged update-queue implementations "
+        "({workload}, 6x random slowdown)",
+        _queue_impl_cells, _queue_impl_report, workload="svm",
+    ),
+    "vs_adpsgd": Study(
+        "ablation_vs_adpsgd",
+        "Hop (backup) vs AD-PSGD under 6x random slowdown ({workload})",
+        _vs_adpsgd_cells, _vs_adpsgd_report, workload="svm",
+        notes=(
+            "AD-PSGD requires a bipartite graph (even ring here); Hop runs on "
+            "the denser ring-based graph. The point of this ablation is the "
+            "graph-freedom and gap-control trade-off discussed in Section 5."
+        ),
+    ),
+    "partial_groups": Study(
+        "ablation_partial_groups",
+        "Partial all-reduce: randomized vs static groups "
+        "({workload}, 4x straggler)",
+        _partial_groups_cells, _partial_groups_report, workload="svm",
+    ),
 }

@@ -18,6 +18,7 @@ persistence that would reintroduce the torn-write hazard.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from repro.protocols.base import TrainingRun
-from repro.harness.figures import FigureResult
+from repro.harness.study import FigureResult
 from repro.harness.results import binned_loss_curve
 
 
@@ -128,19 +129,27 @@ def load_run_summary(path: Union[str, Path]) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _finite_or_none(value):
+    """Strict JSON has no NaN or Infinity: a non-finite float is null."""
+    value = _jsonify(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def figure_to_dict(result: FigureResult) -> dict:
-    """A JSON-safe dump of a figure reproduction."""
+    """A strict-JSON dump of a figure reproduction (non-finite -> null)."""
     return {
         "figure_id": result.figure_id,
         "title": result.title,
         "rows": [
-            {key: _jsonify(value) for key, value in row.items()}
+            {key: _finite_or_none(value) for key, value in row.items()}
             for row in result.rows
         ],
         "series": {
             label: {
-                "x": [float(v) for v in xs],
-                "y": [float(v) for v in ys],
+                "x": [_finite_or_none(float(v)) for v in xs],
+                "y": [_finite_or_none(float(v)) for v in ys],
             }
             for label, (xs, ys) in result.series.items()
         },

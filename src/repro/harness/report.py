@@ -52,35 +52,6 @@ def render_table(rows: Sequence[dict], title: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
-def render_curve(
-    label: str,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    width: int = 48,
-    height: int = 10,
-) -> str:
-    """A small ASCII plot of one series (loss-vs-time style)."""
-    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-    if xs.size == 0:
-        return f"{label}: (no data)"
-    lo, hi = float(np.nanmin(ys)), float(np.nanmax(ys))
-    if hi - lo < 1e-12:
-        hi = lo + 1.0
-    columns = np.linspace(xs[0], xs[-1], width)
-    sampled = np.interp(columns, xs, ys)
-    rows = []
-    for level in range(height, -1, -1):
-        threshold = lo + (hi - lo) * level / height
-        line = "".join("*" if value >= threshold else " " for value in sampled)
-        rows.append(f"{threshold:8.3f} |{line}")
-    rows.append(" " * 9 + "+" + "-" * width)
-    rows.append(
-        " " * 10
-        + f"x: {xs[0]:.2f} .. {xs[-1]:.2f}   y: {lo:.3f} .. {hi:.3f}"
-    )
-    return f"{label}\n" + "\n".join(rows)
-
-
 def render_series_table(
     series: Dict[str, Tuple[np.ndarray, np.ndarray]],
     n_points: int = 10,

@@ -68,19 +68,6 @@ def iteration_rate_speedup(
     return improved.iteration_rate() / base_rate
 
 
-def time_to_loss_speedup(
-    baseline: TrainingRun, improved: TrainingRun, target: float
-) -> float:
-    """Convergence-speed ratio at a target loss (inf-safe)."""
-    t_base = baseline.time_to_loss(target)
-    t_improved = improved.time_to_loss(target)
-    if np.isinf(t_improved):
-        return 0.0
-    if np.isinf(t_base):
-        return float("inf")
-    return t_base / t_improved
-
-
 def final_smoothed_loss(run: TrainingRun, window: int = 32) -> float:
     """The end of the smoothed training-loss curve."""
     _, losses = run.smoothed_loss_series(window)

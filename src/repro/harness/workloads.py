@@ -1,10 +1,11 @@
 """The two evaluation workloads, scaled for a laptop-sized simulator.
 
 The paper trains VGG11/CIFAR-10 (CNN) and an SVM with log loss on
-webspam.  Per DESIGN.md's substitution table we train a scaled-down
-VGG-style CNN on synthetic images and a linear model with log loss on
-synthetic webspam, with *simulated* compute/communication durations
-calibrated to the paper's regime (CPU compute-bound, 1 Gb/s Ethernet):
+webspam.  Neither dataset can be downloaded offline, so we train a
+scaled-down VGG-style CNN on synthetic images and a linear model with
+log loss on synthetic webspam (:mod:`repro.ml.data` builds both), with
+*simulated* compute/communication durations calibrated to the paper's
+regime (CPU compute-bound, 1 Gb/s Ethernet):
 
 * CNN: seconds-scale iterations, tens-of-MB parameter messages.
 * SVM: sub-second iterations, small parameter messages.

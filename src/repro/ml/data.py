@@ -1,7 +1,7 @@
 """Synthetic datasets standing in for CIFAR-10 and webspam.
 
-The offline environment has no dataset downloads, so (per DESIGN.md's
-substitution table) we generate synthetic data with the same *roles*:
+The offline environment has no dataset downloads, so we generate
+synthetic data with the same *roles*:
 
 * :class:`SyntheticImages` — class-conditional image distribution for
   the CNN workload (CIFAR-10 stand-in).  Each class has a random

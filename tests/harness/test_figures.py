@@ -1,12 +1,27 @@
-"""Smoke tests for the figure harness: every figure runs and passes.
+"""Smoke tests for the study table: every study runs, passes and dumps
+strict JSON, and every cell carries the seed it was asked for.
 
 The heavier figures are exercised at the ``smoke`` preset; the
 benchmark harness runs them at full ``bench`` scale.
 """
 
+import json
+
 import pytest
 
-from repro.harness import ALL_FIGURES, FigureResult, fig21_spectral_gaps, table1_gap_bounds
+from repro.harness import ALL_ABLATIONS, ALL_FIGURES, FigureResult, save_figure
+
+STUDIES = {**ALL_FIGURES, **ALL_ABLATIONS}
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def assert_strict_json(result, directory):
+    """The ``--json-dir`` artifact parses under a strict JSON reader."""
+    path = save_figure(result, directory / f"{result.figure_id}.json")
+    json.loads(path.read_text(), parse_constant=_reject)
 
 
 class TestFigureResult:
@@ -31,20 +46,34 @@ class TestFigureResult:
 
 class TestFastFigures:
     def test_fig21_passes(self):
-        result = fig21_spectral_gaps()
+        result = ALL_FIGURES["fig21"]("smoke")
         assert result.passed(), result.render()
 
     def test_table1_passes(self):
-        result = table1_gap_bounds("smoke")
+        result = ALL_FIGURES["table1"]("smoke")
         assert result.passed(), result.render()
 
 
 @pytest.mark.parametrize("figure_id", sorted(ALL_FIGURES))
-def test_every_figure_passes_at_smoke_scale(figure_id):
-    function = ALL_FIGURES[figure_id]
-    result = function() if figure_id == "fig21" else function("smoke")
+def test_every_figure_passes_at_smoke_scale(figure_id, tmp_path):
+    result = ALL_FIGURES[figure_id]("smoke")
     assert result.passed(), result.render()
     assert result.rows or result.series
+    assert_strict_json(result, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(set(STUDIES) - {"fig21", "fig24"}))
+def test_every_cell_carries_the_requested_seed(name):
+    """Cells are data: built at seed 7 without simulating anything.
+
+    fig21 runs no cells and fig24 times its own; stale_reduce
+    replicates over seeds ``s + i``.
+    """
+    study = STUDIES[name]
+    specs = study.cells(study.context("smoke", seed=7))
+    seeds = sorted(spec.seed for spec in specs.values())
+    expected = [7, 7, 8, 8] if name == "stale_reduce" else [7] * len(specs)
+    assert specs and seeds == expected
 
 
 def test_registry_covers_the_evaluation_section():

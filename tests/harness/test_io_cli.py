@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import ring_based
-from repro.harness import ExperimentSpec, run_spec, svm_workload, table1_gap_bounds
+from repro.harness import ALL_FIGURES, ExperimentSpec, run_spec, svm_workload
 from repro.harness.io import (
     figure_to_dict,
     load_run_summary,
@@ -53,7 +53,7 @@ class TestRunSerialization:
 
 class TestFigureSerialization:
     def test_figure_round_trip(self, tmp_path):
-        result = table1_gap_bounds("smoke")
+        result = ALL_FIGURES["table1"]("smoke")
         payload = figure_to_dict(result)
         json.dumps(payload)
         assert payload["passed"] is True

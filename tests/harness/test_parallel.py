@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import ring
-from repro.harness.figures import fig16_iteration_speed
+from repro.harness.figures import ALL_FIGURES
 from repro.harness.parallel import (
     default_jobs,
     resolve_jobs,
@@ -170,9 +170,9 @@ class TestRunSpecsParity:
 class TestFigureDeterminism:
     def test_figure_rows_identical_across_jobs(self):
         set_default_jobs(1)
-        sequential = fig16_iteration_speed(preset="smoke", workload_name="svm")
+        sequential = ALL_FIGURES["fig16"](preset="smoke", workload_name="svm")
         set_default_jobs(2)
-        parallel = fig16_iteration_speed(preset="smoke", workload_name="svm")
+        parallel = ALL_FIGURES["fig16"](preset="smoke", workload_name="svm")
         assert sequential.rows == parallel.rows
         assert sequential.checks == parallel.checks
         assert list(sequential.series) == list(parallel.series)

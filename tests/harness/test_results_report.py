@@ -12,13 +12,11 @@ from repro.harness import (
     final_smoothed_loss,
     iteration_rate_speedup,
     render_check,
-    render_curve,
     render_series_table,
     render_table,
     run_spec,
     straggler_slowdown_ratio,
     svm_workload,
-    time_to_loss_speedup,
     wall_time_speedup,
 )
 
@@ -76,14 +74,6 @@ class TestSpeedups:
     def test_iteration_rate_speedup(self, run, slow_run):
         assert iteration_rate_speedup(slow_run, run) > 1.0
 
-    def test_time_to_loss_speedup(self, run, slow_run):
-        target = final_smoothed_loss(run) * 1.3
-        speedup = time_to_loss_speedup(slow_run, run, target)
-        assert speedup > 0
-
-    def test_time_to_loss_speedup_inf_safe(self, run, slow_run):
-        assert time_to_loss_speedup(run, slow_run, target=0.0) == 0.0
-
     def test_straggler_slowdown_ratio(self, run, slow_run):
         ratio = straggler_slowdown_ratio(slow_run, run)
         assert ratio > 1.5  # the 4x straggler drags the graph
@@ -118,16 +108,6 @@ class TestReport:
     def test_render_table_inf_nan(self):
         text = render_table([{"v": float("inf"), "w": float("nan")}])
         assert "inf" in text and "-" in text
-
-    def test_render_curve_contains_extents(self):
-        xs = np.linspace(0, 10, 50)
-        ys = np.exp(-xs)
-        text = render_curve("decay", xs, ys, width=20, height=5)
-        assert "decay" in text
-        assert "0.00 .. 10.00" in text
-
-    def test_render_curve_empty(self):
-        assert "(no data)" in render_curve("x", np.array([]), np.array([]))
 
     def test_render_series_table(self):
         series = {"a": (np.array([0.0, 1.0]), np.array([2.0, 1.0]))}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import backup_config, staleness_config
 from repro.graphs import ring, ring_based
 from repro.harness import (
     RANDOM_6X,
@@ -95,6 +96,14 @@ class TestRunSpec:
         run = run_spec(spec)
         assert run.protocol == "hop"
         assert run.iterations_completed == [10] * 8
+        # A shorter budget ends earlier; two backups or a staleness
+        # bound of 3 still run every iteration.
+        assert run_spec(spec.with_(max_iter=5)).wall_time < run.wall_time
+        for config in (
+            backup_config(n_backup=2, max_ig=4),
+            staleness_config(staleness=3, max_ig=6),
+        ):
+            assert run_spec(spec.with_(config=config)).iterations_completed == [10] * 8
 
     def test_all_protocols_run(self, workload):
         from repro.graphs import bipartite_ring
