@@ -155,15 +155,16 @@ print(
 )
 PY
 
-echo "== compute seam: hop/64 evaluates the whole cluster once per iteration =="
+echo "== compute seam: hop/64 replays one block per iteration, ps-async/128 pools =="
 # The fourth noise-free guard (beside the event budget above, the cnn
 # pin and the scale smoke below): exact counts off the run's compute
-# pool (docs/ARCHITECTURE.md, "The compute seam").  A static ring's 64
-# workers are all mid-compute when the first of them needs its gradient,
-# so 10 iterations are 10 evaluations of 64 tickets each, all through
-# the stacked SVM kernel.  More flushes means a call site resolves
-# before its timeout (or something writes a model mid-compute); a
-# fallback ticket means the SVM lost its kernel.
+# pool (docs/ARCHITECTURE.md, "The compute seam" and "Replay").  Static
+# hop records its schedule and replays the math after the simulation:
+# 10 iterations are 10 replay levels of all 64 workers, and not one
+# ticket goes through the pool.  A ticket there means the run lost its
+# replay; a fallback means the SVM lost its kernel.  ps-async still
+# submits tickets, and holds its own exact counts: 10 iterations of 128
+# workers in 343 flushes (the PS NIC staggers the pulls), all stacked.
 python - <<'PY'
 from repro.graphs import ring_based
 from repro.harness.spec import ExperimentSpec
@@ -171,26 +172,41 @@ from repro.harness.workloads import by_name
 from repro.protocols.base import LIGHT_TRACE
 from repro.protocols.registry import build_cluster
 
-n, iterations = 64, 10
-cluster = build_cluster(
-    ExperimentSpec(
-        name=f"compute-seam/hop/{n}",
-        workload=by_name("svm", "smoke"),
-        topology=ring_based(n),
-        protocol="hop",
-        max_iter=iterations,
-        seed=0,
-        trace_channels=LIGHT_TRACE,
+iterations = 10
+expected = {
+    # (tickets, flushes, stacked, fallback, levels, rows)
+    ("hop", 64): (0, 0, 0, 0, 10, 640),
+    ("ps-async", 128): (1280, 343, 1280, 0, 0, 0),
+}
+for (protocol, n), counts in expected.items():
+    cluster = build_cluster(
+        ExperimentSpec(
+            name=f"compute-seam/{protocol}/{n}",
+            workload=by_name("svm", "smoke"),
+            topology=ring_based(n),
+            protocol=protocol,
+            max_iter=iterations,
+            seed=0,
+            trace_channels=LIGHT_TRACE,
+        )
     )
-)
-cluster.run()
-pool = cluster.runtime.compute
-assert (pool.tickets, pool.flushes, pool.fallback) == (640, 10, 0), pool
-print(
-    f"compute seam OK: hop/{n} x {iterations} iterations, "
-    f"{pool.tickets} tickets in {pool.flushes} flushes "
-    f"(mean batch {pool.mean_batch:.0f}), {pool.fallback} fallback"
-)
+    cluster.run()
+    pool = cluster.runtime.compute
+    got = (
+        pool.tickets,
+        pool.flushes,
+        pool.stacked,
+        pool.fallback,
+        pool.levels,
+        pool.rows,
+    )
+    assert got == counts, (protocol, n, pool)
+    print(
+        f"compute seam OK: {protocol}/{n} x {iterations} iterations, "
+        f"{pool.tickets} tickets in {pool.flushes} flushes, "
+        f"{pool.rows} rows in {pool.levels} replay levels, "
+        f"{pool.fallback} fallback"
+    )
 PY
 
 echo "== cnn pin: six paper-preset CNN fingerprints, bit for bit =="

@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.config import STANDARD, HopConfig
 from repro.core.gap import update_queue_capacity_bound
 from repro.core.notify_ack import NotifyAckWorker
+from repro.core.planes import Schedule, replay, replayable
 from repro.core.queues import RotatingUpdateQueue, TokenQueue, UpdateQueue
 from repro.core.skip import SkipPolicy
 from repro.core.worker import ClusterState, HopWorker
@@ -80,6 +81,9 @@ class HopCluster(ProtocolCluster):
     """
 
     elastic = True
+
+    #: Private test override: run a replayable spec on the eager plane.
+    _eager = False
 
     def __init__(
         self,
@@ -159,6 +163,9 @@ class HopCluster(ProtocolCluster):
                 churn = None
         self.churn = churn
         self._membership = None
+        #: The latest run's recorded schedule, or ``None`` when it did
+        #: its arithmetic in the loop (:func:`~repro.core.planes.replayable`).
+        self.schedule: Optional[Schedule] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -292,6 +299,11 @@ class HopCluster(ProtocolCluster):
             self._membership = membership
             self._network.membership = membership
         worker_type = HopWorker if hop else NotifyAckWorker
+        self.schedule = schedule = (
+            Schedule(tagged=config.mode == "staleness")
+            if not self._eager and replayable(self, runtime.models)
+            else None
+        )
         workers: List[HopWorker] = []
         for wid in range(n):
             skip_policy = (
@@ -322,6 +334,7 @@ class HopCluster(ProtocolCluster):
                 else 0.0,
                 skip_policy=skip_policy,
                 crash_event=self.crash_events.get(wid),
+                schedule=schedule,
             )
             workers.append(worker)
         self._workers = workers
@@ -392,6 +405,16 @@ class HopCluster(ProtocolCluster):
                     f"unsatisfiable advance condition. Blocked: {blocked}.",
                     stuck=stuck,
                 )
+
+    def _after_simulation(self, runtime: ProtocolRuntime) -> None:
+        if self.schedule is not None:
+            replay(
+                self.schedule,
+                self._workers,
+                runtime.compute,
+                self.optimizer_proto,
+                self.config,
+            )
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:
         return np.stack([w.final_params for w in self._workers])

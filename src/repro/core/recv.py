@@ -2,7 +2,10 @@
 
 Each strategy is a generator (``yield from`` inside the worker process)
 that blocks on update-queue events according to its advance condition
-and returns the reduced parameter vector:
+and returns the reduced parameter vector — or, on a recording worker,
+``None`` once the reduce is recorded: the strategy decides *which*
+updates enter the reduce and hands them to the worker's plane
+(:mod:`repro.core.planes`), which does or records the arithmetic.
 
 * :class:`StandardRecv` — Figure 4: wait for one update of iteration
   ``k`` from *every* in-neighbor (self included), mean-reduce.
@@ -20,9 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-import numpy as np
-
-from repro.core.reducers import mean_reduce, staleness_weighted_reduce
 from repro.core.update import Update
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,12 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class RecvStrategy:
     """Base class; subclasses implement :meth:`recv_reduce`.
 
-    The returned vector is the worker's reusable reduce scratch
-    (``worker.reduce_scratch``): valid until that worker's next
-    ``recv_reduce``, at which point it is overwritten in place.  The
-    worker's loop consumes it before the next receive; anything that
-    must outlive the iteration (sent payloads, resync snapshots) takes
-    an explicit copy.
+    On the eager plane the returned vector is the worker's reusable
+    reduce scratch: valid until that worker's next ``recv_reduce``, at
+    which point it is overwritten in place.  The worker's loop consumes
+    it before the next receive; anything that must outlive the
+    iteration (sent payloads, resync snapshots) takes an explicit copy.
     """
 
     def recv_reduce(self, worker: "HopWorker", iteration: int):
@@ -56,20 +55,6 @@ class RecvStrategy:
         return worker.expected_in(iteration)
 
 
-def standard_reduce(worker: "HopWorker", updates) -> "object":
-    """Mean-reduce ``updates`` into the worker's reusable scratch.
-
-    The single reduction contract of standard mode: used by
-    :class:`StandardRecv` (and by the hop worker's inlined
-    standard-mode fast path, which skips only the generator
-    indirection, never the semantics).
-    """
-    worker.reduce_scratch = reduced = mean_reduce(
-        updates, out=worker.reduce_scratch
-    )
-    return reduced
-
-
 class StandardRecv(RecvStrategy):
     """Figure 4: need every in-neighbor's update of this iteration.
 
@@ -81,7 +66,7 @@ class StandardRecv(RecvStrategy):
     def recv_reduce(self, worker: "HopWorker", iteration: int):
         need = worker.expected_in(iteration)
         updates = yield worker.update_queue.dequeue(need, iteration=iteration)
-        return standard_reduce(worker, updates)
+        return worker.plane.mean(updates, iteration)
 
 
 class BackupRecv(RecvStrategy):
@@ -109,7 +94,7 @@ class BackupRecv(RecvStrategy):
         required = yield worker.update_queue.dequeue(need, iteration=iteration)
         extra = worker.update_queue.dequeue_available(iteration=iteration)
         worker.n_extra_updates += len(extra)
-        return standard_reduce(worker, list(required) + extra)
+        return worker.plane.mean(list(required) + extra, iteration)
 
 
 class StalenessRecv(RecvStrategy):
@@ -198,11 +183,8 @@ class StalenessRecv(RecvStrategy):
             )
         if self.reduce_flavor == "uniform":
             # The simple average the paper compared Eq. (2) against.
-            return standard_reduce(worker, contributors)
-        worker.reduce_scratch = reduced = staleness_weighted_reduce(
-            contributors, iteration, self.staleness, out=worker.reduce_scratch
-        )
-        return reduced
+            return worker.plane.mean(contributors, iteration)
+        return worker.plane.weighted(contributors, iteration, self.staleness)
 
 
 def make_recv_strategy(config) -> RecvStrategy:

@@ -23,7 +23,7 @@ a float32 reduce to float64 mid-flight.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -129,3 +129,51 @@ def staleness_weighted_reduce(
             )
         weights.append(update.iteration - floor + 1.0)
     return weighted_reduce(updates, weights, out=out)
+
+
+# ----------------------------------------------------------------------
+# Stacked forms: one row per receiving worker (the replay's reduce)
+# ----------------------------------------------------------------------
+def mean_reduce_rows(columns: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """:func:`mean_reduce` for a block of rows that each reduce
+    ``count`` updates.
+
+    ``columns`` yields ``count`` ``(rows, dim)`` blocks in arrival
+    order: block ``t`` holds every row's ``t``-th update.  Each row sees
+    the elementwise ops of :func:`mean_reduce` in its order — copy the
+    first, ``+=`` each later one, ``/=`` the count — so it is bit for
+    bit that row's own reduce.
+    """
+    columns = iter(columns)
+    out = np.array(next(columns))
+    for column in columns:
+        out += column
+    out /= count
+    return out
+
+
+def weighted_reduce_rows(
+    columns: Iterable[np.ndarray], weights: np.ndarray
+) -> np.ndarray:
+    """:func:`weighted_reduce` for a block of rows: ``weights[r, t]``
+    weighs row ``r``'s ``t``-th update (``columns`` as in
+    :func:`mean_reduce_rows`).  Same ops per row, in the same order:
+    the first update times its weight, ``+=`` each later product, ``/=``
+    the row's weight total (a sum of small integers here, exact in any
+    order)."""
+    columns = iter(columns)
+    out = np.multiply(next(columns), weights[:, :1])
+    for t, column in enumerate(columns, start=1):
+        out += column * weights[:, t : t + 1]
+    out /= weights.sum(axis=1, keepdims=True)
+    return out
+
+
+def staleness_weights(
+    iterations: np.ndarray, receivers: np.ndarray, staleness: int
+) -> np.ndarray:
+    """Equation (2)'s weights as a block: ``iterations[r, t]`` is the
+    tag of row ``r``'s ``t``-th update, ``receivers[r]`` the row's own
+    iteration ``k``; the weight is ``Iter(u) - (k - s) + 1``."""
+    floor = receivers - staleness
+    return (iterations - floor[:, None] + 1).astype(np.float64)

@@ -7,9 +7,11 @@ with receiving neighbor updates; gradients are applied on top of the
 reduced average.  The serial variant (Figure 2a) applies gradients
 before sending.
 
-Gradients are numerically real (the worker's model replica computes
-them); their *duration* comes from the compute model, so heterogeneity
-is injected into time, not into math.
+Gradients are numerically real; their *duration* comes from the compute
+model, so heterogeneity is injected into time, not into math.  The loop
+is control only and reaches the math through a plane
+(:mod:`repro.core.planes`): in the loop on the worker's own model
+replica, or recorded and replayed level by level after the simulation.
 """
 
 from __future__ import annotations
@@ -20,13 +22,9 @@ import numpy as np
 
 from repro.core.config import HopConfig
 from repro.core.gap import GapTracker
+from repro.core.planes import EagerPlane, Schedule
 from repro.core.queues import TokenGate, TokenQueue
-from repro.core.recv import (
-    RecvStrategy,
-    StandardRecv,
-    make_recv_strategy,
-    standard_reduce,
-)
+from repro.core.recv import RecvStrategy, StandardRecv, make_recv_strategy
 from repro.core.skip import JumpDecision, SkipPolicy
 from repro.core.update import Update
 from repro.hetero.compute import ComputeModel
@@ -56,7 +54,11 @@ class HopWorker:
     """One decentralized worker.
 
     Built by :class:`~repro.core.cluster.HopCluster`; the argument list
-    mirrors the substrate pieces the protocol touches.
+    mirrors the substrate pieces the protocol touches.  With a
+    ``schedule`` the worker records its reduces instead of doing the
+    arithmetic (:class:`~repro.core.planes.RecordPlane`), and its
+    parameters, losses and loss series exist once
+    :func:`~repro.core.planes.replay` has run.
     """
 
     def __init__(
@@ -81,6 +83,7 @@ class HopWorker:
         token_rtt: float = 0.0,
         skip_policy: Optional[SkipPolicy] = None,
         crash_event: Optional[CrashEvent] = None,
+        schedule: Optional[Schedule] = None,
     ) -> None:
         self.wid = wid
         self.env = env
@@ -143,8 +146,6 @@ class HopWorker:
         #: Out-neighbors we take tokens from (paper: TokenQ(j -> self)).
         self._token_providers = topology.out_neighbors(wid, include_self=False)
 
-        #: Reusable reduce accumulator (managed by the recv strategies).
-        self.reduce_scratch = None
         # Per-neighbor send plumbing, prebuilt once: remote update
         # queues' bound enqueues (aligned with ``_remote_out``) double
         # as the delivery callbacks for the network (no per-message
@@ -175,10 +176,18 @@ class HopWorker:
         self.iteration_durations = StatAccumulator()
         self.recv_wait = StatAccumulator()
         self.token_wait = StatAccumulator()
-        self.losses = StatAccumulator()
-        self.final_params: np.ndarray = model.get_params_copy()
-        #: Latest parameter vector (snapshot other workers re-sync from).
-        self.current_params: np.ndarray = model.get_params_copy()
+        if schedule is None:
+            self.plane = EagerPlane(self)
+            self.losses = StatAccumulator()
+            self.final_params = model.get_params_copy()
+            #: Latest parameter vector (snapshot other workers re-sync
+            #: from).
+            self.current_params = model.get_params_copy()
+        else:
+            # No value exists while the simulation runs: the replay
+            # fills all three.
+            self.plane = schedule.plane()
+            self.losses = self.final_params = self.current_params = None
 
     # ------------------------------------------------------------------
     # Queue access
@@ -272,7 +281,7 @@ class HopWorker:
         # track entries by identity, so the fan-out needs a single
         # payload copy and a single tag object per Send.
         if self.compressor is None:
-            update = Update(params.copy(), iteration, wid)
+            update = Update(self.plane.payload(params), iteration, wid)
             self_update = update
         else:
             # Compressed path: neighbors receive the error-feedback
@@ -339,7 +348,7 @@ class HopWorker:
         # (we never sent anything for the skipped iterations).
         refresh_iteration = jump.target - 1
         self.update_queue.enqueue(
-            Update(params.copy(), refresh_iteration, self.wid)
+            Update(self.plane.payload(params), refresh_iteration, self.wid)
         )
         refreshed = yield from self.recv.recv_reduce(self, refresh_iteration)
 
@@ -516,12 +525,13 @@ class HopWorker:
     def run(self):
         """The worker process (Figures 4, 7, 8, 9 + Section 5).
 
-        Parameter-plane note: ``x`` aliases this worker's reduce
-        scratch from the first iteration on, so the loop is careful to
-        finish every read of ``x`` (send payload copy, model write,
-        optimizer step) *before* the next ``recv_reduce`` overwrites
-        the scratch in place.  The optimizer step is evaluated before
-        the receive for exactly that reason — it depends only on
+        Control only: every value goes through ``self.plane``, whose
+        results the loop passes along without reading.  On the eager
+        plane ``x`` aliases this worker's reduce scratch from the first
+        iteration on, so every read of ``x`` (send payload copy, model
+        write, optimizer step) happens *before* the next reduce
+        overwrites the scratch in place.  The optimizer step is taken
+        before the receive for exactly that reason — it depends only on
         ``(x, grad, k)``, so the move is value-identical.
         """
         # Hot-loop locals: the body runs once per iteration per worker
@@ -550,13 +560,11 @@ class HopWorker:
         iterations = self.state.iterations
         gap_record = self.gap_tracker.record
         duration_of = self.compute_model.duration
-        # Real gradient math on this worker's model replica, through
-        # the compute seam: parameters and batch are fixed before the
-        # compute timeout, the value is read after it.
-        model, batcher = self.model, self.batcher
-        set_params = model.set_params
-        submit = self.compute.submit
-        opt_step = self.optimizer.step
+        # The math, through the plane: a gradient's inputs are fixed
+        # before the compute timeout and its value is used after it.
+        plane = self.plane
+        compute, step, apply = plane.compute, plane.step, plane.apply
+        reduce_mean, end = plane.mean, plane.end
         recv_reduce = self.recv.recv_reduce
         # Standard mode inlines its one-dequeue receive below, skipping
         # the per-iteration strategy-generator indirection (behavior is
@@ -565,13 +573,9 @@ class HopWorker:
         standard = type(self.recv) is StandardRecv and not elastic
         dequeue = self.update_queue.dequeue
         in_degree = self.in_degree
-        log_iter, log_loss, log_duration = (
-            self._log_iter,
-            self._log_loss,
-            self._log_duration,
-        )
+        log_iter, log_duration = self._log_iter, self._log_duration
 
-        x = self.model.get_params()
+        x = plane.initial()
         k = 0
         local_epoch = membership.epoch if elastic else 0
         if elastic and not membership.is_active(wid):
@@ -627,48 +631,25 @@ class HopWorker:
             if parallel:
                 # Figure 2(b): Send, then Compute overlapping Recv.
                 send(x, k)
-                set_params(x)
-                ticket = submit(model, batcher)
+                ticket = compute(x)
                 yield timeout(duration_of(wid, k))
-                loss, grad = ticket.result()
-                delta = opt_step(x, grad, k)
-                recv_start = env.now
-                if standard:
-                    updates = yield dequeue(in_degree, iteration=k)
-                    reduced = standard_reduce(self, updates)
-                else:
-                    reduced = yield from recv_reduce(self, k)
-                self.recv_wait.add(env.now - recv_start)
-                if reduced.dtype == delta.dtype:
-                    # Apply in place on the reduce scratch; bitwise
-                    # equal to ``reduced + delta``.
-                    np.add(reduced, delta, out=reduced)
-                    x = reduced
-                else:
-                    # Dtype promotion (float32 iteration-0 reduce plus
-                    # a float64 delta) still allocates, exactly as the
-                    # out-of-place add did.
-                    x = reduced + delta
+                delta = step(ticket, x, k)
             else:
                 # Figure 2(a): Compute, Apply, then Send / Recv / Reduce.
-                set_params(x)
-                ticket = submit(model, batcher)
+                ticket = compute(x)
                 yield timeout(duration_of(wid, k))
-                loss, grad = ticket.result()
-                delta = opt_step(x, grad, k)
-                applied = x + delta
-                send(applied, k)
-                recv_start = env.now
-                if standard:
-                    updates = yield dequeue(in_degree, iteration=k)
-                    reduced = standard_reduce(self, updates)
-                else:
-                    reduced = yield from recv_reduce(self, k)
-                self.recv_wait.add(env.now - recv_start)
-                x = reduced
+                delta = step(ticket, x, k)
+                send(plane.applied(x, delta), k)
+            recv_start = env.now
+            if standard:
+                updates = yield dequeue(in_degree, iteration=k)
+                reduced = reduce_mean(updates, k)
+            else:
+                reduced = yield from recv_reduce(self, k)
+            self.recv_wait.add(env.now - recv_start)
+            x = apply(reduced, delta) if parallel else reduced
 
-            log_loss(env.now, loss)
-            self.losses.add(loss)
+            end(env.now)
             self.iterations_completed = k + 1
             # ``x`` aliases the scratch; peers re-syncing after a
             # crash-restart need a stable end-of-iteration snapshot.

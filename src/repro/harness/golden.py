@@ -12,13 +12,17 @@ itself and re-record.
 
 Floats are serialized as IEEE-754 hex (``float.hex``) so JSON
 round-trips cannot launder a one-ulp drift; parameter vectors are
-SHA-256 digests of their raw bytes.
+SHA-256 digests of their raw bytes.  :func:`run_fingerprint` and
+:func:`control_fingerprint` are the wider, in-process comparisons
+(determinism, value independence, replay against eager).
 """
 
 from __future__ import annotations
 
 import hashlib
 from typing import Optional
+
+import numpy as np
 
 from repro.graphs import bipartite_ring, ring_based
 from repro.harness.spec import ExperimentSpec
@@ -188,4 +192,106 @@ def golden_fingerprint(run) -> dict:
             }
             for event in run.membership_events
         ]
+    return fingerprint
+
+
+def _exact(value):
+    """``value`` with every float as IEEE-754 hex, containers walked."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (list, tuple)):
+        return type(value)(_exact(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    return value
+
+
+def run_fingerprint(run, values: bool = True) -> dict:
+    """Everything a :class:`~repro.protocols.base.TrainingRun` reports,
+    as exact bits: run counters, every worker's stats, every traced
+    sample and, with ``values``, what the parameters decide.
+
+    ``values=False`` drops the final parameters, loss, accuracy and
+    consensus, each worker's ``loss_mean`` and the traced loss *values*
+    (their timestamps stay): the control a run whose gradients are
+    stubbed must share with the real one.
+    """
+    fingerprint = {
+        "wall_time": run.wall_time,
+        "iterations_completed": list(run.iterations_completed),
+        "iterations_skipped": list(run.iterations_skipped),
+        "messages_sent": run.messages_sent,
+        "messages_dropped": run.messages_dropped,
+        "bytes_sent": run.bytes_sent,
+        "bytes_attempted": run.bytes_attempted,
+        "bytes_dropped": run.bytes_dropped,
+        "control_bytes": run.control_bytes,
+        "bytes_retransmitted": run.bytes_retransmitted,
+        "events_scheduled": run.events_scheduled,
+        "max_gap": run.gap.max_observed(),
+        "fault_events": run.fault_events,
+        "membership_events": run.membership_events,
+        "worker_stats": [
+            {
+                key: value
+                for key, value in stats.items()
+                if values or key != "loss_mean"
+            }
+            for stats in run.worker_stats
+        ],
+        "traced": {
+            key: [
+                (time, value)
+                if values or not key.startswith("loss/")
+                else time
+                for time, value in run.tracer.raw(key)
+            ]
+            for key in run.tracer.keys()
+        },
+    }
+    if values:
+        fingerprint.update(
+            final_params=hashlib.sha256(
+                run.final_params.tobytes()
+            ).hexdigest(),
+            final_params_dtype=str(run.final_params.dtype),
+            final_loss=run.final_loss,
+            final_accuracy=run.final_accuracy,
+            consensus=run.consensus,
+        )
+    return _exact(fingerprint)
+
+
+def control_fingerprint(cluster, run) -> dict:
+    """``run_fingerprint(run, values=False)`` plus what a hop worker
+    keeps beyond its stats: the exact state of its duration, receive
+    and token-wait accumulators and its event counters."""
+
+    def state(accumulator):
+        return (
+            accumulator.count,
+            accumulator.mean,
+            accumulator._m2,
+            accumulator.min,
+            accumulator.max,
+        )
+
+    fingerprint = run_fingerprint(run, values=False)
+    fingerprint["workers"] = _exact(
+        [
+            {
+                "iteration_durations": state(worker.iteration_durations),
+                "recv_wait": state(worker.recv_wait),
+                "token_wait": state(worker.token_wait),
+                "counters": (
+                    worker.n_jumps,
+                    worker.n_suppressed_sends,
+                    worker.n_extra_updates,
+                    worker.n_staleness_blocks,
+                    worker.n_cache_hits,
+                ),
+            }
+            for worker in cluster._workers
+        ]
+    )
     return fingerprint

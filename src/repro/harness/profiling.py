@@ -82,7 +82,8 @@ class ProfileReport:
         return (
             f"compute pool     : {pool.tickets} tickets in {pool.flushes} "
             f"flushes (mean batch {pool.mean_batch:.1f}), "
-            f"{pool.stacked} stacked, {pool.fallback} fallback"
+            f"{pool.stacked} stacked, {pool.fallback} fallback; "
+            f"replay {pool.rows} rows in {pool.levels} levels"
         )
 
 

@@ -37,6 +37,13 @@ from repro.ml.layers import Dense
 _CHUNK_BYTES = 1 << 19
 
 
+def _chunk_rows(x: np.ndarray, batch: int) -> int:
+    """Rows of one stacked kernel call: ``_CHUNK_BYTES`` of gathered
+    minibatch rows, at least one."""
+    gathered = batch * (x.nbytes // len(x))
+    return max(1, _CHUNK_BYTES // max(1, gathered))
+
+
 class ComputeError(RuntimeError):
     """A ticket's evaluation failed; the message names its worker.
 
@@ -103,9 +110,14 @@ class ComputePool:
         self.tickets = 0
         #: Evaluations of a non-empty pool.
         self.flushes = 0
-        #: Tickets evaluated by a stacked kernel / by ``loss_and_grad``.
+        #: Tickets evaluated by a stacked kernel / by ``loss_and_grad``
+        #: (``fallback`` also counts replayed rows a kernel declined).
         self.stacked = 0
         self.fallback = 0
+        #: Replay blocks evaluated (:meth:`evaluate_rows`) and the rows
+        #: they held: a replayed run sends no ticket through the pool.
+        self.levels = 0
+        self.rows = 0
 
     @property
     def mean_batch(self) -> float:
@@ -207,15 +219,17 @@ class ComputePool:
 
     def _evaluate_stacked(self, kernel, group: List[Ticket]) -> None:
         x, y = group[0].x, group[0].y
-        gathered = group[0].idx.size * (x.nbytes // len(x))
-        step = max(1, _CHUNK_BYTES // max(1, gathered))
+        step = _chunk_rows(x, group[0].idx.size)
         for lo in range(0, len(group), step):
             chunk = group[lo : lo + step]
             idx = np.concatenate([t.idx for t in chunk]).reshape(
                 len(chunk), -1
             )
-            loss_values = kernel([t.model for t in chunk], x, y, idx)
-            if loss_values is None:
+            params = np.concatenate([t.model._flat for t in chunk]).reshape(
+                len(chunk), -1
+            )
+            evaluated = kernel(params, x, y, idx)
+            if evaluated is None:
                 # Inputs the kernel does not reproduce bit for bit (or
                 # that loss_and_grad rejects): the kernel of record
                 # decides, and says which worker.
@@ -223,10 +237,76 @@ class ComputePool:
                     self._evaluate_one(ticket)
                 continue
             self.stacked += len(chunk)
-            for ticket, value in zip(chunk, loss_values):
+            for ticket, value, grad in zip(chunk, *evaluated):
                 model = ticket.model
                 model._ticket = None
+                np.copyto(model._flat_grad, grad)
                 ticket._outcome = (value, model._grad_view)
+
+    def evaluate_rows(
+        self, models: Sequence[object], params: np.ndarray, batchers
+    ) -> Tuple[List[float], np.ndarray]:
+        """One replay level: row ``r`` is ``models[r]``'s loss and
+        gradient at ``params[r]`` on ``batchers[r]``'s next batch, drawn
+        here.
+
+        The models' own kernel evaluates the block, in the chunks a
+        flush uses, so every row is bit for bit what a ticket submitted
+        at those parameters returns.  A stubbed model's row is a zero
+        loss and a zero gradient with no draw (:meth:`stub`); rows the
+        kernel declines go through ``loss_and_grad`` on the row's model,
+        which raises the error of record as a :class:`ComputeError`
+        naming the worker.  Returns the losses and a fresh
+        ``params``-shaped gradient block.
+        """
+        self.levels += 1
+        self.rows += len(models)
+        losses = [0.0] * len(models)
+        grads = np.zeros(params.shape, dtype=params.dtype)
+        stubs = self._stubs
+        if stubs:
+            live = [r for r, m in enumerate(models) if id(m) not in stubs]
+        else:
+            live = list(range(len(models)))
+        if not live:
+            return losses, grads
+        kernel = models[live[0]].stacked_kernel
+        x, y = batchers[live[0]].x, batchers[live[0]].y
+        step = _chunk_rows(x, batchers[live[0]].batch_size)
+        for lo in range(0, len(live), step):
+            chunk = live[lo : lo + step]
+            idx = np.concatenate(
+                [batchers[r].next_indices() for r in chunk]
+            ).reshape(len(chunk), -1)
+            if len(live) == len(models):
+                # No stubs: the chunk is a slice, its parameters a view.
+                chunk = slice(chunk[0], chunk[-1] + 1)
+            evaluated = kernel(params[chunk], x, y, idx)
+            rows = live[lo : lo + step]
+            if evaluated is None:
+                for r, row in zip(rows, idx):
+                    losses[r] = self._evaluate_row(
+                        models[r], params[r], x[row], y[row], grads[r]
+                    )
+                continue
+            loss_values, grads[chunk] = evaluated
+            for r, value in zip(rows, loss_values):
+                losses[r] = value
+        return losses, grads
+
+    def _evaluate_row(self, model, params, x, y, out) -> float:
+        """``loss_and_grad`` of ``model`` at ``params``; the gradient
+        lands in ``out``."""
+        try:
+            model.set_params(params)
+            value, grad = model.loss_and_grad(x, y)
+        except Exception as error:
+            raise ComputeError(
+                f"{self._name(model)}: {type(error).__name__}: {error}"
+            ) from error
+        np.copyto(out, grad)
+        self.fallback += 1
+        return value
 
     def _name(self, model) -> str:
         for wid, candidate in enumerate(self._models):
@@ -238,7 +318,8 @@ class ComputePool:
         return (
             f"<ComputePool tickets={self.tickets} flushes={self.flushes} "
             f"stacked={self.stacked} fallback={self.fallback} "
-            f"pending={len(self._pending)}>"
+            f"pending={len(self._pending)} levels={self.levels} "
+            f"rows={self.rows}>"
         )
 
 
@@ -246,31 +327,35 @@ class ComputePool:
 # Stacked kernels
 # ----------------------------------------------------------------------
 def svm_stacked_loss_and_grad(
-    models: Sequence[object], x: np.ndarray, y: np.ndarray, idx: np.ndarray
-) -> Optional[List[float]]:
-    """``model.loss_and_grad(x[row], y[row])`` for every ``(model, row)``
-    of ``zip(models, idx)`` in one pass, for the paper's SVM.
+    params: np.ndarray, x: np.ndarray, y: np.ndarray, idx: np.ndarray
+) -> Optional[Tuple[List[float], np.ndarray]]:
+    """``loss_and_grad`` of the paper's SVM for every row of a parameter
+    block in one pass: row ``r`` is the model whose flat parameters are
+    ``params[r]`` on the batch ``x[idx[r]], y[idx[r]]``.
 
-    Each model is ``Dense(F, 1)`` under :class:`LogisticLoss` (see
-    :func:`stacked_kernel_for`).  Reads each model's ``_flat``, writes
-    its ``_flat_grad``, returns the losses as Python floats — all bit
-    for bit what the per-model call produces: the same BLAS routine per
-    model behind one stacked ``matmul`` each way, the same pairwise row
-    sums, the same elementwise chain.  Returns ``None`` — touching
-    nothing — for inputs outside that guarantee or that
-    ``loss_and_grad`` would reject (a feature-count mismatch, labels
-    that are neither all 0/1 nor all -1/+1 across the chunk); the caller
-    then runs the per-model path, which raises the error of record.
+    The model is ``Dense(F, 1)`` under :class:`LogisticLoss` (see
+    :func:`stacked_kernel_for`), so a row is ``F`` weights and a bias.
+    Returns the losses as Python floats and a fresh ``params``-shaped
+    gradient block — all bit for bit what the per-model call produces:
+    the same BLAS routine per row behind one stacked ``matmul`` each
+    way, the same pairwise row sums, the same elementwise chain.
+    Returns ``None`` — touching nothing — for inputs outside that
+    guarantee or that ``loss_and_grad`` would reject (a feature-count
+    mismatch, labels that are neither all 0/1 nor all -1/+1 across the
+    block); the caller then runs the per-model path, which raises the
+    error of record.
     """
-    features = models[0].network.layers[0].in_features
+    count, width = params.shape
+    features = width - 1
     if (
         x.ndim != 2
         or x.shape[1] != features
         or x.dtype != np.float64
+        or params.dtype != np.float64
         or y.ndim != 1
     ):
         return None
-    count, batch = idx.shape
+    batch = idx.shape[1]
     try:
         # One convention for the chunk implies the same one per row: a
         # row of all +1 labels signs to +1 under either.
@@ -278,9 +363,6 @@ def svm_stacked_loss_and_grad(
     except ValueError:
         return None
     signed = signed.reshape(count, batch)
-    params = np.concatenate([m._flat for m in models]).reshape(
-        count, features + 1
-    )
     rows = x[idx]
     # Dense.forward: x @ W.T + b, one (batch, F) @ (F, 1) per model.
     scores = (
@@ -295,14 +377,12 @@ def svm_stacked_loss_and_grad(
     dscores = (-signed * losses.expit(neg_margins)) / batch
     # Dense.backward into zeroed buffers (neither product nor sum can
     # come out -0.0, so `0.0 + g` is `g`).
-    grads = np.empty((count, features + 1))
+    grads = np.empty((count, width))
     grads[:, :features] = np.matmul(dscores[:, None, :], rows).reshape(
         count, features
     )
     grads[:, features] = dscores.sum(axis=1)
-    for model, grad in zip(models, grads):
-        np.copyto(model._flat_grad, grad)
-    return loss_values.tolist()
+    return loss_values.tolist(), grads
 
 
 def stacked_kernel_for(network, loss, dtype):

@@ -114,6 +114,38 @@ class SGD:
             effective = velocity
         return np.multiply(effective, -self.schedule(iteration))
 
+    def step_rows(
+        self,
+        params: np.ndarray,
+        grads: np.ndarray,
+        iterations: np.ndarray,
+        velocity: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`step` for a block of rows: row ``r`` is one worker's
+        step at ``(params[r], grads[r], iterations[r])``.
+
+        Every row goes through the elementwise float64 ops of
+        :meth:`step`, in its order, so each row of the result is bit for
+        bit the delta that worker's own optimizer returns.  ``velocity``
+        holds the rows' momentum buffers (zeros before a worker's first
+        step, as :meth:`step` starts them) and is updated in place; it
+        is ignored without momentum.
+        """
+        if self.weight_decay > 0.0:
+            effective = np.multiply(
+                params, self.weight_decay, dtype=np.float64
+            )
+            effective += grads
+        else:
+            effective = np.asarray(grads, dtype=np.float64)
+        if self.momentum > 0.0:
+            velocity *= self.momentum
+            velocity += effective
+            effective = velocity
+        levels, row_level = np.unique(iterations, return_inverse=True)
+        rates = np.array([-self.schedule(int(k)) for k in levels])
+        return np.multiply(effective, rates[row_level][:, None])
+
     def clone(self) -> "SGD":
         """A fresh optimizer with the same hyper-parameters (new state)."""
         return SGD(

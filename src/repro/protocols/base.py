@@ -301,7 +301,8 @@ class ProtocolCluster:
       (single-row for centralized protocols).
     * Optional overrides: :meth:`_message_totals`,
       :meth:`_collect_worker_stats`, :meth:`_iterations_completed`,
-      :meth:`_iterations_skipped`, :meth:`_check_complete`.
+      :meth:`_iterations_skipped`, :meth:`_check_complete`,
+      :meth:`_after_simulation`.
     """
 
     #: Registry name reported in :attr:`TrainingRun.protocol`;
@@ -495,6 +496,10 @@ class ProtocolCluster:
                 stuck=stuck,
             )
 
+    def _after_simulation(self, runtime: ProtocolRuntime) -> None:
+        """Finish what the simulation deferred, before any result is
+        read (hop replays its recorded arithmetic here)."""
+
     def _message_totals(self, runtime: ProtocolRuntime) -> Tuple[int, float]:
         """``(messages_sent, bytes_sent)`` for the whole run."""
         return int(runtime.traffic[0]), float(runtime.traffic[1])
@@ -648,6 +653,7 @@ class ProtocolCluster:
         self._start(runtime)
         env.run()
         self._check_complete(runtime)
+        self._after_simulation(runtime)
 
         final_stack = np.atleast_2d(self._final_param_stack(runtime))
         final_params = final_stack.mean(axis=0)

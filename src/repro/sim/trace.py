@@ -15,7 +15,7 @@ series cost nothing per event.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,11 @@ class Tracer:
         if records is None:
             records = self._records[key] = []
         records.append((time, value))
+
+    def extend(self, key: str, samples: Iterable[Tuple[float, object]]) -> None:
+        """Append many ``(time, value)`` samples to the series ``key``."""
+        if self.enabled(key):
+            self._records.setdefault(key, []).extend(samples)
 
     def keys(self) -> List[str]:
         return sorted(self._records.keys())
@@ -125,6 +130,35 @@ class StatAccumulator:
             self.min = value
         if value > self.max:
             self.max = value
+
+    @classmethod
+    def per_row(cls, values: np.ndarray) -> List["StatAccumulator"]:
+        """One accumulator per row of a 2-D array, fed that row's values
+        in order: bit for bit what :meth:`add` leaves, with each step's
+        arithmetic taken down a column for all rows at once (the same
+        float64 ops, in the same order, per row)."""
+        rows, count = values.shape
+        mean = np.zeros(rows)
+        m2 = np.zeros(rows)
+        low = np.full(rows, math.inf)
+        high = np.full(rows, -math.inf)
+        # Python float arithmetic overflows to inf and nan silently.
+        with np.errstate(all="ignore"):
+            for seen, value in enumerate(values.T, start=1):
+                delta = value - mean
+                mean = mean + delta / seen
+                m2 = m2 + delta * (value - mean)
+                low = np.where(value < low, value, low)
+                high = np.where(value > high, value, high)
+        accumulators = []
+        states = zip(mean.tolist(), m2.tolist(), low.tolist(), high.tolist())
+        for mean_, m2_, low_, high_ in states:
+            accumulator = cls()
+            accumulator.count = count
+            accumulator.mean, accumulator._m2 = mean_, m2_
+            accumulator.min, accumulator.max = low_, high_
+            accumulators.append(accumulator)
+        return accumulators
 
     @property
     def variance(self) -> float:

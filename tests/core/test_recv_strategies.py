@@ -14,6 +14,7 @@ from repro.core import (
     staleness_config,
 )
 from repro.core.config import STANDARD
+from repro.core.planes import EagerPlane
 from repro.sim import Environment
 
 
@@ -29,7 +30,7 @@ class FakeWorker:
         self.n_extra_updates = 0
         self.n_staleness_blocks = 0
         self.n_cache_hits = 0
-        self.reduce_scratch = None
+        self.plane = EagerPlane(self)  # reduces only: no model needed
         # Membership-plane slice of the contract (static double).
         self.membership = None
         self._in_activation = {}

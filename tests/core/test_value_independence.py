@@ -11,14 +11,22 @@ graph; backup workers with skipping and receiver-iteration checks;
 staleness mode), each against the same cell run for real.  The other
 eight protocols are held to the same property on their quiet, random
 and straggler cells through what every protocol reports (run counters,
-worker stats, traced iteration timestamps).  The last test couples one
-simulated duration to the loss and shows the comparison sees it.
+worker stats, traced samples).  Hop's replayed cells honour the stub
+too: a stubbed worker replays a zero gradient and never draws a batch.
+The last tests couple one simulated duration to the loss: on an eager
+cell the comparison sees it, and on a replayed cell there is no loss to
+read while the simulation runs.
 """
 
 import pytest
 
 from repro.core.config import HopConfig, SkipConfig
-from repro.harness.golden import cnn_conformance_spec, conformance_spec
+from repro.harness.golden import (
+    cnn_conformance_spec,
+    conformance_spec,
+    control_fingerprint,
+    run_fingerprint,
+)
 from repro.protocols.registry import build_cluster, registered_protocols
 
 #: Golden-grid families that only shape timing: per-iteration slowdown
@@ -91,43 +99,6 @@ def run_cell(spec, stub=False, couple=False):
     return cluster, cluster.run()
 
 
-def stat(accumulator):
-    return (
-        accumulator.count,
-        accumulator.mean.hex(),
-        accumulator._m2.hex(),
-        accumulator.min.hex(),
-        accumulator.max.hex(),
-    )
-
-
-def control_fingerprint(cluster, run):
-    """Every simulated time and counter a run reports, as exact bits."""
-    return {
-        "wall_time": float(run.wall_time).hex(),
-        "iterations_completed": list(run.iterations_completed),
-        "iterations_skipped": list(run.iterations_skipped),
-        "messages_sent": run.messages_sent,
-        "bytes_sent": float(run.bytes_sent).hex(),
-        "events_scheduled": run.events_scheduled,
-        "max_gap": float(run.gap.max_observed()).hex(),
-        "workers": [
-            {
-                "iteration_durations": stat(worker.iteration_durations),
-                "recv_wait": stat(worker.recv_wait),
-                "token_wait": stat(worker.token_wait),
-                "counters": (
-                    worker.n_jumps,
-                    worker.n_suppressed_sends,
-                    worker.n_extra_updates,
-                    worker.n_staleness_blocks,
-                ),
-            }
-            for worker in cluster._workers
-        ],
-    }
-
-
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_control_does_not_read_parameter_values(cell):
     real_cluster, real = run_cell(CELLS[cell])
@@ -136,8 +107,9 @@ def test_control_does_not_read_parameter_values(cell):
     assert max(w.losses.max for w in real_cluster._workers) > 0.0
     assert all(w.losses.max == 0.0 for w in stub_cluster._workers)
     assert real.final_params.tobytes() != stubbed.final_params.tobytes()
-    pool = stub_cluster.runtime.compute
-    assert pool.flushes == 0 and pool.tickets == real_cluster.runtime.compute.tickets
+    pool, real_pool = stub_cluster.runtime.compute, real_cluster.runtime.compute
+    assert pool.flushes == 0 and pool.tickets == real_pool.tickets
+    assert (pool.levels, pool.rows) == (real_pool.levels, real_pool.rows)
     # ... and no simulated time or counter moved.
     assert control_fingerprint(stub_cluster, stubbed) == control_fingerprint(
         real_cluster, real
@@ -152,40 +124,6 @@ PROTOCOL_CELLS = {
     if protocol != "hop"
     for family in ("none", "random", "straggler")
 }
-
-
-def run_fingerprint(run):
-    """The control fingerprint any protocol reports, as exact bits: run
-    counters, each worker's stats but its loss, and every traced
-    iteration's timestamp and duration."""
-    return {
-        "wall_time": float(run.wall_time).hex(),
-        "iterations_completed": list(run.iterations_completed),
-        "iterations_skipped": list(run.iterations_skipped),
-        "messages_sent": run.messages_sent,
-        "bytes_sent": float(run.bytes_sent).hex(),
-        "bytes_attempted": float(run.bytes_attempted).hex(),
-        "control_bytes": float(run.control_bytes).hex(),
-        "events_scheduled": run.events_scheduled,
-        "max_gap": float(run.gap.max_observed()).hex(),
-        "worker_stats": [
-            {
-                key: float(value).hex() if isinstance(value, float) else value
-                for key, value in stats.items()
-                if key != "loss_mean"
-            }
-            for stats in run.worker_stats
-        ],
-        "traced": {
-            key: [
-                (float(time).hex(), float(value).hex())
-                if key.startswith("duration/")
-                else float(time).hex()
-                for time, value in run.tracer.raw(key)
-            ]
-            for key in run.tracer.keys()
-        },
-    }
 
 
 @pytest.mark.parametrize("cell", sorted(PROTOCOL_CELLS))
@@ -204,18 +142,56 @@ def test_every_protocol_keeps_its_control(cell):
     assert set(traced_losses(stubbed)) == {0.0}
     pool = stub_cluster.runtime.compute
     assert pool.flushes == 0 and pool.tickets == real_cluster.runtime.compute.tickets
-    assert run_fingerprint(stubbed) == run_fingerprint(real)
+    assert run_fingerprint(stubbed, values=False) == run_fingerprint(
+        real, values=False
+    )
 
 
-def test_a_loss_dependent_duration_is_caught():
+def test_a_loss_dependent_duration_is_caught_on_the_eager_plane():
     """Mutation check: one duration that reads the loss, and the
     comparison above fails."""
-    spec = CELLS["random"]
+    spec = CELLS["straggler/backup-skip"]
     real_cluster, real = run_cell(spec, couple=True)
     stub_cluster, stubbed = run_cell(spec, stub=True, couple=True)
+    assert real_cluster.schedule is None  # skipping keeps the math eager
     real_print = control_fingerprint(real_cluster, real)
     stub_print = control_fingerprint(stub_cluster, stubbed)
     assert stub_print["wall_time"] != real_print["wall_time"]
     assert stub_print["workers"] != real_print["workers"]
     # Uncoupled, the stubbed run is the real one's control.
     assert stub_print == control_fingerprint(*run_cell(spec, stub=True))
+
+
+def test_no_loss_exists_while_a_replayed_run_simulates():
+    """On a replayed cell the losses are the replay's output: a duration
+    that reads one has nothing to read."""
+    cluster, _ = run_cell(CELLS["random"])
+    assert cluster.schedule is not None
+    with pytest.raises(AttributeError, match="mean"):
+        run_cell(CELLS["random"], couple=True)
+
+
+def test_a_stubbed_worker_replays_a_zero_gradient_with_no_draw():
+    spec = CELLS["random"]
+    cluster = build_cluster(spec)
+    start = cluster._start
+
+    def start_then_stub(runtime):
+        start(runtime)
+        runtime.compute.stub(runtime.models[1])
+
+    cluster._start = start_then_stub
+    run = cluster.run()
+    assert cluster.schedule is not None
+    stubbed, real = cluster._workers[1], cluster._workers[0]
+    assert stubbed.batcher._block is None  # never drew a batch
+    assert real.batcher._block is not None
+    assert stubbed.losses.count == spec.max_iter and stubbed.losses.max == 0.0
+    assert {loss for _, loss in run.tracer.raw("loss/1")} == {0.0}
+    assert real.losses.max > 0.0
+    pool = cluster.runtime.compute
+    assert (pool.tickets, pool.levels, pool.rows) == (
+        0,
+        spec.max_iter,
+        spec.max_iter * spec.topology.n,
+    )

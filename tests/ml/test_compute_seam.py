@@ -11,8 +11,10 @@ Two oracles, both the removed spelling kept in this file:
   ticket at submit exactly as the eight hand-copied call sites did,
   against which whole runs of all nine protocols must agree.
 
-Then the ticket lifecycle rules, one test each, the pool's counters, and
-one test per protocol that its call site actually batches.
+The replay's level evaluation (``ComputePool.evaluate_rows``) is held to
+the kernel oracle too.  Then the ticket lifecycle rules, one test each,
+the pool's counters, and one test per protocol that its call site
+actually batches.
 """
 
 import dataclasses
@@ -82,11 +84,22 @@ def stacked_through_pool(models, x, y, idx):
     return out
 
 
+def stacked_through_rows(models, x, y, idx):
+    """The same gradients as one replay level (``evaluate_rows``)."""
+    pool = ComputePool(models)
+    params = np.stack([m.get_params() for m in models])
+    batchers = [FixedBatcher(x, y, row) for row in idx]
+    losses, grads = pool.evaluate_rows(models, params, batchers)
+    assert (pool.levels, pool.rows, pool.tickets) == (1, len(models), 0)
+    return [(loss, grad.tobytes()) for loss, grad in zip(losses, grads)]
+
+
 class FixedBatcher:
     """A batcher whose next batch is a given index row."""
 
     def __init__(self, x, y, row):
         self.x, self.y, self._row = x, y, row
+        self.batch_size = len(row)
 
     def next_indices(self):
         return self._row
@@ -122,13 +135,15 @@ def test_stacked_kernel_equals_loss_and_grad_loop_bitwise(case):
     for model in models:
         model.zero_grad()
 
-    losses = compute.svm_stacked_loss_and_grad(models, x, y, idx)
-    direct = [(l, m._flat_grad.tobytes()) for l, m in zip(losses, models)]
+    params = np.stack([m.get_params() for m in models])
+    losses, grads = compute.svm_stacked_loss_and_grad(params, x, y, idx)
+    direct = [(l, g.tobytes()) for l, g in zip(losses, grads)]
     assert mismatches(direct, expected) == []
 
     for model in models:
         model.zero_grad()
     assert mismatches(stacked_through_pool(models, x, y, idx), expected) == []
+    assert mismatches(stacked_through_rows(models, x, y, idx), expected) == []
 
 
 def test_oracle_catches_a_one_ulp_mutation_of_the_kernel(monkeypatch):
@@ -169,11 +184,10 @@ def test_kernel_declines_what_it_does_not_reproduce(spoil):
     rng = np.random.default_rng(3)
     x, y = spoil(*make_data(rng, 50, 8, signed=False))
     idx = np.arange(20).reshape(2, 10)
-    models = make_models(rng, 2, 8)
-    before = [m._flat_grad.copy() for m in models]
-    assert compute.svm_stacked_loss_and_grad(models, x, y, idx) is None
-    for model, grad in zip(models, before):
-        assert np.array_equal(model._flat_grad, grad)
+    params = np.stack([m.get_params() for m in make_models(rng, 2, 8)])
+    before = params.copy()
+    assert compute.svm_stacked_loss_and_grad(params, x, y, idx) is None
+    assert np.array_equal(params, before)
 
 
 def test_a_bad_label_raises_the_loops_value_error_naming_the_worker():
@@ -225,6 +239,30 @@ def test_mixed_label_conventions_in_one_chunk_fall_back_per_ticket():
     got = [(l, g.tobytes()) for l, g in (t.result() for t in tickets)]
     assert got == expected
     assert (pool.stacked, pool.fallback) == (0, 2)
+
+
+def test_a_replay_block_the_kernel_declines_takes_loss_and_grad_per_row():
+    # The mixed-convention chunk above, as one replay level: same bits
+    # as the loop, and a bad label names its worker.
+    rng = np.random.default_rng(5)
+    x, y01 = make_data(rng, 40, 8, signed=False)
+    y = y01.copy()
+    y[20:] = 2 * y[20:] - 1
+    idx = np.array([np.arange(0, 20), np.arange(20, 40)])
+    models = make_models(rng, 2, 8)
+    expected = loop_oracle(models, x, y, idx)
+    pool = ComputePool(models)
+    params = np.stack([m.get_params_copy() for m in models])
+    losses, grads = pool.evaluate_rows(
+        models, params, [FixedBatcher(x, y, row) for row in idx]
+    )
+    assert [(l, g.tobytes()) for l, g in zip(losses, grads)] == expected
+    assert (pool.levels, pool.rows, pool.fallback) == (1, 2, 2)
+    y[25] = 2
+    with pytest.raises(ComputeError, match=r"^worker 1: ValueError: "):
+        pool.evaluate_rows(
+            models, params, [FixedBatcher(x, y, row) for row in idx]
+        )
 
 
 def test_only_the_papers_svm_offers_a_stacked_kernel():
@@ -411,8 +449,12 @@ def spec_for(protocol, workload, n=16, max_iter=5, **fields):
     )
 
 
-def run_with_pool(spec):
+def run_with_pool(spec, eager_plane=False):
+    """Run ``spec``; ``eager_plane`` keeps a replayable hop run's math
+    in the loop, where it goes through tickets."""
     cluster = build_cluster(spec)
+    if eager_plane and spec.protocol == "hop":
+        cluster._eager = True
     run = cluster.run()
     return run, cluster.runtime.compute
 
@@ -432,12 +474,11 @@ def eager_runtime(monkeypatch):
 def test_deferred_runs_equal_eager_runs_bitwise(protocol, slowdown, eager_runtime):
     workload = svm_workload("smoke")
     fields = {} if slowdown is None else {"slowdown": slowdown}
-    deferred, pool = run_with_pool(spec_for(protocol, workload, seed=3, **fields))
-    assert pool.fallback == 0 and pool.stacked == pool.tickets
+    spec = spec_for(protocol, workload, seed=3, **fields)
+    deferred, pool = run_with_pool(spec, eager_plane=True)
+    assert pool.fallback == 0 and pool.stacked == pool.tickets > 0
     eager_runtime()
-    eager_run, eager_pool = run_with_pool(
-        spec_for(protocol, workload, seed=3, **fields)
-    )
+    eager_run, eager_pool = run_with_pool(spec, eager_plane=True)
     assert type(eager_pool) is EagerPool and eager_pool.flushes == 0
     assert eager_pool.tickets == pool.tickets
     assert golden_fingerprint(deferred) == golden_fingerprint(eager_run)
@@ -451,21 +492,42 @@ def test_deferred_runs_equal_eager_runs_bitwise(protocol, slowdown, eager_runtim
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_every_protocol_batches_its_pending_workers(protocol):
     """A static 16-worker run resolves more than one ticket per flush:
-    no call site submits and resolves in one breath."""
-    run, pool = run_with_pool(spec_for(protocol, svm_workload("smoke")))
+    no call site submits and resolves in one breath (hop on its eager
+    plane, which its churn, crash, skip and compressed runs take)."""
+    run, pool = run_with_pool(
+        spec_for(protocol, svm_workload("smoke")), eager_plane=True
+    )
     assert run.iterations_completed == [5] * 16
     assert pool.tickets == 16 * 5
     assert pool.stacked == pool.tickets and pool.fallback == 0
     assert pool.mean_batch > 1.0, pool
 
 
-def test_static_hop_64_evaluates_the_whole_cluster_once_per_iteration():
-    # The noise-free guard scripts/ci.sh carries, as a tier-1 test.
+def test_static_hop_64_replays_the_whole_cluster_once_per_iteration():
+    # The noise-free guards scripts/ci.sh carries, as tier-1 tests: a
+    # replayed hop run sends nothing through the pool and evaluates one
+    # block of every worker per iteration ...
     run, pool = run_with_pool(
         spec_for("hop", svm_workload("smoke"), n=64, max_iter=10)
     )
-    assert (pool.tickets, pool.flushes, pool.fallback) == (640, 10, 0)
-    assert pool.mean_batch == 64.0
+    assert (pool.tickets, pool.flushes, pool.levels, pool.rows) == (
+        0, 0, 10, 640
+    )
+    assert (pool.stacked, pool.fallback) == (0, 0)
+
+
+def test_ps_async_128_keeps_its_exact_pool_counts():
+    # ... and a protocol that still submits tickets holds its own exact
+    # counts: the PS NIC staggers the pulls, so flushes are small.
+    run, pool = run_with_pool(
+        spec_for(
+            "ps-async", svm_workload("smoke"), n=128, max_iter=10, seed=0
+        )
+    )
+    assert (pool.tickets, pool.flushes, pool.stacked, pool.fallback) == (
+        1280, 343, 1280, 0
+    )
+    assert (pool.levels, pool.rows) == (0, 0)
 
 
 def test_cnn_tickets_take_the_kernel_of_record():
@@ -478,8 +540,10 @@ def test_cnn_tickets_take_the_kernel_of_record():
 
 def test_counters_stay_out_of_results():
     run, pool = run_with_pool(spec_for("hop", svm_workload("smoke"), n=4))
-    assert pool.tickets == 20
-    names = {"compute", "tickets", "flushes", "stacked", "fallback"}
+    assert pool.rows == 20
+    names = {
+        "compute", "tickets", "flushes", "stacked", "fallback", "levels", "rows"
+    }
     assert not names & {f.name for f in dataclasses.fields(TrainingRun)}
     assert not names & set(run_to_dict(run))
     assert not names & set(golden_fingerprint(run))

@@ -53,6 +53,7 @@ from repro.harness.golden import (
     compression_conformance_spec,
     conformance_spec,
     golden_fingerprint,
+    run_fingerprint,
 )
 from repro.protocols import registered_protocols
 from repro.protocols.registry import get_protocol
@@ -82,25 +83,6 @@ FIRST_WAVE_CHURN_FAMILIES = ("churn", "churn-poisson")
 PRE_ELASTICITY_CELLS_SHA256 = (
     "83d30fd52c37e8531bf35cca06940a39c2b307ece10239289bc86033de42aa59"
 )
-
-
-def run_fingerprint(run) -> dict:
-    """The exactly-comparable stats of a run (bitwise determinism)."""
-    return {
-        "wall_time": run.wall_time,
-        "final_params": run.final_params.tobytes(),
-        "final_loss": run.final_loss,
-        "final_accuracy": run.final_accuracy,
-        "iterations_completed": list(run.iterations_completed),
-        "iterations_skipped": list(run.iterations_skipped),
-        "messages_sent": run.messages_sent,
-        "bytes_sent": run.bytes_sent,
-        "messages_dropped": run.messages_dropped,
-        "consensus": run.consensus,
-        "max_gap": run.gap.max_observed(),
-        "fault_events": run.fault_events,
-        "membership_events": run.membership_events,
-    }
 
 
 @pytest.mark.parametrize("family", registered_scenarios(universal_only=True))

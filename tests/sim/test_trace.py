@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import StatAccumulator, Tracer
 
@@ -81,3 +83,35 @@ class TestStatAccumulator:
         acc = StatAccumulator()
         acc.add(42.0)
         assert acc.variance == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(0, 9),
+        st.lists(
+            st.floats(allow_nan=True, allow_infinity=True, width=64),
+            min_size=54,
+            max_size=54,
+        ),
+    )
+    def test_per_row_is_add_down_each_row_bitwise(self, rows, count, pool):
+        values = np.array(pool[: rows * count]).reshape(rows, count)
+        for row, got in zip(values, StatAccumulator.per_row(values)):
+            want = StatAccumulator()
+            for value in row.tolist():
+                want.add(value)
+            assert exact(got) == exact(want)
+
+
+def exact(accumulator):
+    state = (accumulator.mean, accumulator._m2, accumulator.min, accumulator.max)
+    return (accumulator.count, *(float(v).hex() for v in state))
+
+
+def test_extend_appends_samples_to_an_enabled_series_only():
+    tracer = Tracer(channels=("loss",))
+    tracer.log("loss/0", 0.0, 1.0)
+    tracer.extend("loss/0", zip([1.0, 2.0], [0.5, 0.25]))
+    tracer.extend("iter/0", [(0.0, 0)])
+    assert tracer.raw("loss/0") == [(0.0, 1.0), (1.0, 0.5), (2.0, 0.25)]
+    assert tracer.keys() == ["loss/0"]
