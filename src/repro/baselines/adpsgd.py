@@ -46,7 +46,6 @@ class ADPSGDCluster(ProtocolCluster):
     """
 
     protocol = "adpsgd"
-    elastic = True
 
     def __init__(
         self,
@@ -80,32 +79,14 @@ class ADPSGDCluster(ProtocolCluster):
             evaluate=evaluate,
             trace_channels=trace_channels,
             compression=compression,
+            churn=churn,
         )
         self.topology = topology
         self.links = links or uniform_links()
-        if churn is not None and churn.empty:
-            churn = None
-        if churn is not None:
-            churn = churn.clipped(max_iter)
-            churn.validate_for(topology.n)
-            if churn.empty:
-                churn = None
-        self.churn = churn
-        self._membership = None
 
     # ------------------------------------------------------------------
     # Gossip machinery (shared with MomentumTrackingCluster)
     # ------------------------------------------------------------------
-    def _passive_partners(self, wid: int) -> Tuple[bool, List[int]]:
-        """``(is_active, eligible passive neighbors)`` for ``wid``."""
-        is_active = wid in self.active_set
-        neighbors = [
-            j
-            for j in self.topology.out_neighbors(wid, include_self=False)
-            if (j in self.passive_set) == is_active or not is_active
-        ]
-        return is_active, [j for j in neighbors if j in self.passive_set]
-
     def _gossip_vectors(self) -> float:
         """Distinct vectors shipped per gossip direction (subclasses
         may enlarge: momentum-tracking rides its buffer along)."""
@@ -172,16 +153,20 @@ class ADPSGDCluster(ProtocolCluster):
         finally:
             locks[partner].release(request)
 
-    def _elastic_partners(self, wid: int) -> Tuple[bool, List[int]]:
-        """Gossip partners re-resolved against the live membership view.
+    def _partners(self, wid: int) -> Tuple[bool, List[int]]:
+        """``(is_active, live passive out-neighbors)`` for ``wid``.
 
-        The repaired graph may not stay bipartite (bridging an even
-        ring creates odd cycles), but gossip safety only needs the
-        active/passive *coloring*, which is fixed at founding: partners
-        are the live out-neighbors of the opposite color, and edges the
-        repair created inside one color class simply carry no gossip.
+        Under churn the graph is the membership view's.  The repaired
+        graph may not stay bipartite (bridging an even ring creates odd
+        cycles), but gossip safety only needs the active/passive
+        *coloring*, which is fixed at founding: partners are the live
+        out-neighbors of the opposite color, and edges the repair
+        created inside one color class simply carry no gossip.
         """
-        topology = self._membership.view.topology
+        membership = self._membership
+        topology = (
+            self.topology if membership is None else membership.view.topology
+        )
         passive = [
             j
             for j in topology.out_neighbors(wid, include_self=False)
@@ -207,8 +192,7 @@ class ADPSGDCluster(ProtocolCluster):
         is_active: bool,
         partners: List[int],
     ):
-        """Generator: one gossip-SGD iteration (shared by the static
-        and elastic loops, so the two can never drift apart)."""
+        """Generator: one gossip-SGD iteration."""
         env = runtime.env
         start = env.now
         runtime.gap.record(wid, k)
@@ -245,97 +229,18 @@ class ADPSGDCluster(ProtocolCluster):
         batcher: Batcher,
         gossip_count: List[int],
     ):
-        if self._membership is not None:
-            return (
-                yield from self._worker_elastic(
-                    wid,
-                    runtime,
-                    params,
-                    locks,
-                    model,
-                    optimizer,
-                    batcher,
-                    gossip_count,
-                )
-            )
+        """One gossip worker; partners re-resolve at membership epochs."""
         rng = self.streams.stream("gossip", wid)
-        is_active, passive_neighbors = self._passive_partners(wid)
-        for k in range(self.max_iter):
-            yield from self._round(
-                wid,
-                k,
-                runtime,
-                params,
-                locks,
-                model,
-                optimizer,
-                batcher,
-                gossip_count,
-                rng,
-                is_active,
-                passive_neighbors,
-            )
-        runtime.done[wid] = True
-
-    def _resync_payload(self, update_size: float) -> float:
-        """Joiner re-sync ships what a gossip exchange would."""
-        return self.gossip_payload(update_size)
-
-    def _worker_elastic(
-        self,
-        wid: int,
-        runtime: ProtocolRuntime,
-        params: Dict[int, np.ndarray],
-        locks: Dict[int, Resource],
-        model,
-        optimizer: SGD,
-        batcher: Batcher,
-        gossip_count: List[int],
-    ):
-        """The gossip loop under membership churn.
-
-        Same math as the static loop; the differences are the
-        leave/join lifecycle (drain, rewire, re-sync from the sponsor)
-        and partner lists re-resolved at membership epoch boundaries.
-        """
-        env = runtime.env
         membership = self._membership
-        rng = self.streams.stream("gossip", wid)
-        leave = membership.leave_event(wid)
-        k = 0
-        if not membership.is_active(wid):
-            started = yield membership.rejoin_event(wid)
-            if started is None:
-                runtime.done[wid] = True
-                return
-            yield from self._join_resync(runtime, wid, params)
-            k = started
-        local_epoch = -1
-        is_active = False
-        partners: List[int] = []
-        while k < self.max_iter:
-            if (
-                leave is not None
-                and k >= leave.leave_at
-                and membership.is_active(wid)
-            ):
-                membership.enact_leave(wid, env.now, k)
-                if leave.join_at is None:
-                    runtime.done[wid] = True
-                    return
-                started = yield membership.rejoin_event(wid)
-                if started is None:
-                    runtime.done[wid] = True
-                    return
-                yield from self._join_resync(runtime, wid, params)
-                leave = None  # the cycle is spent
-                k = started
-                continue
-            if membership.epoch != local_epoch:
-                local_epoch = membership.epoch
-                is_active, partners = self._elastic_partners(wid)
-            membership.on_iteration(wid, k, env.now)
-            yield from self._round(
+        epoch, is_active, partners = None, False, []
+
+        def round_at(k: int):
+            nonlocal epoch, is_active, partners
+            now_epoch = membership.epoch if membership is not None else 0
+            if now_epoch != epoch:
+                epoch = now_epoch
+                is_active, partners = self._partners(wid)
+            return self._round(
                 wid,
                 k,
                 runtime,
@@ -349,30 +254,25 @@ class ADPSGDCluster(ProtocolCluster):
                 is_active,
                 partners,
             )
-            self._completed[wid] = k + 1
-            k += 1
-        runtime.done[wid] = True
+
+        yield from self._member_loop(
+            runtime,
+            wid,
+            round_at,
+            lambda: self._join_resync(runtime, wid, params),
+        )
+
+    def _resync_payload(self, update_size: float) -> float:
+        """Joiner re-sync ships what a gossip exchange would."""
+        return self.gossip_payload(update_size)
 
     # ------------------------------------------------------------------
     # ProtocolCluster hooks
     # ------------------------------------------------------------------
-    def _iterations_completed(self, runtime: ProtocolRuntime) -> List[int]:
-        if self._membership is not None:
-            return list(self._completed)
-        return super()._iterations_completed(runtime)
     def _start(self, runtime: ProtocolRuntime) -> None:
         env = runtime.env
         if self.churn is not None:
-            from repro.membership import MembershipRuntime, MembershipView
-
-            view = MembershipView.founding(
-                self.topology,
-                absent=self.churn.initially_absent(),
-                policy=self.churn.policy,
-            )
-            self._membership = MembershipRuntime(
-                env, view, self.churn, self.max_iter, gap=runtime.gap
-            )
+            self._membership_runtime(runtime, self.topology)
         self._params: Dict[int, np.ndarray] = {
             wid: runtime.models[wid].get_params()
             for wid in range(self.n_workers)
@@ -382,7 +282,6 @@ class ADPSGDCluster(ProtocolCluster):
             self._stream_compressor(runtime, wid)
             for wid in range(self.n_workers)
         ]
-        self._completed = [0] * self.n_workers
         locks = {
             wid: Resource(env, capacity=1) for wid in self.passive_set
         }
@@ -428,7 +327,6 @@ def _build_adpsgd(spec) -> ADPSGDCluster:
     return ADPSGDCluster(
         topology=spec.topology,
         links=spec.scenario_links(),
-        churn=getattr(spec.built_scenario(), "churn", None),
         **spec_common_kwargs(spec),
     )
 

@@ -40,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.membership import MembershipRuntime
 from repro.net.network import SharedNic
 from repro.protocols.base import ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
@@ -192,34 +193,31 @@ class _ServerState:
         return event
 
 
-def _make_ps_membership(env, view, plan, max_iter, gap, cluster):
-    """A membership runtime whose transitions drive the shard fabric.
+class _ShardedMembership(MembershipRuntime):
+    """A membership runtime whose transitions drive the shard fabric
+    (:meth:`ParameterServerCluster._membership_changed`)."""
 
-    Defined lazily (class creation inside the factory) so importing
-    this module never pulls in :mod:`repro.membership` for static runs.
-    """
-    from repro.membership import MembershipRuntime
+    def __init__(self, *args, cluster: "ParameterServerCluster", **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cluster = cluster
 
-    class _PSMembership(MembershipRuntime):
-        def enact_leave(self, worker, now, iteration):
-            super().enact_leave(worker, now, iteration)
-            cluster._membership_changed(
-                self, worker, now, iteration, departed=True
+    def enact_leave(self, worker, now, iteration):
+        super().enact_leave(worker, now, iteration)
+        self.cluster._membership_changed(
+            self, worker, now, iteration, departed=True
+        )
+
+    def enact_join(self, worker, now, start=None):
+        was_active = self.is_active(worker)
+        super().enact_join(worker, now, start)
+        if not was_active and self.is_active(worker):
+            self.cluster._membership_changed(
+                self,
+                worker,
+                now,
+                self.iterations.get(worker, 0),
+                departed=False,
             )
-
-        def enact_join(self, worker, now, start=None):
-            was_active = self.is_active(worker)
-            super().enact_join(worker, now, start)
-            if not was_active and self.is_active(worker):
-                cluster._membership_changed(
-                    self,
-                    worker,
-                    now,
-                    self.iterations.get(worker, 0),
-                    departed=False,
-                )
-
-    return _PSMembership(env, view, plan, max_iter, gap=gap)
 
 
 class ParameterServerCluster(ProtocolCluster):
@@ -286,6 +284,7 @@ class ParameterServerCluster(ProtocolCluster):
             evaluate=evaluate,
             trace_channels=trace_channels,
             compression=compression,
+            churn=churn,
         )
         self.mode = mode
         self.protocol = f"ps-{mode}"
@@ -294,15 +293,6 @@ class ParameterServerCluster(ProtocolCluster):
         self.ps_bandwidth = ps_bandwidth
         self.ps_latency = ps_latency
         self.topology = topology
-        if churn is not None and churn.empty:
-            churn = None
-        if churn is not None:
-            churn = churn.clipped(max_iter)
-            churn.validate_for(n_workers)
-            if churn.empty:
-                churn = None
-        self.churn = churn
-        self._membership = None
         self._shards: Optional[ParamShards] = None
 
     # ------------------------------------------------------------------
@@ -318,8 +308,7 @@ class ParameterServerCluster(ProtocolCluster):
         grads_inbox,
         notify: List[Event],
     ):
-        """Generator: one pull -> compute -> push iteration (shared by
-        the static and elastic worker loops, so the two can't drift)."""
+        """Generator: one pull -> compute -> push iteration."""
         env = runtime.env
         start = env.now
         server.record_worker_iteration(wid, k)
@@ -424,77 +413,17 @@ class ParameterServerCluster(ProtocolCluster):
         grads_inbox,
         notify: List[Event],
     ):
-        """One PS worker process: pull -> compute -> push."""
-        if self._membership is not None:
-            return (
-                yield from self._worker_elastic(
-                    wid,
-                    runtime,
-                    server,
-                    nic,
-                    model,
-                    batcher,
-                    grads_inbox,
-                    notify,
-                )
-            )
-        for k in range(self.max_iter):
-            yield from self._ps_round(
+        """One PS worker process: pull -> compute -> push; a (re)joiner
+        seeds its state from the live shards."""
+        yield from self._member_loop(
+            runtime,
+            wid,
+            lambda k: self._ps_round(
                 wid, k, runtime, server, nic, model, batcher, grads_inbox,
                 notify,
-            )
-        runtime.done[wid] = True
-
-    def _worker_elastic(
-        self,
-        wid: int,
-        runtime: ProtocolRuntime,
-        server: _ServerState,
-        nic: SharedNic,
-        model,
-        batcher,
-        grads_inbox,
-        notify: List[Event],
-    ):
-        """The PS worker loop under membership churn: same rounds, plus
-        the leave/rejoin lifecycle with shard-seeded joiner state."""
-        env = runtime.env
-        membership = self._membership
-        leave = membership.leave_event(wid)
-        k = 0
-        if not membership.is_active(wid):
-            started = yield membership.rejoin_event(wid)
-            if started is None:
-                runtime.done[wid] = True
-                return
-            yield from self._seed_from_shards(runtime, nic)
-            k = started
-        while k < self.max_iter:
-            if (
-                leave is not None
-                and k >= leave.leave_at
-                and membership.is_active(wid)
-            ):
-                membership.enact_leave(wid, env.now, k)
-                if leave.join_at is None:
-                    runtime.done[wid] = True
-                    return
-                started = yield membership.rejoin_event(wid)
-                if started is None:
-                    runtime.done[wid] = True
-                    return
-                yield from self._seed_from_shards(runtime, nic)
-                leave = None  # the cycle is spent
-                k = started
-                continue
-            membership.on_iteration(wid, k, env.now)
-            yield from self._ps_round(
-                wid, k, runtime, server, nic, model, batcher, grads_inbox,
-                notify,
-            )
-            self._completed[wid] = k + 1
-            k += 1
-        runtime.done[wid] = True
+            ),
+            lambda: self._seed_from_shards(runtime, nic),
+        )
 
     def _membership_changed(
         self, membership, worker: int, now, iteration: int, departed: bool
@@ -509,7 +438,7 @@ class ParameterServerCluster(ProtocolCluster):
         poked so a quorum the departure just shrank below the pending
         count folds immediately instead of deadlocking the barrier.
         """
-        runtime = self._elastic_runtime
+        runtime = self.runtime
         server = self._server_state
         moved = self._shards.reassign(membership.view.active)
         if moved:
@@ -631,26 +560,21 @@ class ParameterServerCluster(ProtocolCluster):
 
         if self.churn is not None:
             from repro.graphs.builders import ring
-            from repro.membership import MembershipView
 
-            plan = self.churn
             # The real PS fabric is the shard map; the nominal overlay
             # only anchors the membership view's rewire reporting.
-            nominal = self.topology or ring(self.n_workers)
-            view = MembershipView.founding(
-                nominal,
-                absent=plan.initially_absent(),
-                policy=plan.policy,
+            membership = self._membership_runtime(
+                runtime,
+                self.topology or ring(self.n_workers),
+                _ShardedMembership,
+                cluster=self,
             )
-            self._completed = [0] * self.n_workers
-            self._shards = ParamShards(int(server.params.size), view.active)
-            self._elastic_runtime = runtime
+            self._shards = ParamShards(
+                int(server.params.size), membership.view.active
+            )
             self._grads_inbox = grads_inbox
             self._notify = notify
-            self._membership = _make_ps_membership(
-                env, view, plan, self.max_iter, runtime.gap, self
-            )
-            server.membership = self._membership
+            server.membership = membership
 
         for wid in range(self.n_workers):
             env.process(
@@ -685,16 +609,6 @@ class ParameterServerCluster(ProtocolCluster):
     def _topology_name(self) -> str:
         return f"star({self.n_workers}+PS)"
 
-    def _iterations_completed(self, runtime: ProtocolRuntime) -> List[int]:
-        if self._membership is not None:
-            return list(self._completed)
-        return super()._iterations_completed(runtime)
-
-    def _messages_dropped(self, runtime: ProtocolRuntime) -> int:
-        if self._membership is not None:
-            return self._membership.messages_dropped
-        return 0
-
     def _message_totals(self, runtime: ProtocolRuntime) -> Tuple[int, float]:
         if self._membership is not None:
             # Retransmits, seeds and shard failovers make the analytic
@@ -718,7 +632,6 @@ def _builder(mode: str):
             mode=mode,
             n_backup=spec.ps_backup,
             staleness=spec.ps_staleness,
-            churn=getattr(spec.built_scenario(), "churn", None),
             topology=spec.topology,
             **spec_common_kwargs(spec),
         )

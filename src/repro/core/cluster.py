@@ -80,8 +80,6 @@ class HopCluster(ProtocolCluster):
             (:class:`~repro.membership.NotifyAckMembership`).
     """
 
-    elastic = True
-
     #: Private test override: run a replayable spec on the eager plane.
     _eager = False
 
@@ -125,6 +123,7 @@ class HopCluster(ProtocolCluster):
             evaluate=evaluate,
             trace_channels=trace_channels,
             compression=compression,
+            churn=churn,
         )
         if config.mode == "backup":
             min_in = min(
@@ -154,15 +153,6 @@ class HopCluster(ProtocolCluster):
             raise ValueError("crash injection is only supported for hop")
         self.crash_events: Dict[int, CrashEvent] = dict(crash_events or {})
         self.message_loss = message_loss
-        if churn is not None and churn.empty:
-            churn = None
-        if churn is not None:
-            churn = churn.clipped(max_iter)
-            churn.validate_for(topology.n)
-            if churn.empty:
-                churn = None
-        self.churn = churn
-        self._membership = None
         #: The latest run's recorded schedule, or ``None`` when it did
         #: its arithmetic in the loop (:func:`~repro.core.planes.replayable`).
         self.schedule: Optional[Schedule] = None
@@ -470,7 +460,6 @@ def _build_hop(spec) -> HopCluster:
         machines=spec.machines,
         crash_events=scenario.faults.crash_events(),
         message_loss=spec.scenario_message_loss(),
-        churn=scenario.churn,
         **spec_common_kwargs(spec),
     )
 
@@ -485,7 +474,6 @@ def _build_notify_ack(spec) -> HopCluster:
         links=spec.scenario_links(),
         machines=spec.machines,
         message_loss=spec.scenario_message_loss(),
-        churn=spec.built_scenario().churn,
         **spec_common_kwargs(spec),
     )
 

@@ -290,39 +290,34 @@ class ProtocolCluster:
             (:meth:`_stream_compressor`) and every send is priced at
             the compressed wire size (:meth:`_wire_size`).  ``None``
             keeps the dense fast path bit-identically.
+        churn: Optional :class:`~repro.membership.ChurnPlan`, normalized
+            once here: clipped to the run horizon and validated, and
+            ``None`` when nothing in it can happen.  ``self.churn is
+            None`` is a static run.
 
     Subclass contract:
 
     * :meth:`_start` — build protocol state and spawn processes; every
       worker must set ``runtime.done[wid] = True`` when it finishes.
+      Under a churn plan it builds the run's membership with
+      :meth:`_membership_runtime`; a worker process that is one round
+      after another runs them through :meth:`_member_loop`, which is
+      the plain ``for k`` loop when there is no plan.
     * :meth:`_config_description` / :meth:`_topology_name` — labels for
       reports.
     * :meth:`_final_param_stack` — per-worker final parameter matrix
       (single-row for centralized protocols).
-    * Optional overrides: :meth:`_message_totals`,
+    * Optional overrides: :meth:`_message_totals`, :meth:`_byte_stats`,
       :meth:`_collect_worker_stats`, :meth:`_iterations_completed`,
-      :meth:`_iterations_skipped`, :meth:`_check_complete`,
-      :meth:`_after_simulation`.
+      :meth:`_iterations_skipped`, :meth:`_messages_dropped`,
+      :meth:`_check_complete`, :meth:`_after_simulation`, and the join
+      re-sync (:meth:`_resync_joiner`, :meth:`_resync_payload`).
     """
 
     #: Registry name reported in :attr:`TrainingRun.protocol`;
     #: subclasses override (or set per-instance for multi-mode
     #: protocols like the parameter server).
     protocol: str = "abstract"
-
-    #: Whether this protocol survives membership churn (dynamic worker
-    #: join/leave through :mod:`repro.membership`).  Elastic protocols
-    #: accept a :class:`~repro.membership.ChurnPlan` and implement the
-    #: join/leave lifecycle — the default being "drain, rewire, re-sync
-    #: params from neighbors": the leaver stops participating and the
-    #: membership runtime repairs the graph and any pending waits; a
-    #: joiner copies parameters from a live member before its first
-    #: iteration (:meth:`_resync_joiner` is the shared default).
-    #: Non-elastic protocols (PS, global all-reduce: a barrier or a
-    #: central server has no meaningful partial membership) keep their
-    #: static behavior bit-identically and reject churn scenarios at
-    #: build time.
-    elastic: bool = False
 
     def __init__(
         self,
@@ -338,6 +333,7 @@ class ProtocolCluster:
         evaluate: bool = True,
         trace_channels: Optional[Tuple[str, ...]] = None,
         compression=None,
+        churn=None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -369,6 +365,12 @@ class ProtocolCluster:
         #: the model dim/dtype are known (see :meth:`_stream_compressor`).
         self._compressors: Dict[tuple, object] = {}
         self._wire_ratio_cached: Optional[float] = None
+        if churn is not None and not churn.empty:
+            churn = churn.clipped(max_iter)
+            churn.validate_for(n_workers)
+        self.churn = churn if churn is not None and not churn.empty else None
+        #: The latest run's membership runtime (``None`` when static).
+        self._membership = None
         #: The latest :meth:`run`'s runtime (its compute-pool counters
         #: are observability that never enters the ``TrainingRun``).
         self.runtime: Optional[ProtocolRuntime] = None
@@ -523,8 +525,10 @@ class ProtocolCluster:
         }
 
     def _messages_dropped(self, runtime: ProtocolRuntime) -> int:
-        """Messages lost to fault injection (protocols with a Network)."""
-        return 0
+        """In-flight messages the membership dropped at departed
+        members (protocols with a Network override this)."""
+        membership = self._membership
+        return membership.messages_dropped if membership is not None else 0
 
     #: Tracer-key prefixes surfaced as lifecycle fault events, in
     #: causal order (a restart completes *after* the re-sync it did) —
@@ -558,8 +562,96 @@ class ProtocolCluster:
 
     def _collect_membership_events(self, runtime: ProtocolRuntime) -> List[dict]:
         """Join/leave/rewire records from the membership runtime."""
-        membership = getattr(self, "_membership", None)
+        membership = self._membership
         return list(membership.events) if membership is not None else []
+
+    # ------------------------------------------------------------------
+    # The membership lifecycle (shared by every elastic protocol)
+    # ------------------------------------------------------------------
+    def _membership_runtime(
+        self,
+        runtime: ProtocolRuntime,
+        nominal,
+        runtime_class=None,
+        auto_join_triggers: bool = True,
+        **kwargs,
+    ):
+        """Found this run's membership over the ``nominal`` graph.
+
+        ``runtime_class`` defaults to
+        :class:`~repro.membership.MembershipRuntime` (a protocol whose
+        fabric reacts to transitions passes a subclass, with its extra
+        constructor arguments in ``kwargs``).  Lockstep protocols that
+        key joins to their own round clock pass ``auto_join_triggers=
+        False``.  Only called when :attr:`churn` is set.
+        """
+        from repro.membership import MembershipRuntime, MembershipView
+
+        plan = self.churn
+        view = MembershipView.founding(
+            nominal, absent=plan.initially_absent(), policy=plan.policy
+        )
+        self._membership = (runtime_class or MembershipRuntime)(
+            runtime.env,
+            view,
+            plan,
+            self.max_iter,
+            gap=runtime.gap,
+            auto_join_triggers=auto_join_triggers,
+            **kwargs,
+        )
+        return self._membership
+
+    def _member_loop(self, runtime: ProtocolRuntime, wid: int, round_at, resync):
+        """Generator: worker ``wid``'s rounds, under the churn plan if any.
+
+        ``round_at(k)`` returns the generator of round ``k``; it is
+        called before the membership hears of the iteration (a join
+        trigger that report fires cannot change what the round already
+        resolved) and run after.  ``resync()`` returns the generator a
+        (re)joiner runs before its first round.  With no plan this is
+        the plain ``for k`` loop; under one it adds the lifecycle: a
+        late joiner waits dark for its join, a leaver departs at the top
+        of its scripted iteration and, on a cycle, waits to rejoin.
+        """
+        membership = self._membership
+        if membership is None:
+            for k in range(self.max_iter):
+                yield from round_at(k)
+            runtime.done[wid] = True
+            return
+        env = runtime.env
+        leave = membership.leave_event(wid)
+        k = 0
+        if not membership.is_active(wid):
+            k = yield membership.rejoin_event(wid)
+            if k is None:  # the join falls past the horizon
+                runtime.done[wid] = True
+                return
+            yield from resync()
+        while k < self.max_iter:
+            if (
+                leave is not None
+                and k >= leave.leave_at
+                and membership.is_active(wid)
+            ):
+                membership.enact_leave(wid, env.now, k)
+                if leave.join_at is None:
+                    runtime.done[wid] = True
+                    return
+                k = yield membership.rejoin_event(wid)
+                if k is None:
+                    runtime.done[wid] = True
+                    return
+                yield from resync()
+                leave = None  # the cycle is spent
+                continue
+            round_k = round_at(k)
+            membership.on_iteration(wid, k, env.now)
+            yield from round_k
+            self._completed[wid] = k + 1
+            k += 1
+        runtime.done[wid] = True
 
     def _resync_joiner(
         self, params: Dict[int, np.ndarray], wid: int, active
@@ -594,6 +686,8 @@ class ProtocolCluster:
             runtime.count_traffic(2, payload)
 
     def _iterations_completed(self, runtime: ProtocolRuntime) -> List[int]:
+        if self._membership is not None:
+            return list(self._completed)
         return [self.max_iter] * self.n_workers
 
     def _iterations_skipped(self, runtime: ProtocolRuntime) -> List[int]:
@@ -650,6 +744,8 @@ class ProtocolCluster:
             done=np.zeros(self.n_workers, dtype=bool),
         )
         self.runtime = runtime
+        #: Iterations each worker completed (read under churn).
+        self._completed = [0] * self.n_workers
         self._start(runtime)
         env.run()
         self._check_complete(runtime)

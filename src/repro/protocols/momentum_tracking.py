@@ -53,10 +53,6 @@ class MomentumTrackingCluster(ADPSGDCluster):
     """
 
     protocol = "momentum-tracking"
-    #: The momentum math plugs into ADPSGD's shared ``_round`` hook, so
-    #: both its static and elastic (leave/join/rewire) loops drive it;
-    #: momentum buffers are re-synced from the sponsor on join.
-    elastic = True
 
     def __init__(
         self,
@@ -152,7 +148,7 @@ class MomentumTrackingCluster(ADPSGDCluster):
         return sponsor
 
     # ------------------------------------------------------------------
-    # The momentum round (plugs into ADPSGD's static + elastic loops)
+    # The momentum round (plugs into ADPSGD's worker loop)
     # ------------------------------------------------------------------
     def _round(
         self,
@@ -171,9 +167,8 @@ class MomentumTrackingCluster(ADPSGDCluster):
     ):
         """Generator: one momentum-gossip iteration.
 
-        Overrides ADPSGD's plain-momentum round; because this is the
-        shared per-iteration hook, the inherited static and elastic
-        worker loops both drive it and cannot drift apart."""
+        Overrides ADPSGD's plain-momentum round; the inherited worker
+        loop drives it, with or without churn."""
         env = runtime.env
         beta = self.beta
         momentum = self._momentum
@@ -247,7 +242,6 @@ def _build_momentum_tracking(spec) -> MomentumTrackingCluster:
         topology=spec.topology,
         links=spec.scenario_links(),
         momentum_mode=spec.momentum_mode,
-        churn=getattr(spec.built_scenario(), "churn", None),
         **spec_common_kwargs(spec),
     )
 

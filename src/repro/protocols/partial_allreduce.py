@@ -162,7 +162,6 @@ class PartialAllReduceCluster(ProtocolCluster):
     """
 
     protocol = "partial-allreduce"
-    elastic = True
 
     def __init__(
         self,
@@ -184,6 +183,12 @@ class PartialAllReduceCluster(ProtocolCluster):
         topology=None,
         compression=None,
     ) -> None:
+        if static_groups and churn is not None and not churn.empty:
+            # Checked on the plan as given, before the horizon clips it.
+            raise ValueError(
+                "membership churn needs randomized regrouping; drop "
+                "static_groups"
+            )
         super().__init__(
             n_workers=n_workers,
             model_factory=model_factory,
@@ -197,28 +202,15 @@ class PartialAllReduceCluster(ProtocolCluster):
             evaluate=evaluate,
             trace_channels=trace_channels,
             compression=compression,
+            churn=churn,
         )
         self.links = links or uniform_links()
-        if churn is not None and churn.empty:
-            churn = None
-        if churn is not None:
-            if static_groups:
-                raise ValueError(
-                    "membership churn needs randomized regrouping; drop "
-                    "static_groups"
-                )
-            churn = churn.clipped(max_iter)
-            churn.validate_for(n_workers)
-            if churn.empty:
-                churn = None
-        self.churn = churn
         #: Nominal communication graph (membership-event reporting
         #: only: partial all-reduce's real shape is its groups).
         self.topology = topology
-        self._membership = None
         active_of_round = None
-        if churn is not None:
-            plan = churn
+        if self.churn is not None:
+            plan = self.churn
 
             def active_of_round(k: int) -> Tuple[int, ...]:
                 return tuple(
@@ -258,9 +250,7 @@ class PartialAllReduceCluster(ProtocolCluster):
         return event
 
     def _mark_round_started(self, env: Environment, k: int) -> None:
-        event = self._round_events.get(k)
-        if event is None:
-            event = self._round_events[k] = Event(env)
+        event = self._round_started(env, k)
         if not event.triggered:
             event.succeed()
 
@@ -276,8 +266,7 @@ class PartialAllReduceCluster(ProtocolCluster):
         batcher,
     ):
         """Generator: one round — compute, local step, group barrier,
-        in-group all-reduce (shared by the static and elastic loops,
-        so the two can never drift apart)."""
+        in-group all-reduce."""
         env = runtime.env
         start = env.now
         runtime.gap.record(wid, k)
@@ -326,60 +315,6 @@ class PartialAllReduceCluster(ProtocolCluster):
         runtime.log_loss[wid](env.now, loss)
         runtime.log_duration[wid](env.now, env.now - start)
 
-    def _worker_elastic(
-        self,
-        wid: int,
-        runtime: ProtocolRuntime,
-        params: Dict[int, np.ndarray],
-        barriers: Dict[Tuple[int, Tuple[int, ...]], _GroupBarrier],
-        model,
-        optimizer: SGD,
-        batcher,
-    ):
-        """The partial all-reduce loop under membership churn.
-
-        Rounds are the membership clock here: each round partitions
-        only that round's members (see :class:`GroupSchedule`), so a
-        group barrier can never wait on a departed worker.  Departure
-        and (re)join follow the default lifecycle: drain, rewire
-        (recorded against the nominal topology), re-sync from the
-        sponsor.
-        """
-        env = runtime.env
-        plan = self.churn
-        membership = self._membership
-        event = plan.event_for(wid)
-        k = 0
-        if event is not None and event.late_join:
-            if event.join_at >= self.max_iter:
-                # Clamped past the horizon: absent for the whole run.
-                runtime.done[wid] = True
-                return
-            yield self._round_started(env, event.join_at)
-            membership.enact_join(wid, env.now, start=event.join_at)
-            yield from self._join_resync(runtime, wid, params)
-            k = event.join_at
-        while k < self.max_iter:
-            if not plan.active_at(wid, k):
-                if membership.is_active(wid):
-                    membership.enact_leave(wid, env.now, k)
-                if event.join_at is None:
-                    runtime.done[wid] = True
-                    return
-                yield self._round_started(env, event.join_at)
-                membership.enact_join(wid, env.now, start=event.join_at)
-                yield from self._join_resync(runtime, wid, params)
-                k = event.join_at
-                continue
-            self._mark_round_started(env, k)
-            membership.on_iteration(wid, k, env.now)
-            yield from self._round(
-                wid, k, runtime, params, barriers, model, optimizer, batcher
-            )
-            self._completed[wid] = k + 1
-            k += 1
-        runtime.done[wid] = True
-
     def _worker(
         self,
         wid: int,
@@ -390,17 +325,55 @@ class PartialAllReduceCluster(ProtocolCluster):
         optimizer: SGD,
         batcher,
     ):
-        if self._membership is not None:
-            return (
-                yield from self._worker_elastic(
-                    wid, runtime, params, barriers, model, optimizer, batcher
-                )
-            )
-        for k in range(self.max_iter):
+        """One worker's rounds.
+
+        Under churn, rounds are the membership clock: each round
+        partitions only that round's members (see
+        :class:`GroupSchedule`), so a group barrier can never wait on a
+        departed worker, and a (re)joiner enacts its own join once some
+        member starts its join round.  Departure and (re)join follow
+        the default lifecycle: drain, rewire (recorded against the
+        nominal topology), re-sync from the sponsor.
+        """
+        env = runtime.env
+        plan = self.churn
+        membership = self._membership
+        event = plan.event_for(wid) if plan is not None else None
+        k = 0
+        if event is not None and event.late_join:
+            if event.join_at >= self.max_iter:
+                # Clamped past the horizon: absent for the whole run.
+                runtime.done[wid] = True
+                return
+            k = yield from self._join_at_round(runtime, wid, params, event)
+        while k < self.max_iter:
+            if membership is not None:
+                if not plan.active_at(wid, k):
+                    if membership.is_active(wid):
+                        membership.enact_leave(wid, env.now, k)
+                    if event.join_at is None:
+                        runtime.done[wid] = True
+                        return
+                    k = yield from self._join_at_round(
+                        runtime, wid, params, event
+                    )
+                    continue
+                self._mark_round_started(env, k)
+                membership.on_iteration(wid, k, env.now)
             yield from self._round(
                 wid, k, runtime, params, barriers, model, optimizer, batcher
             )
+            self._completed[wid] = k + 1
+            k += 1
         runtime.done[wid] = True
+
+    def _join_at_round(self, runtime: ProtocolRuntime, wid: int, params, event):
+        """Generator: wait for the join round to start, enact the join,
+        re-sync; returns the round the joiner resumes at."""
+        yield self._round_started(runtime.env, event.join_at)
+        self._membership.enact_join(wid, runtime.env.now, start=event.join_at)
+        yield from self._join_resync(runtime, wid, params)
+        return event.join_at
 
     # ------------------------------------------------------------------
     # ProtocolCluster hooks
@@ -410,22 +383,12 @@ class PartialAllReduceCluster(ProtocolCluster):
         self._round_events: Dict[int, Event] = {}
         if self.churn is not None:
             from repro.graphs.builders import ring
-            from repro.membership import MembershipRuntime, MembershipView
 
             # Rounds are the membership clock: joins are enacted by the
             # joiner at its round, not by frontier triggers.
-            nominal = self.topology or ring(self.n_workers)
-            view = MembershipView.founding(
-                nominal,
-                absent=self.churn.initially_absent(),
-                policy=self.churn.policy,
-            )
-            self._membership = MembershipRuntime(
-                env,
-                view,
-                self.churn,
-                self.max_iter,
-                gap=runtime.gap,
+            self._membership_runtime(
+                runtime,
+                self.topology or ring(self.n_workers),
                 auto_join_triggers=False,
             )
         self._params: Dict[int, np.ndarray] = {
@@ -437,7 +400,6 @@ class PartialAllReduceCluster(ProtocolCluster):
             self._stream_compressor(runtime, wid)
             for wid in range(self.n_workers)
         ]
-        self._completed = [0] * self.n_workers
         barriers: Dict[Tuple[int, Tuple[int, ...]], _GroupBarrier] = {}
         for wid in range(self.n_workers):
             env.process(
@@ -452,11 +414,6 @@ class PartialAllReduceCluster(ProtocolCluster):
                 ),
                 name=f"partial-allreduce-{wid}",
             )
-
-    def _iterations_completed(self, runtime: ProtocolRuntime) -> List[int]:
-        if self._membership is not None:
-            return list(self._completed)
-        return super()._iterations_completed(runtime)
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:
         return np.stack(
@@ -483,7 +440,6 @@ def _build_partial_allreduce(spec) -> PartialAllReduceCluster:
         group_size=spec.group_size,
         static_groups=spec.static_groups,
         links=spec.scenario_links(),
-        churn=getattr(spec.built_scenario(), "churn", None),
         topology=spec.topology,
         **spec_common_kwargs(spec),
     )

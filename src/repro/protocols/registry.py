@@ -97,7 +97,8 @@ def spec_common_kwargs(spec: "ExperimentSpec") -> dict:
     events themselves) get the pure slowdown model; for every other
     protocol the crash downtime is composed into the compute model as
     an equivalent stall, so fault scenarios run under the whole
-    registry.
+    registry.  The scenario's churn plan travels as ``churn``; the
+    cluster normalizes it (:class:`~repro.protocols.base.ProtocolCluster`).
     """
     workload = spec.workload
     scenario = spec.built_scenario()
@@ -121,6 +122,7 @@ def spec_common_kwargs(spec: "ExperimentSpec") -> dict:
         update_size=workload.update_size,
         trace_channels=spec.trace_channels,
         compression=spec.compression,
+        churn=scenario.churn,
     )
 
 
@@ -134,7 +136,7 @@ def build_cluster(spec: "ExperimentSpec") -> "ProtocolCluster":
             fails loudly instead of silently running a static cluster.
     """
     info = get_protocol(spec.protocol)
-    churn = getattr(spec.built_scenario(), "churn", None)
+    churn = spec.built_scenario().churn
     if churn is not None and not churn.empty and not info.elastic:
         raise ValueError(
             f"protocol {spec.protocol!r} is not elastic and cannot run "

@@ -358,6 +358,32 @@ def test_full_grid_is_elastic():
     )
 
 
+#: A plan whose only event is a leave at the horizon: the worker
+#: finishes first, so the plan clips to nothing.
+HORIZON_LEAVE = {"leaves": {N_WORKERS - 1: MAX_ITER}}
+
+
+@pytest.mark.parametrize("protocol", registered_protocols())
+def test_a_churn_plan_clipped_to_nothing_is_the_static_run(protocol):
+    """Every protocol normalizes a plan the horizon clips away to no
+    plan at all: the run is the quiet cell's, bit for bit (the two
+    specs differ only in their labels, which the fingerprint skips)."""
+    clipped = run_spec(conformance_spec(protocol, "churn", params=HORIZON_LEAVE))
+    static = run_spec(conformance_spec(protocol, "none"))
+    assert clipped.membership_events == []
+    assert run_fingerprint(clipped) == run_fingerprint(static)
+
+
+def test_static_groups_reject_a_plan_the_horizon_clips_away():
+    """Partial all-reduce's static groups refuse churn on the plan as
+    given, before clipping: even a plan that would clip to nothing."""
+    spec = conformance_spec(
+        "partial-allreduce", "churn", params=HORIZON_LEAVE
+    ).with_(static_groups=True)
+    with pytest.raises(ValueError, match="static_groups"):
+        run_spec(spec)
+
+
 def test_matrix_covers_at_least_six_families():
     assert len(registered_scenarios(universal_only=True)) >= 6
 
