@@ -12,7 +12,9 @@ Two kinds of fenced code blocks are verified:
 
 It also fails on a ``NAME.md`` reference in ``src/``, ``benchmarks/``,
 README.md, docs/ARCHITECTURE.md or EXPERIMENTS.md that names no file
-in the repo.
+in the repo, and on a dotted ``repro.…`` name there that resolves to no
+module or attribute (a dataclass field counts as an attribute; a format
+tag such as ``repro.churn-trace/v1`` is not a name).
 
 Usage::
 
@@ -21,6 +23,7 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 import sys
@@ -35,6 +38,8 @@ FENCE = re.compile(r"^```(\w*)\s*$")
 REFERRERS = ("README.md", "docs/ARCHITECTURE.md", "EXPERIMENTS.md",
              "src/**/*.py", "benchmarks/**/*.py")
 MD_REFERENCE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[A-Z][A-Z0-9_-]*\.md)\b")
+#: A dotted name in the package; the lookarounds skip paths and tags.
+DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+(?![\w/-])")
 
 
 def extract_blocks(path: Path):
@@ -91,10 +96,45 @@ def missing_doc_references():
                         yield f"{path.relative_to(REPO)}:{lineno}", ref
 
 
+def resolves(name: str) -> bool:
+    """Whether ``name`` is a module, or a chain of attributes (dataclass
+    fields included) off the longest importable module prefix."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if hasattr(target, attr):
+                target = getattr(target, attr)
+            elif attr in getattr(target, "__dataclass_fields__", ()):
+                target = None
+            else:
+                return False
+        return True
+    return False
+
+
+def unresolved_names():
+    """Yield ``(location, name)`` for each dotted ``repro.…`` name in
+    the referrers that resolves to nothing."""
+    for pattern in REFERRERS:
+        for path in sorted(REPO.glob(pattern)):
+            lines = path.read_text().splitlines()
+            for lineno, line in enumerate(lines, 1):
+                for name in DOTTED_NAME.findall(line):
+                    if not resolves(name):
+                        yield f"{path.relative_to(REPO)}:{lineno}", name
+
+
 def main() -> int:
     failures = 0
     for location, ref in missing_doc_references():
         print(f"FAIL {location}: {ref} names no file in the repo")
+        failures += 1
+    for location, name in unresolved_names():
+        print(f"FAIL {location}: {name} resolves to no module or attribute")
         failures += 1
     for doc in DOCS:
         print(f"== {doc.relative_to(REPO)} ==")

@@ -8,7 +8,8 @@
   Registered as ``"allreduce"``.
 * :class:`ADPSGDCluster` — asynchronous decentralized gossip SGD on a
   bipartite graph (the Section 5 comparison point).  Registered as
-  ``"adpsgd"``.
+  ``"adpsgd"``, and with its heterogeneity-robust momentum rules as
+  ``"momentum-tracking"``.
 
 All three subclass :class:`repro.protocols.ProtocolCluster` and are
 resolved by name through :mod:`repro.protocols.registry` — see

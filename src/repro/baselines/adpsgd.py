@@ -12,9 +12,23 @@ We implement exactly that active/passive bipartite scheme: passive
 workers' parameters are guarded by locks; active workers grab the lock,
 pay a parameter round trip, and write back the average.
 
-:class:`ADPSGDCluster` is registered as protocol ``"adpsgd"``; the
-momentum-tracking protocol (:mod:`repro.protocols.momentum_tracking`)
-reuses its gossip pattern.
+The same gossip round carries two heterogeneity-robust momentum rules.
+Plain worker-local momentum amplifies heterogeneity: each worker's
+buffer accumulates its *own* biased gradient direction, so replicas
+drift apart.
+
+* ``momentum_mode="tracking"`` — *Momentum Tracking* [Takezawa et al.,
+  arXiv:2209.15505]: momentum buffers are gossip-averaged alongside the
+  parameters, so every buffer tracks an estimate of the *global*
+  average gradient direction.  The gossip payload doubles (parameters
+  + momentum), which the link model charges for.
+* ``momentum_mode="quasi-global"`` — *Quasi-Global Momentum* [Lin et
+  al., arXiv:2102.04761]: nothing extra is communicated; each worker
+  re-estimates the global direction from its own parameter displacement
+  across the gossip + local step and applies momentum to that.
+
+:class:`ADPSGDCluster` is registered as protocol ``"adpsgd"`` (local
+momentum, the optimizer's) and ``"momentum-tracking"`` (either rule).
 """
 
 from __future__ import annotations
@@ -32,6 +46,31 @@ from repro.protocols.base import ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
 from repro.sim.resources import Resource
 
+#: The ``momentum-tracking`` protocol's update rules.
+MOMENTUM_MODES = ("tracking", "quasi-global")
+
+
+def _average_pair(
+    vectors: Dict[int, np.ndarray], wid: int, partner: int, compressors
+) -> None:
+    """Write back one vector's pairwise average.
+
+    Compressed gossip is CHOCO-style: each side encodes the delta of its
+    vector against its tracked reference, the peer folds the
+    *reconstruction* into the average, and the residual error stays
+    local.  Both encodes read the pre-average vectors, so the exchange
+    is symmetric and order-independent.
+    """
+    if compressors[wid] is None:
+        average = 0.5 * (vectors[wid] + vectors[partner])
+        vectors[wid] = average.copy()
+        vectors[partner] = average.copy()
+        return
+    _, recon_wid = compressors[wid].encode_state(vectors[wid])
+    _, recon_partner = compressors[partner].encode_state(vectors[partner])
+    vectors[wid] = 0.5 * (vectors[wid] + recon_partner)
+    vectors[partner] = 0.5 * (recon_wid + vectors[partner])
+
 
 class ADPSGDCluster(ProtocolCluster):
     """Asynchronous decentralized parallel SGD on a bipartite graph.
@@ -43,6 +82,12 @@ class ADPSGDCluster(ProtocolCluster):
             :class:`~repro.protocols.base.ProtocolCluster`.
         links: Network timing for the gossip round trips.
         compute_model: Worker compute-time oracle.
+        momentum_mode: ``"local"`` (the optimizer's worker-local step
+            after the gossip), ``"tracking"`` (gossip-averaged momentum
+            buffers) or ``"quasi-global"`` (displacement-estimated
+            momentum, no extra traffic); the last two run as protocol
+            ``"momentum-tracking"`` with the optimizer's momentum as
+            beta.
     """
 
     protocol = "adpsgd"
@@ -63,7 +108,13 @@ class ADPSGDCluster(ProtocolCluster):
         trace_channels=None,
         churn=None,
         compression=None,
+        momentum_mode: str = "local",
     ) -> None:
+        if momentum_mode != "local" and momentum_mode not in MOMENTUM_MODES:
+            raise ValueError(
+                f"unknown momentum_mode {momentum_mode!r}; choose from "
+                f"{('local',) + MOMENTUM_MODES}"
+            )
         topology.validate()
         self.active_set, self.passive_set = topology.bipartite_sets()
         super().__init__(
@@ -83,44 +134,21 @@ class ADPSGDCluster(ProtocolCluster):
         )
         self.topology = topology
         self.links = links or uniform_links()
+        self.momentum_mode = momentum_mode
+        if momentum_mode != "local":
+            self.protocol = "momentum-tracking"
+        #: Distinct vectors shipped per gossip direction: tracking rides
+        #: its momentum buffer along.
+        self._gossip_vectors = 2.0 if momentum_mode == "tracking" else 1.0
+        #: Per-worker momentum buffers (momentum-tracking only).
+        self._momentum: Optional[Dict[int, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    # Gossip machinery (shared with MomentumTrackingCluster)
+    # Gossip machinery
     # ------------------------------------------------------------------
-    def _gossip_vectors(self) -> float:
-        """Distinct vectors shipped per gossip direction (subclasses
-        may enlarge: momentum-tracking rides its buffer along)."""
-        return 1.0
-
-    def gossip_payload(self, update_size: float) -> float:
-        """Dense bytes sent per gossip direction (shared pricing path)."""
-        return payload_bytes(update_size, vectors=self._gossip_vectors())
-
     def _gossip_wire(self, runtime: ProtocolRuntime) -> float:
         """Wire bytes per gossip direction (compression-aware)."""
-        return self._wire_size(runtime, vectors=self._gossip_vectors())
-
-    def _average_state(
-        self, wid: int, partner: int, params: Dict[int, np.ndarray]
-    ) -> None:
-        """Write back the pairwise average (the atomic-averaging step).
-
-        Compressed gossip is CHOCO-style: each side encodes the delta
-        of its parameters against its tracked reference, the peer folds
-        the *reconstruction* into the average, and the residual error
-        stays local.  Both encodes read the pre-average vectors, so the
-        exchange is symmetric and order-independent.
-        """
-        compressors = getattr(self, "_gossip_compressors", None)
-        if compressors is None or compressors[wid] is None:
-            average = 0.5 * (params[wid] + params[partner])
-            params[wid] = average.copy()
-            params[partner] = average.copy()
-            return
-        _, recon_wid = compressors[wid].encode_state(params[wid])
-        _, recon_partner = compressors[partner].encode_state(params[partner])
-        params[wid] = 0.5 * (params[wid] + recon_partner)
-        params[partner] = 0.5 * (recon_wid + params[partner])
+        return self._wire_size(runtime, vectors=self._gossip_vectors)
 
     def _gossip(
         self,
@@ -148,7 +176,14 @@ class ADPSGDCluster(ProtocolCluster):
                 # the round trip: abort — a departed worker's frozen
                 # parameters must not keep mixing in, nor be mutated.
                 return
-            self._average_state(wid, partner, params)
+            # The atomic-averaging step; tracking's momentum buffers
+            # ride on their own compressor stream (sharing the params
+            # channel would corrupt both references).
+            _average_pair(params, wid, partner, self._gossip_compressors)
+            if self.momentum_mode == "tracking":
+                _average_pair(
+                    self._momentum, wid, partner, self._momentum_compressors
+                )
             gossip_count[0] += 1
         finally:
             locks[partner].release(request)
@@ -192,19 +227,29 @@ class ADPSGDCluster(ProtocolCluster):
         is_active: bool,
         partners: List[int],
     ):
-        """Generator: one gossip-SGD iteration."""
+        """Generator: one gossip-SGD iteration under the cluster's
+        momentum rule."""
         env = runtime.env
+        mode = self.momentum_mode
         start = env.now
+        if mode == "quasi-global":
+            x_round_start = params[wid].copy()
         runtime.gap.record(wid, k)
         model.set_params(params[wid])
         ticket = runtime.compute.submit(model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
         loss, grad = ticket.result()
+        if mode != "local":
+            # Both momentum rules decay the pre-gossip parameters.
+            grad = np.asarray(grad, dtype=np.float64)
+            if optimizer.weight_decay > 0.0:
+                grad = grad + optimizer.weight_decay * params[wid]
 
         if is_active and partners:
-            # Atomic averaging with a random passive neighbor.  Under
-            # churn, a partner that departed mid-compute is skipped
-            # (its frozen parameters must not keep mixing in).
+            # Atomic averaging with a random passive neighbor (tracking
+            # mode's momentum buffers ride along).  Under churn, a
+            # partner that departed mid-compute is skipped (its frozen
+            # parameters must not keep mixing in).
             partner = int(partners[rng.integers(0, len(partners))])
             if self._membership is None or self._membership.is_active(
                 partner
@@ -213,8 +258,26 @@ class ADPSGDCluster(ProtocolCluster):
                     runtime, wid, partner, params, locks, gossip_count
                 )
 
-        # Apply the (pre-averaging) gradient to the averaged params.
-        params[wid] = params[wid] + optimizer.step(params[wid], grad, k)
+        if mode == "local":
+            # Apply the (pre-averaging) gradient to the averaged params.
+            params[wid] = params[wid] + optimizer.step(params[wid], grad, k)
+        else:
+            momentum = self._momentum
+            beta = optimizer.momentum
+            lr = optimizer.schedule(k)
+            if mode == "tracking":
+                # Buffers approximate the *global* gradient direction
+                # because gossip keeps mixing them.
+                momentum[wid] = beta * momentum[wid] + grad
+                params[wid] = params[wid] - lr * momentum[wid]
+            else:
+                # Quasi-global: apply momentum from the previous global
+                # direction estimate, then refresh the estimate from the
+                # realized displacement (gossip + local step).
+                params[wid] = params[wid] - lr * (grad + beta * momentum[wid])
+                momentum[wid] = beta * momentum[wid] + (1.0 - beta) * (
+                    (x_round_start - params[wid]) / lr
+                )
         runtime.log_loss[wid](env.now, loss)
         runtime.log_duration[wid](env.now, env.now - start)
 
@@ -262,9 +325,20 @@ class ADPSGDCluster(ProtocolCluster):
             lambda: self._join_resync(runtime, wid, params),
         )
 
+    def _resync_joiner(
+        self, params: Dict[int, np.ndarray], wid: int, active
+    ) -> Optional[int]:
+        """A joiner copies the sponsor's momentum buffer alongside its
+        parameters: a stale (or zeroed) buffer would inject the joiner's
+        dark-period direction estimate into the tracked global one."""
+        sponsor = super()._resync_joiner(params, wid, active)
+        if sponsor is not None and self._momentum is not None:
+            self._momentum[wid] = self._momentum[sponsor].copy()
+        return sponsor
+
     def _resync_payload(self, update_size: float) -> float:
         """Joiner re-sync ships what a gossip exchange would."""
-        return self.gossip_payload(update_size)
+        return payload_bytes(update_size, vectors=self._gossip_vectors)
 
     # ------------------------------------------------------------------
     # ProtocolCluster hooks
@@ -277,11 +351,21 @@ class ADPSGDCluster(ProtocolCluster):
             wid: runtime.models[wid].get_params()
             for wid in range(self.n_workers)
         }
-        # One CHOCO reference channel per worker (None when dense).
+        # One CHOCO reference channel per worker and stream (None when
+        # dense).
         self._gossip_compressors = [
             self._stream_compressor(runtime, wid)
             for wid in range(self.n_workers)
         ]
+        if self.momentum_mode != "local":
+            self._momentum = {
+                wid: np.zeros(self._params[wid].shape)
+                for wid in range(self.n_workers)
+            }
+            self._momentum_compressors = [
+                self._stream_compressor(runtime, wid, stream="momentum")
+                for wid in range(self.n_workers)
+            ]
         locks = {
             wid: Resource(env, capacity=1) for wid in self.passive_set
         }
@@ -307,9 +391,15 @@ class ADPSGDCluster(ProtocolCluster):
         )
 
     def _config_description(self) -> str:
+        gossips = self._gossip_count[0]
+        if self.momentum_mode == "local":
+            return (
+                f"AD-PSGD bipartite gossip, |active|={len(self.active_set)}, "
+                f"gossips={gossips}"
+            )
         return (
-            f"AD-PSGD bipartite gossip, |active|={len(self.active_set)}, "
-            f"gossips={self._gossip_count[0]}"
+            f"momentum-tracking gossip ({self.momentum_mode}, "
+            f"beta={self.optimizer_proto.momentum:g}), gossips={gossips}"
         )
 
     def _topology_name(self) -> str:
@@ -331,6 +421,15 @@ def _build_adpsgd(spec) -> ADPSGDCluster:
     )
 
 
+def _build_momentum_tracking(spec) -> ADPSGDCluster:
+    return ADPSGDCluster(
+        topology=spec.topology,
+        links=spec.scenario_links(),
+        momentum_mode=spec.momentum_mode,
+        **spec_common_kwargs(spec),
+    )
+
+
 register_protocol(
     "adpsgd",
     _build_adpsgd,
@@ -338,4 +437,13 @@ register_protocol(
     "(unbounded gap)",
     paper="Lian et al. — ICML 2018 (arXiv:1710.06952)",
     elastic=True,  # gossip survives churn: partners re-resolve per epoch
+)
+register_protocol(
+    "momentum-tracking",
+    _build_momentum_tracking,
+    summary="Gossip SGD with heterogeneity-robust momentum "
+    "(momentum tracking or quasi-global)",
+    paper="Takezawa et al. — arXiv:2209.15505; Lin et al. — "
+    "arXiv:2102.04761",
+    elastic=True,  # AD-PSGD's lifecycle; momentum re-synced on join
 )

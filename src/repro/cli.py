@@ -37,6 +37,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
+from repro.baselines.adpsgd import MOMENTUM_MODES
 from repro.core.config import (
     STANDARD,
     SkipConfig,
@@ -53,7 +54,6 @@ from repro.harness.spec import run_spec
 from repro.harness.workloads import PRESETS, WORKLOADS
 from repro.harness.workloads import by_name as workload_by_name
 from repro.protocols import PROTOCOLS, protocol_table
-from repro.protocols.momentum_tracking import MOMENTUM_MODES
 from repro.scenarios import SCENARIOS, ScenarioSpec, scenario_table
 
 

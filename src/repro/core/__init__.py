@@ -47,7 +47,6 @@ from repro.core.gap import (
     token_queue_capacity_bound,
     update_queue_capacity_bound,
 )
-from repro.core.notify_ack import NotifyAckWorker
 from repro.core.queues import (
     RotatingUpdateQueue,
     TokenGate,
@@ -78,7 +77,6 @@ __all__ = [
     "HopConfig",
     "HopWorker",
     "JumpDecision",
-    "NotifyAckWorker",
     "RecvStrategy",
     "RotatingUpdateQueue",
     "STANDARD",

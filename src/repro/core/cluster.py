@@ -18,9 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import STANDARD, HopConfig
+from repro.core.config import NOTIFY_ACK, STANDARD, HopConfig
 from repro.core.gap import update_queue_capacity_bound
-from repro.core.notify_ack import NotifyAckWorker
 from repro.core.planes import Schedule, replay, replayable
 from repro.core.queues import RotatingUpdateQueue, TokenQueue, UpdateQueue
 from repro.core.skip import SkipPolicy
@@ -157,6 +156,12 @@ class HopCluster(ProtocolCluster):
         #: its arithmetic in the loop (:func:`~repro.core.planes.replayable`).
         self.schedule: Optional[Schedule] = None
 
+    @property
+    def worker_config(self) -> HopConfig:
+        """The config the workers run.  NOTIFY-ACK's ignores ``config``,
+        which reaches it only through the update queues."""
+        return self.config if self.protocol == "hop" else NOTIFY_ACK
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -271,27 +276,26 @@ class HopCluster(ProtocolCluster):
         token_queues = self._build_token_queues(env, live_topology)
 
         hop = self.protocol == "hop"
-        # NOTIFY-ACK's workers ignore the Hop config (the config reaches
-        # it only through the update queues above).
-        config = self.config if hop else STANDARD
+        config = self.worker_config
         if self.churn is not None:
+            # NOTIFY-ACK's membership repairs its ACK channels as Hop's
+            # repairs a token fabric.
             membership = (HopMembership if hop else NotifyAckMembership)(
                 env,
                 view,
                 self.churn,
                 self.max_iter,
                 state=self._state,
-                config=config,
+                config=self.config if hop else STANDARD,
                 update_queues=update_queues,
                 token_queues=token_queues,
                 gap=runtime.gap,
             )
             self._membership = membership
             self._network.membership = membership
-        worker_type = HopWorker if hop else NotifyAckWorker
         self.schedule = schedule = (
             Schedule(tagged=config.mode == "staleness")
-            if not self._eager and replayable(self, runtime.models)
+            if not self._eager and replayable(self, config, runtime.models)
             else None
         )
         workers: List[HopWorker] = []
@@ -301,7 +305,7 @@ class HopCluster(ProtocolCluster):
                 if config.skip is not None
                 else None
             )
-            worker = worker_type(
+            worker = HopWorker(
                 wid=wid,
                 env=env,
                 topology=live_topology,
@@ -325,6 +329,7 @@ class HopCluster(ProtocolCluster):
                 skip_policy=skip_policy,
                 crash_event=self.crash_events.get(wid),
                 schedule=schedule,
+                notify_ack=not hop,
             )
             workers.append(worker)
         self._workers = workers
@@ -403,7 +408,7 @@ class HopCluster(ProtocolCluster):
                 self._workers,
                 runtime.compute,
                 self.optimizer_proto,
-                self.config,
+                self.worker_config,
             )
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:

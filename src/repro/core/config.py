@@ -139,6 +139,10 @@ class HopConfig:
 #: The plain decentralized baseline used across the evaluation.
 STANDARD = HopConfig(mode="standard")
 
+#: What a NOTIFY-ACK worker runs whatever the spec's config says: the
+#: serial graph (Figure 2a) with its ACK channels in place of tokens.
+NOTIFY_ACK = HopConfig(use_token_queues=False, computation_graph="serial")
+
 
 def backup_config(
     n_backup: int = 1, max_ig: int = 4, skip: Optional[SkipConfig] = None

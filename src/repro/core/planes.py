@@ -211,24 +211,24 @@ class Schedule:
         return plane
 
 
-def replayable(cluster, models: Sequence[object]) -> bool:
-    """Whether a hop run records its schedule and replays the math.
+def replayable(cluster, config, models: Sequence[object]) -> bool:
+    """Whether a run of :class:`~repro.core.worker.HopWorker` loops
+    records its schedule and replays the math.
 
-    Every condition is a property of the spec: the protocol is ``hop``
-    (NOTIFY-ACK has its own loop); no churn plan and no crash events
-    (re-sync copies a peer's ``current_params`` mid-run); no compression
-    (error feedback on Send is stateful); no skip policy (a jump injects
-    a local update and refreshes at ``target - 1``); plain :class:`SGD`;
-    and every model offers a stacked kernel (a per-ticket model such as
-    the CNN may share state between replicas, so it keeps the eager
-    submission order).
+    Every condition is a property of the spec and of ``config``, the
+    one the workers run (NOTIFY-ACK's ignores the spec's): no churn plan
+    and no crash events (re-sync copies a peer's ``current_params``
+    mid-run); no compression (error feedback on Send is stateful); no
+    skip policy (a jump injects a local update and refreshes at
+    ``target - 1``); plain :class:`SGD`; and every model offers a
+    stacked kernel (a per-ticket model such as the CNN may share state
+    between replicas, so it keeps the eager submission order).
     """
     return (
-        cluster.protocol == "hop"
-        and cluster.churn is None
+        cluster.churn is None
         and not cluster.crash_events
         and cluster.compression is None
-        and cluster.config.skip is None
+        and config.skip is None
         and type(cluster.optimizer_proto) is SGD
         and all(model.stacked_kernel is not None for model in models)
     )

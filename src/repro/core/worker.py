@@ -7,6 +7,21 @@ with receiving neighbor updates; gradients are applied on top of the
 reduced average.  The serial variant (Figure 2a) applies gradients
 before sending.
 
+The same loop runs NOTIFY-ACK [Kadav & Kruus 2016], the paper's foil
+(Section 3.3): the serial graph plus a backward ACK edge, so that a
+worker may not Send iteration ``k``'s update until every out-going
+neighbor has ACKed consumption of iteration ``k-1``'s.  That solves the
+mixed-version problem but over-restricts the iteration gap to
+
+    Iter(i) - Iter(j) <= min(len(Path_{j->i}), 2 * len(Path_{i->j}))
+
+which is what keeps backup workers and bounded staleness from helping,
+the motivation for Hop's queue-based design.  An ACK channel is a
+counted token queue primed with one token (the implicit ACK(-1)), so a
+NOTIFY-ACK worker is a :class:`HopWorker` built with ``notify_ack=True``
+and :data:`~repro.core.config.NOTIFY_ACK`, its ACK channels as
+``token_queues``.
+
 Gradients are numerically real; their *duration* comes from the compute
 model, so heterogeneity is injected into time, not into math.  The loop
 is control only and reaches the math through a plane
@@ -28,6 +43,7 @@ from repro.core.recv import RecvStrategy, StandardRecv, make_recv_strategy
 from repro.core.skip import JumpDecision, SkipPolicy
 from repro.core.update import Update
 from repro.hetero.compute import ComputeModel
+from repro.net.message import CONTROL_SIZE
 from repro.net.network import Network
 from repro.scenarios.faults import CrashEvent
 from repro.sim.engine import Environment
@@ -58,7 +74,11 @@ class HopWorker:
     ``schedule`` the worker records its reduces instead of doing the
     arithmetic (:class:`~repro.core.planes.RecordPlane`), and its
     parameters, losses and loss series exist once
-    :func:`~repro.core.planes.replay` has run.
+    :func:`~repro.core.planes.replay` has run.  With ``notify_ack``
+    the ``token_queues`` are ACK channels: ``token_queues[(receiver,
+    sender)]`` holds ``receiver``'s ACKs gating ``sender``'s next Send,
+    and time blocked at that gate accrues to ``token_wait``, reported
+    as ``ack_wait_mean``.
     """
 
     def __init__(
@@ -84,6 +104,7 @@ class HopWorker:
         skip_policy: Optional[SkipPolicy] = None,
         crash_event: Optional[CrashEvent] = None,
         schedule: Optional[Schedule] = None,
+        notify_ack: bool = False,
     ) -> None:
         self.wid = wid
         self.env = env
@@ -113,6 +134,7 @@ class HopWorker:
         self.compressor = None
         self.token_rtt = token_rtt
         self.skip_policy = skip_policy
+        self.notify_ack = notify_ack
         self.crash_event = crash_event
         self.crashed = False
         #: True while this worker is dark (crash-restart downtime, a
@@ -359,6 +381,42 @@ class HopWorker:
         )
         return refreshed
 
+    def _await_acks(self, iteration: int):
+        """Generator: NOTIFY-ACK's gate, ACK(k-1) from every out-going
+        neighbor before Send(k)."""
+        env = self.env
+        providers = self._token_providers
+        if self.membership is not None:
+            # An edge created by a rewire carries ACKs from its
+            # activation iteration on, like its updates.
+            activation = self._out_activation
+            providers = [
+                j for j in providers if activation.get(j, 0) <= iteration
+            ]
+        start = env.now
+        if providers:
+            yield TokenGate(
+                env, [self.token_queues[(j, self.wid)] for j in providers]
+            )
+        self.token_wait.add(env.now - start)
+
+    def _send_acks(self, iteration: int) -> None:
+        """NOTIFY-ACK: consumed -> ACK to every in-coming neighbor."""
+        consumers = self._token_consumers
+        if self.membership is not None:
+            activation = self._in_activation
+            consumers = [
+                j for j in consumers if activation.get(j, 0) <= iteration
+            ]
+        self.network.fan_out(
+            self.wid,
+            consumers,
+            CONTROL_SIZE,
+            1,
+            [self.token_queues[(self.wid, j)].put for j in consumers],
+            control=True,
+        )
+
     # ------------------------------------------------------------------
     # Departure lifecycle: crashes and membership churn share one path.
     # A crash-restart *is* the membership lifecycle's leave+join special
@@ -494,9 +552,9 @@ class HopWorker:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def _common_stats(self) -> dict:
-        """The ``worker_stats`` entries both Hop and NOTIFY-ACK report."""
-        return {
+    def stats(self) -> dict:
+        """This worker's ``TrainingRun.worker_stats`` entry."""
+        stats = {
             "wid": self.wid,
             "iterations_completed": self.iterations_completed,
             "iteration_duration_mean": self.iteration_durations.mean,
@@ -505,10 +563,9 @@ class HopWorker:
             "loss_mean": self.losses.mean,
             "iterations_skipped": self.iterations_skipped,
         }
-
-    def stats(self) -> dict:
-        """This worker's ``TrainingRun.worker_stats`` entry."""
-        stats = self._common_stats()
+        if self.notify_ack:
+            stats["ack_wait_mean"] = self.token_wait.mean
+            return stats
         stats.update(
             n_restarts=self.n_restarts,
             n_jumps=self.n_jumps,
@@ -532,7 +589,9 @@ class HopWorker:
         write, optimizer step) happens *before* the next reduce
         overwrites the scratch in place.  The optimizer step is taken
         before the receive for exactly that reason — it depends only on
-        ``(x, grad, k)``, so the move is value-identical.
+        ``(x, grad, k)``, so the move is value-identical.  NOTIFY-ACK
+        adds two steps to the serial graph: the ACK gate before Send
+        and the ACK fan-out after Recv.
         """
         # Hot-loop locals: the body runs once per iteration per worker
         # and every attribute chain below would otherwise be re-resolved
@@ -546,6 +605,7 @@ class HopWorker:
         elastic = membership is not None
         churn_event = self.churn_event if elastic else None
         send = self._send
+        notify_ack = self.notify_ack
         parallel = self.cfg.computation_graph == "parallel"
         use_tokens = self.cfg.use_token_queues
         if use_tokens:
@@ -639,6 +699,8 @@ class HopWorker:
                 ticket = compute(x)
                 yield timeout(duration_of(wid, k))
                 delta = step(ticket, x, k)
+                if notify_ack:
+                    yield from self._await_acks(k)
                 send(plane.applied(x, delta), k)
             recv_start = env.now
             if standard:
@@ -647,6 +709,8 @@ class HopWorker:
             else:
                 reduced = yield from recv_reduce(self, k)
             self.recv_wait.add(env.now - recv_start)
+            if notify_ack:
+                self._send_acks(k)
             x = apply(reduced, delta) if parallel else reduced
 
             end(env.now)

@@ -225,10 +225,6 @@ class Topology:
     def is_active(self, node: int) -> bool:
         return node in self.active
 
-    def active_nodes(self) -> Tuple[int, ...]:
-        """Member ids, sorted (stable iteration order for repairs)."""
-        return tuple(sorted(self.active))
-
     def without_node(self, node: int, name: Optional[str] = None) -> "Topology":
         """An epoch-incremented repaired graph with ``node`` removed.
 

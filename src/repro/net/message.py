@@ -62,10 +62,9 @@ def payload_bytes(
       the actual encoded buffer dtypes/shapes
       (:meth:`repro.compression.base.Compressor.wire_ratio`); ``1.0``
       when uncompressed.
-    * ``vectors`` — logical vectors per message: momentum-tracking
-      gossips parameters *and* a momentum buffer, so its payload is
-      ``vectors=2.0`` (this subsumes the former bespoke
-      ``gossip_payload`` 2x pricing).
+    * ``vectors`` — logical vectors per message: momentum-tracking's
+      ``"tracking"`` rule gossips parameters *and* a momentum buffer,
+      so its payload is ``vectors=2.0``.
 
     With ``wire_ratio == vectors == 1.0`` the result is bitwise
     ``update_size`` (multiplying by 1.0 is exact), which is what keeps

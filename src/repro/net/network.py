@@ -3,8 +3,8 @@
 ``Network.send`` is non-blocking (like the paper's Send operation): it
 spawns a delivery process that waits for the link's transfer time and
 then invokes a delivery action (usually an enqueue into the receiver's
-update queue).  ``Network.rpc`` models a blocking request/response
-round trip (token acquisition, iteration inquiries).
+update queue).  ``Network.transfer`` models a blocking transfer
+(re-sync pulls, state copies).
 
 A :class:`SharedNic` serializes transfers through a single interface,
 modeling the parameter-server hotspot: when ``n`` workers push to the
@@ -415,21 +415,6 @@ class Network:
         self.bytes_attempted.add(size)
         self.bytes_sent.add(size)
         duration = self.links.transfer_time(src, dst, size)
-        return self.env.timeout(
-            duration + self._loss_penalty(src, dst, duration, size)
-        )
-
-    def rpc(self, src: int, dst: int, size: float = 0.0) -> Event:
-        """An event that fires after a request/response round trip.
-
-        RPCs are control-plane by definition (token acquisition,
-        iteration inquiries): charged for timing, counted in
-        :attr:`control_bytes`, never in the payload-volume stats.
-        """
-        self.messages_sent += 2
-        self.bytes_attempted.add(size)
-        self.control_bytes.add(size)
-        duration = self.links.round_trip(src, dst, size)
         return self.env.timeout(
             duration + self._loss_penalty(src, dst, duration, size)
         )

@@ -15,13 +15,12 @@ Layers:
   builder table used by the harness, the CLI and the examples.
 * :mod:`repro.protocols.partial_allreduce` — Prague-style randomized
   partial all-reduce [Luo et al., arXiv:1909.08029].
-* :mod:`repro.protocols.momentum_tracking` — heterogeneity-robust
-  momentum on the AD-PSGD gossip pattern [Takezawa et al.,
-  arXiv:2209.15505; quasi-global variant: Lin et al., arXiv:2102.04761].
 
 The Hop protocol itself lives in :mod:`repro.core.cluster`, the
 parameter server / all-reduce / AD-PSGD baselines in
-:mod:`repro.baselines`; each registers itself on import.
+:mod:`repro.baselines` (AD-PSGD's round also carries the
+heterogeneity-robust momentum rules of ``momentum-tracking``); each
+registers itself on import.
 
 Public API::
 

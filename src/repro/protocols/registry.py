@@ -36,7 +36,6 @@ _BUILTIN_MODULES = (
     "repro.baselines.allreduce",
     "repro.baselines.adpsgd",
     "repro.protocols.partial_allreduce",
-    "repro.protocols.momentum_tracking",
 )
 
 

@@ -283,10 +283,6 @@ class FaultPlan:
     def empty(self) -> bool:
         return not (self.crashes or self.link_flaps or self.loss_probability)
 
-    @property
-    def has_permanent_crash(self) -> bool:
-        return any(event.permanent for event in self.crashes)
-
     def crash_events(self) -> Dict[int, CrashEvent]:
         return {event.worker: event for event in self.crashes}
 

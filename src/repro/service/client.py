@@ -214,15 +214,3 @@ class ServiceClient:
                 )
             time.sleep(interval)
             interval = min(interval * _POLL_GROWTH, poll)
-
-    def run_and_wait(
-        self, specs: List[dict], timeout: float = 300.0
-    ) -> dict:
-        """Submit, wait, and return ``{"sweep": ..., "results": {...}}``."""
-        ticket = self.submit(specs)
-        snapshot = self.wait_for_sweep(ticket["sweep_id"], timeout=timeout)
-        results = {}
-        for digest, cell in snapshot["cells"].items():
-            if cell["status"] == "done":
-                results[digest] = self.result(digest)
-        return {"sweep": snapshot, "results": results}

@@ -28,12 +28,12 @@ import json
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
+from repro.baselines.adpsgd import MOMENTUM_MODES
 from repro.compression import COMPRESSORS, CompressionSpec
 from repro.graphs import TOPOLOGIES, by_name as graph_by_name
 from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import PRESETS, WORKLOADS
 from repro.harness.workloads import by_name as workload_by_name
-from repro.protocols.momentum_tracking import MOMENTUM_MODES
 from repro.protocols.registry import PROTOCOLS
 from repro.registry import Registry
 from repro.scenarios import SCENARIOS, ScenarioSpec

@@ -1,14 +1,18 @@
 """NOTIFY-ACK on Hop's worker: it ignores ``HopConfig`` and reports
 exactly its own ``worker_stats``.
 
-``NotifyAckWorker`` is a ``HopWorker`` built with ``STANDARD``; the
-run's ``spec.config`` reaches NOTIFY-ACK only through the update queues
-the cluster builds from it.  A backup-worker, bounded-staleness,
+A NOTIFY-ACK worker runs ``HopWorker.run`` with ``notify_ack=True`` and
+``NOTIFY_ACK`` (the serial graph, no token queues); the run's
+``spec.config`` reaches NOTIFY-ACK only through the update queues the
+cluster builds from it.  A backup-worker, bounded-staleness,
 skipping or send-suppression config must therefore leave every golden
 fingerprint and every per-worker stat where the ``STANDARD`` run puts
 them.  Handing the worker ``spec.config`` instead turns on the backup
 or staleness receive and fails these tests.  The ACK channels are Hop's
 per-edge token queues primed with one token whatever the config says.
+Each protocol family has one iteration body: every hop and NOTIFY-ACK
+process runs ``HopWorker.run``, and adpsgd and momentum-tracking both
+build ``ADPSGDCluster``.
 """
 
 import hashlib
@@ -16,6 +20,7 @@ import json
 
 import pytest
 
+from repro.baselines.adpsgd import ADPSGDCluster
 from repro.core.config import (
     STANDARD,
     HopConfig,
@@ -23,7 +28,6 @@ from repro.core.config import (
     backup_config,
     staleness_config,
 )
-from repro.core.notify_ack import NotifyAckWorker
 from repro.core.worker import HopWorker
 from repro.harness.golden import (
     churn_conformance_spec,
@@ -130,14 +134,21 @@ def test_notify_ack_ignores_hop_config(standard_runs, cell, config):
     assert run.events_scheduled == standard.events_scheduled
 
 
-def test_notify_ack_worker_overrides_only_run_and_stats():
-    """Everything but the serial loop and its stats is Hop's."""
-    overridden = {
-        name
-        for name, value in vars(NotifyAckWorker).items()
-        if callable(value) and hasattr(HopWorker, name)
-    }
-    assert overridden == {"run", "stats"}
+@pytest.mark.parametrize("protocol", ["hop", "notify_ack"])
+def test_every_worker_process_runs_the_one_hop_loop(protocol):
+    cluster = build_cluster(conformance_spec(protocol, "none"))
+    cluster.run()
+    assert {type(worker) for worker in cluster._workers} == {HopWorker}
+    assert {
+        process._generator.gi_code for process in cluster._processes
+    } == {HopWorker.run.__code__}
+
+
+@pytest.mark.parametrize("protocol", ["adpsgd", "momentum-tracking"])
+def test_both_gossip_protocols_build_the_one_adpsgd_cluster(protocol):
+    cluster = build_cluster(conformance_spec(protocol, "none"))
+    assert type(cluster) is ADPSGDCluster
+    assert cluster.protocol == protocol
 
 
 #: (protocol, config, tokens each edge's queue starts with; None = no

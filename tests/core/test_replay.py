@@ -1,14 +1,16 @@
-"""Record-then-replay: a static hop run's arithmetic after the simulation.
+"""Record-then-replay: a static hop or NOTIFY-ACK run's arithmetic
+after the simulation.
 
-A replayable hop run does control only while it simulates and evaluates
+A replayable run does control only while it simulates and evaluates
 its recorded schedule level by level afterwards
 (:mod:`repro.core.planes`).  The oracle is the same run on the eager
 plane, reached through the cluster's private ``_eager`` override: every
 control sample, every value and the whole ``run_to_dict`` must be equal,
-on specs drawn over topology (a chain's in-degree is ragged), mode,
-computation graph, slowdown, ``max_ig`` and size.  Then a mutation check
-that the comparison sees one reordered reduce, which plane each golden
-hop cell takes, and what an eligible worker does not allocate.
+on specs drawn over protocol, topology (a chain's in-degree is ragged),
+mode, computation graph, slowdown, ``max_ig`` and size (NOTIFY-ACK
+ignores the last config fields).  Then a mutation check that the
+comparison sees one reordered reduce, which plane each golden hop and
+NOTIFY-ACK cell takes, and what an eligible worker does not allocate.
 """
 
 import json
@@ -99,9 +101,10 @@ def configs(draw):
 
 
 static_specs = st.builds(
-    lambda topology, config, family, max_iter, seed: conformance_spec(
-        "hop", family, seed=seed
+    lambda protocol, topology, config, family, max_iter, seed: conformance_spec(
+        protocol, family, seed=seed
     ).with_(topology=topology, config=config, max_iter=max_iter),
+    st.sampled_from(["hop", "notify_ack"]),
     topologies(),
     configs(),
     st.sampled_from(["none", "random", "straggler"]),
@@ -157,35 +160,47 @@ def test_the_comparison_sees_one_reordered_reduce():
     )
 
 
-#: Which plane each golden hop cell takes, and why the eager ones are.
-GOLDEN_HOP_CELLS = {
-    **{
-        f"hop/{family}": (conformance_spec("hop", family), True)
-        for family in registered_scenarios(universal_only=True)
-        if family != "crash-restart"
-    },
-    # Re-sync copies a peer's parameters mid-run.
-    "hop/crash-restart": (conformance_spec("hop", "crash-restart"), False),
-    **{
-        f"hop/{family}": (churn_conformance_spec("hop", family), False)
-        for family in CHURN_CELLS
-    },
-    # Error feedback on Send is stateful.
-    **{
-        f"hop/compressed-{scheme}": (
-            compression_conformance_spec("hop", scheme),
-            False,
-        )
-        for scheme in COMPRESSION_CELLS
-    },
-    # The CNN offers no stacked kernel: per-ticket submission order.
-    "hop/cnn-none": (cnn_conformance_spec("hop"), False),
-}
+def golden_cells(protocol):
+    """Which plane each golden cell of a HopWorker protocol takes, and
+    why the eager ones are."""
+    return {
+        **{
+            f"{protocol}/{family}": (conformance_spec(protocol, family), True)
+            for family in registered_scenarios(universal_only=True)
+            if family != "crash-restart"
+        },
+        # Hop's re-sync copies a peer's parameters mid-run; NOTIFY-ACK
+        # has no native crash, its downtime is in the compute model.
+        f"{protocol}/crash-restart": (
+            conformance_spec(protocol, "crash-restart"),
+            protocol == "notify_ack",
+        ),
+        **{
+            f"{protocol}/{family}": (
+                churn_conformance_spec(protocol, family),
+                False,
+            )
+            for family in CHURN_CELLS
+        },
+        # Error feedback on Send is stateful.
+        **{
+            f"{protocol}/compressed-{scheme}": (
+                compression_conformance_spec(protocol, scheme),
+                False,
+            )
+            for scheme in COMPRESSION_CELLS
+        },
+        # The CNN offers no stacked kernel: per-ticket submission order.
+        f"{protocol}/cnn-none": (cnn_conformance_spec(protocol), False),
+    }
 
 
-@pytest.mark.parametrize("cell", sorted(GOLDEN_HOP_CELLS))
-def test_each_golden_hop_cell_takes_its_plane(cell):
-    spec, replays = GOLDEN_HOP_CELLS[cell]
+GOLDEN_CELLS = {**golden_cells("hop"), **golden_cells("notify_ack")}
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
+def test_each_golden_cell_takes_its_plane(cell):
+    spec, replays = GOLDEN_CELLS[cell]
     cluster = build_cluster(spec)
     cluster.run()
     pool = cluster.runtime.compute
@@ -198,11 +213,13 @@ def test_each_golden_hop_cell_takes_its_plane(cell):
     )
 
 
-def test_every_golden_hop_cell_is_pinned():
+def test_every_golden_hop_and_notify_ack_cell_is_pinned():
     golden = Path(__file__).parents[1] / "scenarios" / "golden_stats.json"
     cells = json.loads(golden.read_text())["cells"]
-    hop_cells = {key for key in cells if key.startswith("hop/")}
-    assert set(GOLDEN_HOP_CELLS) == hop_cells
+    worker_cells = {
+        key for key in cells if key.split("/")[0] in ("hop", "notify_ack")
+    }
+    assert set(GOLDEN_CELLS) == worker_cells
 
 
 def test_a_skip_policy_keeps_the_math_in_the_loop():

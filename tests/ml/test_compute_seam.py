@@ -450,10 +450,10 @@ def spec_for(protocol, workload, n=16, max_iter=5, **fields):
 
 
 def run_with_pool(spec, eager_plane=False):
-    """Run ``spec``; ``eager_plane`` keeps a replayable hop run's math
-    in the loop, where it goes through tickets."""
+    """Run ``spec``; ``eager_plane`` keeps a replayable hop or
+    NOTIFY-ACK run's math in the loop, where it goes through tickets."""
     cluster = build_cluster(spec)
-    if eager_plane and spec.protocol == "hop":
+    if eager_plane and spec.protocol in ("hop", "notify_ack"):
         cluster._eager = True
     run = cluster.run()
     return run, cluster.runtime.compute
@@ -492,8 +492,9 @@ def test_deferred_runs_equal_eager_runs_bitwise(protocol, slowdown, eager_runtim
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_every_protocol_batches_its_pending_workers(protocol):
     """A static 16-worker run resolves more than one ticket per flush:
-    no call site submits and resolves in one breath (hop on its eager
-    plane, which its churn, crash, skip and compressed runs take)."""
+    no call site submits and resolves in one breath (hop and notify_ack
+    on their eager plane, which their churn, crash, skip and compressed
+    runs take)."""
     run, pool = run_with_pool(
         spec_for(protocol, svm_workload("smoke")), eager_plane=True
     )

@@ -121,20 +121,6 @@ class TestControlClassification:
         assert network.bytes_sent.total == 0.0
         assert network.control_bytes.total == 1e-4
 
-    def test_rpc_is_control_plane_even_at_zero_size(self):
-        env = Environment()
-        network = Network(env)
-
-        def proc(env):
-            yield network.rpc(0, 1, size=0.0)
-            yield network.rpc(0, 1, size=0.25)
-
-        env.process(proc(env))
-        env.run()
-        assert network.bytes_sent.total == 0.0
-        assert network.control_bytes.total == 0.25
-        assert network.messages_sent == 4  # two round trips
-
     def test_dropped_control_message_counts_drop_not_bytes(self):
         env = Environment()
         network = _network(env)

@@ -45,19 +45,6 @@ def test_transfer_event_timing():
     assert p.value == pytest.approx(0.1 + 0.1)
 
 
-def test_rpc_costs_round_trip():
-    env = Environment()
-    network = Network(env, LinkModel(default=Link(latency=0.3, bandwidth=1e9)))
-
-    def proc(env, network):
-        yield network.rpc(0, 1)
-        return env.now
-
-    p = env.process(proc(env, network))
-    env.run()
-    assert p.value == pytest.approx(0.6)
-
-
 def test_message_statistics():
     env = Environment()
     network = Network(env)

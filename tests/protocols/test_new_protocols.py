@@ -7,8 +7,8 @@ import pytest
 from repro.graphs import bipartite_ring, ring_based
 from repro.harness import ExperimentSpec, run_spec, svm_workload
 from repro.harness.spec import deterministic_straggler
-from repro.protocols.momentum_tracking import MomentumTrackingCluster
 from repro.protocols.partial_allreduce import PartialAllReduceCluster
+from repro.protocols.registry import build_cluster
 
 
 @pytest.fixture(scope="module")
@@ -160,22 +160,27 @@ class TestMomentumTracking:
         assert mode in run.config_description
 
     def test_unknown_mode_rejected(self, workload):
-        with pytest.raises(ValueError, match="momentum_mode"):
-            MomentumTrackingCluster(
-                topology=bipartite_ring(4),
-                model_factory=workload.model_factory,
-                dataset=workload.dataset,
-                momentum_mode="psychic",
-            )
-
-    def test_beta_defaults_to_optimizer_momentum(self, workload):
-        cluster = MomentumTrackingCluster(
-            topology=bipartite_ring(4),
-            model_factory=workload.model_factory,
-            dataset=workload.dataset,
-            optimizer=workload.optimizer_factory(),
+        spec = ExperimentSpec(
+            "u",
+            workload,
+            bipartite_ring(4),
+            protocol="momentum-tracking",
+            momentum_mode="psychic",
         )
-        assert cluster.beta == pytest.approx(0.9)
+        with pytest.raises(ValueError, match="momentum_mode"):
+            build_cluster(spec)
+
+    def test_beta_is_the_optimizer_momentum(self, workload):
+        spec = ExperimentSpec(
+            "b",
+            workload,
+            bipartite_ring(4),
+            protocol="momentum-tracking",
+            max_iter=2,
+        )
+        cluster = build_cluster(spec)
+        assert cluster.optimizer_proto.momentum == pytest.approx(0.9)
+        assert "beta=0.9)" in cluster.run().config_description
 
     def test_tracking_mode_pays_double_gossip_bandwidth(self, workload):
         runs = {}

@@ -6,8 +6,8 @@ against a closed-form expectation derived from the protocol's
 communication pattern: hop/NOTIFY-ACK broadcast one update per
 out-edge, allreduce ships ``2(n-1)`` chunk volumes per iteration, the
 parameter servers pay push + pull, the gossip pair prices one (adpsgd)
-or two (momentum-tracking — the 2x the bespoke ``gossip_payload`` hook
-used to hardcode) vectors per message, and partial-allreduce moves
+or two (momentum-tracking's ``"tracking"`` rule: parameters and
+momentum) vectors per message, and partial-allreduce moves
 ``2(g-1)`` chunk volumes per group of ``g``.
 
 The same formulas are then re-checked under compression with the
