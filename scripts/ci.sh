@@ -76,13 +76,15 @@ assert rate > floor, (
 print(f"sim-core OK: {rate:,.0f} events/sec (floor {floor:,})")
 PY
 
-echo "== event budget: hop/64 heap entries per worker-iteration =="
+echo "== event budget: hop/64 and ps-async/128 heap entries per worker-iteration =="
 # The noise-free half of the guard above: an exact count read off the
 # engine's insertion counter, so it needs no headroom.  A hop
 # worker-iteration is compute + one fan-out Delivery + dequeue + a
 # three-step token gate = 6 heap entries (9.93 with one entry per
 # delivery, per token acquisition and per AllOf); the final iteration
-# takes no tokens, so 40 iterations read 5.97.
+# takes no tokens, so 40 iterations read 5.97.  ps-async/128 x 10 is
+# pinned exactly at 7,938 entries (6.20 per worker-iteration): each
+# PS NIC grant stands where the Resource Request stood.
 python - <<'PY'
 from repro.graphs import ring_based
 from repro.harness.spec import ExperimentSpec, run_spec
@@ -113,20 +115,44 @@ print(
     f"{run.events_scheduled} events, {per_iteration:.2f} per "
     f"worker-iteration (budget {budget:.1f})"
 )
+
+n, iterations = 128, 10
+run = run_spec(
+    ExperimentSpec(
+        name=f"event-budget/ps-async/{n}",
+        workload=by_name("svm", "smoke"),
+        topology=ring_based(n),
+        protocol="ps-async",
+        max_iter=iterations,
+        seed=0,
+        trace_channels=LIGHT_TRACE,
+    )
+)
+assert run.events_scheduled == 7938, (
+    f"ps-async/{n} scheduled {run.events_scheduled} heap entries "
+    "(pinned at 7938): did the PS NIC or the server move an event?"
+)
+print(
+    f"event budget OK: ps-async/{n} x {iterations} iterations, "
+    f"{run.events_scheduled} events, "
+    f"{run.events_scheduled / (n * iterations):.2f} per worker-iteration"
+)
 PY
 
-echo "== compute seam: hop/64 replays one block per iteration, ps-async/128 pools =="
+echo "== compute seam: hop/64 and ps-async/128 replay, adpsgd/16 pools =="
 # The fourth noise-free guard (beside the event budget above, the cnn
 # pin and the scale smoke below): exact counts off the run's compute
 # pool (docs/ARCHITECTURE.md, "The compute seam" and "Replay").  Static
 # hop records its schedule and replays the math after the simulation:
 # 10 iterations are 10 replay levels of all 64 workers, and not one
-# ticket goes through the pool.  A ticket there means the run lost its
-# replay; a fallback means the SVM lost its kernel.  ps-async still
-# submits tickets, and holds its own exact counts: 10 iterations of 128
-# workers in 343 flushes (the PS NIC staggers the pulls), all stacked.
+# ticket goes through the pool.  Static ps-async records too: its
+# 1,280 gradients replay in 15 levels, one per run of server versions
+# the pulls read.  A ticket there means the run lost its replay; a
+# fallback means the SVM lost its kernel.  adpsgd still submits
+# tickets, and holds its own exact counts: 10 iterations of 16 workers
+# in 12 flushes, all stacked.
 python - <<'PY'
-from repro.graphs import ring_based
+from repro.graphs import bipartite_ring, ring_based
 from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import by_name
 from repro.protocols.base import LIGHT_TRACE
@@ -136,14 +162,16 @@ iterations = 10
 expected = {
     # (tickets, flushes, stacked, fallback, levels, rows)
     ("hop", 64): (0, 0, 0, 0, 10, 640),
-    ("ps-async", 128): (1280, 343, 1280, 0, 0, 0),
+    ("ps-async", 128): (0, 0, 0, 0, 15, 1280),
+    ("adpsgd", 16): (160, 12, 160, 0, 0, 0),
 }
 for (protocol, n), counts in expected.items():
     cluster = build_cluster(
         ExperimentSpec(
             name=f"compute-seam/{protocol}/{n}",
             workload=by_name("svm", "smoke"),
-            topology=ring_based(n),
+            # AD-PSGD gossips across the two halves of a bipartite graph.
+            topology=(bipartite_ring if protocol == "adpsgd" else ring_based)(n),
             protocol=protocol,
             max_iter=iterations,
             seed=0,

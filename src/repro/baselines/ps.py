@@ -30,16 +30,24 @@ shard map, so the BSP barrier can never wait on a contribution the
 failover already lost — and a joiner seeds its state from the live
 shards before its first pull.
 
+A static run whose every step has a stacked form does control only
+while it simulates: :class:`ServerSchedule` records which server version
+each worker-iteration pulled and which gradients each fold applied, and
+:func:`replay` evaluates the arithmetic after ``env.run()``
+(docs/ARCHITECTURE.md, "Replay").
+
 Registered as protocols ``"ps-bsp"`` (alias ``"ps"``), ``"ps-async"``
 and ``"ps-ssp"``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.planes import replayable
 from repro.membership import MembershipRuntime
 from repro.net.network import SharedNic
 from repro.protocols.base import ProtocolCluster, ProtocolRuntime
@@ -135,8 +143,9 @@ class _ServerState:
         self._min_advanced: List[Event] = []
         self.gradients_applied = 0
         self.gradients_dropped = 0
-        #: BSP gradients awaiting quorum, as ``(wid, grad)`` (shared
-        #: with the server loop so membership changes can scrub it).
+        #: BSP gradients awaiting quorum, as ``(wid, grad)`` (``grad``
+        #: is a gid when recording; shared with the server loop so
+        #: membership changes can scrub it).
         self.pending: List[Tuple[int, np.ndarray]] = []
         #: Set by the cluster under churn: min_iteration then ranges
         #: over *live* members only, so a departed straggler can never
@@ -170,6 +179,10 @@ class _ServerState:
         return min(live) if live else 0
 
     def record_worker_iteration(self, wid: int, iteration: int) -> None:
+        if not self._min_advanced:
+            # No SSP waiter is parked: a minimum advance wakes nobody.
+            self.worker_iterations[wid] = iteration
+            return
         old_min = self.min_iteration()
         self.worker_iterations[wid] = iteration
         if self.min_iteration() > old_min:
@@ -191,6 +204,170 @@ class _ServerState:
         event = Event(self.env)
         self._min_advanced.append(event)
         return event
+
+
+class _EagerMath:
+    """The PS arithmetic in the loop: each pull sets the worker's model
+    to the server's parameters and submits a compute ticket, and each
+    fold steps the server's one optimizer."""
+
+    __slots__ = ("compute", "optimizer", "log_loss")
+
+    def __init__(self, runtime: ProtocolRuntime, optimizer) -> None:
+        self.compute = runtime.compute
+        self.optimizer = optimizer
+        self.log_loss = runtime.log_loss
+
+    def pull(self, server: "_ServerState", wid: int, k: int, model, batcher):
+        """After the pull: fix the gradient's inputs (returns the ticket)."""
+        model.set_params(server.params)
+        return self.compute.submit(model, batcher)
+
+    @staticmethod
+    def gradient(ticket):
+        """After the compute timeout: ``(loss, grad)``."""
+        return ticket.result()
+
+    def step(self, params: np.ndarray, grad, k: int) -> np.ndarray:
+        """async / ssp: one gradient, stepped at its pulled version."""
+        return params + self.optimizer.step(params, grad, k)
+
+    def mean_step(self, params: np.ndarray, grads: list, k: int) -> np.ndarray:
+        """BSP: the quorum's mean, in ``pending`` order."""
+        mean_grad = np.mean(grads, axis=0)
+        return params + self.optimizer.step(params, mean_grad, k)
+
+    def end(self, wid: int, k: int, now: float, loss) -> None:
+        self.log_loss[wid](now, loss)
+
+
+class ServerSchedule:
+    """Control only: a PS run's record, read by :func:`replay`.
+
+    A gradient is named by its worker-iteration, ``gid = wid * max_iter
+    + k``; it travels through the inbox and the BSP quorum in place of
+    the vector.  Per gid: ``versions[gid]``, the server version the pull
+    read, and ``times[gid]``, when the loss is logged.  Per fold (the
+    server moving from version ``v`` to ``v + 1``): ``sizes[v]`` gids
+    follow in ``folds`` in the order the server applied them (one for
+    async and ssp, the BSP quorum in ``pending`` order), and
+    ``steps[v]`` is the iteration the optimizer is stepped at.  A gid in
+    no fold is a gradient BSP dropped as stale: it is still evaluated,
+    for its loss and its batch draw.
+    """
+
+    __slots__ = ("max_iter", "versions", "times", "folds", "sizes", "steps")
+
+    def __init__(self, n_workers: int, max_iter: int) -> None:
+        self.max_iter = max_iter
+        self.versions = array("i", bytes(4 * n_workers * max_iter))
+        self.times = array("d", bytes(8 * n_workers * max_iter))
+        self.folds = array("i")
+        self.sizes = array("i")
+        self.steps = array("i")
+
+    def pull(self, server: "_ServerState", wid: int, k: int, model, batcher):
+        gid = wid * self.max_iter + k
+        self.versions[gid] = server.version
+        return gid
+
+    @staticmethod
+    def gradient(gid):
+        return None, gid
+
+    def step(self, params, gid: int, k: int):
+        self.folds.append(gid)
+        self.sizes.append(1)
+        self.steps.append(k)
+        return params
+
+    def mean_step(self, params, gids: list, k: int):
+        self.folds.extend(gids)
+        self.sizes.append(len(gids))
+        self.steps.append(k)
+        return params
+
+    def end(self, wid: int, k: int, now: float, loss) -> None:
+        self.times[wid * self.max_iter + k] = now
+
+
+def replay(
+    schedule: ServerSchedule,
+    models: Sequence[object],
+    batchers: Sequence[object],
+    pool,
+    optimizer,
+    params: np.ndarray,
+    mean: bool,
+    tracer,
+) -> np.ndarray:
+    """Evaluate a recorded PS run's arithmetic; returns the server's
+    final parameters and fills every worker's ``loss/<wid>`` series.
+
+    A *level* first evaluates, as one :meth:`ComputePool.evaluate_rows`
+    block, every gradient whose pulled version exists (in gid order, so
+    each worker's batches are drawn in its ``k`` order), then applies
+    folds in recorded order with the server's one ``optimizer`` until a
+    fold reads a gradient not yet evaluated.  A version is kept only
+    while a gradient still to be evaluated reads it.  ``mean`` is BSP:
+    a fold steps the mean of its quorum.
+    """
+    max_iter = schedule.max_iter
+    versions = np.frombuffer(schedule.versions, dtype=np.intc)
+    folds = np.frombuffer(schedule.folds, dtype=np.intc)
+    sizes = np.frombuffer(schedule.sizes, dtype=np.intc)
+    steps = schedule.steps.tolist()
+    n_folds = len(steps)
+    offsets = np.zeros(n_folds + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    # A fold can run once its latest-pulled gradient exists.
+    need = (
+        np.maximum.reduceat(versions[folds], offsets[:-1]).tolist()
+        if n_folds
+        else []
+    )
+    folded = np.zeros(versions.size, dtype=bool)
+    folded[folds] = True
+    readers = np.bincount(versions, minlength=n_folds + 1)
+    order = np.argsort(versions, kind="stable")
+    ordered = versions[order]
+
+    held: Dict[int, np.ndarray] = {0: params}
+    grads_of: Dict[int, np.ndarray] = {}
+    loss_at = np.empty(versions.size)
+    start = fold = 0
+    while start < versions.size:
+        ready = fold  # the server's version: every pull up to it exists
+        stop = int(np.searchsorted(ordered, ready, side="right"))
+        gids = order[start:stop]
+        tags = ordered[start:stop]
+        x = np.empty((stop - start, params.size))
+        edges = [0, *(np.flatnonzero(np.diff(tags)) + 1).tolist(), len(tags)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            x[lo:hi] = held.pop(int(tags[lo]))
+        owners = (gids // max_iter).tolist()
+        losses, grads = pool.evaluate_rows(
+            [models[w] for w in owners], x, [batchers[w] for w in owners]
+        )
+        loss_at[gids] = losses
+        for row in np.flatnonzero(folded[gids]).tolist():
+            grads_of[int(gids[row])] = grads[row]
+        start = stop
+        while fold < n_folds and need[fold] <= ready:
+            ids = folds[offsets[fold] : offsets[fold + 1]].tolist()
+            quorum = [grads_of.pop(i) for i in ids]
+            grad = np.mean(quorum, axis=0) if mean else quorum[0]
+            params = params + optimizer.step(params, grad, steps[fold])
+            fold += 1
+            if readers[fold]:
+                held[fold] = params
+
+    times = schedule.times.tolist()
+    losses = loss_at.tolist()
+    for wid in range(len(models)):
+        span = slice(wid * max_iter, (wid + 1) * max_iter)
+        tracer.extend(f"loss/{wid}", zip(times[span], losses[span]))
+    return params
 
 
 class _ShardedMembership(MembershipRuntime):
@@ -324,13 +501,12 @@ class ParameterServerCluster(ProtocolCluster):
         if self._membership is not None:
             runtime.count_traffic(1, runtime.update_size)
         pulled_version = server.version
-        x = server.params.copy()
 
         # Compute.
-        model.set_params(x)
-        ticket = runtime.compute.submit(model, batcher)
+        plane = self._plane
+        ticket = plane.pull(server, wid, k, model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
-        loss, grad = ticket.result()
+        loss, grad = plane.gradient(ticket)
 
         # Compression shrinks the *push* only: the pull stays a dense
         # parameter download (the PS cannot error-feed per worker).
@@ -354,7 +530,7 @@ class ParameterServerCluster(ProtocolCluster):
             # Wait for the PS to fold this iteration and move on.
             yield server.version_event(pulled_version)
 
-        runtime.log_loss[wid](env.now, loss)
+        plane.end(wid, k, env.now, loss)
         runtime.log_duration[wid](env.now, env.now - start)
 
     def _push_sharded(
@@ -489,7 +665,7 @@ class ParameterServerCluster(ProtocolCluster):
     ):
         """The PS process: aggregate gradients and update parameters."""
         env = runtime.env
-        optimizer = self.optimizer_proto
+        plane = self._plane
         membership = self._membership
         # The BSP quorum lives on the server state so membership
         # transitions can scrub a departed worker's contribution.
@@ -509,11 +685,9 @@ class ParameterServerCluster(ProtocolCluster):
                 )
             need = max(1, min(self.n_workers - self.n_backup, active))
             if pending and len(pending) >= need:
-                mean_grad = np.mean([g for _, g in pending], axis=0)
-                delta = optimizer.step(
-                    server.params, mean_grad, server.version
+                server.params = plane.mean_step(
+                    server.params, [g for _, g in pending], server.version
                 )
-                server.params = server.params + delta
                 server.gradients_applied += len(pending)
                 pending[:] = []
                 server.advance_version()
@@ -537,8 +711,7 @@ class ParameterServerCluster(ProtocolCluster):
                 try_fold()
             else:
                 # async / ssp: apply immediately.
-                delta = optimizer.step(server.params, grad, version)
-                server.params = server.params + delta
+                server.params = plane.step(server.params, grad, version)
                 server.gradients_applied += 1
                 server.advance_version()
 
@@ -557,6 +730,17 @@ class ParameterServerCluster(ProtocolCluster):
         self._server_state = server
         grads_inbox: list = []
         notify: List[Event] = [Event(env)]
+        # The record/eager split: control is one loop either way.
+        if not self._eager and replayable(self, runtime.models):
+            self.schedule = self._plane = ServerSchedule(
+                self.n_workers, self.max_iter
+            )
+        else:
+            self.schedule = None
+            self._plane = _EagerMath(runtime, self.optimizer_proto)
+        self._batchers = [
+            self._make_batcher(wid) for wid in range(self.n_workers)
+        ]
 
         if self.churn is not None:
             from repro.graphs.builders import ring
@@ -584,7 +768,7 @@ class ParameterServerCluster(ProtocolCluster):
                     server,
                     nic,
                     runtime.models[wid],
-                    self._make_batcher(wid),
+                    self._batchers[wid],
                     grads_inbox,
                     notify,
                 ),
@@ -594,6 +778,20 @@ class ParameterServerCluster(ProtocolCluster):
             self._server(runtime, server, grads_inbox, notify),
             name="ps-server",
         )
+
+    def _after_simulation(self, runtime: ProtocolRuntime) -> None:
+        if self.schedule is not None:
+            server = self._server_state
+            server.params = replay(
+                self.schedule,
+                runtime.models,
+                self._batchers,
+                runtime.compute,
+                self.optimizer_proto,
+                server.params,
+                self.mode == "bsp",
+                runtime.tracer,
+            )
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:
         return self._server_state.params[None, :]

@@ -79,9 +79,6 @@ class HopCluster(ProtocolCluster):
             (:class:`~repro.membership.NotifyAckMembership`).
     """
 
-    #: Private test override: run a replayable spec on the eager plane.
-    _eager = False
-
     def __init__(
         self,
         topology: Topology,
@@ -152,9 +149,6 @@ class HopCluster(ProtocolCluster):
             raise ValueError("crash injection is only supported for hop")
         self.crash_events: Dict[int, CrashEvent] = dict(crash_events or {})
         self.message_loss = message_loss
-        #: The latest run's recorded schedule, or ``None`` when it did
-        #: its arithmetic in the loop (:func:`~repro.core.planes.replayable`).
-        self.schedule: Optional[Schedule] = None
 
     @property
     def worker_config(self) -> HopConfig:
@@ -295,7 +289,7 @@ class HopCluster(ProtocolCluster):
             self._network.membership = membership
         self.schedule = schedule = (
             Schedule(tagged=config.mode == "staleness")
-            if not self._eager and replayable(self, config, runtime.models)
+            if not self._eager and replayable(self, runtime.models, config)
             else None
         )
         workers: List[HopWorker] = []

@@ -211,26 +211,32 @@ class Schedule:
         return plane
 
 
-def replayable(cluster, config, models: Sequence[object]) -> bool:
-    """Whether a run of :class:`~repro.core.worker.HopWorker` loops
-    records its schedule and replays the math.
+def replayable(cluster, models: Sequence[object], config=None) -> bool:
+    """Whether a run records its schedule and replays the math: the one
+    eligibility predicate of hop, NOTIFY-ACK and the parameter server.
 
-    Every condition is a property of the spec and of ``config``, the
-    one the workers run (NOTIFY-ACK's ignores the spec's): no churn plan
-    and no crash events (re-sync copies a peer's ``current_params``
-    mid-run); no compression (error feedback on Send is stateful); no
-    skip policy (a jump injects a local update and refreshes at
-    ``target - 1``); plain :class:`SGD`; and every model offers a
-    stacked kernel (a per-ticket model such as the CNN may share state
-    between replicas, so it keeps the eager submission order).
+    Every condition is a property of the spec: no churn plan (a leave
+    or join moves state mid-run: hop's re-sync copies a peer's
+    ``current_params``, the PS's sharded failover scrubs inbox
+    entries); no compression (error feedback is stateful per worker and
+    stream); plain :class:`SGD`; and every model offers a stacked
+    kernel (a per-ticket model such as the CNN may share state between
+    replicas, so it keeps the eager submission order).  A run of
+    :class:`~repro.core.worker.HopWorker` loops passes ``config``, the
+    one the workers run (NOTIFY-ACK's ignores the spec's), and also
+    needs no crash events (re-sync copies a peer's ``current_params``)
+    and no skip policy (a jump injects a local update and refreshes at
+    ``target - 1``).
     """
     return (
         cluster.churn is None
-        and not cluster.crash_events
         and cluster.compression is None
-        and config.skip is None
         and type(cluster.optimizer_proto) is SGD
         and all(model.stacked_kernel is not None for model in models)
+        and (
+            config is None
+            or (not cluster.crash_events and config.skip is None)
+        )
     )
 
 

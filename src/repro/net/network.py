@@ -13,6 +13,7 @@ PS at once, their transfers queue up on the PS NIC.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Dict, Optional, Sequence
 
 import heapq
@@ -22,7 +23,6 @@ from repro.net.message import Message
 from repro.sim.engine import Environment
 from repro.sim.events import NORMAL, Event
 from repro.sim.process import Process
-from repro.sim.resources import Resource
 from repro.sim.trace import StatAccumulator
 
 
@@ -431,10 +431,19 @@ class SharedNic:
     take ``n * s / bandwidth`` — exactly the hotspot behavior that
     makes decentralized training win Figure 13.
 
+    A bare FIFO: a busy flag and a deque of grant events.  A transfer
+    on an idle NIC is granted at once and one behind a busy NIC when the
+    transfer ahead releases it; either way its grant is scheduled where
+    a capacity-1 :class:`~repro.sim.resources.Resource` would schedule
+    the ``Request`` (``tests/net/test_shared_nic.py`` keeps that
+    spelling as the oracle).
+
     Usage inside a process::
 
         yield from nic.transfer(size)
     """
+
+    __slots__ = ("env", "bandwidth", "latency", "busy_time", "_busy", "_waiting")
 
     def __init__(
         self,
@@ -447,27 +456,36 @@ class SharedNic:
         self.env = env
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
-        self._port = Resource(env, capacity=1)
         self.busy_time = 0.0
+        self._busy = False
+        #: Grant events of the transfers queued behind the busy one.
+        self._waiting: deque = deque()
 
     def transfer(self, size: float):
         """Generator: acquire the NIC, hold it for the serialization time."""
         if size < 0:
             raise ValueError(f"negative message size {size}")
-        request = self._port.request()
-        yield request
-        duration = self.latency + size / self.bandwidth
+        env = self.env
+        grant = Event(env)
+        if self._busy:
+            self._waiting.append(grant)
+        else:
+            self._busy = True
+            grant.succeed()
+        yield grant
         try:
-            start = self.env.now
-            yield self.env.timeout(duration)
-            self.busy_time += self.env.now - start
+            start = env._now
+            yield env.timeout(self.latency + size / self.bandwidth)
+            self.busy_time += env._now - start
         finally:
-            self._port.release(request)
+            if self._waiting:
+                self._waiting.popleft().succeed()
+            else:
+                self._busy = False
 
     @property
     def queue_length(self) -> int:
-        return self._port.queue_length
+        return len(self._waiting)
 
     def __repr__(self) -> str:
         return f"<SharedNic bw={self.bandwidth} busy={self.busy_time:.3f}>"
-

@@ -319,6 +319,9 @@ class ProtocolCluster:
     #: protocols like the parameter server).
     protocol: str = "abstract"
 
+    #: Private test override: run a replayable spec on the eager plane.
+    _eager = False
+
     def __init__(
         self,
         n_workers: int,
@@ -374,6 +377,10 @@ class ProtocolCluster:
         #: The latest :meth:`run`'s runtime (its compute-pool counters
         #: are observability that never enters the ``TrainingRun``).
         self.runtime: Optional[ProtocolRuntime] = None
+        #: The latest run's recorded schedule, or ``None`` when it did
+        #: its arithmetic in the loop (:func:`~repro.core.planes.replayable`;
+        #: hop, NOTIFY-ACK and the parameter server record).
+        self.schedule = None
 
     # ------------------------------------------------------------------
     # Construction helpers (shared by every protocol)
@@ -500,7 +507,7 @@ class ProtocolCluster:
 
     def _after_simulation(self, runtime: ProtocolRuntime) -> None:
         """Finish what the simulation deferred, before any result is
-        read (hop replays its recorded arithmetic here)."""
+        read (a recorded run replays its arithmetic here)."""
 
     def _message_totals(self, runtime: ProtocolRuntime) -> Tuple[int, float]:
         """``(messages_sent, bytes_sent)`` for the whole run."""

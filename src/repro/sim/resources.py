@@ -1,8 +1,8 @@
 """Capacity-limited resources (counting semaphores) for the simulator.
 
-Used to model shared facilities such as a NIC that can serve a limited
-number of concurrent transfers, or an exclusive lock on a parameter
-copy (AD-PSGD's atomic averaging).
+Used to model an exclusive lock on a parameter copy (AD-PSGD's atomic
+averaging).  The shared NIC is a bare FIFO of its own
+(:class:`~repro.net.network.SharedNic`).
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ class Request(Event):
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-
-    def cancel(self) -> bool:
-        """Withdraw the request if not yet granted."""
-        return self.resource._cancel(self)
 
 
 class Resource:
@@ -83,13 +79,6 @@ class Resource:
             request = self._waiters.popleft()
             self.users.append(request)
             request.succeed()
-
-    def _cancel(self, request: Request) -> bool:
-        try:
-            self._waiters.remove(request)
-            return True
-        except ValueError:
-            return False
 
     def __repr__(self) -> str:
         return (

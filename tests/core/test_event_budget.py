@@ -45,3 +45,22 @@ def test_events_scheduled_per_worker_iteration(protocol):
         # 9.70 with one heap entry per delivery, per token and per
         # AllOf; the scripts/ci.sh "event budget" step holds this line.
         assert per_iteration <= 6.0
+
+
+def test_ps_async_heap_entries_are_exact():
+    """ps-async/128 x 10: 7,938 heap entries (6.20 per worker-iteration),
+    as when each NIC transfer held a ``Resource`` ``Request``: the FIFO
+    grant stands where the request stood, and replay moves no event."""
+    run = run_spec(
+        ExperimentSpec(
+            name="event-budget/ps-async",
+            workload=by_name("svm", "smoke"),
+            topology=ring_based(128),
+            protocol="ps-async",
+            max_iter=ITERATIONS,
+            seed=0,
+            trace_channels=LIGHT_TRACE,
+        )
+    )
+    assert run.iterations_completed == [ITERATIONS] * 128
+    assert run.events_scheduled == 7938

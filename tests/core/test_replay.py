@@ -1,16 +1,19 @@
-"""Record-then-replay: a static hop or NOTIFY-ACK run's arithmetic
-after the simulation.
+"""Record-then-replay: a static hop, NOTIFY-ACK or parameter-server
+run's arithmetic after the simulation.
 
 A replayable run does control only while it simulates and evaluates
 its recorded schedule level by level afterwards
-(:mod:`repro.core.planes`).  The oracle is the same run on the eager
-plane, reached through the cluster's private ``_eager`` override: every
-control sample, every value and the whole ``run_to_dict`` must be equal,
-on specs drawn over protocol, topology (a chain's in-degree is ragged),
-mode, computation graph, slowdown, ``max_ig`` and size (NOTIFY-ACK
-ignores the last config fields).  Then a mutation check that the
-comparison sees one reordered reduce, which plane each golden hop and
-NOTIFY-ACK cell takes, and what an eligible worker does not allocate.
+(:mod:`repro.core.planes`, :func:`repro.baselines.ps.replay`).  The
+oracle is the same run on the eager plane, reached through the
+cluster's private ``_eager`` override: every control sample, every
+value and the whole ``run_to_dict`` must be equal, on specs drawn over
+protocol, topology (a chain's in-degree is ragged), mode, computation
+graph, slowdown, ``max_ig`` and size (NOTIFY-ACK ignores the last
+config fields), and for each PS mode over the timing-only scenario
+families at 4, 16 and 128 workers.  Then mutation checks that the
+comparison sees one reordered reduce, one reordered BSP quorum and one
+reordered batch draw, which plane each golden hop, NOTIFY-ACK and PS
+cell takes, and what an eligible worker does not allocate.
 """
 
 import json
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.ps import ServerSchedule
 from repro.core.config import HopConfig
 from repro.core.planes import RecordPlane
 from repro.graphs import chain, hierarchical, ring_based, torus
@@ -33,6 +37,7 @@ from repro.harness.golden import (
     compression_conformance_spec,
     conformance_spec,
     control_fingerprint,
+    golden_fingerprint,
     run_fingerprint,
 )
 from repro.harness.io import run_to_dict
@@ -160,8 +165,101 @@ def test_the_comparison_sees_one_reordered_reduce():
     )
 
 
+PS_PROTOCOLS = ("ps-async", "ps-bsp", "ps-ssp")
+
+#: Scenario families that only shape timing (as in
+#: ``tests/core/test_value_independence.py``).
+TIMING_FAMILIES = (
+    "none",
+    "random",
+    "straggler",
+    "bursty",
+    "tiered",
+    "diurnal",
+    "trace",
+)
+
+
+@pytest.mark.parametrize("n", [4, 16, 128])
+@pytest.mark.parametrize("family", TIMING_FAMILIES)
+@pytest.mark.parametrize("protocol", PS_PROTOCOLS)
+def test_ps_replay_equals_the_eager_plane_bitwise(protocol, family, n):
+    spec = conformance_spec(protocol, family).with_(
+        topology=ring_based(n), trace_channels=LIGHT_TRACE
+    )
+    replayed_cluster, replayed = run_on(spec, eager=False)
+    eager_cluster, eager = run_on(spec, eager=True)
+    assert isinstance(replayed_cluster.schedule, ServerSchedule)
+    assert eager_cluster.schedule is None
+    assert run_fingerprint(replayed) == run_fingerprint(eager)
+    assert run_to_dict(replayed) == run_to_dict(eager)
+    pool = replayed_cluster.runtime.compute
+    assert (pool.tickets, pool.rows) == (0, n * spec.max_iter)
+    assert eager_cluster.runtime.compute.tickets == n * spec.max_iter
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parents[1] / "scenarios" / "golden_stats.json").read_text()
+)["cells"]
+
+
+def quorums_in_wid_order(cluster):
+    """Fold each recorded BSP quorum in wid order instead of the order
+    the gradients reached ``pending``."""
+    schedule = cluster.schedule
+    start = 0
+    for size in schedule.sizes:
+        quorum = sorted(schedule.folds[start : start + size])
+        schedule.folds[start : start + size] = type(schedule.folds)(
+            "i", quorum
+        )
+        start += size
+
+
+def draws_in_level_order(cluster):
+    """Draw every worker's batch once per replay level (a level is an
+    iteration in hop's replay) instead of once per gradient in the
+    worker's ``k`` order: a worker that sits a level out skips a batch."""
+    pool = cluster.runtime.compute
+    evaluate_rows = pool.evaluate_rows
+
+    def once_per_level(models, params, batchers):
+        present = {id(batcher) for batcher in batchers}
+        for batcher in cluster._batchers:
+            if id(batcher) not in present:
+                batcher.next_indices()
+        return evaluate_rows(models, params, batchers)
+
+    pool.evaluate_rows = once_per_level
+
+
+@pytest.mark.parametrize(
+    "cell, mutate",
+    [
+        ("ps-bsp/straggler", quorums_in_wid_order),
+        ("ps-async/random", draws_in_level_order),
+    ],
+    ids=["bsp-quorum-order", "per-worker-draw-order"],
+)
+def test_the_golden_cell_sees_one_ps_mutation(cell, mutate):
+    """Mutation checks: the quorum's ``np.mean`` runs over the recorded
+    ``pending`` order, and each worker draws its batches in ``k``
+    order; either reordering fails the cell's golden recording."""
+    protocol, family = cell.split("/")
+    spec = conformance_spec(protocol, family)
+    _, replayed = run_on(spec, eager=False)
+    assert golden_fingerprint(replayed) == GOLDEN[cell]
+    mutated_cluster, mutated = run_on(spec, eager=False, before_replay=mutate)
+    assert mutated_cluster.schedule is not None
+    assert golden_fingerprint(mutated) != GOLDEN[cell]
+    # Control is untouched: only the values moved.
+    assert run_fingerprint(mutated, values=False) == run_fingerprint(
+        replayed, values=False
+    )
+
+
 def golden_cells(protocol):
-    """Which plane each golden cell of a HopWorker protocol takes, and
+    """Which plane each golden cell of a replaying protocol takes, and
     why the eager ones are."""
     return {
         **{
@@ -170,11 +268,14 @@ def golden_cells(protocol):
             if family != "crash-restart"
         },
         # Hop's re-sync copies a peer's parameters mid-run; NOTIFY-ACK
-        # has no native crash, its downtime is in the compute model.
+        # and the PS have no native crash, their downtime is in the
+        # compute model.
         f"{protocol}/crash-restart": (
             conformance_spec(protocol, "crash-restart"),
-            protocol == "notify_ack",
+            protocol != "hop",
         ),
+        # Hop's re-sync copies a peer's parameters; the PS's sharded
+        # failover scrubs inbox entries.
         **{
             f"{protocol}/{family}": (
                 churn_conformance_spec(protocol, family),
@@ -182,7 +283,7 @@ def golden_cells(protocol):
             )
             for family in CHURN_CELLS
         },
-        # Error feedback on Send is stateful.
+        # Error feedback is stateful per worker.
         **{
             f"{protocol}/compressed-{scheme}": (
                 compression_conformance_spec(protocol, scheme),
@@ -195,7 +296,17 @@ def golden_cells(protocol):
     }
 
 
-GOLDEN_CELLS = {**golden_cells("hop"), **golden_cells("notify_ack")}
+GOLDEN_CELLS = {
+    cell: plane
+    for protocol in ("hop", "notify_ack", *PS_PROTOCOLS)
+    for cell, plane in golden_cells(protocol).items()
+}
+
+
+def takes_record_plane(cluster):
+    if cluster.protocol in PS_PROTOCOLS:
+        return [isinstance(cluster._plane, ServerSchedule)]
+    return [isinstance(worker.plane, RecordPlane) for worker in cluster._workers]
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
@@ -207,19 +318,13 @@ def test_each_golden_cell_takes_its_plane(cell):
     assert (cluster.schedule is not None) == replays
     assert (pool.tickets == 0) == replays
     assert (pool.rows > 0) == replays
-    assert all(
-        isinstance(worker.plane, RecordPlane) == replays
-        for worker in cluster._workers
-    )
+    assert all(record == replays for record in takes_record_plane(cluster))
 
 
-def test_every_golden_hop_and_notify_ack_cell_is_pinned():
-    golden = Path(__file__).parents[1] / "scenarios" / "golden_stats.json"
-    cells = json.loads(golden.read_text())["cells"]
-    worker_cells = {
-        key for key in cells if key.split("/")[0] in ("hop", "notify_ack")
-    }
-    assert set(GOLDEN_CELLS) == worker_cells
+def test_every_golden_replaying_protocol_cell_is_pinned():
+    replaying = {"hop", "notify_ack", *PS_PROTOCOLS}
+    pinned = {key for key in GOLDEN if key.split("/")[0] in replaying}
+    assert set(GOLDEN_CELLS) == pinned
 
 
 def test_a_skip_policy_keeps_the_math_in_the_loop():

@@ -11,8 +11,9 @@ graph; backup workers with skipping and receiver-iteration checks;
 staleness mode), each against the same cell run for real.  The other
 eight protocols are held to the same property on their quiet, random
 and straggler cells through what every protocol reports (run counters,
-worker stats, traced samples).  Hop's replayed cells honour the stub
-too: a stubbed worker replays a zero gradient and never draws a batch.
+worker stats, traced samples).  Replayed cells honour the stub too: a
+stubbed hop or parameter-server worker replays a zero gradient and never
+draws a batch.
 The last tests couple one simulated duration to the loss: on an eager
 cell the comparison sees it, and on a replayed cell there is no loss to
 read while the simulation runs.
@@ -195,3 +196,28 @@ def test_a_stubbed_worker_replays_a_zero_gradient_with_no_draw():
         spec.max_iter,
         spec.max_iter * spec.topology.n,
     )
+
+
+@pytest.mark.parametrize("protocol", ["ps-async", "ps-bsp", "ps-ssp"])
+def test_a_stubbed_ps_worker_replays_a_zero_gradient_with_no_draw(protocol):
+    spec = conformance_spec(protocol, "random")
+    cluster = build_cluster(spec)
+    start = cluster._start
+
+    def start_then_stub(runtime):
+        start(runtime)
+        runtime.compute.stub(runtime.models[1])
+
+    cluster._start = start_then_stub
+    run = cluster.run()
+    assert cluster.schedule is not None
+    stubbed, real = cluster._batchers[1], cluster._batchers[0]
+    assert stubbed._block is None  # never drew a batch
+    assert real._block is not None
+    assert [loss for _, loss in run.tracer.raw("loss/1")] == [0.0] * (
+        spec.max_iter
+    )
+    assert max(loss for _, loss in run.tracer.raw("loss/0")) > 0.0
+    pool = cluster.runtime.compute
+    assert (pool.tickets, pool.flushes) == (0, 0)
+    assert pool.rows == spec.max_iter * spec.topology.n

@@ -450,11 +450,11 @@ def spec_for(protocol, workload, n=16, max_iter=5, **fields):
 
 
 def run_with_pool(spec, eager_plane=False):
-    """Run ``spec``; ``eager_plane`` keeps a replayable hop or
-    NOTIFY-ACK run's math in the loop, where it goes through tickets."""
+    """Run ``spec``; ``eager_plane`` keeps a replayable run's math (hop,
+    NOTIFY-ACK, the parameter server) in the loop, where it goes
+    through tickets."""
     cluster = build_cluster(spec)
-    if eager_plane and spec.protocol in ("hop", "notify_ack"):
-        cluster._eager = True
+    cluster._eager = eager_plane
     run = cluster.run()
     return run, cluster.runtime.compute
 
@@ -492,8 +492,8 @@ def test_deferred_runs_equal_eager_runs_bitwise(protocol, slowdown, eager_runtim
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_every_protocol_batches_its_pending_workers(protocol):
     """A static 16-worker run resolves more than one ticket per flush:
-    no call site submits and resolves in one breath (hop and notify_ack
-    on their eager plane, which their churn, crash, skip and compressed
+    no call site submits and resolves in one breath (hop, notify_ack and
+    the PS modes on their eager plane, which their churn and compressed
     runs take)."""
     run, pool = run_with_pool(
         spec_for(protocol, svm_workload("smoke")), eager_plane=True
@@ -518,15 +518,27 @@ def test_static_hop_64_replays_the_whole_cluster_once_per_iteration():
 
 
 def test_ps_async_128_keeps_its_exact_pool_counts():
-    # ... and a protocol that still submits tickets holds its own exact
-    # counts: the PS NIC staggers the pulls, so flushes are small.
+    # ... a replayed PS run sends nothing through the pool either: its
+    # levels follow the server's versions, which the NIC staggers ...
     run, pool = run_with_pool(
         spec_for(
             "ps-async", svm_workload("smoke"), n=128, max_iter=10, seed=0
         )
     )
     assert (pool.tickets, pool.flushes, pool.stacked, pool.fallback) == (
-        1280, 343, 1280, 0
+        0, 0, 0, 0
+    )
+    assert (pool.levels, pool.rows) == (15, 1280)
+
+
+def test_adpsgd_16_keeps_its_exact_pool_counts():
+    # ... and a protocol that still submits tickets holds its own exact
+    # counts, all stacked.
+    run, pool = run_with_pool(
+        spec_for("adpsgd", svm_workload("smoke"), n=16, max_iter=10, seed=0)
+    )
+    assert (pool.tickets, pool.flushes, pool.stacked, pool.fallback) == (
+        160, 12, 160, 0
     )
     assert (pool.levels, pool.rows) == (0, 0)
 

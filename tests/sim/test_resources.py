@@ -69,17 +69,6 @@ def test_release_without_hold_raises():
         res.release(stranger)
 
 
-def test_cancel_waiting_request():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    held = res.request()
-    waiting = res.request()
-    assert waiting.cancel()
-    res.release(held)
-    assert not waiting.triggered
-    assert res.count == 0
-
-
 def test_capacity_validation():
     env = Environment()
     with pytest.raises(ValueError):
