@@ -34,7 +34,7 @@ from repro.harness import (
     run_spec,
     svm_workload,
 )
-from repro.hetero import ComputeModel
+from repro.scenarios.models import ComputeModel
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
 from repro.scenarios import CrashEvent
@@ -94,7 +94,7 @@ def part2_observed_vs_theory() -> None:
                 topology,
                 protocol=protocol,
                 config=config,
-                slowdown=deterministic_straggler(0, 6.0),
+                scenario=deterministic_straggler(0, 6.0),
                 max_iter=24,
                 seed=0,
             )

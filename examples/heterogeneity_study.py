@@ -23,7 +23,7 @@ from repro.graphs import ring_based
 from repro.harness import (
     RANDOM_6X,
     ExperimentSpec,
-    SlowdownSpec,
+    ScenarioSpec,
     binned_loss_curve,
     cnn_workload,
     deterministic_straggler,
@@ -42,8 +42,8 @@ CONFIGS = {
     ),
 }
 
-SLOWDOWNS = {
-    "none": SlowdownSpec(),
+SCENARIOS = {
+    "none": ScenarioSpec(),
     "random 6x": RANDOM_6X,
     "straggler 4x": deterministic_straggler(worker=0, factor=4.0),
 }
@@ -63,14 +63,14 @@ def main() -> None:
 
     rows = []
     curves = {}
-    for slow_label, slowdown in SLOWDOWNS.items():
+    for slow_label, scenario in SCENARIOS.items():
         for config_label, config in CONFIGS.items():
             spec = ExperimentSpec(
                 name=f"{config_label}/{slow_label}",
                 workload=workload,
                 topology=topology,
                 config=config,
-                slowdown=slowdown,
+                scenario=scenario,
                 max_iter=iters,
                 seed=11,
             )

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import HopCluster, STANDARD, backup_config
 from repro.graphs import ring_based
-from repro.hetero import ComputeModel, RandomSlowdown
+from repro.scenarios.models import ComputeModel, RandomSlowdown
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
 from repro.sim import RngStreams

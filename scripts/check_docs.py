@@ -11,8 +11,8 @@ Two kinds of fenced code blocks are verified:
   so documented flags that no longer exist fail the check.
 
 It also fails on a ``NAME.md`` reference in ``src/``, ``benchmarks/``,
-README.md, docs/ARCHITECTURE.md or EXPERIMENTS.md that names no file
-in the repo, and on a dotted ``repro.…`` name there that resolves to no
+``examples/``, ``tests/``, README.md, docs/ARCHITECTURE.md or
+EXPERIMENTS.md that names no file in the repo, and on a dotted ``repro.…`` name there that resolves to no
 module or attribute (a dataclass field counts as an attribute; a format
 tag such as ``repro.churn-trace/v1`` is not a name).
 
@@ -36,7 +36,8 @@ FENCE = re.compile(r"^```(\w*)\s*$")
 
 #: Files whose ``NAME.md`` references must resolve.
 REFERRERS = ("README.md", "docs/ARCHITECTURE.md", "EXPERIMENTS.md",
-             "src/**/*.py", "benchmarks/**/*.py")
+             "src/**/*.py", "benchmarks/**/*.py", "examples/**/*.py",
+             "tests/**/*.py")
 MD_REFERENCE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[A-Z][A-Z0-9_-]*\.md)\b")
 #: A dotted name in the package; the lookarounds skip paths and tags.
 DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+(?![\w/-])")

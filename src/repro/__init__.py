@@ -7,10 +7,10 @@ Subpackages:
 * :mod:`repro.graphs` — communication topologies and spectral analysis.
 * :mod:`repro.ml` — pure-numpy training engine (CNN / SVM workloads).
 * :mod:`repro.net` — link timing, message fabric, NIC contention.
-* :mod:`repro.hetero` — compute-time models and slowdown injection.
-* :mod:`repro.scenarios` — the scenario engine: bursty/tiered/diurnal
-  slowdown models, trace record/replay, fault injection (crashes,
-  link flaps, message loss) and the scenario registry.
+* :mod:`repro.scenarios` — the scenario engine: the compute-time
+  model, the paper's random/straggler slowdowns plus bursty/tiered/
+  diurnal ones, trace record/replay, fault injection (crashes, link
+  flaps, message loss, churn) and the scenario registry.
 * :mod:`repro.core` — the Hop protocol (update/token queues, gap
   theory, backup workers, bounded staleness, skipping, NOTIFY-ACK).
 * :mod:`repro.protocols` — the protocol base class and registry, plus

@@ -27,7 +27,6 @@ SIM_SCOPE = (
     "repro/scenarios",
     "repro/sim",
     "repro/net",
-    "repro/hetero",
     "repro/graphs",
     "repro/ml",
 )
@@ -364,7 +363,6 @@ class EnvReadRule(Rule):
         "repro/scenarios",
         "repro/sim",
         "repro/net",
-        "repro/hetero",
         "repro/graphs",
     )
 

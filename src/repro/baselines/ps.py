@@ -600,6 +600,10 @@ class ParameterServerCluster(ProtocolCluster):
             ),
             lambda: self._seed_from_shards(runtime, nic),
         )
+        # Retiring shrinks the BSP quorum: poke the server so a barrier
+        # the pending gradients now fill folds without an arrival.
+        if server.pending and not notify[0].triggered:
+            notify[0].succeed()
 
     def _membership_changed(
         self, membership, worker: int, now, iteration: int, departed: bool
@@ -693,10 +697,11 @@ class ParameterServerCluster(ProtocolCluster):
                 server.advance_version()
 
         while not runtime.done.all() or grads_inbox:
-            if membership is not None and self.mode == "bsp":
-                # A leave may have shrunk the quorum below the pending
-                # count without any new arrival; re-check on every poke
-                # so the barrier folds instead of deadlocking.
+            if self.mode == "bsp":
+                # A retirement or a leave may have shrunk the quorum
+                # below the pending count without any new arrival;
+                # re-check on every poke so the barrier folds instead
+                # of deadlocking.
                 try_fold()
             if not grads_inbox:
                 notify[0] = Event(env)

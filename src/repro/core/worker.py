@@ -42,10 +42,10 @@ from repro.core.queues import TokenGate, TokenQueue
 from repro.core.recv import RecvStrategy, StandardRecv, make_recv_strategy
 from repro.core.skip import JumpDecision, SkipPolicy
 from repro.core.update import Update
-from repro.hetero.compute import ComputeModel
 from repro.net.message import CONTROL_SIZE
 from repro.net.network import Network
 from repro.scenarios.faults import CrashEvent
+from repro.scenarios.models import ComputeModel
 from repro.sim.engine import Environment
 from repro.sim.trace import StatAccumulator, Tracer
 

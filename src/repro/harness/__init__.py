@@ -34,7 +34,6 @@ from repro.harness.parallel import (
 from repro.harness.spec import (
     RANDOM_6X,
     ExperimentSpec,
-    SlowdownSpec,
     deterministic_straggler,
     run_spec,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "PRESETS",
     "RANDOM_6X",
     "ScenarioSpec",
-    "SlowdownSpec",
     "WORKLOADS",
     "Workload",
     "binned_loss_curve",

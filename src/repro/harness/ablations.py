@@ -53,7 +53,7 @@ def _stale_reduce_cells(ctx):
             for i in range(replicates)
             for label, flavor in _FLAVORS
         },
-        slowdown=RANDOM_6X,
+        scenario=RANDOM_6X,
     )
 
 
@@ -125,7 +125,7 @@ def _max_ig_cells(ctx):
             max_ig: dict(config=backup_config(n_backup=1, max_ig=max_ig))
             for max_ig in (1, 2, 4, 8)
         },
-        slowdown=_STRAGGLER_4X,
+        scenario=_STRAGGLER_4X,
     )
 
 
@@ -159,7 +159,7 @@ def _queue_impl_cells(ctx):
             impl: dict(config=HopConfig(queue_impl=impl, max_ig=4))
             for impl in ("rotating", "tagged")
         },
-        slowdown=RANDOM_6X,
+        scenario=RANDOM_6X,
     )
 
 
@@ -195,7 +195,7 @@ def _vs_adpsgd_cells(ctx):
             "hop": dict(config=backup_config(n_backup=1, max_ig=4)),
             "adpsgd": dict(protocol="adpsgd", topology=bipartite_ring(ctx.n)),
         },
-        slowdown=RANDOM_6X,
+        scenario=RANDOM_6X,
     )
 
 
@@ -228,7 +228,7 @@ def _partial_groups_cells(ctx):
     return ctx.grid(
         {"randomized": dict(static_groups=False), "static": dict(static_groups=True)},
         protocol="partial-allreduce",
-        slowdown=_STRAGGLER_4X,
+        scenario=_STRAGGLER_4X,
     )
 
 

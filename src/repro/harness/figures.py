@@ -49,7 +49,6 @@ from repro.harness.results import (
 )
 from repro.harness.spec import (
     RANDOM_6X,
-    SlowdownSpec,
     deterministic_straggler,
     run_spec,
 )
@@ -62,7 +61,7 @@ from repro.scenarios import ScenarioSpec, registered_scenarios
 
 #: Hop's backup mode as the comparisons run it.
 _BACKUP = backup_config(n_backup=1, max_ig=4)
-_CLEAN_SLOW = {"clean": {}, "slowdown": dict(slowdown=RANDOM_6X)}
+_CLEAN_SLOW = {"clean": {}, "slowdown": dict(scenario=RANDOM_6X)}
 _FIG21_SETTINGS = {
     "setting1": fig21_setting1,
     "setting2": fig21_setting2,
@@ -133,7 +132,7 @@ def _fig12_report(ctx, result, runs):
 def _fig13_cells(ctx):
     return ctx.grid({
         "hop/clean": {},
-        "hop/slowdown": dict(slowdown=RANDOM_6X),
+        "hop/slowdown": dict(scenario=RANDOM_6X),
         "ps-bsp/clean": dict(protocol="ps-bsp"),
     })
 
@@ -171,7 +170,7 @@ _BACKUP_GRAPHS = ("ring_based", "double_ring")
 def _backup_cells(ctx):
     graphs = {"ring_based": {}, "double_ring": dict(topology=double_ring(ctx.n))}
     configs = {"standard": dict(config=STANDARD), "backup": dict(config=_BACKUP)}
-    return ctx.grid(cross(graphs, configs), slowdown=RANDOM_6X)
+    return ctx.grid(cross(graphs, configs), scenario=RANDOM_6X)
 
 
 def _fig14_report(ctx, result, runs):
@@ -221,7 +220,7 @@ def _fig15_report(ctx, result, runs):
 def _fig16_cells(ctx):
     return ctx.grid(
         {"standard": dict(config=STANDARD), "backup": dict(config=_BACKUP)},
-        slowdown=RANDOM_6X,
+        scenario=RANDOM_6X,
     )
 
 
@@ -259,7 +258,7 @@ def _fig17_cells(ctx):
             "backup": dict(config=_BACKUP),
             "staleness": dict(config=staleness_config(staleness=5, max_ig=8)),
         },
-        slowdown=RANDOM_6X,
+        scenario=RANDOM_6X,
     )
 
 
@@ -297,8 +296,8 @@ def _fig18_cells(ctx):
     base_config = backup_config(n_backup=1, max_ig=5)
     return ctx.grid({
         "clean": dict(config=base_config),
-        "straggler/no_skip": dict(config=base_config, slowdown=_STRAGGLER_4X),
-        "straggler/skip": dict(config=_skip_config(10), slowdown=_STRAGGLER_4X),
+        "straggler/no_skip": dict(config=base_config, scenario=_STRAGGLER_4X),
+        "straggler/skip": dict(config=_skip_config(10), scenario=_STRAGGLER_4X),
     })
 
 
@@ -355,7 +354,7 @@ def _fig19_cells(ctx):
             "skip_2": dict(config=_skip_config(2)),
             "skip_10": dict(config=_skip_config(10)),
         },
-        slowdown=_STRAGGLER_4X,
+        scenario=_STRAGGLER_4X,
     )
 
 
@@ -395,12 +394,10 @@ def _fig20_cells(ctx):
     )
     # Machines hosting 3 workers are more loaded than the 2-worker one.
     crowded = {w for w in range(8) if machine_of[w] in (0, 1)}
-    load = SlowdownSpec(
-        kind="deterministic", workers={w: 1.5 for w in crowded}
-    )
+    load = ScenarioSpec("straggler", {"workers": {w: 1.5 for w in crowded}})
     return ctx.grid(
         {label: dict(topology=build()) for label, build in _FIG21_SETTINGS.items()},
-        config=STANDARD, slowdown=load, links=links, machines=machine_of,
+        config=STANDARD, scenario=load, links=links, machines=machine_of,
     )
 
 
@@ -1115,7 +1112,7 @@ _TABLE1 = {
 def _table1_cells(ctx):
     return ctx.grid(
         {label: options for label, (options, _) in _TABLE1.items()},
-        slowdown=deterministic_straggler(worker=0, factor=6.0),
+        scenario=deterministic_straggler(worker=0, factor=6.0),
     )
 
 

@@ -10,8 +10,8 @@ and automatically supports every registered protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import InitVar, dataclass, replace
+from typing import Optional
 
 from repro.compression import CompressionSpec
 from repro.core.config import STANDARD, HopConfig
@@ -24,34 +24,13 @@ from repro.scenarios.spec import Scenario, ScenarioSpec
 from repro.sim.rng import RngStreams
 
 
-@dataclass(frozen=True)
-class SlowdownSpec:
-    """Serializable description of a heterogeneity recipe (legacy).
-
-    ``kind``: ``"none"``, ``"random"`` (paper: factor 6, p = 1/n), or
-    ``"deterministic"`` (paper: one worker, factor 4).
-
-    Data only: it predates the scenario engine and covers just the
-    paper's two recipes.  Runs build it through
-    :meth:`~repro.scenarios.ScenarioSpec.from_slowdown` (``random`` and
-    ``straggler`` families), which also rejects an unknown ``kind``.
-    Kept so every ``ExperimentSpec(slowdown=...)`` call site continues
-    to work unchanged.
-    """
-
-    kind: str = "none"
-    factor: float = 6.0
-    probability: Optional[float] = None  # default 1/n at build time
-    workers: Dict[int, float] = field(default_factory=dict)
+#: The paper's random-slowdown recipe (Section 7.3.1): 6x at p = 1/n.
+RANDOM_6X = ScenarioSpec("random", {"factor": 6.0})
 
 
-#: The paper's random-slowdown recipe (Section 7.3.1).
-RANDOM_6X = SlowdownSpec(kind="random", factor=6.0)
-
-
-def deterministic_straggler(worker: int = 0, factor: float = 4.0) -> SlowdownSpec:
+def deterministic_straggler(worker: int = 0, factor: float = 4.0) -> ScenarioSpec:
     """The paper's deterministic-slowdown recipe (Section 7.3.5)."""
-    return SlowdownSpec(kind="deterministic", workers={worker: factor})
+    return ScenarioSpec("straggler", {"workers": {worker: factor}})
 
 
 @dataclass(frozen=True)
@@ -66,12 +45,10 @@ class ExperimentSpec:
         protocol: Any name or alias in :data:`repro.protocols.PROTOCOLS`
             (``python -m repro protocols`` lists them).
         config: Hop configuration (hop protocol only).
-        slowdown: Legacy heterogeneity recipe (the paper's two
-            Section 7.3 settings); ignored when ``scenario`` is set.
-        scenario: Scenario-engine recipe — any family in
+        scenario: The heterogeneity recipe — any family in
             :func:`repro.scenarios.registered_scenarios` (slowdown
-            models, trace replay, crashes, link flaps, message loss).
-            ``None`` falls back to ``slowdown``.
+            models, trace replay, crashes, link flaps, message loss,
+            churn).  ``None`` is the ``none`` family.
         max_iter: Iterations per worker.
         seed: Master seed.
         links: Optional network override (machine-aware deployments).
@@ -88,6 +65,10 @@ class ExperimentSpec:
             params (e.g. ``CompressionSpec("topk", {"ratio": 0.01})``).
             ``None`` (or the name ``"none"``) keeps the dense payload
             path bit-identical to pre-compression behavior.
+        slowdown: Constructor-only alias of ``scenario`` (it is not a
+            field: equality, ``repr`` and ``with_`` see ``scenario``
+            only); passing both raises.  It stays only for the
+            benchmark's recipes and goes with ROADMAP item 4.
     """
 
     name: str
@@ -95,7 +76,6 @@ class ExperimentSpec:
     topology: Topology
     protocol: str = "hop"
     config: HopConfig = STANDARD
-    slowdown: SlowdownSpec = SlowdownSpec()
     scenario: Optional[ScenarioSpec] = None
     max_iter: int = 60
     seed: int = 0
@@ -110,6 +90,13 @@ class ExperimentSpec:
     #: perf-focused runs pass repro.protocols.base.LIGHT_TRACE.
     trace_channels: Optional[tuple] = None
     compression: Optional[CompressionSpec] = None
+    slowdown: InitVar[Optional[ScenarioSpec]] = None
+
+    def __post_init__(self, slowdown: Optional[ScenarioSpec]) -> None:
+        if slowdown is not None:
+            if self.scenario is not None:
+                raise ValueError("give scenario= or slowdown=, not both")
+            object.__setattr__(self, "scenario", slowdown)
 
     def with_(self, **changes) -> "ExperimentSpec":
         """A modified copy (dataclasses.replace sugar)."""
@@ -118,12 +105,6 @@ class ExperimentSpec:
     # ------------------------------------------------------------------
     # Scenario resolution (single source of truth for heterogeneity)
     # ------------------------------------------------------------------
-    def resolved_scenario(self) -> ScenarioSpec:
-        """The scenario in effect: ``scenario`` or converted ``slowdown``."""
-        if self.scenario is not None:
-            return self.scenario
-        return ScenarioSpec.from_slowdown(self.slowdown)
-
     def built_scenario(self) -> Scenario:
         """The built scenario (models + fault plan), cached per spec.
 
@@ -136,7 +117,7 @@ class ExperimentSpec:
         """
         cached = getattr(self, "_built_scenario", None)
         if cached is None:
-            cached = self.resolved_scenario().build(
+            cached = (self.scenario or ScenarioSpec()).build(
                 self.topology.n, RngStreams(self.seed).spawn("slowdown")
             )
             # Frozen dataclass: stash the cache without widening the

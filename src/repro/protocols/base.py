@@ -35,12 +35,12 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.graphs.spectral import consensus_distance
-from repro.hetero.compute import ComputeModel
 from repro.ml.compute import ComputePool
 from repro.ml.data import Batcher, Dataset
 from repro.ml.metrics import smooth_series
 from repro.ml.optim import SGD
 from repro.net.message import params_message_size, payload_bytes
+from repro.scenarios.models import ComputeModel
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List
 
 from repro.registry import Registry
+from repro.scenarios.models import ComputeModel
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.harness.spec import ExperimentSpec
@@ -90,8 +91,7 @@ def protocol_table() -> List[dict]:
 def spec_common_kwargs(spec: "ExperimentSpec") -> dict:
     """Constructor kwargs shared by every :class:`ProtocolCluster`.
 
-    Heterogeneity comes from the spec's *scenario* (the legacy
-    ``slowdown`` field converts transparently).  Protocols registered
+    Heterogeneity comes from the spec's *scenario*.  Protocols registered
     with ``native_faults=True`` (hop: its workers enact crash/restart
     events themselves) get the pure slowdown model; for every other
     protocol the crash downtime is composed into the compute model as
@@ -102,9 +102,6 @@ def spec_common_kwargs(spec: "ExperimentSpec") -> dict:
     workload = spec.workload
     scenario = spec.built_scenario()
     native_faults = get_protocol(spec.protocol).native_faults
-
-    from repro.hetero.compute import ComputeModel
-
     compute_model = ComputeModel(
         base_time=workload.base_compute_time,
         n_workers=spec.topology.n,

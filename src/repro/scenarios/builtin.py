@@ -38,15 +38,13 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.hetero.slowdown import (
-    DeterministicSlowdown,
-    NoSlowdown,
-    RandomSlowdown,
-)
 from repro.scenarios.faults import CrashEvent, FaultPlan, LinkFlap
 from repro.scenarios.models import (
+    DeterministicSlowdown,
     DiurnalSlowdown,
     MarkovSlowdown,
+    NoSlowdown,
+    RandomSlowdown,
     TieredSlowdown,
 )
 from repro.scenarios.registry import register_scenario

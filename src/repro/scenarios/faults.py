@@ -34,8 +34,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.hetero.slowdown import SlowdownModel
 from repro.net.links import Link, LinkModel
+from repro.scenarios.models import SlowdownModel
 from repro.sim.rng import RngStreams
 
 

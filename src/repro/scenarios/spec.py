@@ -5,26 +5,22 @@
 JSON-serializable description (``family`` + ``params``) that resolves
 through the scenario registry into a :class:`Scenario` — the built
 bundle of a slowdown model plus a fault plan that the protocol
-builders consume.
-
-Back compatibility: :class:`~repro.harness.spec.SlowdownSpec` (the
-pre-scenario heterogeneity description) converts losslessly via
-:meth:`ScenarioSpec.from_slowdown`; ``ExperimentSpec`` accepts either.
+builders consume.  It is the only heterogeneity description: the
+paper's two recipes are the ``random`` and ``straggler`` families
+(:data:`~repro.harness.spec.RANDOM_6X`,
+:func:`~repro.harness.spec.deterministic_straggler`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
-from repro.hetero.slowdown import SlowdownModel
 from repro.net.links import LinkModel
 from repro.scenarios.faults import FaultPlan, MessageLoss, StallOverlaySlowdown
+from repro.scenarios.models import SlowdownModel
 from repro.scenarios.registry import get_scenario
 from repro.sim.rng import RngStreams
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.harness.spec import SlowdownSpec
 
 
 @dataclass
@@ -46,7 +42,7 @@ class Scenario:
     churn: Optional[object] = None
 
     def compute_slowdown(self, native_faults: bool = False) -> SlowdownModel:
-        """The slowdown a :class:`~repro.hetero.compute.ComputeModel` gets.
+        """The slowdown a :class:`~repro.scenarios.models.ComputeModel` gets.
 
         Protocols with native crash support (``native_faults=True``,
         i.e. Hop) receive the pure slowdown — their workers enact the
@@ -111,23 +107,6 @@ class ScenarioSpec:
             family=payload["family"],
             params=_restore_params(payload.get("params", {})),
         )
-
-    # ------------------------------------------------------------------
-    # Back compatibility with SlowdownSpec
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_slowdown(cls, slowdown: "SlowdownSpec") -> "ScenarioSpec":
-        """Lossless conversion from the pre-scenario description."""
-        if slowdown.kind == "none":
-            return cls("none")
-        if slowdown.kind == "random":
-            params: Dict[str, object] = {"factor": slowdown.factor}
-            if slowdown.probability is not None:
-                params["probability"] = slowdown.probability
-            return cls("random", params)
-        if slowdown.kind == "deterministic":
-            return cls("straggler", {"workers": dict(slowdown.workers)})
-        raise ValueError(f"unknown slowdown kind {slowdown.kind!r}")
 
 
 def _jsonify_params(params: Dict[str, object]) -> Dict[str, object]:

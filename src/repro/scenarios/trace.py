@@ -1,6 +1,6 @@
 """Trace record / replay for heterogeneity factors.
 
-Any :class:`~repro.hetero.slowdown.SlowdownModel` can be wrapped in a
+Any :class:`~repro.scenarios.models.SlowdownModel` can be wrapped in a
 :class:`RecordingSlowdown`; every queried ``(worker, iteration) ->
 factor`` is captured and can be serialized to JSON.  A
 :class:`TraceSlowdown` replays such a table bit-exactly (JSON float
@@ -25,7 +25,7 @@ import json
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
-from repro.hetero.slowdown import SlowdownModel
+from repro.scenarios.models import SlowdownModel
 
 TRACE_FORMAT = "repro.slowdown-trace/v1"
 

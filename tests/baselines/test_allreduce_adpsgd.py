@@ -7,7 +7,7 @@ from repro.baselines import ADPSGDCluster, RingAllReduceCluster
 from repro.graphs import TopologyError, bipartite_ring, ring
 from repro.harness import run_spec
 from repro.harness.golden import CHURN_CELLS, churn_conformance_spec
-from repro.hetero import ComputeModel, DeterministicSlowdown
+from repro.scenarios.models import ComputeModel, DeterministicSlowdown
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
 from repro.net.links import Link

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import ParameterServerCluster
-from repro.hetero import ComputeModel, DeterministicSlowdown
+from repro.graphs import ring_based
+from repro.harness import ExperimentSpec, run_spec, svm_workload
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
+from repro.scenarios import ScenarioSpec
+from repro.scenarios.models import ComputeModel, DeterministicSlowdown
 
 
 N_FEATURES = 24
@@ -72,6 +75,26 @@ class TestBSP:
             dataset, "bsp", n_backup=1, compute_model=slow_model()
         ).run()
         assert backup.wall_time < plain.wall_time
+
+    @pytest.mark.parametrize("n, seed", [(6, 2), (8, 1)])
+    def test_backup_quorum_shrinks_when_a_worker_retires(self, n, seed):
+        """A worker that finishes its last round after the server went
+        idle shrinks the BSP quorum to the gradients already pending;
+        the server must fold them instead of waiting for an arrival
+        that never comes."""
+        run = run_spec(
+            ExperimentSpec(
+                "bsp-backup",
+                svm_workload("smoke"),
+                ring_based(n),
+                protocol="ps-bsp",
+                ps_backup=1,
+                scenario=ScenarioSpec("random"),
+                max_iter=5,
+                seed=seed,
+            )
+        )
+        assert run.iterations_completed == [5] * n
 
     def test_hotspot_scales_with_workers(self, dataset):
         few = make_ps(dataset, "bsp", n=2, update_size=4.0).run()

@@ -17,7 +17,7 @@ from repro.core import (
     staleness_config,
 )
 from repro.graphs import chain, ring, ring_based
-from repro.hetero import (
+from repro.scenarios.models import (
     ComputeModel,
     DeterministicSlowdown,
     RandomSlowdown,

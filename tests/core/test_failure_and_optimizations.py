@@ -24,7 +24,7 @@ from repro.core import (
     staleness_config,
 )
 from repro.graphs import complete, ring, ring_based
-from repro.hetero import ComputeModel, DeterministicSlowdown
+from repro.scenarios.models import ComputeModel, DeterministicSlowdown
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
 from repro.protocols.base import DeadlockError

@@ -20,7 +20,7 @@ from repro.core import (
     staleness_config,
 )
 from repro.graphs import Topology
-from repro.hetero import ComputeModel
+from repro.scenarios.models import ComputeModel
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
 

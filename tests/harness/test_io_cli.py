@@ -15,6 +15,8 @@ from repro.harness.io import (
     save_figure,
     save_run,
 )
+from repro.scenarios.models import RandomSlowdown
+from repro.sim import RngStreams
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +90,7 @@ class TestCLI:
             [
                 "train",
                 "--mode", "backup",
-                "--slowdown", "straggler",
+                "--scenario", "straggler",
                 "--workers", "6",
                 "--iterations", "8",
             ]
@@ -196,75 +198,76 @@ class TestRegistryChoices:
         assert "wall_time" in capsys.readouterr().out
 
 
-class TestCLISlowdownKnobs:
-    """--slowdown exposes every SlowdownSpec knob (factor, probability,
-    multi-worker straggler maps), not just hardcoded recipes."""
+class _Built(Exception):
+    """Stops ``repro train`` once it has built its spec."""
 
-    def _parse(self, *argv):
-        from repro.cli import build_parser
 
-        return build_parser().parse_args(["train", *argv])
+class TestCLIPaperRecipes:
+    """The paper's two recipes are ``--scenario`` spellings with every
+    knob exposed: factor, probability, multi-worker straggler maps."""
 
-    def _spec_slowdown(self, *argv):
-        from repro.cli import _train_slowdown
+    def _slowdown(self, monkeypatch, *argv):
+        """The slowdown model of the spec ``repro train argv`` runs."""
+        specs = []
 
-        return _train_slowdown(self._parse(*argv))
+        def capture(spec):
+            specs.append(spec)
+            raise _Built
 
-    def test_random_defaults_match_paper(self):
-        slowdown = self._spec_slowdown("--slowdown", "random")
-        assert slowdown.kind == "random"
-        assert slowdown.factor == 6.0
-        assert slowdown.probability is None  # 1/n at build time
+        monkeypatch.setattr("repro.cli.run_spec", capture)
+        with pytest.raises(_Built):
+            main(["train", *argv])
+        return specs[0].built_scenario().slowdown
 
-    def test_random_factor_and_probability_override(self):
-        slowdown = self._spec_slowdown(
-            "--slowdown", "random",
-            "--slowdown-factor", "3.5",
-            "--slowdown-prob", "0.25",
+    def test_random_defaults_match_paper(self, monkeypatch):
+        model = self._slowdown(monkeypatch, "--scenario", "random")
+        paper = RandomSlowdown(RngStreams(0).spawn("slowdown"), 6.0, 1 / 8)
+        assert (model.slow_factor, model.probability) == (6.0, 1 / 8)
+        assert [model.factor(w, k) for w in range(8) for k in range(30)] == [
+            paper.factor(w, k) for w in range(8) for k in range(30)
+        ]
+
+    def test_random_factor_and_probability_override(self, monkeypatch):
+        model = self._slowdown(
+            monkeypatch,
+            "--scenario", "random",
+            "--scenario-param", "factor=3.5",
+            "--scenario-param", "probability=0.25",
         )
-        assert slowdown.factor == 3.5
-        assert slowdown.probability == 0.25
+        assert (model.slow_factor, model.probability) == (3.5, 0.25)
 
-    def test_straggler_default_matches_paper(self):
-        slowdown = self._spec_slowdown("--slowdown", "straggler")
-        assert slowdown.kind == "deterministic"
-        assert slowdown.workers == {0: 4.0}
+    def test_straggler_default_matches_paper(self, monkeypatch):
+        model = self._slowdown(monkeypatch, "--scenario", "straggler")
+        assert model.factors == {0: 4.0}
 
-    def test_straggler_factor_override(self):
-        slowdown = self._spec_slowdown(
-            "--slowdown", "straggler", "--slowdown-factor", "9"
+    def test_straggler_factor_override(self, monkeypatch):
+        model = self._slowdown(
+            monkeypatch, "--scenario", "straggler", "--scenario-param", "factor=9"
         )
-        assert slowdown.workers == {0: 9.0}
+        assert model.factors == {0: 9.0}
 
-    def test_multi_worker_straggler_map(self):
-        slowdown = self._spec_slowdown(
-            "--slowdown", "straggler", "--stragglers", "0:4,3:2.5,5:6"
+    def test_multi_worker_straggler_map(self, monkeypatch):
+        model = self._slowdown(
+            monkeypatch,
+            "--scenario", "straggler",
+            "--scenario-param", 'workers={"0": 4, "3": 2.5, "5": 6}',
         )
-        assert slowdown.workers == {0: 4.0, 3: 2.5, 5: 6.0}
+        assert model.factors == {0: 4.0, 3: 2.5, 5: 6.0}
 
-    def test_malformed_straggler_map_rejected(self):
-        with pytest.raises(SystemExit):
-            self._parse("--slowdown", "straggler", "--stragglers", "0=4")
-
-    def test_knobs_without_matching_kind_are_an_error(self):
-        """--stragglers / --slowdown-prob must not silently run a
-        clean cluster when the matching --slowdown kind is missing."""
-        with pytest.raises(SystemExit):
-            self._spec_slowdown("--stragglers", "0:4")
-        with pytest.raises(SystemExit):
-            self._spec_slowdown("--slowdown-prob", "0.5")
-        with pytest.raises(SystemExit):
-            self._spec_slowdown(
-                "--slowdown", "straggler", "--slowdown-prob", "0.5"
-            )
-        with pytest.raises(SystemExit):
-            self._spec_slowdown("--slowdown-factor", "2")
-        with pytest.raises(SystemExit):
-            self._spec_slowdown(
-                "--slowdown", "straggler",
-                "--stragglers", "0:4",
-                "--slowdown-factor", "9",
-            )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--slowdown", "random"],
+            ["--slowdown-factor", "2"],
+            ["--slowdown-prob", "0.5"],
+            ["--stragglers", "0:4"],
+        ],
+    )
+    def test_slowdown_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--workers", "4", "--iterations", "4", *argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_scenario_param_without_scenario_is_an_error(self):
         with pytest.raises(SystemExit):
@@ -277,37 +280,15 @@ class TestCLISlowdownKnobs:
                 ]
             )
 
-    def test_scenario_and_slowdown_are_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "train",
-                    "--workers", "4",
-                    "--iterations", "4",
-                    "--scenario", "bursty",
-                    "--slowdown", "straggler",
-                ]
-            )
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "train",
-                    "--workers", "4",
-                    "--iterations", "4",
-                    "--scenario", "bursty",
-                    "--slowdown-factor", "9",
-                ]
-            )
-
     def test_train_runs_with_custom_knobs(self, capsys):
         code = main(
             [
                 "train",
                 "--workers", "6",
                 "--iterations", "6",
-                "--slowdown", "random",
-                "--slowdown-factor", "2.0",
-                "--slowdown-prob", "0.5",
+                "--scenario", "random",
+                "--scenario-param", "factor=2.0",
+                "--scenario-param", "probability=0.5",
             ]
         )
         assert code == 0
@@ -319,8 +300,8 @@ class TestCLISlowdownKnobs:
                 "train",
                 "--workers", "6",
                 "--iterations", "6",
-                "--slowdown", "straggler",
-                "--stragglers", "0:3,2:2",
+                "--scenario", "straggler",
+                "--scenario-param", 'workers={"0": 3, "2": 2}',
             ]
         )
         assert code == 0

@@ -35,7 +35,7 @@ def small_specs(n_specs=2, max_iter=6):
             f"series{i}",
             workload,
             ring(8),
-            slowdown=RANDOM_6X,
+            scenario=RANDOM_6X,
             max_iter=max_iter,
             seed=i,
         )

@@ -8,15 +8,15 @@ from repro.graphs import ring, ring_based
 from repro.harness import (
     RANDOM_6X,
     ExperimentSpec,
-    SlowdownSpec,
     by_name,
     cnn_workload,
     deterministic_straggler,
     run_spec,
     svm_workload,
 )
-from repro.hetero import DeterministicSlowdown, NoSlowdown, RandomSlowdown
+from repro.harness.golden import run_fingerprint
 from repro.scenarios import ScenarioSpec
+from repro.scenarios.models import DeterministicSlowdown, NoSlowdown, RandomSlowdown
 from repro.sim import RngStreams
 
 
@@ -53,14 +53,21 @@ class TestWorkloads:
 
 
 def build_slowdown(spec, n_workers):
-    """A legacy recipe built the way runs build it (via the scenario)."""
-    return ScenarioSpec.from_slowdown(spec).build(n_workers, RngStreams(0))
+    """A recipe built the way runs build it."""
+    return spec.build(n_workers, RngStreams(0))
 
 
-class TestSlowdownSpec:
+class TestPaperRecipes:
+    def test_constants_are_scenario_specs(self):
+        assert RANDOM_6X == ScenarioSpec("random", {"factor": 6.0})
+        assert deterministic_straggler(3, 2.5) == ScenarioSpec(
+            "straggler", {"workers": {3: 2.5}}
+        )
+
     def test_none(self):
-        scenario = build_slowdown(SlowdownSpec(), 4)
-        assert isinstance(scenario.slowdown, NoSlowdown)
+        spec = ExperimentSpec("n", svm_workload("smoke"), ring(4))
+        assert spec.scenario is None
+        assert isinstance(spec.built_scenario().slowdown, NoSlowdown)
 
     def test_random_defaults_probability_to_1_over_n(self):
         model = build_slowdown(RANDOM_6X, 16).slowdown
@@ -75,13 +82,40 @@ class TestSlowdownSpec:
         assert model.factor(3, 0) == 4.0
 
     def test_describe(self):
-        assert build_slowdown(SlowdownSpec(), 4).describe() == "none"
+        assert build_slowdown(ScenarioSpec(), 4).describe() == "none"
         assert "6" in build_slowdown(RANDOM_6X, 4).describe()
         assert "0:4" in build_slowdown(deterministic_straggler(), 4).describe()
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_slowdown(SlowdownSpec(kind="quantum"), 2)
+
+class TestSlowdownAlias:
+    """``slowdown=`` is a constructor-only spelling of ``scenario=``."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        return dict(
+            name="a", workload=svm_workload("smoke"), topology=ring(4),
+            max_iter=4,
+        )
+
+    def test_alias_is_the_same_spec(self, fields):
+        for recipe in (RANDOM_6X, deterministic_straggler(1, 3.0)):
+            aliased = ExperimentSpec(**fields, slowdown=recipe)
+            assert aliased == ExperimentSpec(**fields, scenario=recipe)
+            assert aliased.scenario is recipe
+
+    def test_alias_runs_the_same_cell(self, fields):
+        aliased = run_spec(ExperimentSpec(**fields, slowdown=RANDOM_6X))
+        direct = run_spec(ExperimentSpec(**fields, scenario=RANDOM_6X))
+        assert run_fingerprint(aliased) == run_fingerprint(direct)
+
+    def test_with_keeps_the_scenario(self, fields):
+        spec = ExperimentSpec(**fields, slowdown=RANDOM_6X)
+        assert spec.with_(seed=3).scenario == RANDOM_6X
+        assert spec.with_().scenario == RANDOM_6X
+
+    def test_both_raise(self, fields):
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentSpec(**fields, scenario=RANDOM_6X, slowdown=RANDOM_6X)
 
 
 class TestRunSpec:

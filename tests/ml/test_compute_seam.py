@@ -470,11 +470,10 @@ def eager_runtime(monkeypatch):
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("slowdown", [None, RANDOM_6X], ids=["static", "random6x"])
-def test_deferred_runs_equal_eager_runs_bitwise(protocol, slowdown, eager_runtime):
+@pytest.mark.parametrize("scenario", [None, RANDOM_6X], ids=["static", "random6x"])
+def test_deferred_runs_equal_eager_runs_bitwise(protocol, scenario, eager_runtime):
     workload = svm_workload("smoke")
-    fields = {} if slowdown is None else {"slowdown": slowdown}
-    spec = spec_for(protocol, workload, seed=3, **fields)
+    spec = spec_for(protocol, workload, seed=3, scenario=scenario)
     deferred, pool = run_with_pool(spec, eager_plane=True)
     assert pool.fallback == 0 and pool.stacked == pool.tickets > 0
     eager_runtime()

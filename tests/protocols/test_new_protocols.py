@@ -59,7 +59,7 @@ class TestPartialAllReduce:
                     workload,
                     ring_based(8),
                     protocol=protocol,
-                    slowdown=straggler,
+                    scenario=straggler,
                     max_iter=8,
                     seed=0,
                 )

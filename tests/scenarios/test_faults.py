@@ -230,7 +230,7 @@ class TestHopCrashRestart:
         copy parameters from a peer still in its own downtime; the run
         still completes for everyone."""
         from repro.core.cluster import HopCluster
-        from repro.hetero.compute import ComputeModel
+        from repro.scenarios.models import ComputeModel
 
         cluster = HopCluster(
             topology=ring_based(6),

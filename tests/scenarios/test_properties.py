@@ -20,7 +20,7 @@ pytest.importorskip(
 )
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.hetero.slowdown import (
+from repro.scenarios.models import (
     ComposedSlowdown,
     DeterministicSlowdown,
     NoSlowdown,

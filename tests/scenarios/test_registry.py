@@ -6,9 +6,9 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import ring_based
-from repro.harness import ExperimentSpec, SlowdownSpec, run_spec, svm_workload
+from repro.harness import ExperimentSpec, run_spec, svm_workload
 from repro.harness.spec import RANDOM_6X, deterministic_straggler
-from repro.hetero import DeterministicSlowdown, NoSlowdown, RandomSlowdown
+from repro.scenarios.models import DeterministicSlowdown, NoSlowdown, RandomSlowdown
 from repro.scenarios import (
     SCENARIOS,
     Scenario,
@@ -92,8 +92,8 @@ class TestScenarioSpec:
                     "train",
                     "--workers", "4",
                     "--iterations", "4",
-                    "--slowdown", "straggler",
-                    "--stragglers", "9:4",
+                    "--scenario", "straggler",
+                    "--scenario-param", 'workers={"9": 4}',
                 ]
             )
 
@@ -105,14 +105,14 @@ class TestScenarioSpec:
         restored = ScenarioSpec.from_dict(payload)
         assert restored == spec
 
-    def test_from_slowdown_matches_legacy_factors(self):
-        """The converted scenario reproduces the models the legacy
-        SlowdownSpec recipes name, draw-for-draw (back compatibility)."""
-        for legacy, model in (
-            (SlowdownSpec(), lambda streams: NoSlowdown()),
+    def test_paper_recipes_build_their_models(self):
+        """The paper's two recipes (and the clean cluster) build the
+        models they name, draw-for-draw."""
+        for recipe, model in (
+            (ScenarioSpec(), lambda streams: NoSlowdown()),
             (RANDOM_6X, lambda streams: RandomSlowdown(streams, 6.0, 1 / 8)),
             (
-                SlowdownSpec(kind="random", factor=3.0, probability=0.25),
+                ScenarioSpec("random", {"factor": 3.0, "probability": 0.25}),
                 lambda streams: RandomSlowdown(streams, 3.0, 0.25),
             ),
             (
@@ -123,29 +123,19 @@ class TestScenarioSpec:
             streams_a = RngStreams(7).spawn("slowdown")
             streams_b = RngStreams(7).spawn("slowdown")
             old = model(streams_a)
-            new = ScenarioSpec.from_slowdown(legacy).build(8, streams_b)
+            new = recipe.build(8, streams_b)
             for worker in range(8):
                 for k in range(20):
                     assert new.slowdown.factor(worker, k) == old.factor(
                         worker, k
                     )
 
-    def test_spec_scenario_overrides_slowdown(self):
+    def test_straggler_recipe_drives_runs(self):
         spec = ExperimentSpec(
             "s",
             svm_workload("smoke"),
             ring_based(4),
-            slowdown=RANDOM_6X,
-            scenario=ScenarioSpec("none"),
-        )
-        assert spec.resolved_scenario().family == "none"
-
-    def test_legacy_slowdown_still_drives_runs(self):
-        spec = ExperimentSpec(
-            "s",
-            svm_workload("smoke"),
-            ring_based(4),
-            slowdown=deterministic_straggler(worker=0, factor=6.0),
+            scenario=deterministic_straggler(worker=0, factor=6.0),
             max_iter=6,
         )
         run = run_spec(spec)
@@ -159,7 +149,7 @@ class TestExtensionPoint:
     """The docs/ARCHITECTURE.md add-a-scenario walkthrough, verified."""
 
     def test_register_and_run_a_custom_scenario(self):
-        from repro.hetero.slowdown import SlowdownModel
+        from repro.scenarios.models import SlowdownModel
 
         class EveryNthSlowdown(SlowdownModel):
             """Worker 0 is slow every nth iteration (a GC-pause model)."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hetero import (
+from repro.scenarios.models import (
     ComposedSlowdown,
     ComputeModel,
     DeterministicSlowdown,
@@ -166,15 +166,7 @@ class TestComputeModel:
         assert model.duration(1, 5) == pytest.approx(0.4)
         assert model.duration(0, 5) == pytest.approx(0.1)
 
-    def test_jitter_perturbs_but_stays_positive(self):
-        model = ComputeModel(
-            base_time=0.1, n_workers=1, jitter=0.2, streams=RngStreams(0)
-        )
-        durations = [model.duration(0, k) for k in range(50)]
-        assert all(d > 0 for d in durations)
-        assert len(set(durations)) > 1
-
-    def test_no_jitter_is_deterministic(self):
+    def test_no_slowdown_is_constant(self):
         model = ComputeModel(base_time=0.1, n_workers=1)
         assert model.duration(0, 1) == model.duration(0, 2)
 
@@ -183,8 +175,6 @@ class TestComputeModel:
             ComputeModel(base_time=0.1)  # n_workers missing
         with pytest.raises(ValueError):
             ComputeModel(base_time=-1.0, n_workers=2)
-        with pytest.raises(ValueError):
-            ComputeModel(base_time=0.1, n_workers=1, jitter=-0.5)
 
     def test_describe_mentions_slowdown(self):
         model = ComputeModel(
