@@ -150,7 +150,9 @@ echo "== compute seam: hop/64 and ps-async/128 replay, adpsgd/16 pools =="
 # the pulls read.  A ticket there means the run lost its replay; a
 # fallback means the SVM lost its kernel.  adpsgd still submits
 # tickets, and holds its own exact counts: 10 iterations of 16 workers
-# in 12 flushes, all stacked.
+# in 12 flushes, all stacked.  The last count is model_factory calls: a
+# replaying run builds one model and a determinism witness, an eager
+# one a replica per worker.
 python - <<'PY'
 from repro.graphs import bipartite_ring, ring_based
 from repro.harness.spec import ExperimentSpec
@@ -160,10 +162,10 @@ from repro.protocols.registry import build_cluster
 
 iterations = 10
 expected = {
-    # (tickets, flushes, stacked, fallback, levels, rows)
-    ("hop", 64): (0, 0, 0, 0, 10, 640),
-    ("ps-async", 128): (0, 0, 0, 0, 15, 1280),
-    ("adpsgd", 16): (160, 12, 160, 0, 0, 0),
+    # (tickets, flushes, stacked, fallback, levels, rows, factory calls)
+    ("hop", 64): (0, 0, 0, 0, 10, 640, 2),
+    ("ps-async", 128): (0, 0, 0, 0, 15, 1280, 2),
+    ("adpsgd", 16): (160, 12, 160, 0, 0, 0, 16),
 }
 for (protocol, n), counts in expected.items():
     cluster = build_cluster(
@@ -178,6 +180,9 @@ for (protocol, n), counts in expected.items():
             trace_channels=LIGHT_TRACE,
         )
     )
+    built = []
+    factory = cluster.model_factory
+    cluster.model_factory = lambda rng: built.append(rng) or factory(rng)
     cluster.run()
     pool = cluster.runtime.compute
     got = (
@@ -187,13 +192,14 @@ for (protocol, n), counts in expected.items():
         pool.fallback,
         pool.levels,
         pool.rows,
+        len(built),
     )
-    assert got == counts, (protocol, n, pool)
+    assert got == counts, (protocol, n, pool, len(built))
     print(
         f"compute seam OK: {protocol}/{n} x {iterations} iterations, "
         f"{pool.tickets} tickets in {pool.flushes} flushes, "
         f"{pool.rows} rows in {pool.levels} replay levels, "
-        f"{pool.fallback} fallback"
+        f"{pool.fallback} fallback, {len(built)} models built"
     )
 PY
 
@@ -244,10 +250,11 @@ PY
 echo "== scale smoke: hop/4096 resident memory, no n x n array =="
 # Cluster state is O(n + m): per-edge topology weights, a running
 # minimum and a transition log in the gap tracker.  hop / svm / 4096
-# workers / 2 iterations peaks at ~135 MB in a fresh interpreter on the
-# reference container; one dense float64 4096 x 4096 array is 128 MB on
-# its own (the run took 390 MB while it held two).  The 200 MB ceiling
-# is the tripwire for a reintroduced n x n allocation.
+# workers / 2 iterations peaks at ~111 MB in a fresh interpreter on a
+# 2-core x86-64 container (~122 MB while it built a model replica per
+# worker); one dense float64 4096 x 4096 array is 128 MB on its own
+# (the run took 390 MB while it held two).  The 200 MB ceiling is the
+# tripwire for a reintroduced n x n allocation.
 python - <<'PY'
 import resource
 

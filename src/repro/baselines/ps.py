@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.core.planes import replayable
 from repro.membership import MembershipRuntime
+from repro.ml.data import Horizon
 from repro.net.network import SharedNic
 from repro.protocols.base import ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
@@ -293,7 +294,6 @@ class ServerSchedule:
 
 def replay(
     schedule: ServerSchedule,
-    models: Sequence[object],
     batchers: Sequence[object],
     pool,
     optimizer,
@@ -306,13 +306,16 @@ def replay(
 
     A *level* first evaluates, as one :meth:`ComputePool.evaluate_rows`
     block, every gradient whose pulled version exists (in gid order, so
-    each worker's batches are drawn in its ``k`` order), then applies
+    each worker draws its ``max_iter`` batches in ``k`` order, through a
+    :class:`~repro.ml.data.Horizon`), then applies
     folds in recorded order with the server's one ``optimizer`` until a
     fold reads a gradient not yet evaluated.  A version is kept only
     while a gradient still to be evaluated reads it.  ``mean`` is BSP:
     a fold steps the mean of its quorum.
     """
     max_iter = schedule.max_iter
+    n_workers = len(batchers)
+    batchers = [Horizon(batcher, max_iter) for batcher in batchers]
     versions = np.frombuffer(schedule.versions, dtype=np.intc)
     folds = np.frombuffer(schedule.folds, dtype=np.intc)
     sizes = np.frombuffer(schedule.sizes, dtype=np.intc)
@@ -345,9 +348,8 @@ def replay(
         edges = [0, *(np.flatnonzero(np.diff(tags)) + 1).tolist(), len(tags)]
         for lo, hi in zip(edges[:-1], edges[1:]):
             x[lo:hi] = held.pop(int(tags[lo]))
-        owners = (gids // max_iter).tolist()
         losses, grads = pool.evaluate_rows(
-            [models[w] for w in owners], x, [batchers[w] for w in owners]
+            (gids // max_iter).tolist(), x, batchers
         )
         loss_at[gids] = losses
         for row in np.flatnonzero(folded[gids]).tolist():
@@ -364,7 +366,7 @@ def replay(
 
     times = schedule.times.tolist()
     losses = loss_at.tolist()
-    for wid in range(len(models)):
+    for wid in range(n_workers):
         span = slice(wid * max_iter, (wid + 1) * max_iter)
         tracer.extend(f"loss/{wid}", zip(times[span], losses[span]))
     return params
@@ -723,20 +725,21 @@ class ParameterServerCluster(ProtocolCluster):
     # ------------------------------------------------------------------
     # ProtocolCluster hooks
     # ------------------------------------------------------------------
+    def _replays(self, model) -> bool:
+        return replayable(self, model)
+
     def _start(self, runtime: ProtocolRuntime) -> None:
         env = runtime.env
         nic = SharedNic(
             env, bandwidth=self.ps_bandwidth, latency=self.ps_latency
         )
         self._nic = nic
-        server = _ServerState(
-            env, runtime.models[0].get_params(), self.n_workers
-        )
+        server = _ServerState(env, runtime.model.get_params(), self.n_workers)
         self._server_state = server
         grads_inbox: list = []
         notify: List[Event] = [Event(env)]
         # The record/eager split: control is one loop either way.
-        if not self._eager and replayable(self, runtime.models):
+        if runtime.replays:
             self.schedule = self._plane = ServerSchedule(
                 self.n_workers, self.max_iter
             )
@@ -772,7 +775,7 @@ class ParameterServerCluster(ProtocolCluster):
                     runtime,
                     server,
                     nic,
-                    runtime.models[wid],
+                    None if runtime.replays else runtime.models[wid],
                     self._batchers[wid],
                     grads_inbox,
                     notify,
@@ -789,7 +792,6 @@ class ParameterServerCluster(ProtocolCluster):
             server = self._server_state
             server.params = replay(
                 self.schedule,
-                runtime.models,
                 self._batchers,
                 runtime.compute,
                 self.optimizer_proto,

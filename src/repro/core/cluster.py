@@ -42,13 +42,15 @@ class HopCluster(ProtocolCluster):
     Args:
         topology: Communication graph (validated on construction).
         config: Hop protocol configuration.
-        model_factory: ``f(rng) -> Model``; called once per worker with
-            identically seeded streams so all replicas start from the
-            same parameters (the paper's shared ``p0``).
+        model_factory: ``f(rng) -> Model``; called with identically
+            seeded streams so all replicas start from the same
+            parameters (the paper's shared ``p0``): once per worker on
+            the eager plane, twice on a replaying run (see
+            :class:`~repro.protocols.base.ProtocolCluster`).
         dataset: Train/test data; every worker samples the full training
             split with its own RNG stream.
-        optimizer: SGD prototype; cloned per worker (worker-local
-            momentum).
+        optimizer: SGD prototype; cloned per worker on the eager plane
+            (worker-local momentum).
         batch_size: Minibatch size per worker per iteration.
         compute_model: Per-iteration compute-time oracle (heterogeneity
             lives here).
@@ -237,6 +239,9 @@ class HopCluster(ProtocolCluster):
     # ------------------------------------------------------------------
     # ProtocolCluster hooks
     # ------------------------------------------------------------------
+    def _replays(self, model) -> bool:
+        return replayable(self, model, self.worker_config)
+
     def _start(self, runtime: ProtocolRuntime) -> None:
         env = runtime.env
         n = self.topology.n
@@ -287,10 +292,9 @@ class HopCluster(ProtocolCluster):
             )
             self._membership = membership
             self._network.membership = membership
+        replays = runtime.replays
         self.schedule = schedule = (
-            Schedule(tagged=config.mode == "staleness")
-            if not self._eager and replayable(self, runtime.models, config)
-            else None
+            Schedule(tagged=config.mode == "staleness") if replays else None
         )
         workers: List[HopWorker] = []
         for wid in range(n):
@@ -304,8 +308,9 @@ class HopCluster(ProtocolCluster):
                 env=env,
                 topology=live_topology,
                 config=config,
-                model=runtime.models[wid],
-                optimizer=self.optimizer_proto.clone(),
+                # A replaying worker is a row of the replay's block.
+                model=None if replays else runtime.models[wid],
+                optimizer=None if replays else self.optimizer_proto.clone(),
                 batcher=self._make_batcher(wid),
                 compute=runtime.compute,
                 compute_model=self.compute_model,
@@ -403,6 +408,7 @@ class HopCluster(ProtocolCluster):
                 runtime.compute,
                 self.optimizer_proto,
                 self.worker_config,
+                runtime.model.get_params(),
             )
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:

@@ -35,6 +35,7 @@ from repro.core.reducers import (
     staleness_weights,
     weighted_reduce_rows,
 )
+from repro.ml.data import Horizon
 from repro.ml.optim import SGD
 from repro.sim.trace import StatAccumulator
 
@@ -211,7 +212,7 @@ class Schedule:
         return plane
 
 
-def replayable(cluster, models: Sequence[object], config=None) -> bool:
+def replayable(cluster, model, config=None) -> bool:
     """Whether a run records its schedule and replays the math: the one
     eligibility predicate of hop, NOTIFY-ACK and the parameter server.
 
@@ -219,9 +220,11 @@ def replayable(cluster, models: Sequence[object], config=None) -> bool:
     or join moves state mid-run: hop's re-sync copies a peer's
     ``current_params``, the PS's sharded failover scrubs inbox
     entries); no compression (error feedback is stateful per worker and
-    stream); plain :class:`SGD`; and every model offers a stacked
+    stream); plain :class:`SGD`; and the run's model offers a stacked
     kernel (a per-ticket model such as the CNN may share state between
-    replicas, so it keeps the eager submission order).  A run of
+    replicas, so it keeps the eager submission order).  It is decided
+    from the run's first model, before any replica exists: a replaying
+    run builds no replicas at all.  A run of
     :class:`~repro.core.worker.HopWorker` loops passes ``config``, the
     one the workers run (NOTIFY-ACK's ignores the spec's), and also
     needs no crash events (re-sync copies a peer's ``current_params``)
@@ -232,7 +235,7 @@ def replayable(cluster, models: Sequence[object], config=None) -> bool:
         cluster.churn is None
         and cluster.compression is None
         and type(cluster.optimizer_proto) is SGD
-        and all(model.stacked_kernel is not None for model in models)
+        and model.stacked_kernel is not None
         and (
             config is None
             or (not cluster.crash_events and config.skip is None)
@@ -246,8 +249,10 @@ def replay(
     pool,
     optimizer: SGD,
     config,
+    initial: np.ndarray,
 ) -> None:
-    """Evaluate a recorded run's arithmetic into its workers.
+    """Evaluate a recorded run's arithmetic into its workers, which all
+    start from ``initial``.
 
     A *level* is a set of worker-iterations whose inputs all exist:
     level 0 computes every worker's iteration-0 gradient, and each later
@@ -256,14 +261,15 @@ def replay(
     and backup reduce only their own iteration's updates, so level
     ``k + 1`` is every worker at iteration ``k``; staleness may read a
     neighbour's newer update, and its levels follow the recorded
-    ``ready`` column.  Fills ``final_params``, ``current_params``,
-    ``losses`` and the ``loss/<wid>`` series of every worker.
+    ``ready`` column.  Each worker draws its ``max_iter`` batches in
+    ``k`` order, through a :class:`~repro.ml.data.Horizon`.  Fills
+    ``final_params``, ``current_params``, ``losses`` and the
+    ``loss/<wid>`` series of every worker.
     """
     planes = schedule.planes
     n = len(workers)
     max_iter = workers[0].max_iter
-    models = [worker.model for worker in workers]
-    batchers = [worker.batcher for worker in workers]
+    batchers = [Horizon(worker.batcher, max_iter) for worker in workers]
     parallel = config.computation_graph == "parallel"
     weighted = config.mode == "staleness" and config.stale_reduce == "weighted"
     window = config.staleness if config.mode == "staleness" else 0
@@ -285,7 +291,7 @@ def replay(
         tags = None
         ready = np.broadcast_to(np.arange(max_iter + 1), (n, max_iter + 1))
 
-    x = np.stack([model.get_params() for model in models])
+    x = np.tile(initial, (n, 1))
     dim = x.shape[1]
     velocity = np.zeros_like(x) if optimizer.momentum > 0.0 else None
     # Parallel graph: each worker's delta waits for its reduce.
@@ -298,10 +304,7 @@ def replay(
 
     def compute(rows: np.ndarray, ks: np.ndarray) -> None:
         params = x[rows]
-        wids = rows.tolist()
-        losses, grads = pool.evaluate_rows(
-            [models[i] for i in wids], params, [batchers[i] for i in wids]
-        )
+        losses, grads = pool.evaluate_rows(rows.tolist(), params, batchers)
         if velocity is None:
             delta = optimizer.step_rows(params, grads, ks)
         else:

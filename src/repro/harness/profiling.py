@@ -5,8 +5,10 @@ Three entry points back ``repro profile``:
 * :func:`profile_spec` — run one :class:`~repro.harness.spec
   .ExperimentSpec` under :mod:`cProfile` and return the stats report
   plus throughput counters (iterations/sec, messages/sec of real time),
-  the exact heap-entry count per worker-iteration and the compute
-  pool's four counters (tickets, flushes, stacked, fallback).
+  the exact heap-entry count per worker-iteration, the compute pool's
+  six counters (tickets, flushes, stacked, fallback; the replay's
+  levels and rows) and the garbage collector's passes during the run
+  (:class:`GcWork`).
 * :func:`sim_core_events_per_sec` — a pure discrete-event-engine
   microbenchmark (no ML, no protocols): many processes churning
   timeouts through one :class:`~repro.sim.engine.Environment`.  Its
@@ -22,15 +24,42 @@ Three entry points back ``repro profile``:
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import pstats
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 from repro.harness.spec import ExperimentSpec
 from repro.protocols.registry import build_cluster
 from repro.sim.engine import Environment
+
+
+@dataclass(eq=False)  # gc.callbacks.remove() must find this instance
+class GcWork:
+    """The garbage collector's passes while installed in
+    ``gc.callbacks``: collections and seconds, per generation."""
+
+    collections: List[int] = field(default_factory=lambda: [0, 0, 0])
+    seconds: List[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    _started: float = field(default=0.0, repr=False)
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.seconds[generation] += time.perf_counter() - self._started
+
+    def render(self) -> str:
+        return ", ".join(
+            f"gen{generation} {count} ({1e3 * seconds:.1f} ms)"
+            for generation, (count, seconds) in enumerate(
+                zip(self.collections, self.seconds)
+            )
+        )
 
 
 @dataclass
@@ -46,6 +75,8 @@ class ProfileReport:
     stats_text: str
     #: The run's :class:`~repro.ml.compute.ComputePool` (exact counts).
     compute: object
+    #: Garbage-collector passes during the profiled run.
+    gc: GcWork
 
     @property
     def iterations_per_second(self) -> float:
@@ -71,6 +102,7 @@ class ProfileReport:
             f"({self.messages_per_second:,.0f}/s real)",
             f"events scheduled : {self.events} "
             f"({self.events_per_iteration:.2f} per worker-iteration)",
+            f"gc collections   : {self.gc.render()}",
         ]
         lines.extend(["", self.stats_text])
         return "\n".join(lines)
@@ -110,10 +142,15 @@ def profile_spec(
     if warmup:
         execute()
     profiler = cProfile.Profile()
+    gc_work = GcWork()
+    gc.callbacks.append(gc_work)
     start = time.perf_counter()
     profiler.enable()
-    run, compute = execute()
-    profiler.disable()
+    try:
+        run, compute = execute()
+    finally:
+        profiler.disable()
+        gc.callbacks.remove(gc_work)
     elapsed = time.perf_counter() - start
 
     stream = io.StringIO()
@@ -127,6 +164,7 @@ def profile_spec(
         sim_wall_time=run.wall_time,
         stats_text=stream.getvalue(),
         compute=compute,
+        gc=gc_work,
     )
 
 

@@ -97,14 +97,24 @@ class ComputePool:
       from whichever ``result()`` triggered the evaluation; tickets not
       yet evaluated stay pending.
 
-    The four counters are exact and host-independent; they are
+    A replaying run has one model and no replicas: its rows are worker
+    ids (:meth:`evaluate_rows`), evaluated under ``model``'s kernel.
+
+    The six counters are exact and host-independent; they are
     observability only and never enter a ``TrainingRun``.
     """
 
-    def __init__(self, models: Sequence[object] = ()) -> None:
-        #: Models by worker id: only read to name a worker in an error.
+    def __init__(
+        self, models: Sequence[object] = (), model: object = None
+    ) -> None:
+        #: Model replicas by worker id (none when the run replays):
+        #: only read to find a ticket's worker.
         self._models = models
+        #: The run's model: its kernel evaluates replay rows, and its
+        #: size and dtype shape a stub's zero gradient.
+        self.model = model if model is not None else models[0]
         self._pending: List[Ticket] = []
+        #: Stub outcomes by worker id (:meth:`stub`).
         self._stubs: Dict[int, Ticket] = {}
         #: Tickets submitted (stub tickets included).
         self.tickets = 0
@@ -129,7 +139,7 @@ class ComputePool:
         ``batcher``'s next batch (drawn now)."""
         self.tickets += 1
         if self._stubs:
-            stub = self._stubs.get(id(model))
+            stub = self._stubs.get(self._wid(model))
             if stub is not None:
                 return stub
         if model._ticket is not None:
@@ -143,10 +153,10 @@ class ComputePool:
         self._pending.append(ticket)
         return ticket
 
-    def stub(self, model) -> None:
-        """Resolve every later ticket for ``model`` to a zero loss and a
-        zero gradient of the model's size and dtype, with no arithmetic
-        and no batch draw.
+    def stub(self, wid: int) -> None:
+        """Resolve every later ticket and replay row of worker ``wid`` to
+        a zero loss and a zero gradient of the model's size and dtype,
+        with no arithmetic and no batch draw.
 
         Control flow is value-independent — queue waits, token flow, gap
         tracking, suppression checks and message pricing never read a
@@ -154,12 +164,12 @@ class ComputePool:
         counter of the real one (``tests/core/test_value_independence.py``
         holds that bit for bit).
         """
-        params = model.get_params()
+        params = self.model.get_params()
         zero = np.zeros(params.size, dtype=params.dtype)
         zero.flags.writeable = False
-        ticket = Ticket(self, model, None, None, None)
+        ticket = Ticket(self, None, None, None, None)
         ticket._outcome = (0.0, zero)
-        self._stubs[id(model)] = ticket
+        self._stubs[wid] = ticket
 
     def flush(self) -> None:
         """Evaluate every pending ticket, in submission order."""
@@ -244,41 +254,42 @@ class ComputePool:
                 ticket._outcome = (value, model._grad_view)
 
     def evaluate_rows(
-        self, models: Sequence[object], params: np.ndarray, batchers
+        self, wids: Sequence[int], params: np.ndarray, batchers
     ) -> Tuple[List[float], np.ndarray]:
-        """One replay level: row ``r`` is ``models[r]``'s loss and
-        gradient at ``params[r]`` on ``batchers[r]``'s next batch, drawn
-        here.
+        """One replay level: row ``r`` is worker ``wids[r]``'s loss and
+        gradient at ``params[r]`` on ``batchers[wids[r]]``'s next batch,
+        drawn here.
 
-        The models' own kernel evaluates the block, in the chunks a
-        flush uses, so every row is bit for bit what a ticket submitted
-        at those parameters returns.  A stubbed model's row is a zero
-        loss and a zero gradient with no draw (:meth:`stub`); rows the
-        kernel declines go through ``loss_and_grad`` on the row's model,
+        :attr:`model`'s kernel evaluates the block, in the chunks a flush
+        uses, so every row is bit for bit what a ticket submitted at
+        those parameters returns.  A stubbed worker's row is a zero loss
+        and a zero gradient with no draw (:meth:`stub`); rows the kernel
+        declines go through ``loss_and_grad`` at the row's parameters,
         which raises the error of record as a :class:`ComputeError`
         naming the worker.  Returns the losses and a fresh
         ``params``-shaped gradient block.
         """
         self.levels += 1
-        self.rows += len(models)
-        losses = [0.0] * len(models)
+        self.rows += len(wids)
+        losses = [0.0] * len(wids)
         grads = np.zeros(params.shape, dtype=params.dtype)
         stubs = self._stubs
         if stubs:
-            live = [r for r, m in enumerate(models) if id(m) not in stubs]
+            live = [r for r, w in enumerate(wids) if w not in stubs]
         else:
-            live = list(range(len(models)))
+            live = list(range(len(wids)))
         if not live:
             return losses, grads
-        kernel = models[live[0]].stacked_kernel
-        x, y = batchers[live[0]].x, batchers[live[0]].y
-        step = _chunk_rows(x, batchers[live[0]].batch_size)
+        kernel = self.model.stacked_kernel
+        first = batchers[wids[live[0]]]
+        x, y = first.x, first.y
+        step = _chunk_rows(x, first.batch_size)
         for lo in range(0, len(live), step):
             chunk = live[lo : lo + step]
             idx = np.concatenate(
-                [batchers[r].next_indices() for r in chunk]
+                [batchers[wids[r]].next_indices() for r in chunk]
             ).reshape(len(chunk), -1)
-            if len(live) == len(models):
+            if len(live) == len(wids):
                 # No stubs: the chunk is a slice, its parameters a view.
                 chunk = slice(chunk[0], chunk[-1] + 1)
             evaluated = kernel(params[chunk], x, y, idx)
@@ -286,7 +297,7 @@ class ComputePool:
             if evaluated is None:
                 for r, row in zip(rows, idx):
                     losses[r] = self._evaluate_row(
-                        models[r], params[r], x[row], y[row], grads[r]
+                        wids[r], params[r], x[row], y[row], grads[r]
                     )
                 continue
             loss_values, grads[chunk] = evaluated
@@ -294,25 +305,30 @@ class ComputePool:
                 losses[r] = value
         return losses, grads
 
-    def _evaluate_row(self, model, params, x, y, out) -> float:
-        """``loss_and_grad`` of ``model`` at ``params``; the gradient
+    def _evaluate_row(self, wid: int, params, x, y, out) -> float:
+        """``loss_and_grad`` of :attr:`model` at ``params``; the gradient
         lands in ``out``."""
+        model = self.model
         try:
             model.set_params(params)
             value, grad = model.loss_and_grad(x, y)
         except Exception as error:
             raise ComputeError(
-                f"{self._name(model)}: {type(error).__name__}: {error}"
+                f"worker {wid}: {type(error).__name__}: {error}"
             ) from error
         np.copyto(out, grad)
         self.fallback += 1
         return value
 
-    def _name(self, model) -> str:
+    def _wid(self, model) -> Optional[int]:
         for wid, candidate in enumerate(self._models):
             if candidate is model:
-                return f"worker {wid}"
-        return repr(model)
+                return wid
+        return None
+
+    def _name(self, model) -> str:
+        wid = self._wid(model)
+        return repr(model) if wid is None else f"worker {wid}"
 
     def __repr__(self) -> str:
         return (

@@ -155,25 +155,43 @@ class Batcher:
         # depend on the block sizes — this only amortizes the call.
         self._block: Optional[np.ndarray] = None
         self._cursor = 0
+        #: ``integers()`` calls made on the stream so far.
+        self.draws = 0
 
     _PREFETCH = 32
 
+    def _draw(self, rows: int) -> np.ndarray:
+        self.draws += 1
+        return self._rng.integers(0, len(self.x), size=(rows, self.batch_size))
+
     def next_indices(self) -> np.ndarray:
         """Row indices of the next batch, uniform with replacement (the
-        paper's SGD model): the one place this stream is drawn from.
+        paper's SGD model).
 
         The row is a view of the prefetched block; it is never written.
         """
         block = self._block
         if block is None or self._cursor >= len(block):
             rows = 1 if block is None else min(self._PREFETCH, 2 * len(block))
-            block = self._block = self._rng.integers(
-                0, len(self.x), size=(rows, self.batch_size)
-            )
+            block = self._block = self._draw(rows)
             self._cursor = 0
         idx = block[self._cursor]
         self._cursor += 1
         return idx
+
+    def take(self, k: int) -> np.ndarray:
+        """The next ``k`` batches' row indices as a ``(k, batch)`` block:
+        exactly the rows ``k`` :meth:`next_indices` calls return.  Rows
+        left in the prefetched block come first; the rest is one
+        ``integers()`` call.  Never written, like a row."""
+        block, cursor = self._block, self._cursor
+        if block is None or cursor >= len(block):
+            return self._draw(k)
+        held = block[cursor : cursor + k]
+        self._cursor = cursor + len(held)
+        if len(held) == k:
+            return held
+        return np.concatenate([held, self._draw(k - len(held))])
 
     def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
         """The next batch's rows, gathered: ``(x[idx], y[idx])``."""
@@ -182,6 +200,40 @@ class Batcher:
 
     def __repr__(self) -> str:
         return f"<Batcher n={len(self.x)} batch={self.batch_size}>"
+
+
+class Horizon:
+    """A worker's next ``left`` batches on ``batcher``, for a caller that
+    knows how many it will draw (a replay: ``max_iter`` per worker).
+
+    :meth:`next_indices` returns the batcher's rows in order, drawn
+    through :meth:`Batcher.take` in blocks of at most ``_PREFETCH`` of
+    the horizon: one ``integers()`` call per block, where an
+    open-ended batcher refills 1, 2, 4, ... rows.  Past the horizon it
+    draws a row at a time.
+    """
+
+    __slots__ = ("batcher", "x", "y", "batch_size", "left", "_block", "_cursor")
+
+    def __init__(self, batcher: Batcher, left: int) -> None:
+        self.batcher = batcher
+        self.x = batcher.x
+        self.y = batcher.y
+        self.batch_size = batcher.batch_size
+        self.left = left
+        self._block: Optional[np.ndarray] = None
+        self._cursor = 0
+
+    def next_indices(self) -> np.ndarray:
+        block = self._block
+        if block is None or self._cursor >= len(block):
+            rows = max(1, min(Batcher._PREFETCH, self.left))
+            block = self._block = self.batcher.take(rows)
+            self.left -= rows
+            self._cursor = 0
+        idx = block[self._cursor]
+        self._cursor += 1
+        return idx
 
 
 def shard_dataset(

@@ -6,6 +6,7 @@ parameter server, ring all-reduce, gossip variants, partial
 all-reduce...  All of them share the same simulation skeleton:
 
 1. build one deterministic model replica per worker (identical ``p0``),
+   or, when the run replays its math, one model for all of them,
 2. wire protocol-specific coordination state (queues, locks, NICs),
 3. spawn one simulated process per worker (plus any servers) in a
    :class:`~repro.sim.engine.Environment`,
@@ -219,7 +220,13 @@ class ProtocolRuntime:
     env: Environment
     tracer: Tracer
     gap: GapTracker
+    #: The run's first model: ``models[0]`` on the eager plane, the
+    #: only one when the run replays.
+    model: object
+    #: One replica per worker, empty when the run replays (its workers
+    #: are rows of one block under ``model``'s kernel).
     models: List[object]
+    n_workers: int
     update_size: float
     done: np.ndarray
     #: ``[messages_sent, bytes_sent]`` — plain list so simulated
@@ -231,7 +238,13 @@ class ProtocolRuntime:
         """The run's compute seam: every protocol submits a worker's
         gradient here before its compute timeout and reads the ticket
         after it (:mod:`repro.ml.compute`)."""
-        return ComputePool(self.models)
+        return ComputePool(self.models, self.model)
+
+    @property
+    def replays(self) -> bool:
+        """Whether the run records its schedule and replays the math
+        (:meth:`ProtocolCluster._replays`)."""
+        return not self.models
 
     @cached_property
     def log_loss(self) -> List[Callable[..., None]]:
@@ -248,7 +261,7 @@ class ProtocolRuntime:
         # looked up once per run, not once per iteration.
         return [
             self.tracer.channel(f"{prefix}/{wid}")
-            for wid in range(len(self.models))
+            for wid in range(self.n_workers)
         ]
 
     def count_traffic(self, messages: int, bytes_sent: float) -> None:
@@ -267,13 +280,16 @@ class ProtocolCluster:
 
     Args:
         n_workers: Number of model replicas / simulated workers.
-        model_factory: ``f(rng) -> Model``; called once per worker with
-            identically seeded streams so all replicas start from the
-            same parameters (the paper's shared ``p0``).
+        model_factory: ``f(rng) -> Model``; called with identically
+            seeded streams so all replicas start from the same
+            parameters (the paper's shared ``p0``): once per worker on
+            the eager plane, twice when the run replays (its one model
+            and a witness that the factory is deterministic).
         dataset: Train/test data; every worker samples the full training
             split with its own RNG stream.
-        optimizer: SGD prototype; cloned per worker (worker-local
-            state).
+        optimizer: SGD prototype; cloned per worker on the eager plane
+            (worker-local state); a replaying run steps every row with
+            the prototype itself.
         batch_size: Minibatch size per worker per iteration.
         compute_model: Per-iteration compute-time oracle (heterogeneity
             lives here).
@@ -297,6 +313,8 @@ class ProtocolCluster:
 
     Subclass contract:
 
+    * :meth:`_replays` — whether a run on this model records its
+      schedule and replays the math (default: never).
     * :meth:`_start` — build protocol state and spawn processes; every
       worker must set ``runtime.done[wid] = True`` when it finishes.
       Under a churn plan it builds the run's membership with
@@ -385,23 +403,29 @@ class ProtocolCluster:
     # ------------------------------------------------------------------
     # Construction helpers (shared by every protocol)
     # ------------------------------------------------------------------
-    def _build_models(self) -> List[object]:
-        """One model replica per worker, all starting from the same p0."""
-        models = []
-        for wid in range(self.n_workers):
-            # Same derived stream -> identical initialization (p0).
-            models.append(self.model_factory(self.streams.fresh("model-init")))
-        p0 = models[0].get_params()
+    def _new_model(self):
+        # Same derived stream -> identical initialization (p0).
+        return self.model_factory(self.streams.fresh("model-init"))
+
+    def _build_models(self, first=None) -> List[object]:
+        """One model replica per worker, all starting from the same p0;
+        ``first``, when given, is replica 0."""
+        models = [first if first is not None else self._new_model()]
+        models.extend(self._new_model() for _ in range(1, self.n_workers))
         for model in models[1:]:
-            params = model.get_params()
-            # Bitwise equality is the expected case and the cheap test;
-            # allclose only decides replicas that differ.
-            if not np.array_equal(params, p0) and not np.allclose(params, p0):
-                raise ValueError(
-                    "model_factory must be deterministic given its rng; "
-                    "worker replicas started from different parameters"
-                )
+            self._check_same_start(models[0], model)
         return models
+
+    @staticmethod
+    def _check_same_start(reference, model) -> None:
+        p0, params = reference.get_params(), model.get_params()
+        # Bitwise equality is the expected case and the cheap test;
+        # allclose only decides replicas that differ.
+        if not np.array_equal(params, p0) and not np.allclose(params, p0):
+            raise ValueError(
+                "model_factory must be deterministic given its rng; "
+                "worker replicas started from different parameters"
+            )
 
     def _make_batcher(self, wid: int) -> Batcher:
         """Worker ``wid``'s private minibatch stream."""
@@ -412,10 +436,10 @@ class ProtocolCluster:
             self.streams.stream("data", wid),
         )
 
-    def _resolve_update_size(self, models: List[object]) -> float:
+    def _resolve_update_size(self, model) -> float:
         if self._update_size is not None:
             return self._update_size
-        return params_message_size(models[0].dim)
+        return params_message_size(model.dim)
 
     # ------------------------------------------------------------------
     # Compression plane (shared by every protocol)
@@ -439,7 +463,7 @@ class ProtocolCluster:
         if compressor is None:
             from repro.compression import build_compressor
 
-            reference = runtime.models[0].get_params()
+            reference = runtime.model.get_params()
             compressor = build_compressor(
                 self.compression,
                 dim=reference.size,
@@ -478,6 +502,12 @@ class ProtocolCluster:
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
+    def _replays(self, model) -> bool:
+        """Whether a run on ``model`` records its schedule and replays
+        the math (:func:`~repro.core.planes.replayable`).  Decided before
+        any replica exists: a replaying run builds only ``model``."""
+        return False
+
     def _start(self, runtime: ProtocolRuntime) -> None:
         """Build coordination state and spawn all simulated processes."""
         raise NotImplementedError
@@ -741,13 +771,22 @@ class ProtocolCluster:
         links = getattr(self, "links", None)
         if callable(getattr(links, "bind_clock", None)):
             links.bind_clock(lambda: env.now)
-        models = self._build_models()
+        model = self._new_model()
+        if not self._eager and self._replays(model):
+            # No replica: a witness still rejects a factory that is not
+            # deterministic, as the replicas' comparison would.
+            self._check_same_start(model, self._new_model())
+            models = []
+        else:
+            models = self._build_models(model)
         runtime = ProtocolRuntime(
             env=env,
             tracer=Tracer(channels=self.trace_channels),
             gap=GapTracker(self.n_workers),
+            model=model,
             models=models,
-            update_size=self._resolve_update_size(models),
+            n_workers=self.n_workers,
+            update_size=self._resolve_update_size(model),
             done=np.zeros(self.n_workers, dtype=bool),
         )
         self.runtime = runtime
@@ -762,8 +801,8 @@ class ProtocolCluster:
         final_params = final_stack.mean(axis=0)
         final_loss = final_accuracy = None
         if self.evaluate:
-            models[0].set_params(final_params)
-            final_loss, final_accuracy = models[0].evaluate(
+            model.set_params(final_params)
+            final_loss, final_accuracy = model.evaluate(
                 self.dataset.x_test, self.dataset.y_test
             )
 

@@ -367,7 +367,8 @@ class TestClusterValidation:
         self, dataset, nudge, accepted
     ):
         """Bitwise-equal replicas pass on the cheap test; unequal ones
-        get the ``allclose`` verdict they always got."""
+        get the ``allclose`` verdict they always got.  A replaying run
+        builds no replicas, and its witness gets the same verdict."""
         cluster = make_cluster(dataset, n=4)
         built = []
 
@@ -384,3 +385,13 @@ class TestClusterValidation:
         else:
             with pytest.raises(ValueError, match="must be deterministic"):
                 cluster._build_models()
+
+        built.clear()
+        replaying = make_cluster(dataset, n=4, max_iter=2)
+        replaying.model_factory = factory
+        if accepted:
+            replaying.run()
+            assert replaying.schedule is not None and len(built) == 2
+        else:
+            with pytest.raises(ValueError, match="must be deterministic"):
+                replaying.run()

@@ -13,7 +13,10 @@ config fields), and for each PS mode over the timing-only scenario
 families at 4, 16 and 128 workers.  Then mutation checks that the
 comparison sees one reordered reduce, one reordered BSP quorum and one
 reordered batch draw, which plane each golden hop, NOTIFY-ACK and PS
-cell takes, and what an eligible worker does not allocate.
+cell takes, and what an eligible worker does not allocate: a replaying
+run builds one model (and a witness) where an eager one builds a
+replica per worker, and draws each worker's batches in blocks of its
+known horizon.
 """
 
 import json
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 from repro.baselines.ps import ServerSchedule
 from repro.core.config import HopConfig
 from repro.core.planes import RecordPlane
-from repro.graphs import chain, hierarchical, ring_based, torus
+from repro.graphs import bipartite_ring, chain, hierarchical, ring_based, torus
 from repro.harness.golden import (
     CHURN_CELLS,
     COMPRESSION_CELLS,
@@ -42,7 +45,7 @@ from repro.harness.golden import (
 )
 from repro.harness.io import run_to_dict
 from repro.protocols.base import LIGHT_TRACE
-from repro.protocols.registry import build_cluster
+from repro.protocols.registry import build_cluster, registered_protocols
 from repro.scenarios import registered_scenarios
 from repro.sim.engine import Environment
 
@@ -223,12 +226,12 @@ def draws_in_level_order(cluster):
     pool = cluster.runtime.compute
     evaluate_rows = pool.evaluate_rows
 
-    def once_per_level(models, params, batchers):
-        present = {id(batcher) for batcher in batchers}
-        for batcher in cluster._batchers:
-            if id(batcher) not in present:
+    def once_per_level(wids, params, batchers):
+        present = set(wids)
+        for wid, batcher in enumerate(batchers):
+            if wid not in present:
                 batcher.next_indices()
-        return evaluate_rows(models, params, batchers)
+        return evaluate_rows(wids, params, batchers)
 
     pool.evaluate_rows = once_per_level
 
@@ -363,8 +366,8 @@ def test_an_eligible_worker_allocates_no_parameter_scratch(monkeypatch):
                 worker.final_params,
                 worker.current_params,
                 worker.losses,
-                worker.optimizer._velocity,
-                worker.optimizer._scratch,
+                worker.model,
+                worker.optimizer,
             )
             for worker in cluster._workers
         ]
@@ -377,7 +380,8 @@ def test_an_eligible_worker_allocates_no_parameter_scratch(monkeypatch):
     finally:
         tracemalloc.stop()
     assert cluster.schedule is not None
-    # While it simulated, no worker held a parameter-sized array ...
+    # While it simulated, no worker held a parameter-sized array, a
+    # model or an optimizer ...
     assert all(
         state == (None, None, None, None, None) for state in seen["workers"]
     )
@@ -385,7 +389,92 @@ def test_an_eligible_worker_allocates_no_parameter_scratch(monkeypatch):
     assert seen["bytes"] / n <= EAGER_BYTES_PER_WORKER
     # After the replay every worker has its values.
     assert all(
-        worker.final_params.shape == (cluster.runtime.models[0].dim,)
+        worker.final_params.shape == (cluster.runtime.model.dim,)
         for worker in cluster._workers
     )
     assert np.isfinite(cluster._final_param_stack(cluster.runtime)).all()
+
+
+def factory_calls(spec, eager=False):
+    """``model_factory`` calls of one run of ``spec``, and its cluster."""
+    cluster = build_cluster(spec)
+    cluster._eager = eager
+    factory = cluster.model_factory
+    calls = []
+
+    def counting(rng):
+        calls.append(rng)
+        return factory(rng)
+
+    cluster.model_factory = counting
+    cluster.run()
+    return len(calls), cluster
+
+
+def sized(protocol, n, max_iter=3):
+    topology = (bipartite_ring if protocol == "adpsgd" else ring_based)(n)
+    return conformance_spec(protocol, "none").with_(
+        topology=topology, max_iter=max_iter, trace_channels=LIGHT_TRACE
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, eager, calls",
+    [
+        # A replaying run: its one model and the determinism witness.
+        (sized("hop", 64), False, 2),
+        (sized("notify_ack", 16), False, 2),
+        (sized("ps-async", 128), False, 2),
+        # An eager run: one replica per worker.
+        (sized("adpsgd", 16), False, 16),
+        (sized("allreduce", 8), False, 8),
+        (cnn_conformance_spec("hop"), False, 4),
+        (sized("hop", 64), True, 64),
+    ],
+    ids=[
+        "hop-64",
+        "notify_ack-16",
+        "ps-async-128",
+        "adpsgd-16",
+        "allreduce-8",
+        "hop-cnn-4",
+        "hop-64-eager",
+    ],
+)
+def test_model_factory_calls(spec, eager, calls):
+    made, cluster = factory_calls(spec, eager=eager)
+    assert made == calls
+    replays = calls == 2
+    assert (cluster.schedule is not None) == replays
+    assert len(cluster.runtime.models) == (0 if replays else calls)
+
+
+@pytest.mark.parametrize("protocol", registered_protocols())
+def test_a_nondeterministic_factory_raises_on_every_protocol(protocol):
+    cluster = build_cluster(conformance_spec(protocol, "none"))
+    factory = cluster.model_factory
+    built = []
+
+    def drifting(rng):
+        model = factory(rng)
+        if built:  # every model after the first starts elsewhere
+            model.set_params(model.get_params() + 1e-3)
+        built.append(model)
+        return model
+
+    cluster.model_factory = drifting
+    with pytest.raises(ValueError, match="must be deterministic"):
+        cluster.run()
+
+
+def test_a_replaying_worker_draws_its_horizon_in_prefetch_blocks():
+    """hop/64 x 40: each worker's 40 batches are two ``integers()``
+    calls, 32 rows and 8, where an open-ended batcher makes six (1, 2,
+    4, 8, 16 and 32 rows); the batches are the eager run's."""
+    spec = sized("hop", 64, max_iter=40)
+    cluster, run = run_on(spec, eager=False)
+    assert cluster.schedule is not None
+    assert [w.batcher.draws for w in cluster._workers] == [2] * 64
+    eager_cluster, eager_run = run_on(spec, eager=True)
+    assert [w.batcher.draws for w in eager_cluster._workers] == [6] * 64
+    assert run_fingerprint(run) == run_fingerprint(eager_run)

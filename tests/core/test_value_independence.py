@@ -88,8 +88,8 @@ def run_cell(spec, stub=False, couple=False):
     def start_then_patch(runtime):
         start(runtime)
         if stub:
-            for model in runtime.models:
-                runtime.compute.stub(model)
+            for wid in range(runtime.n_workers):
+                runtime.compute.stub(wid)
         if couple:
             for worker in cluster._workers:
                 worker.compute_model = LossCoupledDurations(
@@ -179,14 +179,14 @@ def test_a_stubbed_worker_replays_a_zero_gradient_with_no_draw():
 
     def start_then_stub(runtime):
         start(runtime)
-        runtime.compute.stub(runtime.models[1])
+        runtime.compute.stub(1)
 
     cluster._start = start_then_stub
     run = cluster.run()
     assert cluster.schedule is not None
     stubbed, real = cluster._workers[1], cluster._workers[0]
-    assert stubbed.batcher._block is None  # never drew a batch
-    assert real.batcher._block is not None
+    assert stubbed.batcher.draws == 0  # never drew a batch
+    assert real.batcher.draws > 0
     assert stubbed.losses.count == spec.max_iter and stubbed.losses.max == 0.0
     assert {loss for _, loss in run.tracer.raw("loss/1")} == {0.0}
     assert real.losses.max > 0.0
@@ -206,14 +206,14 @@ def test_a_stubbed_ps_worker_replays_a_zero_gradient_with_no_draw(protocol):
 
     def start_then_stub(runtime):
         start(runtime)
-        runtime.compute.stub(runtime.models[1])
+        runtime.compute.stub(1)
 
     cluster._start = start_then_stub
     run = cluster.run()
     assert cluster.schedule is not None
     stubbed, real = cluster._batchers[1], cluster._batchers[0]
-    assert stubbed._block is None  # never drew a batch
-    assert real._block is not None
+    assert stubbed.draws == 0  # never drew a batch
+    assert real.draws > 0
     assert [loss for _, loss in run.tracer.raw("loss/1")] == [0.0] * (
         spec.max_iter
     )

@@ -89,7 +89,7 @@ def stacked_through_rows(models, x, y, idx):
     pool = ComputePool(models)
     params = np.stack([m.get_params() for m in models])
     batchers = [FixedBatcher(x, y, row) for row in idx]
-    losses, grads = pool.evaluate_rows(models, params, batchers)
+    losses, grads = pool.evaluate_rows(range(len(models)), params, batchers)
     assert (pool.levels, pool.rows, pool.tickets) == (1, len(models), 0)
     return [(loss, grad.tobytes()) for loss, grad in zip(losses, grads)]
 
@@ -254,14 +254,14 @@ def test_a_replay_block_the_kernel_declines_takes_loss_and_grad_per_row():
     pool = ComputePool(models)
     params = np.stack([m.get_params_copy() for m in models])
     losses, grads = pool.evaluate_rows(
-        models, params, [FixedBatcher(x, y, row) for row in idx]
+        [0, 1], params, [FixedBatcher(x, y, row) for row in idx]
     )
     assert [(l, g.tobytes()) for l, g in zip(losses, grads)] == expected
     assert (pool.levels, pool.rows, pool.fallback) == (1, 2, 2)
     y[25] = 2
     with pytest.raises(ComputeError, match=r"^worker 1: ValueError: "):
         pool.evaluate_rows(
-            models, params, [FixedBatcher(x, y, row) for row in idx]
+            [0, 1], params, [FixedBatcher(x, y, row) for row in idx]
         )
 
 
@@ -292,6 +292,33 @@ def test_next_batch_is_next_indices_gathered():
     assert (
         batches._rng.bit_generator.state == indices._rng.bit_generator.state
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.booleans(), st.integers(1, 70)), max_size=10),
+    st.integers(0, 2**32 - 1),
+)
+def test_take_is_k_next_indices(steps, seed):
+    """``take(k)`` returns the rows of ``k`` ``next_indices()`` calls,
+    leftover rows of a prefetched block first, in one ``integers()``
+    call at most, under any interleaving with ``next_indices``; the
+    stream goes on as if it had drawn row by row."""
+    rng = np.random.default_rng(0)
+    x, y = make_data(rng, 50, 3, signed=False)
+    taker = Batcher(x, y, 7, np.random.default_rng(seed))
+    rows = Batcher(x, y, 7, np.random.default_rng(seed))
+    for take, k in steps:
+        expected = np.stack([rows.next_indices() for _ in range(k)])
+        if take:
+            draws = taker.draws
+            block = taker.take(k)
+            assert taker.draws - draws <= 1
+        else:
+            block = np.stack([taker.next_indices() for _ in range(k)])
+        assert block.shape == (k, 7) and np.array_equal(block, expected)
+    for _ in range(2 * Batcher._PREFETCH + 1):
+        assert np.array_equal(taker.next_indices(), rows.next_indices())
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +432,7 @@ def test_stacked_kernel_runs_clean_under_the_sanitizer(monkeypatch):
 
 def test_a_stub_ticket_is_a_zero_gradient_with_no_draw_and_no_arithmetic(world):
     pool, models, batchers, _ = world
-    pool.stub(models[3])
+    pool.stub(3)
     state = batchers[3]._rng.bit_generator.state
     for _ in range(3):
         loss, grad = pool.submit(models[3], batchers[3]).result()
@@ -413,7 +440,7 @@ def test_a_stub_ticket_is_a_zero_gradient_with_no_draw_and_no_arithmetic(world):
         assert grad.shape == (models[3].dim,)
         assert grad.dtype == models[3].get_params().dtype
     assert batchers[3]._rng.bit_generator.state == state
-    assert batchers[3]._block is None and models[3]._ticket is None
+    assert batchers[3].draws == 0 and models[3]._ticket is None
     pool.submit(models[0], batchers[0]).result()  # the others are real
     assert (pool.tickets, pool.flushes, pool.stacked, pool.fallback) == (
         4, 1, 1, 0

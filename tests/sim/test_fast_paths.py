@@ -269,6 +269,26 @@ class TestProfileSpec:
         rendered = report.render()
         assert "simulated time" in rendered and "tottime" in rendered
         assert "events scheduled : 68 (5.67 per worker-iteration)" in rendered
+        assert f"gc collections   : {report.gc.render()}" in rendered
+        assert len(report.gc.collections) == len(report.gc.seconds) == 3
+
+    def test_gc_work_counts_each_generation_and_its_time(self):
+        import gc
+
+        from repro.harness.profiling import GcWork
+
+        work = GcWork()
+        gc.callbacks.append(work)
+        try:
+            gc.collect(1)
+            gc.collect(2)
+            gc.collect(2)
+        finally:
+            gc.callbacks.remove(work)
+        assert work.collections[1:] == [1, 2]
+        assert all(seconds >= 0.0 for seconds in work.seconds)
+        assert work.seconds[2] > 0.0
+        assert work.render().startswith(f"gen0 {work.collections[0]} (")
 
     def test_model_step_budget_times_every_layer_in_place(self):
         import numpy as np
