@@ -213,7 +213,7 @@ echo "== cnn pin: six paper-preset CNN fingerprints, bit for bit =="
 # CNN step").  The timings it prints from a 3-second run are not a
 # measurement.
 python3 bench/run.py --workload cnn-hetero --seed 0 --seconds 3 \
-    | grep -E " (cell_ms|setup_s) |ops_attempted"
+    | grep -E " (cell_ms|setup_s|peak_rss_mb) |ops_attempted"
 
 echo "== start-up smoke: linear-time start-up, scipy on demand =="
 # Same philosophy as the sim-core floor.  ring_based(2048) builds and
@@ -221,7 +221,9 @@ echo "== start-up smoke: linear-time start-up, scipy on demand =="
 # the weight-support and connectivity checks were Python loops over
 # all n^2 pairs); the 1.0 s ceiling trips on a Python-level O(n^2) in
 # start-up, not on machine noise.  And importing the harness must not
-# load scipy: its two users import it at first use.
+# load scipy: the SVM's logistic loss imports scipy.special at first
+# use.  That a CNN step and a 512-row evaluate load none of it is
+# tests/ml/test_footprint.py's check, run with the suite above.
 python - <<'PY'
 import sys
 import time

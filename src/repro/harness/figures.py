@@ -754,7 +754,7 @@ def _fig24_report(ctx, result, runs):
     # records the process's resident high-water mark after each cell;
     # it runs ascending so that mark belongs to the cell.  Rows are
     # deterministic except elapsed_seconds and ru_maxrss_mb.
-    import resource
+    from repro.harness.profiling import peak_rss_mb
 
     scale_iters = min(max_iter, 3)
     for n in _FIG24_SCALE_SIZES[ctx.preset]:
@@ -771,11 +771,7 @@ def _fig24_report(ctx, result, runs):
                 "iter_rate": run.iteration_rate(),
                 "messages": run.messages_sent,
                 "elapsed_seconds": cost,
-                # Linux reports ru_maxrss in KiB.
-                "ru_maxrss_mb": resource.getrusage(
-                    resource.RUSAGE_SELF
-                ).ru_maxrss
-                / 1024.0,
+                "ru_maxrss_mb": peak_rss_mb(),
             }
         )
         result.check(

@@ -7,8 +7,8 @@ Three entry points back ``repro profile``:
   plus throughput counters (iterations/sec, messages/sec of real time),
   the exact heap-entry count per worker-iteration, the compute pool's
   six counters (tickets, flushes, stacked, fallback; the replay's
-  levels and rows) and the garbage collector's passes during the run
-  (:class:`GcWork`).
+  levels and rows), the garbage collector's passes during the run
+  (:class:`GcWork`) and the process's peak resident set.
 * :func:`sim_core_events_per_sec` — a pure discrete-event-engine
   microbenchmark (no ML, no protocols): many processes churning
   timeouts through one :class:`~repro.sim.engine.Environment`.  Its
@@ -27,6 +27,8 @@ import cProfile
 import gc
 import io
 import pstats
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import List
@@ -77,6 +79,8 @@ class ProfileReport:
     compute: object
     #: Garbage-collector passes during the profiled run.
     gc: GcWork
+    #: The process's peak resident set (``ru_maxrss``) after the run.
+    peak_rss_mb: float
 
     @property
     def iterations_per_second(self) -> float:
@@ -103,6 +107,7 @@ class ProfileReport:
             f"events scheduled : {self.events} "
             f"({self.events_per_iteration:.2f} per worker-iteration)",
             f"gc collections   : {self.gc.render()}",
+            f"peak resident    : {self.peak_rss_mb:.1f} MB (process)",
         ]
         lines.extend(["", self.stats_text])
         return "\n".join(lines)
@@ -165,7 +170,15 @@ def profile_spec(
         stats_text=stream.getvalue(),
         compute=compute,
         gc=gc_work,
+        peak_rss_mb=peak_rss_mb(),
     )
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set in MB: ``ru_maxrss`` is in
+    kilobytes on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 @dataclass

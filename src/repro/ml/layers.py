@@ -19,6 +19,7 @@ without a new ``forward`` raises ``RuntimeError``.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -193,21 +194,30 @@ class Dropout(Layer):
         return f"Dropout({self.rate})"
 
 
+#: Most samples one cached im2col plan covers.  A larger batch (a
+#: 512-row ``evaluate``) is gathered in blocks of this many samples, so
+#: no plan is sized by the test set.  The col2im plan covers a whole
+#: training batch, as only training runs a backward pass.
+_PLAN_SAMPLES = 64
+
+
 @lru_cache(maxsize=256)
 def _conv_plan(
     x_shape: Tuple[int, int, int, int], kh: int, kw: int, stride: int, pad: int
 ) -> Tuple[int, int, np.ndarray]:
-    """Cached im2col/col2im index plan for one (input shape, kernel) pair.
+    """Cached im2col index plan for one (input shape, kernel) pair.
 
     Returns ``(out_h, out_w, plan)`` where ``plan`` holds, for every
     im2col column entry, its flat source index in the *unpadded* input;
     an entry that falls in the zero padding points one past the end
     (``n * c * h * w``), the slot where :meth:`Conv2D.forward` puts a
-    single zero and which :func:`_col2im_operator` leaves out.  Ordered
-    ``(c*kh*kw, n, out_h*out_w)`` to line up with ``W.T @ dout_mat`` in
+    single zero.  Shaped ``(c*kh*kw, n*out_h*out_w)``, columns ordered
+    ``(n, out_h, out_w)`` to line up with ``W.T @ dout_mat`` in
     :meth:`Conv2D.backward` without a transpose.  The plan depends only
     on shapes, so each (layer, input-shape) pair computes it once per
-    process instead of on every forward pass.
+    process instead of on every forward pass.  :meth:`Conv2D.forward`
+    asks for blocks of at most ``_PLAN_SAMPLES`` samples,
+    :func:`_col2im_plan` for the training batch it inverts.
     """
     n, c, h, w = x_shape
     out_h = (h + 2 * pad - kh) // stride + 1
@@ -227,36 +237,75 @@ def _conv_plan(
     plan = within[:, None, :] + offsets[None, :, None]
     padding = (i < 0) | (i >= h) | (j < 0) | (j >= w)
     np.copyto(plan, n * c * h * w, where=padding[:, None, :])
-    # Left writeable, unlike the other cached tables: ndarray.take asks
-    # for a writeable index array and copies one that is not, which
-    # costs more than take saves over fancy indexing.  Nothing outside
-    # this module sees the plan.
-    return out_h, out_w, plan.ravel()
+    # Left writeable, unlike the pool tables: ndarray.take asks for a
+    # writeable index array and copies one that is not, which costs
+    # more than take saves over fancy indexing.  Nothing outside this
+    # module sees the plan.
+    return out_h, out_w, plan.reshape(c * kh * kw, n * out_h * out_w)
 
 
 @lru_cache(maxsize=256)
-def _col2im_operator(
+def _col2im_plan(
     x_shape: Tuple[int, int, int, int], kh: int, kw: int, stride: int, pad: int
-):
-    """Cached sparse col2im scatter matrix.
+) -> np.ndarray:
+    """Cached col2im gather plan: ``(taps, pixels)`` column indices.
 
-    ``op @ dcols.ravel()`` sums every column entry into its input pixel
-    in one CSR matvec that preserves float32.  One row per *unpadded*
-    pixel: an entry that fell in the padding has no row, so the product
-    is ``dx`` itself, contiguous.  Within a row the entries stay in
-    ascending column order, which is the order the sum runs in.
+    Column ``p`` lists, in ascending order, the im2col entries that
+    :func:`_conv_plan` reads from unpadded input pixel ``p``; a pixel
+    with fewer than ``taps`` entries (a border pixel) is filled up with
+    ``n*c*kh*kw*out_h*out_w``, the zero slot behind ``dcols`` in
+    :meth:`Conv2D.backward`.  ``pixels`` is ``n*c*h*w`` rounded up to
+    whole 64-element spans of zero-slot columns, so that no pixel falls
+    in the scalar tail of numpy's add loop.  That matters only for
+    which NaN a sum keeps: with numpy 2.4's x86-64 AVX2 and AVX-512
+    loops the vector body keeps the running sum's NaN, as the CSR
+    matvec this replaced does, and the scalar tail keeps the other
+    operand's.  Its SSE4.2 baseline loops keep a different one, and
+    other builds and CPUs may too; no finite or infinite result
+    depends on it.  Writeable for the reason the im2col plan is.
     """
-    # Imported on a cache miss only, so a process that never
-    # backpropagates through a conv never loads scipy.sparse.
-    from scipy import sparse
-
     _, _, plan = _conv_plan(x_shape, kh, kw, stride, pad)
-    m = int(np.prod(x_shape))
-    columns = np.flatnonzero(plan != m)
-    return sparse.csr_matrix(
-        (np.ones(columns.size, dtype=np.float32), (plan[columns], columns)),
-        shape=(m, plan.size),
-    )
+    plan = plan.ravel()
+    m = math.prod(x_shape)
+    # Stable: each pixel's entries stay in ascending column order.
+    columns = np.argsort(plan, kind="stable")[: np.count_nonzero(plan != m)]
+    pixels = plan[columns]
+    counts = np.bincount(pixels, minlength=m)
+    first = np.cumsum(counts) - counts
+    tap = np.arange(columns.size) - np.repeat(first, counts)
+    width = -(-m // 64) * 64
+    taps = int(counts.max(initial=0))
+    gather = np.full((taps, width), plan.size, dtype=np.intp)
+    gather[tap, pixels] = columns
+    return gather
+
+
+def _col2im(
+    flat: np.ndarray, x_shape: Tuple[int, int, int, int], k: int,
+    stride: int, pad: int,
+) -> np.ndarray:
+    """Sum every column entry of ``flat`` (``dcols`` then one zero) into
+    its input pixel: one gather through the cached plan, then one
+    reduction over the taps from +0.0.
+
+    numpy adds along a slow axis row by row (pairwise summation is for
+    the fast axis only), so each pixel's taps are added in ascending
+    column order: the order of a CSR matvec with one row per pixel.  A
+    sum that starts at +0.0 is never -0.0, so the zero slot a border
+    pixel adds changes no bit.
+    """
+    gather = _col2im_plan(x_shape, k, k, stride, pad)
+    taps = flat.take(gather, mode="clip")
+    dx = np.add.reduce(taps, axis=0, initial=0)
+    return dx[: math.prod(x_shape)].reshape(x_shape)
+
+
+def _with_zero_slot(values: np.ndarray) -> np.ndarray:
+    """``values`` flat and C-ordered, followed by one zero."""
+    flat = np.empty(values.size + 1, dtype=values.dtype)
+    np.copyto(flat[:-1].reshape(values.shape), values)
+    flat[-1] = 0
+    return flat
 
 
 @lru_cache(maxsize=64)
@@ -336,23 +385,28 @@ class Conv2D(Layer):
             raise ValueError(
                 f"Conv2D expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        n, c = x.shape[:2]
+        n = x.shape[0]
         k, stride, pad = self.kernel_size, self.stride, self.pad
-        out_h, out_w, plan = _conv_plan(x.shape, k, k, stride, pad)
-        if pad:
-            # The input once, flat, then the one zero every padding
-            # entry of the plan points at: no padded buffer.
-            flat = np.empty(x.size + 1, dtype=x.dtype)
-            np.copyto(flat[:-1].reshape(x.shape), x)
-            flat[-1] = 0
-        else:
-            flat = x.ravel()
-        # im2col as one flat gather through the cached index plan (every
-        # index is in range by construction; "clip" skips the check).
+        # im2col as one flat gather through the cached index plan per
+        # block of at most _PLAN_SAMPLES samples, each into its columns
+        # of one matrix (a training batch is one block).  Blocks joined
+        # afterwards would keep two cols-sized arrays alive at once.
         # cols: (C*K*K, N*out_h*out_w), columns ordered (n, out_h, out_w).
-        cols = flat.take(plan, mode="clip").reshape(
-            c * k * k, n * out_h * out_w
-        )
+        cols = None
+        for start in range(0, max(n, 1), _PLAN_SAMPLES):
+            block = x[start : start + _PLAN_SAMPLES]
+            out_h, out_w, plan = _conv_plan(block.shape, k, k, stride, pad)
+            if cols is None:
+                cols = np.empty((plan.shape[0], n * out_h * out_w), x.dtype)
+            first = start * out_h * out_w
+            # The input flat, then (with padding) the one zero every
+            # padding entry of the plan points at: no padded buffer.
+            # Every index is in range by construction; "clip" skips the
+            # check.
+            flat = _with_zero_slot(block) if pad else block.ravel()
+            flat.take(
+                plan, mode="clip", out=cols[:, first : first + plan.shape[1]]
+            )
 
         out = self.W.data.reshape(self.out_channels, -1) @ cols
         out += self.b.data.reshape(-1, 1)
@@ -388,13 +442,13 @@ class Conv2D(Layer):
             return None
 
         W_row = self.W.data.reshape(self.out_channels, -1)
-        dcols = W_row.T @ dout_mat  # (C*K*K, N*out_h*out_w)
-
-        # col2im: scatter-add every column entry back to its input pixel
-        # through the cached index plan, as one sparse matvec.
-        operator = _col2im_operator(x_shape, k, k, self.stride, pad)
-        dx = operator @ dcols.ravel()
-        return dx.reshape(x_shape).astype(x_dtype, copy=False)
+        # dcols (C*K*K, N*out_h*out_w), written ahead of the zero slot
+        # the col2im plan's border taps point at.
+        flat = np.empty(cols.size + 1, np.result_type(W_row, dout_mat))
+        np.matmul(W_row.T, dout_mat, out=flat[:-1].reshape(cols.shape))
+        flat[-1] = 0
+        dx = _col2im(flat, x_shape, k, self.stride, pad)
+        return dx.astype(x_dtype, copy=False)
 
     def __repr__(self) -> str:
         return (

@@ -1,12 +1,16 @@
-"""The contiguous-plane pool, the interior-only col2im and the unpadded
-im2col plan against the three kernels they replaced.
+"""The contiguous-plane pool, the gathered col2im and the unpadded,
+sample-blocked im2col plan against the kernels they replaced.
 
-``OldMaxPool2D`` and ``OldConv2D`` are the removed implementations (the
-where-tree over strided window views with an int64 ``first``, the
-zero-filled padded buffer behind a padded-coordinate plan, the full
-padded col2im operator whose border backward sliced away), kept here as
-oracles.  The new kernels only move data differently, so every
-comparison is on bits (``.view(uint32 / uint64)``), never ``allclose``.
+``OldMaxPool2D``, ``OldConv2D``, ``CsrConv2D`` and ``FullPlanConv2D``
+are the removed implementations (the where-tree over strided window
+views with an int64 ``first``, the zero-filled padded buffer behind a
+padded-coordinate plan, the full padded col2im operator whose border
+backward sliced away, the interior-only CSR col2im operator, one im2col
+plan over every sample of a batch), kept here as oracles.  The new
+kernels only move data differently, so every comparison is on bits
+(``.view(uint32 / uint64)``), never ``allclose``: that includes the sign
+of a zero and, where ``dout`` holds NaNs and infinities, which NaN a sum
+keeps.
 """
 
 import itertools
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.harness.workloads import cnn_workload
+from repro.ml import layers
 from repro.ml.layers import Conv2D, MaxPool2D, _pool_scatter_base
 
 
@@ -124,6 +129,63 @@ class OldConv2D(Conv2D):
         if pad:
             return dx_pad[:, :, pad:-pad, pad:-pad]
         return dx_pad
+
+
+def full_plan(x_shape, k, stride, pad):
+    """The unpadded im2col plan over every sample of ``x_shape``, built
+    without the cache, so that an oracle adds no entry to it."""
+    return layers._conv_plan.__wrapped__(x_shape, k, k, stride, pad)
+
+
+def csr_col2im(dcols, x_shape, k, stride, pad):
+    """The removed col2im: one CSR matvec with a row per unpadded pixel,
+    entries in ascending column order (``scipy.sparse`` is imported by
+    this test only)."""
+    _, _, plan = full_plan(x_shape, k, stride, pad)
+    plan = plan.ravel()
+    m = int(np.prod(x_shape))
+    columns = np.flatnonzero(plan != m)
+    ones = np.ones(columns.size, dtype=np.float32)
+    operator = sparse.csr_matrix(
+        (ones, (plan[columns], columns)), shape=(m, plan.size)
+    )
+    return (operator @ dcols.ravel()).reshape(x_shape)
+
+
+class CsrConv2D(Conv2D):
+    """``Conv2D`` with the removed CSR col2im."""
+
+    def backward(self, dout, need_input_grad=True):
+        (x_shape, x_dtype, cols), self._cache = self._cache, None
+        dout_mat = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
+        self.b.grad += dout_mat.sum(axis=1)
+        self.W.grad += (dout_mat @ cols.T).reshape(self.W.shape)
+        if not need_input_grad:
+            return None
+        dcols = self.W.data.reshape(self.out_channels, -1).T @ dout_mat
+        dx = csr_col2im(dcols, x_shape, self.kernel_size, self.stride, self.pad)
+        return dx.astype(x_dtype, copy=False)
+
+
+class FullPlanConv2D(Conv2D):
+    """The removed forward: one gather through one plan over the whole
+    batch, however many samples it has."""
+
+    def forward(self, x, training=True):
+        n, c = x.shape[:2]
+        k = self.kernel_size
+        out_h, out_w, plan = full_plan(x.shape, k, self.stride, self.pad)
+        flat = x.ravel()
+        if self.pad:
+            flat = np.concatenate([flat, np.zeros(1, dtype=x.dtype)])
+        cols = flat.take(plan.ravel(), mode="clip").reshape(
+            c * k * k, n * out_h * out_w
+        )
+        out = self.W.data.reshape(self.out_channels, -1) @ cols
+        out += self.b.data.reshape(-1, 1)
+        out = out.reshape(self.out_channels, n, out_h, out_w)
+        self._cache = (x.shape, x.dtype, cols) if training else None
+        return out.transpose(1, 0, 2, 3)
 
 
 def with_old_kernels(model):
@@ -236,16 +298,16 @@ class TestPoolEquivalence:
         assert_same_bits(dx, expected.reshape(x.shape))
 
 
-def conv_pair(c, filters, k, stride, pad, dtype):
-    layers = []
-    for cls in (Conv2D, OldConv2D):
+def conv_pair(c, filters, k, stride, pad, dtype, oracle=OldConv2D):
+    pair = []
+    for cls in (Conv2D, oracle):
         layer = cls(c, filters, k, np.random.default_rng(7), stride, pad)
         for p in layer.parameters():
             p.data = p.data.astype(dtype)
             p.grad = np.zeros_like(p.data)
         layer.b.data += np.arange(filters, dtype=dtype) / 8
-        layers.append(layer)
-    return layers
+        pair.append(layer)
+    return pair
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -310,3 +372,122 @@ def test_vgg_lite_gradients_are_exact_for_20_sgd_steps(preset):
     assert new.evaluate(data.x_test, data.y_test) == old.evaluate(
         data.x_test, data.y_test
     )
+
+
+@st.composite
+def conv_backward_inputs(draw):
+    """A conv shape, an input and a ``dout`` sprinkled with -0.0, +0.0,
+    NaN and both infinities (a sum over several of them makes a NaN of
+    either sign, and which one it keeps is part of its bits)."""
+    k = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 2))
+    pad = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 130))
+    c = draw(st.integers(1, 3))
+    smallest = max(1, k - 2 * pad)
+    h = draw(st.integers(smallest, 9))
+    w = draw(st.integers(smallest, 9))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    specials = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    return k, stride, pad, (n, c, h, w), dtype, specials, draw(
+        st.integers(0, 2**32 - 1)
+    )
+
+
+class TestGatheredCol2im:
+    @settings(max_examples=200, deadline=None)
+    @given(conv_backward_inputs())
+    def test_backward_bits_equal_the_csr_matvec(self, inputs):
+        """Finite and infinite bits hold wherever numpy's add rounds to
+        nearest.  Which NaN a sum keeps was checked on numpy 2.4.6,
+        x86-64, with its AVX-512 (``X86_V4``) and AVX2 (``X86_V3``)
+        loops; its SSE4.2 baseline loops (``X86_V2``) keep a NaN of the
+        other sign, so there the NaN draws fail (see ``_col2im_plan``)."""
+        k, stride, pad, shape, dtype, specials, seed = inputs
+        new, old = conv_pair(
+            shape[1], 3, k, stride, pad, dtype, oracle=CsrConv2D
+        )
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape).astype(dtype)
+        out = new.forward(x, training=True)
+        old.forward(x, training=True)
+        dout = rng.normal(size=out.shape)
+        special = rng.random(out.shape) < specials
+        dout[special] = rng.choice(
+            [-0.0, 0.0, np.nan, np.inf, -np.inf], size=special.sum()
+        )
+        dout = dout.astype(dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            dx, ref_dx = new.backward(dout), old.backward(dout)
+        assert_same_bits(dx, ref_dx)
+        assert dx.flags.c_contiguous
+        assert_same_bits(new.W.grad, old.W.grad)
+        assert_same_bits(new.b.grad, old.b.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_taps_sum_to_positive_zero(self, dtype):
+        """Every column entry -0.0: the CSR sum from +0.0 gives +0.0 at
+        every pixel, the 4-tap corners (five zero slots) and the 9-tap
+        interior alike."""
+        shape, k, stride, pad = (2, 3, 4, 4), 3, 1, 1
+        _, _, plan = layers._conv_plan(shape, k, k, stride, pad)
+        dcols = np.full(plan.shape, -0.0, dtype=dtype)
+        flat = np.append(dcols.ravel(), dtype(0))
+        dx = layers._col2im(flat, shape, k, stride, pad)
+        assert_same_bits(dx, csr_col2im(dcols, shape, k, stride, pad))
+        assert not np.signbit(dx).any()
+
+    def test_an_empty_batch_passes_through(self):
+        new, old = conv_pair(2, 3, 3, 1, 1, np.float32, oracle=CsrConv2D)
+        x = np.zeros((0, 2, 4, 4), dtype=np.float32)
+        out, ref_out = new.forward(x), old.forward(x)
+        assert_same_bits(out, ref_out)
+        assert_same_bits(new.backward(out), old.backward(ref_out))
+
+
+class TestBlockedIm2col:
+    """A batch of more than ``_PLAN_SAMPLES`` samples is gathered block by
+    block into one ``cols``: the same matrix, so the same single GEMM."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 512])
+    @pytest.mark.parametrize(
+        "c, size, k, stride, pad", [(3, 8, 3, 1, 1), (2, 7, 2, 2, 0)]
+    )
+    def test_cols_and_forward_equal_one_full_plan(
+        self, n, c, size, k, stride, pad
+    ):
+        new, old = conv_pair(c, 4, k, stride, pad, np.float32, FullPlanConv2D)
+        x = np.random.default_rng(n).normal(size=(n, c, size, size))
+        x = x.astype(np.float32)
+        layers._conv_plan.cache_clear()
+        out, ref_out = new.forward(x, training=True), old.forward(x)
+        # Plans for a 64-sample block and the remainder only.
+        blocks = {min(n, 64), n % 64 or 64}
+        assert layers._PLAN_SAMPLES == 64
+        assert layers._conv_plan.cache_info().currsize == len(blocks)
+        for samples in blocks:
+            layers._conv_plan((samples, c, size, size), k, k, stride, pad)
+        assert layers._conv_plan.cache_info().misses == len(blocks)
+        assert_same_bits(new._cache[2], old._cache[2])
+        assert_same_bits(out, ref_out)
+        assert_same_bits(
+            new.forward(x, training=False), old.forward(x, training=False)
+        )
+
+    def test_paper_evaluation_equals_one_full_plan(self):
+        workload = cnn_workload("paper")
+        data = workload.dataset
+        assert len(data.x_test) == 512
+        new = workload.model_factory(np.random.default_rng(5))
+        old = workload.model_factory(np.random.default_rng(5))
+        for layer in old.network.layers:
+            if type(layer) is Conv2D:
+                layer.__class__ = FullPlanConv2D
+        assert_same_bits(
+            new.network.forward(data.x_test, training=False),
+            old.network.forward(data.x_test, training=False),
+        )
+        assert new.evaluate(data.x_test, data.y_test) == old.evaluate(
+            data.x_test, data.y_test
+        )
+

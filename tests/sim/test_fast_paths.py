@@ -272,6 +272,34 @@ class TestProfileSpec:
         assert f"gc collections   : {report.gc.render()}" in rendered
         assert len(report.gc.collections) == len(report.gc.seconds) == 3
 
+    def test_report_renders_the_peak_resident_set(self):
+        import resource
+
+        from repro.graphs import ring_based
+        from repro.harness import ExperimentSpec, svm_workload
+        from repro.harness.profiling import peak_rss_mb, profile_spec
+
+        spec = ExperimentSpec(
+            name="profiled",
+            workload=svm_workload("smoke"),
+            topology=ring_based(4),
+            max_iter=2,
+            seed=0,
+        )
+        report = profile_spec(spec, limit=1, warmup=False)
+        # A high-water mark, so a later read is never lower; Linux's
+        # kilobytes read as MB.
+        assert 1.0 < report.peak_rss_mb <= peak_rss_mb()
+        kilobytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert report.peak_rss_mb <= kilobytes / 1024
+        lines = report.render().splitlines()
+        gc_line = next(
+            i for i, line in enumerate(lines) if line.startswith("gc ")
+        )
+        assert lines[gc_line + 1] == (
+            f"peak resident    : {report.peak_rss_mb:.1f} MB (process)"
+        )
+
     def test_gc_work_counts_each_generation_and_its_time(self):
         import gc
 
