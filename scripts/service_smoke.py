@@ -11,11 +11,15 @@ golden-pinned conformance spec twice, and asserts the contract:
 3. after one digit of the stored entry changes on disk, the third
    submit recomputes it (one corruption counted, the fingerprint still
    the golden one) and the fourth is a hit again,
-4. SIGTERM drains the server cleanly (exit code 0).
+4. a run saved by ``repro train --mode backup --n-backup 1 --skip
+   --out`` (backup workers plus skipping, the paper's mechanisms)
+   submitted by its ``spec`` is served at the file's ``spec_hash``
+   with the file's result,
+5. SIGTERM drains the server cleanly (exit code 0).
 
 All of it runs over the client's one kept-alive connection, which
 adds two checks: 50 sequential ``/healthz`` round trips take under a
-second (no delayed-ACK stall), and the SIGTERM of step 4, sent while
+second (no delayed-ACK stall), and the SIGTERM of step 5, sent while
 that connection idles, exits in under 5 s rather than waiting out the
 server's idle timeout.
 
@@ -67,7 +71,7 @@ def change_one_digit(path: Path) -> None:
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     from repro.service.client import ServiceClient
-    from repro.service.specio import spec_hash
+    from repro.harness.specio import spec_hash
 
     golden = json.loads(
         (REPO / "tests" / "scenarios" / "golden_stats.json").read_text()
@@ -139,6 +143,32 @@ def main() -> int:
             assert snap["cells"][digest]["cache_hit"] is True, snap
             assert client.stats()["runs_computed"] == 2
             print("service smoke: the recomputed entry is a verified hit")
+
+            with tempfile.TemporaryDirectory() as scratch:
+                saved_path = Path(scratch) / "backup-skip.json"
+                subprocess.run(
+                    [
+                        sys.executable, "-m", "repro", "train",
+                        "--mode", "backup", "--n-backup", "1", "--skip",
+                        "--workers", "4", "--iterations", "5", "--seed", "1",
+                        "--out", str(saved_path),
+                    ],
+                    env=env,
+                    check=True,
+                    stdout=subprocess.DEVNULL,
+                )
+                saved = json.loads(saved_path.read_text())
+            spec, saved_hash = saved.pop("spec"), saved.pop("spec_hash")
+            fifth = client.submit([spec])
+            snap = client.wait_for_sweep(fifth["sweep_id"], timeout=120)
+            assert list(snap["cells"]) == [saved_hash], snap
+            assert snap["cells"][saved_hash]["status"] == "done", snap
+            served = client.result(saved_hash)["result"]
+            assert served == saved, (
+                "the served backup+skip run differs from repro train's"
+            )
+            print(f"service smoke: repro train's backup+skip run is served "
+                  f"at its own address {saved_hash[:12]}")
 
             start = time.perf_counter()
             for _ in range(50):

@@ -15,17 +15,20 @@ Commands:
 * ``lint``     — static analysis for simulator invariants
   (determinism, zero-copy aliasing, DES perf, registry contracts);
   see :mod:`repro.analysis`.  Exit 1 on findings.
-* ``serve``    — the fault-tolerant experiment service: accepts
-  ExperimentSpec JSON over HTTP, schedules runs across a process
-  pool, and content-addresses results on disk (see
-  :mod:`repro.service`).  Survives worker crashes and ``kill -9``.
+* ``serve``    — the fault-tolerant experiment service: accepts run
+  specs as JSON over HTTP, schedules runs across a process pool, and
+  content-addresses results on disk (see :mod:`repro.service`).
+  Survives worker crashes and ``kill -9``.
 * ``submit``   — client for ``serve``: post spec JSON file(s), wait
   for the sweep, and print per-cell results.
 
 Every name flag (``--protocol``, ``--scenario``, ``--graph``,
 ``--workload``, ``--compression``, ``--preset``, ``--momentum-mode``)
 takes its choices from the registry or constant that owns the names
-(:mod:`repro.registry`), so the CLI never re-lists them.  The paper's
+(:mod:`repro.registry`), so the CLI never re-lists them.  ``train``
+and ``profile`` turn their flags into the flat run description that
+``serve`` accepts and build the run through the one spec codec,
+:mod:`repro.harness.specio`, which does every check.  The paper's
 two heterogeneity recipes are scenario families: ``--scenario random``
 (6x at p = 1/n; ``--scenario-param factor=F --scenario-param
 probability=P``) and ``--scenario straggler`` (worker 0 at 4x;
@@ -40,23 +43,17 @@ import sys
 from typing import List, Optional
 
 from repro.baselines.adpsgd import MOMENTUM_MODES
-from repro.core.config import (
-    STANDARD,
-    SkipConfig,
-    backup_config,
-    staleness_config,
-)
-from repro.compression import COMPRESSORS, CompressionSpec, compression_table
+from repro.compression import COMPRESSORS, compression_table
 from repro.graphs import TOPOLOGIES, TopologyError, spectral_gap
 from repro.graphs import by_name as graph_by_name
-from repro.harness import ALL_FIGURES, ExperimentSpec
+from repro.harness import ALL_FIGURES
 from repro.harness.ablations import ALL_ABLATIONS
 from repro.harness.parallel import set_default_jobs
 from repro.harness.spec import run_spec
+from repro.harness.specio import SpecError, spec_from_dict
 from repro.harness.workloads import PRESETS, WORKLOADS
-from repro.harness.workloads import by_name as workload_by_name
 from repro.protocols import PROTOCOLS, protocol_table
-from repro.scenarios import SCENARIOS, ScenarioSpec, scenario_table
+from repro.scenarios import SCENARIOS, scenario_table
 
 
 def _jobs_arg(value: str) -> int:
@@ -92,25 +89,6 @@ def _cmd_studies(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_config(args: argparse.Namespace):
-    skip = (
-        SkipConfig(max_skip=args.max_skip, trigger_lag=args.trigger_lag)
-        if args.skip
-        else None
-    )
-    if args.mode == "standard":
-        if skip is not None:
-            raise SystemExit("--skip needs --mode backup or staleness")
-        return STANDARD
-    if args.mode == "backup":
-        return backup_config(
-            n_backup=args.n_backup, max_ig=args.max_ig, skip=skip
-        )
-    return staleness_config(
-        staleness=args.staleness, max_ig=args.max_ig, skip=skip
-    )
-
-
 #: Python spellings of JSON literals — `resync=False` must mean false,
 #: not the truthy string "False".
 _PYTHON_LITERALS = {"True": True, "False": False, "None": None}
@@ -130,45 +108,60 @@ def _param(pair: str):
     return key, value
 
 
-def _topology(args: argparse.Namespace):
-    """``--graph`` on ``--workers``; a size it rejects is a one-line error."""
+def _cell_payload(args: argparse.Namespace) -> dict:
+    """The flags naming one cell as spec-codec fields."""
+    return {
+        "workload": args.workload,
+        "preset": args.preset,
+        "protocol": args.protocol,
+        "graph": args.graph,
+        "workers": args.workers,
+        "max_iter": args.iterations,
+        "seed": args.seed,
+    }
+
+
+def _train_payload(args: argparse.Namespace) -> dict:
+    """``repro train``'s flags as a spec-codec dict; the codec checks."""
+    config = {"mode": args.mode, "max_ig": args.max_ig}
+    if args.mode == "backup":
+        config["n_backup"] = args.n_backup
+    if args.mode == "staleness":
+        config["staleness"] = args.staleness
+    if args.skip:
+        config["skip"] = {
+            "max_skip": args.max_skip,
+            "trigger_lag": args.trigger_lag,
+        }
+    return {
+        **_cell_payload(args),
+        "name": "cli",
+        "config": config,
+        "scenario": {
+            "family": args.scenario or "none",
+            "params": dict(args.scenario_param or []),
+        },
+        "compression": {
+            "scheme": args.compression or "none",
+            "params": dict(args.compression_param or []),
+        },
+        "ps_staleness": args.staleness if args.protocol == "ps-ssp" else 0,
+        "group_size": args.group_size,
+        "static_groups": args.static_groups,
+        "momentum_mode": args.momentum_mode,
+    }
+
+
+def _spec(payload: dict):
+    """``spec_from_dict(payload)``; a rejected spec is a one-line error."""
     try:
-        return graph_by_name(args.graph, args.workers)
-    except TopologyError as error:
+        return spec_from_dict(payload)
+    except SpecError as error:
         raise SystemExit(f"error: {error}")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    workload = workload_by_name(args.workload, args.preset)
-    topology = _topology(args)
-    compression = None
-    if args.compression and args.compression != "none":
-        compression = CompressionSpec(
-            args.compression, dict(args.compression_param or [])
-        )
-    elif args.compression_param:
-        raise SystemExit("--compression-param needs --compression")
-    scenario = None
-    if args.scenario:
-        scenario = ScenarioSpec(args.scenario, dict(args.scenario_param or []))
-    elif args.scenario_param:
-        raise SystemExit("--scenario-param needs --scenario")
-
-    spec = ExperimentSpec(
-        name="cli",
-        workload=workload,
-        topology=topology,
-        protocol=args.protocol,
-        config=_build_config(args) if args.protocol == "hop" else STANDARD,
-        scenario=scenario,
-        max_iter=args.iterations,
-        seed=args.seed,
-        ps_staleness=args.staleness if args.protocol == "ps-ssp" else 0,
-        group_size=args.group_size,
-        static_groups=args.static_groups,
-        momentum_mode=args.momentum_mode,
-        compression=compression,
-    )
+    spec, canonical, digest = _spec(_train_payload(args))
     try:
         run = run_spec(spec)
     except ValueError as error:
@@ -178,9 +171,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {error}")
     print(run.summary())
     if args.out:
-        from repro.harness.io import save_run
+        from repro.harness.io import atomic_write_json, run_to_dict
 
-        path = save_run(run, args.out)
+        # The canonical spec and its `repro serve` cache address.
+        path = atomic_write_json(
+            args.out,
+            {**run_to_dict(run), "spec": canonical, "spec_hash": digest},
+        )
         print(f"run summary written to {path}")
     return 0
 
@@ -296,17 +293,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"sim-core microbenchmark: {rate:,.0f} events/sec")
         return 0
 
-    workload = workload_by_name(args.workload, args.preset)
-    topology = _topology(args)
-    spec = ExperimentSpec(
+    spec = _spec(_cell_payload(args))[0].with_(
         name="profile",
-        workload=workload,
-        topology=topology,
-        protocol=args.protocol,
-        max_iter=args.iterations,
-        seed=args.seed,
         trace_channels=None if args.full_trace else LIGHT_TRACE,
     )
+    workload = spec.workload
     print(
         f"profiling {args.protocol} x {args.workers} workers x "
         f"{args.iterations} iterations ({args.workload}/{args.preset})..."
@@ -331,7 +322,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_graphs(args: argparse.Namespace) -> int:
-    topology = _topology(args)
+    try:
+        topology = graph_by_name(args.graph, args.workers)
+    except TopologyError as error:
+        raise SystemExit(f"error: {error}")
     topology.validate()
     print(f"{topology.name}: n={topology.n}")
     print(f"  spectral gap     : {spectral_gap(topology):.4f}")

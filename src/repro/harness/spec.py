@@ -44,7 +44,9 @@ class ExperimentSpec:
             which impose their own shape, except for worker count).
         protocol: Any name or alias in :data:`repro.protocols.PROTOCOLS`
             (``python -m repro protocols`` lists them).
-        config: Hop configuration (hop protocol only).
+        config: Hop configuration (hop protocol only; the spec codec
+            :mod:`repro.harness.specio` rejects a non-default config on
+            any other protocol).
         scenario: The heterogeneity recipe — any family in
             :func:`repro.scenarios.registered_scenarios` (slowdown
             models, trace replay, crashes, link flaps, message loss,
@@ -68,7 +70,7 @@ class ExperimentSpec:
         slowdown: Constructor-only alias of ``scenario`` (it is not a
             field: equality, ``repr`` and ``with_`` see ``scenario``
             only); passing both raises.  It stays only for the
-            benchmark's recipes and goes with ROADMAP item 4.
+            benchmark's recipes and goes with ROADMAP item 5(c).
     """
 
     name: str

@@ -20,7 +20,6 @@ from repro.ml.compute import ComputeError, ComputePool
 from repro.ml.data import (
     Batcher,
     Dataset,
-    shard_dataset,
     synthetic_images,
     synthetic_webspam,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "check_model_gradient",
     "numerical_gradient",
     "relative_error",
-    "shard_dataset",
     "smooth_series",
     "synthetic_images",
     "synthetic_webspam",

@@ -235,16 +235,3 @@ class Horizon:
         self._cursor += 1
         return idx
 
-
-def shard_dataset(
-    dataset: Dataset, n_shards: int, shard: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Contiguous shard of the training split (data-parallel partition)."""
-    if not 0 <= shard < n_shards:
-        raise ValueError(f"shard {shard} out of range for {n_shards}")
-    per = dataset.n_train // n_shards
-    if per < 1:
-        raise ValueError("more shards than training samples")
-    lo = shard * per
-    hi = dataset.n_train if shard == n_shards - 1 else lo + per
-    return dataset.x_train[lo:hi], dataset.y_train[lo:hi]

@@ -84,8 +84,15 @@ class ScenarioSpec:
     params: Dict[str, object] = field(default_factory=dict)
 
     def build(self, n_workers: int, streams: RngStreams) -> Scenario:
+        """Run the family's builder; a knob it never read (a misspelled
+        ``factr``) is an error, not a silent default."""
         info = get_scenario(self.family)
-        return info.builder(dict(self.params), n_workers, streams)
+        params = _ReadRecorder(self.params)
+        scenario = info.builder(params, n_workers, streams)
+        unread = sorted(set(params) - params.read)
+        if unread:
+            raise ValueError(f"scenario {info.name!r} does not take {unread}")
+        return scenario
 
     def describe(self) -> str:
         if not self.params:
@@ -107,6 +114,26 @@ class ScenarioSpec:
             family=payload["family"],
             params=_restore_params(payload.get("params", {})),
         )
+
+
+class _ReadRecorder(dict):
+    """A copy of a builder's params that records the keys it looked up."""
+
+    def __init__(self, params: Dict[str, object]) -> None:
+        super().__init__(params)
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key) -> bool:
+        self.read.add(key)
+        return super().__contains__(key)
 
 
 def _jsonify_params(params: Dict[str, object]) -> Dict[str, object]:

@@ -8,9 +8,11 @@ feature: per-run timeouts with deterministic seeded-backoff retries,
 crashed-worker respawn, a write-ahead journal that survives ``kill
 -9``, and bounded admission with load shedding.
 
-Layering (each module documents its own crash contract):
+Layering (each module documents its own crash contract); a request
+payload becomes a run through the one spec codec,
+:mod:`repro.harness.specio` (validation, canonical form, hash), which
+``repro train`` uses too:
 
-* :mod:`repro.service.specio`   — spec validation, canonical form, hash
 * :mod:`repro.service.cache`    — self-verifying content-addressed store
 * :mod:`repro.service.journal`  — fsync'd write-ahead JSONL journal
 * :mod:`repro.service.runner`   — worker-side execution (+ chaos knobs)
@@ -30,7 +32,7 @@ from repro.service.scheduler import (
     SweepState,
 )
 from repro.service.server import ExperimentService, make_server
-from repro.service.specio import (
+from repro.harness.specio import (
     SpecError,
     canonical_json,
     canonical_spec,

@@ -1,7 +1,7 @@
 """Content-addressed, self-verifying result cache.
 
 One experiment result per file, addressed by the canonical spec hash
-(:func:`repro.service.specio.spec_hash`) and written atomically
+(:func:`repro.harness.specio.spec_hash`) and written atomically
 (:func:`repro.harness.io.atomic_write_text`), so a crash mid-write can
 never leave a torn entry at the final path.
 

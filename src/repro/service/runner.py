@@ -7,7 +7,7 @@ a JSON-safe result summary plus the run's golden-stats fingerprint
 (the bitwise determinism contract the cache stores and verifies).
 
 Chaos injection: a spec payload may carry a ``chaos`` object that the
-canonical hash deliberately ignores (see :mod:`repro.service.specio`)
+canonical hash deliberately ignores (see :mod:`repro.harness.specio`)
 — injected failures must reproduce the *exact* result of a clean run
 once they stop failing.  Knobs, all keyed by the scheduler-supplied
 attempt index so failures are deterministic and bounded:
@@ -30,7 +30,7 @@ import time
 from repro.harness.golden import golden_fingerprint
 from repro.harness.io import run_to_dict
 from repro.harness.spec import run_spec
-from repro.service.specio import spec_from_dict
+from repro.harness.specio import spec_from_dict
 
 
 def _apply_chaos(chaos: dict, attempt: int) -> None:

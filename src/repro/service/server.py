@@ -55,7 +55,7 @@ from repro.service.scheduler import (
     ServiceOverloaded,
     SweepState,
 )
-from repro.service.specio import SpecError, spec_hash
+from repro.harness.specio import SpecError, spec_hash
 
 #: Reject request bodies above this (a spec sweep is a few KB).
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -124,7 +124,7 @@ class ExperimentService:
     def submit(self, payload: dict) -> dict:
         """Validate + admit one submit payload; returns the 202 body.
 
-        Raises :class:`~repro.service.specio.SpecError` (-> 400),
+        Raises :class:`~repro.harness.specio.SpecError` (-> 400),
         :class:`~repro.service.scheduler.ServiceOverloaded` (-> 429) or
         :class:`~repro.service.scheduler.SchedulerDraining` (-> 503).
         """

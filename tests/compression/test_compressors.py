@@ -60,6 +60,19 @@ class TestRegistry:
         spec = CompressionSpec("none")
         assert build_compressor(spec, 8, np.float64) is None
 
+    @pytest.mark.parametrize(
+        "scheme,params,unknown",
+        [("topk", {"ratoi": 0.1}, "ratoi"), ("int8", {"ratio": 0.5}, "ratio")],
+    )
+    def test_a_knob_the_builder_does_not_take_is_named(
+        self, scheme, params, unknown
+    ):
+        with pytest.raises(
+            ValueError,
+            match=rf"compressor '{scheme}' does not take \['{unknown}'\]",
+        ):
+            build_compressor(CompressionSpec(scheme, params), 8, np.float64)
+
     def test_table_rows_carry_citations(self):
         rows = compression_table()
         assert {row["name"] for row in rows} == set(registered_compressors())

@@ -1,4 +1,4 @@
-"""Property tests for the service's canonical spec form + cache key.
+"""Property tests for the spec codec's canonical form + cache key.
 
 The spec hash is the result cache's address, so two invariants carry
 the whole correctness story:
@@ -10,13 +10,15 @@ the whole correctness story:
   canonical form.
 """
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.specio import (
+from repro.core.config import HopConfig, SkipConfig
+from repro.harness.specio import (
     DEFAULTS,
     SpecError,
     canonical_json,
@@ -126,6 +128,7 @@ def test_each_field_change_moves_the_hash():
         {**base, "scenario": {"family": "straggler"}},
         {**base, "compression": {"scheme": "topk",
                                  "params": {"ratio": 0.5}}},
+        {**base, "config": {"mode": "backup", "n_backup": 1}},
     ]
     hashes = [spec_hash(v) for v in variants]
     assert baseline not in hashes
@@ -251,6 +254,21 @@ PINNED_DIGESTS = [
         },
         "6d5d7020e309aedbdbc5f3a768be9b1cbb528f14c361871dc32a5fdde92e9b32",
     ),
+    (
+        "hop-backup",
+        {"config": {"mode": "backup", "n_backup": 1}},
+        "afb915cf127d3a7f1374eb0df6eb9b2651edbb48d8ae98486c6aab060e2076aa",
+    ),
+    (
+        "hop-staleness",
+        {"config": {"mode": "staleness", "staleness": 5}},
+        "5a624ba9a63b842e6be52a42d96ca58cadaf484d764a31ba4a7c5dc9c6c54f29",
+    ),
+    (
+        "hop-backup-skip",
+        {"config": {"mode": "backup", "n_backup": 1, "skip": {}}},
+        "ec3e840a5e8cc3d7a6952e808e23e94cab2a183392d4a59186d05c2ffa04e205",
+    ),
 ]
 
 
@@ -282,6 +300,25 @@ def test_spec_hash_is_pinned(payload, digest):
         ({"scenario": {"family": "none", "extra": 1}},
          "unknown scenario field"),
         ({"compression": {"params": {}}}, "compression must be"),
+        ({"compression": {"scheme": "topk", "params": {"ratoi": 0.1}}},
+         r"compressor 'topk' does not take \['ratoi'\]"),
+        ({"compression": {"scheme": "none", "params": {"ratio": 0.1}}},
+         r"compressor 'none' does not take \['ratio'\]"),
+        ({"config": []}, "config must be an object"),
+        ({"config": {"skip": 2}}, "config.skip must be null or an object"),
+        ({"config": {"bogus": 1}}, "unexpected keyword argument 'bogus'"),
+        ({"config": {"mode": "backup"}}, "backup mode needs n_backup >= 1"),
+        ({"config": {"mode": "fast"}}, "unknown mode 'fast'"),
+        ({"config": {"max_ig": True}}, "config.max_ig must be int"),
+        ({"config": {"use_token_queues": 1}},
+         "config.use_token_queues must be bool"),
+        ({"config": {"mode": "backup", "n_backup": 1,
+                     "skip": {"max_skip": 0}}}, "max_skip must be >= 1"),
+        ({"config": {"mode": "backup", "n_backup": 1,
+                     "skip": {"max_skip": "2"}}},
+         "config.skip.max_skip must be int"),
+        ({"config": {"mode": "standard", "skip": {}}},
+         "receivers need backup or staleness mode"),
         ([], "must be a JSON object"),
     ],
 )
@@ -299,6 +336,94 @@ def test_unknown_registry_names_surface_registry_message():
         canonical_spec({"compression": {"scheme": "nope"}})
     with pytest.raises(SpecError):
         canonical_spec({"graph": "nope"})
+
+
+# ----------------------------------------------------------------------
+# Hop's config
+# ----------------------------------------------------------------------
+#: Valid non-standard configs: every mode, with and without skipping.
+hop_configs = st.one_of(
+    st.fixed_dictionaries(
+        {"mode": st.just("backup"), "n_backup": st.integers(1, 3)},
+        optional={"max_ig": st.integers(1, 8)},
+    ),
+    st.fixed_dictionaries(
+        {"mode": st.just("staleness"), "staleness": st.integers(1, 8)},
+        optional={
+            "max_ig": st.integers(1, 8),
+            "stale_reduce": st.sampled_from(["weighted", "uniform"]),
+        },
+    ),
+).flatmap(
+    lambda config: st.one_of(
+        st.just(config),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "max_skip": st.integers(1, 10),
+                "trigger_lag": st.integers(1, 4),
+            },
+        ).map(lambda skip: {**config, "skip": skip}),
+    )
+)
+
+_HOP_DEFAULTS = {
+    field.name: field.default for field in dataclasses.fields(HopConfig)
+}
+_SKIP_DEFAULTS = {
+    field.name: field.default for field in dataclasses.fields(SkipConfig)
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=hop_configs, data=st.data())
+def test_spelled_out_config_defaults_hash_like_omitted_ones(config, data):
+    explicit = dict(config)
+    for field in data.draw(
+        st.sets(st.sampled_from(sorted(_HOP_DEFAULTS))), label="spelled"
+    ):
+        explicit.setdefault(field, _HOP_DEFAULTS[field])
+    if isinstance(explicit.get("skip"), dict):
+        explicit["skip"] = {**_SKIP_DEFAULTS, **explicit["skip"]}
+    assert spec_hash({"config": explicit}) == spec_hash({"config": config})
+    # A config of nothing but defaults is no config at all.
+    assert spec_hash({"config": dict(_HOP_DEFAULTS)}) == spec_hash({})
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    config=hop_configs,
+    field=st.sampled_from(["max_ig", "n_backup", "staleness"]),
+    value=st.floats(1.0, 8.0),
+)
+def test_a_float_for_an_int_config_field_is_rejected(config, field, value):
+    with pytest.raises(SpecError, match=f"config.{field} must be int"):
+        canonical_spec({"config": {**config, field: value}})
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    config=hop_configs,
+    protocol=st.sampled_from(["adpsgd", "allreduce", "ps-ssp", "notify_ack"]),
+)
+def test_a_config_on_another_protocol_is_rejected(config, protocol):
+    with pytest.raises(SpecError, match="config is hop-only"):
+        canonical_spec({"protocol": protocol, "config": config})
+    # ...while a standard one is no config, on any protocol.
+    assert canonical_spec(
+        {"protocol": protocol, "config": {"mode": "standard"}}
+    ) == canonical_spec({"protocol": protocol})
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=hop_configs)
+def test_spec_from_dict_builds_the_config_it_hashes(config):
+    spec, canonical, _ = spec_from_dict({"config": config})
+    skip = config.get("skip")
+    assert spec.config == HopConfig(
+        **{**config, "skip": None if skip is None else SkipConfig(**skip)}
+    )
+    assert canonical_spec(canonical) == canonical
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +452,7 @@ class TestGraphValidationIsMemoised:
     @pytest.fixture
     def builds(self, monkeypatch):
         """Count the topologies ``canonical_spec`` builds."""
-        from repro.service import specio
+        from repro.harness import specio
 
         calls = []
 

@@ -10,7 +10,6 @@ from repro.ml import (
     Parameter,
     StepDecayLR,
     accuracy,
-    shard_dataset,
     smooth_series,
     synthetic_images,
     synthetic_webspam,
@@ -159,26 +158,6 @@ class TestBatcher:
             Batcher(x, y, 11, np.random.default_rng(0))
         with pytest.raises(ValueError):
             Batcher(x, np.zeros(9), 2, np.random.default_rng(0))
-
-
-class TestSharding:
-    def test_shards_cover_dataset(self):
-        data = synthetic_webspam(
-            np.random.default_rng(4), n_train=100, n_test=10
-        )
-        total = sum(len(shard_dataset(data, 3, s)[0]) for s in range(3))
-        assert total == 100
-
-    def test_last_shard_takes_remainder(self):
-        data = synthetic_webspam(
-            np.random.default_rng(5), n_train=101, n_test=10
-        )
-        assert len(shard_dataset(data, 4, 3)[0]) == 101 - 3 * 25
-
-    def test_out_of_range_shard(self):
-        data = synthetic_webspam(np.random.default_rng(6), n_train=20, n_test=5)
-        with pytest.raises(ValueError):
-            shard_dataset(data, 4, 4)
 
 
 class TestMetrics:

@@ -78,6 +78,27 @@ class TestScenarioSpec:
             assert scenario.slowdown.factor(0, 0) >= 1.0
             assert scenario.describe()
 
+    @pytest.mark.parametrize("family", registered_scenarios())
+    def test_a_knob_the_builder_never_reads_is_an_error(self, family):
+        """A misspelled knob (``factr``) must not run the defaults."""
+        with pytest.raises(
+            ValueError,
+            match=rf"scenario '{family}' does not take \['bogus_knob'\]",
+        ):
+            ScenarioSpec(family, {"bogus_knob": 1}).build(8, RngStreams(0))
+
+    def test_unread_knobs_are_checked_in_nested_slowdowns_too(self):
+        nested = {"slowdown": {"family": "random", "params": {"factr": 2}}}
+        with pytest.raises(
+            ValueError, match=r"scenario 'random' does not take \['factr'\]"
+        ):
+            ScenarioSpec("crash-restart", nested).build(8, RngStreams(0))
+        # A straggler map makes the one-worker knobs unread, not ignored.
+        with pytest.raises(ValueError, match=r"does not take \['factor'\]"):
+            ScenarioSpec(
+                "straggler", {"workers": {0: 4.0}, "factor": 2.0}
+            ).build(8, RngStreams(0))
+
     def test_out_of_range_straggler_worker_rejected(self):
         """A straggler pinned to a nonexistent worker must fail loudly,
         not silently run a clean cluster (mirrors the crash families)."""

@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.specio import spec_hash
+from repro.harness.specio import spec_hash
 
 #: One cell is a sub-second run; delay_seconds stretches the sweep so
 #: a kill provably lands mid-flight.

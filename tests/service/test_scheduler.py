@@ -22,7 +22,7 @@ from repro.service.scheduler import (
     SchedulerDraining,
     ServiceOverloaded,
 )
-from repro.service.specio import spec_hash
+from repro.harness.specio import spec_hash
 
 #: A complete run in well under a second.
 PAYLOAD = {"workers": 4, "max_iter": 2, "seed": 3}

@@ -16,7 +16,7 @@ from repro.service.cache import entry_digest
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.runner import execute_cell
 from repro.service.server import ExperimentService, make_server
-from repro.service.specio import canonical_spec, spec_hash
+from repro.harness.specio import canonical_spec, spec_hash
 
 PAYLOAD = {"workers": 4, "max_iter": 2, "seed": 3}
 
@@ -101,6 +101,19 @@ class TestEndpoints:
             client.submit_one({"workers": 4, "bogus": True})
         assert info.value.status == 400
         assert "unknown spec field" in str(info.value)
+
+    def test_a_misspelled_compression_knob_is_a_400(self, service_stack):
+        _, client = service_stack
+        with pytest.raises(ServiceError) as info:
+            client.submit_one(
+                {
+                    "workers": 4,
+                    "compression": {"scheme": "topk",
+                                    "params": {"ratoi": 0.1}},
+                }
+            )
+        assert info.value.status == 400
+        assert "compressor 'topk' does not take ['ratoi']" in str(info.value)
 
     def test_malformed_json_is_a_400(self, service_stack):
         _, client = service_stack
