@@ -84,25 +84,46 @@ echo "== event budget: hop/64 and ps-async/128 heap entries per worker-iteration
 # delivery, per token acquisition and per AllOf); the final iteration
 # takes no tokens, so 40 iterations read 5.97.  ps-async/128 x 10 is
 # pinned exactly at 7,938 entries (6.20 per worker-iteration): each
-# PS NIC grant stands where the Resource Request stood.
+# PS NIC grant stands where the Resource Request stood.  Both runs also
+# check the worker-time ledger exactly: one row per worker-iteration,
+# each worker's iteration_duration_mean the Welford mean of its rows'
+# end - start, and worker_stats equal to a trace_channels=() rerun's.
 python - <<'PY'
 from repro.graphs import ring_based
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.workloads import by_name
 from repro.protocols.base import LIGHT_TRACE
+from repro.sim.trace import StatAccumulator
+
+
+def check_ledger(spec, run, n, iterations):
+    ledger = run.ledger
+    assert len(ledger) == n * iterations, (spec.name, len(ledger))
+    durations = (
+        ledger.column("end", n) - ledger.column("start", n)
+    ).tolist()
+    for stats, row in zip(run.worker_stats, durations):
+        welford = StatAccumulator()
+        for duration in row:
+            welford.add(duration)
+        assert stats["iteration_duration_mean"] == welford.mean, (
+            spec.name, stats["wid"]
+        )
+    rerun = run_spec(spec.with_(trace_channels=()))
+    assert rerun.worker_stats == run.worker_stats, spec.name
+    print(f"ledger OK: {spec.name}, {len(ledger)} rows")
 
 n, iterations = 64, 40
-run = run_spec(
-    ExperimentSpec(
-        name=f"event-budget/hop/{n}",
-        workload=by_name("svm", "smoke"),
-        topology=ring_based(n),
-        protocol="hop",
-        max_iter=iterations,
-        seed=0,
-        trace_channels=LIGHT_TRACE,
-    )
+spec = ExperimentSpec(
+    name=f"event-budget/hop/{n}",
+    workload=by_name("svm", "smoke"),
+    topology=ring_based(n),
+    protocol="hop",
+    max_iter=iterations,
+    seed=0,
+    trace_channels=LIGHT_TRACE,
 )
+run = run_spec(spec)
 per_iteration = run.events_scheduled / sum(run.iterations_completed)
 budget = 6.0
 assert per_iteration <= budget, (
@@ -115,19 +136,19 @@ print(
     f"{run.events_scheduled} events, {per_iteration:.2f} per "
     f"worker-iteration (budget {budget:.1f})"
 )
+check_ledger(spec, run, n, iterations)
 
 n, iterations = 128, 10
-run = run_spec(
-    ExperimentSpec(
-        name=f"event-budget/ps-async/{n}",
-        workload=by_name("svm", "smoke"),
-        topology=ring_based(n),
-        protocol="ps-async",
-        max_iter=iterations,
-        seed=0,
-        trace_channels=LIGHT_TRACE,
-    )
+spec = ExperimentSpec(
+    name=f"event-budget/ps-async/{n}",
+    workload=by_name("svm", "smoke"),
+    topology=ring_based(n),
+    protocol="ps-async",
+    max_iter=iterations,
+    seed=0,
+    trace_channels=LIGHT_TRACE,
 )
+run = run_spec(spec)
 assert run.events_scheduled == 7938, (
     f"ps-async/{n} scheduled {run.events_scheduled} heap entries "
     "(pinned at 7938): did the PS NIC or the server move an event?"
@@ -137,6 +158,7 @@ print(
     f"{run.events_scheduled} events, "
     f"{run.events_scheduled / (n * iterations):.2f} per worker-iteration"
 )
+check_ledger(spec, run, n, iterations)
 PY
 
 echo "== compute seam: hop/64 and ps-async/128 replay, adpsgd/16 pools =="

@@ -45,6 +45,7 @@ from repro.net.message import payload_bytes
 from repro.protocols.base import ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
 from repro.sim.resources import Resource
+from repro.sim.trace import SKIPPED
 
 #: The ``momentum-tracking`` protocol's update rules.
 MOMENTUM_MODES = ("tracking", "quasi-global")
@@ -159,9 +160,11 @@ class ADPSGDCluster(ProtocolCluster):
         locks: Dict[int, Resource],
         gossip_count: List[int],
     ):
-        """Lock ``partner``, pay the round trip, average, release."""
+        """Lock ``partner``, pay the round trip, average, release;
+        returns when the lock was granted."""
         request = locks[partner].request()
         yield request
+        granted = runtime.env.now
         try:
             yield runtime.env.timeout(
                 self.links.round_trip(
@@ -175,7 +178,7 @@ class ADPSGDCluster(ProtocolCluster):
                 # The partner departed while we waited for its lock /
                 # the round trip: abort — a departed worker's frozen
                 # parameters must not keep mixing in, nor be mutated.
-                return
+                return granted
             # The atomic-averaging step; tracking's momentum buffers
             # ride on their own compressor stream (sharing the params
             # channel would corrupt both references).
@@ -187,6 +190,7 @@ class ADPSGDCluster(ProtocolCluster):
             gossip_count[0] += 1
         finally:
             locks[partner].release(request)
+        return granted
 
     def _partners(self, wid: int) -> Tuple[bool, List[int]]:
         """``(is_active, live passive out-neighbors)`` for ``wid``.
@@ -238,6 +242,8 @@ class ADPSGDCluster(ProtocolCluster):
         model.set_params(params[wid])
         ticket = runtime.compute.submit(model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
+        computed = env.now
+        gate = recv = SKIPPED
         loss, grad = ticket.result()
         if mode != "local":
             # Both momentum rules decay the pre-gossip parameters.
@@ -254,9 +260,11 @@ class ADPSGDCluster(ProtocolCluster):
             if self._membership is None or self._membership.is_active(
                 partner
             ):
-                yield from self._gossip(
+                lock = env.now  # the lock wait gates, the round trip recvs
+                granted = yield from self._gossip(
                     runtime, wid, partner, params, locks, gossip_count
                 )
+                gate, recv = (lock, granted), (granted, env.now)
 
         if mode == "local":
             # Apply the (pre-averaging) gradient to the averaged params.
@@ -279,7 +287,7 @@ class ADPSGDCluster(ProtocolCluster):
                     (x_round_start - params[wid]) / lr
                 )
         runtime.log_loss[wid](env.now, loss)
-        runtime.log_duration[wid](env.now, env.now - start)
+        runtime.ledger.record(wid, k, start, env.now, (start, computed), recv, gate)
 
     def _worker(
         self,

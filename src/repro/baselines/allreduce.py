@@ -189,9 +189,8 @@ class RingAllReduceCluster(ProtocolCluster):
                         submit(runtime.models[wid], batchers[wid])
                     )
                 # Lockstep: the slowest live member gates the ring.
-                slowest = max(
-                    self.compute_model.duration(wid, k) for wid in members
-                )
+                durations = [self.compute_model.duration(w, k) for w in members]
+                slowest = max(durations)
                 yield env.timeout(slowest + comm_time)
                 grads = []
                 for wid, ticket in zip(members, tickets):
@@ -212,9 +211,14 @@ class RingAllReduceCluster(ProtocolCluster):
                 runtime.count_traffic(steps * edges, steps * chunk * edges)
                 mean_grad = np.mean(grads, axis=0)
                 params[0] = params[0] + optimizer.step(params[0], mean_grad, k)
-                for wid in members:
-                    self._completed[wid] = k + 1
-                    runtime.log_duration[wid](env.now, env.now - start)
+                # Each member computes, waits for the slowest, reduces.
+                ring_start = start + slowest
+                for wid, duration in zip(members, durations):
+                    computed = start + duration
+                    runtime.ledger.record(
+                        wid, k, start, env.now, (start, computed),
+                        (ring_start, env.now), (computed, ring_start),
+                    )
             runtime.done[:] = True
 
         env.process(driver(env), name="allreduce-driver")

@@ -55,6 +55,11 @@ from repro.protocols.base import ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
 from repro.sim.engine import Environment
 from repro.sim.events import Event
+from repro.sim.trace import SKIPPED
+
+#: The PS NIC's bandwidth (the hotspot's throughput) and per-transfer
+#: latency.
+PS_BANDWIDTH, PS_LATENCY = 125.0, 1e-4
 
 
 class ParamShards:
@@ -248,7 +253,7 @@ class ServerSchedule:
     A gradient is named by its worker-iteration, ``gid = wid * max_iter
     + k``; it travels through the inbox and the BSP quorum in place of
     the vector.  Per gid: ``versions[gid]``, the server version the pull
-    read, and ``times[gid]``, when the loss is logged.  Per fold (the
+    read (the loss is logged at its ledger row's ``end``).  Per fold (the
     server moving from version ``v`` to ``v + 1``): ``sizes[v]`` gids
     follow in ``folds`` in the order the server applied them (one for
     async and ssp, the BSP quorum in ``pending`` order), and
@@ -257,12 +262,11 @@ class ServerSchedule:
     for its loss and its batch draw.
     """
 
-    __slots__ = ("max_iter", "versions", "times", "folds", "sizes", "steps")
+    __slots__ = ("max_iter", "versions", "folds", "sizes", "steps")
 
     def __init__(self, n_workers: int, max_iter: int) -> None:
         self.max_iter = max_iter
         self.versions = array("i", bytes(4 * n_workers * max_iter))
-        self.times = array("d", bytes(8 * n_workers * max_iter))
         self.folds = array("i")
         self.sizes = array("i")
         self.steps = array("i")
@@ -288,8 +292,9 @@ class ServerSchedule:
         self.steps.append(k)
         return params
 
-    def end(self, wid: int, k: int, now: float, loss) -> None:
-        self.times[wid * self.max_iter + k] = now
+    @staticmethod
+    def end(wid: int, k: int, now: float, loss) -> None:
+        return None
 
 
 def replay(
@@ -300,9 +305,11 @@ def replay(
     params: np.ndarray,
     mean: bool,
     tracer,
+    ledger,
 ) -> np.ndarray:
     """Evaluate a recorded PS run's arithmetic; returns the server's
-    final parameters and fills every worker's ``loss/<wid>`` series.
+    final parameters and fills every worker's ``loss/<wid>`` series,
+    each loss at its worker-iteration's ``ledger`` end.
 
     A *level* first evaluates, as one :meth:`ComputePool.evaluate_rows`
     block, every gradient whose pulled version exists (in gid order, so
@@ -364,7 +371,7 @@ def replay(
             if readers[fold]:
                 held[fold] = params
 
-    times = schedule.times.tolist()
+    times = ledger.column("end", n_workers).ravel().tolist()
     losses = loss_at.tolist()
     for wid in range(n_workers):
         span = slice(wid * max_iter, (wid + 1) * max_iter)
@@ -411,8 +418,6 @@ class ParameterServerCluster(ProtocolCluster):
         optimizer: Applied at the PS to aggregated gradients.
         n_backup: BSP backup workers (gradients needed = n - n_backup).
         staleness: Global staleness bound for SSP.
-        ps_bandwidth: The PS NIC bandwidth (the hotspot's throughput).
-        ps_latency: Per-transfer latency at the PS NIC.
         compute_model: Worker compute-time oracle.
         max_iter: Iterations per worker.
         churn: Optional membership churn plan; enables the sharded
@@ -431,8 +436,6 @@ class ParameterServerCluster(ProtocolCluster):
         optimizer=None,
         n_backup: int = 0,
         staleness: int = 0,
-        ps_bandwidth: float = 125.0,
-        ps_latency: float = 1e-4,
         compute_model=None,
         batch_size: int = 32,
         max_iter: int = 100,
@@ -469,8 +472,6 @@ class ParameterServerCluster(ProtocolCluster):
         self.protocol = f"ps-{mode}"
         self.n_backup = n_backup
         self.staleness = staleness
-        self.ps_bandwidth = ps_bandwidth
-        self.ps_latency = ps_latency
         self.topology = topology
         self._shards: Optional[ParamShards] = None
 
@@ -490,6 +491,7 @@ class ParameterServerCluster(ProtocolCluster):
         """Generator: one pull -> compute -> push iteration."""
         env = runtime.env
         start = env.now
+        gate = SKIPPED
         server.record_worker_iteration(wid, k)
         runtime.gap.record(wid, k)
 
@@ -497,17 +499,21 @@ class ParameterServerCluster(ProtocolCluster):
         if self.mode == "ssp":
             while k > server.min_iteration() + self.staleness:
                 yield server.wait_min_advance()
+            gate = (start, env.now)
 
         # Pull parameters through the PS NIC (download).
+        pull = env.now
         yield from nic.transfer(runtime.update_size)
         if self._membership is not None:
             runtime.count_traffic(1, runtime.update_size)
         pulled_version = server.version
 
         # Compute.
+        pulled = env.now
         plane = self._plane
         ticket = plane.pull(server, wid, k, model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
+        computed = env.now
         loss, grad = plane.gradient(ticket)
 
         # Compression shrinks the *push* only: the pull stays a dense
@@ -528,12 +534,17 @@ class ParameterServerCluster(ProtocolCluster):
                 pulled_version, grad,
             )
 
+        pushed = env.now
         if self.mode == "bsp":
             # Wait for the PS to fold this iteration and move on.
             yield server.version_event(pulled_version)
+            gate = (pushed, env.now)
 
         plane.end(wid, k, env.now, loss)
-        runtime.log_duration[wid](env.now, env.now - start)
+        runtime.ledger.record(
+            wid, k, start, env.now, (pulled, computed), (pull, pulled), gate,
+            (computed, pushed),
+        )
 
     def _push_sharded(
         self,
@@ -730,9 +741,7 @@ class ParameterServerCluster(ProtocolCluster):
 
     def _start(self, runtime: ProtocolRuntime) -> None:
         env = runtime.env
-        nic = SharedNic(
-            env, bandwidth=self.ps_bandwidth, latency=self.ps_latency
-        )
+        nic = SharedNic(env, bandwidth=PS_BANDWIDTH, latency=PS_LATENCY)
         self._nic = nic
         server = _ServerState(env, runtime.model.get_params(), self.n_workers)
         self._server_state = server
@@ -798,6 +807,7 @@ class ParameterServerCluster(ProtocolCluster):
                 server.params,
                 self.mode == "bsp",
                 runtime.tracer,
+                runtime.ledger,
             )
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:

@@ -294,8 +294,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 0
 
     spec = _spec(_cell_payload(args))[0].with_(
-        name="profile",
-        trace_channels=None if args.full_trace else LIGHT_TRACE,
+        name="profile", trace_channels=LIGHT_TRACE
     )
     workload = spec.workload
     print(
@@ -558,11 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--limit", type=int, default=25,
         help="rows in the hot-function table",
-    )
-    profile.add_argument(
-        "--full-trace", action="store_true",
-        help="record every tracer channel (default: LIGHT_TRACE, so "
-             "profiling measures the configuration perf runs use)",
     )
     profile.add_argument(
         "--engine-only", action="store_true",

@@ -35,6 +35,10 @@ from repro.sim.engine import Environment
 
 __all__ = ["HopCluster"]
 
+#: A hop worker's event counters, in ``worker_stats`` order.
+HOP_COUNTERS = ("n_restarts", "n_jumps", "n_suppressed_sends",
+                "n_extra_updates", "n_staleness_blocks")
+
 
 class HopCluster(ProtocolCluster):
     """Build-and-run facade for Hop / NOTIFY-ACK training experiments.
@@ -320,6 +324,7 @@ class HopCluster(ProtocolCluster):
                 state=self._state,
                 gap_tracker=runtime.gap,
                 tracer=runtime.tracer,
+                ledger=runtime.ledger,
                 max_iter=self.max_iter,
                 update_size=runtime.update_size,
                 token_rtt=self._token_rtt_for(wid)
@@ -448,8 +453,19 @@ class HopCluster(ProtocolCluster):
     def _iterations_skipped(self, runtime: ProtocolRuntime) -> List[int]:
         return [w.iterations_skipped for w in self._workers]
 
-    def _collect_worker_stats(self, runtime: ProtocolRuntime) -> List[dict]:
-        return [w.stats() for w in self._workers]
+    @property
+    def gate_stat(self) -> str:
+        return "token_wait_mean" if self.protocol == "hop" else "ack_wait_mean"
+
+    def _worker_extras(self, runtime: ProtocolRuntime) -> List[dict]:
+        """The loss mean and skipped iterations; hop adds its event
+        counters."""
+        counters = HOP_COUNTERS if self.protocol == "hop" else ()
+        return [
+            {"loss_mean": w.losses.mean, "iterations_skipped": w.iterations_skipped,
+             **{name: getattr(w, name) for name in counters}}
+            for w in self._workers
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -124,7 +124,8 @@ class RecordPlane:
 
     Per worker-iteration ``k`` (one reduce each, in order): ``counts[k]``
     updates entered the reduce; their senders follow in ``senders`` in
-    arrival order; ``times[k]`` is when the loss is logged.  Under
+    arrival order.  (The loss is logged when the reduce's receive ends,
+    its ledger row's ``recv_to``.)  Under
     staleness, ``tags`` holds each update's iteration and ``ready[k]``
     the replay level at which the worker's iteration-``k`` parameters
     exist (``ready[0] == 0``); standard and backup reduce only updates
@@ -132,12 +133,11 @@ class RecordPlane:
     column is kept.
     """
 
-    __slots__ = ("counts", "senders", "times", "tags", "ready", "_planes")
+    __slots__ = ("counts", "senders", "tags", "ready", "_planes")
 
     def __init__(self, planes: List["RecordPlane"], tagged: bool) -> None:
         self.counts = array("i")
         self.senders = array("i")
-        self.times = array("d")
         self.tags = array("i") if tagged else None
         self.ready = array("i", [0]) if tagged else None
         #: Every worker's plane, by wid: a tagged record reads the
@@ -194,8 +194,9 @@ class RecordPlane:
     def applied(x, delta) -> None:
         return None
 
-    def end(self, now: float) -> None:
-        self.times.append(now)
+    @staticmethod
+    def end(now: float) -> None:
+        return None
 
 
 class Schedule:
@@ -264,7 +265,8 @@ def replay(
     ``ready`` column.  Each worker draws its ``max_iter`` batches in
     ``k`` order, through a :class:`~repro.ml.data.Horizon`.  Fills
     ``final_params``, ``current_params``, ``losses`` and the
-    ``loss/<wid>`` series of every worker.
+    ``loss/<wid>`` series of every worker, each loss at its reduce's
+    receive end in the workers' ledger.
     """
     planes = schedule.planes
     n = len(workers)
@@ -387,9 +389,10 @@ def replay(
 
     # Each worker's losses in iteration order, as its loop adds them.
     accumulators = StatAccumulator.per_row(loss_at)
-    for worker, plane, params, losses, accumulator in zip(
-        workers, planes, x, loss_at.tolist(), accumulators
+    times = workers[0].ledger.column("recv_to", n).tolist()
+    for worker, params, losses, accumulator, at in zip(
+        workers, x, loss_at.tolist(), accumulators, times
     ):
         worker.final_params = worker.current_params = params
         worker.losses = accumulator
-        worker.tracer.extend(f"loss/{worker.wid}", zip(plane.times, losses))
+        worker.tracer.extend(f"loss/{worker.wid}", zip(at, losses))

@@ -47,7 +47,7 @@ from repro.net.network import Network
 from repro.scenarios.faults import CrashEvent
 from repro.scenarios.models import ComputeModel
 from repro.sim.engine import Environment
-from repro.sim.trace import StatAccumulator, Tracer
+from repro.sim.trace import SKIPPED, Ledger, StatAccumulator, Tracer
 
 
 class ClusterState:
@@ -77,8 +77,9 @@ class HopWorker:
     :func:`~repro.core.planes.replay` has run.  With ``notify_ack``
     the ``token_queues`` are ACK channels: ``token_queues[(receiver,
     sender)]`` holds ``receiver``'s ACKs gating ``sender``'s next Send,
-    and time blocked at that gate accrues to ``token_wait``, reported
-    as ``ack_wait_mean``.
+    and time blocked at that gate is the ledger row's ``gate``, reported
+    as ``ack_wait_mean``.  Every iteration ends with one ``ledger.record``
+    (:mod:`repro.sim.trace`).
     """
 
     def __init__(
@@ -98,6 +99,7 @@ class HopWorker:
         state: ClusterState,
         gap_tracker: GapTracker,
         tracer: Tracer,
+        ledger: Ledger,
         max_iter: int,
         update_size: float,
         token_rtt: float = 0.0,
@@ -122,6 +124,7 @@ class HopWorker:
         self.state = state
         self.gap_tracker = gap_tracker
         self.tracer = tracer
+        self.ledger = ledger
         self.max_iter = max_iter
         self.update_size = update_size
         #: Wire size of one outgoing update (the compressed pricing);
@@ -180,12 +183,9 @@ class HopWorker:
         #: end-of-iteration snapshot (needed only when some peer may
         #: crash-restart and re-sync from us; set by the cluster).
         self.snapshot_params = False
-        # Per-iteration tracer channels, bound once (the key f-strings
-        # and dict lookups leave the hot loop; disabled channels are
-        # no-ops).
-        self._log_iter = tracer.channel(f"iter/{wid}")
+        # The loss channel, bound once (the key f-string and dict
+        # lookup leave the hot loop).
         self._log_loss = tracer.channel(f"loss/{wid}")
-        self._log_duration = tracer.channel(f"duration/{wid}")
 
         # Statistics
         self.iterations_completed = 0
@@ -195,9 +195,6 @@ class HopWorker:
         self.n_extra_updates = 0
         self.n_staleness_blocks = 0
         self.n_cache_hits = 0
-        self.iteration_durations = StatAccumulator()
-        self.recv_wait = StatAccumulator()
-        self.token_wait = StatAccumulator()
         if schedule is None:
             self.plane = EagerPlane(self)
             self.losses = StatAccumulator()
@@ -384,7 +381,6 @@ class HopWorker:
     def _await_acks(self, iteration: int):
         """Generator: NOTIFY-ACK's gate, ACK(k-1) from every out-going
         neighbor before Send(k)."""
-        env = self.env
         providers = self._token_providers
         if self.membership is not None:
             # An edge created by a rewire carries ACKs from its
@@ -393,12 +389,10 @@ class HopWorker:
             providers = [
                 j for j in providers if activation.get(j, 0) <= iteration
             ]
-        start = env.now
         if providers:
             yield TokenGate(
-                env, [self.token_queues[(j, self.wid)] for j in providers]
+                self.env, [self.token_queues[(j, self.wid)] for j in providers]
             )
-        self.token_wait.add(env.now - start)
 
     def _send_acks(self, iteration: int) -> None:
         """NOTIFY-ACK: consumed -> ACK to every in-coming neighbor."""
@@ -546,35 +540,7 @@ class HopWorker:
         """Record the final parameters and mark this worker done."""
         self.final_params = x
         self.state.done[self.wid] = True
-        self.tracer.log(f"finished/{self.wid}", self.env.now, self.max_iter)
         return self.iterations_completed
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """This worker's ``TrainingRun.worker_stats`` entry."""
-        stats = {
-            "wid": self.wid,
-            "iterations_completed": self.iterations_completed,
-            "iteration_duration_mean": self.iteration_durations.mean,
-            "iteration_duration_max": self.iteration_durations.max,
-            "recv_wait_mean": self.recv_wait.mean,
-            "loss_mean": self.losses.mean,
-            "iterations_skipped": self.iterations_skipped,
-        }
-        if self.notify_ack:
-            stats["ack_wait_mean"] = self.token_wait.mean
-            return stats
-        stats.update(
-            n_restarts=self.n_restarts,
-            n_jumps=self.n_jumps,
-            n_suppressed_sends=self.n_suppressed_sends,
-            n_extra_updates=self.n_extra_updates,
-            n_staleness_blocks=self.n_staleness_blocks,
-            token_wait_mean=self.token_wait.mean,
-        )
-        return stats
 
     # ------------------------------------------------------------------
     # Main loop
@@ -633,7 +599,7 @@ class HopWorker:
         standard = type(self.recv) is StandardRecv and not elastic
         dequeue = self.update_queue.dequeue
         in_degree = self.in_degree
-        log_iter, log_duration = self._log_iter, self._log_duration
+        record = self.ledger.record
 
         x = plane.initial()
         k = 0
@@ -681,26 +647,30 @@ class HopWorker:
             start = env.now
             iterations[wid] = k
             gap_record(wid, k)
-            log_iter(start, k)
 
             # Insert tokens for in-coming neighbors (Figure 7 line 10).
             if use_tokens:
                 for queue in consumer_queues:
                     queue.put(1)
 
+            gate = jumped = SKIPPED
             if parallel:
                 # Figure 2(b): Send, then Compute overlapping Recv.
                 send(x, k)
                 ticket = compute(x)
                 yield timeout(duration_of(wid, k))
+                computed = env.now
                 delta = step(ticket, x, k)
             else:
                 # Figure 2(a): Compute, Apply, then Send / Recv / Reduce.
                 ticket = compute(x)
                 yield timeout(duration_of(wid, k))
+                computed = env.now
                 delta = step(ticket, x, k)
                 if notify_ack:
+                    acks = env.now
                     yield from self._await_acks(k)
+                    gate = (acks, env.now)
                 send(plane.applied(x, delta), k)
             recv_start = env.now
             if standard:
@@ -708,12 +678,12 @@ class HopWorker:
                 reduced = reduce_mean(updates, k)
             else:
                 reduced = yield from recv_reduce(self, k)
-            self.recv_wait.add(env.now - recv_start)
+            recv_end = env.now
             if notify_ack:
                 self._send_acks(k)
             x = apply(reduced, delta) if parallel else reduced
 
-            end(env.now)
+            end(recv_end)
             self.iterations_completed = k + 1
             # ``x`` aliases the scratch; peers re-syncing after a
             # crash-restart need a stable end-of-iteration snapshot.
@@ -725,7 +695,9 @@ class HopWorker:
                 advance = 1
                 jump = self._plan_jump(k)
                 if jump is not None:
+                    jump_start = env.now
                     x = yield from self._execute_jump(x, k, jump)
+                    jumped = (jump_start, env.now)
                     next_k = jump.target
                     advance = jump.advance
                 token_start = env.now
@@ -735,11 +707,12 @@ class HopWorker:
                     )
                 elif self.token_rtt > 0:
                     yield timeout(self.token_rtt)
-                self.token_wait.add(env.now - token_start)
+                gate = (token_start, env.now)
 
-            duration = env.now - start
-            self.iteration_durations.add(duration)
-            log_duration(env.now, duration)
+            record(
+                wid, k, start, env.now, (start, computed),
+                (recv_start, recv_end), gate, SKIPPED, jumped,
+            )
             k = next_k
 
         return self._finish(x)

@@ -41,10 +41,8 @@ from repro.scenarios import ScenarioSpec
 from repro.harness.ablations import ALL_ABLATIONS
 from repro.harness.io import (
     figure_to_dict,
-    load_run_summary,
     run_to_dict,
     save_figure,
-    save_run,
 )
 from repro.harness.workloads import (
     PRESETS,
@@ -75,7 +73,6 @@ __all__ = [
     "figure_to_dict",
     "final_smoothed_loss",
     "iteration_rate_speedup",
-    "load_run_summary",
     "render_check",
     "render_series_table",
     "render_table",
@@ -85,7 +82,6 @@ __all__ = [
     "run_to_dict",
     "set_default_jobs",
     "save_figure",
-    "save_run",
     "straggler_slowdown_ratio",
     "svm_workload",
     "wall_time_speedup",

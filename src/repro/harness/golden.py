@@ -208,8 +208,9 @@ def _exact(value):
 
 def run_fingerprint(run, values: bool = True) -> dict:
     """Everything a :class:`~repro.protocols.base.TrainingRun` reports,
-    as exact bits: run counters, every worker's stats, every traced
-    sample and, with ``values``, what the parameters decide.
+    as exact bits: run counters, every worker's stats, every ledger row,
+    every traced sample and, with ``values``, what the parameters
+    decide.
 
     ``values=False`` drops the final parameters, loss, accuracy and
     consensus, each worker's ``loss_mean`` and the traced loss *values*
@@ -239,6 +240,7 @@ def run_fingerprint(run, values: bool = True) -> dict:
             }
             for stats in run.worker_stats
         ],
+        "ledger": run.ledger.table().tolist(),
         "traced": {
             key: [
                 (time, value)
@@ -263,35 +265,17 @@ def run_fingerprint(run, values: bool = True) -> dict:
 
 
 def control_fingerprint(cluster, run) -> dict:
-    """``run_fingerprint(run, values=False)`` plus what a hop worker
-    keeps beyond its stats: the exact state of its duration, receive
-    and token-wait accumulators and its event counters."""
-
-    def state(accumulator):
-        return (
-            accumulator.count,
-            accumulator.mean,
-            accumulator._m2,
-            accumulator.min,
-            accumulator.max,
-        )
-
+    """``run_fingerprint(run, values=False)`` (the ledger included) plus
+    what a hop worker keeps beyond its stats: its event counters."""
     fingerprint = run_fingerprint(run, values=False)
-    fingerprint["workers"] = _exact(
-        [
-            {
-                "iteration_durations": state(worker.iteration_durations),
-                "recv_wait": state(worker.recv_wait),
-                "token_wait": state(worker.token_wait),
-                "counters": (
-                    worker.n_jumps,
-                    worker.n_suppressed_sends,
-                    worker.n_extra_updates,
-                    worker.n_staleness_blocks,
-                    worker.n_cache_hits,
-                ),
-            }
-            for worker in cluster._workers
-        ]
-    )
+    fingerprint["workers"] = [
+        (
+            worker.n_jumps,
+            worker.n_suppressed_sends,
+            worker.n_extra_updates,
+            worker.n_staleness_blocks,
+            worker.n_cache_hits,
+        )
+        for worker in cluster._workers
+    ]
     return fingerprint

@@ -119,16 +119,6 @@ def _jsonify(value):
     return value
 
 
-def save_run(run: TrainingRun, path: Union[str, Path]) -> Path:
-    """Write a run summary as JSON; returns the path written."""
-    return atomic_write_json(path, run_to_dict(run))
-
-
-def load_run_summary(path: Union[str, Path]) -> dict:
-    """Read back a summary written by :func:`save_run`."""
-    return json.loads(Path(path).read_text())
-
-
 def _finite_or_none(value):
     """Strict JSON has no NaN or Infinity: a non-finite float is null."""
     value = _jsonify(value)

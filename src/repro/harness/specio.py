@@ -49,6 +49,7 @@ from repro.harness.workloads import by_name as workload_by_name
 from repro.protocols.registry import PROTOCOLS
 from repro.registry import Registry
 from repro.scenarios import SCENARIOS, ScenarioSpec
+from repro.sim.rng import RngStreams
 
 
 class SpecError(ValueError):
@@ -114,6 +115,18 @@ def _graph_verdict(graph: str, workers: int) -> Optional[str]:
     return None
 
 
+@lru_cache(maxsize=1024)
+def _scenario_verdict(scenario: str, workers: int) -> Optional[str]:
+    """:func:`_graph_verdict` for a canonical scenario (as JSON): the
+    build's error, say a knob it never reads.  It draws from a fixed
+    stream, so the verdict cannot depend on a seed."""
+    try:
+        ScenarioSpec.from_dict(json.loads(scenario)).build(workers, RngStreams(0))
+    except Exception as error:
+        return str(error)
+    return None
+
+
 def canonical_spec(payload: dict) -> dict:
     """Validate ``payload`` and return its canonical (hashable) form.
 
@@ -159,6 +172,11 @@ def canonical_spec(payload: dict) -> dict:
     merged["protocol"] = _canonical_name(PROTOCOLS, merged["protocol"])
 
     merged["scenario"] = _canonical_scenario(merged["scenario"])
+    if merged["scenario"] is not None:
+        verdict = _scenario_verdict(
+            canonical_json(merged["scenario"]), merged["workers"]
+        )
+        _require(verdict is None, verdict)
     merged["compression"] = _canonical_compression(merged["compression"])
     merged["config"] = _canonical_config(merged["config"])
     if merged["config"] is not None and merged["protocol"] != "hop":

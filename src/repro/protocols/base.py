@@ -44,18 +44,18 @@ from repro.net.message import params_message_size, payload_bytes
 from repro.scenarios.models import ComputeModel
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import FAULT_KINDS, Ledger, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard for type hints
     from repro.core.gap import GapTracker
 
 
-#: Tracer channels every TrainingRun consumer depends on: loss curves,
-#: per-iteration durations (non-hop worker stats) and the crash
-#: lifecycle.  Passing this as ``trace_channels`` keeps results intact
-#: while the remaining per-iteration diagnostics (iter/, jump/,
-#: finished/) become free no-ops.
-LIGHT_TRACE = ("loss", "duration", "crashed", "resynced", "restarted")
+#: The ``trace_channels`` of a perf-focused run: no diagnostic channel
+#: (today that is hop's ``jump/``).  A run's results never depend on
+#: the allowlist: the tracer always records the result prefixes
+#: (:data:`~repro.sim.trace.RESULT_PREFIXES`), and worker times live in
+#: the always-on :class:`~repro.sim.trace.Ledger`.
+LIGHT_TRACE = ()
 
 
 class DeadlockError(RuntimeError):
@@ -91,6 +91,9 @@ class TrainingRun:
     final_accuracy: Optional[float] = None
     consensus: float = 0.0
     worker_stats: List[dict] = field(default_factory=list)
+    #: Every worker-iteration's phase boundaries (``worker_stats`` is
+    #: derived from it).
+    ledger: Ledger = field(default_factory=Ledger)
     #: Crash/recovery lifecycle events (scenario fault injection):
     #: ``{"kind": "crashed"|"restarted"|"resynced", "worker", "time",
     #: "iteration"}``, time-ordered.
@@ -232,6 +235,9 @@ class ProtocolRuntime:
     #: ``[messages_sent, bytes_sent]`` — plain list so simulated
     #: processes can mutate it in place.
     traffic: List[float] = field(default_factory=lambda: [0, 0.0])
+    #: The run's worker-time ledger: every iteration body records its
+    #: phase boundaries here (:meth:`Ledger.record`).
+    ledger: Ledger = field(default_factory=Ledger)
 
     @cached_property
     def compute(self) -> ComputePool:
@@ -248,20 +254,10 @@ class ProtocolRuntime:
 
     @cached_property
     def log_loss(self) -> List[Callable[..., None]]:
-        """``loss/<wid>`` tracer channels by worker, bound at first use."""
-        return self._channels("loss")
-
-    @cached_property
-    def log_duration(self) -> List[Callable[..., None]]:
-        """``duration/<wid>`` tracer channels by worker."""
-        return self._channels("duration")
-
-    def _channels(self, prefix: str) -> List[Callable[..., None]]:
-        # One bound appender per worker: the key is formatted and
-        # looked up once per run, not once per iteration.
+        """``loss/<wid>`` tracer channels by worker, bound at first use
+        (the key is formatted once per run, not once per iteration)."""
         return [
-            self.tracer.channel(f"{prefix}/{wid}")
-            for wid in range(self.n_workers)
+            self.tracer.channel(f"loss/{wid}") for wid in range(self.n_workers)
         ]
 
     def count_traffic(self, messages: int, bytes_sent: float) -> None:
@@ -325,8 +321,11 @@ class ProtocolCluster:
       reports.
     * :meth:`_final_param_stack` — per-worker final parameter matrix
       (single-row for centralized protocols).
+    * Every iteration body ends with one ``runtime.ledger.record`` call
+      (:class:`~repro.sim.trace.Ledger`); ``worker_stats`` is derived
+      from the ledger.
     * Optional overrides: :meth:`_message_totals`, :meth:`_byte_stats`,
-      :meth:`_collect_worker_stats`, :meth:`_iterations_completed`,
+      :meth:`_worker_extras`, :attr:`gate_stat`, :meth:`_iterations_completed`,
       :meth:`_iterations_skipped`, :meth:`_messages_dropped`,
       :meth:`_check_complete`, :meth:`_after_simulation`, and the join
       re-sync (:meth:`_resync_joiner`, :meth:`_resync_payload`).
@@ -339,6 +338,9 @@ class ProtocolCluster:
 
     #: Private test override: run a replayable spec on the eager plane.
     _eager = False
+
+    #: The ``worker_stats`` key of a worker's mean ledger ``gate`` time.
+    gate_stat = "gate_wait_mean"
 
     def __init__(
         self,
@@ -570,7 +572,7 @@ class ProtocolCluster:
     #: Tracer-key prefixes surfaced as lifecycle fault events, in
     #: causal order (a restart completes *after* the re-sync it did) —
     #: the index breaks same-timestamp ties in the sorted event list.
-    FAULT_EVENT_KINDS = ("crashed", "resynced", "restarted")
+    FAULT_EVENT_KINDS = FAULT_KINDS
 
     def _collect_fault_events(self, runtime: ProtocolRuntime) -> List[dict]:
         """Crash/recovery events logged as ``<kind>/<wid>`` traces."""
@@ -686,7 +688,6 @@ class ProtocolCluster:
             round_k = round_at(k)
             membership.on_iteration(wid, k, env.now)
             yield from round_k
-            self._completed[wid] = k + 1
             k += 1
         runtime.done[wid] = True
 
@@ -723,37 +724,19 @@ class ProtocolCluster:
             runtime.count_traffic(2, payload)
 
     def _iterations_completed(self, runtime: ProtocolRuntime) -> List[int]:
-        if self._membership is not None:
-            return list(self._completed)
-        return [self.max_iter] * self.n_workers
+        """One past each worker's last iteration in the ledger."""
+        last = runtime.ledger.column("iteration", self.n_workers)
+        return (np.fmax.reduce(last, axis=1, initial=-1.0) + 1).astype(int).tolist()
 
     def _iterations_skipped(self, runtime: ProtocolRuntime) -> List[int]:
         return [0] * self.n_workers
 
-    def _consensus(self, final_stack: np.ndarray) -> float:
-        return consensus_distance(final_stack)
-
-    def _collect_worker_stats(self, runtime: ProtocolRuntime) -> List[dict]:
-        """Default stats from the ``duration/<wid>`` trace series."""
-        stats = []
-        completed = self._iterations_completed(runtime)
-        for wid in range(self.n_workers):
-            values = [v for _, v in runtime.tracer.raw(f"duration/{wid}")]
-            stats.append(
-                {
-                    "wid": wid,
-                    "iterations_completed": completed[wid],
-                    "iteration_duration_mean": (
-                        float(np.mean(values)) if values else 0.0
-                    ),
-                    "iteration_duration_max": (
-                        float(np.max(values)) if values else 0.0
-                    ),
-                    "recv_wait_mean": 0.0,
-                    "loss_mean": 0.0,
-                }
-            )
-        return stats
+    def _worker_extras(
+        self, runtime: ProtocolRuntime
+    ) -> Optional[List[dict]]:
+        """A protocol's own ``worker_stats`` keys, by worker (see
+        :meth:`~repro.sim.trace.Ledger.worker_stats`)."""
+        return None
 
     # ------------------------------------------------------------------
     # The shared run loop
@@ -790,8 +773,6 @@ class ProtocolCluster:
             done=np.zeros(self.n_workers, dtype=bool),
         )
         self.runtime = runtime
-        #: Iterations each worker completed (read under churn).
-        self._completed = [0] * self.n_workers
         self._start(runtime)
         env.run()
         self._check_complete(runtime)
@@ -824,8 +805,13 @@ class ProtocolCluster:
             final_params=final_params,
             final_loss=final_loss,
             final_accuracy=final_accuracy,
-            consensus=self._consensus(final_stack),
-            worker_stats=self._collect_worker_stats(runtime),
+            consensus=consensus_distance(final_stack),
+            worker_stats=runtime.ledger.worker_stats(
+                self._iterations_completed(runtime),
+                self.gate_stat,
+                self._worker_extras(runtime),
+            ),
+            ledger=runtime.ledger,
             fault_events=self._collect_fault_events(runtime),
             messages_dropped=self._messages_dropped(runtime),
             membership_events=self._collect_membership_events(runtime),

@@ -34,6 +34,7 @@ from repro.protocols.base import ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
 from repro.sim.engine import Environment
 from repro.sim.events import Event
+from repro.sim.trace import SKIPPED
 
 
 class GroupSchedule:
@@ -273,6 +274,8 @@ class PartialAllReduceCluster(ProtocolCluster):
         model.set_params(params[wid])
         ticket = runtime.compute.submit(model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
+        computed = env.now
+        gate = recv = SKIPPED
         loss, grad = ticket.result()
         params[wid] = params[wid] + optimizer.step(params[wid], grad, k)
 
@@ -308,12 +311,14 @@ class PartialAllReduceCluster(ProtocolCluster):
                 )
                 barrier.event.succeed()
             yield barrier.event
+            released = env.now
             yield env.timeout(
                 self.group_comm_time(group, self._wire_size(runtime))
             )
+            gate, recv = (computed, released), (released, env.now)
 
         runtime.log_loss[wid](env.now, loss)
-        runtime.log_duration[wid](env.now, env.now - start)
+        runtime.ledger.record(wid, k, start, env.now, (start, computed), recv, gate)
 
     def _worker(
         self,
@@ -363,7 +368,6 @@ class PartialAllReduceCluster(ProtocolCluster):
             yield from self._round(
                 wid, k, runtime, params, barriers, model, optimizer, batcher
             )
-            self._completed[wid] = k + 1
             k += 1
         runtime.done[wid] = True
 

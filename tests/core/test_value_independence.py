@@ -158,7 +158,7 @@ def test_a_loss_dependent_duration_is_caught_on_the_eager_plane():
     real_print = control_fingerprint(real_cluster, real)
     stub_print = control_fingerprint(stub_cluster, stubbed)
     assert stub_print["wall_time"] != real_print["wall_time"]
-    assert stub_print["workers"] != real_print["workers"]
+    assert stub_print["ledger"] != real_print["ledger"]
     # Uncoupled, the stubbed run is the real one's control.
     assert stub_print == control_fingerprint(*run_cell(spec, stub=True))
 

@@ -9,11 +9,10 @@ from repro.cli import main
 from repro.graphs import ring_based
 from repro.harness import ALL_FIGURES, ExperimentSpec, run_spec, svm_workload
 from repro.harness.io import (
+    atomic_write_json,
     figure_to_dict,
-    load_run_summary,
     run_to_dict,
     save_figure,
-    save_run,
 )
 from repro.scenarios.models import RandomSlowdown
 from repro.sim import RngStreams
@@ -27,6 +26,15 @@ def run():
     )
 
 
+def save_summary(run, path):
+    """What ``repro train --out`` writes: the run summary, atomically."""
+    return atomic_write_json(path, run_to_dict(run))
+
+
+def load_summary(path):
+    return json.loads(path.read_text())
+
+
 class TestRunSerialization:
     def test_run_to_dict_is_json_safe(self, run):
         payload = run_to_dict(run)
@@ -34,8 +42,8 @@ class TestRunSerialization:
         assert "hop" in text
 
     def test_round_trip_through_disk(self, run, tmp_path):
-        path = save_run(run, tmp_path / "run.json")
-        loaded = load_run_summary(path)
+        path = save_summary(run, tmp_path / "run.json")
+        loaded = load_summary(path)
         assert loaded["protocol"] == "hop"
         assert loaded["n_workers"] == 8
         assert loaded["wall_time"] == pytest.approx(run.wall_time)
@@ -44,12 +52,12 @@ class TestRunSerialization:
         )
 
     def test_worker_stats_preserved(self, run, tmp_path):
-        loaded = load_run_summary(save_run(run, tmp_path / "r.json"))
+        loaded = load_summary(save_summary(run, tmp_path / "r.json"))
         assert len(loaded["worker_stats"]) == 8
         assert loaded["worker_stats"][0]["iterations_completed"] == 12
 
     def test_creates_parent_directories(self, run, tmp_path):
-        path = save_run(run, tmp_path / "deep" / "nested" / "run.json")
+        path = save_summary(run, tmp_path / "deep" / "nested" / "run.json")
         assert path.exists()
 
 

@@ -101,6 +101,7 @@ class TestExtensionPoint:
                 def worker(wid, model, optimizer, batcher):
                     params = model.get_params()
                     for k in range(self.max_iter):
+                        start = env.now
                         runtime.gap.record(wid, k)
                         model.set_params(params)
                         ticket = runtime.compute.submit(model, batcher)
@@ -110,7 +111,9 @@ class TestExtensionPoint:
                         loss, grad = ticket.result()
                         params = params + optimizer.step(params, grad, k)
                         runtime.tracer.log(f"loss/{wid}", env.now, loss)
-                        runtime.tracer.log(f"duration/{wid}", env.now, 0.0)
+                        runtime.ledger.record(
+                            wid, k, start, env.now, (start, env.now)
+                        )
                     self._params[wid] = params
                     runtime.done[wid] = True
 
@@ -155,6 +158,11 @@ class TestExtensionPoint:
             assert run.protocol == "local-only-test"
             assert run.messages_sent == 0
             assert run.consensus > 0  # isolated replicas drift apart
+            assert len(run.ledger) == 4 * 5
+            assert all(
+                stats["iteration_duration_mean"] > 0
+                for stats in run.worker_stats
+            )
         finally:
             PROTOCOLS.remove("local-only-test")
 

@@ -115,6 +115,26 @@ class TestEndpoints:
         assert info.value.status == 400
         assert "compressor 'topk' does not take ['ratoi']" in str(info.value)
 
+    def test_a_misspelled_scenario_knob_is_a_400_not_a_failed_run(
+        self, service_stack
+    ):
+        _, client = service_stack
+        with pytest.raises(ServiceError) as info:
+            client.submit_one(
+                {
+                    "workers": 4,
+                    "max_iter": 2,
+                    "scenario": {"family": "straggler",
+                                 "params": {"factr": 9}},
+                }
+            )
+        assert info.value.status == 400
+        assert "scenario 'straggler' does not take ['factr']" in str(
+            info.value
+        )
+        stats = client.stats()
+        assert stats["retries"] == 0 and stats["run_failures"] == 0
+
     def test_malformed_json_is_a_400(self, service_stack):
         _, client = service_stack
         import urllib.request

@@ -93,14 +93,19 @@ class TestStatAccumulator:
             min_size=54,
             max_size=54,
         ),
+        st.lists(st.booleans(), min_size=54, max_size=54),
     )
-    def test_per_row_is_add_down_each_row_bitwise(self, rows, count, pool):
+    def test_per_row_is_add_down_each_row_bitwise(self, rows, count, pool, mask):
         values = np.array(pool[: rows * count]).reshape(rows, count)
-        for row, got in zip(values, StatAccumulator.per_row(values)):
-            want = StatAccumulator()
-            for value in row.tolist():
-                want.add(value)
-            assert exact(got) == exact(want)
+        entered = np.array(mask[: rows * count]).reshape(rows, count)
+        for mask_ in (None, entered):
+            got_rows = StatAccumulator.per_row(values, entered=mask_)
+            for r, (row, got) in enumerate(zip(values, got_rows)):
+                want = StatAccumulator()
+                for t, value in enumerate(row.tolist()):
+                    if mask_ is None or mask_[r, t]:
+                        want.add(value)
+                assert exact(got) == exact(want)
 
 
 def exact(accumulator):
@@ -112,6 +117,6 @@ def test_extend_appends_samples_to_an_enabled_series_only():
     tracer = Tracer(channels=("loss",))
     tracer.log("loss/0", 0.0, 1.0)
     tracer.extend("loss/0", zip([1.0, 2.0], [0.5, 0.25]))
-    tracer.extend("iter/0", [(0.0, 0)])
+    tracer.extend("jump/0", [(0.0, 0)])
     assert tracer.raw("loss/0") == [(0.0, 1.0), (1.0, 0.5), (2.0, 0.25)]
     assert tracer.keys() == ["loss/0"]
