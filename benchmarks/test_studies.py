@@ -10,7 +10,8 @@ its own default workload.  ``-k fig21`` selects one study.
 
 import pytest
 
-from repro.harness import ALL_ABLATIONS, ALL_FIGURES
+from repro.harness.ablations import ALL_ABLATIONS
+from repro.harness.figures import ALL_FIGURES
 
 BOTH_WORKLOADS = ("fig12", "fig13", "fig14", "fig15", "fig19")
 

@@ -27,13 +27,13 @@ from repro.core import (
     staleness_config,
 )
 from repro.graphs import chain, ring_based
-from repro.harness import (
+from repro.harness.report import render_table
+from repro.harness.spec import (
     ExperimentSpec,
     deterministic_straggler,
-    render_table,
     run_spec,
-    svm_workload,
 )
+from repro.harness.workloads import svm_workload
 from repro.scenarios.models import ComputeModel
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD

@@ -20,17 +20,16 @@ import argparse
 
 from repro.core.config import STANDARD, SkipConfig, backup_config, staleness_config
 from repro.graphs import ring_based
-from repro.harness import (
+from repro.harness.report import render_series_table, render_table
+from repro.harness.results import binned_loss_curve
+from repro.harness.spec import (
     RANDOM_6X,
     ExperimentSpec,
-    ScenarioSpec,
-    binned_loss_curve,
-    cnn_workload,
     deterministic_straggler,
-    render_series_table,
-    render_table,
     run_spec,
 )
+from repro.harness.workloads import cnn_workload
+from repro.scenarios import ScenarioSpec
 
 
 CONFIGS = {

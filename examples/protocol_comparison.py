@@ -26,14 +26,10 @@ import argparse
 
 from repro.core.config import STANDARD, backup_config
 from repro.graphs import bipartite_ring, ring_based
-from repro.harness import (
-    RANDOM_6X,
-    ExperimentSpec,
-    ScenarioSpec,
-    render_table,
-    run_spec,
-    svm_workload,
-)
+from repro.harness.report import render_table
+from repro.harness.spec import RANDOM_6X, ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
+from repro.scenarios import ScenarioSpec
 
 
 def main() -> None:

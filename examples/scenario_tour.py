@@ -21,12 +21,9 @@ from pathlib import Path
 
 from repro.core.config import backup_config
 from repro.graphs import ring_based
-from repro.harness import (
-    ExperimentSpec,
-    render_table,
-    run_spec,
-    svm_workload,
-)
+from repro.harness.report import render_table
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
 from repro.scenarios import (
     MarkovSlowdown,
     ScenarioSpec,

@@ -31,13 +31,10 @@ from repro.graphs import (
     ring,
     spectral_gap,
 )
-from repro.harness import (
-    ExperimentSpec,
-    ScenarioSpec,
-    cnn_workload,
-    render_table,
-    run_spec,
-)
+from repro.harness.report import render_table
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import cnn_workload
+from repro.scenarios import ScenarioSpec
 from repro.net.links import Link, cluster_links
 
 

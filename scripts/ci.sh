@@ -242,19 +242,21 @@ echo "== start-up smoke: linear-time start-up, scipy on demand =="
 # validates in 0.04-0.2 s on the reference container (2.0-2.6 s while
 # the weight-support and connectivity checks were Python loops over
 # all n^2 pairs); the 1.0 s ceiling trips on a Python-level O(n^2) in
-# start-up, not on machine noise.  And importing the harness must not
-# load scipy: the SVM's logistic loss imports scipy.special at first
-# use.  That a CNN step and a 512-row evaluate load none of it is
+# start-up, not on machine noise.  And importing what a run imports
+# must not load scipy: the SVM's logistic loss imports scipy.special at
+# first use.  That a CNN step and a 512-row evaluate load none of it is
 # tests/ml/test_footprint.py's check, run with the suite above.
 python - <<'PY'
 import sys
 import time
 
-import repro.harness  # noqa: F401
+import repro.harness.golden  # noqa: F401
+import repro.harness.spec  # noqa: F401
+import repro.service  # noqa: F401
 from repro.graphs import ring_based
 
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, f"import repro.harness loaded scipy: {loaded[:5]}"
+assert not loaded, f"importing the run path loaded scipy: {loaded[:5]}"
 
 start = time.perf_counter()
 topology = ring_based(2048)
@@ -267,7 +269,7 @@ assert elapsed < ceiling, (
 )
 print(
     f"start-up smoke OK: ring_based(2048) + validate() in {elapsed:.2f} s "
-    f"(ceiling {ceiling:.1f} s), scipy not imported by repro.harness"
+    f"(ceiling {ceiling:.1f} s), scipy not imported by the run path"
 )
 PY
 
@@ -318,7 +320,7 @@ echo "== sanitizer smoke: REPRO_SANITIZE=1 conformance cell =="
 # The runtime half of the aliasing rules: parameter buffers are
 # read-only outside set_params' sanctioned window, and one conformance
 # cell must still match its golden fingerprint bit-for-bit.
-REPRO_SANITIZE=1 python -m pytest -x -q tests/analysis/test_sanitizer.py
+REPRO_SANITIZE=1 python -m pytest -x -q tests/ml/test_sanitizer.py
 
 echo "== service smoke: serve/submit, golden-verified cache, drain =="
 # The fault-tolerant experiment service end-to-end: a real `repro

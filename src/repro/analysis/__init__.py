@@ -3,10 +3,11 @@
 A single-pass AST linter whose rules encode this repository's
 non-negotiable invariants — bit-exact determinism, the zero-copy
 parameter plane's ownership rules, the DES engine's performance idioms
-and the registry contracts — plus a runtime sanitizer
-(``REPRO_SANITIZE=1``) that cross-checks the aliasing rules
-dynamically.  Surfaced as ``repro lint`` in the CLI and a gate in
-``scripts/ci.sh``.
+and the registry contracts.  Surfaced as ``repro lint`` in the CLI and
+a gate in ``scripts/ci.sh``.  The package is lint-only: the runtime
+sanitizer (``REPRO_SANITIZE=1``) that cross-checks the aliasing rules
+dynamically lives beside the buffers it locks, in
+:mod:`repro.ml.params`, so a simulation never loads the lint engine.
 
 Rules self-register in :data:`RULES` under stable ids; the
 ARCHITECTURE "Adding a rule" walkthrough is mirrored by a test.
@@ -33,7 +34,6 @@ from repro.analysis.registry import (
     rule_table,
     unregister_rule,
 )
-from repro.analysis.runtime import sanitize_enabled, writable_window
 
 __all__ = [
     "Baseline",
@@ -52,7 +52,5 @@ __all__ = [
     "rule_groups",
     "rule_table",
     "run_lint",
-    "sanitize_enabled",
     "unregister_rule",
-    "writable_window",
 ]

@@ -5,7 +5,7 @@ Since the zero-copy refactor, ``Model.get_params()`` returns a
 caller-owned scratch, and every parameter-sized allocation on the
 per-iteration path is a regression.  These rules encode the ownership
 contract from docs/ARCHITECTURE.md's performance-architecture section;
-``REPRO_SANITIZE=1`` (:mod:`repro.analysis.runtime`) is the dynamic
+``REPRO_SANITIZE=1`` (:mod:`repro.ml.params`) is the dynamic
 cross-check.
 """
 

@@ -46,9 +46,6 @@ from repro.baselines.adpsgd import MOMENTUM_MODES
 from repro.compression import COMPRESSORS, compression_table
 from repro.graphs import TOPOLOGIES, TopologyError, spectral_gap
 from repro.graphs import by_name as graph_by_name
-from repro.harness import ALL_FIGURES
-from repro.harness.ablations import ALL_ABLATIONS
-from repro.harness.parallel import set_default_jobs
 from repro.harness.spec import run_spec
 from repro.harness.specio import SpecError, spec_from_dict
 from repro.harness.workloads import PRESETS, WORKLOADS
@@ -65,7 +62,13 @@ def _jobs_arg(value: str) -> int:
 
 def _cmd_studies(args: argparse.Namespace) -> int:
     """``figures`` / ``ablations``: run, render and shape-check each."""
-    studies, noun = args.studies, args.noun
+    from repro.harness.parallel import set_default_jobs
+
+    noun = args.noun
+    if noun == "figure":
+        from repro.harness.figures import ALL_FIGURES as studies
+    else:
+        from repro.harness.ablations import ALL_ABLATIONS as studies
     set_default_jobs(args.jobs)
     names = args.only or sorted(studies)
     failed = []
@@ -77,7 +80,7 @@ def _cmd_studies(args: argparse.Namespace) -> int:
         print(result.render())
         print()
         if getattr(args, "json_dir", None):
-            from repro.harness.io import save_figure
+            from repro.harness.study import save_figure
 
             save_figure(result, f"{args.json_dir}/{name}.json")
         if not result.passed():
@@ -352,8 +355,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         inline=args.inline,
     )
-    resumed = service.resume()
+    # Bind first: resuming forks the pool, and a child forked while this
+    # thread imports the HTTP stack would block on that import's lock.
     httpd = make_server(service, host=args.host, port=args.port)
+    resumed = service.resume()
     host, port = httpd.server_address[:2]
     # The port line is a contract: with --port 0 the OS picks, and
     # scripted callers (smoke/chaos harnesses) parse it from stdout.
@@ -476,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for a figure's independent series "
              "(default: REPRO_JOBS env var, then CPU count; 1 = sequential)",
     )
-    figures.set_defaults(func=_cmd_studies, studies=ALL_FIGURES, noun="figure")
+    figures.set_defaults(func=_cmd_studies, noun="figure")
 
     ablations = sub.add_parser("ablations", help="run ablation studies")
     ablations.add_argument("--preset", default="smoke", choices=PRESETS)
@@ -486,9 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for an ablation's independent series "
              "(default: REPRO_JOBS env var, then CPU count; 1 = sequential)",
     )
-    ablations.set_defaults(
-        func=_cmd_studies, studies=ALL_ABLATIONS, noun="ablation"
-    )
+    ablations.set_defaults(func=_cmd_studies, noun="ablation")
 
     train = sub.add_parser("train", help="run one training configuration")
     _add_cell_arguments(

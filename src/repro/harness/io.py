@@ -1,8 +1,9 @@
-"""Serialization of run results and figure artifacts.
+"""Serialization of run results.
 
 Training runs hold numpy arrays and tracers; this module flattens them
 to plain JSON for archiving, diffing across reproductions, and loading
-into external plotting tools.
+into external plotting tools.  Figure artifacts are dumped next to
+their type, by :func:`repro.harness.study.figure_to_dict`.
 
 It also owns the repository's one crash-safe persistence primitive:
 :func:`atomic_write_text` / :func:`atomic_write_json` stage the payload
@@ -18,7 +19,6 @@ persistence that would reintroduce the torn-write hazard.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from pathlib import Path
@@ -27,7 +27,6 @@ from typing import Union
 import numpy as np
 
 from repro.protocols.base import TrainingRun
-from repro.harness.study import FigureResult
 from repro.harness.results import binned_loss_curve
 
 
@@ -117,41 +116,3 @@ def _jsonify(value):
     if isinstance(value, (np.floating,)):
         return float(value)
     return value
-
-
-def _finite_or_none(value):
-    """Strict JSON has no NaN or Infinity: a non-finite float is null."""
-    value = _jsonify(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def figure_to_dict(result: FigureResult) -> dict:
-    """A strict-JSON dump of a figure reproduction (non-finite -> null)."""
-    return {
-        "figure_id": result.figure_id,
-        "title": result.title,
-        "rows": [
-            {key: _finite_or_none(value) for key, value in row.items()}
-            for row in result.rows
-        ],
-        "series": {
-            label: {
-                "x": [_finite_or_none(float(v)) for v in xs],
-                "y": [_finite_or_none(float(v)) for v in ys],
-            }
-            for label, (xs, ys) in result.series.items()
-        },
-        "checks": [
-            {"name": name, "passed": passed, "detail": detail}
-            for name, passed, detail in result.checks
-        ],
-        "passed": result.passed(),
-        "notes": result.notes,
-    }
-
-
-def save_figure(result: FigureResult, path: Union[str, Path]) -> Path:
-    """Write a figure reproduction (JSON) next to its text render."""
-    return atomic_write_json(path, figure_to_dict(result))

@@ -12,13 +12,16 @@ cell for studies that plot every cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.graphs import ring_based
 from repro.graphs.topology import Topology
+from repro.harness.io import atomic_write_json
 from repro.harness.parallel import run_specs
 from repro.harness.report import render_check, render_series_table, render_table
 from repro.harness.spec import ExperimentSpec
@@ -62,6 +65,46 @@ class FigureResult:
         if self.notes:
             parts.append(f"notes: {self.notes}")
         return "\n".join(parts)
+
+
+def _finite_or_none(value):
+    """Strict JSON has no NaN or Infinity: a non-finite float is null."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else None
+    return value
+
+
+def figure_to_dict(result: FigureResult) -> dict:
+    """A strict-JSON dump of a figure reproduction (non-finite -> null)."""
+    return {
+        "figure_id": result.figure_id,
+        "title": result.title,
+        "rows": [
+            {key: _finite_or_none(value) for key, value in row.items()}
+            for row in result.rows
+        ],
+        "series": {
+            label: {
+                "x": [_finite_or_none(float(v)) for v in xs],
+                "y": [_finite_or_none(float(v)) for v in ys],
+            }
+            for label, (xs, ys) in result.series.items()
+        },
+        "checks": [
+            {"name": name, "passed": passed, "detail": detail}
+            for name, passed, detail in result.checks
+        ],
+        "passed": result.passed(),
+        "notes": result.notes,
+    }
+
+
+def save_figure(result: FigureResult, path: Union[str, Path]) -> Path:
+    """Write a figure reproduction (JSON) next to its text render."""
+    return atomic_write_json(path, figure_to_dict(result))
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,15 @@ from repro.ml.layers import (
     MaxPool2D,
     ReLU,
 )
-from repro.analysis.runtime import sanitize_enabled, writable_window
 from repro.ml.compute import stacked_kernel_for
 from repro.ml.losses import Loss, LogisticLoss, SoftmaxCrossEntropy
-from repro.ml.params import Parameter, pack_parameters, readonly_view
+from repro.ml.params import (
+    Parameter,
+    pack_parameters,
+    readonly_view,
+    sanitize_enabled,
+    writable_window,
+)
 
 
 class Sequential:

@@ -11,10 +11,25 @@ A model's parameters *live* as views into one contiguous flat buffer
 are two windows onto the same memory, so ``Model.get_params`` /
 ``set_params`` cost one aliased read / one memcpy instead of a
 concatenate / per-tensor scatter.
+
+It also holds the runtime half of the static aliasing lint rules
+(``alias-params-write``, ``alias-scratch-self``): with
+``REPRO_SANITIZE=1`` in the environment, :class:`repro.ml.models.Model`
+locks its flat parameter buffer and every per-layer view of it with
+``writeable=False``, and unlocks the buffer only inside the sanctioned
+in-place windows (``set_params``, the repack during ``astype``), which
+wrap their writes in :func:`writable_window`.  Any other write into the
+parameter plane then raises ``ValueError: assignment destination is
+read-only`` at the offending line instead of silently corrupting golden
+stats.  The sanitizer changes no values: one conformance cell runs
+under ``REPRO_SANITIZE=1`` in CI and must reproduce its golden
+fingerprint bit for bit (``tests/ml/test_sanitizer.py``).
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -97,3 +112,24 @@ def readonly_view(array: np.ndarray) -> np.ndarray:
 def total_size(parameters: Iterable[Parameter]) -> int:
     """Total number of scalar parameters."""
     return sum(p.size for p in parameters)
+
+
+#: Environment flag enabling the write sanitizer ("" and "0" mean off).
+ENV_FLAG = "REPRO_SANITIZE"
+
+
+def sanitize_enabled() -> bool:
+    """Whether the parameter-plane write sanitizer is on."""
+    return os.environ.get(ENV_FLAG, "") not in ("", "0")
+
+
+@contextmanager
+def writable_window(array: np.ndarray):
+    """Temporarily re-enable writes on a sanitizer-locked buffer,
+    restoring the previous flag even if the write raises."""
+    previous = array.flags.writeable
+    array.flags.writeable = True
+    try:
+        yield array
+    finally:
+        array.flags.writeable = previous

@@ -27,7 +27,7 @@ Public API::
     from repro.protocols import build_cluster, registered_protocols
 
     print(registered_protocols())  # sorted canonical names
-    run = build_cluster(spec).run()   # spec: repro.harness.ExperimentSpec
+    run = build_cluster(spec).run()   # spec: repro.harness.spec.ExperimentSpec
 
 To add a protocol, subclass :class:`ProtocolCluster`, implement
 ``_start`` plus the description hooks, and call

@@ -17,7 +17,8 @@ payload becomes a run through the one spec codec,
 * :mod:`repro.service.journal`  — fsync'd write-ahead JSONL journal
 * :mod:`repro.service.runner`   — worker-side execution (+ chaos knobs)
 * :mod:`repro.service.scheduler`— retries, pool respawn, admission bound
-* :mod:`repro.service.server`   — HTTP facade + resume-on-restart
+* :mod:`repro.service.server`   — the service + resume-on-restart
+* :mod:`repro.service.httpd`    — HTTP facade (loaded by ``make_server``)
 * :mod:`repro.service.client`   — kept-alive stdlib client with retries
 """
 

@@ -1,12 +1,13 @@
 """Stdlib HTTP client for the experiment service.
 
 Each thread of each process talks over one kept-alive HTTP/1.1
-connection (``http.client``), opened on first use.  Before it is
-reused, a zero-timeout poll checks that the server has not closed it
-(idle timeout, restart, or an answer that closed it): an idle
-connection with anything to read — EOF, a reset, stray bytes — is
-dropped and a fresh one opened, so a request is never written onto a
-connection already known to be dead.  A connection is never shared
+connection (``http.client``, imported by the first request, so
+importing :mod:`repro.service` loads no HTTP stack), opened on first
+use.  Before it is reused, a zero-timeout poll checks that the server
+has not closed it (idle timeout, restart, or an answer that closed
+it): an idle connection with anything to read — EOF, a reset, stray
+bytes — is dropped and a fresh one opened, so a request is never
+written onto a connection already known to be dead.  A connection is never shared
 between threads, and a forked child opens its own.
 
 Requests go through the same :mod:`repro.harness.retry` policy the
@@ -26,7 +27,6 @@ one attempt; pass ``sweep_id`` to make submission retry-safe.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import select
@@ -87,6 +87,8 @@ class ServiceClient:
         connect is a ``ConnectionError``, which idempotent requests
         retry.
         """
+        import http.client
+
         local = self._local
         if getattr(local, "pid", None) != os.getpid():
             if getattr(local, "conn", None) is not None:
@@ -117,6 +119,8 @@ class ServiceClient:
         payload: Optional[dict] = None,
         idempotent: Optional[bool] = None,
     ) -> dict:
+        import http.client
+
         method, data, headers = "GET", None, {}
         if payload is not None:
             method, data = "POST", json.dumps(payload).encode()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import ADPSGDCluster, RingAllReduceCluster
 from repro.graphs import TopologyError, bipartite_ring, ring
-from repro.harness import run_spec
+from repro.harness.spec import run_spec
 from repro.harness.golden import CHURN_CELLS, churn_conformance_spec
 from repro.scenarios.models import ComputeModel, DeterministicSlowdown
 from repro.ml import build_svm, synthetic_webspam

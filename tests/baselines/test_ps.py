@@ -5,7 +5,8 @@ import pytest
 
 from repro.baselines import ParameterServerCluster
 from repro.graphs import ring_based
-from repro.harness import ExperimentSpec, run_spec, svm_workload
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
 from repro.ml import build_svm, synthetic_webspam
 from repro.ml.optim import SGD
 from repro.scenarios import ScenarioSpec

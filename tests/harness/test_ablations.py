@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness import save_figure
+from repro.harness.study import save_figure
 from repro.harness.ablations import ALL_ABLATIONS
 
 

@@ -9,7 +9,9 @@ import json
 
 import pytest
 
-from repro.harness import ALL_ABLATIONS, ALL_FIGURES, FigureResult, save_figure
+from repro.harness.ablations import ALL_ABLATIONS
+from repro.harness.figures import ALL_FIGURES
+from repro.harness.study import FigureResult, save_figure
 
 STUDIES = {**ALL_FIGURES, **ALL_ABLATIONS}
 

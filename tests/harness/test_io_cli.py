@@ -7,13 +7,11 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import ring_based
-from repro.harness import ALL_FIGURES, ExperimentSpec, run_spec, svm_workload
-from repro.harness.io import (
-    atomic_write_json,
-    figure_to_dict,
-    run_to_dict,
-    save_figure,
-)
+from repro.harness.figures import ALL_FIGURES
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
+from repro.harness.io import atomic_write_json, run_to_dict
+from repro.harness.study import figure_to_dict, save_figure
 from repro.scenarios.models import RandomSlowdown
 from repro.sim import RngStreams
 

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 from repro.graphs import ring_based
-from repro.harness import (
-    ExperimentSpec,
+from repro.harness.report import (
+    render_check,
+    render_series_table,
+    render_table,
+)
+from repro.harness.results import (
     binned_loss_curve,
     binned_loss_vs_steps,
     compare_runs,
     final_smoothed_loss,
     iteration_rate_speedup,
-    render_check,
-    render_series_table,
-    render_table,
-    run_spec,
     straggler_slowdown_ratio,
-    svm_workload,
     wall_time_speedup,
 )
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def run():
 
 @pytest.fixture(scope="module")
 def slow_run():
-    from repro.harness import deterministic_straggler
+    from repro.harness.spec import deterministic_straggler
 
     workload = svm_workload("smoke")
     return run_spec(

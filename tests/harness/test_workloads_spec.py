@@ -5,15 +5,13 @@ import pytest
 
 from repro.core.config import backup_config, staleness_config
 from repro.graphs import ring, ring_based
-from repro.harness import (
+from repro.harness.spec import (
     RANDOM_6X,
     ExperimentSpec,
-    by_name,
-    cnn_workload,
     deterministic_straggler,
     run_spec,
-    svm_workload,
 )
+from repro.harness.workloads import by_name, cnn_workload, svm_workload
 from repro.harness.golden import run_fingerprint
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.models import DeterministicSlowdown, NoSlowdown, RandomSlowdown

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.config import HopConfig, backup_config, staleness_config
 from repro.graphs import bipartite_ring, ring_based
-from repro.harness import ExperimentSpec, run_spec, svm_workload
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
 from repro.scenarios import ScenarioSpec
 
 WORKLOAD = svm_workload("smoke")

@@ -3,8 +3,8 @@
 The fast implementations in ``repro.ml.layers`` (cached im2col plan,
 sparse-matvec col2im, contiguous-plane 2x2 and flat-gather pooling)
 must reproduce the seed implementations preserved in
-``repro.ml.reference`` across stride/pad/dtype combinations, and must
-agree with central-difference numerical gradients.
+``tests/oracles/reference.py`` across stride/pad/dtype combinations,
+and must agree with central-difference numerical gradients.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from repro.ml.gradcheck import numerical_gradient, relative_error
 from repro.ml.layers import Conv2D, Dropout, MaxPool2D, _conv_plan
-from repro.ml.reference import (
+from oracles.reference import (
     conv2d_backward_reference,
     conv2d_forward_reference,
     maxpool_backward_reference,

@@ -13,14 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.runtime import (
-    ENV_FLAG,
-    sanitize_enabled,
-    writable_window,
-)
 from repro.harness.golden import conformance_spec, golden_fingerprint
 from repro.harness.spec import run_spec
 from repro.ml.models import build_svm
+from repro.ml.params import ENV_FLAG, sanitize_enabled, writable_window
 
 GOLDEN_PATH = Path(__file__).parents[1] / "scenarios" / "golden_stats.json"
 

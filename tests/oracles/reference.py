@@ -5,7 +5,9 @@ and replace the ``np.add.at`` col2im scatter with one sparse matvec.
 These functions keep the original, obviously correct implementations
 so the parity suite (``tests/ml/test_conv_fastpath.py``) can check the
 fast kernels against them across stride/pad/dtype combinations.
-Nothing in the training path imports this module.
+They live under ``tests/oracles/`` (on the test ``pythonpath``, so a
+test imports them as ``oracles.reference``): nothing in ``src/`` imports
+this module.
 """
 
 from __future__ import annotations

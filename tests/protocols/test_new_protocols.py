@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.graphs import bipartite_ring, ring_based
-from repro.harness import ExperimentSpec, run_spec, svm_workload
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
 from repro.harness.spec import deterministic_straggler
 from repro.protocols.partial_allreduce import PartialAllReduceCluster
 from repro.protocols.registry import build_cluster

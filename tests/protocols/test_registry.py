@@ -5,7 +5,8 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import ring, ring_based
-from repro.harness import ExperimentSpec, run_spec, svm_workload
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
 from repro.protocols import (
     PROTOCOLS,
     ProtocolCluster,

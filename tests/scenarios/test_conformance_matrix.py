@@ -40,7 +40,8 @@ import pytest
 
 from repro.core.gap import gap_bound_matrix
 from repro.graphs import ring_based
-from repro.harness import ExperimentSpec, run_spec, svm_workload
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
 from repro.harness.golden import (
     CHURN_CELLS,
     CNN_FAMILY,

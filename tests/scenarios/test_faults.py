@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.config import STANDARD, backup_config
 from repro.graphs import ring_based
-from repro.harness import ExperimentSpec, run_spec, svm_workload
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
 from repro.net.links import Link, LinkModel, uniform_links
 from repro.scenarios import (
     CrashEvent,

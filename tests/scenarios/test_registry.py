@@ -6,7 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import ring_based
-from repro.harness import ExperimentSpec, run_spec, svm_workload
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import svm_workload
 from repro.harness.spec import RANDOM_6X, deterministic_straggler
 from repro.scenarios.models import DeterministicSlowdown, NoSlowdown, RandomSlowdown
 from repro.scenarios import (

@@ -16,12 +16,8 @@ import time
 import pytest
 
 from repro.service.client import ServiceClient
-from repro.service.server import (
-    MAX_BODY_BYTES,
-    ExperimentService,
-    _Handler,
-    make_server,
-)
+from repro.service.httpd import MAX_BODY_BYTES, ServiceHandler
+from repro.service.server import ExperimentService, make_server
 
 PAYLOAD = {"workers": 4, "max_iter": 2, "seed": 3}
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
@@ -248,11 +244,11 @@ class TestLifecycle:
     def test_an_idle_connection_the_server_closed_is_replaced(
         self, stack, monkeypatch
     ):
-        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        monkeypatch.setattr(ServiceHandler, "timeout", 0.2)
         posts = []
-        do_post = _Handler.do_POST
+        do_post = ServiceHandler.do_POST
         monkeypatch.setattr(
-            _Handler,
+            ServiceHandler,
             "do_POST",
             lambda handler: (posts.append(handler.path), do_post(handler)),
         )

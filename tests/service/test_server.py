@@ -302,6 +302,43 @@ class TestResume:
         second.scheduler.sweep("s000002").finished.wait(60)
         second.scheduler.shutdown(timeout=10)
 
+    def test_serve_binds_before_it_resumes(self, tmp_path, monkeypatch):
+        # Resuming forks the pool; a child forked while the main thread
+        # imports the HTTP stack (make_server does) can block forever on
+        # that import's lock, so `repro serve` binds first.
+        import signal
+
+        from repro.cli import main
+        from repro.service import server
+
+        calls = []
+
+        class Bound:
+            server_address = ("127.0.0.1", 1)
+
+            def __init__(self, service):
+                self.service = service
+
+            def serve_forever(self, poll_interval):
+                self.service.shutdown(timeout=10)
+
+            def server_close(self):
+                pass
+
+        def bind(service, host, port):
+            calls.append("bind")
+            return Bound(service)
+
+        def resume(service):
+            calls.append("resume")
+            return []
+
+        monkeypatch.setattr(server, "make_server", bind)
+        monkeypatch.setattr(ExperimentService, "resume", resume)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        assert main(["serve", "--state-dir", str(tmp_path / "state")]) == 0
+        assert calls == ["bind", "resume"]
+
 
 class TestShutdown:
     @pytest.mark.skipif(

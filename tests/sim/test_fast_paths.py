@@ -198,7 +198,8 @@ class TestLazyTracer:
 
     def test_light_trace_run_keeps_losses_and_durations(self):
         from repro.graphs import ring_based
-        from repro.harness import ExperimentSpec, run_spec, svm_workload
+        from repro.harness.spec import ExperimentSpec, run_spec
+        from repro.harness.workloads import svm_workload
         from repro.protocols.base import LIGHT_TRACE
 
         spec = ExperimentSpec(
@@ -248,7 +249,8 @@ class TestBatcherPrefetch:
 class TestProfileSpec:
     def test_profiles_a_small_run(self):
         from repro.graphs import ring_based
-        from repro.harness import ExperimentSpec, svm_workload
+        from repro.harness.spec import ExperimentSpec
+        from repro.harness.workloads import svm_workload
         from repro.harness.profiling import profile_spec
 
         spec = ExperimentSpec(
@@ -277,7 +279,8 @@ class TestProfileSpec:
         import resource
 
         from repro.graphs import ring_based
-        from repro.harness import ExperimentSpec, svm_workload
+        from repro.harness.spec import ExperimentSpec
+        from repro.harness.workloads import svm_workload
         from repro.harness.profiling import peak_rss_mb, profile_spec
 
         spec = ExperimentSpec(
@@ -322,7 +325,7 @@ class TestProfileSpec:
     def test_model_step_budget_times_every_layer_in_place(self):
         import numpy as np
 
-        from repro.harness import cnn_workload
+        from repro.harness.workloads import cnn_workload
         from repro.harness.profiling import model_step_budget
 
         workload = cnn_workload("smoke")

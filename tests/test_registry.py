@@ -16,7 +16,7 @@ import repro.registry as registry_module
 from repro.analysis import RULES
 from repro.compression import COMPRESSORS
 from repro.graphs import TOPOLOGIES, TopologyError, by_name
-from repro.harness import WORKLOADS
+from repro.harness.workloads import WORKLOADS
 from repro.membership import REWIRE_POLICIES
 from repro.protocols import PROTOCOLS, get_protocol, register_protocol
 from repro.registry import Registry
