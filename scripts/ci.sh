@@ -275,35 +275,54 @@ PY
 
 echo "== scale smoke: hop/4096 resident memory, no n x n array =="
 # Cluster state is O(n + m): per-edge topology weights, a running
-# minimum and a transition log in the gap tracker.  hop / svm / 4096
-# workers / 2 iterations peaks at ~111 MB in a fresh interpreter on a
-# 2-core x86-64 container (~122 MB while it built a model replica per
-# worker); one dense float64 4096 x 4096 array is 128 MB on its own
-# (the run took 390 MB while it held two).  The 200 MB ceiling is the
-# tripwire for a reintroduced n x n allocation.
+# minimum and a transition log in the gap tracker, and what each worker
+# holds.  hop / svm / 4096 workers / 2 iterations peaks at ~82 MB in a
+# fresh interpreter on a 2-core x86-64 container (~106 MB while every
+# worker held its own container per queue slot, waiter list and data
+# stream; ~122 MB while it built a model replica per worker); one dense
+# float64 4096 x 4096 array is 128 MB on its own (the run took 390 MB
+# while it held two).  The 200 MB ceiling is the tripwire for a
+# reintroduced n x n allocation.  The smoke also prints what a worker
+# costs: resident bytes the run added, by worker, and the GC-tracked
+# objects it built before the simulation started (~23 a worker; 46
+# before workers shed their empty containers).
 python - <<'PY'
+import gc
 import resource
 
 from repro.graphs import ring_based
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.workloads import by_name
 from repro.protocols.base import LIGHT_TRACE
+from repro.sim.engine import Environment
 
 n, iterations = 4096, 2
-run = run_spec(
-    ExperimentSpec(
-        name=f"scale-smoke/hop/{n}",
-        workload=by_name("svm", "smoke"),
-        topology=ring_based(n),
-        protocol="hop",
-        max_iter=iterations,
-        seed=0,
-        trace_channels=LIGHT_TRACE,
-    )
+spec = ExperimentSpec(
+    name=f"scale-smoke/hop/{n}",
+    workload=by_name("svm", "smoke"),
+    topology=ring_based(n),
+    protocol="hop",
+    max_iter=iterations,
+    seed=0,
+    trace_channels=LIGHT_TRACE,
 )
-assert run.iterations_completed == [iterations] * n
+tracked = []
+simulate = Environment.run
+
+
+def count_then_run(env, *args, **kwargs):
+    tracked.append(len(gc.get_objects()))
+    return simulate(env, *args, **kwargs)
+
+
+Environment.run = count_then_run
 # Linux reports ru_maxrss in KiB.
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+before_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+tracked.append(len(gc.get_objects()))
+run = run_spec(spec)
+assert run.iterations_completed == [iterations] * n
+peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+peak_mb = peak_kib / 1024.0
 ceiling_mb = 200.0
 assert peak_mb < ceiling_mb, (
     f"hop/{n} x {iterations} iterations peaked at {peak_mb:.0f} MB "
@@ -311,8 +330,10 @@ assert peak_mb < ceiling_mb, (
 )
 print(
     f"scale smoke OK: hop/{n} x {iterations} iterations, "
-    f"max_gap={run.gap.max_observed():g}, ru_maxrss {peak_mb:.0f} MB "
-    f"(ceiling {ceiling_mb:.0f} MB)"
+    f"max_gap={run.gap.max_observed():g}, ru_maxrss {peak_mb:.1f} MB "
+    f"(ceiling {ceiling_mb:.0f} MB); a worker: "
+    f"{(peak_kib - before_kib) * 1024 / n:,.0f} resident bytes, "
+    f"{(tracked[1] - tracked[0]) / n:.1f} tracked objects before the run"
 )
 PY
 

@@ -407,6 +407,10 @@ class HopCluster(ProtocolCluster):
 
     def _after_simulation(self, runtime: ProtocolRuntime) -> None:
         if self.schedule is not None:
+            # The queues are garbage once the schedule is recorded; free
+            # them before the replay's blocks peak.
+            for worker in self._workers:
+                worker.detach_queues()
             replay(
                 self.schedule,
                 self._workers,

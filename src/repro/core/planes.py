@@ -47,10 +47,14 @@ class EagerPlane:
     """The arithmetic in the loop, on the worker's own model replica,
     optimizer and reusable reduce scratch."""
 
-    __slots__ = ("worker", "reduce_scratch", "loss")
+    __slots__ = ("worker", "reduce_scratch", "loss", "log_loss")
 
-    def __init__(self, worker: "HopWorker") -> None:
+    def __init__(self, worker: "HopWorker", log_loss=None) -> None:
         self.worker = worker
+        #: The worker's ``loss/<wid>`` tracer channel, bound once by the
+        #: worker (a recording worker binds none: the replay writes the
+        #: series whole).
+        self.log_loss = log_loss
         #: Reusable reduce accumulator: the vector :meth:`mean` /
         #: :meth:`weighted` return is valid until this worker's next
         #: reduce overwrites it in place.
@@ -113,9 +117,8 @@ class EagerPlane:
 
     def end(self, now: float) -> None:
         """The iteration's loss, logged and accumulated."""
-        worker = self.worker
-        worker._log_loss(now, self.loss)
-        worker.losses.add(self.loss)
+        self.log_loss(now, self.loss)
+        self.worker.losses.add(self.loss)
 
 
 class RecordPlane:

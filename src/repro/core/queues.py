@@ -13,7 +13,9 @@ Three structures from the paper:
   token pool; a :class:`TokenGate` blocks on several of them at once.
 
 All blocking is expressed through simulation events so protocol
-processes can ``yield`` on them.
+processes can ``yield`` on them.  A cluster holds a few of these per
+worker, so each keeps no container it has not used: a waiter list, and
+a rotating slot, is the empty tuple until its first entry.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ class DequeueRequest(Event):
         self.queue = queue
 
     def cancel(self) -> bool:
-        try:
-            self.queue._waiters.remove(self)
-            return True
-        except ValueError:
+        waiters = self.queue._waiters
+        if self not in waiters:
             return False
+        waiters.remove(self)
+        return True
 
     def __repr__(self) -> str:
         if self.triggered:
@@ -72,6 +74,9 @@ class UpdateQueue:
             exactly to keep this bounded).
     """
 
+    __slots__ = ("env", "owner", "capacity", "_entries", "_waiters",
+                 "peak_occupancy", "total_enqueued", "dropped_stale")
+
     def __init__(
         self,
         env: Environment,
@@ -84,7 +89,7 @@ class UpdateQueue:
         self.owner = owner
         self.capacity = capacity
         self._entries: List[Update] = []
-        self._waiters: List[DequeueRequest] = []
+        self._waiters: Sequence[DequeueRequest] = ()
         self.peak_occupancy = 0
         self.total_enqueued = 0
         self.dropped_stale = 0
@@ -120,7 +125,7 @@ class UpdateQueue:
         if count < 0:
             raise ValueError("count must be >= 0")
         request = DequeueRequest(self, count, iteration, sender)
-        self._waiters.append(request)
+        _wait(self, request)
         self._dispatch()
         return request
 
@@ -229,6 +234,10 @@ class RotatingUpdateQueue:
     either implementation.
     """
 
+    __slots__ = ("env", "owner", "n_queues", "_slots", "_waiters",
+                 "peak_occupancy", "_occupancy", "total_enqueued",
+                 "dropped_stale")
+
     def __init__(
         self,
         env: Environment,
@@ -240,8 +249,9 @@ class RotatingUpdateQueue:
         self.env = env
         self.owner = owner
         self.n_queues = max_ig + 1
-        self._slots: List[List[Update]] = [[] for _ in range(self.n_queues)]
-        self._waiters: List[DequeueRequest] = []
+        #: A slot is a list from its first entry on, ``()`` while empty.
+        self._slots: List[Sequence[Update]] = [()] * self.n_queues
+        self._waiters: Sequence[DequeueRequest] = ()
         self.peak_occupancy = 0
         #: Live entry count, maintained incrementally so enqueue does
         #: not re-sum every slot on the hot path.
@@ -249,11 +259,16 @@ class RotatingUpdateQueue:
         self.total_enqueued = 0
         self.dropped_stale = 0
 
-    def _slot_of(self, iteration: int) -> List[Update]:
+    def _slot_of(self, iteration: int) -> Sequence[Update]:
         return self._slots[iteration % self.n_queues]
 
     def enqueue(self, update: Update) -> None:
-        self._slots[update.iteration % self.n_queues].append(update)
+        slots = self._slots
+        index = update.iteration % self.n_queues
+        if slots[index]:
+            slots[index].append(update)
+        else:
+            slots[index] = [update]
         self.total_enqueued += 1
         self._occupancy += 1
         if self._occupancy > self.peak_occupancy:
@@ -274,7 +289,7 @@ class RotatingUpdateQueue:
                 "UpdateQueue for staleness-mode sender-matched dequeues"
             )
         request = DequeueRequest(self, count, iteration, sender)
-        self._waiters.append(request)
+        _wait(self, request)
         self._dispatch()
         return request
 
@@ -297,7 +312,7 @@ class RotatingUpdateQueue:
                 matches.append(update)
             else:
                 remaining.append(update)
-        self._slots[iteration % self.n_queues] = remaining
+        self._slots[iteration % self.n_queues] = remaining or ()
         self._occupancy -= len(matches)
         return matches
 
@@ -322,7 +337,7 @@ class RotatingUpdateQueue:
         for index, slot in enumerate(self._slots):
             keep = [u for u in slot if u.iteration >= iteration]
             dropped += len(slot) - len(keep)
-            self._slots[index] = keep
+            self._slots[index] = keep or ()
         self.dropped_stale += dropped
         self._occupancy -= dropped
         return dropped
@@ -335,7 +350,7 @@ class RotatingUpdateQueue:
         if purged:
             self.dropped_stale += purged
             self._occupancy -= purged
-        self._slots[live_iteration % self.n_queues] = keep
+        self._slots[live_iteration % self.n_queues] = keep or ()
 
     def _dispatch(self) -> None:
         """Satisfy waiters (FIFO), purging each visited slot as it goes.
@@ -373,16 +388,18 @@ class RotatingUpdateQueue:
                     self.dropped_stale += stale
                     self._occupancy -= stale
                 if len(taken) == count:
-                    self._slots[index] = rest
+                    self._slots[index] = rest or ()
                     self._occupancy -= count
                     waiters.remove(request)
+                    if not waiters:
+                        self._waiters = ()
                     request.succeed(taken)
                     progressed = True
                     break
                 if stale:
                     self._slots[index] = [
                         u for u in slot if u.iteration >= iteration
-                    ]
+                    ] or ()
 
     def __len__(self) -> int:
         return sum(len(slot) for slot in self._slots)
@@ -410,6 +427,9 @@ class TokenQueue:
     operation, :meth:`close` and :meth:`reopen` included.
     """
 
+    __slots__ = ("env", "owner", "consumer", "_tokens", "_waiters",
+                 "total_inserted", "total_acquired", "peak", "closed")
+
     def __init__(
         self,
         env: Environment,
@@ -423,7 +443,7 @@ class TokenQueue:
         self.owner = owner
         self.consumer = consumer
         self._tokens = initial
-        self._waiters: List[TokenGate] = []
+        self._waiters: Sequence[TokenGate] = ()
         self.total_inserted = initial
         self.total_acquired = 0
         self.peak = initial
@@ -489,19 +509,30 @@ class TokenQueue:
         """Serve ``gate`` now, or queue it (FIFO); True when served."""
         if not self._waiters and self._take(gate.count):
             return True
-        self._waiters.append(gate)
+        _wait(self, gate)
         return False
 
     def _dispatch(self) -> None:
         waiters = self._waiters
         while waiters and self._take(waiters[0].count):
             waiters.pop(0)._granted()
+        if not waiters:
+            self._waiters = ()
 
     def __repr__(self) -> str:
         return (
             f"<TokenQueue {self.owner}->{self.consumer} "
             f"tokens={self._tokens}>"
         )
+
+
+def _wait(queue, waiter: Event) -> None:
+    """Append ``waiter`` to ``queue``'s waiter list, which the first
+    waiter creates."""
+    if queue._waiters:
+        queue._waiters.append(waiter)
+    else:
+        queue._waiters = [waiter]
 
 
 class TokenGate(Event):

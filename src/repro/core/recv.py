@@ -187,10 +187,15 @@ class StalenessRecv(RecvStrategy):
         return worker.plane.weighted(contributors, iteration, self.staleness)
 
 
+#: Standard receive keeps no state, so every worker shares one.
+_STANDARD = StandardRecv()
+
+
 def make_recv_strategy(config) -> RecvStrategy:
-    """Instantiate the strategy selected by a :class:`HopConfig`."""
+    """The strategy selected by a :class:`HopConfig`: a new one per
+    worker, but for the stateless standard receive, which is shared."""
     if config.mode == "standard":
-        return StandardRecv()
+        return _STANDARD
     if config.mode == "backup":
         return BackupRecv(config.n_backup)
     if config.mode == "staleness":

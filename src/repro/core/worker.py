@@ -31,7 +31,8 @@ replica, or recorded and replayed level by level after the simulation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +67,10 @@ class ClusterState:
         return bool(self.done.all())
 
 
+#: A static run's per-edge activations: none (shared, read-only).
+_NO_ACTIVATION: Mapping[int, int] = MappingProxyType({})
+
+
 class HopWorker:
     """One decentralized worker.
 
@@ -80,7 +85,28 @@ class HopWorker:
     and time blocked at that gate is the ledger row's ``gate``, reported
     as ``ack_wait_mean``.  Every iteration ends with one ``ledger.record``
     (:mod:`repro.sim.trace`).
+
+    A fig24-scale cluster holds thousands of these, so the class has
+    ``__slots__`` and a worker keeps no per-worker container it can
+    share: its neighbour tuples are the topology's, a static run's edge
+    activations are one shared empty mapping.
     """
+
+    __slots__ = (
+        "wid", "env", "topology", "cfg", "model", "optimizer", "batcher",
+        "compute", "compute_model", "network", "update_queues",
+        "token_queues", "state", "gap_tracker", "tracer", "ledger",
+        "max_iter", "update_size", "wire_size", "compressor", "token_rtt",
+        "skip_policy", "notify_ack", "crash_event", "crashed", "down",
+        "_crash_pending", "n_restarts", "peers", "membership",
+        "churn_event", "departed", "recv", "in_neighbors", "out_neighbors",
+        "in_degree", "_remote_in", "_in_activation", "_out_activation",
+        "_token_consumers", "_token_providers", "_remote_out",
+        "_remote_enqueues", "snapshot_params", "iterations_completed",
+        "iterations_skipped", "n_jumps", "n_suppressed_sends",
+        "n_extra_updates", "n_staleness_blocks", "n_cache_hits", "plane",
+        "losses", "final_params", "current_params",
+    )
 
     def __init__(
         self,
@@ -158,34 +184,14 @@ class HopWorker:
         self.departed = False
 
         self.recv: RecvStrategy = make_recv_strategy(config)
-        self.in_neighbors = topology.in_neighbors(wid, include_self=True)
-        self.out_neighbors = topology.out_neighbors(wid, include_self=True)
-        self.in_degree = len(self.in_neighbors)
-        self._remote_in = tuple(j for j in self.in_neighbors if j != wid)
         #: Per-edge activation iterations (membership plane; empty in
         #: static runs).
-        self._in_activation: Dict[int, int] = {}
-        self._out_activation: Dict[int, int] = {}
-        #: In-neighbors we owe tokens to (paper: TokenQ(self -> j)).
-        self._token_consumers = topology.in_neighbors(wid, include_self=False)
-        #: Out-neighbors we take tokens from (paper: TokenQ(j -> self)).
-        self._token_providers = topology.out_neighbors(wid, include_self=False)
-
-        # Per-neighbor send plumbing, prebuilt once: remote update
-        # queues' bound enqueues (aligned with ``_remote_out``) double
-        # as the delivery callbacks for the network (no per-message
-        # closure, no Message wrapper).
-        self._remote_out = [j for j in self.out_neighbors if j != wid]
-        self._remote_enqueues = [
-            update_queues[j].enqueue for j in self._remote_out
-        ]
+        self._in_activation = self._out_activation = _NO_ACTIVATION
+        self._bind_neighbors(topology)
         #: When True, :attr:`current_params` is kept as an owned
         #: end-of-iteration snapshot (needed only when some peer may
         #: crash-restart and re-sync from us; set by the cluster).
         self.snapshot_params = False
-        # The loss channel, bound once (the key f-string and dict
-        # lookup leave the hot loop).
-        self._log_loss = tracer.channel(f"loss/{wid}")
 
         # Statistics
         self.iterations_completed = 0
@@ -196,7 +202,9 @@ class HopWorker:
         self.n_staleness_blocks = 0
         self.n_cache_hits = 0
         if schedule is None:
-            self.plane = EagerPlane(self)
+            # The loss channel, bound once (the key f-string and dict
+            # lookup leave the hot loop).
+            self.plane = EagerPlane(self, tracer.channel(f"loss/{wid}"))
             self.losses = StatAccumulator()
             self.final_params = model.get_params_copy()
             #: Latest parameter vector (snapshot other workers re-sync
@@ -247,22 +255,44 @@ class HopWorker:
         topology = membership.view.topology
         wid = self.wid
         self.topology = topology
-        self.in_neighbors = topology.in_neighbors(wid, include_self=True)
-        self.out_neighbors = topology.out_neighbors(wid, include_self=True)
-        self.in_degree = len(self.in_neighbors)
-        self._remote_in = tuple(j for j in self.in_neighbors if j != wid)
-        self._token_consumers = topology.in_neighbors(wid, include_self=False)
-        self._token_providers = topology.out_neighbors(wid, include_self=False)
-        self._remote_out = [j for j in self.out_neighbors if j != wid]
-        self._remote_enqueues = [
-            self.update_queues[j].enqueue for j in self._remote_out
-        ]
+        self._bind_neighbors(topology)
         self._in_activation = {
             j: membership.edge_activation(j, wid) for j in self._remote_in
         }
         self._out_activation = {
             j: membership.edge_activation(wid, j) for j in self._remote_out
         }
+
+    def _bind_neighbors(self, topology) -> None:
+        """Resolve the neighbour tuples and send plumbing on ``topology``."""
+        wid = self.wid
+        self.in_neighbors = topology.in_neighbors(wid, include_self=True)
+        self.out_neighbors = topology.out_neighbors(wid, include_self=True)
+        self.in_degree = len(self.in_neighbors)
+        #: Remote in-neighbors, whose updates and tokens we wait for;
+        #: also those we owe tokens to (paper: TokenQ(self -> j)).
+        self._remote_in = self._token_consumers = topology.in_neighbors(
+            wid, include_self=False
+        )
+        #: Remote out-neighbors; also those we take tokens from (paper:
+        #: TokenQ(j -> self)).
+        self._remote_out = self._token_providers = topology.out_neighbors(
+            wid, include_self=False
+        )
+        # Per-neighbor send plumbing, prebuilt once: remote update
+        # queues' bound enqueues (aligned with ``_remote_out``) double
+        # as the delivery callbacks for the network (no per-message
+        # closure, no Message wrapper).
+        update_queues = self.update_queues
+        self._remote_enqueues = tuple(
+            update_queues[j].enqueue for j in self._remote_out
+        )
+
+    def detach_queues(self) -> None:
+        """Let go of the queue fabric once the simulation is over: a
+        replay reads the recorded schedule, never a queue."""
+        self.update_queues = self.token_queues = None
+        self._remote_enqueues = ()
 
     def repair_pending_recv(self, departed) -> None:
         """Re-count pending blocking receives after a membership rewire.
@@ -344,6 +374,22 @@ class HopWorker:
             delivers = [delivers[index] for index in live]
         self.network.fan_out(
             self.wid, dsts, self.wire_size, update, delivers
+        )
+
+    def _gate_queues(self) -> Tuple[List[TokenQueue], List[TokenQueue]]:
+        """The token queues this worker fills for its in-neighbors and
+        takes from its out-neighbors (none without the fabric).
+
+        Built here, not in :meth:`run`: a comprehension in the
+        generator's body would make ``self`` and ``wid`` cells that
+        every worker's frame holds for the whole run.
+        """
+        if not self.cfg.use_token_queues:
+            return [], []
+        token_queues, wid = self.token_queues, self.wid
+        return (
+            [token_queues[(wid, j)] for j in self._token_consumers],
+            [token_queues[(j, wid)] for j in self._token_providers],
         )
 
     def _plan_jump(self, iteration: int) -> Optional[JumpDecision]:
@@ -574,15 +620,7 @@ class HopWorker:
         notify_ack = self.notify_ack
         parallel = self.cfg.computation_graph == "parallel"
         use_tokens = self.cfg.use_token_queues
-        if use_tokens:
-            consumer_queues = [
-                self.token_queues[(wid, j)] for j in self._token_consumers
-            ]
-            provider_queues = [
-                self.token_queues[(j, wid)] for j in self._token_providers
-            ]
-        else:
-            consumer_queues = provider_queues = []
+        consumer_queues, provider_queues = self._gate_queues()
         iterations = self.state.iterations
         gap_record = self.gap_tracker.record
         duration_of = self.compute_model.duration
@@ -618,15 +656,7 @@ class HopWorker:
                     # attributes they derive from).
                     local_epoch = membership.epoch
                     in_degree = self.in_degree
-                    if use_tokens:
-                        consumer_queues = [
-                            self.token_queues[(wid, j)]
-                            for j in self._token_consumers
-                        ]
-                        provider_queues = [
-                            self.token_queues[(j, wid)]
-                            for j in self._token_providers
-                        ]
+                    consumer_queues, provider_queues = self._gate_queues()
                 if (
                     churn_event is not None
                     and churn_event.leave_at is not None

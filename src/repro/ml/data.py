@@ -17,7 +17,7 @@ Each worker samples minibatches from its own RNG stream via
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -126,14 +126,25 @@ def synthetic_webspam(
 
 
 class Batcher:
-    """Random minibatch sampler bound to one worker's RNG stream."""
+    """Random minibatch sampler bound to one worker's RNG stream.
+
+    ``rng`` is the stream, or the seed it is built from at the first
+    draw: ``np.random.default_rng(seed)`` is the stream a
+    :class:`~repro.sim.rng.RngStreams` key names, so a worker whose
+    batches are drawn only after the simulation holds no stream until
+    then.  A seeded batcher may also :meth:`release` its stream and
+    rebuild it where it stood.  Either way it draws from one stream.
+    """
+
+    __slots__ = ("x", "y", "batch_size", "_seed", "_rng", "_rows",
+                 "_block", "_cursor", "draws")
 
     def __init__(
         self,
         x: np.ndarray,
         y: np.ndarray,
         batch_size: int,
-        rng: np.random.Generator,
+        rng: Union[np.random.Generator, int],
     ) -> None:
         if len(x) != len(y):
             raise ValueError("features and labels must have equal lengths")
@@ -144,7 +155,12 @@ class Batcher:
         self.x = x
         self.y = y
         self.batch_size = int(batch_size)
-        self._rng = rng
+        if isinstance(rng, np.random.Generator):
+            self._seed, self._rng = None, rng
+        else:
+            self._seed, self._rng = int(rng), None
+        #: Index rows drawn from the stream so far.
+        self._rows = 0
         # Index rows prefetched in blocks of 1, 2, 4, ... up to
         # _PREFETCH rows: one integers() call per _PREFETCH batches on
         # a long run, and a short one never fetches twice what it has
@@ -161,8 +177,26 @@ class Batcher:
     _PREFETCH = 32
 
     def _draw(self, rows: int) -> np.ndarray:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self._seed)
+            if self._rows:
+                # Back to where a released stream stood: one block draw
+                # leaves the state that the rows' own draws left.
+                rng.integers(
+                    0, len(self.x), size=(self._rows, self.batch_size)
+                )
         self.draws += 1
-        return self._rng.integers(0, len(self.x), size=(rows, self.batch_size))
+        self._rows += rows
+        return rng.integers(0, len(self.x), size=(rows, self.batch_size))
+
+    def release(self) -> None:
+        """Drop a seeded batcher's stream until its next draw, which
+        rebuilds it at the rows drawn so far (one ``integers()`` call
+        that :attr:`draws` does not count).  A batcher handed a
+        ``Generator`` keeps it."""
+        if self._seed is not None:
+            self._rng = None
 
     def next_indices(self) -> np.ndarray:
         """Row indices of the next batch, uniform with replacement (the
@@ -209,11 +243,15 @@ class Horizon:
     :meth:`next_indices` returns the batcher's rows in order, drawn
     through :meth:`Batcher.take` in blocks of at most ``_PREFETCH`` of
     the horizon: one ``integers()`` call per block, where an
-    open-ended batcher refills 1, 2, 4, ... rows.  Past the horizon it
-    draws a row at a time.
+    open-ended batcher refills 1, 2, 4, ... rows.  A block is kept in
+    the smallest unsigned dtype that holds ``len(x) - 1`` (the same
+    values).  The block that reaches the horizon releases the batcher's
+    stream (:meth:`Batcher.release`); past the horizon it draws a row
+    at a time.
     """
 
-    __slots__ = ("batcher", "x", "y", "batch_size", "left", "_block", "_cursor")
+    __slots__ = ("batcher", "x", "y", "batch_size", "left", "_dtype",
+                 "_block", "_cursor")
 
     def __init__(self, batcher: Batcher, left: int) -> None:
         self.batcher = batcher
@@ -221,6 +259,7 @@ class Horizon:
         self.y = batcher.y
         self.batch_size = batcher.batch_size
         self.left = left
+        self._dtype = np.min_scalar_type(max(len(batcher.x) - 1, 0))
         self._block: Optional[np.ndarray] = None
         self._cursor = 0
 
@@ -228,10 +267,12 @@ class Horizon:
         block = self._block
         if block is None or self._cursor >= len(block):
             rows = max(1, min(Batcher._PREFETCH, self.left))
-            block = self._block = self.batcher.take(rows)
+            batcher = self.batcher
+            block = self._block = batcher.take(rows).astype(self._dtype)
+            if 0 < self.left <= rows:
+                batcher.release()
             self.left -= rows
             self._cursor = 0
         idx = block[self._cursor]
         self._cursor += 1
         return idx
-

@@ -430,12 +430,13 @@ class ProtocolCluster:
             )
 
     def _make_batcher(self, wid: int) -> Batcher:
-        """Worker ``wid``'s private minibatch stream."""
+        """Worker ``wid``'s private minibatch stream, built at its first
+        draw and owned by the batcher (each run starts it at the key)."""
         return Batcher(
             self.dataset.x_train,
             self.dataset.y_train,
             self.batch_size,
-            self.streams.stream("data", wid),
+            self.streams.seed_of("data", wid),
         )
 
     def _resolve_update_size(self, model) -> float:

@@ -4,7 +4,9 @@ A process wraps a Python generator.  The generator yields
 :class:`~repro.sim.events.Event` objects; the process resumes when the
 yielded event fires, receiving the event's value at the ``yield``
 expression.  A process is itself an event that triggers when the
-generator returns (with the generator's return value) or raises.
+generator returns (with the generator's return value) or raises.  A
+finished process lets go of its generator, so a finished frame's
+locals live no longer than the process's own result.
 """
 
 from __future__ import annotations
@@ -77,11 +79,11 @@ class Process(Event):
                     event.defused = True
                     target = self._throw(event._value)
             except StopIteration as stop:
-                self._target = None
+                self._release()
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self._target = None
+                self._release()
                 self.fail(exc)
                 return
 
@@ -93,6 +95,7 @@ class Process(Event):
                 try:
                     self._generator.throw(error)
                 except BaseException as exc:
+                    self._release()
                     self.fail(exc)
                 return
 
@@ -105,6 +108,10 @@ class Process(Event):
             target.callbacks.append(self._resume)
             self._target = target
             return
+
+    def _release(self) -> None:
+        """Drop the finished generator and its cached methods."""
+        self._target = self._generator = self._send = self._throw = None
 
     def __repr__(self) -> str:
         state = (

@@ -45,12 +45,17 @@ class RngStreams:
         """Join stream-name parts into the canonical key string."""
         return "/".join(str(part) for part in parts)
 
+    def seed_of(self, *parts: object) -> int:
+        """The child seed of the stream named by ``parts``:
+        ``np.random.default_rng(seed_of(*parts))`` is that stream, for
+        an owner that builds it when it first draws."""
+        return derive_seed(self.seed, self.key(*parts))
+
     def stream(self, *parts: object) -> np.random.Generator:
         """Return (creating if needed) the stream named by ``parts``."""
         key = self.key(*parts)
         if key not in self._streams:
-            child_seed = derive_seed(self.seed, key)
-            self._streams[key] = np.random.default_rng(child_seed)
+            self._streams[key] = np.random.default_rng(self.seed_of(key))
         return self._streams[key]
 
     def fresh(self, *parts: object) -> np.random.Generator:
@@ -58,7 +63,7 @@ class RngStreams:
 
         Useful when a component must be able to replay its own draws.
         """
-        return np.random.default_rng(derive_seed(self.seed, self.key(*parts)))
+        return np.random.default_rng(self.seed_of(*parts))
 
     def spawn(self, *parts: object) -> "RngStreams":
         """Create a child registry rooted at a namespaced seed."""

@@ -20,6 +20,7 @@ from repro.core import (
     HopConfig,
     STANDARD,
     StalenessRecv,
+    TokenQueue,
     backup_config,
     staleness_config,
 )
@@ -150,10 +151,18 @@ class TestDeadlockDiagnosis:
 
         start = cluster._start
 
+        class WithheldTokenQueue(TokenQueue):
+            """Its owner's inserts never arrive."""
+
+            __slots__ = ()
+
+            def put(self, count=1):
+                pass
+
         def start_withholding(runtime):
             start(runtime)
             queue = cluster._workers[0].token_queues[(1, 0)]
-            queue.put = lambda count=1: None
+            queue.__class__ = WithheldTokenQueue
 
         cluster._start = start_withholding
         with pytest.raises(DeadlockError) as caught:
@@ -171,6 +180,16 @@ class TestDeadlockDiagnosis:
             f"worker 1 at iteration {max_ig} on <DequeueRequest waiting "
             f"for update(s) of iteration {max_ig}: have 1 of 2>"
         ) in message
+        # The whole message, byte for byte: a stuck process is parked,
+        # not finished, so it still names what it waits on.
+        assert message == (
+            "2 workers never finished; (wid, iter) = [(0, 1), (1, 2)]. "
+            "This indicates a protocol deadlock or an unsatisfiable advance "
+            "condition. Blocked: worker 0 at iteration 1 on <TokenGate "
+            "waiting for tokens from owners [1]>; worker 1 at iteration 2 "
+            "on <DequeueRequest waiting for update(s) of iteration 2: have "
+            "1 of 2>."
+        )
 
 
 class TestReceiverIterationCheck:

@@ -88,7 +88,7 @@ class ReferenceTokenQueue(TokenQueue):
 
     def acquire(self, count=1):
         request = TokenAcquire(self.env, count)
-        self._waiters.append(request)
+        self._waiters = [*self._waiters, request]
         self._dispatch()
         return request
 

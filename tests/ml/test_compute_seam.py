@@ -32,7 +32,7 @@ from repro.harness.spec import RANDOM_6X, ExperimentSpec
 from repro.harness.workloads import cnn_workload, svm_workload
 from repro.ml import compute
 from repro.ml.compute import ComputeError, ComputePool, Ticket
-from repro.ml.data import Batcher
+from repro.ml.data import Batcher, Horizon
 from repro.ml.losses import HingeLoss
 from repro.ml.models import build_mlp, build_svm
 from repro.protocols import registered_protocols
@@ -319,6 +319,38 @@ def test_take_is_k_next_indices(steps, seed):
         assert block.shape == (k, 7) and np.array_equal(block, expected)
     for _ in range(2 * Batcher._PREFETCH + 1):
         assert np.array_equal(taker.next_indices(), rows.next_indices())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([5, 255, 256, 257, 65_536, 65_537]),
+    st.integers(1, 70),
+    st.integers(0, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_horizon_rows_are_next_indices(size, left, past, seeded, seed):
+    """A :class:`Horizon` over ``left`` batches returns the rows
+    ``next_indices`` returns, value for value, in the smallest unsigned
+    dtype that holds ``size - 1``, in one ``integers()`` call per
+    ``_PREFETCH`` rows of the horizon.  The block that reaches the
+    horizon releases a seeded batcher's stream; a draw past it rebuilds
+    the stream where it stood (the same stream, so the same rows)."""
+    x, y = np.zeros((size, 1)), np.zeros(size)
+    stream = seed if seeded else np.random.default_rng(seed)
+    horizon = Horizon(Batcher(x, y, 5, stream), left)
+    rows = Batcher(x, y, 5, np.random.default_rng(seed))
+    dtype = np.min_scalar_type(size - 1)
+    assert dtype.kind == "u"
+    for drawn in range(left + past):
+        got = horizon.next_indices()
+        assert got.dtype == dtype
+        assert np.array_equal(got, rows.next_indices())
+        if drawn == left - 1:
+            assert horizon.batcher.draws == -(-left // Batcher._PREFETCH)
+            # Only a seeded stream can be rebuilt, so only it is dropped.
+            assert (horizon.batcher._rng is None) == seeded
+    assert horizon.batcher.draws == -(-left // Batcher._PREFETCH) + past
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for process semantics: chaining, return values, failures."""
 
+import weakref
+
 import pytest
 
 from repro.sim import Environment
@@ -121,3 +123,35 @@ def test_exception_propagates_through_waiters():
     env.process(parent(env))
     env.run()
     assert caught == ["'inner'"]
+
+
+def _returns(env):
+    yield env.timeout(1)
+    return 7
+
+
+def _raises(env):
+    yield env.timeout(1)
+    raise ValueError("boom")
+
+
+def _yields_a_non_event(env):
+    yield env.timeout(1)
+    yield 42
+
+
+@pytest.mark.parametrize("body", [_returns, _raises, _yields_a_non_event])
+def test_a_finished_process_lets_go_of_its_generator(body):
+    """Returned or failed, a finished process holds neither its
+    generator nor the generator's frame; it still reports itself."""
+    env = Environment()
+    generator = body(env)
+    alive = weakref.ref(generator)
+    process = env.process(generator, name="p")
+    del generator
+    process.callbacks.append(lambda event: setattr(event, "defused", True))
+    assert repr(process) == "<Process 'p' starting>"
+    env.run()
+    assert alive() is None
+    assert repr(process) == "<Process 'p' finished>"
+    assert process.ok == (body is _returns)
