@@ -161,6 +161,49 @@ print(
 check_ledger(spec, run, n, iterations)
 PY
 
+echo "== call budget: hop/64 and ps-async/128 function calls per worker-iteration =="
+# The interpreter's half of the event budget: cProfile's exact call
+# count for the same two runs (`ProfileReport.calls`, after one warm-up
+# run, less the profiler's own GC callback).  It is exact for one tree
+# and one interpreter, so the ceilings are the counts the runs make now,
+# in this order, in a fresh process: 325,087 calls (127.0 per
+# worker-iteration) and 156,770 (122.5).  Before the per-message
+# bookkeeping and the per-row replay draws went, they were about 370,000
+# and 192,000.  A first profile in a process pays a few calls of abc
+# cache warm-up, which the order here fixes.
+python - <<'PY'
+from repro.graphs import ring_based
+from repro.harness.profiling import profile_spec
+from repro.harness.spec import ExperimentSpec
+from repro.harness.workloads import by_name
+from repro.protocols.base import LIGHT_TRACE
+
+for protocol, n, iterations, ceiling in (
+    ("hop", 64, 40, 325_087),
+    ("ps-async", 128, 10, 156_770),
+):
+    spec = ExperimentSpec(
+        name=f"call-budget/{protocol}/{n}",
+        workload=by_name("svm", "smoke"),
+        topology=ring_based(n),
+        protocol=protocol,
+        max_iter=iterations,
+        seed=0,
+        trace_channels=LIGHT_TRACE,
+    )
+    report = profile_spec(spec, limit=1)
+    assert report.calls <= ceiling, (
+        f"{protocol}/{n} x {iterations} made {report.calls:,} calls "
+        f"(ceiling {ceiling:,}): what came back on the per-message or "
+        "per-row path?"
+    )
+    print(
+        f"call budget OK: {protocol}/{n} x {iterations} iterations, "
+        f"{report.calls:,} calls, {report.calls_per_iteration:.2f} per "
+        f"worker-iteration (ceiling {ceiling:,})"
+    )
+PY
+
 echo "== compute seam: hop/64 and ps-async/128 replay, adpsgd/16 pools =="
 # The fourth noise-free guard (beside the event budget above, the cnn
 # pin and the scale smoke below): exact counts off the run's compute

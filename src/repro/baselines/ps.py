@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.planes import replayable
 from repro.membership import MembershipRuntime
-from repro.ml.data import Horizon
+from repro.ml.data import Horizons
 from repro.net.network import SharedNic
 from repro.protocols.base import ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
@@ -312,9 +312,9 @@ def replay(
     each loss at its worker-iteration's ``ledger`` end.
 
     A *level* first evaluates, as one :meth:`ComputePool.evaluate_rows`
-    block, every gradient whose pulled version exists (in gid order, so
-    each worker draws its ``max_iter`` batches in ``k`` order, through a
-    :class:`~repro.ml.data.Horizon`), then applies
+    block, every gradient whose pulled version exists (gid ``wid *
+    max_iter + k`` draws worker ``wid``'s batch ``k`` from a
+    :class:`~repro.ml.data.Horizons`), then applies
     folds in recorded order with the server's one ``optimizer`` until a
     fold reads a gradient not yet evaluated.  A version is kept only
     while a gradient still to be evaluated reads it.  ``mean`` is BSP:
@@ -322,7 +322,7 @@ def replay(
     """
     max_iter = schedule.max_iter
     n_workers = len(batchers)
-    batchers = [Horizon(batcher, max_iter) for batcher in batchers]
+    horizons = Horizons(batchers, max_iter)
     versions = np.frombuffer(schedule.versions, dtype=np.intc)
     folds = np.frombuffer(schedule.folds, dtype=np.intc)
     sizes = np.frombuffer(schedule.sizes, dtype=np.intc)
@@ -338,7 +338,11 @@ def replay(
     )
     folded = np.zeros(versions.size, dtype=bool)
     folded[folds] = True
-    readers = np.bincount(versions, minlength=n_folds + 1)
+    readers = np.bincount(versions, minlength=n_folds + 1).tolist()
+    # The fold loop is one optimizer step per gradient: it reads Python
+    # lists, not numpy scalars.
+    bounds = offsets.tolist()
+    fold_gids = folds.tolist()
     order = np.argsort(versions, kind="stable")
     ordered = versions[order]
 
@@ -355,15 +359,15 @@ def replay(
         edges = [0, *(np.flatnonzero(np.diff(tags)) + 1).tolist(), len(tags)]
         for lo, hi in zip(edges[:-1], edges[1:]):
             x[lo:hi] = held.pop(int(tags[lo]))
-        losses, grads = pool.evaluate_rows(
-            (gids // max_iter).tolist(), x, batchers
-        )
+        wids, ks = np.divmod(gids, max_iter)
+        losses, grads = pool.evaluate_rows(wids, ks, x, horizons)
         loss_at[gids] = losses
+        gid_list = gids.tolist()
         for row in np.flatnonzero(folded[gids]).tolist():
-            grads_of[int(gids[row])] = grads[row]
+            grads_of[gid_list[row]] = grads[row]
         start = stop
         while fold < n_folds and need[fold] <= ready:
-            ids = folds[offsets[fold] : offsets[fold + 1]].tolist()
+            ids = fold_gids[bounds[fold] : bounds[fold + 1]]
             quorum = [grads_of.pop(i) for i in ids]
             grad = np.mean(quorum, axis=0) if mean else quorum[0]
             params = params + optimizer.step(params, grad, steps[fold])
@@ -524,7 +528,10 @@ class ParameterServerCluster(ProtocolCluster):
 
         # Push the gradient through the PS NIC (upload).
         if self._membership is None:
-            yield from nic.transfer(self._wire_size(runtime))
+            push_size = self._push_size
+            if push_size is None:
+                push_size = self._push_size = self._wire_size(runtime)
+            yield from nic.transfer(push_size)
             grads_inbox.append((wid, pulled_version, grad))
             if not notify[0].triggered:
                 notify[0].succeed()
@@ -693,7 +700,7 @@ class ParameterServerCluster(ProtocolCluster):
             # shrinks to the remaining active workers (else stragglers
             # would wait forever for gradients nobody will send).
             if membership is None:
-                active = int((~runtime.done).sum())
+                active = self.n_workers - int(np.count_nonzero(runtime.done))
             else:
                 active = sum(
                     1
@@ -709,7 +716,10 @@ class ParameterServerCluster(ProtocolCluster):
                 pending[:] = []
                 server.advance_version()
 
-        while not runtime.done.all() or grads_inbox:
+        # The inbox first: a non-empty one answers without reducing
+        # ``done``, and the reduction is the ufunc ``ndarray.all`` wraps.
+        every = np.logical_and.reduce
+        while grads_inbox or not every(runtime.done):
             if self.mode == "bsp":
                 # A retirement or a leave may have shrunk the quorum
                 # below the pending count without any new arrival;
@@ -747,6 +757,8 @@ class ParameterServerCluster(ProtocolCluster):
         self._server_state = server
         grads_inbox: list = []
         notify: List[Event] = [Event(env)]
+        #: A push's wire size, priced once, at the run's first push.
+        self._push_size: Optional[float] = None
         # The record/eager split: control is one loop either way.
         if runtime.replays:
             self.schedule = self._plane = ServerSchedule(

@@ -25,7 +25,7 @@ from repro.core.queues import RotatingUpdateQueue, TokenQueue, UpdateQueue
 from repro.core.skip import SkipPolicy
 from repro.core.worker import ClusterState, HopWorker
 from repro.graphs.topology import Topology
-from repro.net.links import Link, uniform_links
+from repro.net.links import Link, LinkModel, uniform_links
 from repro.net.message import CONTROL_SIZE
 from repro.net.network import Network, SharedNic
 from repro.protocols.base import DeadlockError, ProtocolCluster, ProtocolRuntime
@@ -212,6 +212,11 @@ class HopCluster(ProtocolCluster):
         providers = self.topology.out_neighbors(wid, include_self=False)
         if not providers:
             return 0.0
+        links = self.links
+        if type(links) is LinkModel and not links.overrides:
+            # The uniform fabric: every provider's round trip is the
+            # default link's.
+            return links.round_trip(wid, providers[0], CONTROL_SIZE)
         return max(
             self.links.round_trip(wid, j, CONTROL_SIZE) for j in providers
         )

@@ -238,10 +238,32 @@ class GapTracker:
 
     def record(self, worker: int, iteration: int) -> None:
         """Report that ``worker`` just entered ``iteration``."""
+        # _move, _observe and _append, inline: this runs once per
+        # worker-iteration.
         self.transitions += 1
-        self._move(worker, iteration)
-        self._observe(iteration)
-        self._append(worker, iteration)
+        iterations = self.iterations
+        old = iterations[worker]
+        if old != iteration:
+            iterations[worker] = iteration
+            count = self._count
+            count[iteration] = count.get(iteration, 0) + 1
+            left = count[old] - 1
+            if left:
+                count[old] = left
+            else:
+                del count[old]
+            if iteration < self._min:
+                self._min = iteration
+            elif not left and old == self._min:
+                self._min = min(count)
+        gap = iteration - self._min
+        if gap > self._max_observed:
+            self._max_observed = gap
+        log_worker = self._log_worker
+        log_worker.append(worker)
+        self._log_iteration.append(iteration)
+        if len(log_worker) > self.n * self.n:
+            self._fold()
 
     def record_many(self, iteration: int, workers=None) -> None:
         """Atomically report that several workers entered ``iteration``.

@@ -35,7 +35,7 @@ from repro.core.reducers import (
     staleness_weights,
     weighted_reduce_rows,
 )
-from repro.ml.data import Horizon
+from repro.ml.data import Horizons
 from repro.ml.optim import SGD
 from repro.sim.trace import StatAccumulator
 
@@ -266,7 +266,8 @@ def replay(
     ``k + 1`` is every worker at iteration ``k``; staleness may read a
     neighbour's newer update, and its levels follow the recorded
     ``ready`` column.  Each worker draws its ``max_iter`` batches in
-    ``k`` order, through a :class:`~repro.ml.data.Horizon`.  Fills
+    ``k`` order, gathered by ``(wid, k)`` from a
+    :class:`~repro.ml.data.Horizons`.  Fills
     ``final_params``, ``current_params``, ``losses`` and the
     ``loss/<wid>`` series of every worker, each loss at its reduce's
     receive end in the workers' ledger.
@@ -274,7 +275,7 @@ def replay(
     planes = schedule.planes
     n = len(workers)
     max_iter = workers[0].max_iter
-    batchers = [Horizon(worker.batcher, max_iter) for worker in workers]
+    horizons = Horizons([worker.batcher for worker in workers], max_iter)
     parallel = config.computation_graph == "parallel"
     weighted = config.mode == "staleness" and config.stale_reduce == "weighted"
     window = config.staleness if config.mode == "staleness" else 0
@@ -309,7 +310,7 @@ def replay(
 
     def compute(rows: np.ndarray, ks: np.ndarray) -> None:
         params = x[rows]
-        losses, grads = pool.evaluate_rows(rows.tolist(), params, batchers)
+        losses, grads = pool.evaluate_rows(rows, ks, params, horizons)
         if velocity is None:
             delta = optimizer.step_rows(params, grads, ks)
         else:

@@ -5,10 +5,10 @@ Three entry points back ``repro profile``:
 * :func:`profile_spec` — run one :class:`~repro.harness.spec
   .ExperimentSpec` under :mod:`cProfile` and return the stats report
   plus throughput counters (iterations/sec, messages/sec of real time),
-  the exact heap-entry count per worker-iteration, the compute pool's
-  six counters (tickets, flushes, stacked, fallback; the replay's
-  levels and rows), the garbage collector's passes during the run
-  (:class:`GcWork`) and the process's peak resident set.
+  the exact heap-entry and function-call counts per worker-iteration,
+  the compute pool's six counters (tickets, flushes, stacked, fallback;
+  the replay's levels and rows), the garbage collector's passes during
+  the run (:class:`GcWork`) and the process's peak resident set.
 * :func:`sim_core_events_per_sec` — a pure discrete-event-engine
   microbenchmark (no ML, no protocols): many processes churning
   timeouts through one :class:`~repro.sim.engine.Environment`.  Its
@@ -31,7 +31,7 @@ import resource
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 from repro.harness.spec import ExperimentSpec
 from repro.protocols.registry import build_cluster
@@ -73,6 +73,10 @@ class ProfileReport:
     messages: int
     #: Heap entries the run scheduled (exact, host-independent).
     events: int
+    #: Function calls the profiler saw (the ``pstats`` total, less the
+    #: profiler's own GC callback): the interpreter's work count, exact
+    #: for one tree and interpreter.
+    calls: int
     sim_wall_time: float
     stats_text: str
     #: The run's :class:`~repro.ml.compute.ComputePool` (exact counts).
@@ -96,6 +100,12 @@ class ProfileReport:
         exact where iterations/sec is at the mercy of the host."""
         return self.events / self.iterations
 
+    @property
+    def calls_per_iteration(self) -> float:
+        """Function calls per worker-iteration: what a worker-iteration
+        costs the interpreter, counted, not timed."""
+        return self.calls / self.iterations
+
     def render(self) -> str:
         lines = [
             f"elapsed          : {self.elapsed_seconds:.3f}s (real)",
@@ -106,6 +116,8 @@ class ProfileReport:
             f"({self.messages_per_second:,.0f}/s real)",
             f"events scheduled : {self.events} "
             f"({self.events_per_iteration:.2f} per worker-iteration)",
+            f"function calls   : {self.calls} "
+            f"({self.calls_per_iteration:.2f} per worker-iteration)",
             f"gc collections   : {self.gc.render()}",
             f"peak resident    : {self.peak_rss_mb:.1f} MB (process)",
         ]
@@ -166,12 +178,28 @@ def profile_spec(
         iterations=sum(run.iterations_completed),
         messages=run.messages_sent,
         events=run.events_scheduled,
+        calls=stats.total_calls - _calls_of(stats, GcWork.__call__),
         sim_wall_time=run.wall_time,
         stats_text=stream.getvalue(),
         compute=compute,
         gc=gc_work,
         peak_rss_mb=peak_rss_mb(),
     )
+
+
+def _calls_of(stats: pstats.Stats, function) -> int:
+    """Calls of ``function`` and the calls it made: the profiler's own
+    garbage-collector callback, whose passes depend on what the process
+    allocated before the run, not on the run."""
+    code = function.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    if key not in stats.stats:
+        return 0
+    calls = stats.stats[key][1]
+    for *_, callers in stats.stats.values():
+        if key in callers:
+            calls += callers[key][1]
+    return calls
 
 
 def peak_rss_mb() -> float:
@@ -189,6 +217,9 @@ class StepBudget:
     layers: List[tuple]
     loss_us: float
     total_us: float
+    #: Per timed step: ``(seconds inside the layers and the loss, the
+    #: step's seconds)``.
+    steps: List[Tuple[float, float]] = field(default_factory=list)
 
     def render(self) -> str:
         width = max(len(name) for name, _, _ in self.layers)
@@ -243,11 +274,17 @@ def model_step_budget(
         layer.forward = timed(layer.forward, spans[2 * index])
         layer.backward = timed(layer.backward, spans[2 * index + 1])
     loss.value_and_grad = timed(loss.value_and_grad, spans[-1])
+    steps = []
     try:
         for _ in range(warmup + repeats):
+            marks = [len(samples) for samples in spans]
             start = clock()
             model.loss_and_grad(x, y)
             totals.append(clock() - start)
+            inside = sum(
+                sum(samples[mark:]) for samples, mark in zip(spans, marks)
+            )
+            steps.append((inside, totals[-1]))
     finally:
         # Instance attributes only: the classes' methods show again.
         for layer in layers:
@@ -269,6 +306,7 @@ def model_step_budget(
         ],
         loss_us=median_us(spans[-1]),
         total_us=median_us(totals),
+        steps=steps[warmup:],
     )
 
 

@@ -229,6 +229,7 @@ class ComputePool:
 
     def _evaluate_stacked(self, kernel, group: List[Ticket]) -> None:
         x, y = group[0].x, group[0].y
+        signed = signed_labels(y)
         step = _chunk_rows(x, group[0].idx.size)
         for lo in range(0, len(group), step):
             chunk = group[lo : lo + step]
@@ -238,7 +239,7 @@ class ComputePool:
             params = np.concatenate([t.model._flat for t in chunk]).reshape(
                 len(chunk), -1
             )
-            evaluated = kernel(params, x, y, idx)
+            evaluated = kernel(params, x, y, idx, signed)
             if evaluated is None:
                 # Inputs the kernel does not reproduce bit for bit (or
                 # that loss_and_grad rejects): the kernel of record
@@ -254,11 +255,12 @@ class ComputePool:
                 ticket._outcome = (value, model._grad_view)
 
     def evaluate_rows(
-        self, wids: Sequence[int], params: np.ndarray, batchers
+        self, wids: np.ndarray, ks: np.ndarray, params: np.ndarray, horizons
     ) -> Tuple[List[float], np.ndarray]:
         """One replay level: row ``r`` is worker ``wids[r]``'s loss and
-        gradient at ``params[r]`` on ``batchers[wids[r]]``'s next batch,
-        drawn here.
+        gradient at ``params[r]`` on its batch ``ks[r]``, gathered from
+        ``horizons`` (a :class:`~repro.ml.data.Horizons`) for every row
+        at once.
 
         :attr:`model`'s kernel evaluates the block, in the chunks a flush
         uses, so every row is bit for bit what a ticket submitted at
@@ -273,36 +275,37 @@ class ComputePool:
         self.rows += len(wids)
         losses = [0.0] * len(wids)
         grads = np.zeros(params.shape, dtype=params.dtype)
-        stubs = self._stubs
-        if stubs:
-            live = [r for r, w in enumerate(wids) if w not in stubs]
-        else:
-            live = list(range(len(wids)))
-        if not live:
+        live = None
+        if self._stubs:
+            stubs = self._stubs
+            live = np.flatnonzero([w not in stubs for w in wids.tolist()])
+            wids, ks = wids[live], ks[live]
+        if not len(wids):
             return losses, grads
+        idx = horizons.rows(wids, ks)
         kernel = self.model.stacked_kernel
-        first = batchers[wids[live[0]]]
-        x, y = first.x, first.y
-        step = _chunk_rows(x, first.batch_size)
-        for lo in range(0, len(live), step):
-            chunk = live[lo : lo + step]
-            idx = np.concatenate(
-                [batchers[wids[r]].next_indices() for r in chunk]
-            ).reshape(len(chunk), -1)
-            if len(live) == len(wids):
-                # No stubs: the chunk is a slice, its parameters a view.
-                chunk = slice(chunk[0], chunk[-1] + 1)
-            evaluated = kernel(params[chunk], x, y, idx)
-            rows = live[lo : lo + step]
+        x, y = horizons.x, horizons.y
+        signed = signed_labels(y)
+        step = _chunk_rows(x, horizons.batch_size)
+        for lo in range(0, len(idx), step):
+            hi = lo + step
+            block = idx[lo:hi]
+            # Without stubs a chunk is a slice: its parameters a view.
+            rows = slice(lo, hi) if live is None else live[lo:hi]
+            evaluated = kernel(params[rows], x, y, block, signed)
             if evaluated is None:
-                for r, row in zip(rows, idx):
+                at = range(lo, lo + len(block)) if live is None else rows
+                for r, wid, row in zip(at, wids[lo:hi].tolist(), block):
                     losses[r] = self._evaluate_row(
-                        wids[r], params[r], x[row], y[row], grads[r]
+                        wid, params[r], x[row], y[row], grads[r]
                     )
                 continue
-            loss_values, grads[chunk] = evaluated
-            for r, value in zip(rows, loss_values):
-                losses[r] = value
+            loss_values, grads[rows] = evaluated
+            if live is None:
+                losses[lo:hi] = loss_values
+            else:
+                for r, value in zip(rows.tolist(), loss_values):
+                    losses[r] = value
         return losses, grads
 
     def _evaluate_row(self, wid: int, params, x, y, out) -> float:
@@ -342,8 +345,24 @@ class ComputePool:
 # ----------------------------------------------------------------------
 # Stacked kernels
 # ----------------------------------------------------------------------
+def signed_labels(y: np.ndarray) -> Optional[np.ndarray]:
+    """A stacked kernel's labels, signed once for the whole vector:
+    ``LogisticLoss``'s ±1 targets of ``y`` when every label is 0/1 or
+    every label is ±1, else ``None`` (then each chunk signs and checks
+    its own).  The sign map is elementwise, so gathering the signed
+    vector is signing the gathered rows."""
+    try:
+        return losses.LogisticLoss._signed_targets(y)
+    except ValueError:
+        return None
+
+
 def svm_stacked_loss_and_grad(
-    params: np.ndarray, x: np.ndarray, y: np.ndarray, idx: np.ndarray
+    params: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    idx: np.ndarray,
+    signed: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[List[float], np.ndarray]]:
     """``loss_and_grad`` of the paper's SVM for every row of a parameter
     block in one pass: row ``r`` is the model whose flat parameters are
@@ -359,7 +378,8 @@ def svm_stacked_loss_and_grad(
     guarantee or that ``loss_and_grad`` would reject (a feature-count
     mismatch, labels that are neither all 0/1 nor all -1/+1 across the
     block); the caller then runs the per-model path, which raises the
-    error of record.
+    error of record.  ``signed``, :func:`signed_labels` of ``y``, is
+    gathered in place of signing the block's labels.
     """
     count, width = params.shape
     features = width - 1
@@ -372,13 +392,16 @@ def svm_stacked_loss_and_grad(
     ):
         return None
     batch = idx.shape[1]
-    try:
-        # One convention for the chunk implies the same one per row: a
-        # row of all +1 labels signs to +1 under either.
-        signed = losses.LogisticLoss._signed_targets(y[idx])
-    except ValueError:
-        return None
-    signed = signed.reshape(count, batch)
+    if signed is not None:
+        signed = signed[idx]
+    else:
+        try:
+            # One convention for the chunk implies the same one per row:
+            # a row of all +1 labels signs to +1 under either.
+            signed = losses.LogisticLoss._signed_targets(y[idx])
+        except ValueError:
+            return None
+        signed = signed.reshape(count, batch)
     rows = x[idx]
     # Dense.forward: x @ W.T + b, one (batch, F) @ (F, 1) per model.
     scores = (

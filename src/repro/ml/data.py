@@ -17,7 +17,7 @@ Each worker samples minibatches from its own RNG stream via
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -236,43 +236,77 @@ class Batcher:
         return f"<Batcher n={len(self.x)} batch={self.batch_size}>"
 
 
-class Horizon:
-    """A worker's next ``left`` batches on ``batcher``, for a caller that
-    knows how many it will draw (a replay: ``max_iter`` per worker).
+class Horizons:
+    """Every worker's next ``horizon`` batches, for a caller that knows
+    how many each worker draws and asks for them by ``(wid, k)`` (a
+    replay: ``max_iter`` per worker, in any order across workers).
 
-    :meth:`next_indices` returns the batcher's rows in order, drawn
-    through :meth:`Batcher.take` in blocks of at most ``_PREFETCH`` of
-    the horizon: one ``integers()`` call per block, where an
-    open-ended batcher refills 1, 2, 4, ... rows.  A block is kept in
-    the smallest unsigned dtype that holds ``len(x) - 1`` (the same
-    values).  The block that reaches the horizon releases the batcher's
-    stream (:meth:`Batcher.release`); past the horizon it draws a row
-    at a time.
+    Worker ``wid``'s batch ``k`` lies in window ``k // width``, where
+    ``width`` is ``_PREFETCH`` rows or the horizon if shorter.  A window
+    is one :meth:`Batcher.take` of its rows, drawn the first time a row
+    in it is asked for, after every earlier window of that worker: the
+    rows and ``integers()`` calls of a worker drawing its horizon in
+    ``_PREFETCH`` blocks.  The window that reaches the horizon releases
+    the batcher's stream (:meth:`Batcher.release`).  A worker whose
+    rows nobody asks for draws nothing.  Each worker holds one window,
+    in the smallest unsigned dtype that holds ``len(x) - 1`` (the same
+    values).
     """
 
-    __slots__ = ("batcher", "x", "y", "batch_size", "left", "_dtype",
-                 "_block", "_cursor")
+    __slots__ = ("batchers", "x", "y", "batch_size", "horizon", "_width",
+                 "_block", "_window")
 
-    def __init__(self, batcher: Batcher, left: int) -> None:
-        self.batcher = batcher
-        self.x = batcher.x
-        self.y = batcher.y
-        self.batch_size = batcher.batch_size
-        self.left = left
-        self._dtype = np.min_scalar_type(max(len(batcher.x) - 1, 0))
+    def __init__(self, batchers: Sequence[Batcher], horizon: int) -> None:
+        first = batchers[0]
+        self.batchers = batchers
+        self.x, self.y, self.batch_size = first.x, first.y, first.batch_size
+        self.horizon = horizon
+        self._width = max(1, min(Batcher._PREFETCH, horizon))
+        #: ``(workers, width, batch)``: each worker's window, allocated
+        #: at the first draw.
         self._block: Optional[np.ndarray] = None
-        self._cursor = 0
+        #: The window each worker holds (-1: none yet).
+        self._window = np.full(len(batchers), -1, dtype=np.intp)
 
-    def next_indices(self) -> np.ndarray:
-        block = self._block
-        if block is None or self._cursor >= len(block):
-            rows = max(1, min(Batcher._PREFETCH, self.left))
-            batcher = self.batcher
-            block = self._block = batcher.take(rows).astype(self._dtype)
-            if 0 < self.left <= rows:
-                batcher.release()
-            self.left -= rows
-            self._cursor = 0
-        idx = block[self._cursor]
-        self._cursor += 1
-        return idx
+    def rows(self, wids: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Batch ``ks[r]`` of worker ``wids[r]`` for every ``r``: a
+        ``(len(wids), batch)`` block, never written.  A worker's ``ks``
+        never go back to a window it has left (``k < horizon``)."""
+        windows, slots = np.divmod(ks, self._width)
+        behind = windows != self._window[wids]
+        if not behind.any():
+            return self._block[wids, slots]
+        dtype = np.min_scalar_type(max(len(self.x) - 1, 0))
+        if self._block is None:
+            self._block = np.empty(
+                (len(self.batchers), self._width, self.batch_size), dtype
+            )
+        out = np.empty((len(wids), self.batch_size), dtype)
+        held = ~behind
+        out[held] = self._block[wids[held], slots[held]]
+        # Rows of a window a worker has not reached yet, window by
+        # window (a call may span two windows of one worker).
+        pending = np.flatnonzero(behind)
+        while pending.size:
+            wanted = windows[pending]
+            first = wanted == wanted.min()
+            rows = pending[first]
+            for wid, window in zip(
+                wids[rows].tolist(), wanted[first].tolist()
+            ):
+                while self._window[wid] < window:
+                    self._advance(wid)
+            out[rows] = self._block[wids[rows], slots[rows]]
+            pending = pending[~first]
+        return out
+
+    def _advance(self, wid: int) -> None:
+        """Draw worker ``wid``'s next window over the one it holds."""
+        window = int(self._window[wid]) + 1
+        first = window * self._width
+        rows = min(self._width, self.horizon - first)
+        batcher = self.batchers[wid]
+        self._block[wid, :rows] = batcher.take(rows)
+        if first + rows >= self.horizon:
+            batcher.release()
+        self._window[wid] = window

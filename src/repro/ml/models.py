@@ -247,16 +247,26 @@ class Model:
             return np.argmax(scores, axis=1)
         return (scores.ravel() > 0).astype(int)
 
+    @staticmethod
+    def _targets_of(y: np.ndarray) -> np.ndarray:
+        """Labels as :meth:`_classes_of` predicts them: ±1 labels map
+        to 0/1, anything else is kept."""
+        targets = np.asarray(y).ravel()
+        # Every label -1 or +1 (empty included; NaN is neither): the
+        # predicate ``set(np.unique(targets)) <= {-1, 1}`` without
+        # np.unique, whose import of numpy.ma costs a process's first
+        # evaluate ~20 ms.
+        if ((targets == -1) | (targets == 1)).all():
+            targets = ((targets + 1) // 2).astype(int)
+        return targets
+
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
         """Return ``(loss, accuracy)`` on a dataset: one forward pass,
         loss and predictions both read off its scores."""
         scores = self.network.forward(x, training=False)
         loss = self._loss_of(scores, y)
         predictions = self._classes_of(scores)
-        targets = np.asarray(y).ravel()
-        if set(np.unique(targets)) <= {-1, 1}:
-            targets = ((targets + 1) // 2).astype(int)
-        accuracy = float(np.mean(predictions == targets))
+        accuracy = float(np.mean(predictions == self._targets_of(y)))
         return loss, accuracy
 
     def __repr__(self) -> str:

@@ -61,7 +61,7 @@ class Delivery(Event):
         self._message = message
         self.callbacks = [self._run]
         heapq.heappush(
-            env._queue, (env._now + delay, NORMAL, next(env._eid), self)
+            env._queue, (env.now + delay, NORMAL, next(env._eid), self)
         )
 
     def _run(self, event: Event) -> None:
@@ -377,10 +377,11 @@ class Network:
         Equivalent to ``push(src, dst, size, payload, deliver, control)``
         for each ``(dst, deliver)`` pair in order.  When every copy is
         certain to share one delay — the uniform fabric, no loss draws,
-        no egress NIC to queue through, no membership routing — the
-        per-copy counters are credited in that same order and the
-        copies ride a single :class:`Delivery`.  Anything else takes
-        the per-message path.
+        no egress NIC to queue through, no membership routing — each
+        byte counter is credited once for all the copies
+        (:meth:`~repro.sim.trace.StatAccumulator.add_repeated`, bit for
+        bit the per-copy adds) and the copies ride a single
+        :class:`Delivery`.  Anything else takes the per-message path.
         """
         link = self._uniform_link
         if (
@@ -395,12 +396,12 @@ class Network:
             for dst, deliver in zip(dsts, delivers):
                 push(src, dst, size, payload, deliver, control)
             return
-        self.messages_sent += len(dsts)
-        attempted = self.bytes_attempted.add
-        credited = (self.control_bytes if control else self.bytes_sent).add
-        for _ in dsts:
-            attempted(size)
-            credited(size)
+        copies = len(dsts)
+        self.messages_sent += copies
+        self.bytes_attempted.add_repeated(size, copies)
+        (self.control_bytes if control else self.bytes_sent).add_repeated(
+            size, copies
+        )
         Delivery(
             self.env, link.latency + size / link.bandwidth, delivers, payload
         )
@@ -474,9 +475,9 @@ class SharedNic:
             grant.succeed()
         yield grant
         try:
-            start = env._now
+            start = env.now
             yield env.timeout(self.latency + size / self.bandwidth)
-            self.busy_time += env._now - start
+            self.busy_time += env.now - start
         finally:
             if self._waiting:
                 self._waiting.popleft().succeed()

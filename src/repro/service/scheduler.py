@@ -34,6 +34,7 @@ the SIGTERM half of graceful shutdown.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import warnings
@@ -47,6 +48,32 @@ from repro.harness.retry import backoff_schedule
 from repro.service.cache import ResultCache
 from repro.service.journal import RunJournal, done_record, sweep_done_record
 from repro.service.runner import execute_cell
+
+
+#: How often a pool worker checks that the server that forked it is
+#: still its parent.
+PARENT_POLL_SECONDS = 0.2
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once ``parent`` is gone.
+
+    A SIGKILLed server cannot shut its pool down, and an idle worker
+    blocks on its call queue forever (it holds the queue's write end
+    itself, so it never reads end of file).  A daemon thread watches
+    ``getppid()``, which changes when the parent dies and the worker is
+    re-parented, and exits the process then.  A worker not forked by
+    ``parent`` itself (a forkserver's child) watches nothing.
+    """
+    if os.getppid() != parent:
+        return
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 class ServiceOverloaded(RuntimeError):
@@ -252,7 +279,9 @@ class RunScheduler:
             if self._pool is None:
                 try:
                     self._pool = ProcessPoolExecutor(
-                        max_workers=self.pool_workers
+                        max_workers=self.pool_workers,
+                        initializer=_exit_with_parent,
+                        initargs=(os.getpid(),),
                     )
                 except OSError as error:  # pragma: no cover - sandbox
                     warnings.warn(

@@ -48,21 +48,19 @@ class Environment:
     slow paths produce identical orderings.
     """
 
-    __slots__ = ("_now", "_queue", "_eid")
+    __slots__ = ("now", "_queue", "_eid")
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulated time.  A plain slot that only the engine
+        #: writes (it is read several times per worker-iteration, and a
+        #: property would make each read a call).
+        self.now = float(initial_time)
         self._queue: list = []
         self._eid = count()
 
     # ------------------------------------------------------------------
     # Clock and schedule
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
     @property
     def events_scheduled(self) -> int:
         """Exact count of heap entries scheduled so far.
@@ -82,7 +80,7 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         heapq.heappush(
-            self._queue, (self._now + delay, priority, next(self._eid), event)
+            self._queue, (self.now + delay, priority, next(self._eid), event)
         )
 
     def schedule_triggered(self, event: Event, priority: int = NORMAL) -> None:
@@ -92,7 +90,7 @@ class Environment:
         the delay validation — succeed/fail always fire "now".
         """
         heapq.heappush(
-            self._queue, (self._now, priority, next(self._eid), event)
+            self._queue, (self.now, priority, next(self._eid), event)
         )
 
     def step(self) -> None:
@@ -106,7 +104,7 @@ class Environment:
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
 
-        self._now = when
+        self.now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -130,12 +128,12 @@ class Environment:
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
-            if at < self._now:
-                raise ValueError(f"until ({at}) is in the past (now={self._now})")
+            if at < self.now:
+                raise ValueError(f"until ({at}) is in the past (now={self.now})")
             until = Event(self)
             until._ok = True
             until._value = None
-            self.schedule(until, delay=at - self._now, priority=0)
+            self.schedule(until, delay=at - self.now, priority=0)
 
         if isinstance(until, Event):
             if until.callbacks is None:
@@ -156,7 +154,7 @@ class Environment:
                     when, _, _, event = pop(queue)
                 except IndexError:
                     raise EmptySchedule("no scheduled events") from None
-                self._now = when
+                self.now = when
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
@@ -200,7 +198,7 @@ class Environment:
         event._ok = True
         event._value = value
         heapq.heappush(
-            self._queue, (self._now + delay, NORMAL, next(self._eid), event)
+            self._queue, (self.now + delay, NORMAL, next(self._eid), event)
         )
         return event
 
@@ -211,4 +209,4 @@ class Environment:
         return Process(self, generator, name=name)
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} pending={len(self._queue)}>"
+        return f"<Environment now={self.now} pending={len(self._queue)}>"

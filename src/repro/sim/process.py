@@ -99,13 +99,14 @@ class Process(Event):
                     self.fail(exc)
                 return
 
-            if target.processed:
-                # The event already fired and ran its callbacks; continue
-                # synchronously with its stored value.
+            callbacks = target.callbacks
+            if callbacks is None:
+                # The event already fired and ran its callbacks (it is
+                # processed); continue synchronously with its value.
                 event = target
                 continue
 
-            target.callbacks.append(self._resume)
+            callbacks.append(self._resume)
             self._target = target
             return
 

@@ -143,6 +143,29 @@ class StatAccumulator:
         if value > self.max:
             self.max = value
 
+    def add_repeated(self, value: float, times: int) -> None:
+        """``times`` calls of :meth:`add` with ``value``, bit for bit.
+
+        Once ``value`` is the mean (finite and non-zero), a further
+        :meth:`add` of it has ``delta == +0.0`` and leaves ``mean`` and
+        ``_m2`` bit for bit where they are (``_m2`` is never ``-0.0``),
+        so the rest are one count and one ``min`` / ``max`` check.
+        """
+        while times > 0:
+            if (
+                value == self.mean
+                and value != 0.0
+                and math.isfinite(value)
+            ):
+                self.count += times
+                if value < self.min:
+                    self.min = value
+                if value > self.max:
+                    self.max = value
+                return
+            self.add(value)
+            times -= 1
+
     @classmethod
     def per_row(
         cls, values: np.ndarray, entered: Optional[np.ndarray] = None

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles.horizon import Horizon
 from repro.baselines.ps import ServerSchedule
 from repro.core.config import HopConfig
 from repro.core.planes import RecordPlane
@@ -219,19 +220,38 @@ def quorums_in_wid_order(cluster):
         start += size
 
 
+class LevelOrderRows:
+    """Each worker's rows drawn once per replay level, a row per call of
+    the replaced per-worker :class:`~oracles.horizon.Horizon`."""
+
+    def __init__(self, horizons):
+        self.x, self.y = horizons.x, horizons.y
+        self.batch_size = horizons.batch_size
+        self.oracles = [
+            Horizon(batcher, horizons.horizon) for batcher in horizons.batchers
+        ]
+
+    def rows(self, wids, ks):
+        present = set(wids.tolist())
+        for wid, oracle in enumerate(self.oracles):
+            if wid not in present:
+                oracle.next_indices()
+        return np.stack([self.oracles[wid].next_indices() for wid in wids])
+
+
 def draws_in_level_order(cluster):
     """Draw every worker's batch once per replay level (a level is an
-    iteration in hop's replay) instead of once per gradient in the
-    worker's ``k`` order: a worker that sits a level out skips a batch."""
+    iteration in hop's replay) instead of gathering batch ``k`` for the
+    worker's iteration ``k``: a worker that sits a level out skips a
+    batch."""
     pool = cluster.runtime.compute
     evaluate_rows = pool.evaluate_rows
+    level_order = []
 
-    def once_per_level(wids, params, batchers):
-        present = set(wids)
-        for wid, batcher in enumerate(batchers):
-            if wid not in present:
-                batcher.next_indices()
-        return evaluate_rows(wids, params, batchers)
+    def once_per_level(wids, ks, params, horizons):
+        if not level_order:
+            level_order.append(LevelOrderRows(horizons))
+        return evaluate_rows(wids, ks, params, level_order[0])
 
     pool.evaluate_rows = once_per_level
 

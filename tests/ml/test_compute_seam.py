@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.horizon import Horizon
 from repro.graphs import bipartite_ring, ring_based
 from repro.harness.golden import BIPARTITE_PROTOCOLS, golden_fingerprint
 from repro.harness.io import run_to_dict
@@ -32,7 +33,7 @@ from repro.harness.spec import RANDOM_6X, ExperimentSpec
 from repro.harness.workloads import cnn_workload, svm_workload
 from repro.ml import compute
 from repro.ml.compute import ComputeError, ComputePool, Ticket
-from repro.ml.data import Batcher, Horizon
+from repro.ml.data import Batcher, Horizons
 from repro.ml.losses import HingeLoss
 from repro.ml.models import build_mlp, build_svm
 from repro.protocols import registered_protocols
@@ -88,8 +89,10 @@ def stacked_through_rows(models, x, y, idx):
     """The same gradients as one replay level (``evaluate_rows``)."""
     pool = ComputePool(models)
     params = np.stack([m.get_params() for m in models])
-    batchers = [FixedBatcher(x, y, row) for row in idx]
-    losses, grads = pool.evaluate_rows(range(len(models)), params, batchers)
+    wids = np.arange(len(models))
+    losses, grads = pool.evaluate_rows(
+        wids, np.zeros_like(wids), params, FixedRows(x, y, idx)
+    )
     assert (pool.levels, pool.rows, pool.tickets) == (1, len(models), 0)
     return [(loss, grad.tobytes()) for loss, grad in zip(losses, grads)]
 
@@ -103,6 +106,17 @@ class FixedBatcher:
 
     def next_indices(self):
         return self._row
+
+
+class FixedRows:
+    """Horizons whose every batch of worker ``w`` is ``idx[w]``."""
+
+    def __init__(self, x, y, idx):
+        self.x, self.y, self._idx = x, y, idx
+        self.batch_size = idx.shape[1]
+
+    def rows(self, wids, ks):
+        return self._idx[wids]
 
 
 def mismatches(new, old):
@@ -253,15 +267,16 @@ def test_a_replay_block_the_kernel_declines_takes_loss_and_grad_per_row():
     expected = loop_oracle(models, x, y, idx)
     pool = ComputePool(models)
     params = np.stack([m.get_params_copy() for m in models])
+    wids = np.array([0, 1])
     losses, grads = pool.evaluate_rows(
-        [0, 1], params, [FixedBatcher(x, y, row) for row in idx]
+        wids, np.zeros_like(wids), params, FixedRows(x, y, idx)
     )
     assert [(l, g.tobytes()) for l, g in zip(losses, grads)] == expected
     assert (pool.levels, pool.rows, pool.fallback) == (1, 2, 2)
     y[25] = 2
     with pytest.raises(ComputeError, match=r"^worker 1: ValueError: "):
         pool.evaluate_rows(
-            [0, 1], params, [FixedBatcher(x, y, row) for row in idx]
+            wids, np.zeros_like(wids), params, FixedRows(x, y, idx)
         )
 
 
@@ -330,27 +345,83 @@ def test_take_is_k_next_indices(steps, seed):
     st.integers(0, 2**32 - 1),
 )
 def test_horizon_rows_are_next_indices(size, left, past, seeded, seed):
-    """A :class:`Horizon` over ``left`` batches returns the rows
-    ``next_indices`` returns, value for value, in the smallest unsigned
-    dtype that holds ``size - 1``, in one ``integers()`` call per
-    ``_PREFETCH`` rows of the horizon.  The block that reaches the
-    horizon releases a seeded batcher's stream; a draw past it rebuilds
-    the stream where it stood (the same stream, so the same rows)."""
+    """A worker's rows from :class:`Horizons` over ``left`` batches,
+    asked for one ``k`` at a time, are the rows ``next_indices``
+    returns, value for value, in the smallest unsigned dtype that holds
+    ``size - 1``, in one ``integers()`` call per ``_PREFETCH`` rows of
+    the horizon.  The window that reaches the horizon releases a seeded
+    batcher's stream; a draw past it rebuilds the stream where it stood
+    (the same stream, so the same rows)."""
     x, y = np.zeros((size, 1)), np.zeros(size)
     stream = seed if seeded else np.random.default_rng(seed)
-    horizon = Horizon(Batcher(x, y, 5, stream), left)
+    batcher = Batcher(x, y, 5, stream)
+    horizons = Horizons([batcher], left)
     rows = Batcher(x, y, 5, np.random.default_rng(seed))
     dtype = np.min_scalar_type(size - 1)
     assert dtype.kind == "u"
-    for drawn in range(left + past):
-        got = horizon.next_indices()
-        assert got.dtype == dtype
-        assert np.array_equal(got, rows.next_indices())
-        if drawn == left - 1:
-            assert horizon.batcher.draws == -(-left // Batcher._PREFETCH)
-            # Only a seeded stream can be rebuilt, so only it is dropped.
-            assert (horizon.batcher._rng is None) == seeded
-    assert horizon.batcher.draws == -(-left // Batcher._PREFETCH) + past
+    for k in range(left):
+        got = horizons.rows(np.array([0]), np.array([k]))
+        assert got.dtype == dtype and got.shape == (1, 5)
+        assert np.array_equal(got[0], rows.next_indices())
+    assert batcher.draws == -(-left // Batcher._PREFETCH)
+    # Only a seeded stream can be rebuilt, so only it is dropped.
+    assert (batcher._rng is None) == seeded
+    for _ in range(past):
+        assert np.array_equal(batcher.take(1)[0], rows.next_indices())
+    assert batcher.draws == -(-left // Batcher._PREFETCH) + past
+
+
+@st.composite
+def level_plans(draw):
+    """Workers, a horizon either side of ``_PREFETCH``, and the levels
+    that ask for every batch of some workers: each level takes the next
+    one to three batches of a few workers, rows in any order (a PS level
+    can hold two iterations of one worker, even across a window)."""
+    workers = draw(st.integers(1, 5))
+    horizon = draw(st.sampled_from([1, 4, 31, 32, 33, 40, 64, 65, 70]))
+    asked = draw(st.lists(st.booleans(), min_size=workers, max_size=workers))
+    ahead = [0] * workers
+    levels = []
+    while any(a and k < horizon for a, k in zip(asked, ahead)):
+        level = []
+        for wid in range(workers):
+            if not asked[wid] or ahead[wid] == horizon:
+                continue
+            take = draw(st.integers(0, 3))
+            for _ in range(min(take, horizon - ahead[wid])):
+                level.append((wid, ahead[wid]))
+                ahead[wid] += 1
+        if level:
+            levels.append(draw(st.permutations(level)))
+    return workers, horizon, asked, levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(level_plans(), st.integers(0, 2**32 - 1))
+def test_a_levels_gathered_rows_are_horizon_rows(plan, seed):
+    """Levels gathered by ``(wid, k)`` in one fancy index each are the
+    rows a per-worker :class:`~oracles.horizon.Horizon` returns row for
+    row, with its ``integers()`` calls and its released stream; a
+    worker no level asks for draws nothing."""
+    workers, horizon, asked, levels = plan
+    x, y = np.zeros((300, 1)), np.zeros(300)
+    batchers = [Batcher(x, y, 3, seed + wid) for wid in range(workers)]
+    twins = [Batcher(x, y, 3, seed + wid) for wid in range(workers)]
+    oracles = [Horizon(twin, horizon) for twin in twins]
+    expected = [
+        [oracle.next_indices() for _ in range(horizon)] if on else []
+        for oracle, on in zip(oracles, asked)
+    ]
+    horizons = Horizons(batchers, horizon)
+    for level in levels:
+        wids, ks = (np.array(column) for column in zip(*level))
+        got = horizons.rows(wids, ks)
+        assert got.dtype == np.uint16 and got.shape == (len(level), 3)
+        for row, wid, k in zip(got, wids.tolist(), ks.tolist()):
+            assert np.array_equal(row, expected[wid][k])
+    for batcher, twin, on in zip(batchers, twins, asked):
+        assert batcher.draws == twin.draws and (twin.draws > 0) == on
+        assert batcher._rng is None and batcher._rows == twin._rows
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.ml import (
     synthetic_webspam,
 )
 from repro.ml.layers import Layer
+from repro.ml.models import Model
 
 
 def test_flat_round_trip():
@@ -134,6 +135,41 @@ def test_evaluate_returns_loss_and_accuracy():
     loss, acc = model.evaluate(x, y)
     assert loss > 0
     assert 0.0 <= acc <= 1.0
+
+
+def old_targets_of(y):
+    """The replaced spelling: ``np.unique`` and a set comparison."""
+    targets = np.asarray(y).ravel()
+    if set(np.unique(targets)) <= {-1, 1}:
+        targets = ((targets + 1) // 2).astype(int)
+    return targets
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [0, 1, 1, 0],
+        [-1, 1, 1, -1],
+        [0.0, 1.0, 1.0],
+        [-1.0, 1.0, -1.0],
+        [1, 1, 1],
+        [-1, -1],
+        [],
+        [np.nan, 1.0, -1.0],
+        [np.nan],
+        [-1, 0, 1],
+        [2, 1],
+        [True, True],
+    ],
+    ids=lambda labels: repr(labels),
+)
+def test_evaluate_maps_labels_as_the_unique_spelling_did(labels):
+    """``evaluate``'s label map without ``np.unique``: the same targets,
+    value and dtype, for 0/1, ±1 (ints and floats), empty and NaN."""
+    y = np.array(labels)
+    got, expected = Model._targets_of(y), old_targets_of(y)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 class CountingIdentity(Layer):

@@ -10,6 +10,8 @@ bit for bit.  Where copies may not share a delay, ``fan_out`` must
 take the per-message path itself.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,42 @@ def test_control_fan_out_credits_control_bytes():
     (pushed, pushed_events), (shared, shared_events) = results
     assert shared == pushed and shared[2][0] == 0  # no payload bytes
     assert (pushed_events, shared_events) == (3, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(2, 6),  # copies
+            st.sampled_from([8.0, 8.0, 8.0, 1e-4, 0.3, 5e-324]),
+            st.booleans(),  # control traffic
+        ),
+        max_size=20,
+    )
+)
+def test_fan_out_counters_are_the_per_copy_pushes(sends):
+    """On the uniform fabric ``fan_out`` credits each counter once for
+    all its copies: every counter's state is bit for bit the per-copy
+    ``push`` path's, with payload and control sends mixed (so the
+    attempted bytes' mean moves and comes back)."""
+    states = []
+    for send in (push_each, fan_out):
+        env = Environment()
+        network = Network(env, LinkModel(default=LINK))
+        inbox = []
+        for copies, size, control in sends:
+            dsts = list(range(1, copies + 1))
+            send(network, 0, dsts, size, "u", [inbox.append] * copies, control)
+        env.run()
+        assert len(inbox) == sum(copies for copies, _, _ in sends)
+        states.append(
+            tuple(
+                (count, *(struct.pack("<d", v) for v in fields))
+                for count, *fields in network_state(network)[1:]
+            )
+            + (network.messages_sent,)
+        )
+    assert states[0] == states[1]
 
 
 class FakeMembership:

@@ -63,6 +63,9 @@ class ServerProcess:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
+            # Its own process group, which its pool workers join:
+            # cleanup() can reach every process the server started.
+            start_new_session=True,
         )
         line = self.proc.stdout.readline()
         match = re.search(r"listening on http://[\d.]+:(\d+)", line)
@@ -78,14 +81,58 @@ class ServerProcess:
         self.proc.send_signal(signal.SIGTERM)
 
     def cleanup(self):
-        if self.proc.poll() is None:
-            self.proc.kill()
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the server and its pool workers are all gone
         self.proc.wait(timeout=30)
+
+
+def group_members(pgid):
+    """The live (not zombie) processes of process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                line = stat.read()
+        except OSError:  # exited meanwhile
+            continue
+        # "pid (comm) state ppid pgrp ...": comm may hold spaces.
+        state, _, pgrp = line[line.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
 
 
 @pytest.fixture
 def state_dir(tmp_path):
     return tmp_path / "state"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads process groups from /proc"
+)
+def test_a_killed_servers_pool_worker_exits_with_it(state_dir):
+    """``kill -9`` the server after one computed cell: its idle pool
+    worker, which no shutdown will reach, must not outlive it."""
+    server = ServerProcess(state_dir)
+    try:
+        server.client.submit([{**BASE, "seed": 0}], sweep_id="one-cell")
+        final = server.client.wait_for_sweep("one-cell", timeout=120)
+        assert final["failed"] == [] and final["total"] == 1
+        group = server.proc.pid
+        assert len(group_members(group)) == 2  # the server, one worker
+        server.kill9()
+        deadline = time.monotonic() + 10
+        while group_members(group):
+            assert time.monotonic() < deadline, (
+                f"still running after the server: {group_members(group)}"
+            )
+            time.sleep(0.05)
+    finally:
+        server.cleanup()
 
 
 def test_kill9_mid_sweep_then_restart_completes_without_recompute(

@@ -1,6 +1,7 @@
 """Tests for tracing and streaming statistics."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -111,6 +112,48 @@ class TestStatAccumulator:
 def exact(accumulator):
     state = (accumulator.mean, accumulator._m2, accumulator.min, accumulator.max)
     return (accumulator.count, *(float(v).hex() for v in state))
+
+
+def bits(accumulator):
+    """Every field's bytes: tells NaN payloads and ``-0.0`` apart."""
+    state = (accumulator.mean, accumulator._m2, accumulator.min, accumulator.max)
+    return (accumulator.count, *(struct.pack("<d", v) for v in state))
+
+
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -3.5,
+         1e308, math.inf, -math.inf, math.nan]
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(EDGE_FLOATS, max_size=8),
+    st.one_of(EDGE_FLOATS, st.just("mean"), st.just("last")),
+    st.integers(0, 40),
+)
+def test_add_repeated_is_that_many_adds_bitwise(history, value, times):
+    """``add_repeated(v, t)`` leaves every field where ``t`` calls of
+    ``add(v)`` leave it, after any prior history: ±0, subnormals, ±inf,
+    NaN, and ``v`` equal to the running mean (the path that skips the
+    arithmetic)."""
+    repeated, looped = StatAccumulator(), StatAccumulator()
+    for prior in history:
+        repeated.add(prior)
+        looped.add(prior)
+    if value == "mean":
+        value = repeated.mean
+    elif value == "last":
+        value = history[-1] if history else 2.0
+        repeated.add(value)
+        looped.add(value)
+    repeated.add_repeated(value, times)
+    for _ in range(times):
+        looped.add(value)
+    assert bits(repeated) == bits(looped)
 
 
 def test_extend_appends_samples_to_an_enabled_series_only():
