@@ -279,6 +279,31 @@ echo "== cnn pin: six paper-preset CNN fingerprints, bit for bit =="
 # measurement.
 python3 bench/run.py --workload cnn-hetero --seed 0 --seconds 3 \
     | grep -E " (cell_ms|setup_s|peak_rss_mb) |ops_attempted"
+# And an exact counter beside the times: the bytes tracemalloc sees one
+# warm paper-preset step allocate at its peak (1,474,056 B since the
+# pools gather their planes and hand dx back in the input's layout;
+# 1,539,528 B before).  Repeats differ by under 200 B; the ceiling
+# trips on a kernel that adds a copy, not on noise.
+python - <<'PY'
+import numpy as np
+
+from repro.harness.profiling import model_step_budget
+from repro.harness.workloads import cnn_workload
+
+workload = cnn_workload("paper")
+data, batch = workload.dataset, workload.batch_size
+model = workload.model_factory(np.random.default_rng(0))
+budget = model_step_budget(
+    model, data.x_train[:batch], data.y_train[:batch], repeats=5, warmup=5
+)
+ceiling = 1_474_056 + 1024
+print(f"traced peak of one step: {budget.peak_bytes:,} B "
+      f"(ceiling {ceiling:,} B)")
+assert budget.peak_bytes <= ceiling, (
+    f"one paper-preset CNN step traced {budget.peak_bytes:,} B at its "
+    f"peak, over the {ceiling:,} B ceiling: a kernel allocates more"
+)
+PY
 
 echo "== start-up smoke: linear-time start-up, scipy on demand =="
 # Same philosophy as the sim-core floor.  ring_based(2048) builds and

@@ -17,8 +17,9 @@ Three entry points back ``repro profile``:
   (scripts/ci.sh guards a generous floor).
 * :func:`model_step_budget` — one model step (``loss_and_grad``) split
   by layer: forward, backward and loss microseconds, timed in place
-  inside the real call sequence.  ``repro profile`` prints it for every
-  training spec; a kernel change starts from this table.
+  inside the real call sequence, and the step's traced peak bytes.
+  ``repro profile`` prints it for every training spec; a kernel change
+  starts from this table.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import pstats
 import resource
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -220,6 +222,16 @@ class StepBudget:
     #: Per timed step: ``(seconds inside the layers and the loss, the
     #: step's seconds)``.
     steps: List[Tuple[float, float]] = field(default_factory=list)
+    #: Peak bytes ``tracemalloc`` saw one warm step allocate above what
+    #: was traced when it began: exact for one tree, unlike the times.
+    peak_bytes: int = 0
+
+    def outside_us(self) -> float:
+        """Median over the timed steps of a step's microseconds outside
+        every layer span and the loss (the median total less the sum of
+        the spans' medians is not any one step's)."""
+        gaps = sorted(total - inside for inside, total in self.steps)
+        return 1e6 * gaps[len(gaps) // 2]
 
     def render(self) -> str:
         width = max(len(name) for name, _, _ in self.layers)
@@ -230,12 +242,12 @@ class StepBudget:
             lines.append(
                 f"{name:<{width}}  {forward:>10.1f}  {backward:>11.1f}"
             )
-        timed = self.loss_us + sum(f + b for _, f, b in self.layers)
         lines.append(f"{'loss':<{width}}  {self.loss_us:>10.1f}")
         lines.append(
             f"{'total':<{width}}  {self.total_us:>10.1f}  "
-            f"({self.total_us - timed:.1f} outside the layers)"
+            f"({self.outside_us():.1f} outside the layers)"
         )
+        lines.append(f"traced peak of one step: {self.peak_bytes:,} B")
         return "\n".join(lines)
 
 
@@ -251,7 +263,8 @@ def model_step_budget(
     a layer timed alone on a fresh contiguous array can read half or
     twice what it costs behind its real predecessor.  Medians over
     ``repeats`` steps after ``warmup`` untimed ones; parameters are not
-    updated, and the wrappers are removed before returning.
+    updated, and the wrappers are removed before returning.  One more
+    step, unwrapped, runs under ``tracemalloc`` for ``peak_bytes``.
     """
     clock = time.perf_counter
     layers = model.network.layers
@@ -290,6 +303,7 @@ def model_step_budget(
         for layer in layers:
             del layer.forward, layer.backward
         del loss.value_and_grad
+    peak_bytes = traced_peak_bytes(lambda: model.loss_and_grad(x, y))
 
     def median_us(samples: List[float]) -> float:
         kept = sorted(samples[warmup:])
@@ -307,7 +321,25 @@ def model_step_budget(
         loss_us=median_us(spans[-1]),
         total_us=median_us(totals),
         steps=steps[warmup:],
+        peak_bytes=peak_bytes,
     )
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak bytes traced while ``call()`` runs, above what was traced
+    when it began; starts and stops ``tracemalloc`` unless it is already
+    tracing."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def sim_core_events_per_sec(

@@ -316,23 +316,51 @@ def _flat_arange(size: int) -> np.ndarray:
     return indices
 
 
+#: The two memory orders a pool reads its input through: NCHW itself,
+#: and the ``(c, n, h, w)`` buffer a ``Conv2D`` (and the ``ReLU`` after
+#: it) hands on as its ``transpose(1, 0, 2, 3)``.  Each is its own
+#: inverse permutation.
+_NCHW = (0, 1, 2, 3)
+_CNHW = (1, 0, 2, 3)
+
+
+def _memory_order(x: np.ndarray) -> Optional[Tuple[int, ...]]:
+    """``_NCHW`` or ``_CNHW`` if ``x.transpose(order)`` is C-contiguous
+    (NCHW first where both are), else ``None``."""
+    if x.flags.c_contiguous:
+        return _NCHW
+    if x.transpose(_CNHW).flags.c_contiguous:
+        return _CNHW
+    return None
+
+
 @lru_cache(maxsize=64)
 def _pool_scatter_base(
-    x_shape: Tuple[int, int, int, int], s: int
+    x_shape: Tuple[int, int, int, int], s: int, order: Tuple[int, ...]
 ) -> np.ndarray:
-    """Flat index of each pooling window's top-left input pixel.
+    """Flat index of each pooling window's top-left input pixel in the
+    memory of an input laid out in ``order``, in NCHW window order.
 
-    ``base + _pool_offsets(s, w)[first]`` is the flat input index of
-    the window element selected by ``first``, so pool backward becomes
-    a single fancy scatter into a zeroed flat buffer — no expanded
-    (windows, s*s) intermediate and no transposed reassembly copy.
+    ``raw[offset:].take(base)`` is one window position's plane of the
+    input's flat memory ``raw``, and ``base + _pool_offsets(s, w)[first]``
+    the flat index of the window element selected by ``first``, so pool
+    backward is a single scatter into a zeroed buffer of that layout —
+    no expanded (windows, s*s) intermediate and no transposed
+    reassembly copy.  Left writeable for the reason the conv plans are:
+    ``take`` copies a read-only index on every call.
     """
     n, c, h, w = x_shape
-    rows = np.arange(n * c * (h // s)).reshape(n, c, h // s, 1)
-    cols = np.arange(w // s).reshape(1, 1, 1, w // s)
-    base = (rows * s * w + cols * s).reshape(n, c, h // s, w // s)
-    base.setflags(write=False)
-    return base
+    # Element strides of the sample and channel axes in that layout.
+    if order == _NCHW:
+        sample, channel = c * h * w, h * w
+    else:
+        sample, channel = h * w, n * h * w
+    return (
+        np.arange(n).reshape(n, 1, 1, 1) * sample
+        + np.arange(c).reshape(1, c, 1, 1) * channel
+        + np.arange(0, h, s).reshape(1, 1, h // s, 1) * w
+        + np.arange(0, w, s)
+    )
 
 
 @lru_cache(maxsize=64)
@@ -504,23 +532,39 @@ class MaxPool2D(Layer):
         s = self.size
         if h % s or w % s:
             raise ValueError(f"input {h}x{w} not divisible by pool size {s}")
+        # Backward hands dx back in the layout x came in, so a conv's
+        # transposed output gets a gradient its backward reads as a view.
+        order = _memory_order(x)
         if s == 2:
-            # 2x2 fast path: the four window positions copied out once
-            # as contiguous planes, then a three-call max tree over
-            # flat arrays — no strided operand, no argmax inner loop.
-            # np.maximum hands back its second operand on a tie, so
-            # the earlier window position goes second: bit-identical
-            # to the generic path down to the sign of a zero, and a
-            # NaN anywhere in a window comes out as NaN.
+            # 2x2 fast path: the four window positions as contiguous
+            # planes, then a three-call max tree over them — no strided
+            # operand, no argmax inner loop.  np.maximum hands back its
+            # second operand on a tie, so the earlier window position
+            # goes second: bit-identical to the generic path down to the
+            # sign of a zero, and a NaN anywhere in a window comes out
+            # as NaN.
             shape = (n, c, h // 2, w // 2)
-            planes = np.empty((2, 2) + shape, dtype=x.dtype)
-            planes[...] = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(
-                3, 5, 0, 1, 2, 4
-            )
-            w00, w01, w10, w11 = planes.reshape(4, -1)
+            if order is not None and n <= _PLAN_SAMPLES:
+                # Each plane one gather from x's flat memory, shifted by
+                # the position's offset, through the cached window base;
+                # every index is in range, so "clip" skips the check.
+                raw = x.transpose(order).ravel()
+                base = _pool_scatter_base(x.shape, 2, order)
+                w00, w01, w10, w11 = (
+                    raw[offset:].take(base, mode="clip")
+                    for offset in _pool_offsets(2, w)
+                )
+            else:
+                # Any other layout, or a batch no cached base is sized
+                # for (a 512-row evaluate): one strided copy.
+                planes = np.empty((2, 2) + shape, dtype=x.dtype)
+                planes[...] = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(
+                    3, 5, 0, 1, 2, 4
+                )
+                w00, w01, w10, w11 = planes.reshape((4,) + shape)
             top = np.maximum(w01, w00)
             bottom = np.maximum(w11, w10)
-            out = np.maximum(bottom, top).reshape(shape)
+            out = np.maximum(bottom, top)
             self._cache = None
             if training:
                 # Row-major position of the first max (strict >: the
@@ -532,7 +576,7 @@ class MaxPool2D(Layer):
                 first -= top_right
                 first *= bottom_wins
                 first += top_right
-                self._cache = (x.shape, first.reshape(shape))
+                self._cache = (x.shape, first, order or _NCHW)
             return out
         # windows: (N, C, H/s, W/s, s*s)
         windows = (
@@ -545,24 +589,24 @@ class MaxPool2D(Layer):
         rows = _flat_arange(first.size)
         out = windows.reshape(first.size, s * s)[rows, first.ravel()]
         out = out.reshape(first.shape)
-        self._cache = (x.shape, first) if training else None
+        self._cache = (x.shape, first, order or _NCHW) if training else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         cache, self._cache = self._cache, None
         if cache is None:
             raise RuntimeError("backward() before forward(training=True)")
-        x_shape, first = cache
-        n, c, h, w = x_shape
+        x_shape, first, order = cache
         s = self.size
         # One fancy scatter through the cached flat-index base: each
-        # window routes its gradient to the selected input pixel
-        # directly, with no (windows, s*s) intermediate and no
-        # transposed reassembly copy.
-        dx = np.zeros(n * c * h * w, dtype=dout.dtype)
-        base = _pool_scatter_base(x_shape, s)
-        dx[base + _pool_offsets(s, w)[first]] = dout
-        return dx.reshape(n, c, h, w)
+        # window routes its gradient to the selected input pixel of a
+        # zeroed buffer in x's layout directly, with no (windows, s*s)
+        # intermediate and no transposed reassembly copy.
+        index = _pool_offsets(s, x_shape[3]).take(first)
+        index += _pool_scatter_base(x_shape, s, order)
+        dx = np.zeros(math.prod(x_shape), dtype=dout.dtype)
+        dx[index] = dout
+        return dx.reshape([x_shape[axis] for axis in order]).transpose(order)
 
     def __repr__(self) -> str:
         return f"MaxPool2D({self.size})"

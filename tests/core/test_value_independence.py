@@ -9,9 +9,12 @@ for hop on each golden-grid family whose effects are timing only, the
 CNN cell, and three variants under a straggler (the serial computation
 graph; backup workers with skipping and receiver-iteration checks;
 staleness mode), each against the same cell run for real.  The other
-eight protocols are held to the same property on their quiet, random
-and straggler cells through what every protocol reports (run counters,
-worker stats, traced samples).  Replayed cells honour the stub too: a
+eight protocols are held to the same property on the same timing
+families and the CNN through what every protocol reports (run
+counters, worker stats, ledger rows, traced samples), and all nine on
+every churn, fault and compressed golden cell, hop under a permanent
+crash as well: all 153 golden cells and one more, none of them
+value-coupled.  Replayed cells honour the stub too: a
 stubbed hop or parameter-server worker replays a zero gradient and never
 draws a batch.
 The last tests couple one simulated duration to the loss: on an eager
@@ -23,7 +26,11 @@ import pytest
 
 from repro.core.config import HopConfig, SkipConfig
 from repro.harness.golden import (
+    CHURN_CELLS,
+    COMPRESSION_CELLS,
+    churn_conformance_spec,
     cnn_conformance_spec,
+    compression_conformance_spec,
     conformance_spec,
     control_fingerprint,
     run_fingerprint,
@@ -118,13 +125,34 @@ def test_control_does_not_read_parameter_values(cell):
 
 
 #: Every protocol but hop (covered above, with its worker internals), on
-#: the quiet family and the two slowdown families of the paper's figures.
+#: the quiet family and the two slowdown families of the paper's figures
+#: and on the other timing families and the CNN; then every protocol,
+#: hop included, on the churn, fault and compressed golden cells, and hop
+#: under a permanent crash.  None of these is value-coupled.
 PROTOCOL_CELLS = {
     f"{protocol}/{family}": conformance_spec(protocol, family)
     for protocol in registered_protocols()
     if protocol != "hop"
-    for family in ("none", "random", "straggler")
+    for family in TIMING_FAMILIES
 }
+for protocol in registered_protocols():
+    if protocol != "hop":
+        PROTOCOL_CELLS[f"{protocol}/cnn-none"] = cnn_conformance_spec(
+            protocol
+        )
+    for family in sorted(CHURN_CELLS):
+        PROTOCOL_CELLS[f"{protocol}/{family}"] = churn_conformance_spec(
+            protocol, family
+        )
+    for scheme in sorted(COMPRESSION_CELLS):
+        PROTOCOL_CELLS[f"{protocol}/compressed-{scheme}"] = (
+            compression_conformance_spec(protocol, scheme)
+        )
+    for family in ("crash-restart", "flaky-net", "lossy-net"):
+        PROTOCOL_CELLS[f"{protocol}/{family}"] = conformance_spec(
+            protocol, family
+        )
+PROTOCOL_CELLS["hop/crash"] = conformance_spec("hop", "crash")
 
 
 @pytest.mark.parametrize("cell", sorted(PROTOCOL_CELLS))

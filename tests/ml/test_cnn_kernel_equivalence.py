@@ -1,12 +1,14 @@
-"""The contiguous-plane pool, the gathered col2im and the unpadded,
+"""The gathered-plane pool, the gathered col2im and the unpadded,
 sample-blocked im2col plan against the kernels they replaced.
 
-``OldMaxPool2D``, ``OldConv2D``, ``CsrConv2D`` and ``FullPlanConv2D``
-are the removed implementations (the where-tree over strided window
-views with an int64 ``first``, the zero-filled padded buffer behind a
-padded-coordinate plan, the full padded col2im operator whose border
-backward sliced away, the interior-only CSR col2im operator, one im2col
-plan over every sample of a batch), kept here as oracles.  The new
+``OldMaxPool2D``, ``CopyPlanesMaxPool2D``, ``OldConv2D``, ``CsrConv2D``
+and ``FullPlanConv2D`` are the removed implementations (the where-tree
+over strided window views with an int64 ``first``, the planes copied
+out through one 6-D strided copy with a C-contiguous ``dx``, the
+zero-filled padded buffer behind a padded-coordinate plan, the full
+padded col2im operator whose border backward sliced away, the
+interior-only CSR col2im operator, one im2col plan over every sample of
+a batch), kept here as oracles.  The new
 kernels only move data differently, so every comparison is on bits
 (``.view(uint32 / uint64)``), never ``allclose``: that includes the sign
 of a zero and, where ``dout`` holds NaNs and infinities, which NaN a sum
@@ -23,7 +25,7 @@ from scipy import sparse
 
 from repro.harness.workloads import cnn_workload
 from repro.ml import layers
-from repro.ml.layers import Conv2D, MaxPool2D, _pool_scatter_base
+from repro.ml.layers import Conv2D, MaxPool2D
 
 
 def bits(array):
@@ -64,9 +66,46 @@ class OldMaxPool2D(MaxPool2D):
         n, c, h, w = x_shape
         s = self.size
         dx = np.zeros(n * c * h * w, dtype=dout.dtype)
-        base = _pool_scatter_base(x_shape, s)
+        base = old_pool_base(x_shape, s)
         dx[base + (first // s) * w + first % s] = dout
         return dx.reshape(n, c, h, w)
+
+
+def old_pool_base(x_shape, s):
+    """The removed scatter base: each window's top-left pixel in the
+    flat NCHW input, built without the cache."""
+    n, c, h, w = x_shape
+    rows = np.arange(n * c * (h // s)).reshape(n, c, h // s, 1)
+    cols = np.arange(w // s).reshape(1, 1, 1, w // s)
+    return (rows * s * w + cols * s).reshape(n, c, h // s, w // s)
+
+
+class CopyPlanesMaxPool2D(MaxPool2D):
+    """The removed 2 x 2 kernel that copied every input into four
+    contiguous planes through one 6-D strided copy and scattered ``dx``
+    into a C-contiguous buffer, whatever the input's layout.  Unlike
+    the where-tree it keeps a NaN anywhere in a window."""
+
+    def forward(self, x, training=True):
+        n, c, h, w = x.shape
+        assert self.size == 2
+        shape = (n, c, h // 2, w // 2)
+        planes = np.empty((2, 2) + shape, dtype=x.dtype)
+        planes[...] = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(
+            3, 5, 0, 1, 2, 4
+        )
+        w00, w01, w10, w11 = planes.reshape(4, -1)
+        top = np.maximum(w01, w00)
+        bottom = np.maximum(w11, w10)
+        out = np.maximum(bottom, top).reshape(shape)
+        first = (w11 > w10).view(np.uint8) + 2
+        first -= (w01 > w00).view(np.uint8)
+        first *= (bottom > top).view(np.uint8)
+        first += (w01 > w00).view(np.uint8)
+        self._cache = (x.shape, first.reshape(shape)) if training else None
+        return out
+
+    backward = OldMaxPool2D.backward
 
 
 def old_conv_plan(x_shape, kh, kw, stride, pad):
@@ -211,14 +250,37 @@ def conv_successor_view(values):
     return view
 
 
-def pool_both(x, dout):
-    new, old = MaxPool2D(2), OldMaxPool2D(2)
+def pool_both(x, dout, oracle=OldMaxPool2D):
+    new, old = MaxPool2D(2), oracle(2)
     out, ref_out = new.forward(x, training=True), old.forward(x, training=True)
     first, ref_first = new._cache[1], old._cache[1]
     return (
         (out, first, new.backward(dout)),
         (ref_out, ref_first, old.backward(dout)),
     )
+
+
+def assert_layout_of(dx, x):
+    """``dx`` is laid out as ``x`` is when ``x`` is a conv's ``(c, n, h,
+    w)`` buffer seen through ``transpose(1, 0, 2, 3)``, and C-contiguous
+    otherwise."""
+    if x.transpose(1, 0, 2, 3).flags.c_contiguous and (
+        not x.flags.c_contiguous
+    ):
+        assert dx.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert dx.strides == x.strides
+    else:
+        assert dx.flags.c_contiguous
+
+
+LAYOUTS = {
+    "nchw": lambda values: values,
+    "cnhw": conv_successor_view,
+    # Neither layout: a window of a wider buffer, copied into planes.
+    "strided": lambda values: np.concatenate([values, values], axis=3)[
+        ..., : values.shape[3]
+    ],
+}
 
 
 @st.composite
@@ -236,9 +298,8 @@ def pool_inputs(draw):
         x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(n, c, h, w))
     x = x.astype(dtype)
     dout = rng.normal(size=(n, c, h // 2, w // 2)).astype(dtype)
-    if draw(st.booleans()):
-        x, dout = conv_successor_view(x), conv_successor_view(dout)
-    return x, dout
+    layout = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    return layout(x), layout(dout)
 
 
 class TestPoolEquivalence:
@@ -248,31 +309,99 @@ class TestPoolEquivalence:
         x, dout = inputs
         (out, first, dx), (ref_out, ref_first, ref_dx) = pool_both(x, dout)
         assert_same_bits(out, ref_out)
+        assert out.flags.c_contiguous
         assert first.dtype == np.uint8 and ref_first.dtype == np.int64
         assert first.shape == ref_first.shape
         assert np.array_equal(first, ref_first)
         assert_same_bits(dx, ref_dx)
-        assert dx.flags.c_contiguous
+        assert_layout_of(dx, x)
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_both_sides_of_the_plan_batch_are_exact(self, n, layout):
+        """At most ``_PLAN_SAMPLES`` samples in a known layout gather the
+        planes through the cached base; a larger batch or another
+        layout copies them.  Both give the removed kernel's bits, and
+        only a gathering forward looks a base up."""
+        assert layers._PLAN_SAMPLES == 64
+        rng = np.random.default_rng(n)
+        x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(n, 3, 6, 8))
+        x = LAYOUTS[layout](x.astype(np.float32))
+        dout = LAYOUTS[layout](
+            rng.normal(size=(n, 3, 3, 4)).astype(np.float32)
+        )
+        layers._pool_scatter_base.cache_clear()
+        new, old = MaxPool2D(2), CopyPlanesMaxPool2D(2)
+        assert_same_bits(
+            new.forward(x, training=False), old.forward(x, training=False)
+        )
+        gathered = layout != "strided" and n <= 64
+        assert layers._pool_scatter_base.cache_info().misses == gathered
+        (out, first, dx), (ref_out, ref_first, ref_dx) = pool_both(
+            x, dout, CopyPlanesMaxPool2D
+        )
+        assert_same_bits(out, ref_out)
+        assert first.dtype == ref_first.dtype == np.uint8
+        assert np.array_equal(first, ref_first)
+        assert_same_bits(dx, ref_dx)
+        assert_layout_of(dx, x)
+        assert layers._pool_scatter_base.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("layout", ["nchw", "cnhw"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_all_256_signed_zero_and_tie_windows(self, dtype):
+    def test_all_256_signed_zero_and_tie_windows(self, dtype, layout):
         """Every 2 x 2 window over {-0.0, +0.0, 1, -1}: which element a
         tie keeps decides the sign of a zero and where the gradient
         goes.  Prefixes of every length up to 33 windows as well, so a
-        SIMD body and its scalar tail both face each kind of tie."""
+        SIMD body and its scalar tail both face each kind of tie, and
+        batches on both sides of ``_PLAN_SAMPLES``."""
         windows = np.array(
             list(itertools.product([-0.0, 0.0, 1.0, -1.0], repeat=4)),
             dtype=dtype,
         ).reshape(256, 1, 2, 2)
         dout = np.arange(1.0, 257.0, dtype=dtype).reshape(256, 1, 1, 1)
-        for stop in [*range(1, 34), 256]:
+        for stop in [*range(1, 34), 64, 65, 256]:
             for start in (0, 256 - stop):
                 x = windows[start : start + stop]
-                new, old = pool_both(x, dout[start : start + stop])
+                grad = dout[start : start + stop]
+                if layout == "cnhw":
+                    # Two channels, so the layout is not C-contiguous.
+                    x = conv_successor_view(np.concatenate([x, -x], axis=1))
+                    grad = conv_successor_view(
+                        np.concatenate([grad, grad + 256], axis=1)
+                    )
+                new, old = pool_both(x, grad)
                 for got, expected in zip(new, old):
                     assert np.array_equal(got, expected)
                 assert_same_bits(new[0], old[0])  # the sign of a zero
                 assert_same_bits(new[2], old[2])
+                assert_layout_of(new[2], x)
+
+    @pytest.mark.parametrize("layout", ["nchw", "cnhw"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_and_tie_windows_keep_the_nan(self, dtype, layout):
+        """The 256 windows with a NaN in place of -1 (a NaN anywhere in
+        a window is its max), against the copying kernel (the where-tree
+        drops a NaN outside the first position), in both layouts and on
+        both sides of ``_PLAN_SAMPLES``."""
+        windows = np.array(
+            list(itertools.product([-0.0, 0.0, 1.0, np.nan], repeat=4)),
+            dtype=dtype,
+        ).reshape(256, 1, 2, 2)
+        windows = np.concatenate([windows, windows[::-1]], axis=1)
+        dout = np.arange(1.0, 513.0, dtype=dtype).reshape(256, 2, 1, 1)
+        view = LAYOUTS[layout]
+        for stop in (1, 17, 64, 65, 256):
+            x, grad = view(windows[:stop]), view(dout[:stop])
+            (out, first, dx), (ref_out, ref_first, ref_dx) = pool_both(
+                x, grad, CopyPlanesMaxPool2D
+            )
+            assert_same_bits(out, ref_out)
+            assert np.isnan(out).sum() == np.isnan(x).any(axis=(2, 3)).sum()
+            assert first.dtype == ref_first.dtype == np.uint8
+            assert np.array_equal(first, ref_first)
+            assert_same_bits(dx, ref_dx)
+            assert_layout_of(dx, x)
 
     def test_eval_forward_is_exact_and_caches_nothing(self):
         x = np.random.default_rng(0).normal(size=(3, 2, 4, 6))
@@ -282,20 +411,24 @@ class TestPoolEquivalence:
         )
         assert new._cache is None
 
-    def test_generic_size_backward_is_unchanged(self):
+    @pytest.mark.parametrize("layout", ["nchw", "cnhw"])
+    def test_generic_size_backward_is_unchanged(self, layout):
         """``s != 2`` still goes through ``argmax``; only its scatter
-        index is spelled through the offset table now."""
+        index is spelled through the offset table, into ``x``'s
+        layout."""
         rng = np.random.default_rng(1)
         x = rng.integers(-2, 3, size=(2, 3, 9, 6)).astype(np.float32)
+        x = LAYOUTS[layout](x)
         layer = MaxPool2D(3)
         out = layer.forward(x, training=True)
         first = layer._cache[1]
         dout = rng.normal(size=out.shape).astype(np.float32)
         dx = layer.backward(dout)
         expected = np.zeros(x.size, dtype=np.float32)
-        base = _pool_scatter_base(x.shape, 3)
+        base = old_pool_base(x.shape, 3)
         expected[base + (first // 3) * 6 + first % 3] = dout
         assert_same_bits(dx, expected.reshape(x.shape))
+        assert_layout_of(dx, x)
 
 
 def conv_pair(c, filters, k, stride, pad, dtype, oracle=OldConv2D):

@@ -226,8 +226,14 @@ class TestKernelCaches:
             8 * batch * 100
         )
         held.append(gather)
+        # Each pool's input is its conv's (c, n, h, w) buffer seen
+        # through a transpose: the base is keyed by that layout.
         for c, size in ((8, 8), (16, 4)):
-            held.append(layers._pool_scatter_base((batch, c, size, size), 2))
+            held.append(
+                layers._pool_scatter_base(
+                    (batch, c, size, size), 2, layers._CNHW
+                )
+            )
             held.append(layers._pool_offsets(2, size))
         # Every lookup above was a hit: these are the cached objects.
         assert [f.cache_info().currsize for f in cached] == [2, 1, 2, 2]
@@ -240,8 +246,8 @@ class TestKernelCaches:
         layer = MaxPool2D(2)
         x = np.random.default_rng(0).normal(size=(4, 3, 8, 6)).astype(dtype)
         out = layer.forward(x, training=True)
-        shape, first = layer._cache
-        assert shape == x.shape
+        shape, first, order = layer._cache
+        assert shape == x.shape and order == layers._NCHW
         assert first.dtype == np.uint8
         assert first.nbytes == out.size == 4 * 3 * 4 * 3
         # ... and not a view that keeps something larger alive.

@@ -354,9 +354,13 @@ class TestProfileSpec:
         assert rendered[0].split() == [
             "layer", "forward", "us", "backward", "us"
         ]
-        assert len(rendered) == len(layers) + 3
-        assert rendered[-2].startswith("loss") and rendered[-1].startswith(
+        assert len(rendered) == len(layers) + 4
+        assert rendered[-3].startswith("loss") and rendered[-2].startswith(
             "total"
+        )
+        assert budget.peak_bytes > x.nbytes
+        assert rendered[-1] == (
+            f"traced peak of one step: {budget.peak_bytes:,} B"
         )
         # The wrappers are gone and the model steps as an untouched one.
         for layer in layers:
@@ -366,6 +370,42 @@ class TestProfileSpec:
         value, grad = model.loss_and_grad(x, y)
         ref_value, ref_grad = reference.loss_and_grad(x, y)
         assert value == ref_value and np.array_equal(grad, ref_grad)
+
+    def test_outside_the_layers_is_a_per_step_median(self):
+        """Two fast steps with 1 us outside the spans, one slow step with
+        9 us: the median step has 1 us outside.  The median total less
+        the sum of the spans' medians reads 4 us, no step's figure."""
+        from repro.harness.profiling import StepBudget
+
+        budget = StepBudget(
+            layers=[("layer", 5.0, 0.0)],
+            loss_us=0.0,
+            total_us=9.0,
+            steps=[(5e-6, 6e-6), (2e-6, 3e-6), (1e-6, 10e-6)],
+            peak_bytes=2048,
+        )
+        assert budget.outside_us() == pytest.approx(1.0)
+        assert budget.total_us - budget.loss_us - 5.0 == pytest.approx(4.0)
+        total, peak = budget.render().splitlines()[-2:]
+        assert total.endswith("(1.0 outside the layers)")
+        assert peak == "traced peak of one step: 2,048 B"
+
+    def test_traced_peak_bytes_counts_the_call_alone(self):
+        import tracemalloc
+
+        from repro.harness.profiling import traced_peak_bytes
+
+        held = np.ones(1 << 16)  # allocated before: not the call's
+        peak = traced_peak_bytes(lambda: np.ones(1 << 14))
+        assert 8 * (1 << 14) <= peak < 8 * (1 << 14) + 4096
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            assert traced_peak_bytes(lambda: np.ones(1 << 14)) == peak
+            assert tracemalloc.is_tracing()  # the caller's tracing stays
+        finally:
+            tracemalloc.stop()
+        del held
 
     def test_cli_profile_prints_the_step_table(self, capsys):
         from repro.cli import main
@@ -377,6 +417,7 @@ class TestProfileSpec:
         out = capsys.readouterr().out
         assert "one model step (cnn/smoke, batch 16):" in out
         assert "MaxPool2D(2)" in out and "events/sec" in out
+        assert "traced peak of one step: " in out
 
     def test_cli_profile_engine_only(self, capsys):
         from repro.cli import main
