@@ -166,11 +166,13 @@ echo "== call budget: hop/64 and ps-async/128 function calls per worker-iteratio
 # count for the same two runs (`ProfileReport.calls`, after one warm-up
 # run, less the profiler's own GC callback).  It is exact for one tree
 # and one interpreter, so the ceilings are the counts the runs make now,
-# in this order, in a fresh process: 325,087 calls (127.0 per
-# worker-iteration) and 156,770 (122.5).  Before the per-message
+# in this order, in a fresh process: 319,241 calls (124.7 per
+# worker-iteration) and 148,088 (115.7).  Before the per-message
 # bookkeeping and the per-row replay draws went, they were about 370,000
-# and 192,000.  A first profile in a process pays a few calls of abc
-# cache warm-up, which the order here fixes.
+# and 192,000; before the one dependency record and the PS worker's
+# three-frame process, 325,087 and 156,770.  A first profile in a
+# process pays a few calls of abc cache warm-up, which the order here
+# fixes.
 python - <<'PY'
 from repro.graphs import ring_based
 from repro.harness.profiling import profile_spec
@@ -179,8 +181,8 @@ from repro.harness.workloads import by_name
 from repro.protocols.base import LIGHT_TRACE
 
 for protocol, n, iterations, ceiling in (
-    ("hop", 64, 40, 325_087),
-    ("ps-async", 128, 10, 156_770),
+    ("hop", 64, 40, 319_241),
+    ("ps-async", 128, 10, 148_088),
 ):
     spec = ExperimentSpec(
         name=f"call-budget/{protocol}/{n}",
@@ -204,35 +206,52 @@ for protocol, n, iterations, ceiling in (
     )
 PY
 
-echo "== compute seam: hop/64 and ps-async/128 replay, adpsgd/16 pools =="
+echo "== compute seam: hop/64, ps-async/128 and ps-bsp/128 replay, adpsgd/16 pools =="
 # The fourth noise-free guard (beside the event budget above, the cnn
 # pin and the scale smoke below): exact counts off the run's compute
 # pool (docs/ARCHITECTURE.md, "The compute seam" and "Replay").  Static
-# hop records its schedule and replays the math after the simulation:
-# 10 iterations are 10 replay levels of all 64 workers, and not one
-# ticket goes through the pool.  Static ps-async records too: its
-# 1,280 gradients replay in 15 levels, one per run of server versions
-# the pulls read.  A ticket there means the run lost its replay; a
-# fallback means the SVM lost its kernel.  adpsgd still submits
-# tickets, and holds its own exact counts: 10 iterations of 16 workers
-# in 12 flushes, all stacked.  The last count is model_factory calls: a
-# replaying run builds one model and a determinism witness, an eager
-# one a replica per worker.
+# hop records its dependencies and replays the math after the
+# simulation: 10 iterations are 10 replay levels of all 64 workers, and
+# not one ticket goes through the pool.  Under staleness 5 and random
+# 6x a reduce may read a neighbour's newer update, and the same 640
+# rows take 15 levels.  Static ps-async records too: its 1,280
+# gradients replay in 15 levels, one per run of server versions the
+# pulls read; ps-bsp with two backup workers under random 6x is one
+# level per iteration, stale gradients included.  A ticket there means
+# the run lost its replay; a fallback means the SVM lost its kernel.
+# adpsgd still submits tickets, and holds its own exact counts: 10
+# iterations of 16 workers in 12 flushes, all stacked.  The last count
+# is model_factory calls: a replaying run builds one model and a
+# determinism witness, an eager one a replica per worker.
 python - <<'PY'
+from repro.core.config import staleness_config
 from repro.graphs import bipartite_ring, ring_based
-from repro.harness.spec import ExperimentSpec
+from repro.harness.spec import RANDOM_6X, ExperimentSpec
 from repro.harness.workloads import by_name
 from repro.protocols.base import LIGHT_TRACE
 from repro.protocols.registry import build_cluster
 
 iterations = 10
-expected = {
+expected = [
+    # protocol, n, spec fields,
     # (tickets, flushes, stacked, fallback, levels, rows, factory calls)
-    ("hop", 64): (0, 0, 0, 0, 10, 640, 2),
-    ("ps-async", 128): (0, 0, 0, 0, 15, 1280, 2),
-    ("adpsgd", 16): (160, 12, 160, 0, 0, 0, 16),
-}
-for (protocol, n), counts in expected.items():
+    ("hop", 64, {}, (0, 0, 0, 0, 10, 640, 2)),
+    (
+        "hop",
+        64,
+        dict(config=staleness_config(5), slowdown=RANDOM_6X),
+        (0, 0, 0, 0, 15, 640, 2),
+    ),
+    ("ps-async", 128, {}, (0, 0, 0, 0, 15, 1280, 2)),
+    (
+        "ps-bsp",
+        128,
+        dict(ps_backup=2, slowdown=RANDOM_6X),
+        (0, 0, 0, 0, 10, 1280, 2),
+    ),
+    ("adpsgd", 16, {}, (160, 12, 160, 0, 0, 0, 16)),
+]
+for protocol, n, fields, counts in expected:
     cluster = build_cluster(
         ExperimentSpec(
             name=f"compute-seam/{protocol}/{n}",
@@ -243,6 +262,7 @@ for (protocol, n), counts in expected.items():
             max_iter=iterations,
             seed=0,
             trace_channels=LIGHT_TRACE,
+            **fields,
         )
     )
     built = []
@@ -259,10 +279,10 @@ for (protocol, n), counts in expected.items():
         pool.rows,
         len(built),
     )
-    assert got == counts, (protocol, n, pool, len(built))
+    assert got == counts, (protocol, n, fields, pool, len(built))
     print(
-        f"compute seam OK: {protocol}/{n} x {iterations} iterations, "
-        f"{pool.tickets} tickets in {pool.flushes} flushes, "
+        f"compute seam OK: {protocol}/{n} {sorted(fields)} x {iterations} "
+        f"iterations, {pool.tickets} tickets in {pool.flushes} flushes, "
         f"{pool.rows} rows in {pool.levels} replay levels, "
         f"{pool.fallback} fallback, {len(built)} models built"
     )
@@ -344,16 +364,18 @@ PY
 echo "== scale smoke: hop/4096 resident memory, no n x n array =="
 # Cluster state is O(n + m): per-edge topology weights, a running
 # minimum and a transition log in the gap tracker, and what each worker
-# holds.  hop / svm / 4096 workers / 2 iterations peaks at ~82 MB in a
-# fresh interpreter on a 2-core x86-64 container (~106 MB while every
+# holds.  hop / svm / 4096 workers / 2 iterations peaks at ~79 MB in a
+# fresh interpreter on a 2-core x86-64 container (~82 MB while each
+# worker's record plane kept its own columns; ~106 MB while every
 # worker held its own container per queue slot, waiter list and data
 # stream; ~122 MB while it built a model replica per worker); one dense
 # float64 4096 x 4096 array is 128 MB on its own (the run took 390 MB
 # while it held two).  The 200 MB ceiling is the tripwire for a
 # reintroduced n x n allocation.  The smoke also prints what a worker
 # costs: resident bytes the run added, by worker, and the GC-tracked
-# objects it built before the simulation started (~23 a worker; 46
-# before workers shed their empty containers).
+# objects it built before the simulation started (~21 a worker; ~23
+# while each record plane held two arrays, 46 before workers shed their
+# empty containers).
 python - <<'PY'
 import gc
 import resource

@@ -31,10 +31,12 @@ failover already lost — and a joiner seeds its state from the live
 shards before its first pull.
 
 A static run whose every step has a stacked form does control only
-while it simulates: :class:`ServerSchedule` records which server version
-each worker-iteration pulled and which gradients each fold applied, and
-:func:`replay` evaluates the arithmetic after ``env.run()``
-(docs/ARCHITECTURE.md, "Replay").
+while it simulates: its plane writes a :class:`~repro.core.planes.Record`
+(a fold is a combine of the gradients it applies, chained to the fold
+before it; a gradient reads the fold that made the version it
+pulled), and :func:`~repro.core.planes.replay` evaluates it after
+``env.run()`` through :class:`_ServerEmitter`, the arithmetic of one
+level (docs/ARCHITECTURE.md, "Replay").
 
 Registered as protocols ``"ps-bsp"`` (alias ``"ps"``), ``"ps-async"``
 and ``"ps-ssp"``.
@@ -42,11 +44,12 @@ and ``"ps-ssp"``.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.planes import Record, RecordPlane, log_losses, replay
 from repro.core.planes import replayable
 from repro.membership import MembershipRuntime
 from repro.ml.data import Horizons
@@ -234,11 +237,11 @@ class _EagerMath:
         """After the compute timeout: ``(loss, grad)``."""
         return ticket.result()
 
-    def step(self, params: np.ndarray, grad, k: int) -> np.ndarray:
+    def fold(self, params: np.ndarray, grad, k: int) -> np.ndarray:
         """async / ssp: one gradient, stepped at its pulled version."""
         return params + self.optimizer.step(params, grad, k)
 
-    def mean_step(self, params: np.ndarray, grads: list, k: int) -> np.ndarray:
+    def fold_mean(self, params: np.ndarray, grads: list, k: int) -> np.ndarray:
         """BSP: the quorum's mean, in ``pending`` order."""
         mean_grad = np.mean(grads, axis=0)
         return params + self.optimizer.step(params, mean_grad, k)
@@ -247,140 +250,67 @@ class _EagerMath:
         self.log_loss[wid](now, loss)
 
 
-class ServerSchedule:
-    """Control only: a PS run's record, read by :func:`replay`.
-
-    A gradient is named by its worker-iteration, ``gid = wid * max_iter
-    + k``; it travels through the inbox and the BSP quorum in place of
-    the vector.  Per gid: ``versions[gid]``, the server version the pull
-    read (the loss is logged at its ledger row's ``end``).  Per fold (the
-    server moving from version ``v`` to ``v + 1``): ``sizes[v]`` gids
-    follow in ``folds`` in the order the server applied them (one for
-    async and ssp, the BSP quorum in ``pending`` order), and
-    ``steps[v]`` is the iteration the optimizer is stepped at.  A gid in
-    no fold is a gradient BSP dropped as stale: it is still evaluated,
-    for its loss and its batch draw.
+class _ServerEmitter:
+    """The PS's arithmetic of one replay level.  Fold ``v`` moves the
+    server from version ``v`` to ``v + 1`` with its one ``optimizer``,
+    stepped at ``v`` for BSP (``mean``: the quorum's mean) and at the
+    gradient's pulled version for async and ssp.  Gid ``wid * max_iter
+    + k`` is worker ``wid``'s gradient on its batch ``k``, drawn from a
+    :class:`~repro.ml.data.Horizons`, at the version it pulled; every
+    gradient that reads a version is on that version's level, so a
+    level's versions are dropped once its gradients are evaluated.
+    After :func:`~repro.core.planes.replay`, :attr:`params` is the
+    server's final vector and :attr:`losses` each worker's losses by
+    iteration.
     """
 
-    __slots__ = ("max_iter", "versions", "folds", "sizes", "steps")
+    def __init__(
+        self, record: Record, batchers, pool, optimizer, params, mean: bool
+    ) -> None:
+        self.max_iter = record.max_iter
+        self.pool, self.optimizer, self.mean = pool, optimizer, mean
+        self.horizons = Horizons(batchers, self.max_iter)
+        offsets, inputs = record.columns()
+        #: The server version each gradient pulled.
+        self.versions = np.frombuffer(record.reads, dtype=np.intc) + 1
+        self.folded = np.zeros(self.versions.size, dtype=bool)
+        self.folded[inputs] = True
+        # The fold loop is one optimizer step per gradient: it reads
+        # Python lists, not numpy scalars.
+        self.bounds, self.fold_gids = offsets.tolist(), inputs.tolist()
+        #: The iteration each fold steps at: its own version for BSP,
+        #: its one gradient's pulled version for async and ssp.
+        steps = np.arange(offsets.size - 1) if mean else self.versions[inputs]
+        self.steps = steps.tolist()
+        self.params = params
+        self.held: Dict[int, np.ndarray] = {0: params}
+        self.grads_of: Dict[int, np.ndarray] = {}
+        self.losses = np.empty((len(batchers), self.max_iter))
 
-    def __init__(self, n_workers: int, max_iter: int) -> None:
-        self.max_iter = max_iter
-        self.versions = array("i", bytes(4 * n_workers * max_iter))
-        self.folds = array("i")
-        self.sizes = array("i")
-        self.steps = array("i")
-
-    def pull(self, server: "_ServerState", wid: int, k: int, model, batcher):
-        gid = wid * self.max_iter + k
-        self.versions[gid] = server.version
-        return gid
-
-    @staticmethod
-    def gradient(gid):
-        return None, gid
-
-    def step(self, params, gid: int, k: int):
-        self.folds.append(gid)
-        self.sizes.append(1)
-        self.steps.append(k)
-        return params
-
-    def mean_step(self, params, gids: list, k: int):
-        self.folds.extend(gids)
-        self.sizes.append(len(gids))
-        self.steps.append(k)
-        return params
-
-    @staticmethod
-    def end(wid: int, k: int, now: float, loss) -> None:
-        return None
-
-
-def replay(
-    schedule: ServerSchedule,
-    batchers: Sequence[object],
-    pool,
-    optimizer,
-    params: np.ndarray,
-    mean: bool,
-    tracer,
-    ledger,
-) -> np.ndarray:
-    """Evaluate a recorded PS run's arithmetic; returns the server's
-    final parameters and fills every worker's ``loss/<wid>`` series,
-    each loss at its worker-iteration's ``ledger`` end.
-
-    A *level* first evaluates, as one :meth:`ComputePool.evaluate_rows`
-    block, every gradient whose pulled version exists (gid ``wid *
-    max_iter + k`` draws worker ``wid``'s batch ``k`` from a
-    :class:`~repro.ml.data.Horizons`), then applies
-    folds in recorded order with the server's one ``optimizer`` until a
-    fold reads a gradient not yet evaluated.  A version is kept only
-    while a gradient still to be evaluated reads it.  ``mean`` is BSP:
-    a fold steps the mean of its quorum.
-    """
-    max_iter = schedule.max_iter
-    n_workers = len(batchers)
-    horizons = Horizons(batchers, max_iter)
-    versions = np.frombuffer(schedule.versions, dtype=np.intc)
-    folds = np.frombuffer(schedule.folds, dtype=np.intc)
-    sizes = np.frombuffer(schedule.sizes, dtype=np.intc)
-    steps = schedule.steps.tolist()
-    n_folds = len(steps)
-    offsets = np.zeros(n_folds + 1, dtype=np.intp)
-    np.cumsum(sizes, out=offsets[1:])
-    # A fold can run once its latest-pulled gradient exists.
-    need = (
-        np.maximum.reduceat(versions[folds], offsets[:-1]).tolist()
-        if n_folds
-        else []
-    )
-    folded = np.zeros(versions.size, dtype=bool)
-    folded[folds] = True
-    readers = np.bincount(versions, minlength=n_folds + 1).tolist()
-    # The fold loop is one optimizer step per gradient: it reads Python
-    # lists, not numpy scalars.
-    bounds = offsets.tolist()
-    fold_gids = folds.tolist()
-    order = np.argsort(versions, kind="stable")
-    ordered = versions[order]
-
-    held: Dict[int, np.ndarray] = {0: params}
-    grads_of: Dict[int, np.ndarray] = {}
-    loss_at = np.empty(versions.size)
-    start = fold = 0
-    while start < versions.size:
-        ready = fold  # the server's version: every pull up to it exists
-        stop = int(np.searchsorted(ordered, ready, side="right"))
-        gids = order[start:stop]
-        tags = ordered[start:stop]
-        x = np.empty((stop - start, params.size))
-        edges = [0, *(np.flatnonzero(np.diff(tags)) + 1).tolist(), len(tags)]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            x[lo:hi] = held.pop(int(tags[lo]))
-        wids, ks = np.divmod(gids, max_iter)
-        losses, grads = pool.evaluate_rows(wids, ks, x, horizons)
-        loss_at[gids] = losses
-        gid_list = gids.tolist()
-        for row in np.flatnonzero(folded[gids]).tolist():
-            grads_of[gid_list[row]] = grads[row]
-        start = stop
-        while fold < n_folds and need[fold] <= ready:
+    def combine(self, folds: np.ndarray) -> None:
+        """The level's folds, in the order the server applied them."""
+        bounds, fold_gids, steps = self.bounds, self.fold_gids, self.steps
+        grads_of, held, params = self.grads_of, self.held, self.params
+        step, mean = self.optimizer.step, self.mean
+        for fold in folds.tolist():
             ids = fold_gids[bounds[fold] : bounds[fold + 1]]
             quorum = [grads_of.pop(i) for i in ids]
             grad = np.mean(quorum, axis=0) if mean else quorum[0]
-            params = params + optimizer.step(params, grad, steps[fold])
-            fold += 1
-            if readers[fold]:
-                held[fold] = params
+            params = held[fold + 1] = params + step(params, grad, steps[fold])
+        self.params = params
 
-    times = ledger.column("end", n_workers).ravel().tolist()
-    losses = loss_at.tolist()
-    for wid in range(n_workers):
-        span = slice(wid * max_iter, (wid + 1) * max_iter)
-        tracer.extend(f"loss/{wid}", zip(times[span], losses[span]))
-    return params
+    def evaluate(self, gids: np.ndarray) -> None:
+        """The level's gradients as one block, each at the version it
+        pulled."""
+        pulled, row_of = np.unique(self.versions[gids], return_inverse=True)
+        x = np.stack([self.held[v] for v in pulled.tolist()])[row_of]
+        self.held.clear()
+        wids, ks = np.divmod(gids, self.max_iter)
+        losses, grads = self.pool.evaluate_rows(wids, ks, x, self.horizons)
+        self.losses[wids, ks] = losses
+        gid_list = gids.tolist()
+        for row in np.flatnonzero(self.folded[gids]).tolist():
+            self.grads_of[gid_list[row]] = grads[row]
 
 
 class _ShardedMembership(MembershipRuntime):
@@ -483,7 +413,6 @@ class ParameterServerCluster(ProtocolCluster):
     def _ps_round(
         self,
         wid: int,
-        k: int,
         runtime: ProtocolRuntime,
         server: _ServerState,
         nic: SharedNic,
@@ -491,8 +420,10 @@ class ParameterServerCluster(ProtocolCluster):
         batcher,
         grads_inbox,
         notify: List[Event],
+        k: int,
     ):
-        """Generator: one pull -> compute -> push iteration."""
+        """Generator: worker ``wid``'s iteration ``k``, one pull ->
+        compute -> push."""
         env = runtime.env
         start = env.now
         gate = SKIPPED
@@ -598,31 +529,12 @@ class ParameterServerCluster(ProtocolCluster):
         yield from nic.transfer(runtime.update_size)
         runtime.count_traffic(self._shards.n_shards, runtime.update_size)
 
-    def _worker(
-        self,
-        wid: int,
-        runtime: ProtocolRuntime,
-        server: _ServerState,
-        nic: SharedNic,
-        model,
-        batcher,
-        grads_inbox,
-        notify: List[Event],
-    ):
-        """One PS worker process: pull -> compute -> push; a (re)joiner
-        seeds its state from the live shards."""
-        yield from self._member_loop(
-            runtime,
-            wid,
-            lambda k: self._ps_round(
-                wid, k, runtime, server, nic, model, batcher, grads_inbox,
-                notify,
-            ),
-            lambda: self._seed_from_shards(runtime, nic),
-        )
+    def _retire(self, runtime: ProtocolRuntime, wid: int) -> None:
+        super()._retire(runtime, wid)
         # Retiring shrinks the BSP quorum: poke the server so a barrier
         # the pending gradients now fill folds without an arrival.
-        if server.pending and not notify[0].triggered:
+        notify = self._notify
+        if self._server_state.pending and not notify[0].triggered:
             notify[0].succeed()
 
     def _membership_changed(
@@ -709,7 +621,7 @@ class ParameterServerCluster(ProtocolCluster):
                 )
             need = max(1, min(self.n_workers - self.n_backup, active))
             if pending and len(pending) >= need:
-                server.params = plane.mean_step(
+                server.params = plane.fold_mean(
                     server.params, [g for _, g in pending], server.version
                 )
                 server.gradients_applied += len(pending)
@@ -739,7 +651,7 @@ class ParameterServerCluster(ProtocolCluster):
                 try_fold()
             else:
                 # async / ssp: apply immediately.
-                server.params = plane.step(server.params, grad, version)
+                server.params = plane.fold(server.params, grad, version)
                 server.gradients_applied += 1
                 server.advance_version()
 
@@ -759,13 +671,13 @@ class ParameterServerCluster(ProtocolCluster):
         notify: List[Event] = [Event(env)]
         #: A push's wire size, priced once, at the run's first push.
         self._push_size: Optional[float] = None
+        self._notify = notify
         # The record/eager split: control is one loop either way.
         if runtime.replays:
-            self.schedule = self._plane = ServerSchedule(
-                self.n_workers, self.max_iter
-            )
+            self.record = Record(self.n_workers, self.max_iter, chained=True)
+            self._plane = RecordPlane(self.record)
         else:
-            self.schedule = None
+            self.record = None
             self._plane = _EagerMath(runtime, self.optimizer_proto)
         self._batchers = [
             self._make_batcher(wid) for wid in range(self.n_workers)
@@ -786,21 +698,25 @@ class ParameterServerCluster(ProtocolCluster):
                 int(server.params.size), membership.view.active
             )
             self._grads_inbox = grads_inbox
-            self._notify = notify
             server.membership = membership
 
+        # Each worker process is its rounds under the churn plan, if
+        # any; a (re)joiner seeds its state from the live shards.
+        resync = partial(self._seed_from_shards, runtime, nic)
         for wid in range(self.n_workers):
+            round_at = partial(
+                self._ps_round,
+                wid,
+                runtime,
+                server,
+                nic,
+                None if runtime.replays else runtime.models[wid],
+                self._batchers[wid],
+                grads_inbox,
+                notify,
+            )
             env.process(
-                self._worker(
-                    wid,
-                    runtime,
-                    server,
-                    nic,
-                    None if runtime.replays else runtime.models[wid],
-                    self._batchers[wid],
-                    grads_inbox,
-                    notify,
-                ),
+                self._member_loop(runtime, wid, round_at, resync),
                 name=f"ps-worker-{wid}",
             )
         env.process(
@@ -809,18 +725,19 @@ class ParameterServerCluster(ProtocolCluster):
         )
 
     def _after_simulation(self, runtime: ProtocolRuntime) -> None:
-        if self.schedule is not None:
+        if self.record is not None:
             server = self._server_state
-            server.params = replay(
-                self.schedule,
+            emitter = _ServerEmitter(
+                self.record,
                 self._batchers,
                 runtime.compute,
                 self.optimizer_proto,
                 server.params,
                 self.mode == "bsp",
-                runtime.tracer,
-                runtime.ledger,
             )
+            replay(self.record, emitter)
+            server.params = emitter.params
+            log_losses(runtime.tracer, runtime.ledger, "end", emitter.losses)
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:
         return self._server_state.params[None, :]

@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.core.config import NOTIFY_ACK, STANDARD, HopConfig
 from repro.core.gap import update_queue_capacity_bound
-from repro.core.planes import Schedule, replay, replayable
+from repro.core.planes import HopEmitter, Record, log_losses, replay
+from repro.core.planes import replayable
 from repro.core.queues import RotatingUpdateQueue, TokenQueue, UpdateQueue
 from repro.core.skip import SkipPolicy
 from repro.core.worker import ClusterState, HopWorker
@@ -32,6 +33,7 @@ from repro.protocols.base import DeadlockError, ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
 from repro.scenarios.faults import CrashEvent
 from repro.sim.engine import Environment
+from repro.sim.trace import StatAccumulator
 
 __all__ = ["HopCluster"]
 
@@ -302,8 +304,10 @@ class HopCluster(ProtocolCluster):
             self._membership = membership
             self._network.membership = membership
         replays = runtime.replays
-        self.schedule = schedule = (
-            Schedule(tagged=config.mode == "staleness") if replays else None
+        self.record = record = (
+            Record(n, self.max_iter, lockstep=config.mode != "staleness")
+            if replays
+            else None
         )
         workers: List[HopWorker] = []
         for wid in range(n):
@@ -337,7 +341,7 @@ class HopCluster(ProtocolCluster):
                 else 0.0,
                 skip_policy=skip_policy,
                 crash_event=self.crash_events.get(wid),
-                schedule=schedule,
+                record=record,
                 notify_ack=not hop,
             )
             workers.append(worker)
@@ -411,19 +415,28 @@ class HopCluster(ProtocolCluster):
                 )
 
     def _after_simulation(self, runtime: ProtocolRuntime) -> None:
-        if self.schedule is not None:
-            # The queues are garbage once the schedule is recorded; free
-            # them before the replay's blocks peak.
-            for worker in self._workers:
-                worker.detach_queues()
-            replay(
-                self.schedule,
-                self._workers,
-                runtime.compute,
-                self.optimizer_proto,
-                self.worker_config,
-                runtime.model.get_params(),
-            )
+        if self.record is None:
+            return
+        # The queues are garbage once the record is written; free them
+        # before the replay's blocks peak.
+        workers = self._workers
+        for worker in workers:
+            worker.detach_queues()
+        emitter = HopEmitter(
+            self.record,
+            workers,
+            runtime.compute,
+            self.optimizer_proto,
+            self.worker_config,
+            runtime.model.get_params(),
+        )
+        replay(self.record, emitter)
+        # Each worker's losses in iteration order, as its loop adds them.
+        losses = StatAccumulator.per_row(emitter.losses)
+        for worker, params, accumulator in zip(workers, emitter.x, losses):
+            worker.final_params = worker.current_params = params
+            worker.losses = accumulator
+        log_losses(runtime.tracer, runtime.ledger, "recv_to", emitter.losses)
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:
         return np.stack([w.final_params for w in self._workers])

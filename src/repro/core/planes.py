@@ -1,30 +1,37 @@
-"""The two numeric planes behind :meth:`HopWorker.run`'s one control loop.
+"""The numeric planes behind the control loops that replay, the one
+dependency record they write, and the one level loop that evaluates it.
 
 Control — queues, tokens, timeouts, the gap — never reads a parameter
-(``tests/core/test_value_independence.py``), so a worker's loop calls
+(``tests/core/test_value_independence.py``), so a control loop calls
 its arithmetic through a *plane* and never looks at what comes back:
 
-* :class:`EagerPlane` does the math in the loop, one worker and one
-  vector at a time: ``set_params`` + a compute ticket before the
-  compute timeout, the SGD step after it, the reduce into the worker's
-  scratch, the apply.  Every run that :func:`replayable` turns down
-  takes it.
-* :class:`RecordPlane` does none of it.  Sends carry no parameters
-  (an :class:`~repro.core.update.Update` names ``(sender, iteration)``),
-  compute submits nothing, and each reduce records which updates
-  entered it, in arrival order.  After ``env.run()`` :func:`replay`
-  evaluates the recorded schedule level by level, as a few numpy calls
-  over all workers.
+* :class:`EagerPlane` does the math in :meth:`HopWorker.run` (hop and
+  NOTIFY-ACK), one worker and one vector at a time: ``set_params`` + a
+  compute ticket before the compute timeout, the SGD step after it,
+  the reduce into the worker's scratch, the apply.  The parameter
+  server's eager plane is in :mod:`repro.baselines.ps`.  Every run
+  that :func:`replayable` turns down takes one.
+* :class:`RecordPlane` does none of it, for hop, NOTIFY-ACK and the
+  parameter server alike.  Sends carry no parameters (an
+  :class:`~repro.core.update.Update` names ``(sender, iteration)``),
+  compute submits nothing, and each reduce or server fold appends one
+  combine to the run's :class:`Record`.
 
-docs/ARCHITECTURE.md, "Replay", has the record format, the level order,
-the argument that replay is bit for bit the eager arithmetic, and why
-each eager case is eager.
+After ``env.run()`` :func:`replay` places every evaluation (a
+worker-iteration's gradient) and every combine on a level and hands
+each level to the protocol's *emitter*, whose two methods do its
+arithmetic as a few numpy calls over all rows: :class:`HopEmitter`
+here, the server's in :mod:`repro.baselines.ps`.
+
+docs/ARCHITECTURE.md, "Replay", has the record, the level rule, the
+argument that replay is bit for bit the eager arithmetic, and why each
+eager case is eager.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -37,7 +44,6 @@ from repro.core.reducers import (
 )
 from repro.ml.data import Horizons
 from repro.ml.optim import SGD
-from repro.sim.trace import StatAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.worker import HopWorker
@@ -121,104 +127,164 @@ class EagerPlane:
         self.worker.losses.add(self.loss)
 
 
-class RecordPlane:
-    """Control only: every arithmetic call returns ``None``, and each
-    reduce appends one record to this worker's columns.
+class Record:
+    """One run's dependency record, what :func:`replay` evaluates.
 
-    Per worker-iteration ``k`` (one reduce each, in order): ``counts[k]``
-    updates entered the reduce; their senders follow in ``senders`` in
-    arrival order.  (The loss is logged when the reduce's receive ends,
-    its ledger row's ``recv_to``.)  Under
-    staleness, ``tags`` holds each update's iteration and ``ready[k]``
-    the replay level at which the worker's iteration-``k`` parameters
-    exist (``ready[0] == 0``); standard and backup reduce only updates
-    of their own iteration, so there ``ready[k] == k`` and neither
-    column is kept.
+    An *evaluation* is one worker-iteration's gradient, named by its gid
+    ``wid * max_iter + k``.  A *combine* reads evaluations and makes a
+    parameter vector: a hop reduce and apply, or a server fold.
+    Combines are appended in the order the run performs them; combine
+    ``c`` reads ``sizes[c]`` evaluations, whose gids follow in
+    ``inputs``.  ``reads[gid]`` is the combine whose output evaluation
+    ``gid`` reads (-1: the initial parameters).
+
+    ``chained``: every combine also reads the one before it (the
+    server's folds are one chain).  A hop reduce lists its own
+    evaluation first, which orders each worker's reduces.
+    ``lockstep``: every combine reads the evaluations of one iteration
+    ``k`` and makes iteration ``k + 1``'s parameters (hop's standard
+    and backup modes), so it sits at level ``k + 1`` and each
+    evaluation of iteration ``k`` at level ``k``.
     """
 
-    __slots__ = ("counts", "senders", "tags", "ready", "_planes")
+    __slots__ = ("max_iter", "sizes", "inputs", "reads", "chained",
+                 "lockstep")
 
-    def __init__(self, planes: List["RecordPlane"], tagged: bool) -> None:
-        self.counts = array("i")
-        self.senders = array("i")
-        self.tags = array("i") if tagged else None
-        self.ready = array("i", [0]) if tagged else None
-        #: Every worker's plane, by wid: a tagged record reads the
-        #: senders' ``ready`` columns.
-        self._planes = planes
+    def __init__(
+        self,
+        n_workers: int,
+        max_iter: int,
+        chained: bool = False,
+        lockstep: bool = False,
+    ) -> None:
+        self.max_iter = max_iter
+        self.sizes = array("i")
+        self.inputs = array("i")
+        self.reads = array("i", [-1]) * (n_workers * max_iter)
+        self.chained = chained
+        self.lockstep = lockstep
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(offsets, inputs)``: combine ``c`` reads
+        ``inputs[offsets[c]:offsets[c + 1]]``."""
+        sizes = np.frombuffer(self.sizes, dtype=np.intc)
+        offsets = np.zeros(sizes.size + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        return offsets, np.frombuffer(self.inputs, dtype=np.intc)
+
+    def levels(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each combine's level and each evaluation's.
+
+        An evaluation sits at the level of the combine it reads (the
+        initial parameters are level 0).  A combine sits one above the
+        highest evaluation it reads, and never below the combine before
+        it when ``chained``.
+        """
+        offsets, inputs = self.columns()
+        max_iter = self.max_iter
+        if self.lockstep:
+            return (
+                inputs[offsets[:-1]] % max_iter + 1,
+                np.arange(len(self.reads)) % max_iter,
+            )
+        reads = np.frombuffer(self.reads, dtype=np.intc)
+        # The combine each input's evaluation reads; ``at[-1]`` is the
+        # initial parameters' level.
+        sources = reads[inputs].tolist()
+        at = [0] * offsets.size
+        chained, floor = self.chained, 0
+        bounds = offsets.tolist()
+        for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            level = 0
+            for source in sources[lo:hi]:
+                if at[source] > level:
+                    level = at[source]
+            level += 1
+            if level < floor:
+                level = floor
+            at[c] = level
+            if chained:
+                floor = level
+        at = np.array(at)
+        return at[:-1], at[reads]
+
+
+def _nothing(*args) -> None:
+    """Every arithmetic call a recording loop makes and never reads."""
+    return None
+
+
+class RecordPlane:
+    """Control only: the plane of every loop that writes a
+    :class:`Record`.  Each arithmetic call returns ``None`` or passes
+    its input along, and what the loop hands on is never read.
+
+    A hop worker (its own plane, ``wid``) appends one combine per
+    reduce: its own evaluation, then the updates that entered the
+    reduce, in arrival order.  The parameter server's loops share one:
+    a gradient is its gid, which travels through the inbox and the BSP
+    quorum in place of the vector; a pull records the fold it reads
+    (the one that made the version it pulled), and each fold appends
+    one combine of the gids it applied, in order (one for async and
+    ssp, the BSP quorum in ``pending`` order).  A gid in no fold is a
+    gradient BSP dropped as stale: it is still evaluated, for its loss
+    and its batch draw.
+    """
+
+    __slots__ = ("record", "base")
+
+    def __init__(self, record: Record, wid: int = 0) -> None:
+        self.record = record
+        #: This worker's iteration-0 gid.
+        self.base = wid * record.max_iter
+
+    initial = payload = compute = step = apply = applied = end = staticmethod(
+        _nothing
+    )
+
+    def mean(self, updates, k: int, staleness: int = 0) -> None:
+        record = self.record
+        max_iter = record.max_iter
+        own = self.base + k
+        sizes = record.sizes
+        sizes.append(len(updates) + 1)
+        record.inputs.extend(
+            [own, *[u.sender * max_iter + u.iteration for u in updates]]
+        )
+        if k + 1 < max_iter:
+            record.reads[own + 1] = len(sizes) - 1
+        return None
+
+    # The flavour is the run's; the emitter reads it off the config.
+    weighted = mean
+
+    def pull(self, server, wid: int, k: int, model, batcher) -> int:
+        record = self.record
+        gid = wid * record.max_iter + k
+        record.reads[gid] = server.version - 1
+        return gid
 
     @staticmethod
-    def initial() -> None:
-        return None
+    def gradient(gid: int):
+        return None, gid
 
-    @staticmethod
-    def payload(params) -> None:
-        return None
+    def fold(self, params, gid: int, k: int):
+        record = self.record
+        record.sizes.append(1)
+        record.inputs.append(gid)
+        return params
 
-    @staticmethod
-    def compute(x) -> None:
-        return None
-
-    @staticmethod
-    def step(ticket, x, k: int) -> None:
-        return None
-
-    def mean(self, updates, k: int) -> None:
-        self.counts.append(len(updates))
-        append = self.senders.append
-        for update in updates:
-            append(update.sender)
-        if self.tags is not None:
-            self._tag(updates, k)
-        return None
-
-    def weighted(self, updates, k: int, staleness: int) -> None:
-        # The flavour is the run's; the replay reads it off the config.
-        return self.mean(updates, k)
-
-    def _tag(self, updates, k: int) -> None:
-        # The reduce's result exists one level after the latest
-        # parameters it reads, the worker's own included.
-        planes = self._planes
-        append = self.tags.append
-        level = self.ready[k]
-        for update in updates:
-            append(update.iteration)
-            known = planes[update.sender].ready[update.iteration]
-            if known > level:
-                level = known
-        self.ready.append(level + 1)
-
-    @staticmethod
-    def apply(reduced, delta) -> None:
-        return None
-
-    @staticmethod
-    def applied(x, delta) -> None:
-        return None
-
-    @staticmethod
-    def end(now: float) -> None:
-        return None
-
-
-class Schedule:
-    """One run's recorded schedule: a :class:`RecordPlane` per worker."""
-
-    def __init__(self, tagged: bool) -> None:
-        self.tagged = tagged
-        self.planes: List[RecordPlane] = []
-
-    def plane(self) -> RecordPlane:
-        """The next worker's plane (workers are built in wid order)."""
-        plane = RecordPlane(self.planes, self.tagged)
-        self.planes.append(plane)
-        return plane
+    def fold_mean(self, params, gids: list, k: int):
+        record = self.record
+        record.sizes.append(len(gids))
+        record.inputs.extend(gids)
+        return params
 
 
 def replayable(cluster, model, config=None) -> bool:
-    """Whether a run records its schedule and replays the math: the one
-    eligibility predicate of hop, NOTIFY-ACK and the parameter server.
+    """Whether a run records its dependencies and replays the math: the
+    one eligibility predicate of hop, NOTIFY-ACK and the parameter
+    server.
 
     Every condition is a property of the spec: no churn plan (a leave
     or join moves state mid-run: hop's re-sync copies a peer's
@@ -247,156 +313,138 @@ def replayable(cluster, model, config=None) -> bool:
     )
 
 
-def replay(
-    schedule: Schedule,
-    workers: Sequence["HopWorker"],
-    pool,
-    optimizer: SGD,
-    config,
-    initial: np.ndarray,
-) -> None:
-    """Evaluate a recorded run's arithmetic into its workers, which all
-    start from ``initial``.
+def replay(record: Record, emitter) -> None:
+    """Evaluate ``record`` level by level through ``emitter``.
 
-    A *level* is a set of worker-iterations whose inputs all exist:
-    level 0 computes every worker's iteration-0 gradient, and each later
-    level reduces and applies the worker-iterations whose contributors
-    are ready, then computes those workers' next gradients.  Standard
-    and backup reduce only their own iteration's updates, so level
-    ``k + 1`` is every worker at iteration ``k``; staleness may read a
-    neighbour's newer update, and its levels follow the recorded
-    ``ready`` column.  Each worker draws its ``max_iter`` batches in
-    ``k`` order, gathered by ``(wid, k)`` from a
-    :class:`~repro.ml.data.Horizons`.  Fills
-    ``final_params``, ``current_params``, ``losses`` and the
-    ``loss/<wid>`` series of every worker, each loss at its reduce's
-    receive end in the workers' ledger.
+    Per level, ``emitter.combine(cs)`` runs the level's combines (in
+    record order), then ``emitter.evaluate(gids)`` the level's
+    evaluations (in gid order) as one block; a level with none of
+    either skips the call.
     """
-    planes = schedule.planes
-    n = len(workers)
-    max_iter = workers[0].max_iter
-    horizons = Horizons([worker.batcher for worker in workers], max_iter)
-    parallel = config.computation_graph == "parallel"
-    weighted = config.mode == "staleness" and config.stale_reduce == "weighted"
-    window = config.staleness if config.mode == "staleness" else 0
-
-    counts = np.stack([np.frombuffer(p.counts, dtype=np.intc) for p in planes])
-    # Offsets into the flat columns, which concatenate worker by worker.
-    starts = (np.cumsum(counts) - counts.ravel()).reshape(n, max_iter)
-    senders = np.concatenate(
-        [np.frombuffer(p.senders, dtype=np.intc) for p in planes]
+    combine_at, evaluation_at = record.levels()
+    combines = np.argsort(combine_at, kind="stable")
+    evaluations = np.argsort(evaluation_at, kind="stable")
+    depth = int(np.max(combine_at, initial=0)) + 1
+    combine_ends = np.bincount(combine_at, minlength=depth).cumsum().tolist()
+    evaluation_ends = (
+        np.bincount(evaluation_at, minlength=depth).cumsum().tolist()
     )
-    if schedule.tagged:
-        tags = np.concatenate(
-            [np.frombuffer(p.tags, dtype=np.intc) for p in planes]
-        )
-        ready = np.stack(
-            [np.frombuffer(p.ready, dtype=np.intc) for p in planes]
-        )
-    else:
-        tags = None
-        ready = np.broadcast_to(np.arange(max_iter + 1), (n, max_iter + 1))
+    c = e = 0
+    for c_end, e_end in zip(combine_ends, evaluation_ends):
+        if c_end > c:
+            emitter.combine(combines[c:c_end])
+        if e_end > e:
+            emitter.evaluate(evaluations[e:e_end])
+        c, e = c_end, e_end
 
-    x = np.tile(initial, (n, 1))
-    dim = x.shape[1]
-    velocity = np.zeros_like(x) if optimizer.momentum > 0.0 else None
-    # Parallel graph: each worker's delta waits for its reduce.
-    pending = np.empty_like(x) if parallel else None
-    #: What each worker sent at each iteration, by iteration; a level
-    #: array lives while some reduce may still read it.
-    sent: Dict[int, np.ndarray] = {}
-    progress = np.zeros(n, dtype=np.intp)  # reduces done, per worker
-    loss_at = np.empty((n, max_iter))
 
-    def compute(rows: np.ndarray, ks: np.ndarray) -> None:
+def log_losses(tracer, ledger, column: str, losses: np.ndarray) -> None:
+    """Each worker's ``loss/<wid>`` series: ``losses[wid, k]`` at its
+    ledger row's ``column`` time."""
+    times = ledger.column(column, len(losses)).tolist()
+    for wid, (at, values) in enumerate(zip(times, losses.tolist())):
+        tracer.extend(f"loss/{wid}", zip(at, values))
+
+
+class HopEmitter:
+    """Hop and NOTIFY-ACK's arithmetic of one level, over all workers at
+    once: row ``wid`` of :attr:`x` is worker ``wid``'s parameters, all
+    starting from ``initial``, and each worker draws its batches in
+    ``k`` order, gathered by ``(wid, k)`` from a
+    :class:`~repro.ml.data.Horizons`.  After :func:`replay`, :attr:`x`
+    holds the final parameters and :attr:`losses` each worker's losses
+    by iteration.
+    """
+
+    def __init__(
+        self, record: Record, workers, pool, optimizer: SGD, config, initial
+    ) -> None:
+        n = len(workers)
+        self.max_iter = record.max_iter
+        self.pool, self.optimizer = pool, optimizer
+        self.horizons = Horizons([w.batcher for w in workers], self.max_iter)
+        self.parallel = config.computation_graph == "parallel"
+        staleness = config.mode == "staleness"
+        self.weighted = staleness and config.stale_reduce == "weighted"
+        self.window = config.staleness if staleness else 0
+        self.offsets, self.inputs = record.columns()
+        self.x = x = np.tile(initial, (n, 1))
+        self.velocity = np.zeros_like(x) if optimizer.momentum > 0.0 else None
+        #: What each worker sent at each iteration, by iteration; a level
+        #: array lives while some reduce may still read it.
+        self.sent: Dict[int, np.ndarray] = {}
+        self.progress = np.zeros(n, dtype=np.intp)  # reduces done, per worker
+        self.losses = np.empty((n, self.max_iter))
+
+    def evaluate(self, gids: np.ndarray) -> None:
+        """Gradients, SGD steps and what each row sends."""
+        rows, ks = np.divmod(gids, self.max_iter)
+        x, optimizer, velocity = self.x, self.optimizer, self.velocity
         params = x[rows]
-        losses, grads = pool.evaluate_rows(rows, ks, params, horizons)
+        losses, grads = self.pool.evaluate_rows(
+            rows, ks, params, self.horizons
+        )
         if velocity is None:
             delta = optimizer.step_rows(params, grads, ks)
         else:
             moment = velocity[rows]
             delta = optimizer.step_rows(params, grads, ks, moment)
             velocity[rows] = moment
-        loss_at[rows, ks] = losses
-        if parallel:
-            pending[rows] = delta
+        self.losses[rows, ks] = losses
+        if self.parallel:
+            # The delta waits in the row for the row's reduce, which is
+            # the next to read it.
+            x[rows] = delta
             out = params
         else:
             out = params + delta
+        sent = self.sent
         iterations = np.unique(ks).tolist()
-        whole = len(rows) == n and len(iterations) == 1
-        if whole and iterations[0] not in sent:
+        if len(rows) == len(x) and len(iterations) == 1:
             # One iteration of every worker, in wid order: keep the block.
             sent[iterations[0]] = out
             return
         for k in iterations:
-            level = sent.get(k)
-            if level is None:
-                level = sent[k] = np.empty_like(x)
+            if k not in sent:
+                sent[k] = np.empty_like(x)
             same = ks == k
-            level[rows[same]] = out[same]
+            sent[k][rows[same]] = out[same]
 
-    def gather(when, who: np.ndarray) -> np.ndarray:
-        # Row r's update from worker who[r] at iteration when[r]; an int
-        # ``when`` is one iteration for the whole block.
-        if not isinstance(when, int):
-            first = int(when[0])
-            if not (when == first).all():
-                out = np.empty((len(who), dim))
-                for tag in np.unique(when).tolist():
-                    same = when == tag
-                    out[same] = sent[tag][who[same]]
-                return out
-            when = first
-        return sent[when][who]
-
-    def columns(when, who: np.ndarray) -> Iterator[np.ndarray]:
-        # Arrival order: column t is every row's t-th update.
-        for t in range(who.shape[1]):
-            tag = when if isinstance(when, int) else when[:, t]
-            yield gather(tag, who[:, t])
-
-    def reduce(rows: np.ndarray, ks: np.ndarray) -> None:
-        count = counts[rows, ks]
-        start = starts[rows, ks]
-        out = np.empty((len(rows), dim))
+    def combine(self, cs: np.ndarray) -> None:
+        """Reduce and apply: combine ``c`` is one worker-iteration's
+        reduce, its own evaluation first, then its updates in arrival
+        order."""
+        max_iter, inputs, x = self.max_iter, self.inputs, self.x
+        first = self.offsets[cs]
+        rows, ks = np.divmod(inputs[first], max_iter)
+        count = self.offsets[cs + 1] - first - 1
+        out = np.empty((len(cs), x.shape[1]))
         for c in np.unique(count).tolist():
             group = np.flatnonzero(count == c)
-            position = start[group, None] + np.arange(c)
-            who = senders[position]
-            # Untagged, every update is of the level's own iteration.
-            when = int(ks[group[0]]) if tags is None else tags[position]
-            blocks = columns(when, who)
-            if weighted:
-                out[group] = weighted_reduce_rows(
-                    blocks, staleness_weights(when, ks[group], window)
-                )
+            position = first[group, None] + np.arange(1, c + 1)
+            who, when = np.divmod(inputs[position], max_iter)
+            blocks = self._columns(when, who)
+            if self.weighted:
+                weights = staleness_weights(when, ks[group], self.window)
+                out[group] = weighted_reduce_rows(blocks, weights)
             else:
                 out[group] = mean_reduce_rows(blocks, c)
-        x[rows] = EagerPlane.apply(out, pending[rows]) if parallel else out
-        progress[rows] += 1
+        x[rows] = EagerPlane.apply(out, x[rows]) if self.parallel else out
+        self.progress[rows] += 1
+        floor = int(self.progress.min()) - self.window
+        for k in [k for k in self.sent if k < floor]:
+            del self.sent[k]
 
-    compute(np.arange(n), np.zeros(n, dtype=np.intp))
-    done_at = ready[:, 1:]
-    order = np.argsort(done_at, axis=None, kind="stable")
-    levels = done_at.ravel()[order]
-    bounds = np.flatnonzero(np.diff(levels)) + 1
-    for nodes in np.split(order, bounds):
-        rows, ks = np.divmod(nodes, max_iter)
-        reduce(rows, ks)
-        more = ks + 1 < max_iter
-        if more.any():
-            compute(rows[more], ks[more] + 1)
-        floor = int(progress.min()) - window
-        for k in [k for k in sent if k < floor]:
-            del sent[k]
-
-    # Each worker's losses in iteration order, as its loop adds them.
-    accumulators = StatAccumulator.per_row(loss_at)
-    times = workers[0].ledger.column("recv_to", n).tolist()
-    for worker, params, losses, accumulator, at in zip(
-        workers, x, loss_at.tolist(), accumulators, times
-    ):
-        worker.final_params = worker.current_params = params
-        worker.losses = accumulator
-        worker.tracer.extend(f"loss/{worker.wid}", zip(at, losses))
+    def _columns(self, when: np.ndarray, who: np.ndarray):
+        # Arrival order: column t is every row's t-th update, worker
+        # who[r, t]'s at iteration when[r, t].
+        for t in range(who.shape[1]):
+            tags, first = when[:, t], int(when[0, t])
+            if (tags == first).all():  # always, in lockstep
+                yield self.sent[first][who[:, t]]
+                continue
+            column = np.empty((len(who), self.x.shape[1]))
+            for tag in np.unique(tags).tolist():
+                same = tags == tag
+                column[same] = self.sent[tag][who[same, t]]
+            yield column

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.config import HopConfig
 from repro.core.gap import GapTracker
-from repro.core.planes import EagerPlane, Schedule
+from repro.core.planes import EagerPlane, Record, RecordPlane
 from repro.core.queues import TokenGate, TokenQueue
 from repro.core.recv import RecvStrategy, StandardRecv, make_recv_strategy
 from repro.core.skip import JumpDecision, SkipPolicy
@@ -76,7 +76,7 @@ class HopWorker:
 
     Built by :class:`~repro.core.cluster.HopCluster`; the argument list
     mirrors the substrate pieces the protocol touches.  With a
-    ``schedule`` the worker records its reduces instead of doing the
+    ``record`` the worker records its reduces instead of doing the
     arithmetic (:class:`~repro.core.planes.RecordPlane`), and its
     parameters, losses and loss series exist once
     :func:`~repro.core.planes.replay` has run.  With ``notify_ack``
@@ -131,7 +131,7 @@ class HopWorker:
         token_rtt: float = 0.0,
         skip_policy: Optional[SkipPolicy] = None,
         crash_event: Optional[CrashEvent] = None,
-        schedule: Optional[Schedule] = None,
+        record: Optional[Record] = None,
         notify_ack: bool = False,
     ) -> None:
         self.wid = wid
@@ -201,7 +201,7 @@ class HopWorker:
         self.n_extra_updates = 0
         self.n_staleness_blocks = 0
         self.n_cache_hits = 0
-        if schedule is None:
+        if record is None:
             # The loss channel, bound once (the key f-string and dict
             # lookup leave the hot loop).
             self.plane = EagerPlane(self, tracer.channel(f"loss/{wid}"))
@@ -213,7 +213,7 @@ class HopWorker:
         else:
             # No value exists while the simulation runs: the replay
             # fills all three.
-            self.plane = schedule.plane()
+            self.plane = RecordPlane(record, wid)
             self.losses = self.final_params = self.current_params = None
 
     # ------------------------------------------------------------------
@@ -290,7 +290,7 @@ class HopWorker:
 
     def detach_queues(self) -> None:
         """Let go of the queue fabric once the simulation is over: a
-        replay reads the recorded schedule, never a queue."""
+        replay reads the run's record, never a queue."""
         self.update_queues = self.token_queues = None
         self._remote_enqueues = ()
 

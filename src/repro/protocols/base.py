@@ -248,7 +248,7 @@ class ProtocolRuntime:
 
     @property
     def replays(self) -> bool:
-        """Whether the run records its schedule and replays the math
+        """Whether the run records its dependencies and replays the math
         (:meth:`ProtocolCluster._replays`)."""
         return not self.models
 
@@ -310,7 +310,7 @@ class ProtocolCluster:
     Subclass contract:
 
     * :meth:`_replays` — whether a run on this model records its
-      schedule and replays the math (default: never).
+      dependencies and replays the math (default: never).
     * :meth:`_start` — build protocol state and spawn processes; every
       worker must set ``runtime.done[wid] = True`` when it finishes.
       Under a churn plan it builds the run's membership with
@@ -397,10 +397,11 @@ class ProtocolCluster:
         #: The latest :meth:`run`'s runtime (its compute-pool counters
         #: are observability that never enters the ``TrainingRun``).
         self.runtime: Optional[ProtocolRuntime] = None
-        #: The latest run's recorded schedule, or ``None`` when it did
-        #: its arithmetic in the loop (:func:`~repro.core.planes.replayable`;
-        #: hop, NOTIFY-ACK and the parameter server record).
-        self.schedule = None
+        #: The latest run's :class:`~repro.core.planes.Record`, or
+        #: ``None`` when it did its arithmetic in the loop
+        #: (:func:`~repro.core.planes.replayable`; hop, NOTIFY-ACK and
+        #: the parameter server record).
+        self.record = None
 
     # ------------------------------------------------------------------
     # Construction helpers (shared by every protocol)
@@ -506,7 +507,7 @@ class ProtocolCluster:
     # Subclass hooks
     # ------------------------------------------------------------------
     def _replays(self, model) -> bool:
-        """Whether a run on ``model`` records its schedule and replays
+        """Whether a run on ``model`` records its dependencies and replays
         the math (:func:`~repro.core.planes.replayable`).  Decided before
         any replica exists: a replaying run builds only ``model``."""
         return False
@@ -658,7 +659,7 @@ class ProtocolCluster:
         if membership is None:
             for k in range(self.max_iter):
                 yield from round_at(k)
-            runtime.done[wid] = True
+            self._retire(runtime, wid)
             return
         env = runtime.env
         leave = membership.leave_event(wid)
@@ -666,7 +667,7 @@ class ProtocolCluster:
         if not membership.is_active(wid):
             k = yield membership.rejoin_event(wid)
             if k is None:  # the join falls past the horizon
-                runtime.done[wid] = True
+                self._retire(runtime, wid)
                 return
             yield from resync()
         while k < self.max_iter:
@@ -677,11 +678,11 @@ class ProtocolCluster:
             ):
                 membership.enact_leave(wid, env.now, k)
                 if leave.join_at is None:
-                    runtime.done[wid] = True
+                    self._retire(runtime, wid)
                     return
                 k = yield membership.rejoin_event(wid)
                 if k is None:
-                    runtime.done[wid] = True
+                    self._retire(runtime, wid)
                     return
                 yield from resync()
                 leave = None  # the cycle is spent
@@ -690,6 +691,11 @@ class ProtocolCluster:
             membership.on_iteration(wid, k, env.now)
             yield from round_k
             k += 1
+        self._retire(runtime, wid)
+
+    def _retire(self, runtime: ProtocolRuntime, wid: int) -> None:
+        """Worker ``wid``'s process is over (every exit of
+        :meth:`_member_loop`)."""
         runtime.done[wid] = True
 
     def _resync_joiner(

@@ -391,7 +391,7 @@ class TestClusterValidation:
         replaying.model_factory = factory
         if accepted:
             replaying.run()
-            assert replaying.schedule is not None and len(built) == 2
+            assert replaying.record is not None and len(built) == 2
         else:
             with pytest.raises(ValueError, match="must be deterministic"):
                 replaying.run()

@@ -2,8 +2,8 @@
 run's arithmetic after the simulation.
 
 A replayable run does control only while it simulates and evaluates
-its recorded schedule level by level afterwards
-(:mod:`repro.core.planes`, :func:`repro.baselines.ps.replay`).  The
+its dependency record level by level afterwards
+(:func:`repro.core.planes.replay`).  The
 oracle is the same run on the eager plane, reached through the
 cluster's private ``_eager`` override: every control sample, every
 value and the whole ``run_to_dict`` must be equal, on specs drawn over
@@ -29,9 +29,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles.horizon import Horizon
-from repro.baselines.ps import ServerSchedule
 from repro.core.config import HopConfig
-from repro.core.planes import RecordPlane
+from repro.core.planes import Record, RecordPlane
 from repro.graphs import bipartite_ring, chain, hierarchical, ring_based, torus
 from repro.harness.golden import (
     CHURN_CELLS,
@@ -131,8 +130,8 @@ static_specs = st.builds(
 def test_replay_equals_the_eager_plane_bitwise(spec):
     replayed_cluster, replayed = run_on(spec, eager=False)
     eager_cluster, eager = run_on(spec, eager=True)
-    assert replayed_cluster.schedule is not None
-    assert eager_cluster.schedule is None
+    assert replayed_cluster.record is not None
+    assert eager_cluster.record is None
     assert prints(replayed_cluster, replayed) == prints(eager_cluster, eager)
     pool = replayed_cluster.runtime.compute
     assert (pool.tickets, pool.rows) == (0, spec.topology.n * spec.max_iter)
@@ -141,14 +140,17 @@ def test_replay_equals_the_eager_plane_bitwise(spec):
 def swap_two_senders(cluster):
     """Reorder one recorded reduce: worker 0's iteration-1 updates
     arrive second-and-third swapped."""
-    plane = cluster.schedule.planes[0]
-    start = plane.counts[0]
-    assert plane.counts[1] >= 3
-    senders = plane.senders
-    senders[start + 1], senders[start + 2] = (
-        senders[start + 2],
-        senders[start + 1],
-    )
+    record = cluster.record
+    # A hop combine lists its own evaluation (gid 1 is worker 0's
+    # iteration 1), then its updates in arrival order.
+    start = 0
+    for size in record.sizes:
+        if record.inputs[start] == 1:
+            break
+        start += size
+    assert record.inputs[start] == 1 and size - 1 >= 3
+    inputs = record.inputs
+    inputs[start + 2], inputs[start + 3] = inputs[start + 3], inputs[start + 2]
 
 
 def test_the_comparison_sees_one_reordered_reduce():
@@ -193,8 +195,9 @@ def test_ps_replay_equals_the_eager_plane_bitwise(protocol, family, n):
     )
     replayed_cluster, replayed = run_on(spec, eager=False)
     eager_cluster, eager = run_on(spec, eager=True)
-    assert isinstance(replayed_cluster.schedule, ServerSchedule)
-    assert eager_cluster.schedule is None
+    assert isinstance(replayed_cluster.record, Record)
+    assert isinstance(replayed_cluster._plane, RecordPlane)
+    assert eager_cluster.record is None
     assert run_fingerprint(replayed) == run_fingerprint(eager)
     assert run_to_dict(replayed) == run_to_dict(eager)
     pool = replayed_cluster.runtime.compute
@@ -210,13 +213,11 @@ GOLDEN = json.loads(
 def quorums_in_wid_order(cluster):
     """Fold each recorded BSP quorum in wid order instead of the order
     the gradients reached ``pending``."""
-    schedule = cluster.schedule
+    record = cluster.record
     start = 0
-    for size in schedule.sizes:
-        quorum = sorted(schedule.folds[start : start + size])
-        schedule.folds[start : start + size] = type(schedule.folds)(
-            "i", quorum
-        )
+    for size in record.sizes:
+        quorum = sorted(record.inputs[start : start + size])
+        record.inputs[start : start + size] = type(record.inputs)("i", quorum)
         start += size
 
 
@@ -273,7 +274,7 @@ def test_the_golden_cell_sees_one_ps_mutation(cell, mutate):
     _, replayed = run_on(spec, eager=False)
     assert golden_fingerprint(replayed) == GOLDEN[cell]
     mutated_cluster, mutated = run_on(spec, eager=False, before_replay=mutate)
-    assert mutated_cluster.schedule is not None
+    assert mutated_cluster.record is not None
     assert golden_fingerprint(mutated) != GOLDEN[cell]
     # Control is untouched: only the values moved.
     assert run_fingerprint(mutated, values=False) == run_fingerprint(
@@ -328,7 +329,7 @@ GOLDEN_CELLS = {
 
 def takes_record_plane(cluster):
     if cluster.protocol in PS_PROTOCOLS:
-        return [isinstance(cluster._plane, ServerSchedule)]
+        return [isinstance(cluster._plane, RecordPlane)]
     return [isinstance(worker.plane, RecordPlane) for worker in cluster._workers]
 
 
@@ -338,7 +339,7 @@ def test_each_golden_cell_takes_its_plane(cell):
     cluster = build_cluster(spec)
     cluster.run()
     pool = cluster.runtime.compute
-    assert (cluster.schedule is not None) == replays
+    assert (cluster.record is not None) == replays
     assert (pool.tickets == 0) == replays
     assert (pool.rows > 0) == replays
     assert all(record == replays for record in takes_record_plane(cluster))
@@ -360,7 +361,7 @@ def test_a_skip_policy_keeps_the_math_in_the_loop():
     )
     cluster = build_cluster(spec)
     cluster.run()
-    assert cluster.schedule is None and cluster.runtime.compute.tickets > 0
+    assert cluster.record is None and cluster.runtime.compute.tickets > 0
 
 
 #: Traced bytes per worker at the end of ``env.run()`` for hop/1024 x 4
@@ -399,7 +400,7 @@ def test_an_eligible_worker_allocates_no_parameter_scratch(monkeypatch):
         cluster.run()
     finally:
         tracemalloc.stop()
-    assert cluster.schedule is not None
+    assert cluster.record is not None
     # While it simulated, no worker held a parameter-sized array, a
     # model or an optimizer ...
     assert all(
@@ -465,7 +466,7 @@ def test_model_factory_calls(spec, eager, calls):
     made, cluster = factory_calls(spec, eager=eager)
     assert made == calls
     replays = calls == 2
-    assert (cluster.schedule is not None) == replays
+    assert (cluster.record is not None) == replays
     assert len(cluster.runtime.models) == (0 if replays else calls)
 
 
@@ -493,7 +494,7 @@ def test_a_replaying_worker_draws_its_horizon_in_prefetch_blocks():
     4, 8, 16 and 32 rows); the batches are the eager run's."""
     spec = sized("hop", 64, max_iter=40)
     cluster, run = run_on(spec, eager=False)
-    assert cluster.schedule is not None
+    assert cluster.record is not None
     assert [w.batcher.draws for w in cluster._workers] == [2] * 64
     eager_cluster, eager_run = run_on(spec, eager=True)
     assert [w.batcher.draws for w in eager_cluster._workers] == [6] * 64

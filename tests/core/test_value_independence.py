@@ -182,7 +182,7 @@ def test_a_loss_dependent_duration_is_caught_on_the_eager_plane():
     spec = CELLS["straggler/backup-skip"]
     real_cluster, real = run_cell(spec, couple=True)
     stub_cluster, stubbed = run_cell(spec, stub=True, couple=True)
-    assert real_cluster.schedule is None  # skipping keeps the math eager
+    assert real_cluster.record is None  # skipping keeps the math eager
     real_print = control_fingerprint(real_cluster, real)
     stub_print = control_fingerprint(stub_cluster, stubbed)
     assert stub_print["wall_time"] != real_print["wall_time"]
@@ -195,7 +195,7 @@ def test_no_loss_exists_while_a_replayed_run_simulates():
     """On a replayed cell the losses are the replay's output: a duration
     that reads one has nothing to read."""
     cluster, _ = run_cell(CELLS["random"])
-    assert cluster.schedule is not None
+    assert cluster.record is not None
     with pytest.raises(AttributeError, match="mean"):
         run_cell(CELLS["random"], couple=True)
 
@@ -211,7 +211,7 @@ def test_a_stubbed_worker_replays_a_zero_gradient_with_no_draw():
 
     cluster._start = start_then_stub
     run = cluster.run()
-    assert cluster.schedule is not None
+    assert cluster.record is not None
     stubbed, real = cluster._workers[1], cluster._workers[0]
     assert stubbed.batcher.draws == 0  # never drew a batch
     assert real.batcher.draws > 0
@@ -238,7 +238,7 @@ def test_a_stubbed_ps_worker_replays_a_zero_gradient_with_no_draw(protocol):
 
     cluster._start = start_then_stub
     run = cluster.run()
-    assert cluster.schedule is not None
+    assert cluster.record is not None
     stubbed, real = cluster._batchers[1], cluster._batchers[0]
     assert stubbed.draws == 0  # never drew a batch
     assert real.draws > 0

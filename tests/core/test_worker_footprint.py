@@ -27,10 +27,11 @@ N_WORKERS = 256
 #: GC-tracked objects a replaying hop worker adds before ``env.run()``:
 #: its generator, ``Process``, start event, their two callback lists and
 #: bound method, and its heap entry; the generator's cached ``send``
-#: and ``throw``; the worker, its ``RecordPlane`` and two record arrays,
-#: its ``Batcher``, rotating update queue and slot list, three token
-#: queues, and the tuple of bound enqueues and its three methods.
-TRACKED_PER_WORKER = 23
+#: and ``throw``; the worker and its ``RecordPlane`` (the record's
+#: columns are the run's, shared by every worker), its ``Batcher``,
+#: rotating update queue and slot list, three token queues, and the
+#: tuple of bound enqueues and its three methods.
+TRACKED_PER_WORKER = 21
 
 
 def replaying_hop(n_workers, workload):
@@ -68,7 +69,7 @@ def tracked_before_run(workload, n_workers, monkeypatch):
     before = len(gc.get_objects())
     cluster.run()
     monkeypatch.undo()
-    assert cluster.schedule is not None, "the run must replay"
+    assert cluster.record is not None, "the run must replay"
     return counted[0] - before
 
 
@@ -92,5 +93,5 @@ def test_traced_bytes_per_worker_at_the_replay_peak(workload):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cluster.schedule is not None, "the run must replay"
+    assert cluster.record is not None, "the run must replay"
     assert (peak - start) / N_WORKERS <= 10_000
