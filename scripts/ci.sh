@@ -85,15 +85,17 @@ echo "== event budget: hop/64 and ps-async/128 heap entries per worker-iteration
 # takes no tokens, so 40 iterations read 5.97.  ps-async/128 x 10 is
 # pinned exactly at 7,938 entries (6.20 per worker-iteration): each
 # PS NIC grant stands where the Resource Request stood.  Both runs also
-# check the worker-time ledger exactly: one row per worker-iteration,
-# each worker's iteration_duration_mean the Welford mean of its rows'
-# end - start, and worker_stats equal to a trace_channels=() rerun's.
+# check the ledger exactly: one row per worker-iteration, each worker's
+# iteration_duration_mean the Welford mean of its rows' end - start,
+# each row carrying a finite loss, and a loss series of one sample per
+# worker-iteration.
 python - <<'PY'
+import numpy as np
+
 from repro.graphs import ring_based
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.workloads import by_name
-from repro.protocols.base import LIGHT_TRACE
-from repro.sim.trace import StatAccumulator
+from repro.sim.trace import LOSS, StatAccumulator
 
 
 def check_ledger(spec, run, n, iterations):
@@ -109,8 +111,9 @@ def check_ledger(spec, run, n, iterations):
         assert stats["iteration_duration_mean"] == welford.mean, (
             spec.name, stats["wid"]
         )
-    rerun = run_spec(spec.with_(trace_channels=()))
-    assert rerun.worker_stats == run.worker_stats, spec.name
+    assert np.isfinite(ledger.table()[:, LOSS]).all(), spec.name
+    times, losses = run.loss_series()
+    assert len(times) == len(losses) == n * iterations, spec.name
     print(f"ledger OK: {spec.name}, {len(ledger)} rows")
 
 n, iterations = 64, 40
@@ -121,7 +124,6 @@ spec = ExperimentSpec(
     protocol="hop",
     max_iter=iterations,
     seed=0,
-    trace_channels=LIGHT_TRACE,
 )
 run = run_spec(spec)
 per_iteration = run.events_scheduled / sum(run.iterations_completed)
@@ -146,7 +148,6 @@ spec = ExperimentSpec(
     protocol="ps-async",
     max_iter=iterations,
     seed=0,
-    trace_channels=LIGHT_TRACE,
 )
 run = run_spec(spec)
 assert run.events_scheduled == 7938, (
@@ -166,23 +167,23 @@ echo "== call budget: hop/64 and ps-async/128 function calls per worker-iteratio
 # count for the same two runs (`ProfileReport.calls`, after one warm-up
 # run, less the profiler's own GC callback).  It is exact for one tree
 # and one interpreter, so the ceilings are the counts the runs make now,
-# in this order, in a fresh process: 319,241 calls (124.7 per
-# worker-iteration) and 148,088 (115.7).  Before the per-message
+# in this order, in a fresh process: 316,087 calls (123.5 per
+# worker-iteration) and 146,272 (114.3).  Before the per-message
 # bookkeeping and the per-row replay draws went, they were about 370,000
 # and 192,000; before the one dependency record and the PS worker's
-# three-frame process, 325,087 and 156,770.  A first profile in a
-# process pays a few calls of abc cache warm-up, which the order here
-# fixes.
+# three-frame process, 325,087 and 156,770; before the ledger took the
+# losses over from the string-keyed tracer, 319,241 and 148,088.  A
+# first profile in a process pays a few calls of abc cache warm-up,
+# which the order here fixes.
 python - <<'PY'
 from repro.graphs import ring_based
 from repro.harness.profiling import profile_spec
 from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import by_name
-from repro.protocols.base import LIGHT_TRACE
 
 for protocol, n, iterations, ceiling in (
-    ("hop", 64, 40, 319_241),
-    ("ps-async", 128, 10, 148_088),
+    ("hop", 64, 40, 316_087),
+    ("ps-async", 128, 10, 146_272),
 ):
     spec = ExperimentSpec(
         name=f"call-budget/{protocol}/{n}",
@@ -191,7 +192,6 @@ for protocol, n, iterations, ceiling in (
         protocol=protocol,
         max_iter=iterations,
         seed=0,
-        trace_channels=LIGHT_TRACE,
     )
     report = profile_spec(spec, limit=1)
     assert report.calls <= ceiling, (
@@ -228,7 +228,6 @@ from repro.core.config import staleness_config
 from repro.graphs import bipartite_ring, ring_based
 from repro.harness.spec import RANDOM_6X, ExperimentSpec
 from repro.harness.workloads import by_name
-from repro.protocols.base import LIGHT_TRACE
 from repro.protocols.registry import build_cluster
 
 iterations = 10
@@ -261,7 +260,6 @@ for protocol, n, fields, counts in expected:
             protocol=protocol,
             max_iter=iterations,
             seed=0,
-            trace_channels=LIGHT_TRACE,
             **fields,
         )
     )
@@ -383,7 +381,6 @@ import resource
 from repro.graphs import ring_based
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.workloads import by_name
-from repro.protocols.base import LIGHT_TRACE
 from repro.sim.engine import Environment
 
 n, iterations = 4096, 2
@@ -394,7 +391,6 @@ spec = ExperimentSpec(
     protocol="hop",
     max_iter=iterations,
     seed=0,
-    trace_channels=LIGHT_TRACE,
 )
 tracked = []
 simulate = Environment.run

@@ -122,9 +122,9 @@ class FStringEventNameRule(Rule):
     group = "perf"
     summary = "no f-strings inside per-message hot paths"
     rationale = (
-        "f-string formatting per message (event names, trace keys) "
+        "f-string formatting per message (event names, record keys) "
         "costs more than the send itself at 1M events/sec; format "
-        "once at setup or use the lazy tracer channels"
+        "once at setup, or record numbers and name them when read"
     )
     scope = ("repro/sim", "repro/net", "repro/core")
 

@@ -106,7 +106,6 @@ class ADPSGDCluster(ProtocolCluster):
         seed: int = 0,
         update_size: Optional[float] = None,
         evaluate: bool = True,
-        trace_channels=None,
         churn=None,
         compression=None,
         momentum_mode: str = "local",
@@ -129,7 +128,6 @@ class ADPSGDCluster(ProtocolCluster):
             seed=seed,
             update_size=update_size,
             evaluate=evaluate,
-            trace_channels=trace_channels,
             compression=compression,
             churn=churn,
         )
@@ -286,8 +284,9 @@ class ADPSGDCluster(ProtocolCluster):
                 momentum[wid] = beta * momentum[wid] + (1.0 - beta) * (
                     (x_round_start - params[wid]) / lr
                 )
-        runtime.log_loss[wid](env.now, loss)
-        runtime.ledger.record(wid, k, start, env.now, (start, computed), recv, gate)
+        runtime.ledger.record(
+            wid, k, start, env.now, loss, (start, computed), recv, gate
+        )
 
     def _worker(
         self,

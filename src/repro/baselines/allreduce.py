@@ -77,6 +77,10 @@ class RingAllReduceCluster(ProtocolCluster):
 
     protocol = "allreduce"
 
+    #: A round's losses belong to its start, when the gradients' inputs
+    #: were fixed.
+    loss_at = "start"
+
     def __init__(
         self,
         n_workers: int,
@@ -90,7 +94,6 @@ class RingAllReduceCluster(ProtocolCluster):
         seed: int = 0,
         update_size: Optional[float] = None,
         evaluate: bool = True,
-        trace_channels=None,
         churn=None,
         compression=None,
     ) -> None:
@@ -107,7 +110,6 @@ class RingAllReduceCluster(ProtocolCluster):
             seed=seed,
             update_size=update_size,
             evaluate=evaluate,
-            trace_channels=trace_channels,
             compression=compression,
             churn=churn,
         )
@@ -192,7 +194,7 @@ class RingAllReduceCluster(ProtocolCluster):
                 durations = [self.compute_model.duration(w, k) for w in members]
                 slowest = max(durations)
                 yield env.timeout(slowest + comm_time)
-                grads = []
+                grads, losses = [], []
                 for wid, ticket in zip(members, tickets):
                     loss, grad = ticket.result()
                     if compressors[wid] is not None:
@@ -201,9 +203,7 @@ class RingAllReduceCluster(ProtocolCluster):
                         # residual folds back into the next round.
                         _, grad = compressors[wid].compress(grad)
                     grads.append(grad)
-                    # The loss belongs to the round's start, when the
-                    # gradient's inputs were fixed.
-                    runtime.log_loss[wid](start, loss)
+                    losses.append(loss)
                 # Each chunk step moves one chunk over every live ring
                 # edge; the edge count comes from the rebuilt ring.  (A
                 # static ring reports its closed form instead.)
@@ -213,10 +213,10 @@ class RingAllReduceCluster(ProtocolCluster):
                 params[0] = params[0] + optimizer.step(params[0], mean_grad, k)
                 # Each member computes, waits for the slowest, reduces.
                 ring_start = start + slowest
-                for wid, duration in zip(members, durations):
+                for wid, duration, loss in zip(members, durations, losses):
                     computed = start + duration
                     runtime.ledger.record(
-                        wid, k, start, env.now, (start, computed),
+                        wid, k, start, env.now, loss, (start, computed),
                         (ring_start, env.now), (computed, ring_start),
                     )
             runtime.done[:] = True

@@ -49,7 +49,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.planes import Record, RecordPlane, log_losses, replay
+from repro.core.planes import Record, RecordPlane, replay
 from repro.core.planes import replayable
 from repro.membership import MembershipRuntime
 from repro.ml.data import Horizons
@@ -220,12 +220,11 @@ class _EagerMath:
     to the server's parameters and submits a compute ticket, and each
     fold steps the server's one optimizer."""
 
-    __slots__ = ("compute", "optimizer", "log_loss")
+    __slots__ = ("compute", "optimizer")
 
     def __init__(self, runtime: ProtocolRuntime, optimizer) -> None:
         self.compute = runtime.compute
         self.optimizer = optimizer
-        self.log_loss = runtime.log_loss
 
     def pull(self, server: "_ServerState", wid: int, k: int, model, batcher):
         """After the pull: fix the gradient's inputs (returns the ticket)."""
@@ -245,9 +244,6 @@ class _EagerMath:
         """BSP: the quorum's mean, in ``pending`` order."""
         mean_grad = np.mean(grads, axis=0)
         return params + self.optimizer.step(params, mean_grad, k)
-
-    def end(self, wid: int, k: int, now: float, loss) -> None:
-        self.log_loss[wid](now, loss)
 
 
 class _ServerEmitter:
@@ -376,7 +372,6 @@ class ParameterServerCluster(ProtocolCluster):
         seed: int = 0,
         update_size: Optional[float] = None,
         evaluate: bool = True,
-        trace_channels=None,
         churn=None,
         topology=None,
         compression=None,
@@ -398,7 +393,6 @@ class ParameterServerCluster(ProtocolCluster):
             seed=seed,
             update_size=update_size,
             evaluate=evaluate,
-            trace_channels=trace_channels,
             compression=compression,
             churn=churn,
         )
@@ -478,10 +472,9 @@ class ParameterServerCluster(ProtocolCluster):
             yield server.version_event(pulled_version)
             gate = (pushed, env.now)
 
-        plane.end(wid, k, env.now, loss)
         runtime.ledger.record(
-            wid, k, start, env.now, (pulled, computed), (pull, pulled), gate,
-            (computed, pushed),
+            wid, k, start, env.now, loss, (pulled, computed), (pull, pulled),
+            gate, (computed, pushed),
         )
 
     def _push_sharded(
@@ -737,7 +730,7 @@ class ParameterServerCluster(ProtocolCluster):
             )
             replay(self.record, emitter)
             server.params = emitter.params
-            log_losses(runtime.tracer, runtime.ledger, "end", emitter.losses)
+            runtime.ledger.fill_losses(emitter.losses)
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:
         return self._server_state.params[None, :]

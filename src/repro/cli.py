@@ -289,16 +289,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         profile_spec,
         sim_core_events_per_sec,
     )
-    from repro.protocols.base import LIGHT_TRACE
 
     if args.engine_only:
         rate = sim_core_events_per_sec()
         print(f"sim-core microbenchmark: {rate:,.0f} events/sec")
         return 0
 
-    spec = _spec(_cell_payload(args))[0].with_(
-        name="profile", trace_channels=LIGHT_TRACE
-    )
+    spec = _spec(_cell_payload(args))[0].with_(name="profile")
     workload = spec.workload
     print(
         f"profiling {args.protocol} x {args.workers} workers x "

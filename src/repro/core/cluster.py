@@ -20,8 +20,7 @@ import numpy as np
 
 from repro.core.config import NOTIFY_ACK, STANDARD, HopConfig
 from repro.core.gap import update_queue_capacity_bound
-from repro.core.planes import HopEmitter, Record, log_losses, replay
-from repro.core.planes import replayable
+from repro.core.planes import HopEmitter, Record, replay, replayable
 from repro.core.queues import RotatingUpdateQueue, TokenQueue, UpdateQueue
 from repro.core.skip import SkipPolicy
 from repro.core.worker import ClusterState, HopWorker
@@ -33,7 +32,6 @@ from repro.protocols.base import DeadlockError, ProtocolCluster, ProtocolRuntime
 from repro.protocols.registry import register_protocol, spec_common_kwargs
 from repro.scenarios.faults import CrashEvent
 from repro.sim.engine import Environment
-from repro.sim.trace import StatAccumulator
 
 __all__ = ["HopCluster"]
 
@@ -103,7 +101,6 @@ class HopCluster(ProtocolCluster):
         update_size: Optional[float] = None,
         token_rtt: Optional[float] = None,
         evaluate: bool = True,
-        trace_channels=None,
         machines: Optional[Sequence[int]] = None,
         machine_uplink: Optional[Link] = None,
         crash_events: Optional[Dict[int, CrashEvent]] = None,
@@ -125,7 +122,6 @@ class HopCluster(ProtocolCluster):
             seed=seed,
             update_size=update_size,
             evaluate=evaluate,
-            trace_channels=trace_channels,
             compression=compression,
             churn=churn,
         )
@@ -332,7 +328,6 @@ class HopCluster(ProtocolCluster):
                 token_queues=token_queues,
                 state=self._state,
                 gap_tracker=runtime.gap,
-                tracer=runtime.tracer,
                 ledger=runtime.ledger,
                 max_iter=self.max_iter,
                 update_size=runtime.update_size,
@@ -431,12 +426,9 @@ class HopCluster(ProtocolCluster):
             runtime.model.get_params(),
         )
         replay(self.record, emitter)
-        # Each worker's losses in iteration order, as its loop adds them.
-        losses = StatAccumulator.per_row(emitter.losses)
-        for worker, params, accumulator in zip(workers, emitter.x, losses):
+        for worker, params in zip(workers, emitter.x):
             worker.final_params = worker.current_params = params
-            worker.losses = accumulator
-        log_losses(runtime.tracer, runtime.ledger, "recv_to", emitter.losses)
+        runtime.ledger.fill_losses(emitter.losses)
 
     def _final_param_stack(self, runtime: ProtocolRuntime) -> np.ndarray:
         return np.stack([w.final_params for w in self._workers])
@@ -475,16 +467,21 @@ class HopCluster(ProtocolCluster):
     def _iterations_skipped(self, runtime: ProtocolRuntime) -> List[int]:
         return [w.iterations_skipped for w in self._workers]
 
+    #: A hop iteration's loss is timed at the end of its receive.
+    loss_at = "recv_to"
+
+    #: Hop's family reports each worker's mean loss.
+    loss_mean = True
+
     @property
     def gate_stat(self) -> str:
         return "token_wait_mean" if self.protocol == "hop" else "ack_wait_mean"
 
     def _worker_extras(self, runtime: ProtocolRuntime) -> List[dict]:
-        """The loss mean and skipped iterations; hop adds its event
-        counters."""
+        """Skipped iterations; hop adds its event counters."""
         counters = HOP_COUNTERS if self.protocol == "hop" else ()
         return [
-            {"loss_mean": w.losses.mean, "iterations_skipped": w.iterations_skipped,
+            {"iterations_skipped": w.iterations_skipped,
              **{name: getattr(w, name) for name in counters}}
             for w in self._workers
         ]

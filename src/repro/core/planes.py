@@ -30,6 +30,7 @@ eager case is eager.
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import TYPE_CHECKING, Dict, Tuple
 
@@ -53,19 +54,15 @@ class EagerPlane:
     """The arithmetic in the loop, on the worker's own model replica,
     optimizer and reusable reduce scratch."""
 
-    __slots__ = ("worker", "reduce_scratch", "loss", "log_loss")
+    __slots__ = ("worker", "reduce_scratch", "loss")
 
-    def __init__(self, worker: "HopWorker", log_loss=None) -> None:
+    def __init__(self, worker: "HopWorker") -> None:
         self.worker = worker
-        #: The worker's ``loss/<wid>`` tracer channel, bound once by the
-        #: worker (a recording worker binds none: the replay writes the
-        #: series whole).
-        self.log_loss = log_loss
         #: Reusable reduce accumulator: the vector :meth:`mean` /
         #: :meth:`weighted` return is valid until this worker's next
         #: reduce overwrites it in place.
         self.reduce_scratch = None
-        #: The loss of the iteration in flight (logged by :meth:`end`).
+        #: The loss of the iteration in flight (its ledger row's).
         self.loss = None
 
     def initial(self) -> np.ndarray:
@@ -120,11 +117,6 @@ class EagerPlane:
     def applied(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """The serial graph's apply before Send: ``x + delta``."""
         return x + delta
-
-    def end(self, now: float) -> None:
-        """The iteration's loss, logged and accumulated."""
-        self.log_loss(now, self.loss)
-        self.worker.losses.add(self.loss)
 
 
 class Record:
@@ -238,9 +230,12 @@ class RecordPlane:
         #: This worker's iteration-0 gid.
         self.base = wid * record.max_iter
 
-    initial = payload = compute = step = apply = applied = end = staticmethod(
+    initial = payload = compute = step = apply = applied = staticmethod(
         _nothing
     )
+    #: Every ledger row's loss while the simulation runs: the replay
+    #: fills the column (:meth:`~repro.sim.trace.Ledger.fill_losses`).
+    loss = math.nan
 
     def mean(self, updates, k: int, staleness: int = 0) -> None:
         record = self.record
@@ -266,7 +261,7 @@ class RecordPlane:
 
     @staticmethod
     def gradient(gid: int):
-        return None, gid
+        return math.nan, gid
 
     def fold(self, params, gid: int, k: int):
         record = self.record
@@ -336,14 +331,6 @@ def replay(record: Record, emitter) -> None:
         if e_end > e:
             emitter.evaluate(evaluations[e:e_end])
         c, e = c_end, e_end
-
-
-def log_losses(tracer, ledger, column: str, losses: np.ndarray) -> None:
-    """Each worker's ``loss/<wid>`` series: ``losses[wid, k]`` at its
-    ledger row's ``column`` time."""
-    times = ledger.column(column, len(losses)).tolist()
-    for wid, (at, values) in enumerate(zip(times, losses.tolist())):
-        tracer.extend(f"loss/{wid}", zip(at, values))
 
 
 class HopEmitter:

@@ -48,7 +48,7 @@ from repro.net.network import Network
 from repro.scenarios.faults import CrashEvent
 from repro.scenarios.models import ComputeModel
 from repro.sim.engine import Environment
-from repro.sim.trace import SKIPPED, Ledger, StatAccumulator, Tracer
+from repro.sim.trace import SKIPPED, Ledger
 
 
 class ClusterState:
@@ -78,13 +78,14 @@ class HopWorker:
     mirrors the substrate pieces the protocol touches.  With a
     ``record`` the worker records its reduces instead of doing the
     arithmetic (:class:`~repro.core.planes.RecordPlane`), and its
-    parameters, losses and loss series exist once
+    parameters and its ledger rows' losses exist once
     :func:`~repro.core.planes.replay` has run.  With ``notify_ack``
     the ``token_queues`` are ACK channels: ``token_queues[(receiver,
     sender)]`` holds ``receiver``'s ACKs gating ``sender``'s next Send,
     and time blocked at that gate is the ledger row's ``gate``, reported
     as ``ack_wait_mean``.  Every iteration ends with one ``ledger.record``
-    (:mod:`repro.sim.trace`).
+    of its times and loss, and the crash lifecycle goes to
+    ``ledger.fault`` (:mod:`repro.sim.trace`).
 
     A fig24-scale cluster holds thousands of these, so the class has
     ``__slots__`` and a worker keeps no per-worker container it can
@@ -95,7 +96,7 @@ class HopWorker:
     __slots__ = (
         "wid", "env", "topology", "cfg", "model", "optimizer", "batcher",
         "compute", "compute_model", "network", "update_queues",
-        "token_queues", "state", "gap_tracker", "tracer", "ledger",
+        "token_queues", "state", "gap_tracker", "ledger",
         "max_iter", "update_size", "wire_size", "compressor", "token_rtt",
         "skip_policy", "notify_ack", "crash_event", "crashed", "down",
         "_crash_pending", "n_restarts", "peers", "membership",
@@ -105,7 +106,7 @@ class HopWorker:
         "_remote_enqueues", "snapshot_params", "iterations_completed",
         "iterations_skipped", "n_jumps", "n_suppressed_sends",
         "n_extra_updates", "n_staleness_blocks", "n_cache_hits", "plane",
-        "losses", "final_params", "current_params",
+        "final_params", "current_params",
     )
 
     def __init__(
@@ -124,7 +125,6 @@ class HopWorker:
         token_queues: Dict[Tuple[int, int], TokenQueue],
         state: ClusterState,
         gap_tracker: GapTracker,
-        tracer: Tracer,
         ledger: Ledger,
         max_iter: int,
         update_size: float,
@@ -149,7 +149,6 @@ class HopWorker:
         self.token_queues = token_queues
         self.state = state
         self.gap_tracker = gap_tracker
-        self.tracer = tracer
         self.ledger = ledger
         self.max_iter = max_iter
         self.update_size = update_size
@@ -202,19 +201,16 @@ class HopWorker:
         self.n_staleness_blocks = 0
         self.n_cache_hits = 0
         if record is None:
-            # The loss channel, bound once (the key f-string and dict
-            # lookup leave the hot loop).
-            self.plane = EagerPlane(self, tracer.channel(f"loss/{wid}"))
-            self.losses = StatAccumulator()
+            self.plane = EagerPlane(self)
             self.final_params = model.get_params_copy()
             #: Latest parameter vector (snapshot other workers re-sync
             #: from).
             self.current_params = model.get_params_copy()
         else:
             # No value exists while the simulation runs: the replay
-            # fills all three.
+            # fills both, and the ledger's losses.
             self.plane = RecordPlane(record, wid)
-            self.losses = self.final_params = self.current_params = None
+            self.final_params = self.current_params = None
 
     # ------------------------------------------------------------------
     # Queue access
@@ -419,9 +415,6 @@ class HopWorker:
 
         self.n_jumps += 1
         self.iterations_skipped += jump.advance - 1
-        self.tracer.log(
-            f"jump/{self.wid}", self.env.now, (iteration, jump.target)
-        )
         return refreshed
 
     def _await_acks(self, iteration: int):
@@ -497,7 +490,7 @@ class HopWorker:
                     source.wid, self.wid, self.update_size
                 )
                 x = source.current_params.copy()
-                self.tracer.log(f"resynced/{self.wid}", self.env.now, k)
+                self.ledger.fault("resynced", self.wid, self.env.now, k)
         return x
 
     def _crash(self, x: np.ndarray, k: int):
@@ -514,7 +507,7 @@ class HopWorker:
         the parameter vector to resume with.
         """
         event = self.crash_event
-        self.tracer.log(f"crashed/{self.wid}", self.env.now, k)
+        self.ledger.fault("crashed", self.wid, self.env.now, k)
         if event.permanent:
             self.crashed = True
             self.final_params = x
@@ -528,7 +521,7 @@ class HopWorker:
         self.down = False
         x = yield from self._sync_from_neighbor(x, k, resync=event.resync)
         self.n_restarts += 1
-        self.tracer.log(f"restarted/{self.wid}", self.env.now, k)
+        self.ledger.fault("restarted", self.wid, self.env.now, k)
         return x
 
     def _churn_leave(self, x: np.ndarray, k: int, event):
@@ -628,7 +621,7 @@ class HopWorker:
         # before the compute timeout and its value is used after it.
         plane = self.plane
         compute, step, apply = plane.compute, plane.step, plane.apply
-        reduce_mean, end = plane.mean, plane.end
+        reduce_mean = plane.mean
         recv_reduce = self.recv.recv_reduce
         # Standard mode inlines its one-dequeue receive below, skipping
         # the per-iteration strategy-generator indirection (behavior is
@@ -713,7 +706,6 @@ class HopWorker:
                 self._send_acks(k)
             x = apply(reduced, delta) if parallel else reduced
 
-            end(recv_end)
             self.iterations_completed = k + 1
             # ``x`` aliases the scratch; peers re-syncing after a
             # crash-restart need a stable end-of-iteration snapshot.
@@ -740,7 +732,7 @@ class HopWorker:
                 gate = (token_start, env.now)
 
             record(
-                wid, k, start, env.now, (start, computed),
+                wid, k, start, env.now, plane.loss, (start, computed),
                 (recv_start, recv_end), gate, SKIPPED, jumped,
             )
             k = next_k

@@ -56,7 +56,6 @@ from repro.harness.study import Study, cross
 from repro.compression import CompressionSpec
 from repro.net.links import Link, cluster_links, uniform_links
 from repro.protocols import registered_protocols
-from repro.protocols.base import LIGHT_TRACE
 from repro.scenarios import ScenarioSpec, registered_scenarios
 
 #: Hop's backup mode as the comparisons run it.
@@ -648,9 +647,6 @@ def _fig23_report(ctx, result, runs):
 #   records the real wall-clock cost of simulating it (the repo
 #   benchmark's ``svm-scale`` workload times hop at 64, 256 and 1024
 #   workers).
-#
-# Cells run with LIGHT_TRACE so tracer bookkeeping does not tax the
-# scaling measurement.
 _FIG24_SIZES = {
     "smoke": (8, 16),
     "bench": (8, 16, 32, 64, 128),
@@ -677,7 +673,7 @@ def _fig24_report(ctx, result, runs):
     for n in sizes:
         grid = ctx.grid(
             {protocol: dict(protocol=protocol) for protocol in _FIG24_PROTOCOLS},
-            topology=ring_based(n), trace_channels=LIGHT_TRACE,
+            topology=ring_based(n),
         )
         for protocol, spec in grid.items():
             run, cost = _timed_run(spec)
@@ -759,8 +755,7 @@ def _fig24_report(ctx, result, runs):
     scale_iters = min(max_iter, 3)
     for n in _FIG24_SCALE_SIZES[ctx.preset]:
         grid = ctx.grid(
-            {"hop-serial": {}}, topology=ring_based(n),
-            max_iter=scale_iters, trace_channels=LIGHT_TRACE,
+            {"hop-serial": {}}, topology=ring_based(n), max_iter=scale_iters
         )
         run, cost = _timed_run(grid["hop-serial"])
         result.rows.append(

@@ -28,6 +28,7 @@ from repro.graphs import bipartite_ring, ring_based
 from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import cnn_workload, svm_workload
 from repro.scenarios import ScenarioSpec
+from repro.sim.trace import LOSS
 
 #: Gossip protocols need a bipartite graph; everyone else runs the
 #: paper's ring-based topology.
@@ -208,15 +209,18 @@ def _exact(value):
 
 def run_fingerprint(run, values: bool = True) -> dict:
     """Everything a :class:`~repro.protocols.base.TrainingRun` reports,
-    as exact bits: run counters, every worker's stats, every ledger row,
-    every traced sample and, with ``values``, what the parameters
+    as exact bits: run counters, every worker's stats, every ledger row
+    (its loss included) and, with ``values``, what the parameters
     decide.
 
     ``values=False`` drops the final parameters, loss, accuracy and
-    consensus, each worker's ``loss_mean`` and the traced loss *values*
-    (their timestamps stay): the control a run whose gradients are
+    consensus, each worker's ``loss_mean`` and the ledger's loss column
+    (every timestamp stays): the control a run whose gradients are
     stubbed must share with the real one.
     """
+    ledger = run.ledger.table()
+    if not values:
+        ledger = np.delete(ledger, LOSS, axis=1)
     fingerprint = {
         "wall_time": run.wall_time,
         "iterations_completed": list(run.iterations_completed),
@@ -240,16 +244,7 @@ def run_fingerprint(run, values: bool = True) -> dict:
             }
             for stats in run.worker_stats
         ],
-        "ledger": run.ledger.table().tolist(),
-        "traced": {
-            key: [
-                (time, value)
-                if values or not key.startswith("loss/")
-                else time
-                for time, value in run.tracer.raw(key)
-            ]
-            for key in run.tracer.keys()
-        },
+        "ledger": ledger.tolist(),
     }
     if values:
         fingerprint.update(

@@ -1,6 +1,6 @@
 """Serialization of run results.
 
-Training runs hold numpy arrays and tracers; this module flattens them
+Training runs hold numpy arrays and a ledger; this module flattens them
 to plain JSON for archiving, diffing across reproductions, and loading
 into external plotting tools.  Figure artifacts are dumped next to
 their type, by :func:`repro.harness.study.figure_to_dict`.

@@ -59,9 +59,6 @@ class ExperimentSpec:
             width; static-partition ablation).
         momentum_mode: One of ``MOMENTUM_MODES`` for the
             momentum-tracking gossip protocol.
-        trace_channels: Optional tracer-channel allowlist forwarded to
-            the cluster's :class:`~repro.sim.trace.Tracer` (``None``
-            records every channel).
         compression: Optional update-compression recipe — any name in
             :func:`repro.compression.registered_compressors` plus its
             params (e.g. ``CompressionSpec("topk", {"ratio": 0.01})``).
@@ -71,6 +68,12 @@ class ExperimentSpec:
             field: equality, ``repr`` and ``with_`` see ``scenario``
             only); passing both raises.  It stays only for the
             benchmark's recipes and goes with ROADMAP item 5(c).
+        trace_channels: Constructor-only and ignored (not a field): a
+            run keeps one time record, its
+            :class:`~repro.sim.trace.Ledger`.  It stays only for the
+            benchmark's recipes, which pass
+            :data:`~repro.protocols.base.LIGHT_TRACE`, and goes with
+            ROADMAP item 5(f).
     """
 
     name: str
@@ -88,13 +91,13 @@ class ExperimentSpec:
     group_size: int = 4
     static_groups: bool = False
     momentum_mode: str = "tracking"
-    #: Optional tracer-channel allowlist (see repro.sim.trace.Tracer);
-    #: perf-focused runs pass repro.protocols.base.LIGHT_TRACE.
-    trace_channels: Optional[tuple] = None
+    trace_channels: InitVar[Optional[tuple]] = None
     compression: Optional[CompressionSpec] = None
     slowdown: InitVar[Optional[ScenarioSpec]] = None
 
-    def __post_init__(self, slowdown: Optional[ScenarioSpec]) -> None:
+    def __post_init__(
+        self, trace_channels: Optional[tuple], slowdown: Optional[ScenarioSpec]
+    ) -> None:
         if slowdown is not None:
             if self.scenario is not None:
                 raise ValueError("give scenario= or slowdown=, not both")

@@ -44,17 +44,16 @@ from repro.net.message import params_message_size, payload_bytes
 from repro.scenarios.models import ComputeModel
 from repro.sim.engine import Environment
 from repro.sim.rng import RngStreams
-from repro.sim.trace import FAULT_KINDS, Ledger, Tracer
+from repro.sim.trace import Ledger
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard for type hints
     from repro.core.gap import GapTracker
 
 
-#: The ``trace_channels`` of a perf-focused run: no diagnostic channel
-#: (today that is hop's ``jump/``).  A run's results never depend on
-#: the allowlist: the tracer always records the result prefixes
-#: (:data:`~repro.sim.trace.RESULT_PREFIXES`), and worker times live in
-#: the always-on :class:`~repro.sim.trace.Ledger`.
+#: What the benchmark's recipes pass as ``ExperimentSpec.trace_channels``,
+#: which is ignored: a run keeps one time record, its
+#: :class:`~repro.sim.trace.Ledger`.  Kept only for ``bench/`` until
+#: ROADMAP item 5(f).
 LIGHT_TRACE = ()
 
 
@@ -80,7 +79,6 @@ class TrainingRun:
     n_workers: int
     max_iter: int
     wall_time: float
-    tracer: Tracer
     gap: GapTracker
     iterations_completed: List[int]
     iterations_skipped: List[int]
@@ -91,12 +89,12 @@ class TrainingRun:
     final_accuracy: Optional[float] = None
     consensus: float = 0.0
     worker_stats: List[dict] = field(default_factory=list)
-    #: Every worker-iteration's phase boundaries (``worker_stats`` is
-    #: derived from it).
+    #: Every worker-iteration's phase boundaries and loss
+    #: (``worker_stats`` and :meth:`loss_series` are derived from it).
     ledger: Ledger = field(default_factory=Ledger)
     #: Crash/recovery lifecycle events (scenario fault injection):
     #: ``{"kind": "crashed"|"restarted"|"resynced", "worker", "time",
-    #: "iteration"}``, time-ordered.
+    #: "iteration"}``, time-ordered (:meth:`Ledger.fault_events`).
     fault_events: List[dict] = field(default_factory=list)
     #: Messages lost (and retransmitted) by the network fault layer,
     #: plus in-flight messages dropped at departed membership members.
@@ -131,16 +129,9 @@ class TrainingRun:
     # Convergence analysis
     # ------------------------------------------------------------------
     def loss_series(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All per-iteration training losses, merged and time-sorted."""
-        pairs: List[Tuple[float, float]] = []
-        for wid in range(self.n_workers):
-            pairs.extend(self.tracer.raw(f"loss/{wid}"))
-        pairs.sort(key=lambda tv: tv[0])
-        if not pairs:
-            return np.array([]), np.array([])
-        times = np.array([t for t, _ in pairs])
-        losses = np.array([v for _, v in pairs])
-        return times, losses
+        """All per-iteration training losses, merged and time-sorted
+        (:meth:`Ledger.loss_series`)."""
+        return self.ledger.loss_series()
 
     def smoothed_loss_series(
         self, window: int = 32
@@ -221,7 +212,6 @@ class ProtocolRuntime:
     """
 
     env: Environment
-    tracer: Tracer
     gap: GapTracker
     #: The run's first model: ``models[0]`` on the eager plane, the
     #: only one when the run replays.
@@ -235,8 +225,8 @@ class ProtocolRuntime:
     #: ``[messages_sent, bytes_sent]`` — plain list so simulated
     #: processes can mutate it in place.
     traffic: List[float] = field(default_factory=lambda: [0, 0.0])
-    #: The run's worker-time ledger: every iteration body records its
-    #: phase boundaries here (:meth:`Ledger.record`).
+    #: The run's ledger: every iteration body records its phase
+    #: boundaries and loss here (:meth:`Ledger.record`).
     ledger: Ledger = field(default_factory=Ledger)
 
     @cached_property
@@ -251,14 +241,6 @@ class ProtocolRuntime:
         """Whether the run records its dependencies and replays the math
         (:meth:`ProtocolCluster._replays`)."""
         return not self.models
-
-    @cached_property
-    def log_loss(self) -> List[Callable[..., None]]:
-        """``loss/<wid>`` tracer channels by worker, bound at first use
-        (the key is formatted once per run, not once per iteration)."""
-        return [
-            self.tracer.channel(f"loss/{wid}") for wid in range(self.n_workers)
-        ]
 
     def count_traffic(self, messages: int, bytes_sent: float) -> None:
         """Record protocol traffic (used when no Network object exists)."""
@@ -322,8 +304,9 @@ class ProtocolCluster:
     * :meth:`_final_param_stack` — per-worker final parameter matrix
       (single-row for centralized protocols).
     * Every iteration body ends with one ``runtime.ledger.record`` call
-      (:class:`~repro.sim.trace.Ledger`); ``worker_stats`` is derived
-      from the ledger.
+      (:class:`~repro.sim.trace.Ledger`) that carries the iteration's
+      loss, timed at the :attr:`loss_at` column; ``worker_stats`` and
+      the loss series are derived from the ledger.
     * Optional overrides: :meth:`_message_totals`, :meth:`_byte_stats`,
       :meth:`_worker_extras`, :attr:`gate_stat`, :meth:`_iterations_completed`,
       :meth:`_iterations_skipped`, :meth:`_messages_dropped`,
@@ -342,6 +325,13 @@ class ProtocolCluster:
     #: The ``worker_stats`` key of a worker's mean ledger ``gate`` time.
     gate_stat = "gate_wait_mean"
 
+    #: The ledger column an iteration's loss is timed at in the run's
+    #: loss series.
+    loss_at = "end"
+
+    #: Whether ``worker_stats`` carry each worker's ``loss_mean``.
+    loss_mean = False
+
     def __init__(
         self,
         n_workers: int,
@@ -354,7 +344,6 @@ class ProtocolCluster:
         seed: int = 0,
         update_size: Optional[float] = None,
         evaluate: bool = True,
-        trace_channels: Optional[Tuple[str, ...]] = None,
         compression=None,
         churn=None,
     ) -> None:
@@ -375,9 +364,6 @@ class ProtocolCluster:
         )
         self._update_size = update_size
         self.evaluate = evaluate
-        self.trace_channels = (
-            tuple(trace_channels) if trace_channels is not None else None
-        )
         if compression is not None and compression.name == "none":
             # CompressionSpec("none") IS the dense path: normalizing
             # here keeps every `if self.compression is None` branch —
@@ -571,36 +557,6 @@ class ProtocolCluster:
         membership = self._membership
         return membership.messages_dropped if membership is not None else 0
 
-    #: Tracer-key prefixes surfaced as lifecycle fault events, in
-    #: causal order (a restart completes *after* the re-sync it did) —
-    #: the index breaks same-timestamp ties in the sorted event list.
-    FAULT_EVENT_KINDS = FAULT_KINDS
-
-    def _collect_fault_events(self, runtime: ProtocolRuntime) -> List[dict]:
-        """Crash/recovery events logged as ``<kind>/<wid>`` traces."""
-        events = []
-        for key in runtime.tracer.keys():
-            kind, _, rest = key.partition("/")
-            if kind not in self.FAULT_EVENT_KINDS or not rest.isdigit():
-                continue
-            for time, value in runtime.tracer.raw(key):
-                events.append(
-                    {
-                        "kind": kind,
-                        "worker": int(rest),
-                        "time": float(time),
-                        "iteration": int(value) if value is not None else -1,
-                    }
-                )
-        events.sort(
-            key=lambda event: (
-                event["time"],
-                event["worker"],
-                self.FAULT_EVENT_KINDS.index(event["kind"]),
-            )
-        )
-        return events
-
     def _collect_membership_events(self, runtime: ProtocolRuntime) -> List[dict]:
         """Join/leave/rewire records from the membership runtime."""
         membership = self._membership
@@ -771,13 +727,13 @@ class ProtocolCluster:
             models = self._build_models(model)
         runtime = ProtocolRuntime(
             env=env,
-            tracer=Tracer(channels=self.trace_channels),
             gap=GapTracker(self.n_workers),
             model=model,
             models=models,
             n_workers=self.n_workers,
             update_size=self._resolve_update_size(model),
             done=np.zeros(self.n_workers, dtype=bool),
+            ledger=Ledger(self.loss_at),
         )
         self.runtime = runtime
         self._start(runtime)
@@ -803,7 +759,6 @@ class ProtocolCluster:
             n_workers=self.n_workers,
             max_iter=self.max_iter,
             wall_time=env.now,
-            tracer=runtime.tracer,
             gap=runtime.gap,
             iterations_completed=self._iterations_completed(runtime),
             iterations_skipped=self._iterations_skipped(runtime),
@@ -817,9 +772,10 @@ class ProtocolCluster:
                 self._iterations_completed(runtime),
                 self.gate_stat,
                 self._worker_extras(runtime),
+                self.loss_mean,
             ),
             ledger=runtime.ledger,
-            fault_events=self._collect_fault_events(runtime),
+            fault_events=runtime.ledger.fault_events(),
             messages_dropped=self._messages_dropped(runtime),
             membership_events=self._collect_membership_events(runtime),
             events_scheduled=env.events_scheduled,

@@ -179,7 +179,6 @@ class PartialAllReduceCluster(ProtocolCluster):
         seed: int = 0,
         update_size: Optional[float] = None,
         evaluate: bool = True,
-        trace_channels=None,
         churn=None,
         topology=None,
         compression=None,
@@ -201,7 +200,6 @@ class PartialAllReduceCluster(ProtocolCluster):
             seed=seed,
             update_size=update_size,
             evaluate=evaluate,
-            trace_channels=trace_channels,
             compression=compression,
             churn=churn,
         )
@@ -317,8 +315,9 @@ class PartialAllReduceCluster(ProtocolCluster):
             )
             gate, recv = (computed, released), (released, env.now)
 
-        runtime.log_loss[wid](env.now, loss)
-        runtime.ledger.record(wid, k, start, env.now, (start, computed), recv, gate)
+        runtime.ledger.record(
+            wid, k, start, env.now, loss, (start, computed), recv, gate
+        )
 
     def _worker(
         self,

@@ -116,7 +116,6 @@ def spec_common_kwargs(spec: "ExperimentSpec") -> dict:
         max_iter=spec.max_iter,
         seed=spec.seed,
         update_size=workload.update_size,
-        trace_channels=spec.trace_channels,
         compression=spec.compression,
         churn=scenario.churn,
     )

@@ -31,7 +31,7 @@ from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Request, Resource
 from repro.sim.rng import RngStreams, derive_seed
-from repro.sim.trace import StatAccumulator, Tracer
+from repro.sim.trace import StatAccumulator
 
 __all__ = [
     "EmptySchedule",
@@ -43,6 +43,5 @@ __all__ = [
     "RngStreams",
     "StatAccumulator",
     "Timeout",
-    "Tracer",
     "derive_seed",
 ]

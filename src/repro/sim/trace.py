@@ -1,124 +1,22 @@
 """Measurement collection for simulation runs.
 
-:class:`Tracer` records named time-series during a run (loss curves,
-the crash lifecycle, ...); :class:`StatAccumulator` keeps streaming
-summary statistics without storing samples; :class:`Ledger` records
-where each worker's simulated time went.
-
-Hot-path producers should grab a *channel* once
-(``log = tracer.channel(f"loss/{wid}")``) and call it per event: the
-key string is formatted and hashed exactly once, and when the channel
-is disabled (a diagnostic series left off a ``Tracer``'s allowlist)
-the returned callable is a shared no-op, so unconsumed series cost
-nothing per event.
+:class:`StatAccumulator` keeps streaming summary statistics without
+storing samples; :class:`Ledger` is a run's one time record: where each
+worker's simulated time went, the loss of each of its iterations, and
+the crash lifecycle.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 
-def _noop_log(time: float, value: object = None) -> None:
-    """Shared sink for disabled tracer channels."""
-
-
-#: The crash lifecycle's key prefixes, in causal order.
+#: The crash lifecycle's event kinds, in causal order.
 FAULT_KINDS = ("crashed", "resynced", "restarted")
-#: Key prefixes (the part before the first ``/``) a run's results are
-#: read from: loss curves and the crash lifecycle.  Always recorded.
-RESULT_PREFIXES = frozenset(("loss", *FAULT_KINDS))
-
-
-class Tracer:
-    """Records ``(time, value)`` samples under string keys.
-
-    Args:
-        channels: Optional allowlist of diagnostic key *prefixes* (the
-            part before the first ``/``).  ``None`` records everything;
-            otherwise only the :data:`RESULT_PREFIXES` and the listed
-            prefixes are stored, and every other :meth:`log` /
-            :meth:`channel` becomes a no-op.
-    """
-
-    __slots__ = ("_records", "_channels")
-
-    def __init__(self, channels: Optional[Sequence[str]] = None) -> None:
-        self._records: Dict[str, List[Tuple[float, object]]] = {}
-        self._channels = (
-            None if channels is None else RESULT_PREFIXES.union(channels)
-        )
-
-    def enabled(self, key: str) -> bool:
-        """Whether samples logged under ``key`` are stored."""
-        if self._channels is None:
-            return True
-        return key.partition("/")[0] in self._channels
-
-    def channel(self, key: str) -> Callable[..., None]:
-        """A fast-path appender bound to one series.
-
-        Returns ``log(time, value=None)``; a shared no-op when the
-        series is disabled, so callers can log unconditionally.
-        """
-        if not self.enabled(key):
-            return _noop_log
-        append = self._records.setdefault(key, []).append
-
-        def log(time: float, value: object = None) -> None:
-            append((time, value))
-
-        return log
-
-    def log(self, key: str, time: float, value: object = None) -> None:
-        """Append one sample to the series ``key``."""
-        if not self.enabled(key):
-            return
-        records = self._records.get(key)
-        if records is None:
-            records = self._records[key] = []
-        records.append((time, value))
-
-    def extend(self, key: str, samples: Iterable[Tuple[float, object]]) -> None:
-        """Append many ``(time, value)`` samples to the series ``key``."""
-        if self.enabled(key):
-            self._records.setdefault(key, []).extend(samples)
-
-    def keys(self) -> List[str]:
-        return sorted(self._records.keys())
-
-    def raw(self, key: str) -> List[Tuple[float, object]]:
-        """All samples logged for ``key`` (empty list if none)."""
-        return list(self._records.get(key, []))
-
-    def count(self, key: str) -> int:
-        return len(self._records.get(key, []))
-
-    def last(self, key: str) -> Optional[Tuple[float, object]]:
-        records = self._records.get(key)
-        return records[-1] if records else None
-
-    def series(self, key: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(times, values)`` arrays for a numeric series."""
-        records = self._records.get(key, [])
-        if not records:
-            return np.array([]), np.array([])
-        times = np.array([t for t, _ in records], dtype=float)
-        values = np.array([v for _, v in records], dtype=float)
-        return times, values
-
-    def merge(self, other: "Tracer") -> None:
-        """Fold another tracer's records into this one (stable order)."""
-        for key, records in other._records.items():
-            merged = self._records.setdefault(key, [])
-            merged.extend(records)
-            merged.sort(key=lambda tv: tv[0])
-
-    def __repr__(self) -> str:
-        return f"<Tracer keys={len(self._records)}>"
 
 
 class StatAccumulator:
@@ -239,33 +137,65 @@ class StatAccumulator:
 #: A ledger row's phases, in its layout's order.
 PHASES = ("compute", "recv", "gate", "wire", "jump")
 #: The ledger's row layout.
-COLUMNS = ("worker", "iteration", "start", "end") + tuple(
+COLUMNS = ("worker", "iteration", "start", "end", "loss") + tuple(
     f"{phase}_{side}" for phase in PHASES for side in ("from", "to")
 )
+#: A row's loss column.
+LOSS = COLUMNS.index("loss")
 #: A phase the iteration never entered.
 SKIPPED = (math.nan, math.nan)
 
 
 class Ledger:
-    """One run's worker-time ledger: a row per worker-iteration, of its
-    boundary timestamps (:data:`COLUMNS`), appended as it ends, so a
-    worker's rows are in its iteration order.  A phase the iteration
-    never entered is :data:`SKIPPED`; docs/ARCHITECTURE.md,
-    "Worker-time ledger", has what each phase is per protocol."""
+    """One run's time record: a row per worker-iteration, of its
+    boundary timestamps and its loss (:data:`COLUMNS`), appended as it
+    ends, so a worker's rows are in its iteration order; and the crash
+    lifecycle (:meth:`fault`).  A phase the iteration never entered is
+    :data:`SKIPPED`; docs/ARCHITECTURE.md, "Worker-time ledger", has
+    what each phase is per protocol.
 
-    __slots__ = ("_rows",)
+    Args:
+        loss_at: The column a row's loss is timed at in
+            :meth:`loss_series`, a property of the protocol
+            (:attr:`~repro.protocols.base.ProtocolCluster.loss_at`).
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("_rows", "_faults", "loss_at")
+
+    def __init__(self, loss_at: str = "end") -> None:
         self._rows = array("d")
+        self._faults: List[Tuple[float, int, int, int]] = []
+        self.loss_at = loss_at
 
     def record(
-        self, wid, k, start, end, compute=SKIPPED, recv=SKIPPED,
+        self, wid, k, start, end, loss, compute=SKIPPED, recv=SKIPPED,
         gate=SKIPPED, wire=SKIPPED, jump=SKIPPED,
     ) -> None:
-        """The one hook every iteration body calls as it ends."""
+        """The one hook every iteration body calls as it ends.  A
+        replaying run's ``loss`` is NaN until :meth:`fill_losses`."""
         self._rows.extend(
-            (wid, k, start, end, *compute, *recv, *gate, *wire, *jump)
+            (wid, k, start, end, loss, *compute, *recv, *gate, *wire, *jump)
         )
+
+    def fill_losses(self, losses: np.ndarray) -> None:
+        """A replaying run's loss column: ``losses[wid, k]`` for each
+        row's ``(worker, iteration)``."""
+        table = self.table()
+        rows = table[:, :2].astype(np.intp)
+        table[:, LOSS] = losses[rows[:, 0], rows[:, 1]]
+
+    def fault(self, kind: str, wid: int, time: float, k: int) -> None:
+        """One crash-lifecycle event, a kind of :data:`FAULT_KINDS`."""
+        self._faults.append((time, wid, FAULT_KINDS.index(kind), k))
+
+    def fault_events(self) -> List[dict]:
+        """The crash lifecycle by time, then worker, then causal order
+        (a restart completes *after* the re-sync it did)."""
+        return [
+            {"kind": FAULT_KINDS[kind], "worker": wid, "time": float(time),
+             "iteration": k}
+            for time, wid, kind, k in sorted(self._faults)
+        ]
 
     def __len__(self) -> int:
         return len(self._rows) // len(COLUMNS)
@@ -292,19 +222,37 @@ class Ledger:
     def column(self, name: str, n_workers: int) -> np.ndarray:
         return self.grid(n_workers, self.table()[:, COLUMNS.index(name)])
 
+    def loss_series(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every row's ``(time, loss)``, time-sorted, a row's time being
+        its :attr:`loss_at` column; equal times keep worker order, then
+        each worker's row order.  A non-finite loss is kept."""
+        table = self.table()
+        table = table[np.argsort(table[:, 0], kind="stable")]
+        times = table[:, COLUMNS.index(self.loss_at)]
+        order = np.argsort(times, kind="stable")
+        return times[order], table[order, LOSS]
+
     def worker_stats(
-        self, completed: Sequence[int], gate_key: str, extras=None
+        self, completed: Sequence[int], gate_key: str, extras=None,
+        loss_mean: bool = False,
     ) -> List[dict]:
         """Every protocol's ``worker_stats``: Welford means over each
         worker's rows in iteration order, of the rows that entered the
-        phase (``end - start``, ``recv``, ``gate``).  ``extras[wid]``, a
+        phase (``end - start``, ``recv``, ``gate``) and, with
+        ``loss_mean``, of every row's loss.  ``extras[wid]``, a
         protocol's own keys, go before the gate mean."""
         n = len(completed)
         table = self.table()
-        times = table[:, [3, 7, 9]] - table[:, [2, 6, 8]]
-        values = self.grid(n, times).transpose(2, 0, 1).reshape(3 * n, -1)
-        stats = StatAccumulator.per_row(values, entered=~np.isnan(values))
-        duration, recv, gate = stats[:n], stats[n : 2 * n], stats[2 * n :]
+        times = table[:, [3, 8, 10]] - table[:, [2, 7, 9]]
+        values = self.grid(n, np.column_stack((times, table[:, LOSS])))
+        values = values.transpose(2, 0, 1).reshape(4 * n, -1)
+        entered = ~np.isnan(values)
+        # Every row has a loss: a NaN one is a value, not a skip.
+        entered[3 * n :] = entered[:n]
+        stats = StatAccumulator.per_row(values, entered=entered)
+        duration, recv, gate, loss = (
+            stats[i * n : (i + 1) * n] for i in range(4)
+        )
         return [
             {
                 "wid": wid,
@@ -312,6 +260,7 @@ class Ledger:
                 "iteration_duration_mean": duration[wid].mean,
                 "iteration_duration_max": duration[wid].max,
                 "recv_wait_mean": recv[wid].mean,
+                **({"loss_mean": loss[wid].mean} if loss_mean else {}),
                 **(extras[wid] if extras else {}),
                 gate_key: gate[wid].mean,
             }

@@ -10,7 +10,6 @@ import pytest
 from repro.graphs import ring_based
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.workloads import by_name
-from repro.protocols.base import LIGHT_TRACE
 
 WORKERS, ITERATIONS = 64, 10
 
@@ -35,7 +34,6 @@ def test_events_scheduled_per_worker_iteration(protocol):
             protocol=protocol,
             max_iter=ITERATIONS,
             seed=0,
-            trace_channels=LIGHT_TRACE,
         )
     )
     assert run.iterations_completed == [ITERATIONS] * WORKERS
@@ -59,7 +57,6 @@ def test_ps_async_heap_entries_are_exact():
             protocol="ps-async",
             max_iter=ITERATIONS,
             seed=0,
-            trace_channels=LIGHT_TRACE,
         )
     )
     assert run.iterations_completed == [ITERATIONS] * 128

@@ -44,7 +44,6 @@ from repro.harness.golden import (
     run_fingerprint,
 )
 from repro.harness.io import run_to_dict
-from repro.protocols.base import LIGHT_TRACE
 from repro.protocols.registry import build_cluster, registered_protocols
 from repro.scenarios import registered_scenarios
 from repro.sim.engine import Environment
@@ -190,9 +189,7 @@ TIMING_FAMILIES = (
 @pytest.mark.parametrize("family", TIMING_FAMILIES)
 @pytest.mark.parametrize("protocol", PS_PROTOCOLS)
 def test_ps_replay_equals_the_eager_plane_bitwise(protocol, family, n):
-    spec = conformance_spec(protocol, family).with_(
-        topology=ring_based(n), trace_channels=LIGHT_TRACE
-    )
+    spec = conformance_spec(protocol, family).with_(topology=ring_based(n))
     replayed_cluster, replayed = run_on(spec, eager=False)
     eager_cluster, eager = run_on(spec, eager=True)
     assert isinstance(replayed_cluster.record, Record)
@@ -373,7 +370,7 @@ EAGER_BYTES_PER_WORKER = 25_838
 def test_an_eligible_worker_allocates_no_parameter_scratch(monkeypatch):
     n = 1024
     spec = conformance_spec("hop", "none", seed=0).with_(
-        topology=ring_based(n), max_iter=4, trace_channels=LIGHT_TRACE
+        topology=ring_based(n), max_iter=4
     )
     cluster = build_cluster(spec)
     seen = {}
@@ -386,7 +383,6 @@ def test_an_eligible_worker_allocates_no_parameter_scratch(monkeypatch):
             (
                 worker.final_params,
                 worker.current_params,
-                worker.losses,
                 worker.model,
                 worker.optimizer,
             )
@@ -404,7 +400,7 @@ def test_an_eligible_worker_allocates_no_parameter_scratch(monkeypatch):
     # While it simulated, no worker held a parameter-sized array, a
     # model or an optimizer ...
     assert all(
-        state == (None, None, None, None, None) for state in seen["workers"]
+        state == (None, None, None, None) for state in seen["workers"]
     )
     # ... so its per-worker footprint is below the eager one.
     assert seen["bytes"] / n <= EAGER_BYTES_PER_WORKER
@@ -435,7 +431,7 @@ def factory_calls(spec, eager=False):
 def sized(protocol, n, max_iter=3):
     topology = (bipartite_ring if protocol == "adpsgd" else ring_based)(n)
     return conformance_spec(protocol, "none").with_(
-        topology=topology, max_iter=max_iter, trace_channels=LIGHT_TRACE
+        topology=topology, max_iter=max_iter
     )
 
 

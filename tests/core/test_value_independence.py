@@ -11,7 +11,7 @@ graph; backup workers with skipping and receiver-iteration checks;
 staleness mode), each against the same cell run for real.  The other
 eight protocols are held to the same property on the same timing
 families and the CNN through what every protocol reports (run
-counters, worker stats, ledger rows, traced samples), and all nine on
+counters, worker stats, ledger rows but their losses), and all nine on
 every churn, fault and compressed golden cell, hop under a permanent
 crash as well: all 153 golden cells and one more, none of them
 value-coupled.  Replayed cells honour the stub too: a
@@ -21,6 +21,8 @@ The last tests couple one simulated duration to the loss: on an eager
 cell the comparison sees it, and on a replayed cell there is no loss to
 read while the simulation runs.
 """
+
+import math
 
 import pytest
 
@@ -36,6 +38,7 @@ from repro.harness.golden import (
     run_fingerprint,
 )
 from repro.protocols.registry import build_cluster, registered_protocols
+from repro.sim.trace import LOSS
 
 #: Golden-grid families that only shape timing: per-iteration slowdown
 #: factors drawn from seeded streams.  Faults, churn, lossy or flaky links
@@ -70,19 +73,31 @@ for variant, config in VARIANTS.items():
 
 
 class LossCoupledDurations:
-    """A compute model whose durations read the worker's running loss:
-    the mutation a value-independent control plane must not contain."""
+    """A compute model whose durations read the mean loss of the
+    worker's ledger rows so far: the mutation a value-independent
+    control plane must not contain.  ``read`` keeps each mean it read
+    (NaN: no loss to read)."""
 
     def __init__(self, inner, worker):
         self._inner = inner
         self._worker = worker
+        self.read = []
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
     def duration(self, wid, iteration):
-        scale = 1.0 + 1e-6 * self._worker.losses.mean
+        table = self._worker.ledger.table()
+        losses = table[table[:, 0] == wid, LOSS]
+        mean = float(losses.mean()) if losses.size else math.nan
+        self.read.append(mean)
+        scale = 1.0 + 1e-6 * mean if math.isfinite(mean) else 1.0
         return self._inner.duration(wid, iteration) * scale
+
+
+def losses(run):
+    """Every ledger row's loss."""
+    return run.ledger.table()[:, LOSS]
 
 
 def run_cell(spec, stub=False, couple=False):
@@ -112,8 +127,8 @@ def test_control_does_not_read_parameter_values(cell):
     real_cluster, real = run_cell(CELLS[cell])
     stub_cluster, stubbed = run_cell(CELLS[cell], stub=True)
     # The stub really replaced the math ...
-    assert max(w.losses.max for w in real_cluster._workers) > 0.0
-    assert all(w.losses.max == 0.0 for w in stub_cluster._workers)
+    assert losses(real).max() > 0.0
+    assert set(losses(stubbed).tolist()) == {0.0}
     assert real.final_params.tobytes() != stubbed.final_params.tobytes()
     pool, real_pool = stub_cluster.runtime.compute, real_cluster.runtime.compute
     assert pool.flushes == 0 and pool.tickets == real_pool.tickets
@@ -159,16 +174,8 @@ PROTOCOL_CELLS["hop/crash"] = conformance_spec("hop", "crash")
 def test_every_protocol_keeps_its_control(cell):
     real_cluster, real = run_cell(PROTOCOL_CELLS[cell])
     stub_cluster, stubbed = run_cell(PROTOCOL_CELLS[cell], stub=True)
-    def traced_losses(run):
-        return [
-            value
-            for key in run.tracer.keys()
-            if key.startswith("loss/")
-            for _, value in run.tracer.raw(key)
-        ]
-
-    assert max(traced_losses(real)) > 0.0
-    assert set(traced_losses(stubbed)) == {0.0}
+    assert losses(real).max() > 0.0
+    assert set(losses(stubbed).tolist()) == {0.0}
     pool = stub_cluster.runtime.compute
     assert pool.flushes == 0 and pool.tickets == real_cluster.runtime.compute.tickets
     assert run_fingerprint(stubbed, values=False) == run_fingerprint(
@@ -193,11 +200,17 @@ def test_a_loss_dependent_duration_is_caught_on_the_eager_plane():
 
 def test_no_loss_exists_while_a_replayed_run_simulates():
     """On a replayed cell the losses are the replay's output: a duration
-    that reads one has nothing to read."""
-    cluster, _ = run_cell(CELLS["random"])
+    that reads one has nothing to read, and the eager plane has one from
+    each worker's second iteration on."""
+    cluster, run = run_cell(CELLS["random"], couple=True)
     assert cluster.record is not None
-    with pytest.raises(AttributeError, match="mean"):
-        run_cell(CELLS["random"], couple=True)
+    reads = [mean for w in cluster._workers for mean in w.compute_model.read]
+    assert len(reads) == len(run.ledger) and all(map(math.isnan, reads))
+    assert not any(map(math.isnan, losses(run)))
+    eager, _ = run_cell(CELLS["straggler/backup-skip"], couple=True)
+    for worker in eager._workers:
+        first, *rest = worker.compute_model.read
+        assert math.isnan(first) and rest and all(map(math.isfinite, rest))
 
 
 def test_a_stubbed_worker_replays_a_zero_gradient_with_no_draw():
@@ -215,9 +228,9 @@ def test_a_stubbed_worker_replays_a_zero_gradient_with_no_draw():
     stubbed, real = cluster._workers[1], cluster._workers[0]
     assert stubbed.batcher.draws == 0  # never drew a batch
     assert real.batcher.draws > 0
-    assert stubbed.losses.count == spec.max_iter and stubbed.losses.max == 0.0
-    assert {loss for _, loss in run.tracer.raw("loss/1")} == {0.0}
-    assert real.losses.max > 0.0
+    by_worker = run.ledger.column("loss", spec.topology.n)
+    assert by_worker[1].tolist() == [0.0] * spec.max_iter
+    assert by_worker[0].max() > 0.0
     pool = cluster.runtime.compute
     assert (pool.tickets, pool.levels, pool.rows) == (
         0,
@@ -242,10 +255,9 @@ def test_a_stubbed_ps_worker_replays_a_zero_gradient_with_no_draw(protocol):
     stubbed, real = cluster._batchers[1], cluster._batchers[0]
     assert stubbed.draws == 0  # never drew a batch
     assert real.draws > 0
-    assert [loss for _, loss in run.tracer.raw("loss/1")] == [0.0] * (
-        spec.max_iter
-    )
-    assert max(loss for _, loss in run.tracer.raw("loss/0")) > 0.0
+    by_worker = run.ledger.column("loss", spec.topology.n)
+    assert by_worker[1].tolist() == [0.0] * spec.max_iter
+    assert by_worker[0].max() > 0.0
     pool = cluster.runtime.compute
     assert (pool.tickets, pool.flushes) == (0, 0)
     assert pool.rows == spec.max_iter * spec.topology.n

@@ -19,7 +19,6 @@ import pytest
 from repro.graphs import ring_based
 from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import svm_workload
-from repro.protocols.base import LIGHT_TRACE
 from repro.protocols.registry import build_cluster
 from repro.sim.engine import Environment
 
@@ -41,7 +40,6 @@ def replaying_hop(n_workers, workload):
         topology=ring_based(n_workers),
         max_iter=4,
         seed=0,
-        trace_channels=LIGHT_TRACE,
     )
 
 

@@ -37,7 +37,7 @@ from repro.ml.data import Batcher, Horizons
 from repro.ml.losses import HingeLoss
 from repro.ml.models import build_mlp, build_svm
 from repro.protocols import registered_protocols
-from repro.protocols.base import LIGHT_TRACE, ProtocolRuntime, TrainingRun
+from repro.protocols.base import ProtocolRuntime, TrainingRun
 from repro.protocols.registry import build_cluster
 
 PROTOCOLS = tuple(registered_protocols())
@@ -574,7 +574,6 @@ def spec_for(protocol, workload, n=16, max_iter=5, **fields):
         topology=topology,
         protocol=protocol,
         max_iter=max_iter,
-        trace_channels=LIGHT_TRACE,
         **fields,
     )
 
@@ -612,10 +611,7 @@ def test_deferred_runs_equal_eager_runs_bitwise(protocol, scenario, eager_runtim
     assert eager_pool.tickets == pool.tickets
     assert golden_fingerprint(deferred) == golden_fingerprint(eager_run)
     assert deferred.final_params.tobytes() == eager_run.final_params.tobytes()
-    for wid in range(deferred.n_workers):
-        assert deferred.tracer.raw(f"loss/{wid}") == eager_run.tracer.raw(
-            f"loss/{wid}"
-        )
+    assert deferred.ledger.table().tobytes() == eager_run.ledger.table().tobytes()
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -111,9 +111,8 @@ class TestExtensionPoint:
                         )
                         loss, grad = ticket.result()
                         params = params + optimizer.step(params, grad, k)
-                        runtime.tracer.log(f"loss/{wid}", env.now, loss)
                         runtime.ledger.record(
-                            wid, k, start, env.now, (start, env.now)
+                            wid, k, start, env.now, loss, (start, env.now)
                         )
                     self._params[wid] = params
                     runtime.done[wid] = True

@@ -1,9 +1,8 @@
-"""The DES engine fast paths: slotted events, deliveries, lazy tracing.
+"""The DES engine fast paths: slotted events and deliveries.
 
-PR 4's second tentpole front inlined the engine's hottest operations
-(timeout scheduling, succeed/fail, message delivery) and made tracer
-channels lazy.  These tests pin that the fast paths behave exactly
-like the generic machinery they bypass.
+The engine's hottest operations (timeout scheduling, succeed/fail,
+message delivery) are inlined.  These tests pin that the fast paths
+behave exactly like the generic machinery they bypass.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from repro.net.network import Delivery, Network
 from repro.sim.engine import Environment
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
-from repro.sim.trace import Tracer, _noop_log
 
 
 class TestSlots:
@@ -161,66 +159,6 @@ class TestDelivery:
         network2.push(0, 1, 3.0, "y", got2.append)
         env2.run()
         assert got2 == ["y"] and env2.now == env.now
-
-
-class TestLazyTracer:
-    def test_records_everything_by_default(self):
-        tracer = Tracer()
-        tracer.log("jump/0", 1.0, 7)
-        channel = tracer.channel("loss/0")
-        channel(2.0, 0.5)
-        assert tracer.raw("jump/0") == [(1.0, 7)]
-        assert tracer.raw("loss/0") == [(2.0, 0.5)]
-
-    def test_allowlist_disables_unconsumed_channels(self):
-        tracer = Tracer(channels=("loss",))
-        assert tracer.enabled("loss/3") and not tracer.enabled("jump/3")
-        assert tracer.channel("jump/3") is _noop_log
-        tracer.log("jump/3", 1.0, 1)
-        tracer.channel("jump/3")(2.0, 2)
-        assert tracer.count("jump/3") == 0
-        tracer.channel("loss/3")(1.0, 0.1)
-        assert tracer.count("loss/3") == 1
-
-    def test_channel_and_log_share_storage(self):
-        tracer = Tracer()
-        channel = tracer.channel("jump/1")
-        channel(1.0, 0.25)
-        tracer.log("jump/1", 2.0, 0.5)
-        assert tracer.raw("jump/1") == [(1.0, 0.25), (2.0, 0.5)]
-
-    def test_merge_still_sorts(self):
-        a, b = Tracer(), Tracer()
-        a.log("k", 2.0, "late")
-        b.log("k", 1.0, "early")
-        a.merge(b)
-        assert [v for _, v in a.raw("k")] == ["early", "late"]
-
-    def test_light_trace_run_keeps_losses_and_durations(self):
-        from repro.graphs import ring_based
-        from repro.harness.spec import ExperimentSpec, run_spec
-        from repro.harness.workloads import svm_workload
-        from repro.protocols.base import LIGHT_TRACE
-
-        spec = ExperimentSpec(
-            name="light",
-            workload=svm_workload("smoke"),
-            topology=ring_based(4),
-            max_iter=4,
-            seed=0,
-            trace_channels=LIGHT_TRACE,
-        )
-        light = run_spec(spec)
-        full = run_spec(spec.with_(trace_channels=None))
-        # Identical results; only diagnostic channels are dropped.
-        assert light.wall_time == full.wall_time
-        assert light.final_params.tobytes() == full.final_params.tobytes()
-        _, light_losses = light.loss_series()
-        _, full_losses = full.loss_series()
-        np.testing.assert_array_equal(light_losses, full_losses)
-        # Durations live in the always-on ledger.
-        assert light.ledger.table().tobytes() == full.ledger.table().tobytes()
-        assert light.worker_stats == full.worker_stats
 
 
 class TestSimCoreMicrobench:

@@ -1,4 +1,4 @@
-"""Tests for tracing and streaming statistics."""
+"""Tests for streaming statistics."""
 
 import math
 import struct
@@ -8,51 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import StatAccumulator, Tracer
-
-
-class TestTracer:
-    def test_log_and_series(self):
-        tracer = Tracer()
-        tracer.log("loss", 0.0, 2.0)
-        tracer.log("loss", 1.0, 1.5)
-        times, values = tracer.series("loss")
-        assert np.array_equal(times, [0.0, 1.0])
-        assert np.array_equal(values, [2.0, 1.5])
-
-    def test_empty_series(self):
-        times, values = Tracer().series("missing")
-        assert times.size == 0 and values.size == 0
-
-    def test_count_and_last(self):
-        tracer = Tracer()
-        assert tracer.count("k") == 0
-        assert tracer.last("k") is None
-        tracer.log("k", 1.0, "a")
-        tracer.log("k", 2.0, "b")
-        assert tracer.count("k") == 2
-        assert tracer.last("k") == (2.0, "b")
-
-    def test_keys_sorted(self):
-        tracer = Tracer()
-        tracer.log("b", 0.0)
-        tracer.log("a", 0.0)
-        assert tracer.keys() == ["a", "b"]
-
-    def test_raw_returns_copy(self):
-        tracer = Tracer()
-        tracer.log("k", 0.0, 1)
-        raw = tracer.raw("k")
-        raw.append((9.9, 99))
-        assert tracer.count("k") == 1
-
-    def test_merge_interleaves_by_time(self):
-        one, two = Tracer(), Tracer()
-        one.log("k", 0.0, "a")
-        one.log("k", 2.0, "c")
-        two.log("k", 1.0, "b")
-        one.merge(two)
-        assert [v for _, v in one.raw("k")] == ["a", "b", "c"]
+from repro.sim import StatAccumulator
 
 
 class TestStatAccumulator:
@@ -154,12 +110,3 @@ def test_add_repeated_is_that_many_adds_bitwise(history, value, times):
     for _ in range(times):
         looped.add(value)
     assert bits(repeated) == bits(looped)
-
-
-def test_extend_appends_samples_to_an_enabled_series_only():
-    tracer = Tracer(channels=("loss",))
-    tracer.log("loss/0", 0.0, 1.0)
-    tracer.extend("loss/0", zip([1.0, 2.0], [0.5, 0.25]))
-    tracer.extend("jump/0", [(0.0, 0)])
-    assert tracer.raw("loss/0") == [(0.0, 1.0), (1.0, 0.5), (2.0, 0.25)]
-    assert tracer.keys() == ["loss/0"]
