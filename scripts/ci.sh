@@ -167,14 +167,15 @@ echo "== call budget: hop/64 and ps-async/128 function calls per worker-iteratio
 # count for the same two runs (`ProfileReport.calls`, after one warm-up
 # run, less the profiler's own GC callback).  It is exact for one tree
 # and one interpreter, so the ceilings are the counts the runs make now,
-# in this order, in a fresh process: 316,087 calls (123.5 per
-# worker-iteration) and 146,272 (114.3).  Before the per-message
+# in this order, in a fresh process: 280,448 calls (109.6 per
+# worker-iteration) and 132,643 (103.6).  Before the per-message
 # bookkeeping and the per-row replay draws went, they were about 370,000
 # and 192,000; before the one dependency record and the PS worker's
 # three-frame process, 325,087 and 156,770; before the ledger took the
-# losses over from the string-keyed tracer, 319,241 and 148,088.  A
-# first profile in a process pays a few calls of abc cache warm-up,
-# which the order here fixes.
+# losses over from the string-keyed tracer, 319,241 and 148,088; before
+# the gap was read off the ledger and the hop and PS loops lost their
+# dead calls, 316,087 and 146,272.  A first profile in a process pays a
+# few calls of abc cache warm-up, which the order here fixes.
 python - <<'PY'
 from repro.graphs import ring_based
 from repro.harness.profiling import profile_spec
@@ -182,8 +183,8 @@ from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import by_name
 
 for protocol, n, iterations, ceiling in (
-    ("hop", 64, 40, 316_087),
-    ("ps-async", 128, 10, 146_272),
+    ("hop", 64, 40, 280_448),
+    ("ps-async", 128, 10, 132_643),
 ):
     spec = ExperimentSpec(
         name=f"call-budget/{protocol}/{n}",
@@ -360,9 +361,9 @@ print(
 PY
 
 echo "== scale smoke: hop/4096 resident memory, no n x n array =="
-# Cluster state is O(n + m): per-edge topology weights, a running
-# minimum and a transition log in the gap tracker, and what each worker
-# holds.  hop / svm / 4096 workers / 2 iterations peaks at ~79 MB in a
+# Cluster state is O(n + m): per-edge topology weights, one transition
+# stamp per ledger row (the gap is derived from them after the run), and
+# what each worker holds.  hop / svm / 4096 workers / 2 iterations peaks at ~79 MB in a
 # fresh interpreter on a 2-core x86-64 container (~82 MB while each
 # worker's record plane kept its own columns; ~106 MB while every
 # worker held its own container per queue slot, waiter list and data

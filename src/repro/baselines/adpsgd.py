@@ -236,7 +236,7 @@ class ADPSGDCluster(ProtocolCluster):
         start = env.now
         if mode == "quasi-global":
             x_round_start = params[wid].copy()
-        runtime.gap.record(wid, k)
+        order = next(runtime.ledger.order)
         model.set_params(params[wid])
         ticket = runtime.compute.submit(model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
@@ -285,7 +285,8 @@ class ADPSGDCluster(ProtocolCluster):
                     (x_round_start - params[wid]) / lr
                 )
         runtime.ledger.record(
-            wid, k, start, env.now, loss, (start, computed), recv, gate
+            wid, k, start, env.now, loss, (start, computed), recv, gate,
+            order=order,
         )
 
     def _worker(

@@ -155,10 +155,13 @@ class RingAllReduceCluster(ProtocolCluster):
         def driver(env):
             params = self._params
             members = list(range(n))
+            stamp = runtime.ledger.order
             for k in range(self.max_iter):
                 start = env.now
                 if membership is None:
-                    runtime.gap.record_many(k, members)
+                    # Lockstep: every member enters the round at one
+                    # stamp, so all move before any gap is observed.
+                    orders = [next(stamp)] * n
                 else:
                     # Round boundary: excise departed members, splice
                     # in joiners, both recorded against round k.  The
@@ -176,12 +179,11 @@ class RingAllReduceCluster(ProtocolCluster):
                         ) and plan.active_at(wid, k):
                             membership.enact_join(wid, env.now, start=k)
                     members = sorted(membership.view.active)
-                    # Known defect: one member at a time registers a
+                    # Known defect: one stamp per member registers a
                     # transient gap of 1 that a lockstep ring never has
-                    # (record_many would not).  Pinned by the churn
+                    # (one shared stamp would not).  Pinned by the churn
                     # golden cells until they are re-recorded.
-                    for wid in members:
-                        runtime.gap.record(wid, k)
+                    orders = [next(stamp) for _ in members]
                 steps, chunk = chunk_schedule(members, wire_size)
                 comm_time = steps * self.link.transfer_time(chunk)
                 tickets = []
@@ -213,11 +215,14 @@ class RingAllReduceCluster(ProtocolCluster):
                 params[0] = params[0] + optimizer.step(params[0], mean_grad, k)
                 # Each member computes, waits for the slowest, reduces.
                 ring_start = start + slowest
-                for wid, duration, loss in zip(members, durations, losses):
+                for wid, duration, loss, order in zip(
+                    members, durations, losses, orders
+                ):
                     computed = start + duration
                     runtime.ledger.record(
                         wid, k, start, env.now, loss, (start, computed),
                         (ring_start, env.now), (computed, ring_start),
+                        order=order,
                     )
             runtime.done[:] = True
 

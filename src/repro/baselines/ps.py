@@ -150,8 +150,6 @@ class _ServerState:
         self.worker_iterations = np.zeros(n_workers, dtype=int)
         self._version_events: Dict[int, Event] = {}
         self._min_advanced: List[Event] = []
-        self.gradients_applied = 0
-        self.gradients_dropped = 0
         #: BSP gradients awaiting quorum, as ``(wid, grad)`` (``grad``
         #: is a gid when recording; shared with the server loop so
         #: membership changes can scrub it).
@@ -277,22 +275,45 @@ class _ServerEmitter:
         #: The iteration each fold steps at: its own version for BSP,
         #: its one gradient's pulled version for async and ssp.
         steps = np.arange(offsets.size - 1) if mean else self.versions[inputs]
-        self.steps = steps.tolist()
+        steps = steps.tolist()
+        rate_of = {k: -optimizer.schedule(k) for k in sorted(set(steps))}
+        #: Each fold's step factor, ``-lr(k)`` at its iteration.
+        self.rates = [rate_of[k] for k in steps]
         self.params = params
         self.held: Dict[int, np.ndarray] = {0: params}
         self.grads_of: Dict[int, np.ndarray] = {}
         self.losses = np.empty((len(batchers), self.max_iter))
 
     def combine(self, folds: np.ndarray) -> None:
-        """The level's folds, in the order the server applied them."""
-        bounds, fold_gids, steps = self.bounds, self.fold_gids, self.steps
+        """The level's folds, in the order the server applied them: each
+        is ``params + optimizer.step(params, grad, k)``, ``step``'s ops
+        spelled out in its buffers, the delta written into one."""
+        bounds, fold_gids, rates = self.bounds, self.fold_gids, self.rates
         grads_of, held, params = self.grads_of, self.held, self.params
-        step, mean = self.optimizer.step, self.mean
+        optimizer, mean, multiply = self.optimizer, self.mean, np.multiply
+        decay, momentum = optimizer.weight_decay, optimizer.momentum
+        scratch, velocity = optimizer.buffers(params.shape)
+        delta = np.empty(params.shape)
         for fold in folds.tolist():
-            ids = fold_gids[bounds[fold] : bounds[fold + 1]]
-            quorum = [grads_of.pop(i) for i in ids]
-            grad = np.mean(quorum, axis=0) if mean else quorum[0]
-            params = held[fold + 1] = params + step(params, grad, steps[fold])
+            lo, hi = bounds[fold], bounds[fold + 1]
+            if mean:
+                grad = np.mean(
+                    [grads_of.pop(i) for i in fold_gids[lo:hi]], axis=0
+                )
+            else:
+                grad = grads_of.pop(fold_gids[lo])
+            if scratch is not None:
+                multiply(params, decay, out=scratch, dtype=np.float64)
+                scratch += grad
+                effective = scratch
+            else:
+                effective = np.asarray(grad, dtype=np.float64)
+            if velocity is not None:
+                velocity *= momentum
+                velocity += effective
+                effective = velocity
+            multiply(effective, rates[fold], out=delta)
+            params = held[fold + 1] = params + delta
         self.params = params
 
     def evaluate(self, gids: np.ndarray) -> None:
@@ -421,8 +442,9 @@ class ParameterServerCluster(ProtocolCluster):
         env = runtime.env
         start = env.now
         gate = SKIPPED
-        server.record_worker_iteration(wid, k)
-        runtime.gap.record(wid, k)
+        if self.mode == "ssp":  # only SSP's bound reads the minimum
+            server.record_worker_iteration(wid, k)
+        order = next(runtime.ledger.order)
 
         # SSP: block while we are too far ahead of the slowest worker.
         if self.mode == "ssp":
@@ -447,8 +469,8 @@ class ParameterServerCluster(ProtocolCluster):
 
         # Compression shrinks the *push* only: the pull stays a dense
         # parameter download (the PS cannot error-feed per worker).
-        compressor = self._stream_compressor(runtime, wid, stream="grad")
-        if compressor is not None:
+        if self.compression is not None:
+            compressor = self._stream_compressor(runtime, wid, stream="grad")
             _, grad = compressor.compress(grad)
 
         # Push the gradient through the PS NIC (upload).
@@ -474,7 +496,7 @@ class ParameterServerCluster(ProtocolCluster):
 
         runtime.ledger.record(
             wid, k, start, env.now, loss, (pulled, computed), (pull, pulled),
-            gate, (computed, pushed),
+            gate, (computed, pushed), SKIPPED, order,
         )
 
     def _push_sharded(
@@ -568,13 +590,9 @@ class ParameterServerCluster(ProtocolCluster):
             # must neither be folded into the model nor counted toward
             # any quorum (HetPipe releases a whimpy member's wave).
             inbox = self._grads_inbox
-            before = len(inbox)
             inbox[:] = [entry for entry in inbox if entry[0] != worker]
             pending = server.pending
-            before += len(pending)
             pending[:] = [entry for entry in pending if entry[0] != worker]
-            released = before - len(inbox) - len(pending)
-            server.gradients_dropped += released
         else:
             # The joiner resumes at its start iteration; record it
             # before its first report so the SSP minimum never dips to
@@ -617,7 +635,6 @@ class ParameterServerCluster(ProtocolCluster):
                 server.params = plane.fold_mean(
                     server.params, [g for _, g in pending], server.version
                 )
-                server.gradients_applied += len(pending)
                 pending[:] = []
                 server.advance_version()
 
@@ -638,14 +655,12 @@ class ParameterServerCluster(ProtocolCluster):
             wid, version, grad = grads_inbox.pop(0)
             if self.mode == "bsp":
                 if version != server.version:
-                    server.gradients_dropped += 1
-                    continue
+                    continue  # stale: dropped
                 pending.append((wid, grad))
                 try_fold()
             else:
                 # async / ssp: apply immediately.
                 server.params = plane.fold(server.params, grad, version)
-                server.gradients_applied += 1
                 server.advance_version()
 
     # ------------------------------------------------------------------
@@ -657,7 +672,6 @@ class ParameterServerCluster(ProtocolCluster):
     def _start(self, runtime: ProtocolRuntime) -> None:
         env = runtime.env
         nic = SharedNic(env, bandwidth=PS_BANDWIDTH, latency=PS_LATENCY)
-        self._nic = nic
         server = _ServerState(env, runtime.model.get_params(), self.n_workers)
         self._server_state = server
         grads_inbox: list = []

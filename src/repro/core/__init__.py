@@ -37,7 +37,7 @@ from repro.core.config import (
     staleness_config,
 )
 from repro.core.gap import (
-    GapTracker,
+    ObservedGaps,
     backup_bound,
     gap_bound_matrix,
     notify_ack_bound,
@@ -72,11 +72,11 @@ from repro.core.worker import ClusterState, HopWorker
 __all__ = [
     "BackupRecv",
     "ClusterState",
-    "GapTracker",
     "HopCluster",
     "HopConfig",
     "HopWorker",
     "JumpDecision",
+    "ObservedGaps",
     "RecvStrategy",
     "RotatingUpdateQueue",
     "STANDARD",

@@ -295,7 +295,7 @@ class HopCluster(ProtocolCluster):
                 config=self.config if hop else STANDARD,
                 update_queues=update_queues,
                 token_queues=token_queues,
-                gap=runtime.gap,
+                ledger=runtime.ledger,
             )
             self._membership = membership
             self._network.membership = membership
@@ -327,7 +327,6 @@ class HopCluster(ProtocolCluster):
                 update_queues=update_queues,
                 token_queues=token_queues,
                 state=self._state,
-                gap_tracker=runtime.gap,
                 ledger=runtime.ledger,
                 max_iter=self.max_iter,
                 update_size=runtime.update_size,
@@ -410,6 +409,13 @@ class HopCluster(ProtocolCluster):
                 )
 
     def _after_simulation(self, runtime: ProtocolRuntime) -> None:
+        # A permanent crash strands its dependents inside an iteration.
+        state = self._state
+        for w in self._workers:
+            if not (state.done[w.wid] or w.crashed or w.down):
+                runtime.ledger.enter(
+                    w.wid, state.iterations[w.wid], state.stamps[w.wid]
+                )
         if self.record is None:
             return
         # The queues are garbage once the record is written; free them
@@ -462,6 +468,7 @@ class HopCluster(ProtocolCluster):
         return self._network.messages_dropped
 
     def _iterations_completed(self, runtime: ProtocolRuntime) -> List[int]:
+        # A worker blocked on its tokens has done an iteration no row ends.
         return [w.iterations_completed for w in self._workers]
 
     def _iterations_skipped(self, runtime: ProtocolRuntime) -> List[int]:

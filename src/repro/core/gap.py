@@ -16,15 +16,14 @@ workers' iteration counters can drift:
   ``Iter(i) - Iter(j) <= (s+1) * length(Path_{j->i})``.
 * **Backup workers** (Section 3.4): unbounded without token queues.
 
-:class:`GapTracker` measures actual gaps during a run so tests and
-benchmarks can verify the theory (Table 1 reproduction).
+:class:`ObservedGaps` reads the gaps a run realized off its ledger, so
+tests and benchmarks can verify the theory (Table 1 reproduction).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -154,161 +153,90 @@ def token_queue_capacity_bound(
     return max_ig * (topology.path_length(i, j) + 1.0)
 
 
-class GapTracker:
-    """Measures realized iteration gaps during a run.
+class ObservedGaps:
+    """A run's realized iteration gaps, read off its ledger.
 
-    Workers report every iteration transition.  The largest ordered-pair
-    gap at a transition into ``k`` is ``k - min Iter``, so a running
-    minimum over the current ``Iter`` values answers
-    :meth:`max_observed` exactly in O(1) per transition and O(n) memory.
-    The per-pair maxima (:meth:`observed_gap`, :meth:`violations`) are
-    not maintained on the hot path: transitions go to a compact log that
-    :meth:`_fold` replays into an n x n matrix the first time a pair is
-    asked for, or when the pending log outgrows ``n * n`` entries.
+    Worker ``w``'s counter ``Iter(w)`` starts at 0 and moves at each
+    transition (:meth:`Ledger.transitions
+    <repro.sim.trace.Ledger.transitions>`): ``w`` entering an iteration,
+    or a membership move (a leave parks the counter at
+    :data:`~repro.sim.trace.DEPARTED`, so it never holds the minimum and
+    its pairs freeze).  Transitions apply in stamp order, and those that
+    share a stamp (a lockstep round) together.  An entry into ``k``
+    observes ``k - Iter(j)`` for every ``j``.  :meth:`max_observed` is
+    derived at construction, the pair maxima when first asked.
     """
 
-    #: Sentinel ``Iter`` for non-member workers: so large that
-    #: ``iteration - sentinel`` is always deeply negative, freezing
-    #: every (live, departed) pair at its last both-live value without
-    #: any hot-path masking, and never the running minimum while a live
-    #: worker remains.  Far below the int64 edge so the fold's
-    #: subtraction can never overflow.
-    INACTIVE_SENTINEL = np.iinfo(np.int64).max // 4
-
-    def __init__(self, n_workers: int) -> None:
+    def __init__(self, n_workers, stamps, workers, iterations, entered):
         self.n = n_workers
-        self.iterations: List[int] = [0] * n_workers
-        self.transitions = 0
-        # How many workers hold each Iter value, and the smallest key.
-        self._count: Dict[int, int] = {0: n_workers}
-        self._min = 0
-        self._max_observed = 0
-        # Pending transitions: a worker id reports a transition, its
-        # complement ``~worker`` only moves ``Iter`` (activate,
-        # deactivate, the first half of record_many).
-        self._log_worker = array("i")
-        self._log_iteration = array("q")
-        # Allocated by the first fold: pair maxima, and Iter as of it.
+        order = np.argsort(stamps, kind="stable")
+        stamps = np.asarray(stamps, dtype=np.int64)[order]
+        self._workers = np.asarray(workers, dtype=np.intp)[order]
+        self._iterations = np.asarray(iterations, dtype=np.int64)[order]
+        self._entered = np.asarray(entered, dtype=bool)[order]
+        #: Each transition's group, a run of one stamp.
+        self._group = np.zeros(stamps.size, dtype=np.intp)
+        np.cumsum(stamps[1:] != stamps[:-1], out=self._group[1:])
         self._pairs: Optional[np.ndarray] = None
-        self._folded_iterations: Optional[np.ndarray] = None
+        self._max = self._sweep()
 
-    def _move(self, worker: int, iteration: int) -> None:
-        """Set ``Iter(worker)``, keeping the counts and the minimum."""
-        old = self.iterations[worker]
-        if old == iteration:
-            return
-        self.iterations[worker] = iteration
-        count = self._count
-        count[iteration] = count.get(iteration, 0) + 1
-        left = count[old] - 1
-        if left:
-            count[old] = left
-        else:
-            del count[old]
-        if iteration < self._min:
-            self._min = iteration
-        elif not left and old == self._min:
-            self._min = min(count)
-
-    def _observe(self, iteration: int) -> None:
-        gap = iteration - self._min
-        if gap > self._max_observed:
-            self._max_observed = gap
-
-    def _append(self, code: int, iteration: int) -> None:
-        self._log_worker.append(code)
-        self._log_iteration.append(iteration)
-        if len(self._log_worker) > self.n * self.n:
-            self._fold()
-
-    def deactivate(self, worker: int) -> None:
-        """Membership leave: freeze every pair involving ``worker``.
-
-        The departed worker stops reporting (its row stays at its
-        historical maximum) and the sentinel makes live workers'
-        ``Iter(i) - Iter(worker)`` deeply negative, so observed gaps
-        only ever cover intervals where both workers were members.
-        """
-        self.activate(worker, self.INACTIVE_SENTINEL)
-
-    def activate(self, worker: int, iteration: int = 0) -> None:
-        """Membership join: resume gap tracking from ``iteration``."""
-        self._move(worker, iteration)
-        self._append(~worker, iteration)
-
-    def record(self, worker: int, iteration: int) -> None:
-        """Report that ``worker`` just entered ``iteration``."""
-        # _move, _observe and _append, inline: this runs once per
-        # worker-iteration.
-        self.transitions += 1
-        iterations = self.iterations
-        old = iterations[worker]
-        if old != iteration:
-            iterations[worker] = iteration
-            count = self._count
-            count[iteration] = count.get(iteration, 0) + 1
-            left = count[old] - 1
-            if left:
-                count[old] = left
-            else:
-                del count[old]
-            if iteration < self._min:
-                self._min = iteration
-            elif not left and old == self._min:
-                self._min = min(count)
-        gap = iteration - self._min
-        if gap > self._max_observed:
-            self._max_observed = gap
-        log_worker = self._log_worker
-        log_worker.append(worker)
-        self._log_iteration.append(iteration)
-        if len(log_worker) > self.n * self.n:
-            self._fold()
-
-    def record_many(self, iteration: int, workers=None) -> None:
-        """Atomically report that several workers entered ``iteration``.
-
-        Used by lockstep protocols (ring all-reduce, BSP) where all
-        workers advance at the same instant; sequential ``record``
-        calls would register a spurious transient gap of 1.
-        """
-        workers = range(self.n) if workers is None else list(workers)
-        if not workers:
-            return
-        self.transitions += len(workers)
-        for worker in workers:
-            self._move(worker, iteration)
-            self._append(~worker, iteration)
-        self._observe(iteration)
-        for worker in workers:
-            self._append(worker, iteration)
+    def _sweep(self) -> float:
+        """The largest ``k - min Iter`` after an entry's group.  While
+        every counter only rises (no membership move), the minimum after
+        group ``g`` is the highest level every worker has reached by
+        ``g``: a table of the group at which the last worker reaches
+        each level, searched once per entry."""
+        workers, iterations = self._workers, self._iterations
+        if not iterations.size:
+            return 0.0
+        by_worker = np.argsort(workers, kind="stable")
+        ks = iterations[by_worker]
+        before = np.zeros_like(ks)
+        before[1:] = ks[:-1]
+        before[np.flatnonzero(np.diff(workers[by_worker])) + 1] = 0
+        rises = ks - before
+        if not self._entered.all() or (rises < 0).any():
+            return float(self._fold().max())
+        # Each worker reaches every level in (before, k] at its entry.
+        starts = np.repeat(np.cumsum(rises) - rises - before - 1, rises)
+        levels = np.arange(starts.size) - starts
+        last = np.full(int(ks.max()) + 1, -1, dtype=np.intp)
+        np.maximum.at(last, levels, np.repeat(self._group[by_worker], rises))
+        # A level some worker never reaches is never the minimum.
+        last[np.bincount(levels, minlength=last.size) < self.n] = ks.size
+        floor = np.searchsorted(last[1:], self._group, side="right")
+        return float(max(0, int((iterations - floor).max())))
 
     def _fold(self) -> np.ndarray:
-        """Replay the pending log into the pair matrix and return it."""
-        if self._pairs is None:
-            self._pairs = np.zeros((self.n, self.n))
-            self._folded_iterations = np.zeros(self.n, dtype=np.int64)
-        pairs, iterations = self._pairs, self._folded_iterations
+        """The pair maxima: ``[i, j]`` is the largest ``k - Iter(j)``
+        seen as ``i`` entered ``k``."""
+        if self._pairs is not None:
+            return self._pairs
+        pairs = np.zeros((self.n, self.n))
+        current = np.zeros(self.n, dtype=np.int64)
         row = np.empty(self.n, dtype=np.int64)
-        for code, iteration in zip(self._log_worker, self._log_iteration):
-            if code < 0:
-                iterations[~code] = iteration
-                continue
-            iterations[code] = iteration
-            # Only row `code` can grow: the (j, code) gaps shrink when
-            # `code` advances.
-            np.subtract(iteration, iterations, out=row)
-            np.maximum(pairs[code], row, out=pairs[code])
-        del self._log_worker[:], self._log_iteration[:]
+        columns = (self._workers, self._iterations, self._entered)
+        bounds = np.flatnonzero(np.diff(self._group, prepend=-1, append=-2))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            workers, iterations, entered = (c[lo:hi] for c in columns)
+            current[workers] = iterations
+            for worker, iteration in zip(
+                workers[entered].tolist(), iterations[entered].tolist()
+            ):
+                # Only row ``worker`` can grow: the (j, worker) gaps
+                # shrink when ``worker`` advances.
+                np.subtract(iteration, current, out=row)
+                np.maximum(pairs[worker], row, out=pairs[worker])
+        self._pairs = pairs
         return pairs
 
     def observed_gap(self, i: int, j: int) -> float:
-        """Max observed ``Iter(i) - Iter(j)`` so far."""
+        """Max observed ``Iter(i) - Iter(j)``."""
         return float(self._fold()[i, j])
 
     def max_observed(self) -> float:
         """Largest gap observed between any ordered pair."""
-        return float(self._max_observed)
+        return self._max
 
     def violations(self, bounds: np.ndarray) -> Dict[Tuple[int, int], float]:
         """Pairs whose observed gap exceeded the theoretical bound."""
@@ -322,6 +250,6 @@ class GapTracker:
 
     def __repr__(self) -> str:
         return (
-            f"<GapTracker n={self.n} transitions={self.transitions} "
+            f"<ObservedGaps n={self.n} transitions={self._workers.size} "
             f"max_gap={self.max_observed():g}>"
         )

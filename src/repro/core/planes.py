@@ -69,12 +69,6 @@ class EagerPlane:
         """The worker's parameters at iteration 0."""
         return self.worker.model.get_params()
 
-    @staticmethod
-    def payload(params: np.ndarray) -> np.ndarray:
-        """What a Send carries: an owned copy (``params`` may alias the
-        reduce scratch)."""
-        return params.copy()
-
     def compute(self, x: np.ndarray):
         """Before the compute timeout: fix the gradient's inputs."""
         worker = self.worker
@@ -171,6 +165,9 @@ class Record:
         initial parameters are level 0).  A combine sits one above the
         highest evaluation it reads, and never below the combine before
         it when ``chained``.
+
+        A chain's levels never fall: a combine sits one above the latest
+        combine read by any up to it, one ``searchsorted`` per level.
         """
         offsets, inputs = self.columns()
         max_iter = self.max_iter
@@ -180,36 +177,41 @@ class Record:
                 np.arange(len(self.reads)) % max_iter,
             )
         reads = np.frombuffer(self.reads, dtype=np.intc)
-        # The combine each input's evaluation reads; ``at[-1]`` is the
-        # initial parameters' level.
+        count = offsets.size - 1
+        # ``at[-1]`` is the initial parameters' level.
+        at = np.zeros(offsets.size, dtype=np.int64)
+        if self.chained:
+            # The latest combine read by any of combines 0..c (every
+            # fold applies at least one gradient).
+            latest = np.maximum.accumulate(
+                np.maximum.reduceat(reads[inputs], offsets[:-1])
+            )
+            ends = [0]
+            while ends[-1] < count:
+                end = int(np.searchsorted(latest, ends[-1]))
+                if end == ends[-1]:
+                    raise ValueError("a combine reads a later combine")
+                ends.append(end)
+            at[:count] = np.repeat(np.arange(1, len(ends)), np.diff(ends))
+            return at[:-1], at[reads]
         sources = reads[inputs].tolist()
-        at = [0] * offsets.size
-        chained, floor = self.chained, 0
+        levels = [0] * offsets.size
         bounds = offsets.tolist()
         for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             level = 0
             for source in sources[lo:hi]:
-                if at[source] > level:
-                    level = at[source]
-            level += 1
-            if level < floor:
-                level = floor
-            at[c] = level
-            if chained:
-                floor = level
-        at = np.array(at)
+                if levels[source] > level:
+                    level = levels[source]
+            levels[c] = level + 1
+        at[:] = levels
         return at[:-1], at[reads]
-
-
-def _nothing(*args) -> None:
-    """Every arithmetic call a recording loop makes and never reads."""
-    return None
 
 
 class RecordPlane:
     """Control only: the plane of every loop that writes a
-    :class:`Record`.  Each arithmetic call returns ``None`` or passes
-    its input along, and what the loop hands on is never read.
+    :class:`Record`.  It has only the calls that record: a hop loop
+    makes none of the rest of the math (its parameters are ``None``
+    while it simulates), and what a call returns is never read.
 
     A hop worker (its own plane, ``wid``) appends one combine per
     reduce: its own evaluation, then the updates that entered the
@@ -230,9 +232,6 @@ class RecordPlane:
         #: This worker's iteration-0 gid.
         self.base = wid * record.max_iter
 
-    initial = payload = compute = step = apply = applied = staticmethod(
-        _nothing
-    )
     #: Every ledger row's loss while the simulation runs: the replay
     #: fills the column (:meth:`~repro.sim.trace.Ledger.fill_losses`).
     loss = math.nan

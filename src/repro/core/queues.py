@@ -461,9 +461,10 @@ class TokenQueue:
         """Owner inserts ``count`` tokens (top of each iteration / jump)."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        self._tokens += count
+        tokens = self._tokens = self._tokens + count
         self.total_inserted += count
-        self.peak = max(self.peak, self._tokens)
+        if tokens > self.peak:
+            self.peak = tokens
         if self._waiters:
             self._dispatch()
 
@@ -586,18 +587,15 @@ class TokenGate(Event):
                 missing += 1
         self._missing = missing
         if not missing:
-            self._last_grant()
-
-    def _last_grant(self) -> None:
-        # A zero timeout stands where the last grant's own event stood;
-        # the gate fires when it is processed, not before.
-        self.env.timeout(0).callbacks.append(self._fire)
+            # A zero timeout stands where the last grant's own event
+            # stood; the gate fires when it is processed, not before.
+            self.env.timeout(0).callbacks.append(self._fire)
 
     def _granted(self) -> None:
         """A queue this gate was waiting in has handed over its tokens."""
         self._missing -= 1
         if not self._missing:
-            self._last_grant()
+            self.env.timeout(0).callbacks.append(self._fire)
 
     def _fire(self, _last_grant: Event) -> None:
         self.succeed()

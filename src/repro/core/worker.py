@@ -37,7 +37,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.config import HopConfig
-from repro.core.gap import GapTracker
 from repro.core.planes import EagerPlane, Record, RecordPlane
 from repro.core.queues import TokenGate, TokenQueue
 from repro.core.recv import RecvStrategy, StandardRecv, make_recv_strategy
@@ -61,6 +60,8 @@ class ClusterState:
 
     def __init__(self, n_workers: int) -> None:
         self.iterations = [0] * n_workers
+        #: Each worker's latest entry stamp (an unfinished iteration's).
+        self.stamps = [-1] * n_workers
         self.done = np.zeros(n_workers, dtype=bool)
 
     def all_done(self) -> bool:
@@ -96,7 +97,7 @@ class HopWorker:
     __slots__ = (
         "wid", "env", "topology", "cfg", "model", "optimizer", "batcher",
         "compute", "compute_model", "network", "update_queues",
-        "token_queues", "state", "gap_tracker", "ledger",
+        "token_queues", "state", "ledger",
         "max_iter", "update_size", "wire_size", "compressor", "token_rtt",
         "skip_policy", "notify_ack", "crash_event", "crashed", "down",
         "_crash_pending", "n_restarts", "peers", "membership",
@@ -124,7 +125,6 @@ class HopWorker:
         update_queues: Dict[int, object],
         token_queues: Dict[Tuple[int, int], TokenQueue],
         state: ClusterState,
-        gap_tracker: GapTracker,
         ledger: Ledger,
         max_iter: int,
         update_size: float,
@@ -148,7 +148,6 @@ class HopWorker:
         self.update_queues = update_queues
         self.token_queues = token_queues
         self.state = state
-        self.gap_tracker = gap_tracker
         self.ledger = ledger
         self.max_iter = max_iter
         self.update_size = update_size
@@ -318,16 +317,19 @@ class HopWorker:
     # ------------------------------------------------------------------
     # Protocol steps
     # ------------------------------------------------------------------
-    def _send(self, params: np.ndarray, iteration: int) -> None:
-        """Figure 4's Send: enqueue to every out-neighbor (self locally)."""
+    def _send(self, params: Optional[np.ndarray], iteration: int) -> None:
+        """Figure 4's Send: enqueue to every out-neighbor (self locally);
+        a recording worker's ``params`` are ``None``."""
         wid = self.wid
         # One immutable Update shared by every destination queue:
         # receivers only read (params, iteration, sender) and queues
         # track entries by identity, so the fan-out needs a single
-        # payload copy and a single tag object per Send.
+        # payload copy and a single tag object per Send (``params`` may
+        # alias the reduce scratch).
         if self.compressor is None:
-            update = Update(self.plane.payload(params), iteration, wid)
-            self_update = update
+            update = self_update = Update(
+                None if params is None else params.copy(), iteration, wid
+            )
         else:
             # Compressed path: neighbors receive the error-feedback
             # reconstruction (the reference both ends advance in
@@ -342,11 +344,8 @@ class HopWorker:
         # events (this worker cannot be blocked on its own queue while
         # it is the one executing Send), so remote sends keep their
         # exact relative event ordering.
-        self.update_queue.enqueue(self_update)
-        self._fan_out(update, iteration)
-
-    def _fan_out(self, update: Update, iteration: int) -> None:
-        """Hand ``update`` to the network for every remote out-neighbor."""
+        self.update_queues[wid].enqueue(self_update)
+        # Then the network, for every remote out-neighbor.
         dsts = self._remote_out
         delivers = self._remote_enqueues
         activation = self._out_activation  # empty in static runs
@@ -368,9 +367,7 @@ class HopWorker:
                 live.append(index)
             dsts = [dsts[index] for index in live]
             delivers = [delivers[index] for index in live]
-        self.network.fan_out(
-            self.wid, dsts, self.wire_size, update, delivers
-        )
+        self.network.fan_out(wid, dsts, self.wire_size, update, delivers)
 
     def _gate_queues(self) -> Tuple[List[TokenQueue], List[TokenQueue]]:
         """The token queues this worker fills for its in-neighbors and
@@ -389,7 +386,7 @@ class HopWorker:
         )
 
     def _plan_jump(self, iteration: int) -> Optional[JumpDecision]:
-        if self.skip_policy is None or not self._token_providers:
+        if not self._token_providers:
             return None
         sizes = [
             self.token_queues[(j, self.wid)].size()
@@ -409,7 +406,7 @@ class HopWorker:
         # (we never sent anything for the skipped iterations).
         refresh_iteration = jump.target - 1
         self.update_queue.enqueue(
-            Update(self.plane.payload(params), refresh_iteration, self.wid)
+            Update(params.copy(), refresh_iteration, self.wid)
         )
         refreshed = yield from self.recv.recv_reduce(self, refresh_iteration)
 
@@ -575,12 +572,6 @@ class HopWorker:
         self.iterations_skipped += started  # pre-join iterations
         return x, started
 
-    def _finish(self, x: np.ndarray) -> int:
-        """Record the final parameters and mark this worker done."""
-        self.final_params = x
-        self.state.done[self.wid] = True
-        return self.iterations_completed
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -615,12 +606,17 @@ class HopWorker:
         use_tokens = self.cfg.use_token_queues
         consumer_queues, provider_queues = self._gate_queues()
         iterations = self.state.iterations
-        gap_record = self.gap_tracker.record
+        stamps = self.state.stamps
+        stamp = self.ledger.order
+        skips = self.skip_policy is not None
         duration_of = self.compute_model.duration
         # The math, through the plane: a gradient's inputs are fixed
-        # before the compute timeout and its value is used after it.
+        # before the compute timeout and its value is used after it.  A
+        # recording plane is called only to record its reduces.
         plane = self.plane
-        compute, step, apply = plane.compute, plane.step, plane.apply
+        eager = type(plane) is EagerPlane
+        if eager:
+            compute, step, apply = plane.compute, plane.step, plane.apply
         reduce_mean = plane.mean
         recv_reduce = self.recv.recv_reduce
         # Standard mode inlines its one-dequeue receive below, skipping
@@ -632,13 +628,13 @@ class HopWorker:
         in_degree = self.in_degree
         record = self.ledger.record
 
-        x = plane.initial()
+        x = plane.initial() if eager else None
         k = 0
         local_epoch = membership.epoch if elastic else 0
         if elastic and not membership.is_active(wid):
             joined = yield from self._late_join(x, churn_event)
             if joined is None:
-                return 0
+                return
             x, k = joined
             churn_event = None  # a late joiner has no leave scripted
         while k < max_iter:
@@ -658,7 +654,7 @@ class HopWorker:
                     resumed = yield from self._churn_leave(x, k, churn_event)
                     churn_event = None
                     if resumed is None:
-                        return self.iterations_completed
+                        return
                     x, k = resumed
                     continue  # rebind against the rejoin epoch
                 membership.on_iteration(wid, k, env.now)
@@ -666,10 +662,10 @@ class HopWorker:
                 self._crash_pending = False
                 x = yield from self._crash(x, k)
                 if x is None:
-                    return self.iterations_completed
+                    return
             start = env.now
             iterations[wid] = k
-            gap_record(wid, k)
+            order = stamps[wid] = next(stamp)
 
             # Insert tokens for in-coming neighbors (Figure 7 line 10).
             if use_tokens:
@@ -677,24 +673,22 @@ class HopWorker:
                     queue.put(1)
 
             gate = jumped = SKIPPED
+            # Figure 2(b): Send, then Compute overlapping Recv; Figure
+            # 2(a): Compute, Apply, then Send / Recv / Reduce.
             if parallel:
-                # Figure 2(b): Send, then Compute overlapping Recv.
                 send(x, k)
+            if eager:
                 ticket = compute(x)
-                yield timeout(duration_of(wid, k))
-                computed = env.now
+            yield timeout(duration_of(wid, k))
+            computed = env.now
+            if eager:
                 delta = step(ticket, x, k)
-            else:
-                # Figure 2(a): Compute, Apply, then Send / Recv / Reduce.
-                ticket = compute(x)
-                yield timeout(duration_of(wid, k))
-                computed = env.now
-                delta = step(ticket, x, k)
+            if not parallel:
                 if notify_ack:
                     acks = env.now
                     yield from self._await_acks(k)
                     gate = (acks, env.now)
-                send(plane.applied(x, delta), k)
+                send(plane.applied(x, delta) if eager else None, k)
             recv_start = env.now
             if standard:
                 updates = yield dequeue(in_degree, iteration=k)
@@ -704,7 +698,7 @@ class HopWorker:
             recv_end = env.now
             if notify_ack:
                 self._send_acks(k)
-            x = apply(reduced, delta) if parallel else reduced
+            x = apply(reduced, delta) if parallel and eager else reduced
 
             self.iterations_completed = k + 1
             # ``x`` aliases the scratch; peers re-syncing after a
@@ -715,7 +709,7 @@ class HopWorker:
             next_k = k + 1
             if use_tokens and next_k < max_iter:
                 advance = 1
-                jump = self._plan_jump(k)
+                jump = self._plan_jump(k) if skips else None
                 if jump is not None:
                     jump_start = env.now
                     x = yield from self._execute_jump(x, k, jump)
@@ -733,11 +727,12 @@ class HopWorker:
 
             record(
                 wid, k, start, env.now, plane.loss, (start, computed),
-                (recv_start, recv_end), gate, SKIPPED, jumped,
+                (recv_start, recv_end), gate, SKIPPED, jumped, order,
             )
             k = next_k
 
-        return self._finish(x)
+        self.final_params = x
+        self.state.done[wid] = True
 
     def __repr__(self) -> str:
         return (

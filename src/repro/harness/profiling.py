@@ -328,11 +328,17 @@ def model_step_budget(
 def traced_peak_bytes(call) -> int:
     """Peak bytes traced while ``call()`` runs, above what was traced
     when it began; starts and stops ``tracemalloc`` unless it is already
-    tracing."""
+    tracing.  A ``sys.settrace`` hook (a coverage collector) is off
+    meanwhile: what it records is not the call's."""
+    trace = sys.gettrace()
+    sys.settrace(None)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
+        # A reading's int is allocated after the reading: the second
+        # reading counts the first one's, which its own replaces.
+        before = tracemalloc.get_traced_memory()[0]
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         call()
@@ -340,6 +346,7 @@ def traced_peak_bytes(call) -> int:
     finally:
         if started:
             tracemalloc.stop()
+        sys.settrace(trace)
 
 
 def sim_core_events_per_sec(

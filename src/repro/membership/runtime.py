@@ -40,11 +40,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.membership.plan import ChurnEvent, ChurnPlan
 from repro.membership.policies import get_rewire_policy
 from repro.membership.view import MembershipView, RewireReport
+from repro.sim.trace import DEPARTED
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.core.gap import GapTracker
     from repro.sim.engine import Environment
     from repro.sim.events import Event
+    from repro.sim.trace import Ledger
 
 
 class MembershipError(RuntimeError):
@@ -60,8 +61,8 @@ class MembershipRuntime:
         plan: The scripted churn timeline (already horizon-clipped).
         max_iter: Run horizon; joins that would start at or past it are
             skipped.
-        gap: Optional :class:`~repro.core.gap.GapTracker` kept
-            membership-aware (departed workers stop polluting gaps).
+        ledger: The run's :class:`~repro.sim.trace.Ledger`, where each
+            join and leave moves the member's iteration counter.
         auto_join_triggers: Fire the plan's join triggers from
             :meth:`on_iteration` (asynchronous protocols).  Lockstep
             protocols that key joins to round numbers pass ``False``
@@ -74,14 +75,14 @@ class MembershipRuntime:
         view: MembershipView,
         plan: ChurnPlan,
         max_iter: int,
-        gap: Optional["GapTracker"] = None,
+        ledger: "Ledger",
         auto_join_triggers: bool = True,
     ) -> None:
         self.env = env
         self.view = view
         self.plan = plan
         self.max_iter = max_iter
-        self.gap = gap
+        self.ledger = ledger
         self.policy = get_rewire_policy(plan.policy)
         #: Time-ordered join/leave/rewire records (membership_events).
         self.events: List[dict] = []
@@ -95,10 +96,9 @@ class MembershipRuntime:
         self._rejoin_events: Dict[int, "Event"] = {}
         #: Last iteration reported per worker (the membership frontier).
         self.iterations: Dict[int, int] = {}
-        if gap is not None:
-            for worker in range(view.n):
-                if not view.is_active(worker):
-                    gap.deactivate(worker)
+        for worker in range(view.n):
+            if not view.is_active(worker):
+                ledger.move(worker, DEPARTED)
         # Joins at or past the horizon can never fire from an
         # iteration report (the frontier tops out at max_iter - 1):
         # resolve their waits up front so the scripted worker stays
@@ -170,8 +170,7 @@ class MembershipRuntime:
         old_view = self.view
         self.view, report = old_view.leave(worker, self.policy)
         self._record("leave", worker, now, iteration, report)
-        if self.gap is not None:
-            self.gap.deactivate(worker)
+        self.ledger.move(worker, DEPARTED)
         self._apply(report, departed=frozenset({worker}))
         if worker in self._deferred_joins:
             self._deferred_joins.discard(worker)
@@ -196,8 +195,7 @@ class MembershipRuntime:
         self.iterations[worker] = start
         self.view, report = self.view.join(worker, self.policy)
         self._record("join", worker, now, start, report)
-        if self.gap is not None:
-            self.gap.activate(worker, start)
+        self.ledger.move(worker, start)
         self._apply(report, start_iteration=start)
         self.rejoin_event(worker).succeed(start)
 
@@ -275,9 +273,9 @@ class HopMembership(MembershipRuntime):
         config,
         update_queues,
         token_queues,
-        gap: Optional["GapTracker"] = None,
+        ledger: "Ledger",
     ) -> None:
-        super().__init__(env, view, plan, max_iter, gap=gap)
+        super().__init__(env, view, plan, max_iter, ledger)
         self.state = state
         self.config = config
         self.update_queues = update_queues

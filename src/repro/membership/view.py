@@ -10,7 +10,7 @@ spectral gap, the control cost of telling everyone).
 
 The id space is fixed for the whole run: departed workers stay in
 ``range(n)`` with only their self-loop, so every ``n``-sized buffer in
-the stack (queues, gap trackers, the zero-copy parameter plane) keeps
+the stack (queues, the ledger, the zero-copy parameter plane) keeps
 its shape across epochs.
 """
 

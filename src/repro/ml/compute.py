@@ -392,8 +392,9 @@ def svm_stacked_loss_and_grad(
     ):
         return None
     batch = idx.shape[1]
+    # ``take`` gathers the same rows as ``x[idx]``, faster.
     if signed is not None:
-        signed = signed[idx]
+        signed = signed.take(idx)
     else:
         try:
             # One convention for the chunk implies the same one per row:
@@ -402,7 +403,7 @@ def svm_stacked_loss_and_grad(
         except ValueError:
             return None
         signed = signed.reshape(count, batch)
-    rows = x[idx]
+    rows = x.take(idx, axis=0)
     # Dense.forward: x @ W.T + b, one (batch, F) @ (F, 1) per model.
     scores = (
         np.matmul(rows, params[:, :features, None])

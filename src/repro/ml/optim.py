@@ -91,12 +91,8 @@ class SGD:
         order reproduces the former out-of-place arithmetic bit for
         bit.
         """
-        if self.weight_decay > 0.0:
-            scratch = self._scratch
-            if scratch is None or scratch.shape != np.shape(grad):
-                scratch = self._scratch = np.empty(
-                    np.shape(grad), dtype=np.float64
-                )
+        scratch, velocity = self.buffers(np.shape(grad))
+        if scratch is not None:
             # Bitwise equal to ``grad + wd * params`` in float64:
             # addition commutes exactly and the casts are value-exact.
             # dtype pins the loop to float64 even for float32 params.
@@ -105,14 +101,26 @@ class SGD:
             effective = scratch
         else:
             effective = np.asarray(grad, dtype=np.float64)
-        if self.momentum > 0.0:
-            velocity = self._velocity
-            if velocity is None:
-                velocity = self._velocity = np.zeros_like(effective)
+        if velocity is not None:
             velocity *= self.momentum
             velocity += effective
             effective = velocity
         return np.multiply(effective, -self.schedule(iteration))
+
+    def buffers(self, shape) -> tuple:
+        """``(scratch, velocity)``: the float64 buffers :meth:`step`
+        works in for vectors of ``shape``, ``None`` where its term is
+        off (a caller spelling out :meth:`step`'s ops works in them)."""
+        scratch = velocity = None
+        if self.weight_decay > 0.0:
+            if self._scratch is None or self._scratch.shape != shape:
+                self._scratch = np.empty(shape, dtype=np.float64)
+            scratch = self._scratch
+        if self.momentum > 0.0:
+            if self._velocity is None:
+                self._velocity = np.zeros(shape)
+            velocity = self._velocity
+        return scratch, velocity
 
     def step_rows(
         self,

@@ -47,7 +47,7 @@ from repro.sim.rng import RngStreams
 from repro.sim.trace import Ledger
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard for type hints
-    from repro.core.gap import GapTracker
+    from repro.core.gap import ObservedGaps
 
 
 #: What the benchmark's recipes pass as ``ExperimentSpec.trace_channels``,
@@ -79,7 +79,8 @@ class TrainingRun:
     n_workers: int
     max_iter: int
     wall_time: float
-    gap: GapTracker
+    #: The realized iteration gaps, read off the ledger.
+    gap: ObservedGaps
     iterations_completed: List[int]
     iterations_skipped: List[int]
     messages_sent: int
@@ -212,7 +213,6 @@ class ProtocolRuntime:
     """
 
     env: Environment
-    gap: GapTracker
     #: The run's first model: ``models[0]`` on the eager plane, the
     #: only one when the run replays.
     model: object
@@ -303,10 +303,11 @@ class ProtocolCluster:
       reports.
     * :meth:`_final_param_stack` — per-worker final parameter matrix
       (single-row for centralized protocols).
-    * Every iteration body ends with one ``runtime.ledger.record`` call
-      (:class:`~repro.sim.trace.Ledger`) that carries the iteration's
-      loss, timed at the :attr:`loss_at` column; ``worker_stats`` and
-      the loss series are derived from the ledger.
+    * Every iteration body draws a stamp, ``next(runtime.ledger.order)``,
+      as it begins, and ends with one ``runtime.ledger.record`` call
+      (:class:`~repro.sim.trace.Ledger`) of the stamp and its loss,
+      timed at the :attr:`loss_at` column; ``worker_stats``, the loss
+      series and the gaps are derived from the ledger.
     * Optional overrides: :meth:`_message_totals`, :meth:`_byte_stats`,
       :meth:`_worker_extras`, :attr:`gate_stat`, :meth:`_iterations_completed`,
       :meth:`_iterations_skipped`, :meth:`_messages_dropped`,
@@ -593,7 +594,7 @@ class ProtocolCluster:
             view,
             plan,
             self.max_iter,
-            gap=runtime.gap,
+            ledger=runtime.ledger,
             auto_join_triggers=auto_join_triggers,
             **kwargs,
         )
@@ -709,7 +710,7 @@ class ProtocolCluster:
         # Imported here, not at module scope: repro.core.cluster subclasses
         # ProtocolCluster, so importing repro.core while this module loads
         # would close an import cycle.
-        from repro.core.gap import GapTracker
+        from repro.core.gap import ObservedGaps
 
         env = Environment()
         # Time-varying link models (scenario link flaps) need the
@@ -727,7 +728,6 @@ class ProtocolCluster:
             models = self._build_models(model)
         runtime = ProtocolRuntime(
             env=env,
-            gap=GapTracker(self.n_workers),
             model=model,
             models=models,
             n_workers=self.n_workers,
@@ -752,6 +752,7 @@ class ProtocolCluster:
 
         messages_sent, bytes_sent = self._message_totals(runtime)
         byte_stats = self._byte_stats(runtime, bytes_sent)
+        gap = ObservedGaps(self.n_workers, *runtime.ledger.transitions())
         return TrainingRun(
             protocol=self.protocol,
             config_description=self._config_description(),
@@ -759,7 +760,7 @@ class ProtocolCluster:
             n_workers=self.n_workers,
             max_iter=self.max_iter,
             wall_time=env.now,
-            gap=runtime.gap,
+            gap=gap,
             iterations_completed=self._iterations_completed(runtime),
             iterations_skipped=self._iterations_skipped(runtime),
             messages_sent=messages_sent,

@@ -268,7 +268,7 @@ class PartialAllReduceCluster(ProtocolCluster):
         in-group all-reduce."""
         env = runtime.env
         start = env.now
-        runtime.gap.record(wid, k)
+        order = next(runtime.ledger.order)
         model.set_params(params[wid])
         ticket = runtime.compute.submit(model, batcher)
         yield env.timeout(self.compute_model.duration(wid, k))
@@ -316,7 +316,8 @@ class PartialAllReduceCluster(ProtocolCluster):
             gate, recv = (computed, released), (released, env.now)
 
         runtime.ledger.record(
-            wid, k, start, env.now, loss, (start, computed), recv, gate
+            wid, k, start, env.now, loss, (start, computed), recv, gate,
+            order=order,
         )
 
     def _worker(

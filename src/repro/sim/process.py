@@ -28,7 +28,7 @@ class Process(Event):
         name: Optional human-readable name (for debugging/tracing).
     """
 
-    __slots__ = ("_generator", "name", "_target", "_send", "_throw")
+    __slots__ = ("_generator", "name", "_target", "_send", "_throw", "_wake")
 
     def __init__(
         self,
@@ -40,9 +40,10 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        # Bound methods cached once: _resume runs once per event.
+        # Bound methods cached once: each is called once per event.
         self._send = generator.send
         self._throw = generator.throw
+        self._wake = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently waiting on.
         self._target: Optional[Event] = None
@@ -56,7 +57,7 @@ class Process(Event):
         init.defused = False
         init._ok = True
         init._value = None
-        init.callbacks = [self._resume]
+        init.callbacks = [self._wake]
         env.schedule_triggered(init, URGENT)
 
     @property
@@ -106,13 +107,14 @@ class Process(Event):
                 event = target
                 continue
 
-            callbacks.append(self._resume)
+            callbacks.append(self._wake)
             self._target = target
             return
 
     def _release(self) -> None:
         """Drop the finished generator and its cached methods."""
         self._target = self._generator = self._send = self._throw = None
+        self._wake = None  # a bound _resume: a cycle through the process
 
     def __repr__(self) -> str:
         state = (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -144,15 +145,21 @@ COLUMNS = ("worker", "iteration", "start", "end", "loss") + tuple(
 LOSS = COLUMNS.index("loss")
 #: A phase the iteration never entered.
 SKIPPED = (math.nan, math.nan)
+#: A row's slots in the ledger's buffer: its columns, then its stamp.
+_WIDTH = len(COLUMNS) + 1
+#: A departed worker's iteration counter: far above any real one, and far
+#: enough below the int64 edge that ``k - DEPARTED`` cannot overflow.
+DEPARTED = np.iinfo(np.int64).max // 4
 
 
 class Ledger:
     """One run's time record: a row per worker-iteration, of its
     boundary timestamps and its loss (:data:`COLUMNS`), appended as it
-    ends, so a worker's rows are in its iteration order; and the crash
-    lifecycle (:meth:`fault`).  A phase the iteration never entered is
-    :data:`SKIPPED`; docs/ARCHITECTURE.md, "Worker-time ledger", has
-    what each phase is per protocol.
+    ends, so a worker's rows are in its iteration order; the crash
+    lifecycle (:meth:`fault`); and the order of every change of a
+    worker's iteration counter (:meth:`transitions`).  A phase the
+    iteration never entered is :data:`SKIPPED`; docs/ARCHITECTURE.md,
+    "Worker-time ledger", has what each phase is per protocol.
 
     Args:
         loss_at: The column a row's loss is timed at in
@@ -160,22 +167,49 @@ class Ledger:
             (:attr:`~repro.protocols.base.ProtocolCluster.loss_at`).
     """
 
-    __slots__ = ("_rows", "_faults", "loss_at")
+    __slots__ = ("_rows", "_faults", "_off_rows", "loss_at", "order")
 
     def __init__(self, loss_at: str = "end") -> None:
         self._rows = array("d")
         self._faults: List[Tuple[float, int, int, int]] = []
+        self._off_rows: List[Tuple[int, int, int, bool]] = []
         self.loss_at = loss_at
+        #: The run's transition stamps, drawn with ``next`` where a worker
+        #: enters an iteration (once for a lockstep round's members).
+        self.order = count()
 
     def record(
         self, wid, k, start, end, loss, compute=SKIPPED, recv=SKIPPED,
-        gate=SKIPPED, wire=SKIPPED, jump=SKIPPED,
+        gate=SKIPPED, wire=SKIPPED, jump=SKIPPED, order=None,
     ) -> None:
-        """The one hook every iteration body calls as it ends.  A
-        replaying run's ``loss`` is NaN until :meth:`fill_losses`."""
+        """The one hook every iteration body calls as it ends, with the
+        ``order`` stamp it drew as it began (drawn here if not given).
+        A replaying run's ``loss`` is NaN until :meth:`fill_losses`."""
+        if order is None:
+            order = next(self.order)
         self._rows.extend(
-            (wid, k, start, end, loss, *compute, *recv, *gate, *wire, *jump)
+            (wid, k, start, end, loss, *compute, *recv, *gate, *wire, *jump,
+             order)
         )
+
+    def move(self, wid: int, k: int) -> None:
+        """A membership transition: ``wid``'s counter is set to ``k``
+        (:data:`DEPARTED` for a leave) without an iteration beginning."""
+        self._off_rows.append((next(self.order), wid, k, False))
+
+    def enter(self, wid: int, k: int, order: int) -> None:
+        """Iteration ``k``, begun at stamp ``order``, that no row ends."""
+        self._off_rows.append((order, wid, k, True))
+
+    def transitions(self):
+        """Every change of a worker's iteration counter, unsorted, as
+        ``(stamps, workers, iterations, entered)``: each row's entry,
+        each :meth:`enter` and each :meth:`move` (not entered)."""
+        rows = np.frombuffer(self._rows).reshape(-1, _WIDTH)[:, [-1, 0, 1, 1]]
+        rows[:, 3] = True
+        off_rows = np.array(self._off_rows, dtype=np.int64).reshape(-1, 4)
+        columns = np.vstack((rows.astype(np.int64), off_rows)).T
+        return (*columns[:3], columns[3] > 0)
 
     def fill_losses(self, losses: np.ndarray) -> None:
         """A replaying run's loss column: ``losses[wid, k]`` for each
@@ -198,11 +232,12 @@ class Ledger:
         ]
 
     def __len__(self) -> int:
-        return len(self._rows) // len(COLUMNS)
+        return len(self._rows) // _WIDTH
 
     def table(self) -> np.ndarray:
-        """Every row, in append order: ``(rows, len(COLUMNS))``."""
-        return np.frombuffer(self._rows).reshape(-1, len(COLUMNS))
+        """Every row, in append order: ``(rows, len(COLUMNS))``, a view
+        that leaves each row's stamp out."""
+        return np.frombuffer(self._rows).reshape(-1, _WIDTH)[:, :-1]
 
     def grid(self, n_workers: int, values: Optional[np.ndarray] = None):
         """``values`` (one per row; default the table) by worker:

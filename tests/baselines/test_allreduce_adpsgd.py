@@ -91,8 +91,9 @@ class TestRingAllReduce:
 
 @pytest.mark.xfail(
     strict=True,
-    reason="known defect: under churn the ring records its members one "
-    "at a time, a transient gap of 1 (GapTracker.record_many). The fix "
+    reason="known defect: under churn the ring stamps its members' "
+    "transitions one at a time, a transient gap of 1 (one shared stamp "
+    "per round, as a static round draws, would not). The fix "
     "re-pins the allreduce/churn, allreduce/churn-poisson and "
     "allreduce/churn-trace golden cells and the 16-worker churn/allreduce "
     "fingerprint of bench/expected.json (service-cold, service-warm).",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    GapTracker,
+    ObservedGaps,
     backup_bound,
     gap_bound_matrix,
     notify_ack_bound,
@@ -144,37 +144,35 @@ class TestGapBoundMatrix:
         assert np.all(np.diag(B) == 0)
 
 
-class TestGapTracker:
+def entries(n, *transitions):
+    """:class:`ObservedGaps` of ``(worker, iteration)`` entries, each with
+    a stamp of its own, in the order given."""
+    workers, iterations = zip(*transitions)
+    stamps = range(len(transitions))
+    return ObservedGaps(n, stamps, workers, iterations, [True] * len(stamps))
+
+
+class TestObservedGaps:
     def test_records_max_gap(self):
-        tracker = GapTracker(3)
-        tracker.record(0, 1)
-        tracker.record(0, 2)
-        tracker.record(1, 1)
-        assert tracker.observed_gap(0, 1) == 2.0  # before 1 advanced
-        assert tracker.observed_gap(0, 2) == 2.0
-        assert tracker.observed_gap(2, 0) == 0.0
+        gaps = entries(3, (0, 1), (0, 2), (1, 1))
+        assert gaps.observed_gap(0, 1) == 2.0  # before 1 advanced
+        assert gaps.observed_gap(0, 2) == 2.0
+        assert gaps.observed_gap(2, 0) == 0.0
 
     def test_max_observed(self):
-        tracker = GapTracker(2)
-        tracker.record(0, 5)
-        assert tracker.max_observed() == 5.0
+        assert entries(2, (0, 5)).max_observed() == 5.0
 
     def test_violations_empty_when_within_bounds(self):
-        tracker = GapTracker(2)
-        tracker.record(0, 1)
         bounds = np.full((2, 2), 2.0)
-        assert tracker.violations(bounds) == {}
+        assert entries(2, (0, 1)).violations(bounds) == {}
 
     def test_violations_detected(self):
-        tracker = GapTracker(2)
-        tracker.record(0, 5)
         bounds = np.full((2, 2), 2.0)
-        violations = tracker.violations(bounds)
+        violations = entries(2, (0, 5)).violations(bounds)
         assert (0, 1) in violations
         assert violations[(0, 1)] == pytest.approx(3.0)
 
     def test_transitions_counted(self):
-        tracker = GapTracker(2)
-        for k in range(4):
-            tracker.record(0, k)
-        assert tracker.transitions == 4
+        gaps = entries(2, *[(0, k) for k in range(4)])
+        assert gaps.max_observed() == 3.0
+        assert "transitions=4" in repr(gaps)

@@ -10,7 +10,8 @@ value and the whole ``run_to_dict`` must be equal, on specs drawn over
 protocol, topology (a chain's in-degree is ragged), mode, computation
 graph, slowdown, ``max_ig`` and size (NOTIFY-ACK ignores the last
 config fields), and for each PS mode over the timing-only scenario
-families at 4, 16 and 128 workers.  Then mutation checks that the
+families at 4, 16 and 128 workers, and the server's fold chain with
+and without momentum and weight decay.  Then mutation checks that the
 comparison sees one reordered reduce, one reordered BSP quorum and one
 reordered batch draw, which plane each golden hop, NOTIFY-ACK and PS
 cell takes, and what an eligible worker does not allocate: a replaying
@@ -44,6 +45,7 @@ from repro.harness.golden import (
     run_fingerprint,
 )
 from repro.harness.io import run_to_dict
+from repro.ml.optim import SGD
 from repro.protocols.registry import build_cluster, registered_protocols
 from repro.scenarios import registered_scenarios
 from repro.sim.engine import Environment
@@ -200,6 +202,34 @@ def test_ps_replay_equals_the_eager_plane_bitwise(protocol, family, n):
     pool = replayed_cluster.runtime.compute
     assert (pool.tickets, pool.rows) == (0, n * spec.max_iter)
     assert eager_cluster.runtime.compute.tickets == n * spec.max_iter
+
+
+@pytest.mark.parametrize(
+    "momentum, weight_decay", [(0.0, 0.0), (0.9, 0.0), (0.0, 1e-3), (0.5, 1e-3)]
+)
+@pytest.mark.parametrize("protocol", PS_PROTOCOLS)
+def test_the_server_fold_spells_every_sgd_term(protocol, momentum, weight_decay):
+    """The replay's fold chain spells ``SGD.step`` out in the optimizer's
+    buffers: with and without momentum and weight decay it is the eager
+    server's ``step`` bit for bit, and leaves the optimizer's state as
+    the eager steps do."""
+    spec = conformance_spec(protocol, "random").with_(max_iter=12)
+    runs, states = [], []
+    for eager in (False, True):
+        cluster = build_cluster(spec)
+        cluster._eager = eager
+        cluster.optimizer_proto = SGD(
+            lr=0.5, momentum=momentum, weight_decay=weight_decay
+        )
+        runs.append(run_fingerprint(cluster.run()))
+        assert (cluster.record is None) == eager
+        optimizer = cluster.optimizer_proto
+        states.append(
+            [None if b is None else b.tobytes()
+             for b in (optimizer._velocity, optimizer._scratch)]
+        )
+    assert runs[0] == runs[1]
+    assert states[0] == states[1]
 
 
 GOLDEN = json.loads(

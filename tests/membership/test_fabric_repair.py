@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.gap import GapTracker
+from repro.core.gap import ObservedGaps
 from repro.core.queues import TokenGate, TokenQueue, UpdateQueue
 from repro.core.update import Update
 from repro.sim import Environment
+from repro.sim.trace import DEPARTED
 
 
 class TestTokenQueueClose:
@@ -97,25 +98,29 @@ class TestUpdateQueueResize:
         assert queue.capacity is None
 
 
-class TestGapTrackerMembership:
+class TestObservedGapsMembership:
+    @staticmethod
+    def gaps(n, *transitions):
+        """``(worker, iteration, entered)`` transitions, one stamp each."""
+        workers, iterations, entered = zip(*transitions)
+        return ObservedGaps(
+            n, range(len(workers)), workers, iterations, entered
+        )
+
     def test_deactivate_freezes_pairs(self):
-        gap = GapTracker(3)
-        gap.record(0, 4)
-        gap.record(1, 1)
-        frozen = gap.observed_gap(0, 1)
-        gap.deactivate(1)
-        gap.record(0, 9)
+        before = [(0, 4, True), (1, 1, True)]
+        frozen = self.gaps(3, *before).observed_gap(0, 1)
+        gaps = self.gaps(3, *before, (1, DEPARTED, False), (0, 9, True))
         # The (live, departed) pair stays at its both-live maximum.
-        assert gap.observed_gap(0, 1) == frozen
-        assert gap.max_observed() < GapTracker.INACTIVE_SENTINEL / 2
+        assert gaps.observed_gap(0, 1) == frozen
+        assert gaps.max_observed() < DEPARTED / 2
 
     def test_activate_resumes_from_iteration(self):
-        gap = GapTracker(3)
-        gap.deactivate(2)
-        gap.record(0, 5)
-        gap.activate(2, 7)
-        gap.record(2, 7)
-        assert gap.observed_gap(2, 0) == 2.0
+        gaps = self.gaps(
+            3, (2, DEPARTED, False), (0, 5, True), (2, 7, False),
+            (2, 7, True),
+        )
+        assert gaps.observed_gap(2, 0) == 2.0
 
 
 class TestNetworkMembershipRouting:

@@ -103,7 +103,7 @@ class TestExtensionPoint:
                     params = model.get_params()
                     for k in range(self.max_iter):
                         start = env.now
-                        runtime.gap.record(wid, k)
+                        order = next(runtime.ledger.order)
                         model.set_params(params)
                         ticket = runtime.compute.submit(model, batcher)
                         yield env.timeout(
@@ -112,7 +112,8 @@ class TestExtensionPoint:
                         loss, grad = ticket.result()
                         params = params + optimizer.step(params, grad, k)
                         runtime.ledger.record(
-                            wid, k, start, env.now, loss, (start, env.now)
+                            wid, k, start, env.now, loss, (start, env.now),
+                            order=order,
                         )
                     self._params[wid] = params
                     runtime.done[wid] = True
