@@ -167,15 +167,19 @@ echo "== call budget: hop/64 and ps-async/128 function calls per worker-iteratio
 # count for the same two runs (`ProfileReport.calls`, after one warm-up
 # run, less the profiler's own GC callback).  It is exact for one tree
 # and one interpreter, so the ceilings are the counts the runs make now,
-# in this order, in a fresh process: 280,448 calls (109.6 per
-# worker-iteration) and 132,643 (103.6).  Before the per-message
+# in this order, in a fresh process: 279,607 calls (109.2 per
+# worker-iteration) and 132,585 (103.6).  Before the per-message
 # bookkeeping and the per-row replay draws went, they were about 370,000
 # and 192,000; before the one dependency record and the PS worker's
 # three-frame process, 325,087 and 156,770; before the ledger took the
 # losses over from the string-keyed tracer, 319,241 and 148,088; before
 # the gap was read off the ledger and the hop and PS loops lost their
-# dead calls, 316,087 and 146,272.  A first profile in a process pays a
-# few calls of abc cache warm-up, which the order here fixes.
+# dead calls, 316,087 and 146,272; before the learning rate became one
+# number and no step carried an iteration, 280,448 and 132,643.  A
+# first profile in a process pays a few calls of abc cache warm-up,
+# which the order here fixes.  The counts are a fresh export's that
+# writes its bytecode as it imports; with the bytecode already there,
+# or with PYTHONDONTWRITEBYTECODE set, the runs read ~2,500 fewer.
 python - <<'PY'
 from repro.graphs import ring_based
 from repro.harness.profiling import profile_spec
@@ -183,8 +187,8 @@ from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import by_name
 
 for protocol, n, iterations, ceiling in (
-    ("hop", 64, 40, 280_448),
-    ("ps-async", 128, 10, 132_643),
+    ("hop", 64, 40, 279_607),
+    ("ps-async", 128, 10, 132_585),
 ):
     spec = ExperimentSpec(
         name=f"call-budget/{protocol}/{n}",

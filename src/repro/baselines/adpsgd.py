@@ -266,11 +266,11 @@ class ADPSGDCluster(ProtocolCluster):
 
         if mode == "local":
             # Apply the (pre-averaging) gradient to the averaged params.
-            params[wid] = params[wid] + optimizer.step(params[wid], grad, k)
+            params[wid] = params[wid] + optimizer.step(params[wid], grad)
         else:
             momentum = self._momentum
             beta = optimizer.momentum
-            lr = optimizer.schedule(k)
+            lr = optimizer.lr
             if mode == "tracking":
                 # Buffers approximate the *global* gradient direction
                 # because gossip keeps mixing them.
@@ -301,7 +301,7 @@ class ADPSGDCluster(ProtocolCluster):
         gossip_count: List[int],
     ):
         """One gossip worker; partners re-resolve at membership epochs."""
-        rng = self.streams.stream("gossip", wid)
+        rng = self.streams.fresh("gossip", wid)
         membership = self._membership
         epoch, is_active, partners = None, False, []
 

@@ -141,7 +141,7 @@ class RingAllReduceCluster(ProtocolCluster):
             )
         batchers = [self._make_batcher(wid) for wid in range(n)]
         self._params: List[np.ndarray] = [runtime.models[0].get_params()]
-        optimizer = self.optimizer_proto
+        optimizer = self.optimizer_proto.clone()
         # Compressed rings move sparse/quantized chunks: the ring's
         # chunked schedule is priced at the wire size (dense runs see
         # the identical float — payload_bytes(x) * 1.0 is exact).
@@ -212,7 +212,7 @@ class RingAllReduceCluster(ProtocolCluster):
                 edges = len(rebuild_ring(members))
                 runtime.count_traffic(steps * edges, steps * chunk * edges)
                 mean_grad = np.mean(grads, axis=0)
-                params[0] = params[0] + optimizer.step(params[0], mean_grad, k)
+                params[0] = params[0] + optimizer.step(params[0], mean_grad)
                 # Each member computes, waits for the slowest, reduces.
                 ring_start = start + slowest
                 for wid, duration, loss, order in zip(

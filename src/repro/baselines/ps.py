@@ -234,22 +234,22 @@ class _EagerMath:
         """After the compute timeout: ``(loss, grad)``."""
         return ticket.result()
 
-    def fold(self, params: np.ndarray, grad, k: int) -> np.ndarray:
-        """async / ssp: one gradient, stepped at its pulled version."""
-        return params + self.optimizer.step(params, grad, k)
+    def fold(self, params: np.ndarray, grad) -> np.ndarray:
+        """async / ssp: one gradient."""
+        return params + self.optimizer.step(params, grad)
 
-    def fold_mean(self, params: np.ndarray, grads: list, k: int) -> np.ndarray:
+    def fold_mean(self, params: np.ndarray, grads: list) -> np.ndarray:
         """BSP: the quorum's mean, in ``pending`` order."""
         mean_grad = np.mean(grads, axis=0)
-        return params + self.optimizer.step(params, mean_grad, k)
+        return params + self.optimizer.step(params, mean_grad)
 
 
 class _ServerEmitter:
     """The PS's arithmetic of one replay level.  Fold ``v`` moves the
-    server from version ``v`` to ``v + 1`` with its one ``optimizer``,
-    stepped at ``v`` for BSP (``mean``: the quorum's mean) and at the
-    gradient's pulled version for async and ssp.  Gid ``wid * max_iter
-    + k`` is worker ``wid``'s gradient on its batch ``k``, drawn from a
+    server from version ``v`` to ``v + 1`` with one step of its one
+    ``optimizer``, on the quorum's mean for BSP (``mean``) and on one
+    gradient for async and ssp.  Gid ``wid * max_iter + k`` is worker
+    ``wid``'s gradient on its batch ``k``, drawn from a
     :class:`~repro.ml.data.Horizons`, at the version it pulled; every
     gradient that reads a version is on that version's level, so a
     level's versions are dropped once its gradients are evaluated.
@@ -272,13 +272,6 @@ class _ServerEmitter:
         # The fold loop is one optimizer step per gradient: it reads
         # Python lists, not numpy scalars.
         self.bounds, self.fold_gids = offsets.tolist(), inputs.tolist()
-        #: The iteration each fold steps at: its own version for BSP,
-        #: its one gradient's pulled version for async and ssp.
-        steps = np.arange(offsets.size - 1) if mean else self.versions[inputs]
-        steps = steps.tolist()
-        rate_of = {k: -optimizer.schedule(k) for k in sorted(set(steps))}
-        #: Each fold's step factor, ``-lr(k)`` at its iteration.
-        self.rates = [rate_of[k] for k in steps]
         self.params = params
         self.held: Dict[int, np.ndarray] = {0: params}
         self.grads_of: Dict[int, np.ndarray] = {}
@@ -286,12 +279,13 @@ class _ServerEmitter:
 
     def combine(self, folds: np.ndarray) -> None:
         """The level's folds, in the order the server applied them: each
-        is ``params + optimizer.step(params, grad, k)``, ``step``'s ops
+        is ``params + optimizer.step(params, grad)``, ``step``'s ops
         spelled out in its buffers, the delta written into one."""
-        bounds, fold_gids, rates = self.bounds, self.fold_gids, self.rates
+        bounds, fold_gids = self.bounds, self.fold_gids
         grads_of, held, params = self.grads_of, self.held, self.params
         optimizer, mean, multiply = self.optimizer, self.mean, np.multiply
         decay, momentum = optimizer.weight_decay, optimizer.momentum
+        rate = -optimizer.lr
         scratch, velocity = optimizer.buffers(params.shape)
         delta = np.empty(params.shape)
         for fold in folds.tolist():
@@ -312,7 +306,7 @@ class _ServerEmitter:
                 velocity *= momentum
                 velocity += effective
                 effective = velocity
-            multiply(effective, rates[fold], out=delta)
+            multiply(effective, rate, out=delta)
             params = held[fold + 1] = params + delta
         self.params = params
 
@@ -633,7 +627,7 @@ class ParameterServerCluster(ProtocolCluster):
             need = max(1, min(self.n_workers - self.n_backup, active))
             if pending and len(pending) >= need:
                 server.params = plane.fold_mean(
-                    server.params, [g for _, g in pending], server.version
+                    server.params, [g for _, g in pending]
                 )
                 pending[:] = []
                 server.advance_version()
@@ -660,7 +654,7 @@ class ParameterServerCluster(ProtocolCluster):
                 try_fold()
             else:
                 # async / ssp: apply immediately.
-                server.params = plane.fold(server.params, grad, version)
+                server.params = plane.fold(server.params, grad)
                 server.advance_version()
 
     # ------------------------------------------------------------------
@@ -679,13 +673,16 @@ class ParameterServerCluster(ProtocolCluster):
         #: A push's wire size, priced once, at the run's first push.
         self._push_size: Optional[float] = None
         self._notify = notify
+        #: This run's server optimizer: a clone, so no momentum outlives
+        #: the run.
+        self._optimizer = self.optimizer_proto.clone()
         # The record/eager split: control is one loop either way.
         if runtime.replays:
             self.record = Record(self.n_workers, self.max_iter, chained=True)
             self._plane = RecordPlane(self.record)
         else:
             self.record = None
-            self._plane = _EagerMath(runtime, self.optimizer_proto)
+            self._plane = _EagerMath(runtime, self._optimizer)
         self._batchers = [
             self._make_batcher(wid) for wid in range(self.n_workers)
         ]
@@ -738,7 +735,7 @@ class ParameterServerCluster(ProtocolCluster):
                 self.record,
                 self._batchers,
                 runtime.compute,
-                self.optimizer_proto,
+                self._optimizer,
                 server.params,
                 self.mode == "bsp",
             )

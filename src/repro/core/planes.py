@@ -76,10 +76,10 @@ class EagerPlane:
         model.set_params(x)
         return worker.compute.submit(model, worker.batcher)
 
-    def step(self, ticket, x: np.ndarray, k: int) -> np.ndarray:
-        """After it: the optimizer's delta for iteration ``k``."""
+    def step(self, ticket, x: np.ndarray) -> np.ndarray:
+        """After it: the optimizer's delta."""
         self.loss, grad = ticket.result()
-        return self.worker.optimizer.step(x, grad, k)
+        return self.worker.optimizer.step(x, grad)
 
     def mean(self, updates, k: int) -> np.ndarray:
         """Figures 4 / 8: the plain average, into the scratch."""
@@ -262,13 +262,13 @@ class RecordPlane:
     def gradient(gid: int):
         return math.nan, gid
 
-    def fold(self, params, gid: int, k: int):
+    def fold(self, params, gid: int):
         record = self.record
         record.sizes.append(1)
         record.inputs.append(gid)
         return params
 
-    def fold_mean(self, params, gids: list, k: int):
+    def fold_mean(self, params, gids: list):
         record = self.record
         record.sizes.append(len(gids))
         record.inputs.extend(gids)
@@ -285,10 +285,10 @@ def replayable(cluster, model, config=None) -> bool:
     ``current_params``, the PS's sharded failover scrubs inbox
     entries); no compression (error feedback is stateful per worker and
     stream); plain :class:`SGD`; and the run's model offers a stacked
-    kernel (a per-ticket model such as the CNN may share state between
-    replicas, so it keeps the eager submission order).  It is decided
-    from the run's first model, before any replica exists: a replaying
-    run builds no replicas at all.  A run of
+    kernel, which evaluates a level's rows as one block (the CNN has
+    none, so it stays eager).  It is decided from the run's first
+    model, before any replica exists: a replaying run builds no
+    replicas at all.  A run of
     :class:`~repro.core.worker.HopWorker` loops passes ``config``, the
     one the workers run (NOTIFY-ACK's ignores the spec's), and also
     needs no crash events (re-sync copies a peer's ``current_params``)
@@ -371,10 +371,10 @@ class HopEmitter:
             rows, ks, params, self.horizons
         )
         if velocity is None:
-            delta = optimizer.step_rows(params, grads, ks)
+            delta = optimizer.step_rows(params, grads)
         else:
             moment = velocity[rows]
-            delta = optimizer.step_rows(params, grads, ks, moment)
+            delta = optimizer.step_rows(params, grads, moment)
             velocity[rows] = moment
         self.losses[rows, ks] = losses
         if self.parallel:

@@ -682,7 +682,7 @@ class HopWorker:
             yield timeout(duration_of(wid, k))
             computed = env.now
             if eager:
-                delta = step(ticket, x, k)
+                delta = step(ticket, x)
             if not parallel:
                 if notify_ack:
                     acks = env.now

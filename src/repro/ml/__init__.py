@@ -14,6 +14,9 @@ Public API::
     xb, yb = batcher.next_batch()
     loss, grad = model.loss_and_grad(xb, yb)
     model.set_params(model.get_params() + optimizer.step(model.get_params(), grad))
+
+:class:`SGD`'s learning rate is one number for the run (the paper's
+constant rate, Section 7.2), so a step takes no iteration.
 """
 
 from repro.ml.compute import ComputeError, ComputePool
@@ -29,42 +32,27 @@ from repro.ml.gradcheck import (
     relative_error,
 )
 from repro.ml.layers import (
-    AvgPool2D,
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     Layer,
     MaxPool2D,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
-from repro.ml.losses import HingeLoss, LogisticLoss, Loss, SoftmaxCrossEntropy
-from repro.ml.metrics import accuracy, smooth_series
-from repro.ml.models import (
-    Model,
-    Sequential,
-    build_mlp,
-    build_svm,
-    build_vgg_lite,
-)
-from repro.ml.optim import SGD, ConstantLR, LRSchedule, StepDecayLR
-from repro.ml.params import Parameter, total_size
+from repro.ml.losses import LogisticLoss, Loss, SoftmaxCrossEntropy
+from repro.ml.metrics import smooth_series
+from repro.ml.models import Model, Sequential, build_svm, build_vgg_lite
+from repro.ml.optim import SGD
+from repro.ml.params import Parameter
 
 __all__ = [
-    "AvgPool2D",
     "Batcher",
     "ComputeError",
     "ComputePool",
-    "ConstantLR",
     "Conv2D",
     "Dataset",
     "Dense",
-    "Dropout",
     "Flatten",
-    "HingeLoss",
-    "LRSchedule",
     "Layer",
     "LogisticLoss",
     "Loss",
@@ -74,12 +62,7 @@ __all__ = [
     "ReLU",
     "SGD",
     "Sequential",
-    "Sigmoid",
     "SoftmaxCrossEntropy",
-    "StepDecayLR",
-    "Tanh",
-    "accuracy",
-    "build_mlp",
     "build_svm",
     "build_vgg_lite",
     "check_model_gradient",
@@ -88,5 +71,4 @@ __all__ = [
     "smooth_series",
     "synthetic_images",
     "synthetic_webspam",
-    "total_size",
 ]

@@ -185,10 +185,9 @@ class ComputePool:
             raise
 
     def _evaluate(self, pending: List[Ticket]) -> None:
-        # Per-ticket evaluations run in submission order, so replicas
-        # that share state (a model_factory handing every replica one
-        # dropout stream, say) touch it in the order the eager code did.
-        # Stacked tickets share nothing and go after, grouped.
+        # Per-ticket evaluations run in submission order, the eager
+        # code's; stacked tickets go after, grouped.  A ticket reads
+        # only its own model and batch, so neither order moves a bit.
         groups: Dict[tuple, List[Ticket]] = {}
         for ticket in pending:
             model = ticket.model

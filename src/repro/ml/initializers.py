@@ -13,13 +13,6 @@ def zeros(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return np.zeros(shape)
 
 
-def normal(
-    shape: Tuple[int, ...], rng: np.random.Generator, scale: float = 0.01
-) -> np.ndarray:
-    """Gaussian initialization with a fixed scale."""
-    return rng.normal(0.0, scale, size=shape)
-
-
 def he(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He (Kaiming) initialization for ReLU networks.
 
@@ -29,11 +22,3 @@ def he(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else int(shape[0])
     std = np.sqrt(2.0 / max(fan_in, 1))
     return rng.normal(0.0, std, size=shape)
-
-
-def xavier(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-    fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else int(shape[0])
-    fan_out = int(shape[0])
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape)

@@ -107,42 +107,6 @@ class ReLU(Layer):
         return dout * mask
 
 
-class Tanh(Layer):
-    """Hyperbolic-tangent activation."""
-
-    def __init__(self) -> None:
-        self._out: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        out = np.tanh(x)
-        self._out = out if training else None
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        out, self._out = self._out, None
-        if out is None:
-            raise RuntimeError("backward() before forward(training=True)")
-        return dout * (1.0 - out**2)
-
-
-class Sigmoid(Layer):
-    """Logistic activation."""
-
-    def __init__(self) -> None:
-        self._out: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        out = 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
-        self._out = out if training else None
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        out, self._out = self._out, None
-        if out is None:
-            raise RuntimeError("backward() before forward(training=True)")
-        return dout * out * (1.0 - out)
-
-
 class Flatten(Layer):
     """Collapse all non-batch dimensions."""
 
@@ -158,40 +122,6 @@ class Flatten(Layer):
         if shape is None:
             raise RuntimeError("backward() before forward()")
         return dout.reshape(shape)
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at evaluation time."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng
-        self._mask: Optional[np.ndarray] = None
-        self._trained = False
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            self._trained = training
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        self._trained = True
-        return x * self._mask
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if not self._trained:
-            raise RuntimeError("backward() before forward(training=True)")
-        mask, self._mask = self._mask, None
-        self._trained = False
-        if mask is None:  # rate == 0: identity
-            return dout
-        return dout * mask
-
-    def __repr__(self) -> str:
-        return f"Dropout({self.rate})"
 
 
 #: Most samples one cached im2col plan covers.  A larger batch (a
@@ -483,39 +413,6 @@ class Conv2D(Layer):
             f"Conv2D({self.in_channels}, {self.out_channels}, "
             f"k={self.kernel_size}, stride={self.stride}, pad={self.pad})"
         )
-
-
-class AvgPool2D(Layer):
-    """Average pooling with square window and matching stride (NCHW)."""
-
-    def __init__(self, size: int = 2) -> None:
-        if size < 1:
-            raise ValueError("pool size must be >= 1")
-        self.size = size
-        self._shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        n, c, h, w = x.shape
-        s = self.size
-        if h % s or w % s:
-            raise ValueError(f"input {h}x{w} not divisible by pool size {s}")
-        self._shape = x.shape if training else None
-        return x.reshape(n, c, h // s, s, w // s, s).mean(axis=(3, 5))
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        shape, self._shape = self._shape, None
-        if shape is None:
-            raise RuntimeError("backward() before forward(training=True)")
-        n, c, h, w = shape
-        s = self.size
-        share = dout / (s * s)
-        expanded = np.broadcast_to(
-            share[:, :, :, None, :, None], (n, c, h // s, s, w // s, s)
-        )
-        return expanded.reshape(n, c, h, w)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2D({self.size})"
 
 
 class MaxPool2D(Layer):

@@ -2,8 +2,7 @@
 
 The paper's two workloads map to :class:`SoftmaxCrossEntropy` (CNN on
 image classification) and :class:`LogisticLoss` (the paper uses "log
-loss for SVM instead of hinge loss"); :class:`HingeLoss` is included
-for completeness / ablations.
+loss for SVM instead of hinge loss").
 """
 
 from __future__ import annotations
@@ -115,22 +114,4 @@ class LogisticLoss(Loss):
         loss = float(np.add.reduce(losses) / losses.size)
         sigma = expit(neg_margins)  # = exp(-m) / (1 + exp(-m)), overflow-safe
         dscores = (-y * sigma) / s.size
-        return loss, dscores.reshape(original_shape)
-
-
-class HingeLoss(Loss):
-    """Standard SVM hinge loss ``mean(max(0, 1 - y * s))``."""
-
-    def value_and_grad(
-        self, scores: np.ndarray, targets: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        original_shape = scores.shape
-        s = np.asarray(scores, dtype=np.float64).ravel()
-        y = LogisticLoss._signed_targets(targets)
-        if s.shape != y.shape:
-            raise ValueError(f"scores {s.shape} vs targets {y.shape}")
-        margins = 1.0 - y * s
-        loss = float(np.mean(np.maximum(0.0, margins)))
-        active = (margins > 0).astype(np.float64)
-        dscores = (-y * active) / s.size
         return loss, dscores.reshape(original_shape)

@@ -1,21 +1,8 @@
-"""Small evaluation helpers shared by the harness and the examples."""
+"""Loss-curve smoothing (``TrainingRun.smoothed_loss_series``)."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Fraction of matching labels (binary targets may be -1/+1 or 0/1)."""
-    predictions = np.asarray(predictions).ravel()
-    targets = np.asarray(targets).ravel()
-    if set(np.unique(targets)) <= {-1, 1}:
-        targets = ((targets + 1) // 2).astype(int)
-    if predictions.shape != targets.shape:
-        raise ValueError(
-            f"shape mismatch: {predictions.shape} vs {targets.shape}"
-        )
-    return float(np.mean(predictions == targets))
 
 
 def smooth_series(values: np.ndarray, window: int = 5) -> np.ndarray:

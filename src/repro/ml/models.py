@@ -14,7 +14,6 @@ import numpy as np
 from repro.ml.layers import (
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     Layer,
     MaxPool2D,
@@ -79,7 +78,7 @@ class Model:
     * :attr:`dim` — total parameter count (message sizing),
     * :meth:`get_params` / :meth:`set_params` — flat vector in/out,
     * :meth:`loss_and_grad` — minibatch loss and flat gradient,
-    * :meth:`predict` / :meth:`evaluate` — inference.
+    * :meth:`evaluate` — test loss and accuracy.
 
     All parameters live as views into one contiguous flat buffer (see
     :func:`repro.ml.params.pack_parameters`), so the flat interface is
@@ -237,10 +236,6 @@ class Model:
         self._repack()
         return self
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class predictions: argmax for multi-class, sign for margins."""
-        return self._classes_of(self.network.forward(x, training=False))
-
     @staticmethod
     def _classes_of(scores: np.ndarray) -> np.ndarray:
         if scores.ndim == 2 and scores.shape[1] > 1:
@@ -280,7 +275,6 @@ def build_vgg_lite(
     n_classes: int = 10,
     base_filters: int = 8,
     hidden: int = 32,
-    dropout: float = 0.0,
 ) -> Model:
     """A scaled-down VGG-style CNN (conv-relu-pool blocks + dense head).
 
@@ -289,7 +283,8 @@ def build_vgg_lite(
     """
     if image_size % 4 != 0:
         raise ValueError("image_size must be divisible by 4 (two 2x2 pools)")
-    layers: List[Layer] = [
+    flat_dim = 2 * base_filters * (image_size // 4) ** 2
+    layers = [
         Conv2D(channels, base_filters, 3, rng, pad=1),
         ReLU(),
         MaxPool2D(2),
@@ -297,42 +292,13 @@ def build_vgg_lite(
         ReLU(),
         MaxPool2D(2),
         Flatten(),
+        Dense(flat_dim, hidden, rng),
+        ReLU(),
+        Dense(hidden, n_classes, rng),
     ]
-    flat_dim = 2 * base_filters * (image_size // 4) ** 2
-    if dropout > 0.0:
-        layers.append(Dropout(dropout, rng))
-    layers.extend(
-        [
-            Dense(flat_dim, hidden, rng),
-            ReLU(),
-            Dense(hidden, n_classes, rng),
-        ]
-    )
     return Model(Sequential(layers), SoftmaxCrossEntropy())
 
 
-def build_mlp(
-    rng: np.random.Generator,
-    in_features: int,
-    hidden: Sequence[int],
-    n_classes: int,
-) -> Model:
-    """A plain multilayer perceptron (useful for fast integration tests)."""
-    layers: List[Layer] = []
-    prev = in_features
-    for width in hidden:
-        layers.append(Dense(prev, width, rng))
-        layers.append(ReLU())
-        prev = width
-    layers.append(Dense(prev, n_classes, rng))
-    return Model(Sequential(layers), SoftmaxCrossEntropy())
-
-
-def build_svm(
-    rng: np.random.Generator,
-    in_features: int,
-    loss: Optional[Loss] = None,
-) -> Model:
+def build_svm(rng: np.random.Generator, in_features: int) -> Model:
     """Linear SVM with log loss (the paper's webspam workload)."""
-    network = Sequential([Dense(in_features, 1, rng)])
-    return Model(network, loss or LogisticLoss())
+    return Model(Sequential([Dense(in_features, 1, rng)]), LogisticLoss())

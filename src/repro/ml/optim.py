@@ -17,45 +17,13 @@ from typing import Optional
 import numpy as np
 
 
-class LRSchedule:
-    """Base learning-rate schedule: ``lr(iteration) -> float``."""
-
-    def __call__(self, iteration: int) -> float:
-        raise NotImplementedError
-
-
-class ConstantLR(LRSchedule):
-    """The paper's choice: no decay."""
-
-    def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
-
-    def __call__(self, iteration: int) -> float:
-        return self.lr
-
-
-class StepDecayLR(LRSchedule):
-    """Multiply the rate by ``gamma`` every ``step_size`` iterations."""
-
-    def __init__(self, lr: float, step_size: int, gamma: float = 0.1) -> None:
-        if lr <= 0 or step_size <= 0 or not 0 < gamma <= 1:
-            raise ValueError("invalid StepDecayLR configuration")
-        self.lr = float(lr)
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def __call__(self, iteration: int) -> float:
-        return self.lr * self.gamma ** (iteration // self.step_size)
-
-
 class SGD:
     """SGD with momentum and (decoupled) weight decay on flat vectors.
 
-    ``step(params, grad, iteration)`` returns the *delta* to add to the
+    ``step(params, grad)`` returns the *delta* to add to the
     parameters; callers decide which parameter vector to apply it to
     (pre-reduce for the serial graph, post-reduce for the parallel one).
+    The learning rate :attr:`lr` is one number for the whole run.
     """
 
     def __init__(
@@ -63,33 +31,31 @@ class SGD:
         lr: float = 0.1,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        schedule: Optional[LRSchedule] = None,
     ) -> None:
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         if momentum < 0 or momentum >= 1:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if weight_decay < 0:
             raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
-        self.schedule = schedule or ConstantLR(lr)
+        self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self._velocity: Optional[np.ndarray] = None
         #: Reusable weight-decay accumulator (allocation-free hot path).
         self._scratch: Optional[np.ndarray] = None
 
-    def reset(self) -> None:
-        """Forget momentum state (used when a worker skips iterations)."""
-        self._velocity = None
-
     def step(
-        self, params: np.ndarray, grad: np.ndarray, iteration: int = 0
+        self, params: np.ndarray, grad: np.ndarray, iteration=None
     ) -> np.ndarray:
-        """Compute the additive update ``delta`` for this iteration.
+        """Compute the additive update ``delta`` for this step.
 
         State updates (momentum, weight-decay accumulation) happen in
         place in reusable float64 buffers; only the returned ``delta``
         is a fresh array (the caller owns it).  The in-place operation
         order reproduces the former out-of-place arithmetic bit for
-        bit.
+        bit.  ``iteration`` is ignored: it is kept only because
+        ``bench/layers.py`` still passes one (ROADMAP item 5 drops it).
         """
         scratch, velocity = self.buffers(np.shape(grad))
         if scratch is not None:
@@ -105,7 +71,7 @@ class SGD:
             velocity *= self.momentum
             velocity += effective
             effective = velocity
-        return np.multiply(effective, -self.schedule(iteration))
+        return np.multiply(effective, -self.lr)
 
     def buffers(self, shape) -> tuple:
         """``(scratch, velocity)``: the float64 buffers :meth:`step`
@@ -126,11 +92,10 @@ class SGD:
         self,
         params: np.ndarray,
         grads: np.ndarray,
-        iterations: np.ndarray,
         velocity: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """:meth:`step` for a block of rows: row ``r`` is one worker's
-        step at ``(params[r], grads[r], iterations[r])``.
+        step at ``(params[r], grads[r])``.
 
         Every row goes through the elementwise float64 ops of
         :meth:`step`, in its order, so each row of the result is bit for
@@ -150,21 +115,14 @@ class SGD:
             velocity *= self.momentum
             velocity += effective
             effective = velocity
-        levels, row_level = np.unique(iterations, return_inverse=True)
-        rates = np.array([-self.schedule(int(k)) for k in levels])
-        return np.multiply(effective, rates[row_level][:, None])
+        return np.multiply(effective, -self.lr)
 
     def clone(self) -> "SGD":
         """A fresh optimizer with the same hyper-parameters (new state)."""
-        return SGD(
-            lr=self.schedule(0),
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            schedule=self.schedule,
-        )
+        return SGD(self.lr, self.momentum, self.weight_decay)
 
     def __repr__(self) -> str:
         return (
-            f"SGD(lr={self.schedule(0)}, momentum={self.momentum}, "
+            f"SGD(lr={self.lr}, momentum={self.momentum}, "
             f"weight_decay={self.weight_decay})"
         )

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -107,11 +107,6 @@ def readonly_view(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.setflags(write=False)
     return view
-
-
-def total_size(parameters: Iterable[Parameter]) -> int:
-    """Total number of scalar parameters."""
-    return sum(p.size for p in parameters)
 
 
 #: Environment flag enabling the write sanitizer ("" and "0" mean off).

@@ -736,6 +736,8 @@ class ProtocolCluster:
             ledger=Ledger(self.loss_at),
         )
         self.runtime = runtime
+        # Error-feedback residuals belong to one run.
+        self._compressors = {}
         self._start(runtime)
         env.run()
         self._check_complete(runtime)

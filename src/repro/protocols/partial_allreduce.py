@@ -275,7 +275,7 @@ class PartialAllReduceCluster(ProtocolCluster):
         computed = env.now
         gate = recv = SKIPPED
         loss, grad = ticket.result()
-        params[wid] = params[wid] + optimizer.step(params[wid], grad, k)
+        params[wid] = params[wid] + optimizer.step(params[wid], grad)
 
         group = self.schedule.group_of(k, wid)
         if len(group) > 1:

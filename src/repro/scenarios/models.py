@@ -106,9 +106,8 @@ class RandomSlowdown(SlowdownModel):
         self._gen = np.random.Generator(self._bits)
 
     def _worker_state(self, worker: int) -> dict:
-        # fresh() derives the same seed streams.stream("slowdown",
-        # worker) used, so factors are unchanged for existing master
-        # seeds; only the expanded PCG64 start state is kept.
+        # Only the expanded PCG64 start state of the worker's
+        # ("slowdown", worker) stream is kept.
         if worker not in self._worker_states:
             self._worker_states[worker] = self._streams.fresh(
                 "slowdown", worker

@@ -13,7 +13,6 @@ master seed and a stable string key, so:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
 
 import numpy as np
 
@@ -33,13 +32,12 @@ class RngStreams:
     Example::
 
         streams = RngStreams(seed=7)
-        data_rng = streams.stream("worker", 3, "data")
-        slow_rng = streams.stream("worker", 3, "slowdown")
+        data_rng = streams.fresh("worker", 3, "data")
+        slow_rng = streams.fresh("worker", 3, "slowdown")
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._streams: Dict[str, np.random.Generator] = {}
 
     def key(self, *parts: object) -> str:
         """Join stream-name parts into the canonical key string."""
@@ -51,18 +49,10 @@ class RngStreams:
         an owner that builds it when it first draws."""
         return derive_seed(self.seed, self.key(*parts))
 
-    def stream(self, *parts: object) -> np.random.Generator:
-        """Return (creating if needed) the stream named by ``parts``."""
-        key = self.key(*parts)
-        if key not in self._streams:
-            self._streams[key] = np.random.default_rng(self.seed_of(key))
-        return self._streams[key]
-
     def fresh(self, *parts: object) -> np.random.Generator:
-        """Return a *new* generator for ``parts`` (not cached).
-
-        Useful when a component must be able to replay its own draws.
-        """
+        """Return a *new* generator for ``parts``: every call starts the
+        stream over, so a component that takes one per run replays its
+        own draws."""
         return np.random.default_rng(self.seed_of(*parts))
 
     def spawn(self, *parts: object) -> "RngStreams":
@@ -70,4 +60,4 @@ class RngStreams:
         return RngStreams(derive_seed(self.seed, self.key(*parts)))
 
     def __repr__(self) -> str:
-        return f"<RngStreams seed={self.seed} streams={len(self._streams)}>"
+        return f"<RngStreams seed={self.seed}>"

@@ -2,4 +2,4 @@
 
 
 def draw(streams):
-    return streams.stream("draw").random()
+    return streams.fresh("draw").random()

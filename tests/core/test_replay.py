@@ -223,7 +223,7 @@ def test_the_server_fold_spells_every_sgd_term(protocol, momentum, weight_decay)
         )
         runs.append(run_fingerprint(cluster.run()))
         assert (cluster.record is None) == eager
-        optimizer = cluster.optimizer_proto
+        optimizer = cluster._optimizer
         states.append(
             [None if b is None else b.tobytes()
              for b in (optimizer._velocity, optimizer._scratch)]

@@ -16,12 +16,16 @@ from repro.core.reducers import (
     weighted_reduce,
 )
 from repro.core.update import Update
-from repro.ml.models import build_mlp, build_svm
+from repro.ml.layers import Dense, ReLU
+from repro.ml.losses import SoftmaxCrossEntropy
+from repro.ml.models import Model, Sequential, build_svm
 from repro.ml.params import Parameter, pack_parameters, readonly_view
 
 
 def make_model(dtype=np.float64):
-    model = build_mlp(np.random.default_rng(0), 6, [5], 3)
+    rng = np.random.default_rng(0)
+    layers = [Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)]
+    model = Model(Sequential(layers), SoftmaxCrossEntropy())
     if dtype is not np.float64:
         model.astype(dtype)
     return model
@@ -214,7 +218,7 @@ class TestOptimizerInPlace:
         new = SGD(lr=0.1, momentum=0.9, weight_decay=1e-4)
         velocity = None
         for grad in grads:
-            delta = new.step(params, grad, 0)
+            delta = new.step(params, grad)
             # Legacy out-of-place reference.
             g = np.asarray(grad, dtype=np.float64)
             g = g + 1e-4 * np.asarray(params, dtype=np.float64)
@@ -228,9 +232,9 @@ class TestOptimizerInPlace:
 
         opt = SGD(lr=0.1, momentum=0.9, weight_decay=1e-4)
         params = np.ones(8)
-        first = opt.step(params, np.ones(8), 0)
+        first = opt.step(params, np.ones(8))
         snapshot = first.copy()
-        opt.step(params, 2.0 * np.ones(8), 1)
+        opt.step(params, 2.0 * np.ones(8))
         np.testing.assert_array_equal(first, snapshot)
 
     def test_readonly_grad_view_accepted(self):
@@ -242,5 +246,5 @@ class TestOptimizerInPlace:
             SGD(lr=0.1, momentum=0.9),
             SGD(lr=0.1, momentum=0.9, weight_decay=1e-4),
         ):
-            delta = opt.step(np.ones(8), grad, 0)
+            delta = opt.step(np.ones(8), grad)
             assert delta.flags.writeable

@@ -497,9 +497,7 @@ def test_vgg_lite_gradients_are_exact_for_20_sgd_steps(preset):
         assert value == ref_value, step
         assert grad.dtype == np.float32
         assert grad.tobytes() == ref_grad.tobytes(), step
-        params = new.get_params() + optimizer.step(
-            new.get_params(), grad, step
-        )
+        params = new.get_params() + optimizer.step(new.get_params(), grad)
         new.set_params(params)
         old.set_params(params)
     assert new.evaluate(data.x_test, data.y_test) == old.evaluate(

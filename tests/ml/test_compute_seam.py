@@ -34,8 +34,9 @@ from repro.harness.workloads import cnn_workload, svm_workload
 from repro.ml import compute
 from repro.ml.compute import ComputeError, ComputePool, Ticket
 from repro.ml.data import Batcher, Horizons
-from repro.ml.losses import HingeLoss
-from repro.ml.models import build_mlp, build_svm
+from repro.ml.layers import Dense, ReLU
+from repro.ml.losses import LogisticLoss, SoftmaxCrossEntropy
+from repro.ml.models import Model, Sequential, build_svm
 from repro.protocols import registered_protocols
 from repro.protocols.base import ProtocolRuntime, TrainingRun
 from repro.protocols.registry import build_cluster
@@ -280,12 +281,25 @@ def test_a_replay_block_the_kernel_declines_takes_loss_and_grad_per_row():
         )
 
 
+def mlp(rng, in_features):
+    """A two-layer perceptron: a model the stacked kernel declines."""
+    layers = [Dense(in_features, 4, rng), ReLU(), Dense(4, 2, rng)]
+    return Model(Sequential(layers), SoftmaxCrossEntropy())
+
+
+class OtherLogLoss(LogisticLoss):
+    """A subclass may change the math, so the kernel declines it."""
+
+
 def test_only_the_papers_svm_offers_a_stacked_kernel():
     rng = np.random.default_rng(0)
     svm = build_svm(rng, 8)
     assert svm.stacked_kernel is compute.svm_stacked_loss_and_grad
-    assert build_svm(rng, 8, loss=HingeLoss()).stacked_kernel is None
-    assert build_mlp(rng, 8, [4], 2).stacked_kernel is None
+    other = Model(Sequential([Dense(8, 1, rng)]), OtherLogLoss())
+    assert other.stacked_kernel is None
+    single = Model(Sequential([Dense(8, 1, rng)]), SoftmaxCrossEntropy())
+    assert single.stacked_kernel is None
+    assert mlp(rng, 8).stacked_kernel is None
     assert build_svm(rng, 8).astype(np.float32).stacked_kernel is None
     assert cnn_workload("smoke").model_factory(rng).stacked_kernel is None
     svm.l2 = 0.1  # the regulariser lives outside the kernel
@@ -505,10 +519,10 @@ def test_a_ticket_nobody_consumes_affects_no_other_ticket(world):
 
 def test_a_failed_flush_leaves_unevaluated_tickets_pending(world):
     pool, models, batchers, twins = world
-    mlp = build_mlp(np.random.default_rng(0), 16, [4], 2)  # per-ticket path
+    per_ticket = mlp(np.random.default_rng(0), 16)
     bad = Batcher(batchers[0].x[:, :3], batchers[0].y, 8, np.random.default_rng(0))
-    pool._models = [mlp, *models]
-    first = pool.submit(mlp, bad)
+    pool._models = [per_ticket, *models]
+    first = pool.submit(per_ticket, bad)
     later = pool.submit(models[0], batchers[0])
     expected = eager(models[0], twins[0])
     with pytest.raises(ComputeError, match=r"^worker 0: ValueError: Dense"):

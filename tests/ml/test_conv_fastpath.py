@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.ml.gradcheck import numerical_gradient, relative_error
-from repro.ml.layers import Conv2D, Dropout, MaxPool2D, _conv_plan
+from repro.ml.layers import Conv2D, MaxPool2D, _conv_plan
 from oracles.reference import (
     conv2d_backward_reference,
     conv2d_forward_reference,
@@ -220,30 +220,3 @@ class TestMaxPoolParity:
         dx = layer.backward(projection)
         numeric = numerical_gradient(loss, x.copy())
         assert relative_error(dx, numeric) < 1e-6
-
-
-class TestDropoutGuard:
-    def test_backward_before_any_forward_raises(self):
-        layer = Dropout(0.5, RNG())
-        with pytest.raises(RuntimeError):
-            layer.backward(np.ones((2, 2)))
-
-    def test_backward_after_eval_forward_raises(self):
-        layer = Dropout(0.5, RNG())
-        layer.forward(np.ones((2, 2)), training=False)
-        with pytest.raises(RuntimeError):
-            layer.backward(np.ones((2, 2)))
-
-    def test_rate_zero_training_backward_is_identity(self):
-        layer = Dropout(0.0, RNG())
-        x = RNG(1).normal(size=(3, 3))
-        layer.forward(x, training=True)
-        dout = RNG(2).normal(size=(3, 3))
-        assert np.array_equal(layer.backward(dout), dout)
-
-    def test_eval_after_training_invalidates_mask(self):
-        layer = Dropout(0.5, RNG())
-        layer.forward(np.ones((2, 2)), training=True)
-        layer.forward(np.ones((2, 2)), training=False)
-        with pytest.raises(RuntimeError):
-            layer.backward(np.ones((2, 2)))

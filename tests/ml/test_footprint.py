@@ -29,17 +29,7 @@ from repro.ml import (
 )
 from repro.harness.workloads import cnn_workload
 from repro.ml import layers
-from repro.ml.layers import (
-    AvgPool2D,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool2D,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
+from repro.ml.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 
 
 class FixedPrefetchBatcher(Batcher):
@@ -101,7 +91,7 @@ def cached_state(layer):
     return {
         name: value
         for name, value in vars(layer).items()
-        if name in ("_x", "_cache", "_mask", "_out", "_shape")
+        if name in ("_x", "_cache", "_mask", "_shape")
         and value is not None
     }
 
@@ -112,10 +102,10 @@ class TestActivationCachesAreReleased:
         data = synthetic_webspam(rng, n_train=64, n_test=16, n_features=12)
         return build_svm(rng, 12), data.x_train[:8], data.y_train[:8]
 
-    def cnn(self, dropout=0.25):
+    def cnn(self):
         rng = np.random.default_rng(0)
         data = synthetic_images(rng, n_train=16, n_test=8)
-        model = build_vgg_lite(rng, dropout=dropout)
+        model = build_vgg_lite(rng)
         return model, data.x_train[:4], data.y_train[:4]
 
     @pytest.mark.parametrize("build", ["svm", "cnn"])
@@ -136,8 +126,8 @@ class TestActivationCachesAreReleased:
             model.network.backward(np.ones_like(scores))
 
     def test_gradients_do_not_depend_on_the_previous_step(self):
-        model, x, y = self.cnn(dropout=0.0)
-        fresh, _, _ = self.cnn(dropout=0.0)
+        model, x, y = self.cnn()
+        fresh, _, _ = self.cnn()
         model.loss_and_grad(x[::-1], y[::-1])
         value, grad = model.loss_and_grad(x, y)
         ref_value, ref_grad = fresh.loss_and_grad(x, y)
@@ -148,13 +138,8 @@ class TestActivationCachesAreReleased:
         [
             (Dense(6, 3, np.random.default_rng(0)), (4, 6)),
             (ReLU(), (4, 6)),
-            (Tanh(), (4, 6)),
-            (Sigmoid(), (4, 6)),
             (Flatten(), (4, 2, 3)),
-            (Dropout(0.5, np.random.default_rng(0)), (4, 6)),
-            (Dropout(0.0, np.random.default_rng(0)), (4, 6)),
             (Conv2D(2, 3, 3, np.random.default_rng(0), pad=1), (2, 2, 4, 4)),
-            (AvgPool2D(2), (2, 2, 4, 4)),
             (MaxPool2D(2), (2, 2, 4, 4)),
             (MaxPool2D(4), (2, 2, 4, 4)),
         ],

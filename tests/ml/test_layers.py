@@ -6,7 +6,6 @@ import pytest
 from repro.ml import (
     Conv2D,
     Dense,
-    Dropout,
     Flatten,
     MaxPool2D,
     ReLU,
@@ -16,6 +15,16 @@ from repro.ml import (
 
 
 RNG = lambda: np.random.default_rng(42)  # noqa: E731 - test brevity
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [ReLU(), Flatten(), Conv2D(2, 3, 3, RNG(), pad=1), MaxPool2D(2)],
+    ids=lambda layer: type(layer).__name__,
+)
+def test_backward_before_any_forward_raises(layer):
+    with pytest.raises(RuntimeError, match="backward"):
+        layer.backward(np.ones((2, 3, 4, 4)))
 
 
 def layer_input_gradcheck(layer, x, tol=1e-6):
@@ -106,33 +115,6 @@ class TestFlatten:
         assert np.array_equal(back, x)
 
 
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        layer = Dropout(0.5, RNG())
-        x = RNG().normal(size=(3, 7))
-        assert np.array_equal(layer.forward(x, training=False), x)
-
-    def test_training_mode_scales_survivors(self):
-        layer = Dropout(0.5, RNG())
-        x = np.ones((1, 10000))
-        out = layer.forward(x, training=True)
-        survivors = out[out != 0]
-        assert np.allclose(survivors, 2.0)
-        # Expected survival rate ~ 0.5
-        assert abs(len(survivors) / 10000 - 0.5) < 0.05
-
-    def test_backward_uses_same_mask(self):
-        layer = Dropout(0.3, RNG())
-        x = np.ones((2, 50))
-        out = layer.forward(x, training=True)
-        dx = layer.backward(np.ones_like(out))
-        assert np.array_equal(dx != 0, out != 0)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0, RNG())
-
-
 class TestConv2D:
     def test_output_shape_with_padding(self):
         layer = Conv2D(3, 5, 3, RNG(), pad=1)
@@ -208,6 +190,10 @@ class TestMaxPool2D:
     def test_indivisible_input_rejected(self):
         with pytest.raises(ValueError):
             MaxPool2D(2).forward(np.ones((1, 1, 5, 5)))
+
+    def test_size_validation(self):
+        with pytest.raises(ValueError):
+            MaxPool2D(0)
 
     def test_tie_gradient_goes_to_single_cell(self):
         layer = MaxPool2D(2)

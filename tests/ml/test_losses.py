@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ml import (
-    HingeLoss,
     LogisticLoss,
     SoftmaxCrossEntropy,
     numerical_gradient,
@@ -101,22 +100,3 @@ class TestLogisticLoss:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             LogisticLoss().value_and_grad(np.zeros(3), np.array([1, 0]))
-
-
-class TestHingeLoss:
-    def test_value_on_known_margins(self):
-        loss = HingeLoss()
-        # y=+1, s=2 -> margin ok, loss 0; y=+1, s=0 -> loss 1.
-        value, _ = loss.value_and_grad(np.array([2.0, 0.0]), np.array([1, 1]))
-        assert value == pytest.approx(0.5)
-
-    def test_gradient_zero_beyond_margin(self):
-        loss = HingeLoss()
-        _, grad = loss.value_and_grad(np.array([5.0]), np.array([1]))
-        assert grad[0] == 0.0
-
-    def test_gradcheck_away_from_kink(self):
-        rng = np.random.default_rng(3)
-        scores = rng.normal(size=10) * 3.0
-        scores[np.abs(1 - np.abs(scores)) < 0.05] += 0.2  # dodge kinks
-        loss_gradcheck(HingeLoss(), scores, (scores > 0).astype(int))

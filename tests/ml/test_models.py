@@ -6,19 +6,30 @@ import pytest
 from repro.ml import (
     SGD,
     Batcher,
-    build_mlp,
     build_svm,
     build_vgg_lite,
     check_model_gradient,
     synthetic_images,
     synthetic_webspam,
 )
-from repro.ml.layers import Layer
-from repro.ml.models import Model
+from repro.ml.layers import Dense, Layer, ReLU
+from repro.ml.losses import SoftmaxCrossEntropy
+from repro.ml.models import Model, Sequential
+
+
+def mlp(rng, in_features, hidden, n_classes):
+    """A multilayer perceptron: Dense-ReLU per hidden width, then a
+    Dense head under softmax cross entropy."""
+    layers, width = [], in_features
+    for out in hidden:
+        layers += [Dense(width, out, rng), ReLU()]
+        width = out
+    layers.append(Dense(width, n_classes, rng))
+    return Model(Sequential(layers), SoftmaxCrossEntropy())
 
 
 def test_flat_round_trip():
-    model = build_mlp(np.random.default_rng(0), 6, [5], 3)
+    model = mlp(np.random.default_rng(0), 6, [5], 3)
     flat = model.get_params()
     assert flat.shape == (model.dim,)
     model.set_params(np.zeros(model.dim))
@@ -28,14 +39,14 @@ def test_flat_round_trip():
 
 
 def test_set_params_wrong_size_rejected():
-    model = build_mlp(np.random.default_rng(0), 4, [], 2)
+    model = mlp(np.random.default_rng(0), 4, [], 2)
     with pytest.raises(ValueError):
         model.set_params(np.zeros(model.dim + 1))
 
 
 def test_mlp_gradcheck():
     rng = np.random.default_rng(1)
-    model = build_mlp(rng, 5, [4], 3)
+    model = mlp(rng, 5, [4], 3)
     x = rng.normal(size=(6, 5))
     y = rng.integers(0, 3, size=6)
     assert check_model_gradient(model, x, y) < 1e-5
@@ -79,14 +90,27 @@ def test_vgg_lite_rejects_bad_image_size():
         build_vgg_lite(np.random.default_rng(0), image_size=6)
 
 
-def test_predict_multiclass_and_binary():
-    rng = np.random.default_rng(5)
-    mlp = build_mlp(rng, 4, [], 3)
-    assert mlp.predict(rng.normal(size=(7, 4))).shape == (7,)
+def test_accuracy_multiclass():
+    """Multi-class scores predict their argmax."""
+    model = mlp(np.random.default_rng(5), 4, [], 3)
+    model.set_params(np.concatenate([np.eye(3, 4).ravel(), np.zeros(3)]))
+    x = np.random.default_rng(5).normal(size=(7, 4))  # scores: x[:, :3]
+    y = np.argmax(x[:, :3], axis=1)
+    assert model.evaluate(x, y)[1] == 1.0
+    y[0] = (y[0] + 1) % 3
+    assert model.evaluate(x, y)[1] == pytest.approx(6 / 7)
 
-    svm = build_svm(rng, 4)
-    preds = svm.predict(rng.normal(size=(7, 4)))
-    assert set(np.unique(preds)) <= {0, 1}
+
+def test_accuracy_pm_labels():
+    """A margin predicts class 1 above 0 and class 0 otherwise; ±1
+    labels count as 0/1, and 0/1 labels as they are."""
+    model = build_svm(np.random.default_rng(0), 2)
+    model.set_params(np.array([1.0, 0.0, 0.0]))  # score: x[:, 0]
+    x = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
+    assert model.evaluate(x, np.array([1, -1, 1]))[1] == 1.0
+    assert model.evaluate(x, np.array([1, 0, 1]))[1] == 1.0
+    assert model.evaluate(x, np.array([1, 1, 1]))[1] == pytest.approx(2 / 3)
+    assert model.evaluate(x, np.array([-1, 1, -1]))[1] == 0.0
 
 
 def test_training_reduces_loss_svm():
@@ -97,11 +121,11 @@ def test_training_reduces_loss_svm():
     batcher = Batcher(data.x_train, data.y_train, 64, rng)
 
     initial_loss = model.loss_value(data.x_test, data.y_test)
-    for step in range(60):
+    for _ in range(60):
         xb, yb = batcher.next_batch()
         _, grad = model.loss_and_grad(xb, yb)
         model.set_params(
-            model.get_params() + optimizer.step(model.get_params(), grad, step)
+            model.get_params() + optimizer.step(model.get_params(), grad)
         )
     final_loss, acc = model.evaluate(data.x_test, data.y_test)
     assert final_loss < 0.6 * initial_loss
@@ -116,11 +140,11 @@ def test_training_reduces_loss_cnn():
     batcher = Batcher(data.x_train, data.y_train, 64, rng)
 
     initial_loss = model.loss_value(data.x_test, data.y_test)
-    for step in range(80):
+    for _ in range(80):
         xb, yb = batcher.next_batch()
         _, grad = model.loss_and_grad(xb, yb)
         model.set_params(
-            model.get_params() + optimizer.step(model.get_params(), grad, step)
+            model.get_params() + optimizer.step(model.get_params(), grad)
         )
     final_loss, acc = model.evaluate(data.x_test, data.y_test)
     assert final_loss < initial_loss
@@ -190,11 +214,11 @@ class CountingIdentity(Layer):
 @pytest.mark.parametrize("build", ["softmax", "logistic"])
 def test_evaluate_runs_the_network_once(build, l2):
     """One forward per ``evaluate`` (it used to be two: ``loss_value``,
-    then ``predict``), and the pair it returns is exactly the pair the
-    two separate calls give."""
+    then the predictions), and the pair it returns is exactly the pair
+    two separate passes give."""
     rng = np.random.default_rng(9)
     if build == "softmax":
-        model = build_mlp(rng, 6, [5], 3)
+        model = mlp(rng, 6, [5], 3)
         y = rng.integers(0, 3, size=40)
     else:
         model = build_svm(rng, 6)
@@ -207,6 +231,10 @@ def test_evaluate_runs_the_network_once(build, l2):
     loss, accuracy = model.evaluate(x, y)
     assert counter.forwards == 1
     assert loss == model.loss_value(x, y)
-    targets = (y + 1) // 2 if build == "logistic" else y
-    assert accuracy == float(np.mean(model.predict(x) == targets))
+    scores = model.network.forward(x, training=False)
+    if build == "logistic":
+        predictions, targets = scores.ravel() > 0, (y + 1) // 2
+    else:
+        predictions, targets = np.argmax(scores, axis=1), y
+    assert accuracy == float(np.mean(predictions == targets))
     assert counter.forwards == 3

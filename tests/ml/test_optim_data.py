@@ -1,4 +1,4 @@
-"""Tests for optimizers, schedules, datasets, batching, and params."""
+"""Tests for the optimizer, datasets, batching, and metrics."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,9 @@ import pytest
 from repro.ml import (
     SGD,
     Batcher,
-    ConstantLR,
-    Parameter,
-    StepDecayLR,
-    accuracy,
     smooth_series,
     synthetic_images,
     synthetic_webspam,
-    total_size,
 )
 
 
@@ -22,6 +17,16 @@ class TestSGD:
         sgd = SGD(lr=0.5)
         delta = sgd.step(np.zeros(3), np.array([1.0, -2.0, 0.0]))
         assert np.allclose(delta, [-0.5, 1.0, 0.0])
+
+    def test_the_rate_is_one_number(self):
+        """No step depends on when it is taken: a trailing iteration
+        (the one ``bench/layers.py`` passes) is ignored."""
+        sgd = SGD(lr=0.5)
+        assert sgd.lr == 0.5
+        grad = np.array([1.0, -2.0])
+        assert sgd.step(np.zeros(2), grad, 1000).tobytes() == sgd.step(
+            np.zeros(2), grad
+        ).tobytes()
 
     def test_momentum_accumulates(self):
         sgd = SGD(lr=1.0, momentum=0.9)
@@ -36,19 +41,33 @@ class TestSGD:
         delta = sgd.step(np.array([10.0]), np.zeros(1))
         assert delta[0] == pytest.approx(-1.0)
 
-    def test_reset_clears_momentum(self):
-        sgd = SGD(lr=1.0, momentum=0.9)
-        sgd.step(np.zeros(1), np.array([1.0]))
-        sgd.reset()
-        delta = sgd.step(np.zeros(1), np.array([1.0]))
-        assert delta[0] == pytest.approx(-1.0)
-
     def test_clone_has_fresh_state(self):
         sgd = SGD(lr=1.0, momentum=0.9)
         sgd.step(np.zeros(1), np.array([1.0]))
         clone = sgd.clone()
         delta = clone.step(np.zeros(1), np.array([1.0]))
         assert delta[0] == pytest.approx(-1.0)
+        assert repr(clone) == repr(sgd)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_step_rows_equals_each_rows_own_step(
+        self, momentum, weight_decay, dtype
+    ):
+        """Row ``r`` of a block step is bit for bit worker ``r``'s own
+        ``step``, over several steps of one velocity block."""
+        rng = np.random.default_rng(5)
+        rows, dim = 3, 7
+        block = SGD(lr=0.3, momentum=momentum, weight_decay=weight_decay)
+        own = [block.clone() for _ in range(rows)]
+        velocity = np.zeros((rows, dim)) if momentum else None
+        for _ in range(3):
+            params = rng.normal(size=(rows, dim)).astype(dtype)
+            grads = rng.normal(size=(rows, dim)).astype(dtype)
+            deltas = block.step_rows(params, grads, velocity)
+            for r, sgd in enumerate(own):
+                assert deltas[r].tobytes() == sgd.step(params[r], grads[r]).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,36 +75,7 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD(lr=1.0, weight_decay=-0.1)
         with pytest.raises(ValueError):
-            ConstantLR(0.0)
-
-
-class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantLR(0.1)
-        assert schedule(0) == schedule(1000) == 0.1
-
-    def test_step_decay(self):
-        schedule = StepDecayLR(1.0, step_size=10, gamma=0.1)
-        assert schedule(0) == 1.0
-        assert schedule(9) == 1.0
-        assert schedule(10) == pytest.approx(0.1)
-        assert schedule(20) == pytest.approx(0.01)
-
-    def test_step_decay_validation(self):
-        with pytest.raises(ValueError):
-            StepDecayLR(1.0, step_size=0)
-
-    def test_sgd_uses_schedule(self):
-        sgd = SGD(lr=1.0, schedule=StepDecayLR(1.0, step_size=5))
-        early = sgd.step(np.zeros(1), np.ones(1), iteration=0)
-        late = sgd.step(np.zeros(1), np.ones(1), iteration=5)
-        assert abs(late[0]) < abs(early[0])
-
-
-class TestParams:
-    def test_total_size(self):
-        params = [Parameter(np.zeros((2, 3)), "a"), Parameter(np.zeros(5), "b")]
-        assert total_size(params) == 11
+            SGD(lr=0.0)
 
 
 class TestDatasets:
@@ -112,7 +102,7 @@ class TestDatasets:
         flat_means = means.reshape(10, -1)
         d2 = ((flat_test[:, None, :] - flat_means[None, :, :]) ** 2).sum(-1)
         predictions = d2.argmin(axis=1)
-        assert accuracy(predictions, data.y_test) > 0.5
+        assert np.mean(predictions == data.y_test) > 0.5
 
     def test_synthetic_webspam_separable(self):
         data = synthetic_webspam(
@@ -161,18 +151,6 @@ class TestBatcher:
 
 
 class TestMetrics:
-    def test_accuracy_basic(self):
-        assert accuracy(np.array([1, 0, 1]), np.array([1, 1, 1])) == pytest.approx(
-            2 / 3
-        )
-
-    def test_accuracy_pm_labels(self):
-        assert accuracy(np.array([1, 0]), np.array([1, -1])) == 1.0
-
-    def test_accuracy_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            accuracy(np.zeros(3), np.zeros(4))
-
     def test_smooth_series_constant_preserved(self):
         values = np.full(10, 3.0)
         assert np.allclose(smooth_series(values, 4), 3.0)

@@ -110,7 +110,7 @@ class TestExtensionPoint:
                             self.compute_model.duration(wid, k)
                         )
                         loss, grad = ticket.result()
-                        params = params + optimizer.step(params, grad, k)
+                        params = params + optimizer.step(params, grad)
                         runtime.ledger.record(
                             wid, k, start, env.now, loss, (start, env.now),
                             order=order,

@@ -334,6 +334,9 @@ class TestProfileSpec:
         from repro.harness.profiling import traced_peak_bytes
 
         held = np.ones(1 << 16)  # allocated before: not the call's
+        # A process's first freed array fills numpy's dimension cache
+        # (16 bytes): warm it, or the first measurement alone counts it.
+        np.ones(1 << 14)
         peak = traced_peak_bytes(lambda: np.ones(1 << 14))
         assert 8 * (1 << 14) <= peak < 8 * (1 << 14) + 4096
         assert not tracemalloc.is_tracing()

@@ -32,8 +32,8 @@ def test_clock_never_goes_backwards(delays):
     key=st.text(min_size=1, max_size=20),
 )
 def test_rng_streams_deterministic(seed, key):
-    a = RngStreams(seed).stream(key).integers(0, 1000, size=8)
-    b = RngStreams(seed).stream(key).integers(0, 1000, size=8)
+    a = RngStreams(seed).fresh(key).integers(0, 1000, size=8)
+    b = RngStreams(seed).fresh(key).integers(0, 1000, size=8)
     assert np.array_equal(a, b)
 
 

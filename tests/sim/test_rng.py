@@ -6,27 +6,22 @@ from repro.sim import RngStreams, derive_seed
 
 
 def test_same_seed_same_key_same_draws():
-    a = RngStreams(seed=7).stream("worker", 0).random(5)
-    b = RngStreams(seed=7).stream("worker", 0).random(5)
+    a = RngStreams(seed=7).fresh("worker", 0).random(5)
+    b = RngStreams(seed=7).fresh("worker", 0).random(5)
     assert np.array_equal(a, b)
 
 
 def test_different_keys_give_independent_streams():
     streams = RngStreams(seed=7)
-    a = streams.stream("worker", 0).random(5)
-    b = streams.stream("worker", 1).random(5)
+    a = streams.fresh("worker", 0).random(5)
+    b = streams.fresh("worker", 1).random(5)
     assert not np.array_equal(a, b)
 
 
 def test_different_seeds_give_different_draws():
-    a = RngStreams(seed=1).stream("x").random(5)
-    b = RngStreams(seed=2).stream("x").random(5)
+    a = RngStreams(seed=1).fresh("x").random(5)
+    b = RngStreams(seed=2).fresh("x").random(5)
     assert not np.array_equal(a, b)
-
-
-def test_stream_is_cached():
-    streams = RngStreams(seed=0)
-    assert streams.stream("a") is streams.stream("a")
 
 
 def test_fresh_returns_replayable_generator():
@@ -34,6 +29,16 @@ def test_fresh_returns_replayable_generator():
     first = streams.fresh("component").random(4)
     second = streams.fresh("component").random(4)
     assert np.array_equal(first, second)
+
+
+def test_fresh_generators_share_no_state():
+    """Drawing from one ``fresh`` generator leaves the next one of the
+    same key at the start, so a second run draws what the first drew."""
+    streams = RngStreams(seed=3)
+    used = streams.fresh("gossip", 0)
+    first = used.random(4)
+    used.random(100)
+    assert np.array_equal(streams.fresh("gossip", 0).random(4), first)
 
 
 def test_key_joins_parts():
@@ -59,9 +64,9 @@ def test_derive_seed_stability():
 
 def test_adding_new_stream_does_not_perturb_existing():
     streams_one = RngStreams(seed=11)
-    draws_before = streams_one.stream("data").random(3)
+    draws_before = streams_one.fresh("data").random(3)
 
     streams_two = RngStreams(seed=11)
-    streams_two.stream("slowdown").random(100)  # extra consumer
-    draws_after = streams_two.stream("data").random(3)
+    streams_two.fresh("slowdown").random(100)  # extra consumer
+    draws_after = streams_two.fresh("data").random(3)
     assert np.array_equal(draws_before, draws_after)
