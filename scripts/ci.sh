@@ -167,17 +167,19 @@ echo "== call budget: hop/64 and ps-async/128 function calls per worker-iteratio
 # count for the same two runs (`ProfileReport.calls`, after one warm-up
 # run, less the profiler's own GC callback).  It is exact for one tree
 # and one interpreter, so the ceilings are the counts the runs make now,
-# in this order, in a fresh process: 279,607 calls (109.2 per
-# worker-iteration) and 132,585 (103.6).  Before the per-message
+# in this order, in a fresh process: 279,333 calls (109.1 per
+# worker-iteration) and 132,558 (103.6).  Before the per-message
 # bookkeeping and the per-row replay draws went, they were about 370,000
 # and 192,000; before the one dependency record and the PS worker's
 # three-frame process, 325,087 and 156,770; before the ledger took the
 # losses over from the string-keyed tracer, 319,241 and 148,088; before
 # the gap was read off the ledger and the hop and PS loops lost their
 # dead calls, 316,087 and 146,272; before the learning rate became one
-# number and no step carried an iteration, 280,448 and 132,643.  A
-# first profile in a process pays a few calls of abc cache warm-up,
-# which the order here fixes.  The counts are a fresh export's that
+# number and no step carried an iteration, 280,448 and 132,643; before
+# the sigmoid left scipy for numpy's complex exp (a few calls a kernel
+# chunk, paid for by signing a run's labels once), 279,607 and
+# 132,585.  A first profile in a process pays a few calls of abc cache
+# warm-up, which the order here fixes.  The counts are a fresh export's that
 # writes its bytecode as it imports; with the bytecode already there,
 # or with PYTHONDONTWRITEBYTECODE set, the runs read ~2,500 fewer.
 python - <<'PY'
@@ -187,8 +189,8 @@ from repro.harness.spec import ExperimentSpec
 from repro.harness.workloads import by_name
 
 for protocol, n, iterations, ceiling in (
-    ("hop", 64, 40, 279_607),
-    ("ps-async", 128, 10, 132_585),
+    ("hop", 64, 40, 279_333),
+    ("ps-async", 128, 10, 132_558),
 ):
     spec = ExperimentSpec(
         name=f"call-budget/{protocol}/{n}",
@@ -328,15 +330,18 @@ assert budget.peak_bytes <= ceiling, (
 )
 PY
 
-echo "== start-up smoke: linear-time start-up, scipy on demand =="
+echo "== start-up smoke: linear-time start-up, no scipy on the run path =="
 # Same philosophy as the sim-core floor.  ring_based(2048) builds and
 # validates in 0.04-0.2 s on the reference container (2.0-2.6 s while
 # the weight-support and connectivity checks were Python loops over
 # all n^2 pairs); the 1.0 s ceiling trips on a Python-level O(n^2) in
-# start-up, not on machine noise.  And importing what a run imports
-# must not load scipy: the SVM's logistic loss imports scipy.special at
-# first use.  That a CNN step and a 512-row evaluate load none of it is
-# tests/ml/test_footprint.py's check, run with the suite above.
+# start-up, not on machine noise.  And neither importing what a run
+# imports nor running an SVM cell may load scipy, a test-only
+# dependency: the SVM's sigmoid is numpy's complex exp
+# (docs/ARCHITECTURE.md, "The SVM's sigmoid").  That an SVM step, a
+# replayed hop run, a ps-async run, an eager adpsgd run, a CNN step and
+# a 512-row evaluate load none of it is tests/ml/test_footprint.py's
+# check, run with the suite above.
 python - <<'PY'
 import sys
 import time
@@ -345,9 +350,29 @@ import repro.harness.golden  # noqa: F401
 import repro.harness.spec  # noqa: F401
 import repro.service  # noqa: F401
 from repro.graphs import ring_based
+from repro.harness.spec import ExperimentSpec, run_spec
+from repro.harness.workloads import by_name
 
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+loaded = scipy_loaded()
 assert not loaded, f"importing the run path loaded scipy: {loaded[:5]}"
+run = run_spec(
+    ExperimentSpec(
+        name="start-up/svm",
+        workload=by_name("svm", "smoke"),
+        topology=ring_based(8),
+        max_iter=5,
+        seed=0,
+    )
+)
+_, losses = run.loss_series()
+assert len(losses) == 8 * 5 and (losses == losses).all(), "a loss is NaN"
+loaded = scipy_loaded()
+assert not loaded, f"an SVM cell loaded scipy: {loaded[:5]}"
 
 start = time.perf_counter()
 topology = ring_based(2048)
@@ -360,7 +385,8 @@ assert elapsed < ceiling, (
 )
 print(
     f"start-up smoke OK: ring_based(2048) + validate() in {elapsed:.2f} s "
-    f"(ceiling {ceiling:.1f} s), scipy not imported by the run path"
+    f"(ceiling {ceiling:.1f} s), scipy loaded neither by the run path nor "
+    "by an SVM cell"
 )
 PY
 

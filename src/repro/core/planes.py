@@ -365,29 +365,32 @@ class HopEmitter:
     def evaluate(self, gids: np.ndarray) -> None:
         """Gradients, SGD steps and what each row sends."""
         rows, ks = np.divmod(gids, self.max_iter)
-        x, optimizer, velocity = self.x, self.optimizer, self.velocity
-        params = x[rows]
+        x, velocity = self.x, self.velocity
+        # A worker evaluates at most once a level, so a level of n rows
+        # is every worker in wid order: its blocks are x and velocity.
+        whole = len(rows) == len(x)
+        params = x if whole else x[rows]
+        moment = velocity if whole or velocity is None else velocity[rows]
         losses, grads = self.pool.evaluate_rows(
             rows, ks, params, self.horizons
         )
-        if velocity is None:
-            delta = optimizer.step_rows(params, grads)
-        else:
-            moment = velocity[rows]
-            delta = optimizer.step_rows(params, grads, moment)
+        delta = self.optimizer.step_rows(params, grads, moment)
+        if moment is not velocity:
             velocity[rows] = moment
         self.losses[rows, ks] = losses
-        if self.parallel:
-            # The delta waits in the row for the row's reduce, which is
-            # the next to read it.
+        if not self.parallel:
+            out = params + delta
+        elif whole:
+            # The delta waits in x for each row's reduce, the next to
+            # read it; what the rows send is the block they stepped.
+            self.x, out = delta, x
+        else:
             x[rows] = delta
             out = params
-        else:
-            out = params + delta
         sent = self.sent
         iterations = np.unique(ks).tolist()
-        if len(rows) == len(x) and len(iterations) == 1:
-            # One iteration of every worker, in wid order: keep the block.
+        if whole and len(iterations) == 1:
+            # One iteration of every worker: keep the block.
             sent[iterations[0]] = out
             return
         for k in iterations:
@@ -404,17 +407,24 @@ class HopEmitter:
         first = self.offsets[cs]
         rows, ks = np.divmod(inputs[first], max_iter)
         count = self.offsets[cs + 1] - first - 1
-        out = np.empty((len(cs), x.shape[1]))
-        for c in np.unique(count).tolist():
+        counts = np.unique(count).tolist()
+        # One update count (a regular graph in lockstep): the reduced
+        # block is the level's, with no copy.
+        out = None if len(counts) == 1 else np.empty((len(cs), x.shape[1]))
+        for c in counts:
             group = np.flatnonzero(count == c)
             position = first[group, None] + np.arange(1, c + 1)
             who, when = np.divmod(inputs[position], max_iter)
             blocks = self._columns(when, who)
             if self.weighted:
                 weights = staleness_weights(when, ks[group], self.window)
-                out[group] = weighted_reduce_rows(blocks, weights)
+                reduced = weighted_reduce_rows(blocks, weights)
             else:
-                out[group] = mean_reduce_rows(blocks, c)
+                reduced = mean_reduce_rows(blocks, c)
+            if out is None:
+                out = reduced
+            else:
+                out[group] = reduced
         x[rows] = EagerPlane.apply(out, x[rows]) if self.parallel else out
         self.progress[rows] += 1
         floor = int(self.progress.min()) - self.window
@@ -423,7 +433,7 @@ class HopEmitter:
 
     def _columns(self, when: np.ndarray, who: np.ndarray):
         # Arrival order: column t is every row's t-th update, worker
-        # who[r, t]'s at iteration when[r, t].
+        # who[r, t]'s at iteration when[r, t]; each a fresh array.
         for t in range(who.shape[1]):
             tags, first = when[:, t], int(when[0, t])
             if (tags == first).all():  # always, in lockstep

@@ -140,14 +140,16 @@ def mean_reduce_rows(columns: Iterable[np.ndarray], count: int) -> np.ndarray:
 
     ``columns`` yields ``count`` ``(rows, dim)`` blocks in arrival
     order: block ``t`` holds every row's ``t``-th update.  Each row sees
-    the elementwise ops of :func:`mean_reduce` in its order — copy the
-    first, ``+=`` each later one, ``/=`` the count — so it is bit for
-    bit that row's own reduce.
+    the elementwise ops of :func:`mean_reduce` in its order — the first
+    update, ``+=`` each later one, ``/=`` the count — so it is bit for
+    bit that row's own reduce.  The first block is the accumulator and
+    is returned: each block must be an array the caller hands over.
     """
     columns = iter(columns)
-    out = np.array(next(columns))
+    out = next(columns)
     for column in columns:
         out += column
+        del column  # freed before the next block is made
     out /= count
     return out
 

@@ -114,6 +114,9 @@ class ComputePool:
         #: size and dtype shape a stub's zero gradient.
         self.model = model if model is not None else models[0]
         self._pending: List[Ticket] = []
+        #: ``(y, signed_labels(y))`` of the last label vector evaluated:
+        #: a run's workers share one, signed once.
+        self._signed: Tuple[object, Optional[np.ndarray]] = (None, None)
         #: Stub outcomes by worker id (:meth:`stub`).
         self._stubs: Dict[int, Ticket] = {}
         #: Tickets submitted (stub tickets included).
@@ -228,7 +231,7 @@ class ComputePool:
 
     def _evaluate_stacked(self, kernel, group: List[Ticket]) -> None:
         x, y = group[0].x, group[0].y
-        signed = signed_labels(y)
+        signed = self._signed_labels(y)
         step = _chunk_rows(x, group[0].idx.size)
         for lo in range(0, len(group), step):
             chunk = group[lo : lo + step]
@@ -284,7 +287,7 @@ class ComputePool:
         idx = horizons.rows(wids, ks)
         kernel = self.model.stacked_kernel
         x, y = horizons.x, horizons.y
-        signed = signed_labels(y)
+        signed = self._signed_labels(y)
         step = _chunk_rows(x, horizons.batch_size)
         for lo in range(0, len(idx), step):
             hi = lo + step
@@ -306,6 +309,13 @@ class ComputePool:
                 for r, value in zip(rows.tolist(), loss_values):
                     losses[r] = value
         return losses, grads
+
+    def _signed_labels(self, y: np.ndarray) -> Optional[np.ndarray]:
+        held, signed = self._signed
+        if held is not y:
+            signed = signed_labels(y)
+            self._signed = (y, signed)
+        return signed
 
     def _evaluate_row(self, wid: int, params, x, y, out) -> float:
         """``loss_and_grad`` of :attr:`model` at ``params``; the gradient
@@ -408,19 +418,22 @@ def svm_stacked_loss_and_grad(
         np.matmul(rows, params[:, :features, None])
         + params[:, features:, None]
     )
-    # LogisticLoss.value_and_grad over (count, batch).
-    neg_margins = -(signed * scores.reshape(count, batch))
+    # LogisticLoss.value_and_grad over (count, batch), the margins
+    # written straight into the sigmoid's buffer.
+    z = np.zeros((count, batch), dtype=np.complex128)
+    margins = np.multiply(signed, scores.reshape(count, batch), out=z.real)
+    neg_margins = -margins
     loss_values = (
         np.add.reduce(np.logaddexp(0.0, neg_margins), axis=1) / batch
     )
-    dscores = (-signed * losses.expit(neg_margins)) / batch
+    dscores = (-signed * losses.expit_neg(z)) / batch
     # Dense.backward into zeroed buffers (neither product nor sum can
     # come out -0.0, so `0.0 + g` is `g`).
     grads = np.empty((count, width))
     grads[:, :features] = np.matmul(dscores[:, None, :], rows).reshape(
         count, features
     )
-    grads[:, features] = dscores.sum(axis=1)
+    grads[:, features] = np.add.reduce(dscores, axis=1)
     return loss_values.tolist(), grads
 
 

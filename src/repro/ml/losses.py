@@ -7,21 +7,68 @@ loss for SVM instead of hinge loss").
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
 
+#: Largest exponent below which numpy's complex ``exp`` of ``r + 0j``
+#: has libm's ``exp(r)`` as its real part: glibc's ``cexp`` takes a
+#: scaled path above ``int((DBL_MAX_EXP - 1) * ln 2) = 709``.
+_CEXP_EXACT = 709.0
+#: ``exp(r)`` overflows for every ``r`` at or past this.
+_EXP_OVERFLOW = 710.0
 
-def expit(x):
-    """``scipy.special.expit``; the first call rebinds this name to it.
 
-    A process that never evaluates a logistic loss never pays the
-    scipy.special import (0.1 s), and later steps run no ``import``.
+def expit(x) -> np.ndarray:
+    """``scipy.special.expit(x)``, ``1 / (1 + exp(-x))``, bit for bit.
+
+    float64 arrays of any shape; see :func:`expit_neg`.
     """
-    global expit
-    from scipy.special import expit
+    x = np.asarray(x, dtype=np.float64)
+    z = np.zeros(x.shape, dtype=np.complex128)
+    np.negative(x, out=z.real)
+    return expit_neg(z.reshape(-1)).reshape(x.shape)
 
-    return expit(x)
+
+def expit_neg(z: np.ndarray) -> np.ndarray:
+    """``expit(-r)`` = ``1 / (1 + exp(r))`` for the real part ``r`` of
+    ``z``, a C-contiguous complex128 buffer of at least one dimension
+    whose imaginary part is zero; ``z`` is overwritten.
+
+    numpy's float64 ``exp`` is not libm's (it differs in the last bit on
+    a few percent of inputs), but its complex ``exp`` is ``cexp``, whose
+    real part for a zero imaginary part and ``r < 709`` is libm's
+    ``exp(r)`` times 1.0.  Past that, ``cexp`` scales, so ``r`` in
+    ``[709, 710)`` and NaN take ``math.exp`` (libm's; an overflow is
+    ``inf``, a NaN its own), and ``r >= 710`` overflows to ``inf``: the
+    result is scipy's there too, ``+0.0``.  No floating-point warning is
+    raised.  docs/ARCHITECTURE.md, "The SVM's sigmoid", has the argument.
+    """
+    if np.maximum.reduce(z.real, axis=None, initial=-math.inf) < _CEXP_EXACT:
+        np.exp(z, out=z)
+    else:
+        # The max is NaN if any element is, so NaNs come here too.
+        flat = z.reshape(-1)
+        r = flat.real
+        odd = (~(r < _CEXP_EXACT)).nonzero()[0]
+        exponents = r[odd]
+        r[odd] = 0.0
+        np.exp(flat, out=flat)
+        r[odd] = math.inf
+        scalar = ~(exponents >= _EXP_OVERFLOW)
+        band = odd[scalar]
+        if band.size:
+            for i, value in zip(band.tolist(), exponents[scalar].tolist()):
+                if value != value:
+                    r[i] = value
+                    continue
+                try:
+                    r[i] = math.exp(value)
+                except OverflowError:
+                    pass  # inf already
+    sigma = np.add(z.real, 1.0)
+    return np.divide(1.0, sigma, out=sigma)
 
 
 class Loss:
@@ -105,13 +152,14 @@ class LogisticLoss(Loss):
         y = self._signed_targets(targets)
         if s.shape != y.shape:
             raise ValueError(f"scores {s.shape} vs targets {y.shape}")
-        margins = y * s
-        # ``-margins`` feeds both the stable log term and the sigmoid;
-        # negate once.  add.reduce/size is np.mean minus the wrapper —
-        # bit-identical, and this runs once per minibatch.
+        # The margins go straight into the sigmoid's buffer.
+        # add.reduce/size is np.mean minus the wrapper — bit-identical,
+        # and this runs once per minibatch.
+        z = np.zeros(s.shape, dtype=np.complex128)
+        margins = np.multiply(y, s, out=z.real)
         neg_margins = -margins
         losses = np.logaddexp(0.0, neg_margins)  # log(1 + exp(-m)), stable
         loss = float(np.add.reduce(losses) / losses.size)
-        sigma = expit(neg_margins)  # = exp(-m) / (1 + exp(-m)), overflow-safe
+        sigma = expit_neg(z)  # = exp(-m) / (1 + exp(-m)), overflow-safe
         dscores = (-y * sigma) / s.size
         return loss, dscores.reshape(original_shape)

@@ -172,14 +172,14 @@ def test_oracle_catches_a_one_ulp_mutation_of_the_kernel(monkeypatch):
     expected = loop_oracle(models, x, y, idx)
     assert mismatches(stacked_through_pool(models, x, y, idx), expected) == []
 
-    real = compute.losses.expit
+    real = compute.losses.expit_neg
 
     class Mutated:
         LogisticLoss = compute.losses.LogisticLoss
 
         @staticmethod
-        def expit(values):
-            return np.nextafter(real(values), 2.0)
+        def expit_neg(z):
+            return np.nextafter(real(z), 2.0)
 
     monkeypatch.setattr(compute, "losses", Mutated)
     mutated = stacked_through_pool(models, x, y, idx)

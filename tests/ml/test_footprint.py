@@ -7,8 +7,8 @@
   before the unpadded plan and the interior-only operator, a plan
   covers at most one training batch of samples, and a 2x2 pool's
   training cache is a byte per window;
-* ``scipy.special`` loads at the first logistic loss, not at import,
-  and a CNN loads no scipy at all.
+* no run path loads scipy: not importing the package, an SVM step or
+  run (its sigmoid is numpy's), nor a CNN step.
 """
 
 import subprocess
@@ -262,23 +262,60 @@ def loaded_scipy_modules(body):
     return set(filter(None, result.stdout.strip().split(",")))
 
 
-class TestScipyLoadsOnDemand:
+#: What a run needs, and ``build(protocol, topology)``: a smoke SVM cell
+#: of 4 iterations.
+SVM_CELL = textwrap.dedent(
+    """
+    import numpy as np
+    from repro.graphs import bipartite_ring, ring_based
+    from repro.harness.spec import ExperimentSpec
+    from repro.harness.workloads import by_name
+    from repro.protocols.registry import build_cluster
+
+    def build(protocol, topology):
+        return build_cluster(ExperimentSpec(
+            name=protocol, workload=by_name("svm", "smoke"),
+            topology=topology, protocol=protocol, max_iter=4, seed=0,
+        ))
+    """
+)
+
+
+class TestNoScipyOnTheRunPath:
     def test_importing_the_package_loads_no_scipy(self):
         assert loaded_scipy_modules(
             "import repro.harness.spec, repro.service, repro.cli"
         ) == set()
 
-    def test_svm_step_loads_special_only(self):
-        loaded = loaded_scipy_modules(
+    @pytest.mark.parametrize(
+        "run",
+        [
             """
-            import numpy as np
             from repro.ml import build_svm
             model = build_svm(np.random.default_rng(0), 5)
             model.loss_and_grad(np.ones((4, 5)), np.array([0, 1, 1, 0]))
+            """,
             """
-        )
-        assert "scipy.special" in loaded
-        assert not {m for m in loaded if m.startswith("scipy.sparse")}
+            cluster = build("hop", ring_based(8))
+            cluster.run()
+            assert cluster.record is not None  # replayed
+            """,
+            """
+            cluster = build("ps-async", ring_based(8))
+            cluster.run()
+            assert cluster.record is not None  # replayed
+            """,
+            """
+            cluster = build("adpsgd", bipartite_ring(8))
+            cluster.run()
+            assert cluster.runtime.compute.stacked  # eager, on tickets
+            """,
+        ],
+        ids=["svm-loss-and-grad", "hop-replay", "ps-async", "adpsgd-eager"],
+    )
+    def test_svm_runs_load_no_scipy(self, run):
+        """The SVM's sigmoid is numpy's: no run path loads scipy."""
+        assert loaded_scipy_modules(SVM_CELL + textwrap.dedent(run)) == set()
 
     def test_cnn_step_and_evaluation_load_no_scipy(self):
         assert loaded_scipy_modules(
